@@ -14,7 +14,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/analytics"
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
 	"repro/internal/experiments"
@@ -1108,118 +1107,6 @@ func BenchmarkFigure5ServiceLoad(b *testing.B) {
 	b.ReportMetric(high.GoodputRPS, "goodput_rps_4t")
 	b.ReportMetric(high.P99MS, "p99_ms_4t")
 	b.ReportMetric(float64(high.Rejected+high.Shed), "pushback_4t")
-}
-
-// ---------------------------------------------------------------------------
-// Iterative dataflow (Figure 6)
-// ---------------------------------------------------------------------------
-
-// iterBenchEngine builds a fresh default engine for the iterate benchmarks.
-func iterBenchEngine(b *testing.B, opts ...dataflow.EngineOption) *dataflow.Engine {
-	b.Helper()
-	c, err := cluster.New(cluster.Uniform(2, 2, 0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := dataflow.NewEngine(c, opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return e
-}
-
-// iterBenchBlobs builds k well-separated 2-d blobs deterministically (no RNG:
-// points are laid out on small per-blob grids) so every arm clusters the same
-// data.
-func iterBenchBlobs(perBlob int) analytics.Matrix {
-	centers := [][2]float64{{0, 0}, {40, 40}, {-40, 40}}
-	x := make(analytics.Matrix, 0, 3*perBlob)
-	for _, c := range centers {
-		for i := 0; i < perBlob; i++ {
-			x = append(x, []float64{
-				c[0] + float64(i%10)/4,
-				c[1] + float64(i/10)/4,
-			})
-		}
-	}
-	return x
-}
-
-// BenchmarkIterateKMeans is the ablation pair for engine clustering: the same
-// Lloyd fit run as an Iterate plan on the dataflow engine ("engine") and as
-// the in-process hand-rolled loop ("hand"). Both arms produce bit-identical
-// assignments and centroids (pinned by tests); the pair prices what running
-// the loop through the engine costs and records its convergence depth.
-func BenchmarkIterateKMeans(b *testing.B) {
-	x := iterBenchBlobs(200)
-	ctx := context.Background()
-
-	b.Run("engine", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var last *analytics.EngineKMeansResult
-		for i := 0; i < b.N; i++ {
-			em := &analytics.EngineKMeans{K: 3, Seed: 11}
-			res, err := em.Fit(ctx, iterBenchEngine(b), x)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		b.StopTimer()
-		if !last.Stats.IterateConverged {
-			b.Fatal("engine k-means must converge on separated blobs")
-		}
-		b.ReportMetric(float64(last.Stats.IterateIterations), "iterations")
-		b.ReportMetric(float64(last.Stats.IterateDeltaRows), "delta_rows")
-	})
-	b.Run("hand", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			km := &analytics.KMeans{K: 3, Seed: 11}
-			if err := km.Fit(x); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkIterateReachability drives the Figure 6 min-label propagation loop
-// (join → union → group-by → sort per pass) to its fixpoint, resident and
-// with the loop state staged through the one-byte-budget spill store.
-func BenchmarkIterateReachability(b *testing.B) {
-	ctx := context.Background()
-	env := benchEnv(b)
-	for _, arm := range []struct {
-		name     string
-		rowSweep []int
-		budgeted bool
-	}{{"resident", []int{256}, false}, {"budgeted", []int{256}, true}} {
-		b.Run(arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			var last experiments.Figure6Point
-			for i := 0; i < b.N; i++ {
-				fig, err := experiments.RunFigure6(ctx, env, arm.rowSweep)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, p := range fig.Points {
-					if p.Pipeline == "label-prop" && p.Budgeted == arm.budgeted {
-						last = p
-					}
-				}
-			}
-			b.StopTimer()
-			if !last.Converged {
-				b.Fatal("label propagation must converge")
-			}
-			b.ReportMetric(float64(last.Iterations), "iterations")
-			b.ReportMetric(float64(last.DeltaRows), "delta_rows")
-			b.ReportMetric(float64(last.SpilledBatches), "spilled_batches")
-		})
-	}
 }
 
 // BenchmarkFigure7DurableTables measures the durable-table materialisation

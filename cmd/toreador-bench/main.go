@@ -51,7 +51,7 @@ func run(args []string, out io.Writer) error {
 		days      = fs.Int("days", 7, "scenario sizing: days of readings")
 		users     = fs.Int("users", 150, "scenario sizing: clickstream users")
 		attempts  = fs.Int("attempts", 5, "attempts per simulated trainee (figure 4)")
-		only      = fs.String("only", "", "run a single experiment: table1|table2|table3|table4|figure1|figure2|figure3|figure4|figure5|figure6|figure7")
+		only      = fs.String("only", "", "run a single experiment: table1|table2|table3|table4|figure1|figure2|figure3|figure4|figure5|figure7")
 		asJSON    = fs.Bool("json", false, "emit results as a single JSON object keyed by experiment name")
 		commit    = fs.String("commit", "", "commit id recorded in the JSON artifact's _meta block")
 		compare   = fs.String("compare", "", "directory of BENCH_*.json artifacts: diff the two newest and print a per-benchmark delta table")
@@ -89,7 +89,6 @@ func run(args []string, out io.Writer) error {
 		{"table4", func() (renderable, error) { return experiments.RunTable4(ctx, env) }},
 		{"figure4", func() (renderable, error) { return experiments.RunFigure4(ctx, env, *attempts) }},
 		{"figure5", func() (renderable, error) { return experiments.RunFigure5(ctx, env, nil, 0) }},
-		{"figure6", func() (renderable, error) { return experiments.RunFigure6(ctx, env, nil) }},
 		{"figure7", func() (renderable, error) { return experiments.RunFigure7(ctx, env, nil) }},
 	}
 	results := map[string]renderable{}
@@ -298,9 +297,6 @@ func interestingMetric(path string) bool {
 		// commits without gating on them.
 		"Allocs", "AllocBytes", "AggGroups", "AggSpilledPartitions", "AggPeakResidentBytes",
 		"SpilledBatches", "SpilledBytes", "SpillLogicalBytes",
-		// Iterate metrics (Figure 6): convergence depth and the delta-aware
-		// re-execution savings ride along without gating wall time.
-		"Iterations", "DeltaRows", "ShortCircuitParts",
 		// Durable-table metrics (Figure 7): materialisation cost and zone-map
 		// pruning ride along ungated — the walls are sub-gate-floor anyway.
 		"RecomputeWall", "SaveWall", "ScanWall", "SelectiveWall", "SegmentsSkipped",

@@ -64,7 +64,6 @@ func run(args []string, out io.Writer) error {
 		strategy   = fs.String("strategy", "exhaustive", "planning strategy for the plan command (exhaustive|greedy|random)")
 		memBudget  = fs.Int64("memory-budget", 0, "bytes of columnar batch data the engine keeps resident per wide operator; excess spills to disk (0 = unlimited)")
 		spillComp  = fs.Bool("spill-compression", true, "encode spilled batches with the compressed v2 frame codec (dictionary/delta/RLE); false writes raw v1 frames")
-		engineKM   = fs.Bool("engine-clustering", true, "run the clustering task as an Iterate plan on the dataflow engine; false uses the in-process KMeans ablation arm")
 		failRate   = fs.Float64("failure-rate", 0, "injected transient task-failure probability on the simulated cluster (serve: exercised by the retry policy)")
 		listen     = fs.String("listen", "127.0.0.1:8321", "serve: listen address (host:0 picks a free port)")
 		queueDepth = fs.Int("queue", 16, "serve: submission queue depth before admission control rejects or sheds")
@@ -89,7 +88,6 @@ func run(args []string, out io.Writer) error {
 	platform, err := toreador.New(toreador.Config{
 		Seed: *seed, RepositoryDir: *repository, MemoryBudget: *memBudget, FailureRate: *failRate,
 		DisableSpillCompression: !*spillComp,
-		DisableEngineClustering: !*engineKM,
 		StoreDir:                *storeDir,
 		SpillDir:                *spillDir,
 	})

@@ -206,13 +206,11 @@ func TestCLIExplainBudgetedSortStrategy(t *testing.T) {
 	}
 }
 
-// TestCLIExplainClusteringIteratePlan drives explain over a clustering
-// campaign: the analytics stage runs on the engine's Iterate node, so the
-// rendered plan must show the iterate operator with its loop-carried body
-// sub-plan (centroid aggregation, broadcast join, reassignment). With
-// -engine-clustering=false the analytics stage runs off-engine and the
-// iterate section must disappear.
-func TestCLIExplainClusteringIteratePlan(t *testing.T) {
+// TestCLIExplainClusteringShowsPreparationOnly drives explain over a
+// clustering campaign: k-means runs in-process on the prepared rows, not on
+// the dataflow engine, so — as for classification — the rendered plan is the
+// preparation stage alone, with no analytics-stage section.
+func TestCLIExplainClusteringShowsPreparationOnly(t *testing.T) {
 	campaign := &model.Campaign{
 		Name:     "cli-segments",
 		Vertical: "telco",
@@ -237,23 +235,11 @@ func TestCLIExplainClusteringIteratePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"analytics stage (clustering):",
-		"Iterate [iterate (maxIter=",
-		"body (re-executed per iteration):",
-		"LoopState(",
-		"GroupBy(keys=[cluster]",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("clustering explain output missing %q:\n%s", want, out)
-		}
+	if !strings.Contains(out, "preparation stage:") {
+		t.Errorf("clustering explain output missing the preparation stage:\n%s", out)
 	}
-	out, err = runCLI(t, "-campaign", path, "-customers", "300", "-engine-clustering=false", "explain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out, "Iterate [iterate") {
-		t.Errorf("ablation arm must not plan an iterate stage:\n%s", out)
+	if strings.Contains(out, "analytics stage (clustering)") {
+		t.Errorf("clustering runs off-engine; explain must not render an analytics stage:\n%s", out)
 	}
 }
 

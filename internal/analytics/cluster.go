@@ -18,6 +18,8 @@ type KMeans struct {
 
 	centroids Matrix
 	fitted    bool
+	passes    int
+	converged bool
 }
 
 // Centroids returns the fitted cluster centres.
@@ -26,6 +28,13 @@ func (m *KMeans) Centroids() Matrix {
 		return nil
 	}
 	return m.centroids.Clone()
+}
+
+// Iterations reports the Lloyd assignment passes the last Fit ran and whether
+// it converged: stopped because a pass changed no assignment, rather than
+// because it reached MaxIterations.
+func (m *KMeans) Iterations() (passes int, converged bool) {
+	return m.passes, m.converged
 }
 
 // Fit learns the centroids from x.
@@ -46,7 +55,8 @@ func (m *KMeans) Fit(x Matrix) error {
 	rng := rand.New(rand.NewSource(m.Seed))
 	m.centroids = m.initCentroids(x, rng)
 	assign := make([]int, rows)
-	for iter := 0; iter < m.MaxIterations; iter++ {
+	m.passes, m.converged = 0, false
+	for m.passes < m.MaxIterations {
 		changed := false
 		for i, row := range x {
 			best := m.nearest(row)
@@ -55,7 +65,9 @@ func (m *KMeans) Fit(x Matrix) error {
 				changed = true
 			}
 		}
-		if !changed && iter > 0 {
+		m.passes++
+		if !changed && m.passes > 1 {
+			m.converged = true
 			break
 		}
 		m.recomputeCentroids(x, assign)

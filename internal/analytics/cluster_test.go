@@ -2,7 +2,9 @@ package analytics
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -71,6 +73,16 @@ func TestKMeansRecoverseparatedBlobs(t *testing.T) {
 	if len(km.Centroids()) != 3 {
 		t.Error("centroids must have K entries")
 	}
+	if passes, converged := km.Iterations(); passes < 2 || !converged {
+		t.Errorf("separated blobs: %d passes, converged=%v; want a converged fit", passes, converged)
+	}
+	capped := &KMeans{K: 3, Seed: 1, MaxIterations: 1}
+	if err := capped.Fit(x); err != nil {
+		t.Fatal(err)
+	}
+	if passes, converged := capped.Iterations(); passes != 1 || converged {
+		t.Errorf("MaxIterations=1: %d passes, converged=%v; want 1 unconverged pass", passes, converged)
+	}
 }
 
 func TestKMeansDeterministic(t *testing.T) {
@@ -124,5 +136,95 @@ func TestKMeansErrors(t *testing.T) {
 	}
 	if _, err := fitted.Predict([]float64{1}); !errors.Is(err, ErrDimMismatch) {
 		t.Error("wrong width prediction must fail")
+	}
+}
+
+// naiveInitCentroids is the pre-cache O(K²·N) seeding: every round recomputes
+// each point's distance to every chosen centroid from scratch. The cached
+// implementation in initCentroids must reproduce it bit for bit.
+func naiveInitCentroids(x Matrix, k int, seed int64) Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	rows, _ := x.Dims()
+	centroids := make(Matrix, 0, k)
+	first := rng.Intn(rows)
+	centroids = append(centroids, append([]float64(nil), x[first]...))
+	for len(centroids) < k {
+		bestIdx, bestDist := 0, -1.0
+		for i, row := range x {
+			minDist := euclidean(row, centroids[0])
+			for _, c := range centroids[1:] {
+				if d := euclidean(row, c); d < minDist {
+					minDist = d
+				}
+			}
+			if minDist > bestDist {
+				bestDist = minDist
+				bestIdx = i
+			}
+		}
+		centroids = append(centroids, append([]float64(nil), x[bestIdx]...))
+	}
+	return centroids
+}
+
+func TestKMeansSeedingDeterministic(t *testing.T) {
+	x, _ := threeBlobs(40, 11)
+	for _, seed := range []int64{0, 1, 42, 1234} {
+		for _, k := range []int{1, 2, 3, 5} {
+			km := &KMeans{K: k, Seed: seed}
+			rng := rand.New(rand.NewSource(seed))
+			got := km.initCentroids(x, rng)
+			want := naiveInitCentroids(x, k, seed)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed=%d k=%d: cached seeding diverged\n got %v\nwant %v", seed, k, got, want)
+			}
+			// A second run from the same seed must pin identical centroids.
+			again := km.initCentroids(x, rand.New(rand.NewSource(seed)))
+			if !reflect.DeepEqual(got, again) {
+				t.Fatalf("seed=%d k=%d: seeding not deterministic", seed, k)
+			}
+		}
+	}
+}
+
+// TestKMeansEmptyClusterKeepsPreviousCentroid pins the empty-cluster rule: a
+// cluster that loses every point keeps the centroid it had before the pass
+// (its last non-empty mean, not its seed), and never turns into a 0/0 NaN.
+func TestKMeansEmptyClusterKeepsPreviousCentroid(t *testing.T) {
+	x := Matrix{{0}, {2}, {10}, {12}}
+	km := &KMeans{K: 3, centroids: Matrix{{1}, {11}, {6}}}
+	km.recomputeCentroids(x, []int{0, 0, 1, 1})
+	if want := (Matrix{{1}, {11}, {6}}); !reflect.DeepEqual(km.centroids, want) {
+		t.Fatalf("centroids after a pass that empties cluster 2 = %v, want %v", km.centroids, want)
+	}
+
+	// Through Fit: duplicate points tie to the lowest cluster index, so with
+	// three clusters over two distinct values one cluster is empty from the
+	// first pass on, whichever point the seed picks first.
+	dup := Matrix{{0}, {0}, {0}, {10}}
+	for _, seed := range []int64{0, 1, 2, 3, 4} {
+		fit := &KMeans{K: 3, Seed: seed}
+		if err := fit.Fit(dup); err != nil {
+			t.Fatal(err)
+		}
+		assign, err := fit.Assignments(dup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used := map[int]bool{}
+		for _, k := range assign {
+			used[k] = true
+		}
+		if len(used) != 2 {
+			t.Fatalf("seed=%d: assignments %v, want exactly one empty cluster", seed, assign)
+		}
+		for k, c := range fit.Centroids() {
+			if math.IsNaN(c[0]) {
+				t.Fatalf("seed=%d: cluster %d centroid is NaN", seed, k)
+			}
+			if !used[k] && c[0] != 0 {
+				t.Errorf("seed=%d: empty cluster %d centroid = %v, want its seed {0}", seed, k, c)
+			}
+		}
 	}
 }

@@ -25,10 +25,6 @@ var (
 	ErrBadPlan      = errors.New("dataflow: invalid plan")
 	ErrUDF          = errors.New("dataflow: user function failed")
 	ErrIncompatible = errors.New("dataflow: incompatible schemas")
-	// ErrNotConverged is returned by actions over an Iterate plan built with
-	// WithRequireConvergence when the loop exhausts its max-iteration bound
-	// without reaching its convergence predicate.
-	ErrNotConverged = errors.New("dataflow: iteration did not converge")
 )
 
 // Record gives user functions named access to the current row. A record is
@@ -688,199 +684,4 @@ func (g *GroupedDataset) Agg(aggs ...Aggregation) *Dataset {
 		return failed(fmt.Errorf("dataflow: aggregation schema: %w", err))
 	}
 	return &Dataset{node: &groupByNode{child: g.parent.node, keys: g.keys, aggs: aggs, out: out}}
-}
-
-// ---------------------------------------------------------------------------
-// Iteration (fixed point)
-// ---------------------------------------------------------------------------
-
-// loopSourceNode is the placeholder standing for the loop-carried state inside
-// an Iterate body. The body sub-plan is compiled once, at plan-build time,
-// against this node; at execution the engine binds each iteration's current
-// state partitions to it (see evalIterate), so the same compiled body re-runs
-// every pass without re-planning.
-type loopSourceNode struct {
-	sch *storage.Schema
-}
-
-func (n *loopSourceNode) schema() *storage.Schema { return n.sch }
-func (n *loopSourceNode) children() []planNode    { return nil }
-func (n *loopSourceNode) label() string           { return fmt.Sprintf("LoopState(%s)", n.sch) }
-
-// iterConvergence selects the convergence predicate of an Iterate node.
-type iterConvergence int
-
-const (
-	// convFixpoint converges when an iteration's output is row-identical to
-	// its input (every column participates in the comparison).
-	convFixpoint iterConvergence = iota
-	// convKeys converges when the named key columns are unchanged between
-	// iterations; other columns may keep churning.
-	convKeys
-	// convEpsilon converges when the largest absolute change of one numeric
-	// column between iterations is at or under epsilon.
-	convEpsilon
-)
-
-// DefaultMaxIterations bounds Iterate loops that set no explicit
-// WithMaxIterations, mirroring analytics.KMeans's default iteration cap.
-const DefaultMaxIterations = 100
-
-// iterateNode re-executes its body sub-plan over a loop-carried dataset until
-// the convergence predicate holds or maxIter passes have run. init seeds the
-// loop; loop is the placeholder the body reads the current state through.
-type iterateNode struct {
-	init planNode
-	body planNode
-	loop *loopSourceNode
-
-	maxIter int
-	// delta enables per-iteration change detection: partitions whose input
-	// batch is unchanged from the previous pass short-circuit on
-	// partition-local bodies, and the same fingerprints decide convergence.
-	delta bool
-	conv  iterConvergence
-	// keyCols are the convergence columns under convKeys.
-	keyCols []string
-	// epsCol/epsilon configure convEpsilon.
-	epsCol  string
-	epsilon float64
-	// requireConverged turns max-iteration exhaustion into ErrNotConverged
-	// instead of returning the last state with Stats.IterateConverged false.
-	requireConverged bool
-}
-
-func (n *iterateNode) schema() *storage.Schema { return n.init.schema() }
-func (n *iterateNode) children() []planNode    { return []planNode{n.init, n.body} }
-func (n *iterateNode) label() string {
-	return fmt.Sprintf("Iterate(maxIter=%d)", n.maxIter)
-}
-
-// iterConfig collects the IterOption knobs before validation.
-type iterConfig struct {
-	maxIter          int
-	delta            bool
-	conv             iterConvergence
-	keyCols          []string
-	epsCol           string
-	epsilon          float64
-	requireConverged bool
-}
-
-// IterOption configures an Iterate plan node.
-type IterOption func(*iterConfig)
-
-// WithMaxIterations bounds the number of body executions (default
-// DefaultMaxIterations). The loop always stops after n passes even when the
-// convergence predicate never holds.
-func WithMaxIterations(n int) IterOption {
-	return func(c *iterConfig) { c.maxIter = n }
-}
-
-// WithDeltaDetection toggles per-iteration change detection (default on).
-// Enabled, the engine fingerprints every state partition after each pass:
-// partition-local bodies skip partitions whose input is unchanged, and
-// convergence is decided from the fingerprints without a second comparison
-// pass. Disabled, every pass re-executes the full body and convergence
-// compares materialised rows.
-func WithDeltaDetection(enabled bool) IterOption {
-	return func(c *iterConfig) { c.delta = enabled }
-}
-
-// WithConvergenceKeys converges the loop when the named columns are unchanged
-// between iterations, ignoring churn in the remaining columns. The default
-// predicate is a full-row fixpoint.
-func WithConvergenceKeys(cols ...string) IterOption {
-	return func(c *iterConfig) {
-		c.conv = convKeys
-		c.keyCols = append([]string(nil), cols...)
-	}
-}
-
-// WithEpsilon converges the loop when the largest absolute change of the named
-// numeric column between two successive states is at or under eps. Rows are
-// compared positionally, so epsilon bodies should preserve row identity and
-// order (e.g. end with a stable sort on an id column).
-func WithEpsilon(col string, eps float64) IterOption {
-	return func(c *iterConfig) {
-		c.conv = convEpsilon
-		c.epsCol = col
-		c.epsilon = eps
-	}
-}
-
-// WithRequireConvergence makes max-iteration exhaustion an error: actions over
-// the plan fail with ErrNotConverged instead of returning the last state.
-func WithRequireConvergence() IterOption {
-	return func(c *iterConfig) { c.requireConverged = true }
-}
-
-// Iterate re-executes body over a loop-carried dataset seeded by d until a
-// convergence predicate (full-row fixpoint by default; see WithConvergenceKeys
-// and WithEpsilon) or a max-iteration bound. body is called exactly once, at
-// plan-build time, with a placeholder dataset standing for the current loop
-// state; the sub-plan it returns is what the engine re-executes each pass, so
-// the body must derive its output from the placeholder (plus any static
-// datasets it captures) rather than from side effects. The body's schema must
-// equal the seed's: the output of pass k is the input of pass k+1.
-func (d *Dataset) Iterate(body func(loop *Dataset) *Dataset, opts ...IterOption) *Dataset {
-	if bad, ok := d.invalid(); ok {
-		return bad
-	}
-	if body == nil {
-		return failed(fmt.Errorf("%w: Iterate requires a body function", ErrBadPlan))
-	}
-	cfg := iterConfig{maxIter: DefaultMaxIterations, delta: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.maxIter < 1 {
-		return failed(fmt.Errorf("%w: Iterate needs at least one iteration, got %d", ErrBadPlan, cfg.maxIter))
-	}
-	sch := d.node.schema()
-	switch cfg.conv {
-	case convKeys:
-		if len(cfg.keyCols) == 0 {
-			return failed(fmt.Errorf("%w: WithConvergenceKeys requires at least one column", ErrBadPlan))
-		}
-		for _, c := range cfg.keyCols {
-			if !sch.Has(c) {
-				return failed(fmt.Errorf("dataflow: Iterate: %w: convergence key %q not in loop schema %s",
-					storage.ErrUnknownField, c, sch))
-			}
-		}
-	case convEpsilon:
-		if !(cfg.epsilon >= 0) {
-			return failed(fmt.Errorf("%w: WithEpsilon needs eps >= 0, got %v", ErrBadPlan, cfg.epsilon))
-		}
-		f, err := sch.FieldByName(cfg.epsCol)
-		if err != nil {
-			return failed(fmt.Errorf("dataflow: Iterate: %w", err))
-		}
-		if f.Type != storage.TypeInt && f.Type != storage.TypeFloat {
-			return failed(fmt.Errorf("%w: WithEpsilon column %q must be numeric, is %v", ErrBadPlan, cfg.epsCol, f.Type))
-		}
-	}
-	loop := &loopSourceNode{sch: sch}
-	out := body(&Dataset{node: loop})
-	if out == nil {
-		return failed(fmt.Errorf("%w: Iterate body returned nil", ErrBadPlan))
-	}
-	if bad, ok := out.invalid(); ok {
-		if bad.err != nil {
-			return failed(fmt.Errorf("dataflow: Iterate body: %w", bad.err))
-		}
-		return bad
-	}
-	if !out.node.schema().Equal(sch) {
-		return failed(fmt.Errorf("%w: Iterate body produces %s, loop state is %s",
-			ErrIncompatible, out.node.schema(), sch))
-	}
-	return &Dataset{node: &iterateNode{
-		init: d.node, body: out.node, loop: loop,
-		maxIter: cfg.maxIter, delta: cfg.delta,
-		conv: cfg.conv, keyCols: cfg.keyCols,
-		epsCol: cfg.epsCol, epsilon: cfg.epsilon,
-		requireConverged: cfg.requireConverged,
-	}}
 }

@@ -332,7 +332,7 @@ func WithSpillCompression(enabled bool) EngineOption {
 }
 
 // WithSpillDir places every spill temp file the engine creates (shuffle
-// gathers, sort runs, aggregation overflow, loop state) in dir instead of
+// gathers, sort runs, aggregation overflow) in dir instead of
 // the system temp directory. "" (the default) keeps os.TempDir(); the
 // directory must already exist.
 func WithSpillDir(dir string) EngineOption {
@@ -370,20 +370,6 @@ func NewEngine(c *cluster.Cluster, opts ...EngineOption) (*Engine, error) {
 
 // Metrics exposes the engine's metric registry (rows read, shuffled, tasks…).
 func (e *Engine) Metrics() *metrics.Registry { return e.reg }
-
-// Derive returns a copy of the engine with the given options applied on top
-// of this engine's configuration. The copy shares the cluster and the metrics
-// registry, so derived engines are cheap and their executions fold into the
-// same counters — the analytics layer uses this to run sub-plans that need a
-// specific switch (e.g. map-side combine off for bit-exact float
-// aggregation) without rebuilding the engine stack.
-func (e *Engine) Derive(opts ...EngineOption) *Engine {
-	ne := *e
-	for _, opt := range opts {
-		opt(&ne)
-	}
-	return &ne
-}
 
 // Stats summarises the execution of a single action.
 type Stats struct {
@@ -459,25 +445,6 @@ type Stats struct {
 	// so per store this is simply its final file size; across stores the
 	// engine keeps the maximum.
 	SpillFilePeakBytes int64
-	// IterateLoops is the number of Iterate nodes the action executed.
-	IterateLoops int64
-	// IterateIterations is the total number of body passes Iterate nodes ran
-	// (summed across loops; a loop that converges on its third pass adds 3).
-	IterateIterations int64
-	// IterateDeltaRows is the number of loop-state rows that lived in changed
-	// partitions across all iterations — the rows delta detection actually had
-	// to re-fingerprint as new. With delta detection off every output row of
-	// every pass counts.
-	IterateDeltaRows int64
-	// IterateShortCircuitPartitions is the number of partition re-executions
-	// delta detection skipped because the partition's input batch was
-	// fingerprint-identical to the previous pass (partition-local bodies
-	// only).
-	IterateShortCircuitPartitions int64
-	// IterateConverged reports whether every Iterate loop in the action
-	// reached its convergence predicate before the max-iteration bound. False
-	// when no Iterate node ran (check IterateLoops).
-	IterateConverged bool
 	// WallTime is the end-to-end execution time of the action.
 	WallTime time.Duration
 }
@@ -514,35 +481,6 @@ func (r *Result) Records() []Record {
 type execState struct {
 	mu    sync.Mutex
 	stats Stats
-	// loopState binds each loopSourceNode to the current iteration's state
-	// partitions while its Iterate loop runs. Keyed on the node rather than
-	// stored in it, so concurrent actions over the same plan never share
-	// mutable state.
-	loopState map[*loopSourceNode][]part
-}
-
-// bindLoop points the loop placeholder at the partitions the next body pass
-// reads as its input.
-func (s *execState) bindLoop(n *loopSourceNode, parts []part) {
-	s.mu.Lock()
-	if s.loopState == nil {
-		s.loopState = make(map[*loopSourceNode][]part, 1)
-	}
-	s.loopState[n] = parts
-	s.mu.Unlock()
-}
-
-func (s *execState) unbindLoop(n *loopSourceNode) {
-	s.mu.Lock()
-	delete(s.loopState, n)
-	s.mu.Unlock()
-}
-
-func (s *execState) loopBinding(n *loopSourceNode) ([]part, bool) {
-	s.mu.Lock()
-	parts, ok := s.loopState[n]
-	s.mu.Unlock()
-	return parts, ok
 }
 
 func (s *execState) addRead(n int)     { s.mu.Lock(); s.stats.RowsRead += int64(n); s.mu.Unlock() }
@@ -610,23 +548,6 @@ func (s *execState) addSpilled(batches, bytes, logical int64) {
 	s.mu.Unlock()
 }
 
-// noteIterate folds one Iterate loop's totals into the stats.
-// IterateConverged is the conjunction across loops: one loop that exhausts
-// its bound marks the whole action unconverged.
-func (s *execState) noteIterate(iterations, deltaRows, shortCircuit int64, converged bool) {
-	s.mu.Lock()
-	if s.stats.IterateLoops == 0 {
-		s.stats.IterateConverged = converged
-	} else {
-		s.stats.IterateConverged = s.stats.IterateConverged && converged
-	}
-	s.stats.IterateLoops++
-	s.stats.IterateIterations += iterations
-	s.stats.IterateDeltaRows += deltaRows
-	s.stats.IterateShortCircuitPartitions += shortCircuit
-	s.mu.Unlock()
-}
-
 func (s *execState) noteSpillFilePeak(bytes int64) {
 	s.mu.Lock()
 	if bytes > s.stats.SpillFilePeakBytes {
@@ -687,9 +608,6 @@ func (e *Engine) execute(ctx context.Context, d *Dataset) ([]part, *execState, e
 	// Monotonic compression win: logical minus physical bytes. Divide the
 	// logical counter by (logical - saved) for the cumulative ratio.
 	e.reg.Counter("spill.bytes.saved").Add(st.stats.SpillLogicalBytes - st.stats.SpilledBytes)
-	e.reg.Counter("iterate.iterations").Add(st.stats.IterateIterations)
-	e.reg.Counter("iterate.delta.rows").Add(st.stats.IterateDeltaRows)
-	e.reg.Counter("iterate.shortcircuit.partitions").Add(st.stats.IterateShortCircuitPartitions)
 	e.reg.Timer("action.duration").ObserveDuration(st.stats.WallTime)
 	return parts, st, nil
 }
@@ -848,14 +766,6 @@ func (e *Engine) eval(ctx context.Context, node planNode, st *execState) ([]part
 		return append(append([]part{}, left...), right...), nil
 	case *limitNode:
 		return e.evalLimit(ctx, n, st)
-	case *iterateNode:
-		return e.evalIterate(ctx, n, st)
-	case *loopSourceNode:
-		parts, ok := st.loopBinding(n)
-		if !ok {
-			return nil, fmt.Errorf("%w: loop state referenced outside its Iterate", ErrBadPlan)
-		}
-		return parts, nil
 	case *distinctNode:
 		return e.evalDistinct(ctx, n, st)
 	case *sortNode:

@@ -391,16 +391,6 @@ func (e *Engine) explainNode(sb *strings.Builder, node planNode, depth int) {
 	}
 	label := node.label()
 	switch n := node.(type) {
-	case *iterateNode:
-		// The body sub-plan is rendered once under its own header; at runtime
-		// it re-executes every pass, reading the loop state through the
-		// LoopState placeholder that init seeds.
-		fmt.Fprintf(sb, "%sIterate [iterate (maxIter=%d, delta=%s)]\n", indent, n.maxIter, onOff(n.delta))
-		sb.WriteString(indent + "  body (re-executed per iteration):\n")
-		e.explainNode(sb, n.body, depth+2)
-		sb.WriteString(indent + "  init:\n")
-		e.explainNode(sb, n.init, depth+2)
-		return
 	case *groupByNode:
 		if e.combine {
 			label += " [combine+shuffle]"

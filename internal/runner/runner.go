@@ -47,7 +47,6 @@ type Runner struct {
 	memoryBudget     int64
 	spillCompression bool
 	spillDir         string
-	engineClustering bool
 }
 
 // Option configures the runner.
@@ -96,20 +95,12 @@ func WithSpillDir(dir string) Option {
 	return func(r *Runner) { r.spillDir = dir }
 }
 
-// WithEngineClustering toggles running the clustering task on the dataflow
-// engine's Iterate node (default on). Disabled, the runner falls back to the
-// in-process hand-rolled KMeans — the ablation arm; on the same seed both
-// arms produce identical assignments and centroids.
-func WithEngineClustering(enabled bool) Option {
-	return func(r *Runner) { r.engineClustering = enabled }
-}
-
 // New returns a runner bound to the data catalog.
 func New(data *storage.Catalog, opts ...Option) (*Runner, error) {
 	if data == nil {
 		return nil, fmt.Errorf("%w: nil data catalog", ErrBadRun)
 	}
-	r := &Runner{data: data, seed: 1, spillCompression: true, engineClustering: true}
+	r := &Runner{data: data, seed: 1, spillCompression: true}
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -275,7 +266,7 @@ func (r *Runner) ExplainPlan(campaign *model.Campaign, alt core.Alternative) (st
 	// onto an empty placeholder source) so the explainer sees the real input
 	// cardinality and predicts the same sort/join strategies the engine will
 	// pick when it executes over the prepared rows.
-	if plan, ok := r.analyticsPlan(campaign, dataset); ok {
+	if plan, ok := analyticsPlan(campaign, dataset); ok {
 		out += "\nanalytics stage (" + string(campaign.Goal.Task) + "):\n" + engine.Explain(plan)
 	}
 	return out, nil
@@ -307,30 +298,15 @@ const analyticsPartitions = 4
 
 // analyticsPlan builds the logical dataflow plan of the analytics stage for
 // the tasks that execute on the engine: association (group-by), forecasting
-// (sort), reporting (group-by) and clustering (iterate). ok is false for
-// tasks whose analytics run outside the engine or whose required goal columns
-// are missing. Sharing the builder between execution and ExplainPlan keeps
-// the explained plan identical to the executed one.
-func (r *Runner) analyticsPlan(campaign *model.Campaign, src *dataflow.Dataset) (*dataflow.Dataset, bool) {
+// (sort) and reporting (group-by). ok is false for tasks whose analytics run
+// outside the engine (classification, clustering, anomaly detection,
+// sessionization) or whose required goal columns are missing; ExplainPlan
+// then renders the preparation stage only. Sharing the builder between
+// execution and ExplainPlan keeps the explained plan identical to the
+// executed one.
+func analyticsPlan(campaign *model.Campaign, src *dataflow.Dataset) (*dataflow.Dataset, bool) {
 	g := campaign.Goal
 	switch g.Task {
-	case model.TaskClustering:
-		if !r.engineClustering || len(g.FeatureColumns) == 0 {
-			return nil, false
-		}
-		// Unlike the other tasks, the clustering plan is not chained onto the
-		// preparation plan: the engine fit seeds its loop state host-side from
-		// the extracted feature matrix. A placeholder matrix of the right
-		// width renders the same iterate plan (body and all) the fit executes.
-		placeholder := make(analytics.Matrix, 2)
-		for i := range placeholder {
-			placeholder[i] = make([]float64, len(g.FeatureColumns))
-		}
-		plan, err := (&analytics.EngineKMeans{K: 2, Seed: r.seed}).Plan(placeholder)
-		if err != nil {
-			return nil, false
-		}
-		return plan, true
 	case model.TaskAssociation:
 		if g.ItemColumn == "" || g.TransactionColumn == "" {
 			return nil, false
@@ -502,7 +478,7 @@ func (r *Runner) runAnalytics(ctx context.Context, engine *dataflow.Engine, camp
 	case model.TaskClassification:
 		return r.runClassification(campaign, step, prepared, details)
 	case model.TaskClustering:
-		return r.runClustering(ctx, engine, campaign, step, prepared, details)
+		return r.runClustering(campaign, step, prepared, details)
 	case model.TaskAssociation:
 		return r.runAssociation(ctx, engine, campaign, prepared, details)
 	case model.TaskAnomaly:
@@ -555,8 +531,8 @@ func (r *Runner) runClassification(campaign *model.Campaign, step procedural.Ste
 	return cm.Accuracy(), details, nil
 }
 
-func (r *Runner) runClustering(ctx context.Context, engine *dataflow.Engine, campaign *model.Campaign,
-	step procedural.Step, prepared *dataflow.Result, details map[string]string) (float64, map[string]string, error) {
+func (r *Runner) runClustering(campaign *model.Campaign, step procedural.Step,
+	prepared *dataflow.Result, details map[string]string) (float64, map[string]string, error) {
 
 	fs, err := analytics.ExtractFeatures(prepared, campaign.Goal.FeatureColumns, "")
 	if err != nil {
@@ -571,30 +547,17 @@ func (r *Runner) runClustering(ctx context.Context, engine *dataflow.Engine, cam
 	if k > len(fs.X) {
 		k = len(fs.X)
 	}
-	var inertiaK float64
-	if r.engineClustering {
-		// The engine arm runs every Lloyd pass as an Iterate plan on the
-		// dataflow engine; on the same seed it reproduces the hand-rolled
-		// fit bit for bit, so the quality indicator is unchanged.
-		em := &analytics.EngineKMeans{K: k, Seed: r.seed}
-		res, err := em.Fit(ctx, engine, fs.X)
-		if err != nil {
-			return 0, details, fmt.Errorf("runner: engine kmeans: %w", err)
-		}
-		inertiaK = res.Inertia(fs.X)
-		details["clustering.engine"] = "iterate"
-		details["clustering.iterations"] = fmt.Sprintf("%d", res.Stats.IterateIterations)
-		details["clustering.converged"] = fmt.Sprintf("%t", res.Stats.IterateConverged)
-	} else {
-		km := &analytics.KMeans{K: k, Seed: r.seed}
-		if err := km.Fit(fs.X); err != nil {
-			return 0, details, fmt.Errorf("runner: kmeans: %w", err)
-		}
-		details["clustering.engine"] = "local"
-		if inertiaK, err = km.Inertia(fs.X); err != nil {
-			return 0, details, err
-		}
+	km := &analytics.KMeans{K: k, Seed: r.seed}
+	if err := km.Fit(fs.X); err != nil {
+		return 0, details, fmt.Errorf("runner: kmeans: %w", err)
 	}
+	inertiaK, err := km.Inertia(fs.X)
+	if err != nil {
+		return 0, details, err
+	}
+	passes, converged := km.Iterations()
+	details["clustering.iterations"] = fmt.Sprintf("%d", passes)
+	details["clustering.converged"] = fmt.Sprintf("%t", converged)
 	single := &analytics.KMeans{K: 1, Seed: r.seed}
 	if err := single.Fit(fs.X); err != nil {
 		return 0, details, err
@@ -625,7 +588,7 @@ func (r *Runner) runAssociation(ctx context.Context, engine *dataflow.Engine, ca
 	// Rebuild transactions with a dataflow group-by so the shuffle path is
 	// exercised, then mine rules locally.
 	src := dataflow.FromRows(campaign.Goal.TargetTable, prepared.Schema, prepared.Rows, analyticsPartitions)
-	plan, ok := r.analyticsPlan(campaign, src)
+	plan, ok := analyticsPlan(campaign, src)
 	if !ok {
 		return 0, details, fmt.Errorf("%w: association plan", ErrMissingParam)
 	}
@@ -717,7 +680,7 @@ func (r *Runner) runForecasting(ctx context.Context, engine *dataflow.Engine, ca
 		return 0, details, fmt.Errorf("%w: forecasting needs a value column", ErrMissingParam)
 	}
 	src := dataflow.FromRows(campaign.Goal.TargetTable, prepared.Schema, prepared.Rows, analyticsPartitions)
-	plan, ok := r.analyticsPlan(campaign, src)
+	plan, ok := analyticsPlan(campaign, src)
 	if !ok {
 		return 0, details, fmt.Errorf("%w: forecasting plan", ErrMissingParam)
 	}
@@ -804,7 +767,7 @@ func (r *Runner) runReporting(ctx context.Context, engine *dataflow.Engine, camp
 		return 0, details, fmt.Errorf("%w: reporting needs group and value columns", ErrMissingParam)
 	}
 	src := dataflow.FromRows(campaign.Goal.TargetTable, prepared.Schema, prepared.Rows, analyticsPartitions)
-	plan, ok := r.analyticsPlan(campaign, src)
+	plan, ok := analyticsPlan(campaign, src)
 	if !ok {
 		return 0, details, fmt.Errorf("%w: reporting plan", ErrMissingParam)
 	}

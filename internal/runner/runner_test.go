@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -257,6 +258,13 @@ func TestRunClusteringCampaign(t *testing.T) {
 	}
 	if report.Details["clustering.k"] != "3" {
 		t.Errorf("clustering k = %q, want default 3", report.Details["clustering.k"])
+	}
+	if n, err := strconv.Atoi(report.Details["clustering.iterations"]); err != nil || n < 2 {
+		t.Errorf("clustering iterations = %q, want at least the seeding and confirming passes",
+			report.Details["clustering.iterations"])
+	}
+	if report.Details["clustering.converged"] != "true" {
+		t.Errorf("clustering converged = %q, want true", report.Details["clustering.converged"])
 	}
 }
 

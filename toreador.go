@@ -207,12 +207,6 @@ type Config struct {
 	// either way. Kept as a disable flag so the zero-value Config gets the
 	// compressed default.
 	DisableSpillCompression bool
-	// DisableEngineClustering makes the clustering task run on the in-process
-	// hand-rolled KMeans instead of the dataflow engine's Iterate plan (the
-	// default). The two arms are bit-identical on the same seed; the flag is
-	// the ablation switch. Kept as a disable flag so the zero-value Config
-	// gets the engine default.
-	DisableEngineClustering bool
 	// StoreDir, when non-empty, opens the durable segment store under that
 	// directory: every campaign run saves its prepared dataset as a named
 	// table (crash-safe via the manifest WAL), and later campaigns may use
@@ -250,7 +244,6 @@ func New(cfg Config) (*Platform, error) {
 		runner.WithMemoryBudget(cfg.MemoryBudget),
 		runner.WithSpillCompression(!cfg.DisableSpillCompression),
 		runner.WithSpillDir(cfg.SpillDir),
-		runner.WithEngineClustering(!cfg.DisableEngineClustering),
 	}
 	if cfg.StoreDir != "" {
 		var err error
