@@ -57,15 +57,18 @@ lint:
 # Short coverage-guided fuzz of the binary decoders: the spill-frame decoder
 # (both codec versions), the manifest WAL decoder and the segment-footer
 # decoder. Each must reject arbitrary corruption with a typed error and never
-# panic or over-allocate; the store targets are seeded from golden files. The
+# panic or over-allocate; the store targets are seeded from golden files.
+# FuzzPlanEquivalence fuzzes the dataflow plan generator's seed and row count
+# and holds every engine configuration to the reference interpreter. The
 # time box keeps the target usable as a pre-commit check; raise FUZZTIME for a
 # longer soak. Go fuzzing accepts one -fuzz pattern per package invocation,
-# so the store targets run back to back.
+# so the targets run back to back.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeManifest' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegmentFooter' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz 'FuzzPlanEquivalence' -fuzztime $(FUZZTIME) ./internal/dataflow/
 
 # Fault-injection soak of the multi-tenant service runtime under the race
 # detector: concurrent tenants, injected cluster faults, a tight memory

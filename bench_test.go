@@ -337,7 +337,7 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Stage-compiler benchmarks (DESIGN.md §2.3): fused vs per-operator execution
-// of narrow chains, and map-side combined vs row-at-a-time group-by.
+// of narrow chains, and map-side combined vs uncombined group-by.
 // ---------------------------------------------------------------------------
 
 // stageBenchEngine builds an engine over a fresh 2x2 cluster with the stage
@@ -440,10 +440,9 @@ func BenchmarkGroupByCombine(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Wide-operator strategy benchmarks (DESIGN.md §2.5): range vs single-task
-// sort, broadcast vs shuffled join, map-side vs shuffle-everything distinct.
-// Each pair toggles exactly one strategy switch; allocation counts compare
-// the binary-key-encoder paths under the two traffic patterns.
+// Wide-operator strategy benchmark (DESIGN.md §2.5): broadcast vs shuffled
+// join. The pair toggles exactly one strategy switch; allocation counts
+// compare the binary-key-encoder paths under the two traffic patterns.
 // ---------------------------------------------------------------------------
 
 // wideBenchEngine builds an engine over a fresh 2x2 cluster with the given
@@ -475,38 +474,6 @@ func wideBenchRows(n, keys int) (*storage.Schema, []storage.Row) {
 		rows[i] = storage.Row{int64(i % keys), float64(scrambled)}
 	}
 	return schema, rows
-}
-
-// BenchmarkSortRange sorts 120k scrambled rows with the range-partitioned
-// parallel sort ("range") and with the single-task global sort ("single").
-// The tasks/op metric shows the parallelism difference: one sorting task per
-// shuffle partition versus one for the whole dataset.
-func BenchmarkSortRange(b *testing.B) {
-	const rows = 120_000
-	schema, data := wideBenchRows(rows, rows)
-	plan := dataflow.FromRows("bench", schema, data, 8).Sort(dataflow.SortOrder{Column: "v"})
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name    string
-		enabled bool
-	}{{"range", true}, {"single", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := wideBenchEngine(b, dataflow.WithRangeSort(mode.enabled))
-			b.ReportAllocs()
-			b.ResetTimer()
-			var last *dataflow.Result
-			for i := 0; i < b.N; i++ {
-				res, err := e.Collect(ctx, plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(last.Stats.Tasks), "tasks/op")
-			b.ReportMetric(float64(last.Stats.SortSampledRows), "sampled_rows/op")
-		})
-	}
 }
 
 // BenchmarkJoinBroadcast joins 100k fact rows against a 64-row dimension
@@ -546,138 +513,6 @@ func BenchmarkJoinBroadcast(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(last.Stats.ShuffledRows), "shuffled_rows/op")
 			b.ReportMetric(float64(last.Stats.BroadcastJoins), "broadcast_joins/op")
-		})
-	}
-}
-
-// BenchmarkDistinctCombine dedups 100k rows over 500 keys with the map-side
-// dedup pass ("map-side") and with every row crossing the shuffle
-// ("shuffle-all"). precombined_rows shows the duplicates removed before the
-// shuffle; allocation counts show the cost of re-keying shuffled rows on the
-// reduce side.
-func BenchmarkDistinctCombine(b *testing.B) {
-	const rows = 100_000
-	schema, data := wideBenchRows(rows, 500)
-	plan := dataflow.FromRows("bench", schema, data, 8).Distinct("k")
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name    string
-		enabled bool
-	}{{"map-side", true}, {"shuffle-all", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := wideBenchEngine(b, dataflow.WithMapSideDistinct(mode.enabled))
-			b.ReportAllocs()
-			b.ResetTimer()
-			var last *dataflow.Result
-			for i := 0; i < b.N; i++ {
-				res, err := e.Collect(ctx, plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(last.Stats.ShuffledRows), "shuffled_rows/op")
-			b.ReportMetric(float64(last.Stats.DistinctPrecombinedRows), "precombined_rows/op")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized-execution benchmarks (DESIGN.md §2.6): columnar batch kernels vs
-// the row-at-a-time baseline. Each pair toggles only WithVectorizedExecution;
-// fusion stays on in both arms, so the comparison isolates the batch layer.
-// ---------------------------------------------------------------------------
-
-// vectorBenchPlan builds the 4-operator narrow chain the vectorized ablation
-// runs: filter → project → with_column → project. Three of the four
-// operators are pure column kernels under vectorized execution (the filter
-// evaluates its closure through zero-copy batch views and emits a selection
-// vector), while the row path materialises a fresh boxed row per operator.
-func vectorBenchPlan(rows int) *dataflow.Dataset {
-	schema := storage.MustSchema(
-		storage.Field{Name: "k", Type: storage.TypeInt},
-		storage.Field{Name: "v", Type: storage.TypeFloat},
-		storage.Field{Name: "w", Type: storage.TypeFloat},
-	)
-	data := make([]storage.Row, rows)
-	for i := range data {
-		scrambled := (uint64(i) * 2654435761) % 1_000_003
-		data[i] = storage.Row{int64(i % 5000), float64(i%1000) / 10, float64(scrambled % 97)}
-	}
-	return dataflow.FromRows("bench", schema, data, 8).
-		Filter("v >= 10", func(r dataflow.Record) (bool, error) { return r.Float("v") >= 10, nil }).
-		Project("k", "v").
-		WithColumn(storage.Field{Name: "decile", Type: storage.TypeInt},
-			func(r dataflow.Record) (storage.Value, error) { return r.Int("v") / 10, nil }).
-		Project("k", "decile")
-}
-
-// BenchmarkVectorizedChain executes the 4-operator chain over 150k rows with
-// columnar batch kernels ("vectorized") and with the fused row pipeline
-// ("row"). The Count action keeps result materialisation out of both arms, so
-// the numbers compare the execution strategies themselves.
-func BenchmarkVectorizedChain(b *testing.B) {
-	const rows = 150_000
-	plan := vectorBenchPlan(rows)
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name    string
-		enabled bool
-	}{{"vectorized", true}, {"row", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := wideBenchEngine(b, dataflow.WithVectorizedExecution(mode.enabled))
-			b.ReportAllocs()
-			b.ResetTimer()
-			var last dataflow.Stats
-			for i := 0; i < b.N; i++ {
-				n, stats, err := e.CountStats(ctx, plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("chain produced no rows")
-				}
-				last = stats
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(last.Batches), "batches/op")
-			b.ReportMetric(float64(last.BatchRows), "batch_rows/op")
-		})
-	}
-}
-
-// BenchmarkVectorizedShuffle appends a distinct to the 4-operator chain, so
-// every surviving row is keyed and shuffled: vectorized, keys are encoded
-// straight from the column vectors and survivors move by batch index;
-// row-at-a-time, every surviving row is a boxed Row that is keyed, wrapped
-// and shuffled individually.
-func BenchmarkVectorizedShuffle(b *testing.B) {
-	const rows = 150_000
-	plan := vectorBenchPlan(rows).Distinct("k", "decile")
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name    string
-		enabled bool
-	}{{"vectorized", true}, {"row", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := wideBenchEngine(b, dataflow.WithVectorizedExecution(mode.enabled))
-			b.ReportAllocs()
-			b.ResetTimer()
-			var last dataflow.Stats
-			for i := 0; i < b.N; i++ {
-				n, stats, err := e.CountStats(ctx, plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("distinct produced no rows")
-				}
-				last = stats
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(last.ShuffledRows), "shuffled_rows/op")
-			b.ReportMetric(float64(last.Batches), "batches/op")
 		})
 	}
 }
@@ -779,145 +614,15 @@ func BenchmarkSpillGroupBy(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Spill-compression benchmarks (DESIGN.md §2.11): identical forced-spill
-// plans with the compressed v2 frame codec (dictionary strings, delta ints,
-// RLE bitmaps) versus the raw v1 layout. The physical/logical byte metrics
-// price what compression buys in disk traffic; the wall-time delta prices
-// what the encoder costs. Both arms must produce bit-identical results — the
-// equivalence suite pins that; these pairs measure it.
+// External sort benchmark (DESIGN.md §2.8): the spill-aware external merge vs
+// the unlimited in-memory columnar sort.
 // ---------------------------------------------------------------------------
 
-// spillStringRows builds a string-heavy fact table: low-cardinality region
-// and category columns (the dictionary encoder's best case and the realistic
-// shape of the paper's telco/retail scenarios), a monotonically increasing id
-// (the delta encoder's best case) and a scrambled float payload that stays
-// raw.
-func spillStringRows(n int) (*storage.Schema, []storage.Row) {
-	schema := storage.MustSchema(
-		storage.Field{Name: "id", Type: storage.TypeInt},
-		storage.Field{Name: "region", Type: storage.TypeString},
-		storage.Field{Name: "category", Type: storage.TypeString},
-		storage.Field{Name: "v", Type: storage.TypeFloat},
-	)
-	regions := []string{"emea-central", "emea-west", "amer-north", "amer-south", "apac-east", "apac-west"}
-	categories := []string{"electricity", "gas", "water", "broadband"}
-	rows := make([]storage.Row, n)
-	for i := range rows {
-		rows[i] = storage.Row{
-			int64(1_000_000 + i),
-			regions[(i/7)%len(regions)],
-			categories[i%len(categories)],
-			float64((uint64(i)*2654435761)%1_000_003) / 64,
-		}
-	}
-	return schema, rows
-}
-
-// BenchmarkSpillCompression runs a non-combined string-keyed group-by over
-// 100k string-heavy rows with a one-byte budget, so every shuffle bucket and
-// every flushed aggregation epoch crosses the codec: compressed v2 frames
-// versus raw v1. compression_ratio = logical/physical bytes on the compressed
-// arm (the raw arm reports 1).
-func BenchmarkSpillCompression(b *testing.B) {
-	const rows = 100_000
-	schema, data := spillStringRows(rows)
-	plan := dataflow.FromRows("bench", schema, data, 8).
-		GroupBy("region").
-		Agg(dataflow.Count(), dataflow.Sum("v"), dataflow.Max("category"))
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name     string
-		compress bool
-	}{{"compressed", true}, {"raw", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := wideBenchEngine(b,
-				dataflow.WithMapSideCombine(false),
-				dataflow.WithMemoryBudget(1),
-				dataflow.WithSpillCompression(mode.compress))
-			b.ReportAllocs()
-			b.ResetTimer()
-			var last dataflow.Stats
-			for i := 0; i < b.N; i++ {
-				n, stats, err := e.CountStats(ctx, plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("group-by produced no rows")
-				}
-				last = stats
-			}
-			b.StopTimer()
-			if last.SpilledBatches == 0 {
-				b.Fatal("spill-compression arm never spilled")
-			}
-			b.ReportMetric(float64(last.SpilledBytes), "spilled_bytes/op")
-			b.ReportMetric(float64(last.SpillLogicalBytes), "spill_logical_bytes/op")
-			b.ReportMetric(float64(last.SpillLogicalBytes)/float64(last.SpilledBytes), "compression_ratio")
-		})
-	}
-}
-
-// BenchmarkDistinctDictCodes runs distinct on a low-cardinality string key
-// with map-side dedup off and a one-byte budget, so the merge side streams
-// every restored frame through the seen-key filter: with compression on, the
-// dictionary-code fast path decides repeated codes with one slice index
-// instead of a key encode plus map probe per row; the raw arm pays the full
-// per-row path.
-func BenchmarkDistinctDictCodes(b *testing.B) {
-	const rows = 100_000
-	schema, data := spillStringRows(rows)
-	plan := dataflow.FromRows("bench", schema, data, 8).
-		Project("region", "category").
-		Distinct("region")
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name     string
-		compress bool
-	}{{"dict-codes", true}, {"raw", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := wideBenchEngine(b,
-				dataflow.WithMapSideDistinct(false),
-				dataflow.WithMemoryBudget(1),
-				dataflow.WithSpillCompression(mode.compress))
-			b.ReportAllocs()
-			b.ResetTimer()
-			var last dataflow.Stats
-			for i := 0; i < b.N; i++ {
-				n, stats, err := e.CountStats(ctx, plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("distinct produced no rows")
-				}
-				last = stats
-			}
-			b.StopTimer()
-			if last.SpilledBatches == 0 {
-				b.Fatal("distinct arm never spilled")
-			}
-			b.ReportMetric(float64(last.SpilledBytes), "spilled_bytes/op")
-			b.ReportMetric(float64(last.SpillLogicalBytes), "spill_logical_bytes/op")
-			b.ReportMetric(float64(last.ShuffledRows), "shuffled_rows/op")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Columnar sort benchmarks (DESIGN.md §2.8): the typed-key selection-vector
-// sort core vs the boxed-row sort, and the spill-aware external merge vs the
-// unlimited in-memory columnar sort.
-// ---------------------------------------------------------------------------
-
-// sortBenchPlan builds the 4-key 100k-row sort the ablation pairs run: four
-// duplicate-heavy key columns covering every typed kernel (int, float,
+// sortBenchPlan builds the 4-key 100k-row sort the external-sort pair runs:
+// four duplicate-heavy key columns covering every typed kernel (int, float,
 // string, bool) plus a unique payload column, sorted with mixed directions so
-// multi-key tie-breaking is exercised on every comparison path. A leading
-// filter stage (both arms run it vectorized) leaves the sort batch-backed
-// partitions, the shape every columnar pipeline hands its sort: the boxed arm
-// must materialise those batches back into rows, the typed arm sorts them in
-// place.
+// multi-key tie-breaking is exercised on every comparison path, behind a
+// leading filter stage.
 func sortBenchPlan(rows int) *dataflow.Dataset {
 	schema := storage.MustSchema(
 		storage.Field{Name: "ki", Type: storage.TypeInt},
@@ -945,42 +650,6 @@ func sortBenchPlan(rows int) *dataflow.Dataset {
 			dataflow.SortOrder{Column: "ks"},
 			dataflow.SortOrder{Column: "kb", Descending: true},
 		)
-}
-
-// BenchmarkSortColumnar sorts 100k rows on four typed keys with the
-// selection-vector sort core ("typed") and with the boxed-row core ("boxed",
-// WithColumnarSort(false)) — the latter materialises every batch back into
-// boxed rows and compares through interface values, which is where both the
-// allocation and the time gap come from. Both arms use CountStats, so the
-// numbers compare the sort cores, not result materialisation.
-func BenchmarkSortColumnar(b *testing.B) {
-	const rows = 100_000
-	plan := sortBenchPlan(rows)
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name    string
-		enabled bool
-	}{{"typed", true}, {"boxed", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := wideBenchEngine(b, dataflow.WithColumnarSort(mode.enabled))
-			b.ReportAllocs()
-			b.ResetTimer()
-			var last dataflow.Stats
-			for i := 0; i < b.N; i++ {
-				n, stats, err := e.CountStats(ctx, plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n != rows {
-					b.Fatalf("sort produced %d rows, want %d", n, rows)
-				}
-				last = stats
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(last.Tasks), "tasks/op")
-			b.ReportMetric(float64(last.SortSampledRows), "sampled_rows/op")
-		})
-	}
 }
 
 // BenchmarkSortExternal runs the 4-key 100k-row sort with the unlimited

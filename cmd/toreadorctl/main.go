@@ -63,7 +63,6 @@ func run(args []string, out io.Writer) error {
 		repository = fs.String("repository", "", "optional model-repository directory for persistence")
 		strategy   = fs.String("strategy", "exhaustive", "planning strategy for the plan command (exhaustive|greedy|random)")
 		memBudget  = fs.Int64("memory-budget", 0, "bytes of columnar batch data the engine keeps resident per wide operator; excess spills to disk (0 = unlimited)")
-		spillComp  = fs.Bool("spill-compression", true, "encode spilled batches with the compressed v2 frame codec (dictionary/delta/RLE); false writes raw v1 frames")
 		failRate   = fs.Float64("failure-rate", 0, "injected transient task-failure probability on the simulated cluster (serve: exercised by the retry policy)")
 		listen     = fs.String("listen", "127.0.0.1:8321", "serve: listen address (host:0 picks a free port)")
 		queueDepth = fs.Int("queue", 16, "serve: submission queue depth before admission control rejects or sheds")
@@ -87,9 +86,8 @@ func run(args []string, out io.Writer) error {
 
 	platform, err := toreador.New(toreador.Config{
 		Seed: *seed, RepositoryDir: *repository, MemoryBudget: *memBudget, FailureRate: *failRate,
-		DisableSpillCompression: !*spillComp,
-		StoreDir:                *storeDir,
-		SpillDir:                *spillDir,
+		StoreDir: *storeDir,
+		SpillDir: *spillDir,
 	})
 	if err != nil {
 		return err

@@ -147,7 +147,7 @@ func TestCLIExplainNamesWideStrategies(t *testing.T) {
 	for _, want := range []string{
 		"preparation stage:",
 		"analytics stage (forecasting):",
-		"rangeSort=on",
+		"shufflePartitions=",
 		"Sort([{read_at false}]) [range-shuffle(parts=",
 	} {
 		if !strings.Contains(out, want) {

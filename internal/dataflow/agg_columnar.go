@@ -1,17 +1,17 @@
 package dataflow
 
-// agg_columnar.go implements the columnar group-by core (WithColumnarAgg,
-// default on): a storage.GroupTable maps keys to dense group ids and every
-// aggregation accumulates into typed vectors indexed by group id (aggVecs),
-// so the per-row hot loop is one tight typed pass per aggregation instead of
-// per-row interface dispatch over boxed aggState objects.
+// agg_columnar.go implements the group-by core: a storage.GroupTable maps
+// keys to dense group ids and every aggregation accumulates into typed
+// vectors indexed by group id (aggVecs), so the per-row hot loop is one tight
+// typed pass per aggregation instead of per-row interface dispatch over boxed
+// per-group state.
 //
 // Three paths are built on the same accumulators:
 //
-//   - the combined map side (evalGroupByCombinedColumnar) accumulates each
-//     input batch columnar, then converts group state back to aggStates and
-//     feeds the unchanged shuffle+merge tail (mergeGroupPartials), so results
-//     stay bit-identical to the boxed combine;
+//   - the combined map side (evalGroupByCombined) accumulates each input
+//     batch columnar, then converts group state to aggStates — the algebraic
+//     partials of aggregate.go — which cross the shuffle and merge per key
+//     into one output batch per bucket (mergeGroupPartials);
 //   - the non-combined hash aggregation (evalGroupByHash) folds shuffled
 //     bucket batches into one table per bucket and emits the output as a
 //     columnar batch whose key columns are shared zero-copy from the table;
@@ -27,8 +27,9 @@ package dataflow
 //
 // All aggregation semantics — null skipping, CompareValues min/max ordering
 // (numerics through float64, NaN never replacing, first value winning ties),
-// AsFloat coercions — replicate aggregate.go exactly; the equivalence suite
-// holds every mode bit-identical. The one caveat is float summation order:
+// AsFloat coercions — follow the formulas documented in aggregate.go; the
+// equivalence suite holds every engine configuration to the reference
+// interpreter. The one caveat is float summation order: partials and
 // partial-state flushes regroup additions, which is only bit-stable when the
 // data sums exactly (the algebraic identity all spill tests rely on).
 
@@ -265,8 +266,8 @@ func (a *aggVecs) updateNumeric(b *storage.ColumnBatch, col *storage.Column, ids
 		}
 	default:
 		// Strings (and anything exotic) go through FloatAt, which matches
-		// AsFloat: unparsable cells still count and contribute zero, exactly
-		// like the boxed update.
+		// AsFloat: unparsable cells still count and contribute zero, as the
+		// aggregate formulas on aggState say.
 		for j, id := range ids {
 			i := base + j
 			if col.Null(i) {
@@ -283,9 +284,9 @@ func (a *aggVecs) updateNumeric(b *storage.ColumnBatch, col *storage.Column, ids
 // foldMin folds column cells into the per-group minimum, replicating
 // CompareValues ordering: numerics compare through float64 (so NaN never
 // replaces an extreme and ties keep the first value), strings lexically,
-// bools false < true. addCount mirrors the boxed update, which counts every
-// considered (non-null) cell; the spill merge replays counts separately and
-// passes false.
+// bools false < true. addCount counts every considered (non-null) cell, as
+// every non-count aggregation does; the spill merge replays counts
+// separately and passes false.
 func (a *aggVecs) foldMin(col *storage.Column, ids []int32, base int, addCount bool) {
 	switch a.extType {
 	case storage.TypeInt, storage.TypeTime:
@@ -496,7 +497,7 @@ func (a *aggVecs) result(g int) storage.Value {
 // currency of the combined path's shuffle+merge tail. Distinct sets transfer
 // by reference (a nil set stays nil; aggState.merge and result tolerate it).
 func (a *aggVecs) toState(g int) *aggState {
-	st := &aggState{spec: a.spec, colIdx: a.colIdx, count: a.counts[g]}
+	st := &aggState{spec: a.spec, count: a.counts[g]}
 	switch a.spec.Kind {
 	case AggSum, AggAvg, AggStdDev:
 		st.sum, st.sumSq = a.sums[g], a.sumSqs[g]
@@ -561,8 +562,7 @@ func stdDevResult(count int64, sum, sumSq float64) storage.Value {
 
 // emitAggBatch materialises the aggregation output as one columnar batch: key
 // columns are shared zero-copy from the group table (group id order is
-// first-seen order, matching the row paths' emission order) and one typed
-// result column is built per aggregation.
+// first-seen order) and one typed result column is built per aggregation.
 func emitAggBatch(n *groupByNode, table *storage.GroupTable, accs []*aggVecs) (*storage.ColumnBatch, error) {
 	groups := table.Groups()
 	nKeys := len(n.keys)
@@ -582,17 +582,27 @@ func emitAggBatch(n *groupByNode, table *storage.GroupTable, accs []*aggVecs) (*
 }
 
 // ---------------------------------------------------------------------------
-// Combined map side (columnar)
+// Map-side combined group-by
 // ---------------------------------------------------------------------------
 
-// evalGroupByCombinedColumnar is the columnar-accumulator map side of the
-// combined group-by: each input batch is grouped through a GroupTable and
-// aggregated in typed vectors, then the per-group state is converted back to
-// partialGroups feeding the unchanged shuffle+merge tail. Because each
-// group's cells fold in the same order as the boxed map side, the partials —
-// and therefore the merged output — are bit-identical to it.
-func (e *Engine) evalGroupByCombinedColumnar(ctx context.Context, n *groupByNode,
-	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]part, error) {
+// partialGroup is one group's accumulated aggregation state on the map side
+// of a combined group-by. The binary key encoding and its hash travel with
+// the state so the shuffle and the merge never re-key.
+type partialGroup struct {
+	key       string
+	hash      uint64
+	keyValues []storage.Value
+	states    []*aggState
+}
+
+// evalGroupByCombined is the combined group-by: one job folds each input
+// batch through a GroupTable into typed accumulators and converts the
+// per-group state to partialGroups; only those partials cross the shuffle
+// boundary, and a second job merges them per key (mergeGroupPartials). When
+// keys repeat within partitions this shuffles far fewer rows than the
+// non-combined hash aggregation.
+func (e *Engine) evalGroupByCombined(ctx context.Context, n *groupByNode,
+	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]*storage.ColumnBatch, error) {
 
 	inSchema := n.child.schema()
 	keySchema, keyIdx, err := aggKeyLayout(n, inSchema)
@@ -637,7 +647,69 @@ func (e *Engine) evalGroupByCombinedColumnar(ctx context.Context, n *groupByNode
 	if _, err := e.cluster.RunNamedJob(ctx, "groupby-combine", tasks); err != nil {
 		return nil, fmt.Errorf("dataflow: groupby-combine: %w", err)
 	}
-	return e.mergeGroupPartials(ctx, partials, inputRows, st)
+	return e.mergeGroupPartials(ctx, n, partials, inputRows, st)
+}
+
+// mergeGroupPartials is the reduce side of the combined group-by: shuffle the
+// partial groups (which carry their keys and hashes) into pre-sized buckets
+// and merge them per key in bucket order, so each group keeps the key values
+// of its first partial. Each bucket emits one output batch.
+func (e *Engine) mergeGroupPartials(ctx context.Context, n *groupByNode, partials [][]*partialGroup,
+	inputRows int, st *execState) ([]*storage.ColumnBatch, error) {
+
+	st.addStage()
+	buckets := shuffleBy(e.shufflePartitions, partials, func(g *partialGroup) int {
+		return storage.PartitionOfHash(g.hash, e.shufflePartitions)
+	})
+	moved := 0
+	for _, b := range buckets {
+		moved += len(b)
+	}
+	st.addShuffled(moved)
+	st.addCombined(inputRows - moved)
+
+	out := make([]*storage.ColumnBatch, len(buckets))
+	mergeTasks := make([]cluster.Task, len(buckets))
+	for b := range buckets {
+		b := b
+		mergeTasks[b] = cluster.Task{
+			Name: fmt.Sprintf("groupby-merge[%d]", b),
+			Fn: func(ctx context.Context, node cluster.Node) error {
+				merged := make(map[string]*partialGroup, len(buckets[b]))
+				var order []*partialGroup
+				for _, g := range buckets[b] {
+					m, ok := merged[g.key]
+					if !ok {
+						merged[g.key] = g
+						order = append(order, g)
+						continue
+					}
+					for j := range m.states {
+						m.states[j].merge(g.states[j])
+					}
+				}
+				st.addAggGroups(len(order))
+				res := storage.NewColumnBatch(n.out, len(order))
+				row := make(storage.Row, n.out.Len())
+				for _, g := range order {
+					k := copy(row, g.keyValues)
+					for j, s := range g.states {
+						row[k+j] = s.result()
+					}
+					if err := res.AppendRow(row); err != nil {
+						return err
+					}
+				}
+				out[b] = res
+				return nil
+			},
+		}
+	}
+	st.addTasks(len(mergeTasks))
+	if _, err := e.cluster.RunNamedJob(ctx, "groupby-merge", mergeTasks); err != nil {
+		return nil, fmt.Errorf("dataflow: groupby-merge: %w", err)
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -651,7 +723,7 @@ func (e *Engine) evalGroupByCombinedColumnar(ctx context.Context, n *groupByNode
 // under WithMemoryBudget the group state itself is spill-aware (see
 // hashAggPartition).
 func (e *Engine) evalGroupByHash(ctx context.Context, n *groupByNode,
-	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]part, error) {
+	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]*storage.ColumnBatch, error) {
 
 	inSchema := n.child.schema()
 	keySchema, keyIdx, err := aggKeyLayout(n, inSchema)
@@ -668,7 +740,7 @@ func (e *Engine) evalGroupByHash(ctx context.Context, n *groupByNode,
 	}
 	defer st.releaseStore(store)
 	nParts := store.Partitions()
-	out := make([]part, nParts)
+	out := make([]*storage.ColumnBatch, nParts)
 	tasks := make([]cluster.Task, nParts)
 	for b := range tasks {
 		b := b
@@ -701,7 +773,7 @@ func (e *Engine) evalGroupByHash(ctx context.Context, n *groupByNode,
 // first-seen sequence so the output matches the in-memory emission order.
 func (e *Engine) hashAggPartition(n *groupByNode, bucket int, store *storage.PartitionStore,
 	enc *storage.KeyEncoder, keySchema *storage.Schema, keyIdx []int,
-	spillSchema *storage.Schema, inSchema *storage.Schema, st *execState) (part, error) {
+	spillSchema *storage.Schema, inSchema *storage.Schema, st *execState) (*storage.ColumnBatch, error) {
 
 	table := storage.NewGroupTable(keySchema, keyIdx, enc.Clone())
 	accs := newAggVecSet(n.aggs, inSchema)
@@ -740,10 +812,11 @@ func (e *Engine) hashAggPartition(n *groupByNode, bucket int, store *storage.Par
 				if size := table.MemSize() + aggVecsSize(accs); size > budget {
 					st.noteAggPeak(size)
 					if sp == nil {
-						var err error
-						if sp, err = newAggSpill(spillSchema, len(n.keys), budget, e.codec(), e.spillDir); err != nil {
+						ps, err := e.newPartitionStore(spillSchema, aggSpillPartitions, budget)
+						if err != nil {
 							return err
 						}
+						sp = &aggSpill{schema: spillSchema, store: ps, nKeys: len(n.keys)}
 					}
 					if err := sp.flush(table, accs, seqs); err != nil {
 						return err
@@ -760,38 +833,38 @@ func (e *Engine) hashAggPartition(n *groupByNode, bucket int, store *storage.Par
 		if sp != nil {
 			st.releaseStore(sp.store)
 		}
-		return part{}, err
+		return nil, err
 	}
 	if sp == nil {
 		st.noteAggPeak(table.MemSize() + aggVecsSize(accs))
 		st.addAggGroups(table.Groups())
 		b, err := emitAggBatch(n, table, accs)
 		if err != nil {
-			return part{}, err
+			return nil, err
 		}
 		if b.Len() > 0 {
 			st.addBatches(1, b.Len())
 		}
-		return batchPart(b), nil
+		return b, nil
 	}
 	defer st.releaseStore(sp.store)
 	if err := sp.flush(table, accs, seqs); err != nil {
-		return part{}, err
+		return nil, err
 	}
 	rows, partsMerged, err := sp.mergeSpilled(n, keySchema, inSchema, st.noteAggPeak)
 	if err != nil {
-		return part{}, err
+		return nil, err
 	}
 	st.addAggGroups(len(rows))
 	st.addAggSpilledParts(partsMerged)
 	b, err := storage.BatchFromRows(n.out, rows)
 	if err != nil {
-		return part{}, err
+		return nil, err
 	}
 	if b.Len() > 0 {
 		st.addBatches(1, b.Len())
 	}
-	return batchPart(b), nil
+	return b, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -805,16 +878,6 @@ type aggSpill struct {
 	schema *storage.Schema
 	store  *storage.PartitionStore
 	nKeys  int
-}
-
-func newAggSpill(spillSchema *storage.Schema, nKeys int, budget int64, codec storage.CodecOptions, spillDir string) (*aggSpill, error) {
-	ps, err := storage.NewPartitionStore(spillSchema, aggSpillPartitions,
-		storage.WithMemoryBudget(budget), storage.WithCodec(codec),
-		storage.WithSpillDir(spillDir))
-	if err != nil {
-		return nil, err
-	}
-	return &aggSpill{schema: spillSchema, store: ps, nKeys: nKeys}, nil
 }
 
 // aggSpillSchema builds the partial-state row layout: the key columns (all

@@ -129,89 +129,28 @@ func (a Aggregation) outputType(in *storage.Schema) storage.FieldType {
 	}
 }
 
-// aggState accumulates one aggregation over one group.
+// aggState is one aggregation's partial state for one group, the currency of
+// the combined group-by's shuffle and merge. The aggregate formulas, over the
+// group's rows in input order:
+//
+//   - count: the number of rows (count) — every other kind counts only the
+//     non-null cells of its column;
+//   - sum: the AsFloat sum of the non-null cells (0 when there are none);
+//   - avg: sum / count, null when count is 0;
+//   - stddev: the population standard deviation sqrt(sumSq/count − mean²),
+//     with the variance clamped at 0, null when count is 0;
+//   - min, max: the extreme non-null cell under CompareValues, the first one
+//     winning ties, null when there is none;
+//   - count_distinct: the number of distinct AsString renderings of the
+//     non-null cells.
 type aggState struct {
 	spec     Aggregation
-	colIdx   int
 	count    int64
 	sum      float64
 	sumSq    float64
 	min      storage.Value
 	max      storage.Value
 	distinct map[string]struct{}
-}
-
-func newAggState(spec Aggregation, in *storage.Schema) *aggState {
-	st := &aggState{spec: spec, colIdx: -1}
-	if spec.Column != "" {
-		st.colIdx = in.IndexOf(spec.Column)
-	}
-	if spec.Kind == AggCountDistinct {
-		st.distinct = make(map[string]struct{})
-	}
-	return st
-}
-
-func (st *aggState) update(row storage.Row) {
-	if st.spec.Kind == AggCount {
-		st.count++
-		return
-	}
-	if st.colIdx < 0 || st.colIdx >= len(row) {
-		return
-	}
-	v := row[st.colIdx]
-	if v == nil {
-		return
-	}
-	st.count++
-	switch st.spec.Kind {
-	case AggSum, AggAvg, AggStdDev:
-		f, _ := storage.AsFloat(v)
-		st.sum += f
-		st.sumSq += f * f
-	case AggMin:
-		if st.min == nil || storage.CompareValues(v, st.min) < 0 {
-			st.min = v
-		}
-	case AggMax:
-		if st.max == nil || storage.CompareValues(v, st.max) > 0 {
-			st.max = v
-		}
-	case AggCountDistinct:
-		st.distinct[storage.AsString(v)] = struct{}{}
-	}
-}
-
-// updateAt folds row i of a columnar batch into the state, reading the
-// aggregated column through the typed vector (no boxing for the numeric
-// aggregations; min/max/count-distinct box once per considered cell, as the
-// row path does implicitly).
-func (st *aggState) updateAt(b *storage.ColumnBatch, i int) {
-	if st.spec.Kind == AggCount {
-		st.count++
-		return
-	}
-	if st.colIdx < 0 || st.colIdx >= b.Width() || b.NullAt(i, st.colIdx) {
-		return
-	}
-	st.count++
-	switch st.spec.Kind {
-	case AggSum, AggAvg, AggStdDev:
-		f, _ := b.FloatAt(i, st.colIdx)
-		st.sum += f
-		st.sumSq += f * f
-	case AggMin:
-		if v := b.Value(i, st.colIdx); st.min == nil || storage.CompareValues(v, st.min) < 0 {
-			st.min = v
-		}
-	case AggMax:
-		if v := b.Value(i, st.colIdx); st.max == nil || storage.CompareValues(v, st.max) > 0 {
-			st.max = v
-		}
-	case AggCountDistinct:
-		st.distinct[b.StringAt(i, st.colIdx)] = struct{}{}
-	}
 }
 
 // merge folds another partial state of the same aggregation into st. It is

@@ -230,9 +230,9 @@ type sourceNode struct {
 	sch        *storage.Schema
 	partitions [][]storage.Row
 
-	// Columnar form of partitions, built on first vectorized execution and
-	// reused by every later action over the same (immutable) plan — the
-	// analogue of data already sitting in a columnar store.
+	// Columnar form of partitions, built on first execution and reused by
+	// every later action over the same (immutable) plan — the analogue of
+	// data already sitting in a columnar store.
 	batchOnce sync.Once
 	batches   []*storage.ColumnBatch
 	batchErr  error
@@ -376,7 +376,7 @@ func (d *Dataset) FlatMap(desc string, out *storage.Schema, fn FlatMapFunc) *Dat
 }
 
 // projectNode keeps only the columns at the given input indices. Unlike a
-// generic map it is a pure column operation: the vectorized kernel reorders
+// generic map it is a pure column operation: the batch kernel reorders
 // column references without touching any cell.
 type projectNode struct {
 	child   planNode
@@ -405,7 +405,7 @@ func (d *Dataset) Project(cols ...string) *Dataset {
 }
 
 // withColumnNode appends one derived column computed by a user closure. The
-// vectorized kernel evaluates the closure per row over a batch view and
+// batch kernel evaluates the closure per row over a batch view and
 // writes the results into a fresh typed vector; existing columns are shared,
 // never copied.
 type withColumnNode struct {
@@ -543,8 +543,9 @@ func (n *sortNode) label() string           { return fmt.Sprintf("Sort(%v)", n.o
 // Sort orders records by the given columns. Sorting is a global operation:
 // the engine either range-partitions the data and sorts the ranges in
 // parallel (output partitions are ordered end to end, so their concatenation
-// is the fully sorted dataset) or, for small inputs and under
-// WithRangeSort(false), collapses everything into one sorted partition.
+// is the fully sorted dataset) or, for small inputs and engines with a single
+// shuffle partition, collapses everything into one sorted partition. The
+// order is storage.CompareValues' (nulls first), and the sort is stable.
 func (d *Dataset) Sort(orders ...SortOrder) *Dataset {
 	if bad, ok := d.invalid(); ok {
 		return bad

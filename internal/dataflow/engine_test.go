@@ -631,12 +631,10 @@ func BenchmarkGroupByShuffle(b *testing.B) {
 	b.ReportMetric(float64(len(rows)), "rows/op")
 }
 
-// groupByBenchPlan builds the 100k-row high-cardinality group-by used by the
-// aggregation ablation benchmarks: most groups hold only a handful of rows,
-// so per-group state maintenance — not the scan — dominates, which is exactly
-// where columnar accumulators beat boxed per-group states. Values are
-// integer-valued floats so the spill arm's re-grouped partial sums stay
-// bit-exact.
+// groupByBenchPlan builds the 100k-row high-cardinality group-by the spill
+// benchmark runs: most groups hold only a handful of rows, so per-group state
+// maintenance — not the scan — dominates. Values are integer-valued floats so
+// the spill arm's re-grouped partial sums stay bit-exact.
 func groupByBenchPlan() (*Dataset, int) {
 	schema := storage.MustSchema(
 		storage.Field{Name: "k", Type: storage.TypeInt},
@@ -658,42 +656,6 @@ func groupByBenchPlan() (*Dataset, int) {
 		Agg(Count(), Sum("v"), Avg("v"), StdDev("v"), Min("v"), Max("v"),
 			Sum("w"), Min("w"), Max("w"))
 	return d, n
-}
-
-// BenchmarkGroupByVectorized is the aggregation-core ablation pair: the
-// columnar hash aggregation (GroupTable + typed accumulator vectors) against
-// the boxed per-group aggState arm (WithColumnarAgg(false)), both
-// non-combined so the reduce-side group loop is the measured work.
-func BenchmarkGroupByVectorized(b *testing.B) {
-	plan, n := groupByBenchPlan()
-	for _, arm := range []struct {
-		name string
-		opts []EngineOption
-	}{
-		{"columnar", nil},
-		{"boxed", []EngineOption{WithColumnarAgg(false)}},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			c, _ := cluster.New(cluster.Uniform(2, 2, 0))
-			e, _ := NewEngine(c, append([]EngineOption{WithMapSideCombine(false)}, arm.opts...)...)
-			_, stats, err := e.CountStats(context.Background(), plan)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if stats.AggGroups == 0 {
-				b.Fatalf("%s arm reported no groups", arm.name)
-			}
-			groups := stats.AggGroups
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := e.CountStats(context.Background(), plan); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(n), "rows/op")
-			b.ReportMetric(float64(groups), "groups/op")
-		})
-	}
 }
 
 // BenchmarkGroupBySpill measures the budget-bounded hash aggregation against

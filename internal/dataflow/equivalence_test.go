@@ -2,18 +2,16 @@ package dataflow
 
 // equivalence_test.go is the randomized plan-equivalence suite: it generates
 // random schemas (including nullable columns with real nulls), random rows
-// and random operator chains, executes each plan under the three execution
-// modes — vectorized (columnar batches), row-at-a-time fused, and unfused
-// per-operator — and asserts the results are bit-identical and the row-count
-// statistics agree. It is the safety net under the vectorized kernels: any
-// divergence between a batch kernel and its row implementation fails here
-// with the generating seed in the test name.
+// and random operator chains, executes each plan under every engine arm —
+// the defaults plus one arm per live planning switch — and requires every arm
+// to match the reference interpreter (reference_test.go). Any divergence of a
+// batch kernel, a shuffle, a spill path or a strategy fails here with the
+// generating seed in the test name.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -72,8 +70,9 @@ func genRows(rng *rand.Rand, schema *storage.Schema, n int) []storage.Row {
 	return rows
 }
 
-// genChain appends 1..5 random narrow operators to d, then optionally one
-// wide operator, returning the plan. Every closure is pure and deterministic.
+// genChain appends 1..5 random narrow operators to d, then optionally a
+// limit and one wide operator, returning the plan. Every closure is pure and
+// deterministic.
 func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 	ops := 1 + rng.Intn(5)
 	for i := 0; i < ops; i++ {
@@ -125,9 +124,9 @@ func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 	if rng.Intn(2) == 0 {
 		d = d.Limit(rng.Intn(40))
 	}
-	// Terminal wide operator half the time, to prove the batch shuffle paths
-	// agree with the row paths. Group-by and sort need the key columns to
-	// have survived any projections above.
+	// Terminal wide operator half the time, to drive the shuffle paths.
+	// Group-by and sort need the key columns to have survived any
+	// projections above.
 	schema := d.Schema()
 	hasKeys := schema.Has("c0") && schema.Has("c1")
 	switch rng.Intn(6) {
@@ -147,129 +146,125 @@ func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 	return d
 }
 
-// equivalenceEngines builds the four execution modes over identical fresh
-// clusters (same seed, no failure injection). The spill mode is the
-// vectorized engine with a one-byte memory budget, which forces every batch
-// a wide operator accumulates straight to disk — the results must stay
-// bit-identical to the in-memory runs.
-func equivalenceEngines(t *testing.T) map[string]*Engine {
+// genPlan builds the randomized suite's plan for seed. rows < 0 keeps the row
+// count the seed draws (0..299); otherwise rows (capped at 4095) replaces it.
+func genPlan(seed int64, rows int) *Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	schema := genSchema(rng)
+	n := rng.Intn(300)
+	if rows >= 0 {
+		n = rows % 4096
+	}
+	data := genRows(rng, schema, n)
+	parts := 1 + rng.Intn(5)
+	return genChain(rng, FromRows("equiv", schema, data, parts))
+}
+
+// engineArm is one engine configuration the suite runs every plan under.
+type engineArm struct {
+	name string
+	e    *Engine
+}
+
+// engineArms builds the defaults plus one arm per live planning switch, each
+// over an identical fresh cluster (same seed, no failure injection). The
+// spill arm's one-byte budget forces every batch a wide operator accumulates
+// through the compressed spill codec to disk.
+func engineArms(t testing.TB, opts ...EngineOption) []engineArm {
 	t.Helper()
-	build := func(opts ...EngineOption) *Engine {
+	build := func(extra ...EngineOption) *Engine {
 		c, err := cluster.New(cluster.Uniform(2, 2, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewEngine(c, opts...)
+		e, err := NewEngine(c, append(append([]EngineOption{}, opts...), extra...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
-	return map[string]*Engine{
-		"vectorized":  build(),
-		"row":         build(WithVectorizedExecution(false)),
-		"unfused":     build(WithFusion(false), WithVectorizedExecution(false)),
-		"unfused-vec": build(WithFusion(false)),
-		"boxed-sort":  build(WithColumnarSort(false)),
-		"boxed-agg":   build(WithColumnarAgg(false)),
-		// Two forced-spill arms: raw v1 frames and the compressed v2 codec.
-		// Restored batches must be bit-identical either way, so both must
-		// match the in-memory runs exactly.
-		"spill":            build(WithMemoryBudget(1), WithSpillCompression(false)),
-		"spill-compressed": build(WithMemoryBudget(1)),
+	return []engineArm{
+		{"default", build()},
+		{"unfused", build(WithFusion(false))},
+		{"spill", build(WithMemoryBudget(1))},
+		{"uncombined", build(WithMapSideCombine(false))},
+		{"shuffle-join", build(WithBroadcastJoin(false))},
 	}
 }
 
+// checkArms runs plan under every arm, requires each to match the reference
+// interpreter and the spill arm to shuffle exactly the rows the default arm
+// does, and returns the results by arm name.
+func checkArms(t testing.TB, plan *Dataset, opts ...EngineOption) map[string]*Result {
+	t.Helper()
+	want, err := reference(plan)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	results := map[string]*Result{}
+	for _, arm := range engineArms(t, opts...) {
+		res, err := arm.e.Collect(context.Background(), plan)
+		if err != nil {
+			t.Fatalf("%s: %v", arm.name, err)
+		}
+		if !res.Schema.Equal(plan.Schema()) {
+			t.Fatalf("%s: schema %s, plan schema %s", arm.name, res.Schema, plan.Schema())
+		}
+		want.check(t, arm.name, res)
+		results[arm.name] = res
+	}
+	if s, d := results["spill"].Stats.ShuffledRows, results["default"].Stats.ShuffledRows; s != d {
+		t.Errorf("spill arm ShuffledRows = %d, default arm %d", s, d)
+	}
+	return results
+}
+
 func TestRandomizedPlanEquivalence(t *testing.T) {
-	ctx := context.Background()
 	var totalSpilled int64
 	for seed := int64(0); seed < 40; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			schema := genSchema(rng)
-			rows := genRows(rng, schema, rng.Intn(300))
-			parts := 1 + rng.Intn(5)
-			src := FromRows("equiv", schema, rows, parts)
-			plan := genChain(rng, src)
+			plan := genPlan(seed, -1)
 			if err := plan.Err(); err != nil {
 				t.Fatalf("generated plan invalid: %v", err)
 			}
-
-			engines := equivalenceEngines(t)
-			results := map[string]*Result{}
-			for mode, e := range engines {
-				res, err := e.Collect(ctx, plan)
-				if err != nil {
-					t.Fatalf("%s: %v", mode, err)
-				}
-				results[mode] = res
+			s := checkArms(t, plan)["spill"].Stats
+			if s.SpilledBatches > 0 && (s.SpilledBytes == 0 || s.SpillFilePeakBytes == 0) {
+				t.Errorf("spilled %d batches but reported %dB written, %dB file peak",
+					s.SpilledBatches, s.SpilledBytes, s.SpillFilePeakBytes)
 			}
-			base := results["row"]
-			for _, mode := range []string{"vectorized", "unfused", "unfused-vec", "boxed-sort", "boxed-agg", "spill", "spill-compressed"} {
-				got := results[mode]
-				if !got.Schema.Equal(base.Schema) {
-					t.Fatalf("%s schema %s != row schema %s", mode, got.Schema, base.Schema)
-				}
-				if len(got.Rows) != len(base.Rows) {
-					t.Fatalf("%s rows = %d, row-at-a-time rows = %d", mode, len(got.Rows), len(base.Rows))
-				}
-				for i := range got.Rows {
-					if !reflect.DeepEqual(got.Rows[i], base.Rows[i]) {
-						t.Fatalf("%s row %d = %#v, want %#v", mode, i, got.Rows[i], base.Rows[i])
-					}
-				}
-				if got.Stats.RowsRead != base.Stats.RowsRead {
-					t.Errorf("%s RowsRead = %d, want %d", mode, got.Stats.RowsRead, base.Stats.RowsRead)
-				}
-				if got.Stats.RowsOutput != base.Stats.RowsOutput {
-					t.Errorf("%s RowsOutput = %d, want %d", mode, got.Stats.RowsOutput, base.Stats.RowsOutput)
-				}
-			}
-			// The vectorized runs over the fused plan must also agree with the
-			// row run on shuffle traffic: the batch shuffle moves the same
-			// rows, just without boxing them — and routing the buckets through
-			// the spill store must not change what crosses the boundary.
-			for _, mode := range []string{"vectorized", "spill", "spill-compressed"} {
-				if v, r := results[mode].Stats.ShuffledRows, base.Stats.ShuffledRows; v != r {
-					t.Errorf("%s ShuffledRows = %d, row = %d", mode, v, r)
-				}
-			}
-			if results["spill"].Stats.SpilledBatches > 0 && results["spill"].Stats.SpilledBytes == 0 {
-				t.Error("spilled batches reported without spilled bytes")
-			}
-			// Accounting invariants of the two spill arms: without compression
-			// physical and logical bytes are the same quantity; with it the
-			// logical (v1-equivalent) size bounds the physical from above, and
-			// both arms agree on what was logically spilled per batch shape.
-			if s := results["spill"].Stats; s.SpilledBytes != s.SpillLogicalBytes {
-				t.Errorf("uncompressed spill arm: SpilledBytes %d != SpillLogicalBytes %d",
-					s.SpilledBytes, s.SpillLogicalBytes)
-			}
-			if s := results["spill-compressed"].Stats; s.SpilledBytes > s.SpillLogicalBytes {
-				t.Errorf("compressed spill arm: physical %dB exceeds logical %dB",
-					s.SpilledBytes, s.SpillLogicalBytes)
-			}
-			if s := results["spill-compressed"].Stats; s.SpilledBatches > 0 && s.SpillFilePeakBytes == 0 {
-				t.Error("compressed spill arm reported batches but no file high-water")
-			}
-			totalSpilled += results["spill"].Stats.SpilledBatches
+			totalSpilled += s.SpilledBatches
 		})
 	}
-	// With a one-byte budget, any seed whose plan reaches a batch-backed wide
-	// operator must have spilled; across 40 seeds that must have happened.
+	// With a one-byte budget, any seed whose plan reaches a wide operator
+	// must have spilled; across 40 seeds that must have happened.
 	if totalSpilled == 0 {
-		t.Error("spill mode never spilled a batch across the whole suite")
+		t.Error("spill arm never spilled a batch across the whole suite")
 	}
 }
 
-// TestSampleUnfusedVectorizedEquivalence pins the unfused Sample routing:
-// with the stage compiler off, a Sample-only stage now runs through the
-// vectorized single-operator path instead of dropping the whole plan to boxed
-// rows, and must keep the exact per-partition pseudo-random selection of the
-// row implementation — same rows, same order, batches actually processed.
+// FuzzPlanEquivalence fuzzes the suite's generator — its seed and the row
+// count of the generated source — and checks every engine arm against the
+// reference interpreter. The seed corpus is the randomized suite's seeds at
+// their own row counts.
+func FuzzPlanEquivalence(f *testing.F) {
+	for seed := int64(0); seed < 40; seed++ {
+		f.Add(seed, -1)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, rows int) {
+		plan := genPlan(seed, rows)
+		if err := plan.Err(); err != nil {
+			t.Fatalf("generated plan invalid: %v", err)
+		}
+		checkArms(t, plan)
+	})
+}
+
+// TestSampleUnfusedVectorizedEquivalence drives Sample-only stages over
+// larger inputs than the randomized suite: with the stage compiler off a
+// Sample runs as its own batch-kernel job, and every arm must keep the exact
+// per-partition pseudo-random selection of the reference.
 func TestSampleUnfusedVectorizedEquivalence(t *testing.T) {
-	ctx := context.Background()
 	for seed := int64(300); seed < 306; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -278,39 +273,18 @@ func TestSampleUnfusedVectorizedEquivalence(t *testing.T) {
 			rows := genRows(rng, schema, 200+rng.Intn(400))
 			plan := FromRows("sampleequiv", schema, rows, 1+rng.Intn(5)).
 				Sample(0.25+rng.Float64()/2, seed)
-
-			engines := equivalenceEngines(t)
-			base, err := engines["unfused"].Collect(ctx, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := engines["unfused-vec"].Collect(ctx, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Rows) != len(base.Rows) {
-				t.Fatalf("unfused-vec rows = %d, unfused row arm = %d", len(got.Rows), len(base.Rows))
-			}
-			for i := range got.Rows {
-				if !reflect.DeepEqual(got.Rows[i], base.Rows[i]) {
-					t.Fatalf("unfused-vec row %d = %#v, want %#v", i, got.Rows[i], base.Rows[i])
-				}
-			}
-			if got.Stats.Batches == 0 {
-				t.Error("unfused vectorized Sample processed no batches — fell back to rows?")
+			if res := checkArms(t, plan)["unfused"]; res.Stats.Batches == 0 {
+				t.Error("unfused Sample processed no batches")
 			}
 		})
 	}
 }
 
-// TestMapFlatMapUnfusedVectorizedEquivalence pins the unfused Map/FlatMap
-// routing: with the stage compiler off, a lone Map or FlatMap stage now runs
-// through the vectorized single-operator path (closures reading zero-copy
-// batch views, outputs appended into typed vectors) instead of dropping to
-// boxed rows, and must reproduce the row implementation exactly — same rows,
-// same order, batches actually processed.
+// TestMapFlatMapUnfusedVectorizedEquivalence drives Map and FlatMap stages
+// over larger inputs than the randomized suite: closures read zero-copy
+// batch views and their outputs are appended into typed vectors, fused or
+// one job per operator, and every arm must reproduce the reference exactly.
 func TestMapFlatMapUnfusedVectorizedEquivalence(t *testing.T) {
-	ctx := context.Background()
 	for seed := int64(400); seed < 406; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -333,26 +307,8 @@ func TestMapFlatMapUnfusedVectorizedEquivalence(t *testing.T) {
 					}
 					return []storage.Row{row}, nil
 				})
-
-			engines := equivalenceEngines(t)
-			base, err := engines["unfused"].Collect(ctx, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := engines["unfused-vec"].Collect(ctx, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Rows) != len(base.Rows) {
-				t.Fatalf("unfused-vec rows = %d, unfused row arm = %d", len(got.Rows), len(base.Rows))
-			}
-			for i := range got.Rows {
-				if !reflect.DeepEqual(got.Rows[i], base.Rows[i]) {
-					t.Fatalf("unfused-vec row %d = %#v, want %#v", i, got.Rows[i], base.Rows[i])
-				}
-			}
-			if got.Stats.Batches == 0 {
-				t.Error("unfused vectorized Map/FlatMap processed no batches — fell back to rows?")
+			if res := checkArms(t, plan)["unfused"]; res.Stats.Batches == 0 {
+				t.Error("unfused Map/FlatMap processed no batches")
 			}
 		})
 	}
@@ -360,13 +316,11 @@ func TestMapFlatMapUnfusedVectorizedEquivalence(t *testing.T) {
 
 // TestSortEquivalenceHeavyDuplicates is the sort-focused arm of the suite:
 // random multi-key sorts over schemas whose key columns carry heavy
-// duplicates (and nulls), executed columnar, row-at-a-time, unfused
-// (per-operator batch kernels), boxed-row (WithColumnarSort(false)) and as a
-// forced external merge (one-byte budget). All five must be bit-identical to
-// the stable row sort — a unique id column makes any stability drift between
-// the typed kernels, the boxed comparators and the loser-tree merge visible.
+// duplicates (and nulls), under every arm — the one-byte-budget arm sorts as
+// an external merge. All must match the reference's stable sort row for row:
+// a unique id column makes any stability drift between the typed kernels,
+// the range shuffle and the loser-tree merge visible.
 func TestSortEquivalenceHeavyDuplicates(t *testing.T) {
-	ctx := context.Background()
 	var externalRuns int64
 	for seed := int64(100); seed < 120; seed++ {
 		seed := seed
@@ -405,35 +359,15 @@ func TestSortEquivalenceHeavyDuplicates(t *testing.T) {
 				{Column: "b"},
 			}
 			plan := FromRows("sortequiv", schema, rows, 1+rng.Intn(6)).Sort(orders...)
-
-			engines := equivalenceEngines(t)
-			base, err := engines["row"].Collect(ctx, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []string{"vectorized", "unfused", "unfused-vec", "boxed-sort", "spill", "spill-compressed"} {
-				got, err := engines[mode].Collect(ctx, plan)
-				if err != nil {
-					t.Fatalf("%s: %v", mode, err)
-				}
-				if len(got.Rows) != len(base.Rows) {
-					t.Fatalf("%s rows = %d, row arm = %d", mode, len(got.Rows), len(base.Rows))
-				}
-				for i := range got.Rows {
-					if !reflect.DeepEqual(got.Rows[i], base.Rows[i]) {
-						t.Fatalf("%s row %d = %#v, want %#v", mode, i, got.Rows[i], base.Rows[i])
-					}
-				}
-				if got.Stats.ShuffledRows != base.Stats.ShuffledRows {
-					t.Errorf("%s ShuffledRows = %d, row = %d", mode, got.Stats.ShuffledRows, base.Stats.ShuffledRows)
+			results := checkArms(t, plan)
+			for name, res := range results {
+				if res.Stats.ShuffledRows != results["default"].Stats.ShuffledRows {
+					t.Errorf("%s ShuffledRows = %d, default %d", name, res.Stats.ShuffledRows, results["default"].Stats.ShuffledRows)
 				}
 			}
-			spillRes, err := engines["spill"].Collect(ctx, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			externalRuns += spillRes.Stats.SortRuns
-			if spillRes.Stats.SortRuns > 0 && spillRes.Stats.SortMergedBatches == 0 {
+			spill := results["spill"].Stats
+			externalRuns += spill.SortRuns
+			if spill.SortRuns > 0 && spill.SortMergedBatches == 0 {
 				t.Error("external sort reported runs but no merged batches")
 			}
 		})
@@ -446,14 +380,11 @@ func TestSortEquivalenceHeavyDuplicates(t *testing.T) {
 // TestGroupByEquivalenceForcedSpill is the aggregation-focused arm of the
 // suite: high-cardinality group-bys with every aggregation kind, run
 // non-combined so rows cross the shuffle raw and the reduce side owns all
-// group state. The row baseline is compared against the columnar hash
-// aggregation, the boxed ablation arm, and a one-byte-budget run that forces
-// the hash aggregation to flush its group state through the spill
-// sub-partitions every batch — all must stay bit-identical, which also pins
-// the spill path's first-seen emission order. Float inputs are multiples of
+// group state. Every arm must match the reference; the one-byte-budget arm
+// flushes its group state through the spill sub-partitions every epoch, so
+// matching also pins the spill path's merge. Float inputs are multiples of
 // 1/8 so re-grouped partial sums stay exact.
 func TestGroupByEquivalenceForcedSpill(t *testing.T) {
-	ctx := context.Background()
 	var spilledParts int64
 	for seed := int64(200); seed < 210; seed++ {
 		seed := seed
@@ -487,80 +418,30 @@ func TestGroupByEquivalenceForcedSpill(t *testing.T) {
 				Agg(Count(), Sum("v"), Avg("v"), Min("v"), Max("v"),
 					Min("s"), Max("s"), StdDev("v"), CountDistinct("s"))
 
-			build := func(opts ...EngineOption) *Engine {
-				c, err := cluster.New(cluster.Uniform(2, 2, 0))
-				if err != nil {
-					t.Fatal(err)
-				}
-				e, err := NewEngine(c, append([]EngineOption{WithMapSideCombine(false)}, opts...)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return e
-			}
-			engines := map[string]*Engine{
-				"row":       build(WithVectorizedExecution(false)),
-				"columnar":  build(),
-				"boxed-agg": build(WithColumnarAgg(false)),
-				// Group-state flushes re-spill through the batch codec, so the
-				// forced-spill arm runs both with the compressed v2 frames
-				// (the default) and the raw v1 ablation baseline.
-				"spill":            build(WithMemoryBudget(1), WithSpillCompression(false)),
-				"spill-compressed": build(WithMemoryBudget(1)),
-			}
-			base, err := engines["row"].Collect(ctx, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []string{"columnar", "boxed-agg", "spill", "spill-compressed"} {
-				got, err := engines[mode].Collect(ctx, plan)
-				if err != nil {
-					t.Fatalf("%s: %v", mode, err)
-				}
-				if len(got.Rows) != len(base.Rows) {
-					t.Fatalf("%s rows = %d, row arm = %d", mode, len(got.Rows), len(base.Rows))
-				}
-				for i := range got.Rows {
-					if !reflect.DeepEqual(got.Rows[i], base.Rows[i]) {
-						t.Fatalf("%s row %d = %#v, want %#v", mode, i, got.Rows[i], base.Rows[i])
-					}
-				}
-				if got.Stats.AggGroups != base.Stats.AggGroups {
-					t.Errorf("%s AggGroups = %d, row = %d", mode, got.Stats.AggGroups, base.Stats.AggGroups)
+			results := checkArms(t, plan, WithMapSideCombine(false))
+			for name, res := range results {
+				if res.Stats.AggGroups != results["default"].Stats.AggGroups {
+					t.Errorf("%s AggGroups = %d, default %d", name, res.Stats.AggGroups, results["default"].Stats.AggGroups)
 				}
 			}
-			spill, err := engines["spill"].Collect(ctx, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if spill.Stats.AggSpilledPartitions == 0 {
+			spill := results["spill"].Stats
+			if spill.AggSpilledPartitions == 0 {
 				t.Error("one-byte budget never spilled aggregation state")
 			}
-			spilledParts += spill.Stats.AggSpilledPartitions
-			compressed, err := engines["spill-compressed"].Collect(ctx, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if compressed.Stats.AggSpilledPartitions == 0 {
-				t.Error("compressed arm never spilled aggregation state")
-			}
-			if compressed.Stats.SpilledBytes > compressed.Stats.SpillLogicalBytes {
-				t.Errorf("compressed agg spill: physical %dB exceeds logical %dB",
-					compressed.Stats.SpilledBytes, compressed.Stats.SpillLogicalBytes)
+			spilledParts += spill.AggSpilledPartitions
+			if spill.SpilledBytes > spill.SpillLogicalBytes {
+				t.Errorf("agg spill: physical %dB exceeds logical %dB", spill.SpilledBytes, spill.SpillLogicalBytes)
 			}
 			// The sub-partitioned merge must hold strictly less state resident
-			// than the whole bucket's groups would need: the in-memory columnar
-			// run's peak bounds it from above with a wide margin.
-			inMem, err := engines["columnar"].Collect(ctx, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if spill.Stats.AggPeakResidentBytes <= 0 {
+			// than the whole bucket's groups would need: the in-memory run's
+			// peak bounds it from above with a wide margin.
+			inMem := results["default"].Stats
+			if spill.AggPeakResidentBytes <= 0 {
 				t.Error("spill run reported no aggregation peak")
 			}
-			if 2*spill.Stats.AggPeakResidentBytes > inMem.Stats.AggPeakResidentBytes {
+			if 2*spill.AggPeakResidentBytes > inMem.AggPeakResidentBytes {
 				t.Errorf("spill peak %dB not bounded by half the in-memory peak %dB",
-					spill.Stats.AggPeakResidentBytes, inMem.Stats.AggPeakResidentBytes)
+					spill.AggPeakResidentBytes, inMem.AggPeakResidentBytes)
 			}
 		})
 	}

@@ -1,0 +1,406 @@
+package dataflow
+
+// reference_test.go is the test oracle: a deliberately naive interpreter of
+// logical plans over boxed rows. It has no fusion, no shuffle and no spill.
+// It walks the plan nodes, calls their closures on row-backed Records, and
+// decides every value question with storage.CompareValues, AsFloat and
+// AsString alone, applying the aggregate formulas documented on aggState in
+// aggregate.go. It shares nothing with the executor beyond the plan nodes,
+// so a bug in a batch kernel, a key encoder or a comparator cannot hide in
+// both.
+//
+// Narrow operators keep the partitioning (Sample seeds one generator per
+// partition; Limit takes rows in partition order). Wide operators and Limit
+// emit one partition in input order, so a Sample or Limit above a wide
+// operator whose output order the engine does not define has no reference
+// answer; the plan generators never build one.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/storage"
+)
+
+// refRun is the interpreter's answer for one plan.
+type refRun struct {
+	rows []storage.Row
+	// ordered is true when the plan defines its output order: no wide
+	// operator, or a Sort at the root with no wide operator below it.
+	ordered bool
+	// read counts the source rows the plan scans.
+	read int64
+}
+
+// reference evaluates plan with the interpreter.
+func reference(plan *Dataset) (refRun, error) {
+	if err := plan.Err(); err != nil {
+		return refRun{}, err
+	}
+	var r refRun
+	parts, err := r.eval(plan.node)
+	if err != nil {
+		return refRun{}, err
+	}
+	r.rows = refConcat(parts)
+	r.ordered = !refHasWide(plan.node)
+	if s, ok := plan.node.(*sortNode); ok && !refHasWide(s.child) {
+		r.ordered = true
+	}
+	return r, nil
+}
+
+// check fails t unless got matches the reference: row for row when the plan
+// defines its order, as sorted multisets otherwise, and with the same number
+// of source rows read.
+func (r refRun) check(t testing.TB, label string, got *Result) {
+	t.Helper()
+	if got.Stats.RowsRead != r.read {
+		t.Errorf("%s: RowsRead = %d, reference read %d", label, got.Stats.RowsRead, r.read)
+	}
+	if len(got.Rows) != len(r.rows) {
+		t.Fatalf("%s: %d rows, reference has %d", label, len(got.Rows), len(r.rows))
+	}
+	if !r.ordered {
+		g, w := refCanonical(got.Rows), refCanonical(r.rows)
+		for i := range g {
+			if g[i] != w[i] {
+				t.Fatalf("%s: sorted row %d = %s, reference %s", label, i, g[i], w[i])
+			}
+		}
+		return
+	}
+	for i := range got.Rows {
+		if !reflect.DeepEqual(got.Rows[i], r.rows[i]) {
+			t.Fatalf("%s: row %d = %#v, reference %#v", label, i, got.Rows[i], r.rows[i])
+		}
+	}
+}
+
+// refCanonical renders every row and sorts the renderings: the multiset form
+// of an output.
+func refCanonical(rows []storage.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprintf("%#v", r)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func refHasWide(node planNode) bool {
+	switch node.(type) {
+	case *distinctNode, *sortNode, *groupByNode, *joinNode:
+		return true
+	}
+	for _, c := range node.children() {
+		if refHasWide(c) {
+			return true
+		}
+	}
+	return false
+}
+
+func refConcat(parts [][]storage.Row) []storage.Row {
+	var out []storage.Row
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// eval returns node's output partitions.
+func (r *refRun) eval(node planNode) ([][]storage.Row, error) {
+	switch n := node.(type) {
+	case *sourceNode:
+		out := make([][]storage.Row, len(n.partitions))
+		for i, p := range n.partitions {
+			out[i] = append([]storage.Row(nil), p...)
+			r.read += int64(len(p))
+		}
+		return out, nil
+	case *unionNode:
+		left, err := r.eval(n.left)
+		if err != nil {
+			return nil, err
+		}
+		right, err := r.eval(n.right)
+		if err != nil {
+			return nil, err
+		}
+		return append(left, right...), nil
+	case *joinNode:
+		left, err := r.eval(n.left)
+		if err != nil {
+			return nil, err
+		}
+		right, err := r.eval(n.right)
+		if err != nil {
+			return nil, err
+		}
+		return [][]storage.Row{refJoin(n, refConcat(left), refConcat(right))}, nil
+	}
+	in, err := r.eval(node.children()[0])
+	if err != nil {
+		return nil, err
+	}
+	switch n := node.(type) {
+	case *limitNode:
+		all := refConcat(in)
+		if len(all) > n.n {
+			all = all[:n.n]
+		}
+		return [][]storage.Row{all}, nil
+	case *distinctNode:
+		return [][]storage.Row{refDistinct(n, refConcat(in))}, nil
+	case *sortNode:
+		return [][]storage.Row{refSort(n, refConcat(in))}, nil
+	case *groupByNode:
+		return [][]storage.Row{refGroupBy(n, refConcat(in))}, nil
+	}
+	out := make([][]storage.Row, len(in))
+	for p, rows := range in {
+		if out[p], err = refNarrow(node, p, rows); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// refNarrow applies one narrow operator to partition p.
+func refNarrow(node planNode, p int, rows []storage.Row) ([]storage.Row, error) {
+	in := node.children()[0].schema()
+	var out []storage.Row
+	switch n := node.(type) {
+	case *filterNode:
+		for _, row := range rows {
+			keep, err := n.fn(Record{schema: in, row: row})
+			if err != nil {
+				return nil, err
+			}
+			if keep {
+				out = append(out, row)
+			}
+		}
+	case *mapNode:
+		for _, row := range rows {
+			nr, err := n.fn(Record{schema: in, row: row})
+			if err != nil {
+				return nil, err
+			}
+			if err := storage.ValidateRow(n.out, nr); err != nil {
+				return nil, fmt.Errorf("map output: %w", err)
+			}
+			out = append(out, nr)
+		}
+	case *flatMapNode:
+		for _, row := range rows {
+			produced, err := n.fn(Record{schema: in, row: row})
+			if err != nil {
+				return nil, err
+			}
+			for _, nr := range produced {
+				if err := storage.ValidateRow(n.out, nr); err != nil {
+					return nil, fmt.Errorf("flatmap output: %w", err)
+				}
+				out = append(out, nr)
+			}
+		}
+	case *projectNode:
+		for _, row := range rows {
+			nr := make(storage.Row, n.out.Len())
+			for i, name := range n.out.Names() {
+				nr[i] = row[in.IndexOf(name)]
+			}
+			out = append(out, nr)
+		}
+	case *withColumnNode:
+		for _, row := range rows {
+			v, err := n.fn(Record{schema: in, row: row})
+			if err != nil {
+				return nil, err
+			}
+			if err := storage.ValidateCell(n.field, v); err != nil {
+				return nil, fmt.Errorf("with_column output: %w", err)
+			}
+			out = append(out, append(append(storage.Row{}, row...), v))
+		}
+	case *sampleNode:
+		rng := rand.New(rand.NewSource(n.seed + int64(p)))
+		for _, row := range rows {
+			if rng.Float64() < n.fraction {
+				out = append(out, row)
+			}
+		}
+	default:
+		return nil, fmt.Errorf("reference: unknown node %T", node)
+	}
+	return out, nil
+}
+
+// refCompareOn orders two rows on the given columns with CompareValues.
+func refCompareOn(a, b storage.Row, cols []int) int {
+	for _, c := range cols {
+		if d := storage.CompareValues(a[c], b[c]); d != 0 {
+			return d
+		}
+	}
+	return 0
+}
+
+// refColumns resolves column names (all columns when names is empty).
+func refColumns(s *storage.Schema, names []string) []int {
+	if len(names) == 0 {
+		names = s.Names()
+	}
+	cols := make([]int, len(names))
+	for i, name := range names {
+		cols[i] = s.IndexOf(name)
+	}
+	return cols
+}
+
+// refRuns stable-sorts row indices on cols and returns the runs of equal
+// keys; within a run indices keep their input order.
+func refRuns(rows []storage.Row, cols []int) [][]int {
+	idx := make([]int, len(rows))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return refCompareOn(rows[idx[a]], rows[idx[b]], cols) < 0 })
+	var runs [][]int
+	for i, j := range idx {
+		if i == 0 || refCompareOn(rows[idx[i-1]], rows[j], cols) != 0 {
+			runs = append(runs, nil)
+		}
+		runs[len(runs)-1] = append(runs[len(runs)-1], j)
+	}
+	return runs
+}
+
+// refDistinct keeps the first row of every key, in input order.
+func refDistinct(n *distinctNode, rows []storage.Row) []storage.Row {
+	keep := make([]bool, len(rows))
+	for _, run := range refRuns(rows, refColumns(n.child.schema(), n.cols)) {
+		keep[run[0]] = true
+	}
+	var out []storage.Row
+	for i, row := range rows {
+		if keep[i] {
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// refSort is a stable sort on the orders under CompareValues.
+func refSort(n *sortNode, rows []storage.Row) []storage.Row {
+	in := n.child.schema()
+	out := append([]storage.Row(nil), rows...)
+	sort.SliceStable(out, func(a, b int) bool {
+		for _, o := range n.orders {
+			c := in.IndexOf(o.Column)
+			d := storage.CompareValues(out[a][c], out[b][c])
+			if o.Descending {
+				d = -d
+			}
+			if d != 0 {
+				return d < 0
+			}
+		}
+		return false
+	})
+	return out
+}
+
+// refGroupBy emits one row per key: the key values of the group's first row,
+// then each aggregation over the group's rows in input order.
+func refGroupBy(n *groupByNode, rows []storage.Row) []storage.Row {
+	in := n.child.schema()
+	keys := refColumns(in, n.keys)
+	var out []storage.Row
+	for _, run := range refRuns(rows, keys) {
+		row := make(storage.Row, 0, n.out.Len())
+		for _, k := range keys {
+			row = append(row, rows[run[0]][k])
+		}
+		for _, a := range n.aggs {
+			row = append(row, refAggregate(a, in, rows, run))
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+func refAggregate(a Aggregation, in *storage.Schema, rows []storage.Row, group []int) storage.Value {
+	if a.Kind == AggCount {
+		return int64(len(group))
+	}
+	c := in.IndexOf(a.Column)
+	var count int64
+	var sum, sumSq float64
+	var extreme storage.Value
+	distinct := map[string]bool{}
+	for _, i := range group {
+		v := rows[i][c]
+		if v == nil {
+			continue
+		}
+		count++
+		f, _ := storage.AsFloat(v)
+		sum += f
+		sumSq += f * f
+		switch {
+		case extreme == nil,
+			a.Kind == AggMin && storage.CompareValues(v, extreme) < 0,
+			a.Kind == AggMax && storage.CompareValues(v, extreme) > 0:
+			extreme = v
+		}
+		distinct[storage.AsString(v)] = true
+	}
+	switch a.Kind {
+	case AggSum:
+		return sum
+	case AggAvg:
+		if count == 0 {
+			return nil
+		}
+		return sum / float64(count)
+	case AggStdDev:
+		if count == 0 {
+			return nil
+		}
+		mean := sum / float64(count)
+		return math.Sqrt(math.Max(sumSq/float64(count)-mean*mean, 0))
+	case AggMin, AggMax:
+		return extreme
+	case AggCountDistinct:
+		return int64(len(distinct))
+	}
+	return nil
+}
+
+// refJoin pairs every left row with every right row whose key compares equal
+// (in left-then-right input order), null-extending unmatched left rows of a
+// left join.
+func refJoin(n *joinNode, left, right []storage.Row) []storage.Row {
+	lk, rk := n.left.schema().IndexOf(n.leftKey), n.right.schema().IndexOf(n.rightKey)
+	var out []storage.Row
+	for _, l := range left {
+		matched := false
+		for _, r := range right {
+			if storage.CompareValues(l[lk], r[rk]) == 0 {
+				out = append(out, append(append(storage.Row{}, l...), r...))
+				matched = true
+			}
+		}
+		if !matched && n.kind == LeftJoin {
+			out = append(out, append(append(storage.Row{}, l...), make(storage.Row, n.right.schema().Len())...))
+		}
+	}
+	return out
+}

@@ -5,8 +5,8 @@ package dataflow
 // accumulated batches, restore them transparently, and produce bit-identical
 // results to the unlimited in-memory runs — and the counters/Explain surface
 // must report the spill state. It also holds the negative-zero key regression
-// tests: -0.0 and 0.0 must land in one group/row/match set in every execution
-// mode.
+// tests: -0.0 and 0.0 must land in one group/row/match set in every engine
+// arm.
 
 import (
 	"context"
@@ -123,10 +123,9 @@ func TestSpillShuffledJoin(t *testing.T) {
 	}
 }
 
-// TestSpillGroupByNonCombined drives the non-combined columnar group-by
-// (every row crosses the shuffle through the store) under a forced budget and
-// compares it against both the row-at-a-time non-combined run and the
-// unlimited batch run.
+// TestSpillGroupByNonCombined drives the non-combined group-by (every row
+// crosses the shuffle through the store) under a forced budget and compares
+// it against the unlimited run, which must itself match the reference.
 func TestSpillGroupByNonCombined(t *testing.T) {
 	ctx := context.Background()
 	schema := spillBenchSchema(t)
@@ -137,17 +136,15 @@ func TestSpillGroupByNonCombined(t *testing.T) {
 			Agg(Count(), Sum("v"), Min("v"), CountDistinct("tag"))
 	}
 
-	rowEngine := spillEngine(t, WithMapSideCombine(false), WithVectorizedExecution(false))
-	base, err := rowEngine.Collect(ctx, plan())
+	base, err := spillEngine(t, WithMapSideCombine(false)).Collect(ctx, plan())
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchEngine := spillEngine(t, WithMapSideCombine(false))
-	batch, err := batchEngine.Collect(ctx, plan())
+	want, err := reference(plan())
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResult(t, "batch group-by vs row", batch, base)
+	want.check(t, "in-memory group-by", base)
 
 	spill := spillEngine(t, WithMapSideCombine(false), WithMemoryBudget(1))
 	got, err := spill.Collect(ctx, plan())
@@ -157,7 +154,7 @@ func TestSpillGroupByNonCombined(t *testing.T) {
 	if got.Stats.SpilledBatches == 0 {
 		t.Fatal("budgeted group-by did not spill")
 	}
-	assertSameResult(t, "spilled group-by vs row", got, base)
+	assertSameResult(t, "spilled group-by vs in-memory", got, base)
 }
 
 // TestSpillDistinct forces the map-side distinct's survivor shuffle to disk.
@@ -304,28 +301,11 @@ func TestExplainSpillState(t *testing.T) {
 	if !strings.Contains(plan, "memoryBudget=65536B") || !strings.Contains(plan, "spill: enabled (budget 65536 bytes") {
 		t.Errorf("budgeted explain must name the budget and spill state:\n%s", plan)
 	}
-	rowMode := spillEngine(t, WithMemoryBudget(65536), WithVectorizedExecution(false))
-	if plan = rowMode.Explain(d); !strings.Contains(plan, "spill: inactive") {
-		t.Errorf("row-mode explain must flag the inactive budget:\n%s", plan)
-	}
-}
-
-// negZeroModes builds the execution-mode matrix the negative-zero regression
-// runs under: vectorized, row fused, unfused, and vectorized with spilling
-// forced.
-func negZeroModes(t *testing.T) map[string]*Engine {
-	t.Helper()
-	return map[string]*Engine{
-		"vectorized": spillEngine(t),
-		"row":        spillEngine(t, WithVectorizedExecution(false)),
-		"unfused":    spillEngine(t, WithFusion(false), WithVectorizedExecution(false)),
-		"spill":      spillEngine(t, WithMemoryBudget(1)),
-	}
 }
 
 // TestNegativeZeroGroupBy pins the key-equality fix: -0.0 and 0.0 compare
 // equal (CompareValues, Go ==) so group-by must place them in one group in
-// every execution mode.
+// every engine arm.
 func TestNegativeZeroGroupBy(t *testing.T) {
 	ctx := context.Background()
 	negZero := math.Copysign(0, -1)
@@ -336,8 +316,9 @@ func TestNegativeZeroGroupBy(t *testing.T) {
 	rows := []storage.Row{
 		{negZero, int64(1)}, {0.0, int64(2)}, {1.5, int64(3)}, {0.0, int64(4)}, {negZero, int64(5)},
 	}
-	for mode, e := range negZeroModes(t) {
-		res, err := e.Collect(ctx, FromRows("nz", schema, rows, 2).GroupBy("f").Agg(Count()))
+	for _, arm := range engineArms(t) {
+		mode := arm.name
+		res, err := arm.e.Collect(ctx, FromRows("nz", schema, rows, 2).GroupBy("f").Agg(Count()))
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -353,25 +334,25 @@ func TestNegativeZeroGroupBy(t *testing.T) {
 }
 
 // TestNegativeZeroDistinct requires distinct to collapse -0.0 and 0.0 into
-// one row in every execution mode.
+// one row in every engine arm.
 func TestNegativeZeroDistinct(t *testing.T) {
 	ctx := context.Background()
 	negZero := math.Copysign(0, -1)
 	schema := storage.MustSchema(storage.Field{Name: "f", Type: storage.TypeFloat})
 	rows := []storage.Row{{negZero}, {0.0}, {2.5}, {negZero}, {0.0}}
-	for mode, e := range negZeroModes(t) {
-		res, err := e.Collect(ctx, FromRows("nz", schema, rows, 2).Distinct())
+	for _, arm := range engineArms(t) {
+		res, err := arm.e.Collect(ctx, FromRows("nz", schema, rows, 2).Distinct())
 		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
+			t.Fatalf("%s: %v", arm.name, err)
 		}
 		if len(res.Rows) != 2 {
-			t.Fatalf("%s: distinct produced %d rows, want 2: %v", mode, len(res.Rows), res.Rows)
+			t.Fatalf("%s: distinct produced %d rows, want 2: %v", arm.name, len(res.Rows), res.Rows)
 		}
 	}
 }
 
 // TestNegativeZeroJoin requires a -0.0 probe key to match a +0.0 build key in
-// both join strategies (broadcast and shuffled) in every execution mode.
+// both join strategies (broadcast and shuffled) in every engine arm.
 func TestNegativeZeroJoin(t *testing.T) {
 	ctx := context.Background()
 	negZero := math.Copysign(0, -1)
@@ -385,12 +366,6 @@ func TestNegativeZeroJoin(t *testing.T) {
 	)
 	left := []storage.Row{{negZero, int64(1)}, {3.5, int64(2)}}
 	right := []storage.Row{{0.0, "zero"}, {3.5, "other"}}
-	modeOpts := map[string][]EngineOption{
-		"vectorized": nil,
-		"row":        {WithVectorizedExecution(false)},
-		"unfused":    {WithFusion(false), WithVectorizedExecution(false)},
-		"spill":      {WithMemoryBudget(1)},
-	}
 	for _, strategy := range []struct {
 		name string
 		opts []EngineOption
@@ -398,12 +373,11 @@ func TestNegativeZeroJoin(t *testing.T) {
 		{"broadcast", nil},
 		{"shuffled", []EngineOption{WithBroadcastJoin(false)}},
 	} {
-		for mode, extra := range modeOpts {
-			opts := append(append([]EngineOption{}, strategy.opts...), extra...)
-			e := spillEngine(t, opts...)
+		for _, arm := range engineArms(t, strategy.opts...) {
+			mode := arm.name
 			plan := FromRows("l", leftSchema, left, 2).
 				Join(FromRows("r", rightSchema, right, 2), "f", "f", InnerJoin)
-			res, err := e.Collect(ctx, plan)
+			res, err := arm.e.Collect(ctx, plan)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", strategy.name, mode, err)
 			}

@@ -5,13 +5,14 @@ package dataflow
 // operators (filter → map → flatMap → sample, optionally capped by a
 // trailing limit) into a single fused stage. A fused stage runs as ONE
 // cluster job with one task per input partition; inside each task the
-// operators are composed into a push-based row pipeline, so no intermediate
-// per-operator [][]storage.Row is ever materialised. Wide operators
-// (shuffle, group-by, join, sort, distinct) remain stage boundaries.
+// operators run as a chain of batch kernels over the partition's column
+// batch (see vector.go), passing selection vectors and shared columns
+// between them, so no intermediate per-operator partition is ever
+// materialised. Wide operators (shuffle, group-by, join, sort, distinct)
+// remain stage boundaries.
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"repro/internal/storage"
@@ -21,7 +22,7 @@ import (
 // stage.
 type fusedChain struct {
 	// ops are the narrow plan nodes in execution order (closest to the input
-	// first). Only filter, map, flatMap and sample nodes appear here.
+	// first): filter, map, flatMap, project, withColumn and sample nodes.
 	ops []planNode
 	// limit caps the number of rows each partition emits; -1 means uncapped.
 	// A capped chain is followed by a driver-side global truncation that
@@ -73,6 +74,11 @@ func narrowChainOf(node planNode) (fusedChain, bool) {
 	}
 }
 
+// schema is the schema of the rows the chain emits: its last operator's.
+func (ch fusedChain) schema() *storage.Schema {
+	return ch.ops[len(ch.ops)-1].schema()
+}
+
 // opKind names one fused operator for job/task naming.
 func opKind(op planNode) string {
 	switch op.(type) {
@@ -106,119 +112,12 @@ func (ch fusedChain) name() string {
 	return s + ")"
 }
 
-// emitFunc pushes one row into the next pipeline step. It returns false when
-// the consumer needs no more input (the per-partition limit was reached).
-type emitFunc func(storage.Row) (bool, error)
-
-// compile composes the chain's operators for one partition over the terminal
-// sink, returning the pipeline head. Per-partition state (the sample RNG, the
-// rows-emitted validation counters) is created here, so compile must be
-// called inside the partition's task.
-func (ch fusedChain) compile(e *Engine, partIdx int, sink emitFunc) emitFunc {
-	next := sink
-	for i := len(ch.ops) - 1; i >= 0; i-- {
-		next = compileOp(e, ch.ops[i], partIdx, next)
-	}
-	return next
-}
-
-func compileOp(e *Engine, op planNode, partIdx int, next emitFunc) emitFunc {
-	switch n := op.(type) {
-	case *filterNode:
-		schema := n.child.schema()
-		return func(r storage.Row) (bool, error) {
-			keep, err := n.fn(Record{schema: schema, row: r})
-			if err != nil {
-				return false, err
-			}
-			if !keep {
-				return true, nil
-			}
-			return next(r)
-		}
-	case *mapNode:
-		schema := n.child.schema()
-		out := n.out
-		emitted := 0
-		return func(r storage.Row) (bool, error) {
-			nr, err := n.fn(Record{schema: schema, row: r})
-			if err != nil {
-				return false, err
-			}
-			if err := e.validateHead("map output", out, nr, emitted); err != nil {
-				return false, err
-			}
-			emitted++
-			return next(nr)
-		}
-	case *flatMapNode:
-		schema := n.child.schema()
-		out := n.out
-		emitted := 0
-		return func(r storage.Row) (bool, error) {
-			produced, err := n.fn(Record{schema: schema, row: r})
-			if err != nil {
-				return false, err
-			}
-			for _, nr := range produced {
-				if err := e.validateHead("flatmap output", out, nr, emitted); err != nil {
-					return false, err
-				}
-				emitted++
-				more, err := next(nr)
-				if err != nil || !more {
-					return more, err
-				}
-			}
-			return true, nil
-		}
-	case *projectNode:
-		return func(r storage.Row) (bool, error) {
-			row := make(storage.Row, len(n.indices))
-			for i, idx := range n.indices {
-				row[i] = r[idx]
-			}
-			return next(row)
-		}
-	case *withColumnNode:
-		schema := n.child.schema()
-		emitted := 0
-		return func(r storage.Row) (bool, error) {
-			v, err := n.fn(Record{schema: schema, row: r})
-			if err != nil {
-				return false, err
-			}
-			if emitted == 0 || e.strictValidate {
-				if err := storage.ValidateCell(n.field, v); err != nil {
-					return false, fmt.Errorf("with_column output: %w", err)
-				}
-			}
-			emitted++
-			row := make(storage.Row, len(r)+1)
-			copy(row, r)
-			row[len(r)] = v
-			return next(row)
-		}
-	case *sampleNode:
-		rng := rand.New(rand.NewSource(n.seed + int64(partIdx)))
-		return func(r storage.Row) (bool, error) {
-			if rng.Float64() >= n.fraction {
-				return true, nil
-			}
-			return next(r)
-		}
-	default:
-		return func(storage.Row) (bool, error) {
-			return false, fmt.Errorf("%w: operator %T cannot be fused", ErrBadPlan, op)
-		}
-	}
-}
-
 // Explain renders the physical plan the engine would execute for d: fused
 // stages, shuffle boundaries, and the physical strategy chosen for every wide
 // operator (range vs single-task sort, broadcast vs shuffled join, map-side
-// combine/dedup). It is the physical counterpart of Dataset.Explain (the
-// logical plan) and executes nothing.
+// combine, and the in-memory or spilling core of sorts and aggregations). It
+// is the physical counterpart of Dataset.Explain (the logical plan) and
+// executes nothing.
 func (e *Engine) Explain(d *Dataset) string {
 	if d == nil || d.node == nil {
 		return "<invalid plan>"
@@ -227,42 +126,21 @@ func (e *Engine) Explain(d *Dataset) string {
 		return fmt.Sprintf("<invalid plan: %v>", err)
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "PhysicalPlan(fusion=%s, combine=%s, rangeSort=%s, broadcastJoin=%s(≤%d), mapSideDistinct=%s, vectorized=%s, columnarSort=%s, columnarAgg=%s, shufflePartitions=%d, memoryBudget=%s, spillCompression=%s)\n",
-		onOff(e.fuse), onOff(e.combine), onOff(e.rangeSort),
-		onOff(e.broadcastJoin), e.broadcastThreshold, onOff(e.mapSideDistinct),
-		onOff(e.vectorize), onOff(e.columnarSort), onOff(e.columnarAgg),
-		e.shufflePartitions, e.budgetLabel(), onOff(e.spillCompress))
-	fmt.Fprintf(&sb, "  execution mode: %s\n", e.executionMode())
+	fmt.Fprintf(&sb, "PhysicalPlan(fusion=%s, combine=%s, broadcastJoin=%s(≤%d), shufflePartitions=%d, memoryBudget=%s)\n",
+		onOff(e.fuse), onOff(e.combine), onOff(e.broadcastJoin), e.broadcastThreshold,
+		e.shufflePartitions, e.budgetLabel())
 	fmt.Fprintf(&sb, "  spill: %s\n", e.spillMode())
 	e.explainNode(&sb, d.node, 1)
 	return sb.String()
 }
 
-// executionMode names the engine's narrow-operator execution strategy.
-func (e *Engine) executionMode() string {
-	switch {
-	case e.fuse && e.vectorize:
-		return "vectorized (columnar batches)"
-	case e.vectorize:
-		return "vectorized (per-operator batch kernels)"
-	case e.fuse:
-		return "row-at-a-time (fused)"
-	default:
-		return "row-at-a-time (per-operator)"
-	}
-}
-
-// sortCoreLabel names the sort-core strategy the engine will run a Sort node
-// with, the physical counterpart of the range/single-task partitioning
-// decision. bound/bounded is the static input-size estimate, used to put an
-// upper bound on the external merge's run count (runs are fixed
-// SortChunkRows-row chunks, so the count is derivable before execution).
+// sortCoreLabel names the sort core the engine will run a Sort node with, the
+// physical counterpart of the range/single-task partitioning decision.
+// bound/bounded is the static input-size estimate, used to put an upper bound
+// on the external merge's run count (runs are fixed SortChunkRows-row chunks,
+// so the count is derivable before execution).
 func (e *Engine) sortCoreLabel(bound int, bounded bool) string {
 	switch {
-	case !e.vectorize:
-		return "[row sort]"
-	case !e.columnarSort:
-		return "[boxed-row sort]"
 	case e.memoryBudget <= 0:
 		return "[columnar in-memory]"
 	case bounded:
@@ -276,20 +154,16 @@ func (e *Engine) sortCoreLabel(bound int, bounded bool) string {
 	}
 }
 
-// aggCoreLabel names the aggregation-core strategy group-by nodes run with:
-// the columnar hash aggregation (spill-aware when a budget forces the
-// non-combined path's group state to re-partition) or the boxed per-group
-// state ablation arm. The combined path's group state is bounded by the
-// map-side partials, so only the non-combined path gets the spilling tag.
+// aggCoreLabel names the aggregation core group-by nodes run with: the
+// columnar hash aggregation, spill-aware when a budget forces the
+// non-combined path's group state to re-partition. The combined path's
+// group state is bounded by the map-side partials, so only the non-combined
+// path gets the spilling tag.
 func (e *Engine) aggCoreLabel() string {
-	switch {
-	case !e.vectorize || !e.columnarAgg:
-		return "[boxed agg]"
-	case e.memoryBudget > 0 && !e.combine:
+	if e.memoryBudget > 0 && !e.combine {
 		return fmt.Sprintf("[spilling hash-agg (parts≤%d)]", aggSpillPartitions)
-	default:
-		return "[columnar hash-agg]"
 	}
+	return "[columnar hash-agg]"
 }
 
 // budgetLabel renders the memory budget for the Explain header.
@@ -302,14 +176,10 @@ func (e *Engine) budgetLabel() string {
 
 // spillMode names the spill state of wide-operator accumulations.
 func (e *Engine) spillMode() string {
-	switch {
-	case e.memoryBudget <= 0:
+	if e.memoryBudget <= 0 {
 		return "disabled (unlimited budget, partitions stay in memory)"
-	case !e.vectorize:
-		return fmt.Sprintf("inactive (budget %d bytes set, but spilling needs vectorized execution)", e.memoryBudget)
-	default:
-		return fmt.Sprintf("enabled (budget %d bytes per accumulation, cold batches spill to temp files)", e.memoryBudget)
 	}
+	return fmt.Sprintf("enabled (budget %d bytes per accumulation, cold batches spill to temp files)", e.memoryBudget)
 }
 
 // estimateMaxRows returns a static upper bound on the number of rows node can
@@ -379,11 +249,6 @@ func (e *Engine) explainNode(sb *strings.Builder, node planNode, depth int) {
 			if ch.limit >= 0 {
 				line += fmt.Sprintf(" +Limit(%d)", ch.limit)
 			}
-			// Limit-capped chains always run the row pipeline (see eval), so
-			// only uncapped chains are tagged with the batch-kernel strategy.
-			if e.vectorize && ch.limit < 0 {
-				line += " [vectorized]"
-			}
 			sb.WriteString(indent + line + "\n")
 			e.explainNode(sb, ch.base, depth+1)
 			return
@@ -399,20 +264,15 @@ func (e *Engine) explainNode(sb *strings.Builder, node planNode, depth int) {
 		}
 		label += " " + e.aggCoreLabel()
 	case *distinctNode:
-		if e.mapSideDistinct {
-			label += " [map-dedup+shuffle]"
-		} else {
-			label += " [shuffle]"
-		}
+		label += " [map-dedup+shuffle]"
 	case *sortNode:
 		// Mirror evalSort's runtime decision: small bounded inputs take the
-		// single-task fallback even with range sorting enabled; unbounded
-		// inputs are assumed large enough to range-shuffle. The second tag
-		// names the sort core (typed columnar, external merge with its run
-		// bound, or the boxed-row ablation arms).
+		// single-task fallback; unbounded inputs are assumed large enough to
+		// range-shuffle. The second tag names the sort core (in memory, or an
+		// external merge with its run bound).
 		bound, bounded := estimateMaxRows(n.child)
-		small := bounded && bound <= e.shufflePartitions*rangeSortMinRowsPerPartition
-		if e.rangeSort && e.shufflePartitions > 1 && !small {
+		small := bounded && bound <= e.shufflePartitions*minRowsPerSortPartition
+		if e.shufflePartitions > 1 && !small {
 			label += fmt.Sprintf(" [range-shuffle(parts=%d)]", e.shufflePartitions)
 		} else {
 			label += " [single-task]"

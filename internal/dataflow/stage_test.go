@@ -222,7 +222,7 @@ func TestGroupByCombineMatchesAndReducesShuffle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !equalStrings(sortedRowStrings(combined.Rows), sortedRowStrings(plain.Rows)) {
-		t.Errorf("combined group-by differs from row-at-a-time group-by:\n%v\nvs\n%v",
+		t.Errorf("combined group-by differs from the uncombined group-by:\n%v\nvs\n%v",
 			sortedRowStrings(combined.Rows), sortedRowStrings(plain.Rows))
 	}
 	// 2000 rows over 7 keys in 4 partitions: the combine pass shuffles at

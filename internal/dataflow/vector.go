@@ -1,29 +1,23 @@
 package dataflow
 
-// vector.go implements the columnar execution paths of the engine. Under
-// WithVectorizedExecution (the default) partitions travel between operators
-// as storage.ColumnBatch values instead of []storage.Row:
+// vector.go holds the batch kernels of the engine. Every partition is a
+// storage.ColumnBatch:
 //
-//   - A fused narrow stage runs as a chain of batch kernels. Filter and
-//     Sample evaluate their predicate per row through a zero-copy batch view
-//     and emit a selection vector — no row is copied or boxed. Project
-//     re-points column references and WithColumn appends one freshly
-//     computed typed vector; in both cases unaffected columns are shared
-//     with the input batch. Arbitrary Map/FlatMap closures fall back to
-//     per-row batch views and their output rows are unboxed straight into a
-//     new batch (which validates them against the output schema for free).
+//   - A narrow stage runs as a chain of batch kernels. Filter and Sample
+//     evaluate their predicate per row through a zero-copy batch view and
+//     emit a selection vector — no row is copied or boxed. Project re-points
+//     column references and WithColumn appends one freshly computed typed
+//     vector; in both cases unaffected columns are shared with the input
+//     batch. Arbitrary Map/FlatMap closures read per-row batch views and
+//     their output rows are unboxed straight into a new batch (which
+//     validates them against the output schema for free). A stage capped by
+//     a trailing limit runs the same kernels over windows of its partition.
 //   - Wide operators key rows directly from the column vectors
 //     (KeyEncoder.BatchKey/BatchHash) and move rows by batch index with
-//     typed copies (shuffleBatches, ColumnBatch.Gather), so the shuffle
-//     never materialises a boxed Row either.
-//
-// Sort is columnar end to end as well (the batchComparator kernels below):
-// typed per-column compare kernels order selection vectors directly over the
-// column vectors, range-partition sampling reads the typed columns, and under
-// a memory budget each partition sorts fixed-size chunks into sorted runs
-// that spill through the batch codec and merge back with a loser tree
-// (storage.RunStore). The boxed-row sort survives as the ablation arm behind
-// WithColumnarSort(false).
+//     typed copies (shuffleBatches, ColumnBatch.Gather), so a shuffle never
+//     materialises a boxed Row either.
+//   - Sort orders selection vectors with typed per-column compare kernels
+//     (batchComparator) directly over the column vectors.
 
 import (
 	"context"
@@ -34,23 +28,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/storage"
 )
-
-// toBatch returns the partition in columnar form, converting row-backed
-// partitions (wide-operator outputs, unions of mixed plans) on the fly.
-func toBatch(p part, schema *storage.Schema) (*storage.ColumnBatch, error) {
-	if p.batch != nil {
-		return p.batch, nil
-	}
-	return storage.BatchFromRows(schema, p.rows)
-}
-
-func countBatchRows(in []*storage.ColumnBatch) int {
-	total := 0
-	for _, b := range in {
-		total += b.Len()
-	}
-	return total
-}
 
 // eachSel calls f for every selected row index: all rows of an n-row batch
 // when sel is nil, the selected rows otherwise.
@@ -78,33 +55,28 @@ func selLen(n int, sel []int32) int {
 	return len(sel)
 }
 
-// evalFusedVectorized executes a fused chain of narrow operators as one
-// cluster job whose tasks run batch kernels (one task per input partition).
-// Limit-capped chains never reach it (see eval): they keep the row pipeline
-// for its early stop.
-func (e *Engine) evalFusedVectorized(ctx context.Context, ch fusedChain, st *execState) ([]part, error) {
+// evalChain executes a chain of narrow operators as one cluster job whose
+// tasks run batch kernels, one task per input partition. A chain capped by a
+// trailing limit is followed by the global truncation that preserves Limit's
+// partition-order semantics.
+func (e *Engine) evalChain(ctx context.Context, ch fusedChain, st *execState) ([]*storage.ColumnBatch, error) {
 	in, err := e.eval(ctx, ch.base, st)
 	if err != nil {
 		return nil, err
 	}
-	baseSchema := ch.base.schema()
 	name := ch.name()
-	out := make([]part, len(in))
+	out := make([]*storage.ColumnBatch, len(in))
 	tasks := make([]cluster.Task, len(in))
 	for i := range in {
 		i := i
 		tasks[i] = cluster.Task{
 			Name: fmt.Sprintf("%s[%d]", name, i),
 			Fn: func(ctx context.Context, node cluster.Node) error {
-				b, err := toBatch(in[i], baseSchema)
-				if err != nil {
-					return err
-				}
-				res, err := e.runVectorizedChain(ch, i, b)
+				res, err := runChain(ch, i, in[i])
 				if err != nil {
 					return fmt.Errorf("%w: %v", ErrUDF, err)
 				}
-				out[i] = batchPart(res)
+				out[i] = res
 				return nil
 			},
 		}
@@ -113,22 +85,61 @@ func (e *Engine) evalFusedVectorized(ctx context.Context, ch fusedChain, st *exe
 	if _, err := e.cluster.RunNamedJob(ctx, name, tasks); err != nil {
 		return nil, fmt.Errorf("dataflow: %s: %w", name, err)
 	}
-	st.addBatches(len(out), countParts(out))
+	st.addBatches(len(out), countBatchRows(out))
 	if len(ch.ops) > 1 {
 		st.addFused()
+	}
+	if ch.limit >= 0 {
+		return truncateBatches(out, ch.limit, ch.schema()), nil
 	}
 	return out, nil
 }
 
-// runVectorizedChain pushes one batch through the chain's kernels. The
-// current state is a batch plus an optional selection vector (nil = every
-// row); filters only narrow the selection, and the selection is materialised
-// (gathered) lazily — when a kernel needs aligned columns or at the end of
-// the chain.
-func (e *Engine) runVectorizedChain(ch fusedChain, partIdx int, b *storage.ColumnBatch) (*storage.ColumnBatch, error) {
+// runChain pushes partition partIdx through the chain's kernels. An uncapped
+// chain processes the whole batch at once. A capped chain processes windows
+// of it, each sized to the rows the limit still needs, and stops as soon as
+// limit rows are out: a chain whose operators emit at most one row per input
+// row reads exactly the rows it has to. Sample generators belong to the
+// partition, not the window, so windowing never changes which rows a sample
+// keeps.
+func runChain(ch fusedChain, partIdx int, b *storage.ColumnBatch) (*storage.ColumnBatch, error) {
+	rngs := make([]*rand.Rand, len(ch.ops))
+	for i, op := range ch.ops {
+		if s, ok := op.(*sampleNode); ok {
+			rngs[i] = rand.New(rand.NewSource(s.seed + int64(partIdx)))
+		}
+	}
+	if ch.limit < 0 {
+		return runKernels(ch.ops, rngs, b, nil)
+	}
+	out := storage.NewColumnBatch(ch.schema(), min(ch.limit, b.Len()))
+	var window []int32
+	for lo := 0; lo < b.Len() && out.Len() < ch.limit; {
+		hi := min(lo+ch.limit-out.Len(), b.Len())
+		window = window[:0]
+		for i := lo; i < hi; i++ {
+			window = append(window, int32(i))
+		}
+		res, err := runKernels(ch.ops, rngs, b, window)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < res.Len() && out.Len() < ch.limit; i++ {
+			out.AppendRowFrom(res, i)
+		}
+		lo = hi
+	}
+	return out, nil
+}
+
+// runKernels pushes the selected rows of one batch (sel, nil = every row)
+// through the operators. The current state is a batch plus an optional
+// selection vector; filters only narrow the selection, and the selection is
+// materialised (gathered) lazily — when a kernel needs aligned columns or at
+// the end of the chain. rngs holds each sample operator's generator.
+func runKernels(ops []planNode, rngs []*rand.Rand, b *storage.ColumnBatch, sel []int32) (*storage.ColumnBatch, error) {
 	cur := b
-	var sel []int32
-	for _, op := range ch.ops {
+	for opIdx, op := range ops {
 		switch n := op.(type) {
 		case *filterNode:
 			schema := n.child.schema()
@@ -148,7 +159,7 @@ func (e *Engine) runVectorizedChain(ch fusedChain, partIdx int, b *storage.Colum
 			}
 			sel = next
 		case *sampleNode:
-			rng := rand.New(rand.NewSource(n.seed + int64(partIdx)))
+			rng := rngs[opIdx]
 			next := make([]int32, 0, selLen(cur.Len(), sel))
 			_ = eachSel(cur.Len(), sel, func(i int) error {
 				if rng.Float64() < n.fraction {
@@ -218,7 +229,7 @@ func (e *Engine) runVectorizedChain(ch fusedChain, partIdx int, b *storage.Colum
 			}
 			cur, sel = next, nil
 		default:
-			return nil, fmt.Errorf("%w: operator %T cannot be vectorized", ErrBadPlan, op)
+			return nil, fmt.Errorf("%w: operator %T is not a narrow operator", ErrBadPlan, op)
 		}
 	}
 	if sel != nil {
@@ -234,10 +245,8 @@ func (e *Engine) runVectorizedChain(ch fusedChain, partIdx int, b *storage.Colum
 // colCompareFn is one per-type compare kernel: it orders cell ai of column a
 // against cell bi of column b (both columns of the same field type) without
 // boxing either value. The result must match storage.CompareValues over the
-// boxed equivalents exactly — the row-at-a-time ablation arm sorts with
-// CompareValues, and any divergence (including which pairs count as equal,
-// which decides how a stable sort breaks ties) would break the bit-identical
-// equivalence contract.
+// boxed equivalents exactly — which pairs count as equal decides how a stable
+// sort breaks ties, and Sort's documented semantics are CompareValues'.
 type colCompareFn func(a *storage.Column, ai int, b *storage.Column, bi int) int
 
 // compareNullCells orders the null cases: nulls sort first, two nulls tie.
@@ -258,7 +267,7 @@ func compareNullCells(aNull, bNull bool) (int, bool) {
 // compareIntCells orders int/time cells. CompareValues routes numerics
 // through AsFloat, so the kernel compares the float64 conversions too: int64
 // pairs beyond 2^53 that collapse to the same float64 must stay "equal" here
-// as well, or the typed and boxed sorts would break ties differently.
+// as well, or the sort would break ties differently from CompareValues.
 func compareIntCells(a *storage.Column, ai int, b *storage.Column, bi int) int {
 	if c, done := compareNullCells(a.Null(ai), b.Null(bi)); done {
 		return c
@@ -355,8 +364,7 @@ type sortKeyKernel struct {
 
 // batchComparator orders batch rows under a multi-key sort without
 // materialising or boxing them: each key compares through its typed kernel
-// and later keys only break ties of earlier ones, exactly like the row
-// comparator the ablation arm uses.
+// and later keys only break ties of earlier ones.
 type batchComparator struct {
 	keys []sortKeyKernel
 }
@@ -411,8 +419,7 @@ func (c *batchComparator) Compare(a *storage.ColumnBatch, ai int, b *storage.Col
 // selection vector: Gather-ing it materialises the sorted batch with typed
 // copies. The key columns are resolved once and the sort permutes 4-byte
 // indices through slices.SortStableFunc (no reflect-based swapping), which is
-// what makes the columnar sort core allocation-free up to the selection
-// vector itself.
+// what makes the sort core allocation-free up to the selection vector itself.
 func (c *batchComparator) sortedSelection(b *storage.ColumnBatch) []int32 {
 	cols := make([]*storage.Column, len(c.keys))
 	for i, k := range c.keys {
@@ -439,39 +446,36 @@ func (c *batchComparator) sortedSelection(b *storage.ColumnBatch) []int32 {
 }
 
 // ---------------------------------------------------------------------------
-// Distinct (batch)
+// Distinct
 // ---------------------------------------------------------------------------
 
 // keyedBatch carries deduped survivor rows of one partition together with
-// their key encodings and hashes across the distinct shuffle, the columnar
-// analogue of []keyedRow.
+// their key encodings and hashes across the distinct shuffle.
 type keyedBatch struct {
 	batch  *storage.ColumnBatch
 	keys   []string
 	hashes []uint64
 }
 
-// evalDistinctBatch implements distinct over columnar partitions. With
-// map-side dedup on, each partition dedups locally (keying every row exactly
-// once, straight from the column vectors), only the surviving rows cross the
-// shuffle — gathered by batch index, with their keys carried — and the merge
-// side dedups on the carried keys. The baseline shuffles every row and keys
-// again on the reduce side. Under a memory budget both shapes route their
-// shuffle through a spill-backed partition store (see evalDistinctBatchSpill
-// for the combined variant).
-func (e *Engine) evalDistinctBatch(ctx context.Context, schema *storage.Schema,
-	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]part, error) {
-
-	if !e.mapSideDistinct {
-		store, err := e.shuffleBatches(in, schema, enc, st)
-		if err != nil {
-			return nil, err
-		}
-		defer st.releaseStore(store)
-		return e.distinctMergeFromStore(ctx, "distinct", schema, store, enc, st)
+// evalDistinct executes distinct with a map-side dedup pass: each partition
+// dedups locally (keying every row exactly once, straight from the column
+// vectors), only the surviving rows cross the shuffle — gathered by batch
+// index, with their keys carried — and the merge side dedups on the carried
+// keys. The removed rows are reported as DistinctPrecombinedRows. Under a
+// memory budget the shuffle goes through a spill-backed partition store
+// instead (see evalDistinctSpill).
+func (e *Engine) evalDistinct(ctx context.Context, n *distinctNode, st *execState) ([]*storage.ColumnBatch, error) {
+	in, err := e.eval(ctx, n.child, st)
+	if err != nil {
+		return nil, err
+	}
+	schema := n.child.schema()
+	enc, err := storage.NewKeyEncoder(schema, n.cols...)
+	if err != nil {
+		return nil, fmt.Errorf("dataflow: distinct: %w", err)
 	}
 	if e.memoryBudget > 0 {
-		return e.evalDistinctBatchSpill(ctx, schema, in, enc, st)
+		return e.evalDistinctSpill(ctx, schema, in, enc, st)
 	}
 
 	// Map side: one task per input batch dedups locally and gathers the
@@ -543,7 +547,7 @@ func (e *Engine) evalDistinctBatch(ctx context.Context, schema *storage.Schema,
 	st.addBatches(len(buckets), moved)
 
 	// Reduce side: merge survivors per bucket on the carried keys.
-	out := make([]part, len(buckets))
+	out := make([]*storage.ColumnBatch, len(buckets))
 	mergeTasks := make([]cluster.Task, len(buckets))
 	for bi := range buckets {
 		bi := bi
@@ -560,7 +564,7 @@ func (e *Engine) evalDistinctBatch(ctx context.Context, schema *storage.Schema,
 					seen[k] = struct{}{}
 					sel = append(sel, int32(r))
 				}
-				out[bi] = batchPart(bk.batch.Gather(sel))
+				out[bi] = bk.batch.Gather(sel)
 				return nil
 			},
 		}
@@ -572,15 +576,15 @@ func (e *Engine) evalDistinctBatch(ctx context.Context, schema *storage.Schema,
 	return out, nil
 }
 
-// evalDistinctBatchSpill is the budgeted variant of the combined distinct.
-// The map side dedups each partition locally exactly as the in-memory path
-// does, but the survivors shuffle through a spill-backed partition store
-// instead of carrying their key strings across the boundary, and the merge
-// side re-keys the restored rows. Re-keying survivors trades the carried-key
-// optimisation for bounded memory: a key string per surviving row would
-// otherwise stay pinned resident no matter how many batches spill.
-func (e *Engine) evalDistinctBatchSpill(ctx context.Context, schema *storage.Schema,
-	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]part, error) {
+// evalDistinctSpill is the budgeted variant of distinct. The map side dedups
+// each partition locally exactly as the in-memory path does, but the
+// survivors shuffle through a spill-backed partition store instead of
+// carrying their key strings across the boundary, and the merge side re-keys
+// the restored rows. Re-keying survivors trades the carried-key optimisation
+// for bounded memory: a key string per surviving row would otherwise stay
+// pinned resident no matter how many batches spill.
+func (e *Engine) evalDistinctSpill(ctx context.Context, schema *storage.Schema,
+	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]*storage.ColumnBatch, error) {
 
 	partials := make([]*storage.ColumnBatch, len(in))
 	tasks := make([]cluster.Task, len(in))
@@ -644,10 +648,10 @@ func dictKeyColumn(enc *storage.KeyEncoder, b *storage.ColumnBatch) *storage.Col
 // partition's batches — restoring spilled chunks transparently — and keeps
 // the first occurrence of every key.
 func (e *Engine) distinctMergeFromStore(ctx context.Context, name string, schema *storage.Schema,
-	store *storage.PartitionStore, enc *storage.KeyEncoder, st *execState) ([]part, error) {
+	store *storage.PartitionStore, enc *storage.KeyEncoder, st *execState) ([]*storage.ColumnBatch, error) {
 
 	nParts := store.Partitions()
-	out := make([]part, nParts)
+	out := make([]*storage.ColumnBatch, nParts)
 	tasks := make([]cluster.Task, nParts)
 	for bi := range tasks {
 		bi := bi
@@ -701,7 +705,7 @@ func (e *Engine) distinctMergeFromStore(ctx context.Context, name string, schema
 				if err != nil {
 					return err
 				}
-				out[bi] = batchPart(res)
+				out[bi] = res
 				return nil
 			},
 		}
@@ -714,154 +718,7 @@ func (e *Engine) distinctMergeFromStore(ctx context.Context, name string, schema
 }
 
 // ---------------------------------------------------------------------------
-// Group-by (batch map side)
-// ---------------------------------------------------------------------------
-
-// evalGroupByCombinedBatch is the boxed-accumulator map side of the combined
-// group-by, kept as the WithColumnarAgg(false) ablation arm: partial
-// aggregation states are built straight from the column vectors (keys via
-// BatchKey, aggregation updates via aggState.updateAt), then the shared
-// shuffle+merge tail runs exactly as in the row path. The default combined
-// map side is evalGroupByCombinedColumnar in agg_columnar.go.
-func (e *Engine) evalGroupByCombinedBatch(ctx context.Context, n *groupByNode,
-	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]part, error) {
-
-	inSchema := n.child.schema()
-	keyIdx := make([]int, len(n.keys))
-	for i, k := range n.keys {
-		keyIdx[i] = inSchema.IndexOf(k)
-	}
-	partials := make([][]*partialGroup, len(in))
-	tasks := make([]cluster.Task, len(in))
-	inputRows := countBatchRows(in)
-	for i := range in {
-		i := i
-		tasks[i] = cluster.Task{
-			Name: fmt.Sprintf("groupby-combine[%d]", i),
-			Fn: func(ctx context.Context, node cluster.Node) error {
-				b := in[i]
-				local := enc.Clone()
-				groups := make(map[string]*partialGroup)
-				var order []*partialGroup
-				for r := 0; r < b.Len(); r++ {
-					k := local.BatchKey(b, r)
-					g, ok := groups[string(k)]
-					if !ok {
-						kv := make([]storage.Value, len(keyIdx))
-						for j, idx := range keyIdx {
-							kv[j] = b.Value(r, idx)
-						}
-						states := make([]*aggState, len(n.aggs))
-						for j, a := range n.aggs {
-							states[j] = newAggState(a, inSchema)
-						}
-						ks := string(k)
-						g = &partialGroup{key: ks, hash: storage.HashString64(ks), keyValues: kv, states: states}
-						groups[ks] = g
-						order = append(order, g)
-					}
-					for _, s := range g.states {
-						s.updateAt(b, r)
-					}
-				}
-				partials[i] = order
-				return nil
-			},
-		}
-	}
-	st.addTasks(len(tasks))
-	if _, err := e.cluster.RunNamedJob(ctx, "groupby-combine", tasks); err != nil {
-		return nil, fmt.Errorf("dataflow: groupby-combine: %w", err)
-	}
-	return e.mergeGroupPartials(ctx, partials, inputRows, st)
-}
-
-// evalGroupByBatch is the boxed-accumulator non-combined group-by, kept as
-// the WithColumnarAgg(false) ablation arm: every row crosses the shuffle
-// boundary through a partition store (spilling under budget) and one task per
-// bucket folds the restored batches into per-key aggregation states, keying
-// straight from the column vectors. It mirrors the row baseline exactly —
-// same bucket assignment, row order and group emission order — so results
-// are bit-identical to the row-at-a-time path. The default non-combined path
-// is evalGroupByHash in agg_columnar.go.
-func (e *Engine) evalGroupByBatch(ctx context.Context, n *groupByNode,
-	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]part, error) {
-
-	inSchema := n.child.schema()
-	keyIdx := make([]int, len(n.keys))
-	for i, k := range n.keys {
-		keyIdx[i] = inSchema.IndexOf(k)
-	}
-	store, err := e.shuffleBatches(in, inSchema, enc, st)
-	if err != nil {
-		return nil, err
-	}
-	defer st.releaseStore(store)
-	nParts := store.Partitions()
-	out := make([][]storage.Row, nParts)
-	tasks := make([]cluster.Task, nParts)
-	for b := range tasks {
-		b := b
-		tasks[b] = cluster.Task{
-			Name: fmt.Sprintf("groupby[%d]", b),
-			Fn: func(ctx context.Context, node cluster.Node) error {
-				type group struct {
-					keyValues []storage.Value
-					states    []*aggState
-				}
-				local := enc.Clone()
-				groups := make(map[string]*group)
-				var order []*group
-				err := store.EachBatch(b, func(cb *storage.ColumnBatch) error {
-					for r := 0; r < cb.Len(); r++ {
-						k := local.BatchKey(cb, r)
-						g, ok := groups[string(k)]
-						if !ok {
-							kv := make([]storage.Value, len(keyIdx))
-							for j, idx := range keyIdx {
-								kv[j] = cb.Value(r, idx)
-							}
-							states := make([]*aggState, len(n.aggs))
-							for j, a := range n.aggs {
-								states[j] = newAggState(a, inSchema)
-							}
-							g = &group{keyValues: kv, states: states}
-							groups[string(k)] = g
-							order = append(order, g)
-						}
-						for _, s := range g.states {
-							s.updateAt(cb, r)
-						}
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				st.addAggGroups(len(order))
-				rows := make([]storage.Row, 0, len(order))
-				for _, g := range order {
-					row := make(storage.Row, 0, len(g.keyValues)+len(g.states))
-					row = append(row, g.keyValues...)
-					for _, s := range g.states {
-						row = append(row, s.result())
-					}
-					rows = append(rows, row)
-				}
-				out[b] = rows
-				return nil
-			},
-		}
-	}
-	st.addTasks(len(tasks))
-	if _, err := e.cluster.RunNamedJob(ctx, "groupby", tasks); err != nil {
-		return nil, fmt.Errorf("dataflow: groupby: %w", err)
-	}
-	return rowParts(out), nil
-}
-
-// ---------------------------------------------------------------------------
-// Join (batch)
+// Join
 // ---------------------------------------------------------------------------
 
 // batchJoinTable indexes the rows of one build-side batch by encoded key.
@@ -905,16 +762,33 @@ func flattenBatches(schema *storage.Schema, in []*storage.ColumnBatch) *storage.
 	return out
 }
 
-// evalJoinBatch executes the join over columnar partitions: broadcast when
-// the build side is small enough (the build table indexes batch row numbers,
-// probes preserve the left partitioning), shuffled hash join otherwise, with
-// both sides moved by batch index.
-func (e *Engine) evalJoinBatch(ctx context.Context, n *joinNode,
-	left, right []*storage.ColumnBatch, lEnc, rEnc *storage.KeyEncoder, st *execState) ([]part, error) {
-
+// evalJoin executes the hash equi-join: broadcast when the build (right) side
+// is small enough (one task builds a table of batch row numbers, and every
+// left partition probes it in place, preserving the left partitioning),
+// shuffled hash join otherwise, with both sides moved by batch index.
+func (e *Engine) evalJoin(ctx context.Context, n *joinNode, st *execState) ([]*storage.ColumnBatch, error) {
+	left, err := e.eval(ctx, n.left, st)
+	if err != nil {
+		return nil, err
+	}
+	right, err := e.eval(ctx, n.right, st)
+	if err != nil {
+		return nil, err
+	}
 	ls, rs := n.left.schema(), n.right.schema()
+	lEnc, err := storage.NewKeyEncoder(ls, n.leftKey)
+	if err != nil {
+		return nil, fmt.Errorf("dataflow: join (left): %w", err)
+	}
+	rEnc, err := storage.NewKeyEncoder(rs, n.rightKey)
+	if err != nil {
+		return nil, fmt.Errorf("dataflow: join (right): %w", err)
+	}
 	if e.broadcastJoin && countBatchRows(right) <= e.broadcastThreshold {
 		st.addBroadcast()
+		// Build once as a single cluster task — the simulated analogue of
+		// materialising the broadcast variable — then share the table
+		// read-only across every probe task.
 		var buildBatch *storage.ColumnBatch
 		var build map[string][]int32
 		buildTask := []cluster.Task{{
@@ -929,7 +803,7 @@ func (e *Engine) evalJoinBatch(ctx context.Context, n *joinNode,
 		if _, err := e.cluster.RunNamedJob(ctx, "join-broadcast-build", buildTask); err != nil {
 			return nil, fmt.Errorf("dataflow: join-broadcast-build: %w", err)
 		}
-		out := make([]part, len(left))
+		out := make([]*storage.ColumnBatch, len(left))
 		tasks := make([]cluster.Task, len(left))
 		for i := range left {
 			i := i
@@ -938,7 +812,7 @@ func (e *Engine) evalJoinBatch(ctx context.Context, n *joinNode,
 				Fn: func(ctx context.Context, node cluster.Node) error {
 					res := storage.NewColumnBatch(n.out, left[i].Len())
 					probeBatch(res, left[i], build, buildBatch, lEnc.Clone(), n.kind)
-					out[i] = batchPart(res)
+					out[i] = res
 					return nil
 				},
 			}
@@ -947,7 +821,7 @@ func (e *Engine) evalJoinBatch(ctx context.Context, n *joinNode,
 		if _, err := e.cluster.RunNamedJob(ctx, "join-broadcast", tasks); err != nil {
 			return nil, fmt.Errorf("dataflow: join-broadcast: %w", err)
 		}
-		st.addBatches(len(out), countParts(out))
+		st.addBatches(len(out), countBatchRows(out))
 		return out, nil
 	}
 
@@ -967,7 +841,7 @@ func (e *Engine) evalJoinBatch(ctx context.Context, n *joinNode,
 	}
 	defer st.releaseStore(rStore)
 	nParts := lStore.Partitions()
-	out := make([]part, nParts)
+	out := make([]*storage.ColumnBatch, nParts)
 	tasks := make([]cluster.Task, nParts)
 	for i := range tasks {
 		i := i
@@ -988,7 +862,7 @@ func (e *Engine) evalJoinBatch(ctx context.Context, n *joinNode,
 				if err != nil {
 					return err
 				}
-				out[i] = batchPart(res)
+				out[i] = res
 				return nil
 			},
 		}
@@ -997,6 +871,6 @@ func (e *Engine) evalJoinBatch(ctx context.Context, n *joinNode,
 	if _, err := e.cluster.RunNamedJob(ctx, "join", tasks); err != nil {
 		return nil, fmt.Errorf("dataflow: join: %w", err)
 	}
-	st.addBatches(len(out), countParts(out))
+	st.addBatches(len(out), countBatchRows(out))
 	return out, nil
 }

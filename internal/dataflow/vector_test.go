@@ -35,16 +35,11 @@ func vectorChainPlan(t *testing.T, n, parts int) *Dataset {
 
 func TestVectorizedStatsAndMetrics(t *testing.T) {
 	vec := testEngine(t)
-	row := testEngineWith(t, WithVectorizedExecution(false))
 	d := vectorChainPlan(t, 1000, 4).Distinct("k", "bucket")
 
 	vres := collect(t, vec, d)
-	rres := collect(t, row, d)
 	if vres.Stats.Batches == 0 || vres.Stats.BatchRows == 0 {
-		t.Errorf("vectorized run reported Batches=%d BatchRows=%d", vres.Stats.Batches, vres.Stats.BatchRows)
-	}
-	if rres.Stats.Batches != 0 || rres.Stats.BatchRows != 0 {
-		t.Errorf("row run reported Batches=%d BatchRows=%d", rres.Stats.Batches, rres.Stats.BatchRows)
+		t.Errorf("run reported Batches=%d BatchRows=%d", vres.Stats.Batches, vres.Stats.BatchRows)
 	}
 	snap := vec.Metrics().Snapshot()
 	if got := snap.CounterValue("batches"); got != vres.Stats.Batches {
@@ -53,50 +48,43 @@ func TestVectorizedStatsAndMetrics(t *testing.T) {
 	if got := snap.CounterValue("batches.rows"); got != vres.Stats.BatchRows {
 		t.Errorf("batches.rows counter = %d, want %d", got, vres.Stats.BatchRows)
 	}
-	// Same data either way.
-	if len(vres.Rows) != len(rres.Rows) {
-		t.Fatalf("vectorized rows = %d, row rows = %d", len(vres.Rows), len(rres.Rows))
+	want, err := reference(d)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want.check(t, "distinct over kernel chain", vres)
 }
 
+// TestExplainNamesExecutionMode pins how Explain describes narrow-operator
+// execution: fused chains render as one FusedStage line (with a capped
+// chain's limit), unfused engines render one line per operator, and the
+// header names the fusion switch.
 func TestExplainNamesExecutionMode(t *testing.T) {
 	d := vectorChainPlan(t, 100, 2)
-	vec := testEngine(t)
-	plan := vec.Explain(d)
-	for _, want := range []string{"vectorized=on", "execution mode: vectorized (columnar batches)", "[vectorized]"} {
+	plan := testEngine(t).Explain(d)
+	for _, want := range []string{"fusion=on", "FusedStage(ops=4: Filter(v >= 5) → Project([k v]) → WithColumn(bucket) → Filter(bucket < 4))"} {
 		if !strings.Contains(plan, want) {
-			t.Errorf("vectorized Explain missing %q:\n%s", want, plan)
+			t.Errorf("fused Explain missing %q:\n%s", want, plan)
 		}
 	}
-	// Limit-capped chains run the row pipeline (for its early stop), so they
-	// must not be tagged as batch-kernel stages.
-	if capped := vec.Explain(vectorChainPlan(t, 100, 2).Limit(5)); strings.Contains(capped, "[vectorized]") {
-		t.Errorf("limit-capped chain must not be tagged vectorized:\n%s", capped)
+	if capped := testEngine(t).Explain(vectorChainPlan(t, 100, 2).Limit(5)); !strings.Contains(capped, "+Limit(5)") {
+		t.Errorf("limit-capped chain must name its limit:\n%s", capped)
 	}
-	row := testEngineWith(t, WithVectorizedExecution(false))
-	plan = row.Explain(d)
-	if !strings.Contains(plan, "vectorized=off") || !strings.Contains(plan, "execution mode: row-at-a-time (fused)") {
-		t.Errorf("row Explain must name the row mode:\n%s", plan)
+	unfused := testEngineWith(t, WithFusion(false)).Explain(d)
+	if !strings.Contains(unfused, "fusion=off") || strings.Contains(unfused, "FusedStage") {
+		t.Errorf("unfused Explain must name the switch and render no fused stage:\n%s", unfused)
 	}
-	if strings.Contains(plan, "[vectorized]") {
-		t.Errorf("row Explain must not tag stages as vectorized:\n%s", plan)
-	}
-	// Unfused but vectorized: narrow operators run one batch-kernel job each.
-	unfused := testEngineWith(t, WithFusion(false))
-	if plan := unfused.Explain(d); !strings.Contains(plan, "execution mode: vectorized (per-operator batch kernels)") {
-		t.Errorf("unfused vectorized Explain must name the per-operator kernel mode:\n%s", plan)
-	}
-	unfusedRow := testEngineWith(t, WithFusion(false), WithVectorizedExecution(false))
-	if plan := unfusedRow.Explain(d); !strings.Contains(plan, "execution mode: row-at-a-time (per-operator)") {
-		t.Errorf("unfused row Explain must name the per-operator mode:\n%s", plan)
+	for _, want := range []string{"Filter(v >= 5)", "Project([k v])", "WithColumn(bucket)", "Filter(bucket < 4)"} {
+		if !strings.Contains(unfused, want) {
+			t.Errorf("unfused Explain missing operator %q:\n%s", want, unfused)
+		}
 	}
 }
 
-// TestValidationGating covers the WithStrictValidation satellite: a map
-// closure that emits a mistyped row late in the partition slips through the
-// lax row path (only the first row per partition is checked), is caught by
-// strict mode, and is always caught by the vectorized path, where unboxing
-// into typed vectors validates for free.
+// TestValidationGating checks that Map output is validated against the
+// declared schema on every row in every arm: storing a cell into a typed
+// column vector is the check, so a mistyped row late in a partition fails
+// the action just like a mistyped first row.
 func TestValidationGating(t *testing.T) {
 	schema := storage.MustSchema(storage.Field{Name: "x", Type: storage.TypeInt})
 	rows := make([]storage.Row, 10)
@@ -110,35 +98,28 @@ func TestValidationGating(t *testing.T) {
 			}
 			return storage.Row{r.Int("x")}, nil
 		})
-	ctx := context.Background()
-
-	if _, err := testEngineWith(t, WithVectorizedExecution(false)).Collect(ctx, bad); err != nil {
-		t.Errorf("lax row mode must not validate row 7: %v", err)
-	}
-	if _, err := testEngineWith(t, WithVectorizedExecution(false), WithStrictValidation(true)).Collect(ctx, bad); err == nil {
-		t.Error("strict row mode must reject the mistyped row")
-	} else if !strings.Contains(err.Error(), "map output") {
-		t.Errorf("strict mode error = %v, want map output context", err)
-	}
-	if _, err := testEngine(t).Collect(ctx, bad); err == nil {
-		t.Error("vectorized mode must reject the mistyped row")
-	}
-
-	// The first row of a partition is always validated, even lax.
 	badFirst := FromRows("vals", schema, rows, 1).
 		Map("bad first row", schema, func(r Record) (storage.Row, error) {
 			return storage.Row{"nope"}, nil
 		})
-	if _, err := testEngineWith(t, WithVectorizedExecution(false)).Collect(ctx, badFirst); err == nil {
-		t.Error("lax mode must still validate the first row per partition")
-	} else if !strings.Contains(err.Error(), "expects int, got string") {
-		t.Errorf("first-row validation error = %v, want the descriptive type mismatch", err)
+	ctx := context.Background()
+	for _, arm := range engineArms(t) {
+		for name, plan := range map[string]*Dataset{"late": bad, "first": badFirst} {
+			_, err := arm.e.Collect(ctx, plan)
+			if err == nil {
+				t.Errorf("%s: mistyped %s row must fail the action", arm.name, name)
+				continue
+			}
+			if !strings.Contains(err.Error(), "map output") || !strings.Contains(err.Error(), "expects int, got string") {
+				t.Errorf("%s: %s-row error = %v, want map output context and the type mismatch", arm.name, name, err)
+			}
+		}
 	}
 }
 
-// TestVectorizedJoinMatchesRowJoin drives both join strategies through the
-// batch path and compares against the row engine, including left-join null
-// extension.
+// TestVectorizedJoinMatchesRowJoin drives both join strategies through every
+// arm and compares against the reference's nested-loop join, including
+// left-join null extension.
 func TestVectorizedJoinMatchesRowJoin(t *testing.T) {
 	facts := storage.MustSchema(
 		storage.Field{Name: "k", Type: storage.TypeInt},
@@ -157,24 +138,12 @@ func TestVectorizedJoinMatchesRowJoin(t *testing.T) {
 		dimRows[i] = storage.Row{int64(i), "dim"}
 	}
 	for _, kind := range []JoinType{InnerJoin, LeftJoin} {
-		for _, opts := range [][]EngineOption{
-			nil,                        // broadcast (dims under threshold)
-			{WithBroadcastJoin(false)}, // shuffled hash join
-		} {
-			plan := FromRows("facts", facts, factRows, 4).
-				Join(FromRows("dims", dims, dimRows, 2), "k", "k", kind)
-			vres := collect(t, testEngineWith(t, opts...), plan)
-			rres := collect(t, testEngineWith(t, append([]EngineOption{WithVectorizedExecution(false)}, opts...)...), plan)
-			if len(vres.Rows) != len(rres.Rows) {
-				t.Fatalf("kind=%v opts=%d: vectorized %d rows, row %d rows", kind, len(opts), len(vres.Rows), len(rres.Rows))
-			}
-			for i := range vres.Rows {
-				for c := range vres.Rows[i] {
-					if !storage.ValuesEqual(vres.Rows[i][c], rres.Rows[i][c]) {
-						t.Fatalf("kind=%v row %d col %d: %v != %v", kind, i, c, vres.Rows[i][c], rres.Rows[i][c])
-					}
-				}
-			}
+		plan := FromRows("facts", facts, factRows, 4).
+			Join(FromRows("dims", dims, dimRows, 2), "k", "k", kind)
+		results := checkArms(t, plan)
+		if results["default"].Stats.BroadcastJoins != 1 || results["shuffle-join"].Stats.BroadcastJoins != 0 {
+			t.Errorf("kind=%v: broadcast joins = %d (default) / %d (shuffle-join), want 1 / 0", kind,
+				results["default"].Stats.BroadcastJoins, results["shuffle-join"].Stats.BroadcastJoins)
 		}
 	}
 }
@@ -193,6 +162,6 @@ func TestCountSkipsMaterialization(t *testing.T) {
 		t.Errorf("Count = %d, Collect rows = %d", n, len(res.Rows))
 	}
 	if stats.Batches == 0 {
-		t.Error("vectorized Count must report batch stats")
+		t.Error("Count must report batch stats")
 	}
 }

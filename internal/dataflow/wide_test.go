@@ -41,7 +41,8 @@ func TestRangeSortMatchesSingleTask(t *testing.T) {
 		SortOrder{Column: "v", Descending: true},
 	)
 	ranged := collect(t, testEngineWith(t), plan)
-	single := collect(t, testEngineWith(t, WithRangeSort(false)), plan)
+	// One shuffle partition leaves nothing to range-partition over.
+	single := collect(t, testEngineWith(t, WithShufflePartitions(1)), plan)
 
 	if ranged.Stats.SortSampledRows == 0 {
 		t.Error("range sort must sample rows for split points")
@@ -49,18 +50,20 @@ func TestRangeSortMatchesSingleTask(t *testing.T) {
 	if single.Stats.SortSampledRows != 0 {
 		t.Error("single-task sort must not sample")
 	}
-	// The single-task stable sort is the reference: the range-partitioned
-	// result must match it row for row, which covers both global ordering
-	// and stability (equal keys keep their input order).
-	if !equalStrings(rowStrings(ranged.Rows), rowStrings(single.Rows)) {
-		t.Fatal("range-partitioned sort output differs from single-task sort")
+	// Both must match the reference's stable sort row for row, which covers
+	// both global ordering and stability (equal keys keep their input order).
+	want, err := reference(plan)
+	if err != nil {
+		t.Fatal(err)
 	}
+	want.check(t, "range-partitioned sort", ranged)
+	want.check(t, "single-task sort", single)
 }
 
-// TestColumnarSortMatchesBoxed pins the typed sort core against both
-// ablation arms over every kernel type (int, float, string, bool, with
-// nulls): the selection-vector sort must reproduce the boxed-row sorts bit
-// for bit, including how stable sorts break ties of equal keys.
+// TestColumnarSortMatchesBoxed pins the typed sort kernels over every kernel
+// type (int, float, string, bool, with nulls) against the reference's stable
+// sort of boxed rows under CompareValues, bit for bit, including how equal
+// keys break ties — in every engine arm.
 func TestColumnarSortMatchesBoxed(t *testing.T) {
 	schema := storage.MustSchema(
 		storage.Field{Name: "i", Type: storage.TypeInt, Nullable: true},
@@ -87,15 +90,7 @@ func TestColumnarSortMatchesBoxed(t *testing.T) {
 		SortOrder{Column: "s"},
 		SortOrder{Column: "b", Descending: true},
 	)
-	typed := collect(t, testEngineWith(t), plan)
-	boxed := collect(t, testEngineWith(t, WithColumnarSort(false)), plan)
-	rowMode := collect(t, testEngineWith(t, WithVectorizedExecution(false)), plan)
-	if !equalStrings(rowStrings(typed.Rows), rowStrings(boxed.Rows)) {
-		t.Fatal("typed columnar sort differs from the boxed-row sort")
-	}
-	if !equalStrings(rowStrings(typed.Rows), rowStrings(rowMode.Rows)) {
-		t.Fatal("typed columnar sort differs from the row-at-a-time sort")
-	}
+	checkArms(t, plan)
 }
 
 // TestColumnarSortStability drives a duplicate-only key through a single
@@ -147,30 +142,23 @@ func TestMapSideDistinctMatchesBaseline(t *testing.T) {
 	// 40 keys across 2000 rows: the map side should collapse each partition
 	// to at most 40 survivors.
 	plan := wideDataset(t, 2000, 8).Distinct("k")
-	combined := collect(t, testEngineWith(t), plan)
-	baseline := collect(t, testEngineWith(t, WithMapSideDistinct(false)), plan)
+	combined := checkArms(t, plan)["default"]
 
-	if len(combined.Rows) != 40 || len(baseline.Rows) != 40 {
-		t.Fatalf("distinct rows = %d (combined) / %d (baseline), want 40", len(combined.Rows), len(baseline.Rows))
+	if len(combined.Rows) != 40 {
+		t.Fatalf("distinct rows = %d, want 40", len(combined.Rows))
 	}
-	// Both strategies keep the first occurrence in partition-major order, so
-	// the outputs must be identical, not merely set-equal.
-	if !equalStrings(rowStrings(combined.Rows), rowStrings(baseline.Rows)) {
-		t.Error("map-side distinct changed the surviving rows")
-	}
+	// The baseline is every input row crossing the shuffle: the map-side pass
+	// must split exactly those rows into precombined and shuffled ones.
 	if combined.Stats.DistinctPrecombinedRows == 0 {
 		t.Error("map-side pass must report precombined rows")
 	}
-	if baseline.Stats.DistinctPrecombinedRows != 0 {
-		t.Error("baseline must not report precombined rows")
+	if combined.Stats.ShuffledRows >= combined.Stats.RowsRead {
+		t.Errorf("map-side distinct shuffled %d of %d rows — dedup must reduce the shuffle",
+			combined.Stats.ShuffledRows, combined.Stats.RowsRead)
 	}
-	if combined.Stats.ShuffledRows >= baseline.Stats.ShuffledRows {
-		t.Errorf("map-side distinct shuffled %d rows, baseline %d — dedup must reduce the shuffle",
-			combined.Stats.ShuffledRows, baseline.Stats.ShuffledRows)
-	}
-	if combined.Stats.DistinctPrecombinedRows+combined.Stats.ShuffledRows != baseline.Stats.ShuffledRows {
-		t.Errorf("precombined (%d) + shuffled (%d) must equal the baseline shuffle (%d)",
-			combined.Stats.DistinctPrecombinedRows, combined.Stats.ShuffledRows, baseline.Stats.ShuffledRows)
+	if combined.Stats.DistinctPrecombinedRows+combined.Stats.ShuffledRows != combined.Stats.RowsRead {
+		t.Errorf("precombined (%d) + shuffled (%d) must equal the input rows (%d)",
+			combined.Stats.DistinctPrecombinedRows, combined.Stats.ShuffledRows, combined.Stats.RowsRead)
 	}
 }
 
@@ -391,11 +379,11 @@ func TestExplainWideStrategies(t *testing.T) {
 	), []storage.Row{{int64(1)}, {int64(2)}}, 1)
 
 	e := testEngineWith(t)
-	header := "PhysicalPlan(fusion=on, combine=on, rangeSort=on, broadcastJoin=on"
+	header := "PhysicalPlan(fusion=on, combine=on, broadcastJoin=on(≤10000), shufflePartitions=4, memoryBudget=unlimited)\n"
 	bigSort := wideDataset(t, 2000, 8).Sort(SortOrder{Column: "v"})
 	plan := e.Explain(bigSort)
-	if !strings.Contains(plan, header) {
-		t.Errorf("Explain header missing strategy switches:\n%s", plan)
+	if !strings.HasPrefix(plan, header) {
+		t.Errorf("Explain header must name exactly the strategy switches:\n%s", plan)
 	}
 	if !strings.Contains(plan, "[range-shuffle(parts=4)]") {
 		t.Errorf("Explain must name the range sort strategy:\n%s", plan)
@@ -405,24 +393,17 @@ func TestExplainWideStrategies(t *testing.T) {
 	if got := e.Explain(wideDataset(t, 100, 4).Sort(SortOrder{Column: "v"})); !strings.Contains(got, "[single-task]") {
 		t.Errorf("small-input Explain must predict the single-task fallback:\n%s", got)
 	}
-	if got := testEngineWith(t, WithRangeSort(false)).Explain(bigSort); !strings.Contains(got, "[single-task]") {
-		t.Errorf("range-sort-off Explain must name the single-task strategy:\n%s", got)
+	if got := testEngineWith(t, WithShufflePartitions(1)).Explain(bigSort); !strings.Contains(got, "[single-task]") {
+		t.Errorf("one-partition Explain must name the single-task strategy:\n%s", got)
 	}
 
-	// The second sort tag names the sort core: typed columnar by default, an
-	// external merge with its statically-bounded run count under a budget,
-	// and the boxed/row arms under their ablation switches.
+	// The second sort tag names the sort core: in memory by default, an
+	// external merge with its statically-bounded run count under a budget.
 	if !strings.Contains(plan, "[columnar in-memory]") {
 		t.Errorf("default Explain must name the columnar sort core:\n%s", plan)
 	}
 	if got := testEngineWith(t, WithMemoryBudget(1)).Explain(bigSort); !strings.Contains(got, "[external merge (runs≤1)]") {
 		t.Errorf("budgeted Explain must bound the external merge's runs (2000 rows = 1 chunk):\n%s", got)
-	}
-	if got := testEngineWith(t, WithColumnarSort(false)).Explain(bigSort); !strings.Contains(got, "[boxed-row sort]") {
-		t.Errorf("columnar-sort-off Explain must name the boxed arm:\n%s", got)
-	}
-	if got := testEngineWith(t, WithVectorizedExecution(false)).Explain(bigSort); !strings.Contains(got, "[row sort]") {
-		t.Errorf("row-mode Explain must name the row sort core:\n%s", got)
 	}
 
 	join := wideDataset(t, 100, 4).Join(small, "k", "k", InnerJoin)
@@ -448,9 +429,6 @@ func TestExplainWideStrategies(t *testing.T) {
 	distinct := wideDataset(t, 100, 4).Distinct("k")
 	if got := e.Explain(distinct); !strings.Contains(got, "[map-dedup+shuffle]") {
 		t.Errorf("Explain must name the map-side distinct strategy:\n%s", got)
-	}
-	if got := testEngineWith(t, WithMapSideDistinct(false)).Explain(distinct); !strings.Contains(got, "Distinct([k]) [shuffle]") {
-		t.Errorf("map-side-off Explain must name the plain shuffle:\n%s", got)
 	}
 }
 

@@ -40,13 +40,12 @@ var (
 
 // Runner executes alternatives against a data catalog.
 type Runner struct {
-	data             *storage.Catalog
-	results          *store.Store
-	seed             int64
-	failureRate      float64
-	memoryBudget     int64
-	spillCompression bool
-	spillDir         string
+	data         *storage.Catalog
+	results      *store.Store
+	seed         int64
+	failureRate  float64
+	memoryBudget int64
+	spillDir     string
 }
 
 // Option configures the runner.
@@ -71,14 +70,6 @@ func WithMemoryBudget(bytes int64) Option {
 	return func(r *Runner) { r.memoryBudget = bytes }
 }
 
-// WithSpillCompression toggles the compressed spill frame codec on the
-// dataflow engines the runner builds (default on; see
-// dataflow.WithSpillCompression). Only observable when a memory budget makes
-// wide operators spill.
-func WithSpillCompression(enabled bool) Option {
-	return func(r *Runner) { r.spillCompression = enabled }
-}
-
 // WithResultStore attaches a durable table store. After every successful run
 // the prepared dataset is saved as the named table ResultTableName(campaign);
 // later campaigns whose target table is absent from the catalog fall back to
@@ -100,7 +91,7 @@ func New(data *storage.Catalog, opts ...Option) (*Runner, error) {
 	if data == nil {
 		return nil, fmt.Errorf("%w: nil data catalog", ErrBadRun)
 	}
-	r := &Runner{data: data, seed: 1, spillCompression: true}
+	r := &Runner{data: data, seed: 1}
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -138,18 +129,9 @@ func (r *Runner) Run(ctx context.Context, campaign *model.Campaign, alt core.Alt
 	}
 	start := time.Now()
 
-	clusterCfg := alt.Plan.ClusterConfig(r.seed, r.failureRate)
-	cl, err := cluster.New(clusterCfg)
+	cl, engine, err := r.newEngine(alt)
 	if err != nil {
-		return nil, fmt.Errorf("runner: build cluster: %w", err)
-	}
-	engine, err := dataflow.NewEngine(cl,
-		dataflow.WithShufflePartitions(alt.Plan.Parallelism),
-		dataflow.WithMemoryBudget(r.memoryBudget),
-		dataflow.WithSpillCompression(r.spillCompression),
-		dataflow.WithSpillDir(r.spillDir))
-	if err != nil {
-		return nil, fmt.Errorf("runner: build engine: %w", err)
+		return nil, err
 	}
 
 	table, err := r.lookupTable(campaign.Goal.TargetTable)
@@ -241,17 +223,9 @@ func (r *Runner) ExplainPlan(campaign *model.Campaign, alt core.Alternative) (st
 	if campaign == nil || alt.Composition == nil || alt.Plan == nil {
 		return "", fmt.Errorf("%w: campaign and alternative are required", ErrBadRun)
 	}
-	cl, err := cluster.New(alt.Plan.ClusterConfig(r.seed, r.failureRate))
+	_, engine, err := r.newEngine(alt)
 	if err != nil {
-		return "", fmt.Errorf("runner: build cluster: %w", err)
-	}
-	engine, err := dataflow.NewEngine(cl,
-		dataflow.WithShufflePartitions(alt.Plan.Parallelism),
-		dataflow.WithMemoryBudget(r.memoryBudget),
-		dataflow.WithSpillCompression(r.spillCompression),
-		dataflow.WithSpillDir(r.spillDir))
-	if err != nil {
-		return "", fmt.Errorf("runner: build engine: %w", err)
+		return "", err
 	}
 	table, err := r.lookupTable(campaign.Goal.TargetTable)
 	if err != nil {
@@ -270,6 +244,25 @@ func (r *Runner) ExplainPlan(campaign *model.Campaign, alt core.Alternative) (st
 		out += "\nanalytics stage (" + string(campaign.Goal.Task) + "):\n" + engine.Explain(plan)
 	}
 	return out, nil
+}
+
+// newEngine builds the simulated cluster the alternative's deployment plan
+// describes and the dataflow engine over it, configured from the runner's
+// options. Run and ExplainPlan both build through it, so an explained plan is
+// the plan a run executes.
+func (r *Runner) newEngine(alt core.Alternative) (*cluster.Cluster, *dataflow.Engine, error) {
+	cl, err := cluster.New(alt.Plan.ClusterConfig(r.seed, r.failureRate))
+	if err != nil {
+		return nil, nil, fmt.Errorf("runner: build cluster: %w", err)
+	}
+	engine, err := dataflow.NewEngine(cl,
+		dataflow.WithShufflePartitions(alt.Plan.Parallelism),
+		dataflow.WithMemoryBudget(r.memoryBudget),
+		dataflow.WithSpillDir(r.spillDir))
+	if err != nil {
+		return nil, nil, fmt.Errorf("runner: build engine: %w", err)
+	}
+	return cl, engine, nil
 }
 
 // ResultTableName is the durable-store table name under which a campaign's

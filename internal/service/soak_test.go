@@ -51,12 +51,10 @@ func soakWorkload(t *testing.T) (*runner.Runner, []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spill compression is pinned on (it is also the default) so the soak
-	// exercises the v2 frame codec under the race detector: the one-byte
-	// budget forces every wide operator through compressed spill files.
+	// The one-byte budget forces every wide operator through the compressed
+	// spill codec under the race detector.
 	run, err := runner.New(data, runner.WithSeed(7),
-		runner.WithFailureInjection(0.05), runner.WithMemoryBudget(1),
-		runner.WithSpillCompression(true))
+		runner.WithFailureInjection(0.05), runner.WithMemoryBudget(1))
 	if err != nil {
 		t.Fatal(err)
 	}

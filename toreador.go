@@ -200,13 +200,6 @@ type Config struct {
 	// budget spill to temp files and are restored transparently on read.
 	// <= 0 (the default) disables spilling.
 	MemoryBudget int64
-	// DisableSpillCompression turns off the compressed spill frame codec
-	// (dictionary strings, delta ints, RLE bitmaps — on by default), so
-	// spilled batches are written in the raw v1 layout. Only observable when
-	// MemoryBudget makes wide operators spill; reads accept both formats
-	// either way. Kept as a disable flag so the zero-value Config gets the
-	// compressed default.
-	DisableSpillCompression bool
 	// StoreDir, when non-empty, opens the durable segment store under that
 	// directory: every campaign run saves its prepared dataset as a named
 	// table (crash-safe via the manifest WAL), and later campaigns may use
@@ -242,7 +235,6 @@ func New(cfg Config) (*Platform, error) {
 	runnerOpts := []runner.Option{
 		runner.WithSeed(cfg.Seed), runner.WithFailureInjection(cfg.FailureRate),
 		runner.WithMemoryBudget(cfg.MemoryBudget),
-		runner.WithSpillCompression(!cfg.DisableSpillCompression),
 		runner.WithSpillDir(cfg.SpillDir),
 	}
 	if cfg.StoreDir != "" {
