@@ -59,7 +59,9 @@ lint:
 # decoder. Each must reject arbitrary corruption with a typed error and never
 # panic or over-allocate; the store targets are seeded from golden files.
 # FuzzPlanEquivalence fuzzes the dataflow plan generator's seed and row count
-# and holds every engine configuration to the reference interpreter. The
+# and holds every engine configuration to the reference interpreter;
+# FuzzAprioriEquivalence fuzzes baskets and thresholds and holds the
+# vertical-bitset Apriori miner to the horizontal one it replaced. The
 # time box keeps the target usable as a pre-commit check; raise FUZZTIME for a
 # longer soak. Go fuzzing accepts one -fuzz pattern per package invocation,
 # so the targets run back to back.
@@ -69,6 +71,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeManifest' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegmentFooter' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanEquivalence' -fuzztime $(FUZZTIME) ./internal/dataflow/
+	$(GO) test -run '^$$' -fuzz 'FuzzAprioriEquivalence' -fuzztime $(FUZZTIME) ./internal/analytics/
 
 # Fault-injection soak of the multi-tenant service runtime under the race
 # detector: concurrent tenants, injected cluster faults, a tight memory

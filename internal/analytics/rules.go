@@ -1,7 +1,10 @@
 package analytics
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -61,112 +64,55 @@ func (a *Apriori) defaults() {
 
 // Mine returns frequent itemsets (sorted by descending support) and rules
 // (sorted by descending confidence, then lift).
+//
+// Support is counted on a vertical layout (Apriori's level-wise search over
+// Eclat-style transaction sets): every frequent item gets a dense id, in
+// name order, and a bitset with one bit per transaction. A level-k candidate
+// is the prefix join of two sorted (k-1)-sets; it is pruned when one of its
+// (k-1)-subsets is infrequent, and otherwise its support is the popcount of
+// its prefix's bitset ANDed with its last item's bitset.
 func (a *Apriori) Mine(transactions [][]string) ([]Itemset, []Rule, error) {
 	if len(transactions) == 0 {
 		return nil, nil, ErrNoData
 	}
 	a.defaults()
-	n := float64(len(transactions))
+	v := &vertical{n: float64(len(transactions)), minSupport: a.MinSupport, counts: map[string]int{}}
+	v.names, v.items = v.frequentItems(transactions)
 
-	// Canonicalise transactions to sets.
-	txSets := make([]map[string]bool, len(transactions))
-	for i, tx := range transactions {
-		set := make(map[string]bool, len(tx))
-		for _, item := range tx {
-			if item != "" {
-				set[item] = true
-			}
-		}
-		txSets[i] = set
+	// Level 1: frequent single items, whose bitsets seed the next level.
+	var sets []frequentSet
+	for id, set := range v.items {
+		s := frequentSet{ids: []int32{int32(id)}, count: popcount(set)}
+		v.counts[string(v.keyOf(s.ids, -1))] = s.count
+		sets = append(sets, s)
+	}
+	level, levelBits := sets, v.items
+	for size := 2; size <= a.MaxItemsetSize && len(level) > 1; size++ {
+		level, levelBits = v.nextLevel(level, levelBits)
+		sets = append(sets, level...)
 	}
 
-	supportOf := func(items []string) float64 {
-		count := 0
-		for _, set := range txSets {
-			all := true
-			for _, it := range items {
-				if !set[it] {
-					all = false
-					break
-				}
-			}
-			if all {
-				count++
-			}
-		}
-		return float64(count) / n
-	}
-
-	// Level 1: frequent single items.
-	itemCounts := map[string]int{}
-	for _, set := range txSets {
-		for item := range set {
-			itemCounts[item]++
-		}
-	}
 	var frequent []Itemset
-	current := make([][]string, 0)
-	for item, count := range itemCounts {
-		sup := float64(count) / n
-		if sup >= a.MinSupport {
-			frequent = append(frequent, Itemset{Items: []string{item}, Support: sup})
-			current = append(current, []string{item})
-		}
-	}
-
-	// Levels 2..MaxItemsetSize: candidate generation by joining sets that
-	// share a prefix, then support counting.
-	supportIndex := map[string]float64{}
-	for _, f := range frequent {
-		supportIndex[f.Key()] = f.Support
-	}
-	for size := 2; size <= a.MaxItemsetSize && len(current) > 1; size++ {
-		candidates := generateCandidates(current, size)
-		var next [][]string
-		for _, cand := range candidates {
-			sup := supportOf(cand)
-			if sup >= a.MinSupport {
-				is := Itemset{Items: cand, Support: sup}
-				frequent = append(frequent, is)
-				supportIndex[is.Key()] = sup
-				next = append(next, cand)
-			}
-		}
-		current = next
-	}
-
-	// Rule generation from itemsets of size >= 2.
 	var rules []Rule
-	for _, is := range frequent {
-		if len(is.Items) < 2 {
-			continue
-		}
-		for _, split := range nonEmptySplits(is.Items) {
-			antecedentSupport := supportIndex[Itemset{Items: split.antecedent}.Key()]
-			consequentSupport := supportIndex[Itemset{Items: split.consequent}.Key()]
-			if antecedentSupport == 0 {
-				antecedentSupport = supportOf(split.antecedent)
-			}
-			if consequentSupport == 0 {
-				consequentSupport = supportOf(split.consequent)
-			}
-			if antecedentSupport == 0 || consequentSupport == 0 {
-				continue
-			}
-			conf := is.Support / antecedentSupport
+	for _, s := range sets {
+		sup := float64(s.count) / v.n
+		frequent = append(frequent, Itemset{Items: v.itemNames(s.ids, -1), Support: sup})
+		// Every subset of a frequent set is frequent and already counted.
+		full := 1<<len(s.ids) - 1
+		for mask := 1; mask < full; mask++ {
+			conf := sup / v.support(s.ids, mask)
 			if conf < a.MinConfidence {
 				continue
 			}
 			rules = append(rules, Rule{
-				Antecedent: split.antecedent,
-				Consequent: split.consequent,
-				Support:    is.Support,
+				Antecedent: v.itemNames(s.ids, mask),
+				Consequent: v.itemNames(s.ids, full&^mask),
+				Support:    sup,
 				Confidence: conf,
-				Lift:       conf / consequentSupport,
+				Lift:       conf / v.support(s.ids, full&^mask),
 			})
 		}
 	}
-
 	sort.Slice(frequent, func(i, j int) bool {
 		if frequent[i].Support != frequent[j].Support {
 			return frequent[i].Support > frequent[j].Support
@@ -185,62 +131,173 @@ func (a *Apriori) Mine(transactions [][]string) ([]Itemset, []Rule, error) {
 	return frequent, rules, nil
 }
 
-// generateCandidates joins frequent (size-1)-itemsets into size-itemsets,
-// deduplicating by canonical key.
-func generateCandidates(current [][]string, size int) [][]string {
-	seen := map[string][]string{}
-	for i := 0; i < len(current); i++ {
-		for j := i + 1; j < len(current); j++ {
-			union := map[string]bool{}
-			for _, it := range current[i] {
-				union[it] = true
-			}
-			for _, it := range current[j] {
-				union[it] = true
-			}
-			if len(union) != size {
+// frequentSet is a frequent itemset as ascending item ids, with the number of
+// transactions that contain every one of its items.
+type frequentSet struct {
+	ids   []int32
+	count int
+}
+
+// vertical is the state of one Mine call.
+type vertical struct {
+	n          float64
+	minSupport float64
+	names      []string       // item name per id, ascending
+	items      [][]uint64     // transaction bitset per item id
+	counts     map[string]int // keyOf(ids) of every frequent itemset → count
+	key        []byte         // scratch for keyOf
+	cand       []int32        // scratch for nextLevel
+}
+
+func (v *vertical) isFrequent(count int) bool {
+	return float64(count)/v.n >= v.minSupport
+}
+
+// frequentItems interns the frequent items of transactions to dense ids in
+// name order and returns each id's name and transaction bitset. The empty
+// string is not an item, and an item repeated within one transaction counts
+// once.
+func (v *vertical) frequentItems(transactions [][]string) ([]string, [][]uint64) {
+	index := map[string]int{}
+	var names []string
+	var counts, lastTx []int
+	for t, tx := range transactions {
+		for _, item := range tx {
+			if item == "" {
 				continue
 			}
-			items := make([]string, 0, size)
-			for it := range union {
-				items = append(items, it)
+			i, ok := index[item]
+			if !ok {
+				i = len(names)
+				index[item] = i
+				names = append(names, item)
+				counts = append(counts, 0)
+				lastTx = append(lastTx, -1)
 			}
-			sort.Strings(items)
-			seen[strings.Join(items, ",")] = items
+			if lastTx[i] != t {
+				lastTx[i] = t
+				counts[i]++
+			}
 		}
 	}
-	out := make([][]string, 0, len(seen))
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
+	var kept []string
+	for i, name := range names {
+		if v.isFrequent(counts[i]) {
+			kept = append(kept, name)
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		out = append(out, seen[k])
+	sort.Strings(kept)
+	id := make([]int, len(names)) // first-seen index → id + 1, 0 when infrequent
+	for k, name := range kept {
+		id[index[name]] = k + 1
+	}
+	words := (len(transactions) + 63) / 64
+	slab := make([]uint64, len(kept)*words)
+	items := make([][]uint64, len(kept))
+	for k := range items {
+		items[k] = slab[k*words : (k+1)*words : (k+1)*words]
+	}
+	for t, tx := range transactions {
+		for _, item := range tx {
+			if item == "" {
+				continue
+			}
+			if k := id[index[item]]; k > 0 {
+				items[k-1][t/64] |= 1 << (t % 64)
+			}
+		}
+	}
+	return kept, items
+}
+
+// nextLevel joins level, the frequent (k-1)-sets in ascending lexicographic
+// id order with their bitsets, into the frequent k-sets, again in that order
+// and with their bitsets. Sets sharing their first k-2 ids are adjacent, so
+// each set joins only the run of sets after it with the same prefix.
+func (v *vertical) nextLevel(level []frequentSet, levelBits [][]uint64) ([]frequentSet, [][]uint64) {
+	var next []frequentSet
+	var nextBits [][]uint64
+	k := len(level[0].ids) + 1
+	words := len(v.items[0])
+	scratch := make([]uint64, words)
+	for i, prefix := range level {
+		for j := i + 1; j < len(level) && slices.Equal(prefix.ids[:k-2], level[j].ids[:k-2]); j++ {
+			last := level[j].ids[k-2]
+			v.cand = append(append(v.cand[:0], prefix.ids...), last)
+			if !v.subsetsFrequent(v.cand) {
+				continue
+			}
+			count := andPopcount(scratch, levelBits[i], v.items[last])
+			if !v.isFrequent(count) {
+				continue
+			}
+			s := frequentSet{ids: append([]int32(nil), v.cand...), count: count}
+			v.counts[string(v.keyOf(s.ids, -1))] = count
+			next = append(next, s)
+			nextBits = append(nextBits, scratch)
+			scratch = make([]uint64, words)
+		}
+	}
+	return next, nextBits
+}
+
+// subsetsFrequent reports whether every (k-1)-subset of the k-set cand is
+// frequent. The two subsets that drop one of the last two ids are the sets
+// cand was joined from, so only the others are looked up.
+func (v *vertical) subsetsFrequent(cand []int32) bool {
+	full := 1<<len(cand) - 1
+	for drop := 0; drop < len(cand)-2; drop++ {
+		if _, ok := v.counts[string(v.keyOf(cand, full&^(1<<drop)))]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// support is the support of the subset of ids selected by mask, which must
+// be frequent.
+func (v *vertical) support(ids []int32, mask int) float64 {
+	return float64(v.counts[string(v.keyOf(ids, mask))]) / v.n
+}
+
+// keyOf encodes the ids selected by mask (all of them when mask is -1) as a
+// map key in v.key, which the next call overwrites.
+func (v *vertical) keyOf(ids []int32, mask int) []byte {
+	v.key = v.key[:0]
+	for i, id := range ids {
+		if mask&(1<<i) != 0 {
+			v.key = binary.LittleEndian.AppendUint32(v.key, uint32(id))
+		}
+	}
+	return v.key
+}
+
+// itemNames returns the names of the ids selected by mask (all of them when
+// mask is -1), in id order.
+func (v *vertical) itemNames(ids []int32, mask int) []string {
+	var out []string
+	for i, id := range ids {
+		if mask&(1<<i) != 0 {
+			out = append(out, v.names[id])
+		}
 	}
 	return out
 }
 
-type split struct {
-	antecedent []string
-	consequent []string
+func popcount(set []uint64) int {
+	count := 0
+	for _, w := range set {
+		count += bits.OnesCount64(w)
+	}
+	return count
 }
 
-// nonEmptySplits enumerates all ways to split items into a non-empty
-// antecedent and non-empty consequent.
-func nonEmptySplits(items []string) []split {
-	n := len(items)
-	var out []split
-	for mask := 1; mask < (1<<n)-1; mask++ {
-		var a, c []string
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				a = append(a, items[i])
-			} else {
-				c = append(c, items[i])
-			}
-		}
-		out = append(out, split{antecedent: a, consequent: c})
+// andPopcount stores a AND b in dst and returns its popcount.
+func andPopcount(dst, a, b []uint64) int {
+	count := 0
+	for i := range dst {
+		dst[i] = a[i] & b[i]
+		count += bits.OnesCount64(dst[i])
 	}
-	return out
+	return count
 }

@@ -129,3 +129,84 @@ func TestNonEmptySplits(t *testing.T) {
 		}
 	}
 }
+
+// TestAprioriBitsetWordBoundaries mines transaction counts on both sides of
+// the 64-bit word boundaries: an item in every transaction must have support
+// exactly 1, so no bit past the last transaction is ever counted.
+func TestAprioriBitsetWordBoundaries(t *testing.T) {
+	for _, n := range []int{63, 64, 65, 128, 129} {
+		transactions := make([][]string, n)
+		for i := range transactions {
+			transactions[i] = []string{"all"}
+			if i%2 == 0 {
+				transactions[i] = append(transactions[i], "even")
+			}
+			if i == n-1 {
+				transactions[i] = append(transactions[i], "last")
+			}
+		}
+		a := &Apriori{MinSupport: 0.001, MinConfidence: 0.1}
+		itemsets, _, err := a.Mine(transactions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]float64{
+			"all":           1,
+			"even":          float64((n+1)/2) / float64(n),
+			"last":          1 / float64(n),
+			"all,even":      float64((n+1)/2) / float64(n),
+			"all,last":      1 / float64(n),
+			"all,even,last": float64(n%2) / float64(n),
+			"even,last":     float64(n%2) / float64(n),
+		}
+		for _, is := range itemsets {
+			if is.Support != want[is.Key()] {
+				t.Errorf("n=%d: support(%s) = %v, want %v", n, is.Key(), is.Support, want[is.Key()])
+			}
+		}
+		assertMatchesOracle(t, transactions, Apriori{MinSupport: 0.001, MinConfidence: 0.1})
+	}
+}
+
+func TestAprioriCountsRepeatedItemOnce(t *testing.T) {
+	a := &Apriori{MinSupport: 0.1, MinConfidence: 0.1}
+	itemsets, _, err := a.Mine([][]string{{"a", "a", "b"}, {"b"}, {"a", "a", "a"}, {"c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, is := range itemsets {
+		if is.Key() == "a" && is.Support != 0.5 {
+			t.Errorf("support(a) = %v, want 0.5 (two of four transactions)", is.Support)
+		}
+	}
+}
+
+func TestAprioriSingletonsOnlyYieldNoRules(t *testing.T) {
+	a := &Apriori{MinSupport: 0.1, MinConfidence: 0.1, MaxItemsetSize: 1}
+	itemsets, rules, err := a.Mine(basketTransactions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(itemsets) == 0 {
+		t.Fatal("expected frequent single items")
+	}
+	for _, is := range itemsets {
+		if len(is.Items) != 1 {
+			t.Errorf("itemset %v larger than MaxItemsetSize 1", is.Items)
+		}
+	}
+	if rules != nil {
+		t.Errorf("rules = %v, want nil", rules)
+	}
+}
+
+func TestAprioriNothingFrequentIsNil(t *testing.T) {
+	a := &Apriori{MinSupport: 0.9, MinConfidence: 0.1}
+	itemsets, rules, err := a.Mine(basketTransactions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if itemsets != nil || rules != nil {
+		t.Errorf("itemsets = %#v, rules = %#v, want nil and nil", itemsets, rules)
+	}
+}

@@ -217,8 +217,8 @@ func (r *Runner) Run(ctx context.Context, campaign *model.Campaign, alt core.Alt
 // plans the dataflow engine would execute — fused stages, shuffle boundaries,
 // combine decisions, and the wide-operator strategies (range vs single-task
 // sort, broadcast vs shuffled join, map-side dedup) — without running
-// anything. For analytics tasks that execute on the engine (association,
-// forecasting, reporting) a second section explains the analytics-stage plan.
+// anything. For analytics tasks that execute on the engine (forecasting,
+// reporting) a second section explains the analytics-stage plan.
 func (r *Runner) ExplainPlan(campaign *model.Campaign, alt core.Alternative) (string, error) {
 	if campaign == nil || alt.Composition == nil || alt.Plan == nil {
 		return "", fmt.Errorf("%w: campaign and alternative are required", ErrBadRun)
@@ -290,9 +290,9 @@ func (r *Runner) lookupTable(name string) (*storage.Table, error) {
 const analyticsPartitions = 4
 
 // analyticsPlan builds the logical dataflow plan of the analytics stage for
-// the tasks that execute on the engine: association (group-by), forecasting
-// (sort) and reporting (group-by). ok is false for tasks whose analytics run
-// outside the engine (classification, clustering, anomaly detection,
+// the tasks that execute on the engine: forecasting (sort) and reporting
+// (group-by). ok is false for tasks whose analytics run outside the engine
+// (classification, clustering, association, anomaly detection,
 // sessionization) or whose required goal columns are missing; ExplainPlan
 // then renders the preparation stage only. Sharing the builder between
 // execution and ExplainPlan keeps the explained plan identical to the
@@ -300,11 +300,6 @@ const analyticsPartitions = 4
 func analyticsPlan(campaign *model.Campaign, src *dataflow.Dataset) (*dataflow.Dataset, bool) {
 	g := campaign.Goal
 	switch g.Task {
-	case model.TaskAssociation:
-		if g.ItemColumn == "" || g.TransactionColumn == "" {
-			return nil, false
-		}
-		return src.GroupBy(g.TransactionColumn).Agg(dataflow.CountDistinct(g.ItemColumn)), true
 	case model.TaskForecasting:
 		if g.ValueColumn == "" {
 			return nil, false
@@ -473,7 +468,7 @@ func (r *Runner) runAnalytics(ctx context.Context, engine *dataflow.Engine, camp
 	case model.TaskClustering:
 		return r.runClustering(campaign, step, prepared, details)
 	case model.TaskAssociation:
-		return r.runAssociation(ctx, engine, campaign, prepared, details)
+		return r.runAssociation(campaign, prepared, details)
 	case model.TaskAnomaly:
 		return r.runAnomaly(campaign, step, prepared, details)
 	case model.TaskForecasting:
@@ -571,34 +566,27 @@ func (r *Runner) runClustering(campaign *model.Campaign, step procedural.Step,
 	return quality, details, nil
 }
 
-func (r *Runner) runAssociation(ctx context.Context, engine *dataflow.Engine, campaign *model.Campaign,
-	prepared *dataflow.Result, details map[string]string) (float64, map[string]string, error) {
+func (r *Runner) runAssociation(campaign *model.Campaign, prepared *dataflow.Result,
+	details map[string]string) (float64, map[string]string, error) {
 
 	itemCol, txCol := campaign.Goal.ItemColumn, campaign.Goal.TransactionColumn
 	if itemCol == "" || txCol == "" {
 		return 0, details, fmt.Errorf("%w: association needs item and transaction columns", ErrMissingParam)
 	}
-	// Rebuild transactions with a dataflow group-by so the shuffle path is
-	// exercised, then mine rules locally.
-	src := dataflow.FromRows(campaign.Goal.TargetTable, prepared.Schema, prepared.Rows, analyticsPartitions)
-	plan, ok := analyticsPlan(campaign, src)
-	if !ok {
-		return 0, details, fmt.Errorf("%w: association plan", ErrMissingParam)
-	}
-	grouped, err := engine.Collect(ctx, plan)
-	if err != nil {
-		return 0, details, fmt.Errorf("runner: group transactions: %w", err)
-	}
-	transactions := map[string][]string{}
+	// One transaction per distinct basket, in first-seen row order.
 	txIdx := prepared.Schema.IndexOf(txCol)
 	itemIdx := prepared.Schema.IndexOf(itemCol)
+	basketOf := map[string]int{}
+	var txList [][]string
 	for _, row := range prepared.Rows {
 		key := storage.AsString(row[txIdx])
-		transactions[key] = append(transactions[key], storage.AsString(row[itemIdx]))
-	}
-	var txList [][]string
-	for _, items := range transactions {
-		txList = append(txList, items)
+		i, ok := basketOf[key]
+		if !ok {
+			i = len(txList)
+			basketOf[key] = i
+			txList = append(txList, nil)
+		}
+		txList[i] = append(txList[i], storage.AsString(row[itemIdx]))
 	}
 	apriori := &analytics.Apriori{MinSupport: 0.05, MinConfidence: 0.4}
 	itemsets, rules, err := apriori.Mine(txList)
@@ -607,7 +595,7 @@ func (r *Runner) runAssociation(ctx context.Context, engine *dataflow.Engine, ca
 	}
 	details["association.itemsets"] = fmt.Sprintf("%d", len(itemsets))
 	details["association.rules"] = fmt.Sprintf("%d", len(rules))
-	details["association.baskets"] = fmt.Sprintf("%d", len(grouped.Rows))
+	details["association.baskets"] = fmt.Sprintf("%d", len(txList))
 	if len(rules) == 0 {
 		return 0, details, nil
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -190,6 +191,32 @@ func TestRunAssociationCampaign(t *testing.T) {
 	}
 	if report.Details["association.rules"] == "" || report.Details["association.rules"] == "0" {
 		t.Errorf("association details = %v", report.Details)
+	}
+	table, err := env.data.Lookup("retail_baskets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baskets := map[string]bool{}
+	col := table.Schema().IndexOf("basket_id")
+	table.Scan(func(row storage.Row) bool {
+		baskets[storage.AsString(row[col])] = true
+		return true
+	})
+	if got, want := report.Details["association.baskets"], strconv.Itoa(len(baskets)); got != want {
+		t.Errorf("association.baskets = %s, want %s distinct basket_ids", got, want)
+	}
+	// Baskets are grouped and mined in-process, so explain shows the
+	// preparation stage only.
+	result, err := env.compiler.Compile(campaign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := env.runner.ExplainPlan(campaign, result.Chosen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out, "analytics stage") {
+		t.Errorf("association runs off-engine; explain must not render an analytics stage:\n%s", out)
 	}
 }
 
