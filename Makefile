@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-artifact bench-compare fmt vet lint fuzz examples soak serve-smoke crash-matrix ci
+.PHONY: build test race bench fmt vet lint fuzz examples soak serve-smoke crash-matrix ci
 
 build:
 	$(GO) build ./...
@@ -11,27 +11,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One full pass over every benchmark with allocation stats; CI runs the same
-# command with -benchtime=1x as a smoke test.
+# The performance harness: every benchmark/ workload, untraced then traced,
+# each in a fresh process; non-zero exit on any failed op or output check.
+# Compare two sets of runs with `go run ./benchmark compare A B`.
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' ./...
-
-# Writes a commit-stamped experiment artifact into the tracked
-# bench-artifacts/ directory (the same sizing CI uses).
-bench-artifact:
-	$(GO) run ./cmd/toreador-bench \
-		-customers 400 -meters 2 -days 3 -users 60 -attempts 2 -json \
-		-commit "$$(git rev-parse --short=12 HEAD)" \
-		> "bench-artifacts/BENCH_$$(git rev-parse --short=12 HEAD).json"
-
-# Diffs the two newest artifacts in bench-artifacts/ and prints a
-# per-benchmark delta table — the perf trajectory across commits. The
-# threshold turns the diff into a regression gate: any wall-time metric more
-# than BENCH_THRESHOLD percent slower than the previous artifact fails the
-# target (set BENCH_THRESHOLD=0 for a report-only diff).
-BENCH_THRESHOLD ?= 15
-bench-compare:
-	$(GO) run ./cmd/toreador-bench -compare bench-artifacts -threshold $(BENCH_THRESHOLD)
+	bash benchmark/run.sh -all
 
 # Fails (listing the offending files) when any file needs reformatting.
 fmt:
@@ -101,4 +85,4 @@ crash-matrix:
 examples:
 	$(GO) build ./examples/...
 
-ci: fmt vet lint build examples race
+ci: fmt vet lint build examples test race

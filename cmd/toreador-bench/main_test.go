@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -36,14 +34,35 @@ func TestBenchCLISingleExperiment(t *testing.T) {
 }
 
 func TestBenchCLIUnknownExperiment(t *testing.T) {
-	if _, err := runBenchCLI(t, smallArgs("-only", "table99")...); err == nil {
-		t.Error("unknown experiment must fail")
+	// The performance experiments moved to benchmark/; their names are gone.
+	for _, only := range []string{"table99", "figure2", "figure5", "figure7", "table4"} {
+		if _, err := runBenchCLI(t, smallArgs("-only", only)...); err == nil {
+			t.Errorf("-only %s: unknown experiment must fail", only)
+		}
+	}
+}
+
+// TestBenchCLIAllExperiments pins the suite to the paper's six experiments,
+// printed in publication order.
+func TestBenchCLIAllExperiments(t *testing.T) {
+	out, err := runBenchCLI(t, smallArgs()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var titles []string
+	for _, m := range regexp.MustCompile(`(?m)^((?:Table|Figure) \d+) — `).FindAllStringSubmatch(out, -1) {
+		titles = append(titles, m[1])
+	}
+	want := []string{"Table 1", "Table 2", "Figure 1", "Table 3", "Figure 3", "Figure 4"}
+	if strings.Join(titles, ",") != strings.Join(want, ",") {
+		t.Errorf("titles = %v, want %v", titles, want)
 	}
 }
 
 func TestBenchCLICheapExperiments(t *testing.T) {
 	// Run the cheap, non-execution experiments in one go to keep CI time low;
-	// the full suite is exercised by bench_test.go and internal/experiments.
+	// the full suite is exercised by TestBenchCLIAllExperiments and
+	// internal/experiments.
 	for _, only := range []string{"figure1", "figure3", "table3"} {
 		out, err := runBenchCLI(t, smallArgs("-only", only)...)
 		if err != nil {
@@ -55,146 +74,11 @@ func TestBenchCLICheapExperiments(t *testing.T) {
 	}
 }
 
-func TestBenchCLIJSONOutput(t *testing.T) {
-	out, err := runBenchCLI(t, smallArgs("-only", "table1", "-json", "-commit", "cafe1234")...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("-json output is not valid JSON: %v\n%s", err, out)
-	}
-	if _, ok := doc["table1"]; !ok {
-		t.Errorf("JSON document missing table1 key: %v", out)
-	}
-	if len(doc) != 2 {
-		t.Errorf("-only table1 -json must emit one experiment plus _meta, got %d keys", len(doc))
-	}
-	var meta artifactMeta
-	if err := json.Unmarshal(doc["_meta"], &meta); err != nil || meta.Commit != "cafe1234" || meta.GeneratedUnix == 0 {
-		t.Errorf("_meta = %+v (err %v), want commit and timestamp stamped", meta, err)
-	}
-}
-
-func TestBenchCLICompare(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, commit string, unix int64, throughput float64) {
-		doc := map[string]any{
-			"_meta":   artifactMeta{Commit: commit, GeneratedUnix: unix},
-			"figure2": map[string]any{"Points": []any{map[string]any{"ThroughputRPS": throughput, "Workers": 1}}},
-		}
-		raw, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("BENCH_aaa.json", "aaa", 100, 1000)
-	write("BENCH_bbb.json", "bbb", 200, 2000)
-
-	out, err := runBenchCLI(t, "-compare", dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"bench delta: aaa -> bbb", "ThroughputRPS", "+100.0%"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("compare output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "Workers") {
-		t.Errorf("compare must filter to headline metrics:\n%s", out)
-	}
-	// Fewer than two artifacts means there is no baseline yet — compare must
-	// report the gap and exit clean (a fresh clone's CI run is not a failure).
-	out, err = runBenchCLI(t, "-compare", t.TempDir())
-	if err != nil {
-		t.Errorf("compare over an empty directory must skip cleanly, got %v", err)
-	}
-	if !strings.Contains(out, "skipping") {
-		t.Errorf("baseline-less compare must say it is skipping:\n%s", out)
-	}
-}
-
-// TestBenchCLICompareThreshold covers the regression gate: wall-time metrics
-// past the threshold must fail the compare with a non-zero exit, improvements
-// and within-threshold noise must pass, and throughput-style metrics must
-// never gate (they regress downward).
-func TestBenchCLICompareThreshold(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, commit string, unix int64, wall, throughput float64) {
-		doc := map[string]any{
-			"_meta": artifactMeta{Commit: commit, GeneratedUnix: unix},
-			"figure2": map[string]any{"Points": []any{
-				map[string]any{"WallTime": wall, "ThroughputRPS": throughput},
-			}},
-		}
-		raw, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Wall time up 50% (well above the 10ms noise floor), throughput halved:
-	// only the duration metric gates.
-	write("BENCH_old.json", "old", 100, 20_000_000, 2000)
-	write("BENCH_new.json", "new", 200, 30_000_000, 1000)
-
-	out, err := runBenchCLI(t, "-compare", dir, "-threshold", "15")
-	if err == nil {
-		t.Fatalf("50%% wall-time regression must fail a 15%% gate:\n%s", out)
-	}
-	if !strings.Contains(out, "regression gate (+15%): FAILED") || !strings.Contains(out, "WallTime") {
-		t.Errorf("gate output must name the regressed metric:\n%s", out)
-	}
-	if strings.Contains(err.Error(), "ThroughputRPS") {
-		t.Errorf("throughput metrics must not gate: %v", err)
-	}
-
-	out, err = runBenchCLI(t, "-compare", dir, "-threshold", "60")
-	if err != nil {
-		t.Fatalf("a 60%% gate must tolerate a 50%% regression: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "regression gate (+60%): ok") {
-		t.Errorf("passing gate must report ok:\n%s", out)
-	}
-
-	// Sub-10ms baselines are noise-dominated and must not gate even on huge
-	// relative swings.
-	noiseDir := t.TempDir()
-	writeTo := func(dir, name, commit string, unix int64, wall float64) {
-		doc := map[string]any{
-			"_meta":   artifactMeta{Commit: commit, GeneratedUnix: unix},
-			"figure2": map[string]any{"Points": []any{map[string]any{"WallTime": wall}}},
-		}
-		raw, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeTo(noiseDir, "BENCH_old.json", "old", 100, 100_000)
-	writeTo(noiseDir, "BENCH_new.json", "new", 200, 300_000)
-	if out, err = runBenchCLI(t, "-compare", noiseDir, "-threshold", "15"); err != nil {
-		t.Fatalf("sub-floor timings must not gate: %v\n%s", err, out)
-	}
-
-	// Threshold 0 (the default) keeps compare report-only.
-	if out, err = runBenchCLI(t, "-compare", dir); err != nil {
-		t.Fatalf("default compare must stay report-only: %v\n%s", err, out)
-	}
-	if strings.Contains(out, "regression gate") {
-		t.Errorf("report-only compare must not print a gate line:\n%s", out)
-	}
-}
-
 func TestBenchCLIFlagParsing(t *testing.T) {
-	if _, err := runBenchCLI(t, "-not-a-flag"); err == nil {
-		t.Error("bad flags must fail")
+	// -json and -compare belonged to the retired artifact gate.
+	for _, args := range [][]string{{"-not-a-flag"}, {"-json"}, {"-compare", "x"}} {
+		if _, err := runBenchCLI(t, args...); err == nil {
+			t.Errorf("%v: bad flags must fail", args)
+		}
 	}
 }

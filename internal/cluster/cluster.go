@@ -221,11 +221,6 @@ func (c *Cluster) TotalSlots() int {
 	return total
 }
 
-// Nodes returns a copy of the node list.
-func (c *Cluster) Nodes() []Node {
-	return append([]Node(nil), c.nodes...)
-}
-
 // workerRNG is one worker slot's failure-injection generator. The mutex only
 // guards against concurrently running jobs sharing the slot list; within one
 // job a slot is driven by a single goroutine, so the lock is uncontended.
@@ -261,18 +256,13 @@ func (c *Cluster) recordUsage(nodeID string, d time.Duration) {
 	c.busySlotSeconds[nodeID] += d.Seconds()
 }
 
-// RunJob executes all tasks on the cluster's slots, retrying transient
-// failures up to MaxAttempts per task. It returns the per-task results; the
-// error is non-nil if any task ultimately failed or the context was cancelled.
-func (c *Cluster) RunJob(ctx context.Context, tasks []Task) ([]Result, error) {
-	return c.RunNamedJob(ctx, "job", tasks)
-}
-
-// RunNamedJob executes all tasks as a single named job. The name feeds the
-// cluster's job accounting ("jobs", "jobs.tasks" counters and the
-// "job.duration" timer), so callers that fuse many logical operators into one
-// job — like the dataflow stage compiler — are visible as exactly one
-// scheduled job rather than one per operator.
+// RunNamedJob executes all tasks on the cluster's slots as a single named job,
+// retrying transient failures up to MaxAttempts per task. It returns the
+// per-task results; the error is non-nil if any task ultimately failed or the
+// context was cancelled. The name feeds the cluster's job accounting ("jobs",
+// "jobs.tasks" counters and the "job.duration" timer), so callers that fuse
+// many logical operators into one job — like the dataflow stage compiler —
+// are visible as exactly one scheduled job rather than one per operator.
 func (c *Cluster) RunNamedJob(ctx context.Context, name string, tasks []Task) ([]Result, error) {
 	if len(tasks) == 0 {
 		return nil, nil

@@ -51,9 +51,6 @@ func TestUniformConfig(t *testing.T) {
 	if c.TotalSlots() != 12 {
 		t.Errorf("TotalSlots = %d, want 12", c.TotalSlots())
 	}
-	if len(c.Nodes()) != 3 {
-		t.Errorf("Nodes() = %d entries, want 3", len(c.Nodes()))
-	}
 }
 
 func TestRunJobExecutesEveryTaskExactlyOnce(t *testing.T) {
@@ -74,7 +71,7 @@ func TestRunJobExecutesEveryTaskExactlyOnce(t *testing.T) {
 			},
 		}
 	}
-	results, err := c.RunJob(context.Background(), tasks)
+	results, err := c.RunNamedJob(context.Background(), "job", tasks)
 	if err != nil {
 		t.Fatalf("RunJob: %v", err)
 	}
@@ -94,7 +91,7 @@ func TestRunJobExecutesEveryTaskExactlyOnce(t *testing.T) {
 
 func TestRunJobEmpty(t *testing.T) {
 	c, _ := New(Uniform(1, 1, 0))
-	res, err := c.RunJob(context.Background(), nil)
+	res, err := c.RunNamedJob(context.Background(), "job", nil)
 	if err != nil || res != nil {
 		t.Fatalf("empty job = %v, %v; want nil, nil", res, err)
 	}
@@ -112,7 +109,7 @@ func TestRunJobRetriesInjectedFailures(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = Task{Name: "flaky", Fn: func(ctx context.Context, node Node) error { return nil }}
 	}
-	if _, err := c.RunJob(context.Background(), tasks); err != nil {
+	if _, err := c.RunNamedJob(context.Background(), "job", tasks); err != nil {
 		t.Fatalf("job with retries should eventually succeed: %v", err)
 	}
 	if c.Usage().Retries == 0 {
@@ -138,7 +135,7 @@ func TestFailureInjectionDeterministicPerSeed(t *testing.T) {
 		for i := range tasks {
 			tasks[i] = Task{Name: "flaky", Fn: func(ctx context.Context, node Node) error { return nil }}
 		}
-		if _, err := c.RunJob(context.Background(), tasks); err != nil {
+		if _, err := c.RunNamedJob(context.Background(), "job", tasks); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		return c.Usage().Retries
@@ -169,7 +166,7 @@ func TestRunJobDeterministicFailuresNotRetried(t *testing.T) {
 			return boom
 		},
 	}}
-	_, err = c.RunJob(context.Background(), tasks)
+	_, err = c.RunNamedJob(context.Background(), "job", tasks)
 	if !errors.Is(err, ErrTaskFailed) {
 		t.Fatalf("err = %v, want ErrTaskFailed", err)
 	}
@@ -192,7 +189,7 @@ func TestRunJobFailureAfterRetryBudget(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = Task{Name: "doomed"}
 	}
-	if _, err := c.RunJob(context.Background(), tasks); err == nil {
+	if _, err := c.RunNamedJob(context.Background(), "job", tasks); err == nil {
 		t.Skip("statistically improbable: all doomed tasks passed")
 	} else if !errors.Is(err, ErrTaskFailed) {
 		t.Fatalf("err = %v, want ErrTaskFailed", err)
@@ -207,7 +204,7 @@ func TestRunJobContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tasks := []Task{{Name: "never", Fn: func(ctx context.Context, node Node) error { return nil }}}
-	if _, err := c.RunJob(ctx, tasks); err == nil {
+	if _, err := c.RunNamedJob(ctx, "job", tasks); err == nil {
 		t.Error("cancelled context must fail the job")
 	}
 }
@@ -224,7 +221,7 @@ func TestSimulatedServiceTimeAndUsage(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err = c.RunJob(context.Background(), []Task{{Name: "sleep", SimulatedServiceTime: 20 * time.Millisecond}})
+	_, err = c.RunNamedJob(context.Background(), "job", []Task{{Name: "sleep", SimulatedServiceTime: 20 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +263,7 @@ func TestRunJobPropertyAllTasksReported(t *testing.T) {
 		for i := range ts {
 			ts[i] = Task{Name: "t", Fn: func(ctx context.Context, node Node) error { return nil }}
 		}
-		res, err := c.RunJob(context.Background(), ts)
+		res, err := c.RunNamedJob(context.Background(), "job", ts)
 		if err != nil {
 			return false
 		}
@@ -279,7 +276,7 @@ func TestRunJobPropertyAllTasksReported(t *testing.T) {
 
 func TestMetricsExposed(t *testing.T) {
 	c, _ := New(Uniform(1, 1, 0))
-	_, _ = c.RunJob(context.Background(), []Task{{Name: "m", Fn: func(ctx context.Context, n Node) error { return nil }}})
+	_, _ = c.RunNamedJob(context.Background(), "job", []Task{{Name: "m", Fn: func(ctx context.Context, n Node) error { return nil }}})
 	snap := c.Metrics().Snapshot()
 	if snap.CounterValue("tasks.succeeded") != 1 {
 		t.Errorf("tasks.succeeded = %d, want 1", snap.CounterValue("tasks.succeeded"))
@@ -311,7 +308,7 @@ func TestNamedJobAccountingAndRootCauseError(t *testing.T) {
 	// root cause, not the bystander cancellation.
 	boom := errors.New("boom")
 	waiter := func(ctx context.Context, _ Node) error { <-ctx.Done(); return ctx.Err() }
-	_, err = c.RunJob(context.Background(), []Task{
+	_, err = c.RunNamedJob(context.Background(), "job", []Task{
 		{Name: "waiter1", Fn: waiter},
 		{Name: "failer", Fn: func(context.Context, Node) error { return boom }},
 		{Name: "waiter2", Fn: waiter},

@@ -137,7 +137,7 @@ func TestRunJobBackoffDelaysRetries(t *testing.T) {
 			tasks[i] = Task{Name: fmt.Sprintf("t%d", i)}
 		}
 		start := time.Now()
-		if _, err := cl.RunJob(context.Background(), tasks); err != nil {
+		if _, err := cl.RunNamedJob(context.Background(), "job", tasks); err != nil {
 			t.Fatalf("job failed under backoff: %v", err)
 		}
 		return time.Since(start), cl.Usage().Retries
@@ -174,7 +174,7 @@ func TestRunJobBackoffHonorsCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = cl.RunJob(ctx, []Task{{Name: "t"}})
+	_, err = cl.RunNamedJob(ctx, "job", []Task{{Name: "t"}})
 	if err == nil {
 		t.Fatal("expected an error from the cancelled job")
 	}

@@ -9,7 +9,7 @@
 // scenarios". This engine is the executable form of that clearance step and
 // one of the main sources of "interference" between design stages: a privacy
 // choice made at the declarative level removes analytics and display options
-// downstream (reproduced as Figure 1 in EXPERIMENTS.md).
+// downstream (reproduced as Figure 1 by internal/experiments).
 package compliance
 
 import (

@@ -125,7 +125,7 @@ func (a Alternative) Fingerprint() string {
 }
 
 // PhaseTimings records the wall-clock spent in each compilation phase
-// (reproduced as Table 4).
+// (reported by benchmark/ as core.phase_us.*).
 type PhaseTimings struct {
 	Validate time.Duration
 	Match    time.Duration
@@ -490,7 +490,7 @@ func (c *Compiler) EnumerateAlternatives(campaign *model.Campaign) ([]Alternativ
 		alternatives = append(alternatives, alt)
 	}
 	// Split comply/bind timing evenly: elaborate interleaves them; the split
-	// is only informative for Table 4.
+	// is only informative for the core.phase_us.* benchmark metrics.
 	elapsed := time.Since(start)
 	timings.Comply = elapsed / 2
 	timings.Bind = elapsed - timings.Comply

@@ -609,88 +609,3 @@ func TestEmptyDatasetOperations(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkGroupByShuffle(b *testing.B) {
-	c, _ := cluster.New(cluster.Uniform(2, 2, 0))
-	e, _ := NewEngine(c)
-	schema := storage.MustSchema(
-		storage.Field{Name: "k", Type: storage.TypeInt},
-		storage.Field{Name: "v", Type: storage.TypeFloat},
-	)
-	rows := make([]storage.Row, 20000)
-	for i := range rows {
-		rows[i] = storage.Row{int64(i % 50), float64(i)}
-	}
-	d := FromRows("bench", schema, rows, 8).GroupBy("k").Agg(Sum("v"), Count())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Collect(context.Background(), d); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(rows)), "rows/op")
-}
-
-// groupByBenchPlan builds the 100k-row high-cardinality group-by the spill
-// benchmark runs: most groups hold only a handful of rows, so per-group state
-// maintenance — not the scan — dominates. Values are integer-valued floats so
-// the spill arm's re-grouped partial sums stay bit-exact.
-func groupByBenchPlan() (*Dataset, int) {
-	schema := storage.MustSchema(
-		storage.Field{Name: "k", Type: storage.TypeInt},
-		storage.Field{Name: "v", Type: storage.TypeFloat},
-		storage.Field{Name: "w", Type: storage.TypeFloat},
-	)
-	const n = 100_000
-	const keys = 8192
-	rows := make([]storage.Row, n)
-	for i := range rows {
-		rows[i] = storage.Row{
-			int64(i % keys),
-			float64((uint64(i) * 2654435761) % 1_000_003),
-			float64((uint64(i) * 2246822519) % 1_000_003),
-		}
-	}
-	d := FromRows("aggbench", schema, rows, 8).
-		GroupBy("k").
-		Agg(Count(), Sum("v"), Avg("v"), StdDev("v"), Min("v"), Max("v"),
-			Sum("w"), Min("w"), Max("w"))
-	return d, n
-}
-
-// BenchmarkGroupBySpill measures the budget-bounded hash aggregation against
-// the unbounded in-memory run on the same input: the spill arm's group state
-// is flushed through the hash sub-partitions and re-merged, trading disk
-// traffic for a resident peak far below the in-memory run's.
-func BenchmarkGroupBySpill(b *testing.B) {
-	plan, n := groupByBenchPlan()
-	for _, arm := range []struct {
-		name   string
-		budget int64
-	}{
-		{"in-memory", 0},
-		{"spill", 1},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			opts := []EngineOption{WithMapSideCombine(false)}
-			if arm.budget > 0 {
-				opts = append(opts, WithMemoryBudget(arm.budget))
-			}
-			c, _ := cluster.New(cluster.Uniform(2, 2, 0))
-			e, _ := NewEngine(c, opts...)
-			_, stats, err := e.CountStats(context.Background(), plan)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := e.CountStats(context.Background(), plan); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(n), "rows/op")
-			b.ReportMetric(float64(stats.AggSpilledPartitions), "spilled_parts/op")
-			b.ReportMetric(float64(stats.AggPeakResidentBytes), "agg_peak_B")
-		})
-	}
-}

@@ -26,7 +26,7 @@ func TestNewEnvDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Seed != 1 || e.Sizing.Customers == 0 || e.Lab() == nil {
+	if e.Seed != 1 || e.Sizing.Customers == 0 || e.lab == nil {
 		t.Errorf("env defaults = %+v", e)
 	}
 }
@@ -129,60 +129,6 @@ func TestFigure1Interference(t *testing.T) {
 	}
 }
 
-func TestFigure2EngineScalability(t *testing.T) {
-	e := smallEnv(t)
-	fig, err := RunFigure2(context.Background(), e, []int{1, 4}, []int{60000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Points) != 3 {
-		t.Fatalf("points = %d, want 2 sweep points + 1 spill ablation", len(fig.Points))
-	}
-	single, parallel := fig.Points[0], fig.Points[1]
-	if single.Workers != 1 || parallel.Workers != 4 {
-		t.Fatalf("sweep order unexpected: %+v", fig.Points)
-	}
-	if single.SpilledBatches != 0 || parallel.SpilledBatches != 0 {
-		t.Errorf("resident sweep points must not spill: %+v", fig.Points[:2])
-	}
-	spillArm := fig.Points[2]
-	if spillArm.SpilledBatches == 0 || spillArm.SpilledBytes == 0 {
-		t.Errorf("spill ablation arm must report spilled batches and bytes: %+v", spillArm)
-	}
-	// The ordered-reporting tail: resident points sort columnar in-memory
-	// (no runs), the budgeted point runs the sort as an external merge.
-	if single.SortRuns != 0 || parallel.SortRuns != 0 {
-		t.Errorf("resident sweep points must not sort through runs: %+v", fig.Points[:2])
-	}
-	if spillArm.SortRuns == 0 {
-		t.Errorf("spill ablation arm must sort through external runs: %+v", spillArm)
-	}
-	// The group-by: every point aggregates the same 8 segments, the resident
-	// points keep all aggregation state in memory, and the budgeted arm (with
-	// map-side combining off) pushes the hash aggregation through its
-	// spill-partition lifecycle.
-	for i, p := range fig.Points {
-		if p.AggGroups != 8 {
-			t.Errorf("point %d: AggGroups = %d, want 8 segments", i, p.AggGroups)
-		}
-		if p.AggPeakResidentBytes <= 0 {
-			t.Errorf("point %d: AggPeakResidentBytes = %d, want > 0", i, p.AggPeakResidentBytes)
-		}
-		if p.Allocs <= 0 || p.AllocBytes <= 0 {
-			t.Errorf("point %d: alloc deltas = %d allocs / %d B, want > 0", i, p.Allocs, p.AllocBytes)
-		}
-	}
-	if single.AggSpilledPartitions != 0 || parallel.AggSpilledPartitions != 0 {
-		t.Errorf("resident sweep points must not spill aggregation state: %+v", fig.Points[:2])
-	}
-	if spillArm.AggSpilledPartitions == 0 {
-		t.Errorf("spill ablation arm must spill aggregation partitions: %+v", spillArm)
-	}
-	if !strings.Contains(fig.String(), "Figure 2") {
-		t.Error("rendering must carry the figure title")
-	}
-}
-
 func TestTable3PlannerBaseline(t *testing.T) {
 	e := smallEnv(t)
 	table, err := RunTable3(e)
@@ -246,28 +192,6 @@ func TestFigure3DeploymentCrossover(t *testing.T) {
 	}
 }
 
-func TestTable4CompilationCost(t *testing.T) {
-	e := smallEnv(t)
-	table, err := RunTable4(context.Background(), e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != 5 {
-		t.Fatalf("rows = %d", len(table.Rows))
-	}
-	for _, r := range table.Rows {
-		if r.TotalCompile <= 0 || r.Execution <= 0 {
-			t.Errorf("%s: timings must be positive: %+v", r.Challenge, r)
-		}
-		if r.TotalCompile != r.Validate+r.Match+r.Compose+r.Comply+r.Bind {
-			t.Errorf("%s: phase sum mismatch", r.Challenge)
-		}
-	}
-	if !strings.Contains(table.String(), "Table 4") {
-		t.Error("rendering must carry the table title")
-	}
-}
-
 func TestFigure4TrialAndError(t *testing.T) {
 	e := smallEnv(t)
 	fig, err := RunFigure4(context.Background(), e, 3)
@@ -294,36 +218,5 @@ func TestFigure4TrialAndError(t *testing.T) {
 	}
 	if !strings.Contains(fig.String(), "Figure 4") {
 		t.Error("rendering must carry the figure title")
-	}
-}
-
-func TestFigure5ServiceLoad(t *testing.T) {
-	e := smallEnv(t)
-	fig, err := RunFigure5(context.Background(), e, []int{1, 4}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(fig.Points))
-	}
-	for _, p := range fig.Points {
-		if !p.Accounted {
-			t.Errorf("%d tenants: submissions lost: %+v", p.Tenants, p)
-		}
-		if p.Completed == 0 {
-			t.Errorf("%d tenants: nothing completed", p.Tenants)
-		}
-		if p.Completed > 0 && p.P99MS <= 0 {
-			t.Errorf("%d tenants: no p99 latency despite completions", p.Tenants)
-		}
-	}
-	// With 4 tenants hammering a queue of 4 and 2 workers, admission control
-	// must visibly push back: some submissions are rejected or shed.
-	high := fig.Points[1]
-	if high.Rejected+high.Shed == 0 {
-		t.Errorf("4 tenants: expected overload pushback, got %+v", high)
-	}
-	if !strings.Contains(fig.String(), "Figure 5") {
-		t.Errorf("rendering missing title:\n%s", fig.String())
 	}
 }

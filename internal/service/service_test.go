@@ -97,7 +97,7 @@ func transientErr(t *testing.T) error {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if _, err := cl.RunJob(context.Background(), []cluster.Task{{Name: "t"}}); err != nil {
+		if _, err := cl.RunNamedJob(context.Background(), "job", []cluster.Task{{Name: "t"}}); err != nil {
 			if !cluster.Transient(err) {
 				t.Fatalf("harvested error is not transient: %v", err)
 			}

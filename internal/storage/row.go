@@ -260,7 +260,3 @@ func CompareValues(a, b Value) int {
 		}
 	}
 }
-
-// ValuesEqual reports whether two values are equal under CompareValues
-// semantics.
-func ValuesEqual(a, b Value) bool { return CompareValues(a, b) == 0 }

@@ -147,8 +147,8 @@ func TestCompareValues(t *testing.T) {
 			t.Errorf("CompareValues(%v, %v) = %d, want sign %d", tc.a, tc.b, got, tc.want)
 		}
 	}
-	if !ValuesEqual("x", "x") || ValuesEqual(int64(1), int64(2)) {
-		t.Error("ValuesEqual misbehaves")
+	if CompareValues("x", "x") != 0 || CompareValues(int64(1), int64(2)) == 0 {
+		t.Error("CompareValues equality misbehaves")
 	}
 }
 
