@@ -45,7 +45,9 @@ lint:
 # FuzzPlanEquivalence fuzzes the dataflow plan generator's seed and row count
 # and holds every engine configuration to the reference interpreter;
 # FuzzAprioriEquivalence fuzzes baskets and thresholds and holds the
-# vertical-bitset Apriori miner to the horizontal one it replaced. The
+# vertical-bitset Apriori miner to the horizontal one it replaced;
+# FuzzPseudonymize holds the runner's inline FNV-64a token formatter to
+# hash/fnv and fmt's %016x on arbitrary strings. The
 # time box keeps the target usable as a pre-commit check; raise FUZZTIME for a
 # longer soak. Go fuzzing accepts one -fuzz pattern per package invocation,
 # so the targets run back to back.
@@ -56,6 +58,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegmentFooter' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanEquivalence' -fuzztime $(FUZZTIME) ./internal/dataflow/
 	$(GO) test -run '^$$' -fuzz 'FuzzAprioriEquivalence' -fuzztime $(FUZZTIME) ./internal/analytics/
+	$(GO) test -run '^$$' -fuzz 'FuzzPseudonymize' -fuzztime $(FUZZTIME) ./internal/runner/
 
 # Fault-injection soak of the multi-tenant service runtime under the race
 # detector: concurrent tenants, injected cluster faults, a tight memory

@@ -14,6 +14,7 @@ package dataflow
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/storage"
@@ -432,6 +433,54 @@ func (d *Dataset) WithColumn(field storage.Field, fn ColumnFunc) *Dataset {
 		return failed(fmt.Errorf("dataflow: WithColumn: %w", err))
 	}
 	return &Dataset{node: &withColumnNode{child: d.node, out: out, field: field, fn: fn}}
+}
+
+// mapStringsNode rewrites the string columns at the given input indices
+// with fn. It is a typed column operation: the batch kernel builds one fresh
+// vector per rewritten column and shares every other column with its input.
+type mapStringsNode struct {
+	child   planNode
+	desc    string
+	cols    []string
+	indices []int
+	fn      func(string) string
+}
+
+func (n *mapStringsNode) schema() *storage.Schema { return n.child.schema() }
+func (n *mapStringsNode) children() []planNode    { return []planNode{n.child} }
+func (n *mapStringsNode) label() string {
+	return fmt.Sprintf("MapStrings(%s %v)", n.desc, n.cols)
+}
+
+// MapStrings replaces every non-null cell of the named string columns with
+// fn of its value. Null cells stay null and fn never sees them; the output
+// schema is the input schema. desc describes the rewrite in plan
+// explanations.
+func (d *Dataset) MapStrings(desc string, cols []string, fn func(string) string) *Dataset {
+	if bad, ok := d.invalid(); ok {
+		return bad
+	}
+	if fn == nil || len(cols) == 0 {
+		return failed(fmt.Errorf("%w: MapStrings requires columns and a function", ErrBadPlan))
+	}
+	schema := d.node.schema()
+	indices := make([]int, len(cols))
+	for i, c := range cols {
+		idx := schema.IndexOf(c)
+		if idx < 0 {
+			return failed(fmt.Errorf("%w: MapStrings: %w: column %q", ErrBadPlan, storage.ErrUnknownField, c))
+		}
+		if t := schema.Field(idx).Type; t != storage.TypeString {
+			return failed(fmt.Errorf("%w: MapStrings: column %q is %s, not string", ErrBadPlan, c, t))
+		}
+		if slices.Contains(indices[:i], idx) {
+			return failed(fmt.Errorf("%w: MapStrings: column %q listed twice", ErrBadPlan, c))
+		}
+		indices[i] = idx
+	}
+	return &Dataset{node: &mapStringsNode{
+		child: d.node, desc: desc, cols: append([]string(nil), cols...), indices: indices, fn: fn,
+	}}
 }
 
 type sampleNode struct {

@@ -182,6 +182,35 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
+// TestMapStringsPlanValidation pins MapStrings' plan-build contract: the
+// column indices bind once, unknown, non-string and repeated columns fail
+// the plan with ErrBadPlan, and the output schema is the input schema.
+func TestMapStringsPlanValidation(t *testing.T) {
+	d := salesDataset(t)
+	upper := strings.ToUpper
+	for name, bad := range map[string]*Dataset{
+		"unknown column": d.MapStrings("m", []string{"ghost"}, upper),
+		"int column":     d.MapStrings("m", []string{"id"}, upper),
+		"repeated":       d.MapStrings("m", []string{"region", "region"}, upper),
+		"no columns":     d.MapStrings("m", nil, upper),
+		"nil function":   d.MapStrings("m", []string{"region"}, nil),
+	} {
+		if err := bad.Err(); !errors.Is(err, ErrBadPlan) {
+			t.Errorf("%s: Err() = %v, want ErrBadPlan", name, err)
+		}
+	}
+	if err := d.MapStrings("m", []string{"ghost"}, upper).Err(); !errors.Is(err, storage.ErrUnknownField) {
+		t.Errorf("unknown column: Err() = %v, want it to wrap ErrUnknownField", err)
+	}
+	ok := d.MapStrings("upper-case regions", []string{"region"}, upper)
+	if ok.Err() != nil || !ok.Schema().Equal(d.Schema()) {
+		t.Fatalf("MapStrings: err %v, schema %s, want the input schema", ok.Err(), ok.Schema())
+	}
+	if got := ok.Explain(); !strings.HasPrefix(got, "MapStrings(upper-case regions [region])") {
+		t.Errorf("Explain = %q", got)
+	}
+}
+
 func TestJoinSchemaPrefixesCollidingColumns(t *testing.T) {
 	left := salesDataset(t)
 	right := FromRows("regions", storage.MustSchema(

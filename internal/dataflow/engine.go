@@ -504,7 +504,7 @@ func (e *Engine) eval(ctx context.Context, node planNode, st *execState) ([]*sto
 	switch n := node.(type) {
 	case *sourceNode:
 		return e.evalSource(n, st)
-	case *filterNode, *mapNode, *flatMapNode, *projectNode, *withColumnNode, *sampleNode:
+	case *filterNode, *mapNode, *flatMapNode, *projectNode, *withColumnNode, *mapStringsNode, *sampleNode:
 		return e.evalChain(ctx, fusedChain{ops: []planNode{n}, base: n.children()[0], limit: -1}, st)
 	case *unionNode:
 		left, err := e.eval(ctx, n.left, st)

@@ -77,7 +77,7 @@ func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 	ops := 1 + rng.Intn(5)
 	for i := 0; i < ops; i++ {
 		schema := d.Schema()
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0: // filter on a random column, via the typed accessors
 			col := schema.Field(rng.Intn(schema.Len())).Name
 			cut := float64(rng.Intn(100) - 50)
@@ -119,6 +119,16 @@ func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 			})
 		case 5:
 			d = d.Sample(0.5+rng.Float64()/2, int64(rng.Intn(1000)))
+		case 6: // typed rewrite of whichever string columns survive
+			var cols []string
+			for _, f := range schema.Fields() {
+				if f.Type == storage.TypeString {
+					cols = append(cols, f.Name)
+				}
+			}
+			if len(cols) > 0 {
+				d = d.MapStrings("tag", cols, func(s string) string { return "m:" + s })
+			}
 		}
 	}
 	if rng.Intn(2) == 0 {
@@ -310,6 +320,41 @@ func TestMapFlatMapUnfusedVectorizedEquivalence(t *testing.T) {
 			if res := checkArms(t, plan)["unfused"]; res.Stats.Batches == 0 {
 				t.Error("unfused Map/FlatMap processed no batches")
 			}
+		})
+	}
+}
+
+// TestMapStringsEquivalence drives MapStrings over several nullable string
+// columns, behind a filter (so the kernel builds its vectors from a pending
+// selection and gathers only the pass-through columns, or shares them when
+// the filter keeps every row) or ahead of one, with and without a trailing
+// limit, under every arm.
+func TestMapStringsEquivalence(t *testing.T) {
+	schema := storage.MustSchema(
+		storage.Field{Name: "k", Type: storage.TypeInt},
+		storage.Field{Name: "a", Type: storage.TypeString, Nullable: true},
+		storage.Field{Name: "f", Type: storage.TypeFloat, Nullable: true},
+		storage.Field{Name: "b", Type: storage.TypeString},
+		storage.Field{Name: "c", Type: storage.TypeString, Nullable: true},
+	)
+	tag := func(s string) string { return "m:" + s }
+	for seed := int64(500); seed < 508; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			keepAll := seed%4 == 2
+			keep := func(r Record) (bool, error) { return keepAll || r.Int("k")%3 != 0, nil }
+			rng := rand.New(rand.NewSource(seed))
+			src := FromRows("maskequiv", schema, genRows(rng, schema, 200+rng.Intn(400)), 1+rng.Intn(5))
+			var plan *Dataset
+			if seed%2 == 0 {
+				plan = src.Filter("k%3", keep).MapStrings("tag", []string{"c", "a"}, tag)
+			} else {
+				plan = src.MapStrings("tag", []string{"a", "c"}, tag).Filter("k%3", keep)
+			}
+			if seed%3 == 0 {
+				plan = plan.Limit(rng.Intn(150))
+			}
+			checkArms(t, plan)
 		})
 	}
 }

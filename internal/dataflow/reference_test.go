@@ -229,6 +229,16 @@ func refNarrow(node planNode, p int, rows []storage.Row) ([]storage.Row, error) 
 			}
 			out = append(out, append(append(storage.Row{}, row...), v))
 		}
+	case *mapStringsNode:
+		for _, row := range rows {
+			nr := append(storage.Row{}, row...)
+			for _, c := range n.cols {
+				if i := in.IndexOf(c); nr[i] != nil {
+					nr[i] = n.fn(nr[i].(string))
+				}
+			}
+			out = append(out, nr)
+		}
 	case *sampleNode:
 		rng := rand.New(rand.NewSource(n.seed + int64(p)))
 		for _, row := range rows {

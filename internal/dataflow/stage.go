@@ -2,14 +2,14 @@ package dataflow
 
 // stage.go implements the stage compiler: before execution the engine walks
 // the logical plan and fuses maximal chains of narrow, per-partition
-// operators (filter → map → flatMap → sample, optionally capped by a
-// trailing limit) into a single fused stage. A fused stage runs as ONE
-// cluster job with one task per input partition; inside each task the
-// operators run as a chain of batch kernels over the partition's column
-// batch (see vector.go), passing selection vectors and shared columns
-// between them, so no intermediate per-operator partition is ever
-// materialised. Wide operators (shuffle, group-by, join, sort, distinct)
-// remain stage boundaries.
+// operators (filter, map, flatMap, project, withColumn, mapStrings and
+// sample, optionally capped by a trailing limit) into a single fused stage.
+// A fused stage runs as ONE cluster job with one task per input partition;
+// inside each task the operators run as a chain of batch kernels over the
+// partition's column batch (see vector.go), passing selection vectors and
+// shared columns between them, so no intermediate per-operator partition is
+// ever materialised. Wide operators (shuffle, group-by, join, sort,
+// distinct) remain stage boundaries.
 
 import (
 	"fmt"
@@ -22,7 +22,8 @@ import (
 // stage.
 type fusedChain struct {
 	// ops are the narrow plan nodes in execution order (closest to the input
-	// first): filter, map, flatMap, project, withColumn and sample nodes.
+	// first): filter, map, flatMap, project, withColumn, mapStrings and
+	// sample nodes.
 	ops []planNode
 	// limit caps the number of rows each partition emits; -1 means uncapped.
 	// A capped chain is followed by a driver-side global truncation that
@@ -60,6 +61,9 @@ func narrowChainOf(node planNode) (fusedChain, bool) {
 		case *withColumnNode:
 			ch.ops = append(ch.ops, n)
 			cur = n.child
+		case *mapStringsNode:
+			ch.ops = append(ch.ops, n)
+			cur = n.child
 		case *sampleNode:
 			ch.ops = append(ch.ops, n)
 			cur = n.child
@@ -92,6 +96,8 @@ func opKind(op planNode) string {
 		return "project"
 	case *withColumnNode:
 		return "with_column"
+	case *mapStringsNode:
+		return "map_strings"
 	case *sampleNode:
 		return "sample"
 	default:
@@ -204,6 +210,8 @@ func estimateMaxRows(node planNode) (int, bool) {
 		return estimateMaxRows(n.child)
 	case *withColumnNode:
 		return estimateMaxRows(n.child)
+	case *mapStringsNode:
+		return estimateMaxRows(n.child)
 	case *sampleNode:
 		return estimateMaxRows(n.child)
 	case *distinctNode:
@@ -249,6 +257,8 @@ func (e *Engine) explainNode(sb *strings.Builder, node planNode, depth int) {
 			if ch.limit >= 0 {
 				line += fmt.Sprintf(" +Limit(%d)", ch.limit)
 			}
+			// The job name ties the line to the cluster job that runs it.
+			line += " as " + ch.name()
 			sb.WriteString(indent + line + "\n")
 			e.explainNode(sb, ch.base, depth+1)
 			return

@@ -5,11 +5,14 @@ package dataflow
 //
 //   - A narrow stage runs as a chain of batch kernels. Filter and Sample
 //     evaluate their predicate per row through a zero-copy batch view and
-//     emit a selection vector — no row is copied or boxed. Project re-points
-//     column references and WithColumn appends one freshly computed typed
-//     vector; in both cases unaffected columns are shared with the input
-//     batch. Arbitrary Map/FlatMap closures read per-row batch views and
-//     their output rows are unboxed straight into a new batch (which
+//     emit a selection vector — no row is copied or boxed, and one that
+//     drops nothing leaves the selection as it was. Project re-points
+//     column references, WithColumn appends one freshly computed typed
+//     vector, and MapStrings rebuilds only the string vectors it rewrites
+//     (straight from a pending selection, which it gathers for the other
+//     columns alone); in each case unaffected columns are shared with the
+//     input batch. Arbitrary Map/FlatMap closures read per-row batch views
+//     and their output rows are unboxed straight into a new batch (which
 //     validates them against the output schema for free). A stage capped by
 //     a trailing limit runs the same kernels over windows of its partition.
 //   - Wide operators key rows directly from the column vectors
@@ -53,6 +56,18 @@ func selLen(n int, sel []int32) int {
 		return n
 	}
 	return len(sel)
+}
+
+// narrowSel returns the selection after a filter or sample kept next out of
+// the rows sel selects. Kept rows stay in order, so keeping all of them
+// reproduces sel itself: the old selection is returned, and a batch no
+// operator has narrowed stays unselected, its columns shared rather than
+// gathered.
+func narrowSel(n int, sel, next []int32) []int32 {
+	if len(next) == selLen(n, sel) {
+		return sel
+	}
+	return next
 }
 
 // evalChain executes a chain of narrow operators as one cluster job whose
@@ -157,7 +172,7 @@ func runKernels(ops []planNode, rngs []*rand.Rand, b *storage.ColumnBatch, sel [
 			if err != nil {
 				return nil, err
 			}
-			sel = next
+			sel = narrowSel(cur.Len(), sel, next)
 		case *sampleNode:
 			rng := rngs[opIdx]
 			next := make([]int32, 0, selLen(cur.Len(), sel))
@@ -167,7 +182,7 @@ func runKernels(ops []planNode, rngs []*rand.Rand, b *storage.ColumnBatch, sel [
 				}
 				return nil
 			})
-			sel = next
+			sel = narrowSel(cur.Len(), sel, next)
 		case *projectNode:
 			// Pure column operation: re-point the projected columns, leave
 			// the selection untouched. No cell is read, copied or boxed.
@@ -192,6 +207,28 @@ func runKernels(ops []planNode, rngs []*rand.Rand, b *storage.ColumnBatch, sel [
 				}
 			}
 			cur = cur.WithAppendedColumn(n.out, col)
+		case *mapStringsNode:
+			// Typed string rewrite: each listed column is built from the
+			// selected rows straight into a fresh vector; every other column
+			// is shared with the input, or gathered on its own when a
+			// selection is pending, so no column is copied and discarded.
+			cols := make([]storage.Column, cur.Width())
+			for c := range cols {
+				src := cur.Column(c)
+				switch {
+				case slices.Contains(n.indices, c):
+					cols[c] = mapStringColumn(src, cur.Len(), sel, n.fn)
+				case sel != nil:
+					cols[c] = src.Gather(sel)
+				default:
+					cols[c] = *src
+				}
+			}
+			next, err := storage.BatchOfColumns(n.schema(), selLen(cur.Len(), sel), cols)
+			if err != nil {
+				return nil, fmt.Errorf("map_strings output: %w", err)
+			}
+			cur, sel = next, nil
 		case *mapNode:
 			schema := n.child.schema()
 			next := storage.NewColumnBatch(n.out, selLen(cur.Len(), sel))
@@ -236,6 +273,23 @@ func runKernels(ops []planNode, rngs []*rand.Rand, b *storage.ColumnBatch, sel [
 		cur = cur.Gather(sel)
 	}
 	return cur, nil
+}
+
+// mapStringColumn builds fn of every selected cell of the n-row string column
+// src into a fresh vector. Null cells stay null; fn never sees them.
+func mapStringColumn(src *storage.Column, n int, sel []int32, fn func(string) string) storage.Column {
+	out := storage.NewColumnBuilder(storage.TypeString, selLen(n, sel))
+	row := 0
+	_ = eachSel(n, sel, func(i int) error {
+		if src.Null(i) {
+			out.AppendNull(row)
+		} else {
+			out.AppendStr(fn(src.Str(i)))
+		}
+		row++
+		return nil
+	})
+	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"time"
@@ -376,7 +375,7 @@ func (r *Runner) applyPreparation(campaign *model.Campaign, comp *procedural.Com
 			d = maskSensitiveColumns(d, schema, pseudonymize)
 			details["preparation.privacy"] = "pseudonymized " + strings.Join(sensitiveColumns(schema), ",")
 		case "anonymize_strict":
-			d = maskSensitiveColumns(d, schema, func(string) string { return "***" })
+			d = maskSensitiveColumns(d, schema, maskStrict)
 			details["preparation.privacy"] = "masked " + strings.Join(sensitiveColumns(schema), ",")
 		case "normalize_features":
 			details["preparation.normalize"] = "features standardised before model fitting"
@@ -419,34 +418,42 @@ func sensitiveColumns(schema *storage.Schema) []string {
 	return out
 }
 
-// pseudonymize replaces a value with a stable opaque token.
+// pseudonymize replaces a value with a stable opaque token: "pseu-" and the
+// 16 lower-case hex digits of the value's FNV-64a hash, the bytes
+// fmt.Sprintf("pseu-%016x", …) would print. The hash runs over the string's
+// bytes in place and the token is formatted into a fixed array, so the
+// result string is the only allocation.
 func pseudonymize(v string) string {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(v))
-	return fmt.Sprintf("pseu-%016x", h.Sum64())
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+		hexDigit = "0123456789abcdef"
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(v); i++ {
+		h ^= uint64(v[i])
+		h *= prime64
+	}
+	var tok [21]byte
+	copy(tok[:], "pseu-")
+	for i := len(tok) - 1; i >= 5; i-- {
+		tok[i] = hexDigit[h&0xf]
+		h >>= 4
+	}
+	return string(tok[:])
 }
 
-// maskSensitiveColumns rewrites the sensitive string columns of the dataset
-// using fn.
+// maskStrict replaces a value with a constant: nothing of it survives.
+func maskStrict(string) string { return "***" }
+
+// maskSensitiveColumns rewrites the non-null cells of the sensitive string
+// columns of the dataset with fn; every other column passes through.
 func maskSensitiveColumns(d *dataflow.Dataset, schema *storage.Schema, fn func(string) string) *dataflow.Dataset {
 	cols := sensitiveColumns(schema)
 	if len(cols) == 0 {
 		return d
 	}
-	indices := make([]int, len(cols))
-	for i, c := range cols {
-		indices[i] = schema.IndexOf(c)
-	}
-	return d.Map("mask sensitive columns", schema, func(rec dataflow.Record) (storage.Row, error) {
-		row := rec.Row().Clone()
-		for _, idx := range indices {
-			if row[idx] == nil {
-				continue
-			}
-			row[idx] = fn(storage.AsString(row[idx]))
-		}
-		return row, nil
-	})
+	return d.MapStrings("mask sensitive columns", cols, fn)
 }
 
 // ---------------------------------------------------------------------------

@@ -566,6 +566,15 @@ func NewColumnBuilder(t FieldType, capacity int) Column {
 	return c
 }
 
+// Gather returns a new column holding the selected rows of c, in selection
+// order, with typed copies — the one-column counterpart of
+// ColumnBatch.Gather.
+func (c *Column) Gather(sel []int32) Column {
+	out := NewColumnBuilder(c.typ, len(sel))
+	out.appendGather(c, sel, 0)
+	return out
+}
+
 // AppendValue appends a boxed value to the column under field f's contract;
 // row n must be the column's current length.
 func (c *Column) AppendValue(f Field, v Value, n int) error { return c.append(f, v, n) }

@@ -122,6 +122,17 @@ func TestBatchGatherProjectHead(t *testing.T) {
 	if g.Len() != 2 || !reflect.DeepEqual(g.Row(0), rows[2]) || !reflect.DeepEqual(g.Row(1), rows[0]) {
 		t.Errorf("Gather rows = %v / %v", g.Row(0), g.Row(1))
 	}
+	// Column.Gather is the one-column form: nulls and values follow the
+	// selection.
+	sel := []int32{1, 2, 1}
+	for c := 0; c < b.Width(); c++ {
+		col := b.Column(c).Gather(sel)
+		for j, i := range sel {
+			if got, want := col.Value(j), rows[i][c]; got != want {
+				t.Errorf("column %d Gather row %d = %v, want %v", c, j, got, want)
+			}
+		}
+	}
 	projected, err := schema.Project("name", "id")
 	if err != nil {
 		t.Fatal(err)
