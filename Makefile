@@ -47,7 +47,10 @@ lint:
 # FuzzAprioriEquivalence fuzzes baskets and thresholds and holds the
 # vertical-bitset Apriori miner to the horizontal one it replaced;
 # FuzzPseudonymize holds the runner's inline FNV-64a token formatter to
-# hash/fnv and fmt's %016x on arbitrary strings. The
+# hash/fnv and fmt's %016x on arbitrary strings; FuzzSaveTableChunking saves
+# random batch lengths with nullable columns under random frame and segment
+# sizes and holds the store's typed re-chunking to SaveRows of the same rows.
+# The
 # time box keeps the target usable as a pre-commit check; raise FUZZTIME for a
 # longer soak. Go fuzzing accepts one -fuzz pattern per package invocation,
 # so the targets run back to back.
@@ -56,6 +59,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeManifest' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegmentFooter' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz 'FuzzSaveTableChunking' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanEquivalence' -fuzztime $(FUZZTIME) ./internal/dataflow/
 	$(GO) test -run '^$$' -fuzz 'FuzzAprioriEquivalence' -fuzztime $(FUZZTIME) ./internal/analytics/
 	$(GO) test -run '^$$' -fuzz 'FuzzPseudonymize' -fuzztime $(FUZZTIME) ./internal/runner/

@@ -3,9 +3,11 @@
 // mining, anomaly detection, forecasting and sessionization, plus the
 // evaluation metrics the Labs use to score trainee campaigns.
 //
-// Algorithms operate on plain numeric matrices so they can be used directly
-// or fed from dataflow results via the feature-extraction helpers in this
-// file. All stochastic routines take explicit seeds for reproducibility.
+// Algorithms operate on plain numeric matrices and slices so they can be
+// used directly, or fed from the columnar batches a dataflow plan produces
+// through the feature-extraction helpers in this file, which read typed
+// columns without boxing a row. All stochastic routines take explicit seeds
+// for reproducibility.
 package analytics
 
 import (
@@ -14,7 +16,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/dataflow"
 	"repro/internal/storage"
 )
 
@@ -70,33 +71,52 @@ type FeatureSet struct {
 	Labels  []bool
 }
 
-// ExtractFeatures builds a numeric feature matrix from a dataflow result using
-// the named feature columns; labelColumn may be empty for unlabelled data.
-// Null or non-numeric cells become 0.
-func ExtractFeatures(res *dataflow.Result, featureColumns []string, labelColumn string) (*FeatureSet, error) {
-	if res == nil || len(res.Rows) == 0 {
+// ExtractFeatures builds a numeric feature matrix from columnar batches over
+// schema using the named feature columns; labelColumn may be empty for
+// unlabelled data. Cells are read with storage.ColumnBatch.FloatAt and
+// BoolAt, so null or non-numeric cells become 0 (false for labels). Every
+// row of X is a window of one backing array.
+func ExtractFeatures(schema *storage.Schema, batches []*storage.ColumnBatch, featureColumns []string, labelColumn string) (*FeatureSet, error) {
+	rows := 0
+	for _, b := range batches {
+		rows += b.Len()
+	}
+	if schema == nil || rows == 0 {
 		return nil, ErrNoData
 	}
 	if len(featureColumns) == 0 {
 		return nil, fmt.Errorf("%w: no feature columns", ErrBadParameter)
 	}
-	for _, c := range featureColumns {
-		if !res.Schema.Has(c) {
+	cols := make([]int, len(featureColumns))
+	for i, c := range featureColumns {
+		if cols[i] = schema.IndexOf(c); cols[i] < 0 {
 			return nil, fmt.Errorf("%w: %q", ErrMissingColumn, c)
 		}
 	}
-	if labelColumn != "" && !res.Schema.Has(labelColumn) {
-		return nil, fmt.Errorf("%w: label %q", ErrMissingColumn, labelColumn)
-	}
-	fs := &FeatureSet{Columns: append([]string(nil), featureColumns...)}
-	for _, rec := range res.Records() {
-		row := make([]float64, len(featureColumns))
-		for i, c := range featureColumns {
-			row[i] = rec.Float(c)
+	label := -1
+	if labelColumn != "" {
+		if label = schema.IndexOf(labelColumn); label < 0 {
+			return nil, fmt.Errorf("%w: label %q", ErrMissingColumn, labelColumn)
 		}
-		fs.X = append(fs.X, row)
-		if labelColumn != "" {
-			fs.Labels = append(fs.Labels, rec.Bool(labelColumn))
+	}
+	w := len(cols)
+	fs := &FeatureSet{Columns: append([]string(nil), featureColumns...), X: make(Matrix, 0, rows)}
+	if label >= 0 {
+		fs.Labels = make([]bool, 0, rows)
+	}
+	backing := make([]float64, rows*w)
+	for _, b := range batches {
+		for i := 0; i < b.Len(); i++ {
+			row := backing[:w:w]
+			backing = backing[w:]
+			for j, c := range cols {
+				row[j], _ = b.FloatAt(i, c)
+			}
+			fs.X = append(fs.X, row)
+			if label >= 0 {
+				v, _ := b.BoolAt(i, label)
+				fs.Labels = append(fs.Labels, v)
+			}
 		}
 	}
 	return fs, nil
@@ -107,8 +127,11 @@ func ExtractFeaturesFromTable(t *storage.Table, featureColumns []string, labelCo
 	if t == nil || t.NumRows() == 0 {
 		return nil, ErrNoData
 	}
-	res := &dataflow.Result{Schema: t.Schema(), Rows: t.Rows()}
-	return ExtractFeatures(res, featureColumns, labelColumn)
+	b, err := storage.BatchFromRows(t.Schema(), t.Rows())
+	if err != nil {
+		return nil, err
+	}
+	return ExtractFeatures(t.Schema(), []*storage.ColumnBatch{b}, featureColumns, labelColumn)
 }
 
 // Split partitions the feature set into train and test subsets; testFraction

@@ -3,14 +3,15 @@ package analytics
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/dataflow"
 	"repro/internal/storage"
 )
 
-func labelledResult() *dataflow.Result {
+// labelledBatches returns six labelled rows split over two batches.
+func labelledBatches() (*storage.Schema, []*storage.ColumnBatch) {
 	schema := storage.MustSchema(
 		storage.Field{Name: "a", Type: storage.TypeFloat},
 		storage.Field{Name: "b", Type: storage.TypeFloat},
@@ -24,7 +25,15 @@ func labelledResult() *dataflow.Result {
 		{5.0, 6.0, true},
 		{6.0, 5.0, false},
 	}
-	return &dataflow.Result{Schema: schema, Rows: rows}
+	var batches []*storage.ColumnBatch
+	for _, part := range [][]storage.Row{rows[:4], rows[4:]} {
+		b, err := storage.BatchFromRows(schema, part)
+		if err != nil {
+			panic(err)
+		}
+		batches = append(batches, b)
+	}
+	return schema, batches
 }
 
 func TestMatrixValidate(t *testing.T) {
@@ -53,8 +62,8 @@ func TestMatrixClone(t *testing.T) {
 }
 
 func TestExtractFeatures(t *testing.T) {
-	res := labelledResult()
-	fs, err := ExtractFeatures(res, []string{"a", "b"}, "y")
+	schema, batches := labelledBatches()
+	fs, err := ExtractFeatures(schema, batches, []string{"a", "b"}, "y")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,23 +73,58 @@ func TestExtractFeatures(t *testing.T) {
 	if fs.X[0][0] != 1.0 || fs.X[0][1] != 2.0 || fs.Labels[0] != true {
 		t.Errorf("first row = %v label=%v", fs.X[0], fs.Labels[0])
 	}
+	if fs.X[5][0] != 6.0 || fs.X[5][1] != 5.0 || fs.Labels[5] != false {
+		t.Errorf("last row (second batch) = %v label=%v", fs.X[5], fs.Labels[5])
+	}
 
-	unlabelled, err := ExtractFeatures(res, []string{"a"}, "")
+	unlabelled, err := ExtractFeatures(schema, batches, []string{"a"}, "")
 	if err != nil || unlabelled.Labels != nil {
 		t.Errorf("unlabelled extraction = %+v, %v", unlabelled, err)
 	}
 
-	if _, err := ExtractFeatures(nil, []string{"a"}, ""); !errors.Is(err, ErrNoData) {
-		t.Error("nil result must fail with ErrNoData")
+	if _, err := ExtractFeatures(schema, nil, []string{"a"}, ""); !errors.Is(err, ErrNoData) {
+		t.Error("no batches must fail with ErrNoData")
 	}
-	if _, err := ExtractFeatures(res, nil, ""); !errors.Is(err, ErrBadParameter) {
+	if _, err := ExtractFeatures(schema, []*storage.ColumnBatch{storage.NewColumnBatch(schema, 0)}, []string{"a"}, ""); !errors.Is(err, ErrNoData) {
+		t.Error("empty batches must fail with ErrNoData")
+	}
+	if _, err := ExtractFeatures(schema, batches, nil, ""); !errors.Is(err, ErrBadParameter) {
 		t.Error("no feature columns must fail")
 	}
-	if _, err := ExtractFeatures(res, []string{"ghost"}, ""); !errors.Is(err, ErrMissingColumn) {
+	if _, err := ExtractFeatures(schema, batches, []string{"ghost"}, ""); !errors.Is(err, ErrMissingColumn) {
 		t.Error("unknown feature column must fail")
 	}
-	if _, err := ExtractFeatures(res, []string{"a"}, "ghost"); !errors.Is(err, ErrMissingColumn) {
+	if _, err := ExtractFeatures(schema, batches, []string{"a"}, "ghost"); !errors.Is(err, ErrMissingColumn) {
 		t.Error("unknown label column must fail")
+	}
+}
+
+// TestExtractFeaturesTypedCells pins the cell conversions: ints, times and
+// numeric strings convert, nulls and non-numeric strings read as 0, and a
+// null label reads as false.
+func TestExtractFeaturesTypedCells(t *testing.T) {
+	schema := storage.MustSchema(
+		storage.Field{Name: "n", Type: storage.TypeInt, Nullable: true},
+		storage.Field{Name: "at", Type: storage.TypeTime, Nullable: true},
+		storage.Field{Name: "s", Type: storage.TypeString, Nullable: true},
+		storage.Field{Name: "y", Type: storage.TypeBool, Nullable: true},
+	)
+	b, err := storage.BatchFromRows(schema, []storage.Row{
+		{int64(3), int64(1000), "2.5", true},
+		{nil, nil, "x", nil},
+		{int64(-1), int64(7), nil, false},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := ExtractFeatures(schema, []*storage.ColumnBatch{b}, []string{"n", "at", "s"}, "y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantX := Matrix{{3, 1000, 2.5}, {0, 0, 0}, {-1, 7, 0}}
+	wantY := []bool{true, false, false}
+	if !reflect.DeepEqual(fs.X, wantX) || !reflect.DeepEqual(fs.Labels, wantY) {
+		t.Fatalf("X = %v labels = %v, want %v %v", fs.X, fs.Labels, wantX, wantY)
 	}
 }
 
@@ -104,7 +148,8 @@ func TestExtractFeaturesFromTable(t *testing.T) {
 }
 
 func TestSplit(t *testing.T) {
-	fs, _ := ExtractFeatures(labelledResult(), []string{"a", "b"}, "y")
+	schema, batches := labelledBatches()
+	fs, _ := ExtractFeatures(schema, batches, []string{"a", "b"}, "y")
 	train, test, err := fs.Split(0.33, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -230,10 +230,13 @@ type sourceNode struct {
 	name       string
 	sch        *storage.Schema
 	partitions [][]storage.Row
+	parts      int // partition count
+	rows       int // row count, for Explain and the static row bound
 
 	// Columnar form of partitions, built on first execution and reused by
 	// every later action over the same (immutable) plan — the analogue of
-	// data already sitting in a columnar store.
+	// data already sitting in a columnar store. FromBatches sets it at
+	// construction.
 	batchOnce sync.Once
 	batches   []*storage.ColumnBatch
 	batchErr  error
@@ -259,11 +262,16 @@ func (s *sourceNode) batchPartitions() ([]*storage.ColumnBatch, error) {
 func (s *sourceNode) schema() *storage.Schema { return s.sch }
 func (s *sourceNode) children() []planNode    { return nil }
 func (s *sourceNode) label() string {
+	return fmt.Sprintf("Source(%s, partitions=%d, rows=%d)", s.name, s.parts, s.rows)
+}
+
+// rowSource builds a source node over boxed row partitions.
+func rowSource(name string, schema *storage.Schema, parts [][]storage.Row) *Dataset {
 	rows := 0
-	for _, p := range s.partitions {
+	for _, p := range parts {
 		rows += len(p)
 	}
-	return fmt.Sprintf("Source(%s, partitions=%d, rows=%d)", s.name, len(s.partitions), rows)
+	return &Dataset{node: &sourceNode{name: name, sch: schema, partitions: parts, parts: len(parts), rows: rows}}
 }
 
 // FromTable creates a dataset reading the table's current contents. The table
@@ -281,7 +289,7 @@ func FromTable(t *storage.Table) *Dataset {
 		}
 		parts[p] = append([]storage.Row(nil), rows...)
 	}
-	return &Dataset{node: &sourceNode{name: t.Name(), sch: t.Schema(), partitions: parts}}
+	return rowSource(t.Name(), t.Schema(), parts)
 }
 
 // FromRows creates a dataset over in-memory rows split into the given number
@@ -303,7 +311,33 @@ func FromRows(name string, schema *storage.Schema, rows []storage.Row, partition
 		p := i % partitions
 		parts[p] = append(parts[p], r)
 	}
-	return &Dataset{node: &sourceNode{name: name, sch: schema, partitions: parts}}
+	return rowSource(name, schema, parts)
+}
+
+// FromBatches creates a dataset whose partitions are the given batches, one
+// partition per batch, adopted without copying — typically the output of an
+// earlier CollectBatches. Each batch must have exactly schema and pass
+// storage.ValidateBatch; otherwise the dataset fails with ErrBadPlan. The
+// batches are read-only from then on: plans over the dataset share their
+// column vectors.
+func FromBatches(name string, schema *storage.Schema, batches []*storage.ColumnBatch) *Dataset {
+	if schema == nil {
+		return failed(fmt.Errorf("%w: nil schema", ErrNoSource))
+	}
+	rows := 0
+	for i, b := range batches {
+		if err := storage.ValidateBatch(b); err != nil {
+			return failed(fmt.Errorf("%w: FromBatches batch %d: %v", ErrBadPlan, i, err))
+		}
+		if !b.Schema().Equal(schema) {
+			return failed(fmt.Errorf("%w: FromBatches batch %d has schema %s, want %s", ErrBadPlan, i, b.Schema(), schema))
+		}
+		rows += b.Len()
+	}
+	n := &sourceNode{name: name, sch: schema, parts: len(batches), rows: rows,
+		batches: append([]*storage.ColumnBatch{}, batches...)}
+	n.batchOnce.Do(func() {}) // already columnar: nothing to convert
+	return &Dataset{node: n}
 }
 
 // ---------------------------------------------------------------------------

@@ -237,12 +237,27 @@ type Stats struct {
 	WallTime time.Duration
 }
 
-// Result is the materialised output of Collect.
+// Result is the materialised output of Collect: BatchResult's batches boxed
+// into rows, for tests, tools and other row-shaped callers.
 type Result struct {
 	Schema *storage.Schema
 	Rows   []storage.Row
 	Stats  Stats
 }
+
+// BatchResult is the output of CollectBatches: the plan's output partitions
+// as the engine produced them, in partition order. The batches may share
+// column vectors with the plan's source and with each other (pass-through
+// kernels such as MapStrings and an all-keeping filter hand vectors on
+// unchanged, and a limit cuts zero-copy head views), so they are read-only.
+type BatchResult struct {
+	Schema  *storage.Schema
+	Batches []*storage.ColumnBatch
+	Stats   Stats
+}
+
+// Len returns the number of output rows.
+func (r *BatchResult) Len() int { return int(r.Stats.RowsOutput) }
 
 // Table converts the result into a named storage table.
 func (r *Result) Table(name string, opts ...storage.TableOption) (*storage.Table, error) {
@@ -400,20 +415,32 @@ func (e *Engine) execute(ctx context.Context, d *Dataset) ([]*storage.ColumnBatc
 	return parts, st, nil
 }
 
-// Collect executes the plan and materialises every output row.
-func (e *Engine) Collect(ctx context.Context, d *Dataset) (*Result, error) {
+// CollectBatches executes the plan and returns its output partitions without
+// boxing a row. It is the engine's one execution path; Collect is its boxing
+// edge.
+func (e *Engine) CollectBatches(ctx context.Context, d *Dataset) (*BatchResult, error) {
 	parts, st, err := e.execute(ctx, d)
 	if err != nil {
 		return nil, err
 	}
+	return &BatchResult{Schema: d.Schema(), Batches: parts, Stats: st.stats}, nil
+}
+
+// Collect executes the plan and materialises every output row: CollectBatches
+// followed by boxing each batch into Result.Rows.
+func (e *Engine) Collect(ctx context.Context, d *Dataset) (*Result, error) {
+	res, err := e.CollectBatches(ctx, d)
+	if err != nil {
+		return nil, err
+	}
 	var rows []storage.Row
-	if total := st.stats.RowsOutput; total > 0 {
+	if total := res.Len(); total > 0 {
 		rows = make([]storage.Row, 0, total)
 	}
-	for _, b := range parts {
+	for _, b := range res.Batches {
 		rows = append(rows, b.Rows()...)
 	}
-	return &Result{Schema: d.Schema(), Rows: rows, Stats: st.stats}, nil
+	return &Result{Schema: res.Schema, Rows: rows, Stats: res.Stats}, nil
 }
 
 // Count executes the plan and returns the number of output rows without

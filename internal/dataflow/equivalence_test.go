@@ -202,9 +202,10 @@ func engineArms(t testing.TB, opts ...EngineOption) []engineArm {
 	}
 }
 
-// checkArms runs plan under every arm, requires each to match the reference
-// interpreter and the spill arm to shuffle exactly the rows the default arm
-// does, and returns the results by arm name.
+// checkArms runs plan under every arm, requires every batch each arm emits
+// to pass storage.ValidateBatch, each arm to match the reference interpreter
+// and the spill arm to shuffle exactly the rows the default arm does, and
+// returns the results by arm name.
 func checkArms(t testing.TB, plan *Dataset, opts ...EngineOption) map[string]*Result {
 	t.Helper()
 	want, err := reference(plan)
@@ -213,7 +214,7 @@ func checkArms(t testing.TB, plan *Dataset, opts ...EngineOption) map[string]*Re
 	}
 	results := map[string]*Result{}
 	for _, arm := range engineArms(t, opts...) {
-		res, err := arm.e.Collect(context.Background(), plan)
+		res, err := collectValidated(arm.e, plan)
 		if err != nil {
 			t.Fatalf("%s: %v", arm.name, err)
 		}
@@ -227,6 +228,29 @@ func checkArms(t testing.TB, plan *Dataset, opts ...EngineOption) map[string]*Re
 		t.Errorf("spill arm ShuffledRows = %d, default arm %d", s, d)
 	}
 	return results
+}
+
+// collectValidated is Collect through CollectBatches, failing on the first
+// output batch that breaks a batch invariant.
+func collectValidated(e *Engine, plan *Dataset) (*Result, error) {
+	br, err := e.CollectBatches(context.Background(), plan)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Schema: br.Schema, Stats: br.Stats}
+	for i, b := range br.Batches {
+		if err := storage.ValidateBatch(b); err != nil {
+			return nil, fmt.Errorf("output batch %d: %w", i, err)
+		}
+		if !b.Schema().Equal(br.Schema) {
+			return nil, fmt.Errorf("output batch %d has schema %s, result %s", i, b.Schema(), br.Schema)
+		}
+		res.Rows = append(res.Rows, b.Rows()...)
+	}
+	if len(res.Rows) != br.Len() {
+		return nil, fmt.Errorf("batches hold %d rows, Len reports %d", len(res.Rows), br.Len())
+	}
+	return res, nil
 }
 
 func TestRandomizedPlanEquivalence(t *testing.T) {
@@ -325,7 +349,7 @@ func TestMapFlatMapUnfusedVectorizedEquivalence(t *testing.T) {
 }
 
 // TestMapStringsEquivalence drives MapStrings over several nullable string
-// columns, behind a filter (so the kernel builds its vectors from a pending
+// columns (and, behind the filter, the non-nullable one too), behind a filter (so the kernel builds its vectors from a pending
 // selection and gathers only the pass-through columns, or shares them when
 // the filter keeps every row) or ahead of one, with and without a trailing
 // limit, under every arm.
@@ -347,7 +371,7 @@ func TestMapStringsEquivalence(t *testing.T) {
 			src := FromRows("maskequiv", schema, genRows(rng, schema, 200+rng.Intn(400)), 1+rng.Intn(5))
 			var plan *Dataset
 			if seed%2 == 0 {
-				plan = src.Filter("k%3", keep).MapStrings("tag", []string{"c", "a"}, tag)
+				plan = src.Filter("k%3", keep).MapStrings("tag", []string{"c", "b", "a"}, tag)
 			} else {
 				plan = src.MapStrings("tag", []string{"a", "c"}, tag).Filter("k%3", keep)
 			}

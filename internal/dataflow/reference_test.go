@@ -117,8 +117,14 @@ func refConcat(parts [][]storage.Row) []storage.Row {
 func (r *refRun) eval(node planNode) ([][]storage.Row, error) {
 	switch n := node.(type) {
 	case *sourceNode:
-		out := make([][]storage.Row, len(n.partitions))
-		for i, p := range n.partitions {
+		parts := n.partitions
+		if parts == nil { // FromBatches: the adopted batches, boxed
+			for _, b := range n.batches {
+				parts = append(parts, b.Rows())
+			}
+		}
+		out := make([][]storage.Row, len(parts))
+		for i, p := range parts {
 			out[i] = append([]storage.Row(nil), p...)
 			r.read += int64(len(p))
 		}

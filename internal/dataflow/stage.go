@@ -197,11 +197,7 @@ func (e *Engine) spillMode() string {
 func estimateMaxRows(node planNode) (int, bool) {
 	switch n := node.(type) {
 	case *sourceNode:
-		total := 0
-		for _, p := range n.partitions {
-			total += len(p)
-		}
-		return total, true
+		return n.rows, true
 	case *filterNode:
 		return estimateMaxRows(n.child)
 	case *mapNode:

@@ -147,7 +147,7 @@ func (r *Runner) Run(ctx context.Context, campaign *model.Campaign, alt core.Alt
 	if !ok {
 		return nil, fmt.Errorf("%w: composition has no analytics step", ErrBadRun)
 	}
-	prepared, err := engine.Collect(ctx, dataset)
+	prepared, err := engine.CollectBatches(ctx, dataset)
 	if err != nil {
 		return nil, fmt.Errorf("runner: prepare data: %w", err)
 	}
@@ -159,7 +159,7 @@ func (r *Runner) Run(ctx context.Context, campaign *model.Campaign, alt core.Alt
 
 	wall := time.Since(start)
 	usage := cl.Usage()
-	rows := len(prepared.Rows)
+	rows := prepared.Len()
 
 	// The report's engine stats describe the preparation collect, except the
 	// spill counters, which fold in every Collect the run issued (analytics
@@ -191,7 +191,7 @@ func (r *Runner) Run(ctx context.Context, campaign *model.Campaign, alt core.Alt
 	}
 	if r.results != nil {
 		name := ResultTableName(campaign.Name)
-		if err := r.results.SaveRows(name, prepared.Schema, prepared.Rows); err != nil {
+		if err := r.results.SaveTable(name, prepared.Schema, prepared.Batches); err != nil {
 			return nil, fmt.Errorf("runner: save result table %q: %w", name, err)
 		}
 		details["store.table"] = name
@@ -237,8 +237,10 @@ func (r *Runner) ExplainPlan(campaign *model.Campaign, alt core.Alternative) (st
 	out := "preparation stage:\n" + engine.Explain(dataset)
 	// The analytics plan is chained onto the preparation plan (rather than
 	// onto an empty placeholder source) so the explainer sees the real input
-	// cardinality and predicts the same sort/join strategies the engine will
-	// pick when it executes over the prepared rows.
+	// cardinality and partitioning: a run executes the same analytics plan
+	// over the preparation's output batches (dataflow.FromBatches), one
+	// partition per preparation output partition, so the explained sort and
+	// group-by strategies are the ones the run picks.
 	if plan, ok := analyticsPlan(campaign, dataset); ok {
 		out += "\nanalytics stage (" + string(campaign.Goal.Task) + "):\n" + engine.Explain(plan)
 	}
@@ -283,10 +285,6 @@ func (r *Runner) lookupTable(name string) (*storage.Table, error) {
 	}
 	return nil, err
 }
-
-// analyticsPartitions is the partition count the runner uses when feeding
-// prepared rows back into the engine for the analytics stage.
-const analyticsPartitions = 4
 
 // analyticsPlan builds the logical dataflow plan of the analytics stage for
 // the tasks that execute on the engine: forecasting (sort) and reporting
@@ -460,13 +458,15 @@ func maskSensitiveColumns(d *dataflow.Dataset, schema *storage.Schema, fn func(s
 // Analytics dispatch
 // ---------------------------------------------------------------------------
 
-// runAnalytics executes the analytics step over the prepared data and returns
-// the measured accuracy indicator plus diagnostics.
+// runAnalytics executes the analytics step over the prepared batches and
+// returns the measured accuracy indicator plus diagnostics. Every reader
+// resolves its column indices once and reads typed cells with the
+// ColumnBatch *At accessors; no prepared row is boxed.
 func (r *Runner) runAnalytics(ctx context.Context, engine *dataflow.Engine, campaign *model.Campaign,
-	step procedural.Step, prepared *dataflow.Result) (float64, map[string]string, error) {
+	step procedural.Step, prepared *dataflow.BatchResult) (float64, map[string]string, error) {
 
 	details := map[string]string{"analytics.service": step.Service.ID}
-	if len(prepared.Rows) == 0 {
+	if prepared.Len() == 0 {
 		return 0, details, fmt.Errorf("%w: no rows survived preparation", ErrBadRun)
 	}
 	switch step.Service.Task {
@@ -490,12 +490,12 @@ func (r *Runner) runAnalytics(ctx context.Context, engine *dataflow.Engine, camp
 }
 
 func (r *Runner) runClassification(campaign *model.Campaign, step procedural.Step,
-	prepared *dataflow.Result, details map[string]string) (float64, map[string]string, error) {
+	prepared *dataflow.BatchResult, details map[string]string) (float64, map[string]string, error) {
 
 	if campaign.Goal.LabelColumn == "" || len(campaign.Goal.FeatureColumns) == 0 {
 		return 0, details, fmt.Errorf("%w: classification needs label and features", ErrMissingParam)
 	}
-	fs, err := analytics.ExtractFeatures(prepared, campaign.Goal.FeatureColumns, campaign.Goal.LabelColumn)
+	fs, err := analytics.ExtractFeatures(prepared.Schema, prepared.Batches, campaign.Goal.FeatureColumns, campaign.Goal.LabelColumn)
 	if err != nil {
 		return 0, details, fmt.Errorf("runner: extract features: %w", err)
 	}
@@ -527,9 +527,9 @@ func (r *Runner) runClassification(campaign *model.Campaign, step procedural.Ste
 }
 
 func (r *Runner) runClustering(campaign *model.Campaign, step procedural.Step,
-	prepared *dataflow.Result, details map[string]string) (float64, map[string]string, error) {
+	prepared *dataflow.BatchResult, details map[string]string) (float64, map[string]string, error) {
 
-	fs, err := analytics.ExtractFeatures(prepared, campaign.Goal.FeatureColumns, "")
+	fs, err := analytics.ExtractFeatures(prepared.Schema, prepared.Batches, campaign.Goal.FeatureColumns, "")
 	if err != nil {
 		return 0, details, fmt.Errorf("runner: extract features: %w", err)
 	}
@@ -573,7 +573,7 @@ func (r *Runner) runClustering(campaign *model.Campaign, step procedural.Step,
 	return quality, details, nil
 }
 
-func (r *Runner) runAssociation(campaign *model.Campaign, prepared *dataflow.Result,
+func (r *Runner) runAssociation(campaign *model.Campaign, prepared *dataflow.BatchResult,
 	details map[string]string) (float64, map[string]string, error) {
 
 	itemCol, txCol := campaign.Goal.ItemColumn, campaign.Goal.TransactionColumn
@@ -585,15 +585,17 @@ func (r *Runner) runAssociation(campaign *model.Campaign, prepared *dataflow.Res
 	itemIdx := prepared.Schema.IndexOf(itemCol)
 	basketOf := map[string]int{}
 	var txList [][]string
-	for _, row := range prepared.Rows {
-		key := storage.AsString(row[txIdx])
-		i, ok := basketOf[key]
-		if !ok {
-			i = len(txList)
-			basketOf[key] = i
-			txList = append(txList, nil)
+	for _, b := range prepared.Batches {
+		for i := 0; i < b.Len(); i++ {
+			key := b.StringAt(i, txIdx)
+			t, ok := basketOf[key]
+			if !ok {
+				t = len(txList)
+				basketOf[key] = t
+				txList = append(txList, nil)
+			}
+			txList[t] = append(txList[t], b.StringAt(i, itemIdx))
 		}
-		txList[i] = append(txList[i], storage.AsString(row[itemIdx]))
 	}
 	apriori := &analytics.Apriori{MinSupport: 0.05, MinConfidence: 0.4}
 	itemsets, rules, err := apriori.Mine(txList)
@@ -619,18 +621,27 @@ func (r *Runner) runAssociation(campaign *model.Campaign, prepared *dataflow.Res
 }
 
 func (r *Runner) runAnomaly(campaign *model.Campaign, step procedural.Step,
-	prepared *dataflow.Result, details map[string]string) (float64, map[string]string, error) {
+	prepared *dataflow.BatchResult, details map[string]string) (float64, map[string]string, error) {
 
 	if campaign.Goal.ValueColumn == "" {
 		return 0, details, fmt.Errorf("%w: anomaly detection needs a value column", ErrMissingParam)
 	}
-	var values []float64
+	valueIdx := prepared.Schema.IndexOf(campaign.Goal.ValueColumn)
+	labelIdx := -1
+	if campaign.Goal.LabelColumn != "" {
+		labelIdx = prepared.Schema.IndexOf(campaign.Goal.LabelColumn)
+	}
+	hasLabels := labelIdx >= 0
+	values := make([]float64, 0, prepared.Len())
 	var labels []bool
-	hasLabels := campaign.Goal.LabelColumn != "" && prepared.Schema.Has(campaign.Goal.LabelColumn)
-	for _, rec := range recordsOf(prepared) {
-		values = append(values, rec.Float(campaign.Goal.ValueColumn))
-		if hasLabels {
-			labels = append(labels, rec.Bool(campaign.Goal.LabelColumn))
+	for _, b := range prepared.Batches {
+		for i := 0; i < b.Len(); i++ {
+			v, _ := b.FloatAt(i, valueIdx)
+			values = append(values, v)
+			if hasLabels {
+				l, _ := b.BoolAt(i, labelIdx)
+				labels = append(labels, l)
+			}
 		}
 	}
 	var detector analytics.AnomalyDetector
@@ -662,24 +673,26 @@ func (r *Runner) runAnomaly(campaign *model.Campaign, step procedural.Step,
 }
 
 func (r *Runner) runForecasting(ctx context.Context, engine *dataflow.Engine, campaign *model.Campaign,
-	step procedural.Step, prepared *dataflow.Result, details map[string]string) (float64, map[string]string, error) {
+	step procedural.Step, prepared *dataflow.BatchResult, details map[string]string) (float64, map[string]string, error) {
 
 	if campaign.Goal.ValueColumn == "" {
 		return 0, details, fmt.Errorf("%w: forecasting needs a value column", ErrMissingParam)
 	}
-	src := dataflow.FromRows(campaign.Goal.TargetTable, prepared.Schema, prepared.Rows, analyticsPartitions)
+	src := dataflow.FromBatches(campaign.Goal.TargetTable, prepared.Schema, prepared.Batches)
 	plan, ok := analyticsPlan(campaign, src)
 	if !ok {
 		return 0, details, fmt.Errorf("%w: forecasting plan", ErrMissingParam)
 	}
-	res, err := engine.Collect(ctx, plan)
+	res, err := engine.CollectBatches(ctx, plan)
 	if err != nil {
 		return 0, details, fmt.Errorf("runner: order series: %w", err)
 	}
-	series := make([]float64, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		v, _ := storage.AsFloat(row[0])
-		series = append(series, v)
+	series := make([]float64, 0, res.Len())
+	for _, b := range res.Batches {
+		for i := 0; i < b.Len(); i++ {
+			v, _ := b.FloatAt(i, 0)
+			series = append(series, v)
+		}
 	}
 	var forecaster analytics.Forecaster
 	switch step.Service.ID {
@@ -707,25 +720,39 @@ func (r *Runner) runForecasting(ctx context.Context, engine *dataflow.Engine, ca
 	return 1 / (1 + rmse), details, nil
 }
 
-func (r *Runner) runSessionization(campaign *model.Campaign, prepared *dataflow.Result,
+func (r *Runner) runSessionization(campaign *model.Campaign, prepared *dataflow.BatchResult,
 	details map[string]string) (float64, map[string]string, error) {
 
 	if campaign.Goal.TimeColumn == "" {
 		return 0, details, fmt.Errorf("%w: sessionization needs a time column", ErrMissingParam)
 	}
-	userCol := "user_id"
-	if !prepared.Schema.Has(userCol) {
+	schema := prepared.Schema
+	userIdx := schema.IndexOf("user_id")
+	if userIdx < 0 {
 		return 0, details, fmt.Errorf("%w: sessionization expects a user_id column", ErrBadRun)
 	}
-	var events []analytics.Event
-	for _, rec := range recordsOf(prepared) {
-		ts, _ := storage.AsTime(rec.Value(campaign.Goal.TimeColumn))
-		events = append(events, analytics.Event{
-			UserID:    rec.Int(userCol),
-			URL:       rec.String("url"),
-			At:        ts,
-			Converted: campaign.Goal.LabelColumn != "" && rec.Bool(campaign.Goal.LabelColumn),
-		})
+	// Absent columns read as zero values: IndexOf's -1 is out of range for
+	// every *At accessor.
+	timeIdx, urlIdx, labelIdx := schema.IndexOf(campaign.Goal.TimeColumn), schema.IndexOf("url"), -1
+	if campaign.Goal.LabelColumn != "" {
+		labelIdx = schema.IndexOf(campaign.Goal.LabelColumn)
+	}
+	events := make([]analytics.Event, 0, prepared.Len())
+	for _, b := range prepared.Batches {
+		for i := 0; i < b.Len(); i++ {
+			var at time.Time
+			if ms, ok := b.IntAt(i, timeIdx); ok {
+				at = time.UnixMilli(ms).UTC()
+			}
+			user, _ := b.IntAt(i, userIdx)
+			converted, _ := b.BoolAt(i, labelIdx)
+			events = append(events, analytics.Event{
+				UserID:    user,
+				URL:       b.StringAt(i, urlIdx),
+				At:        at,
+				Converted: converted,
+			})
+		}
 	}
 	sessionizer := &analytics.Sessionizer{Timeout: 30 * time.Minute}
 	sessions, err := sessionizer.Sessionize(events)
@@ -749,31 +776,26 @@ func (r *Runner) runSessionization(campaign *model.Campaign, prepared *dataflow.
 }
 
 func (r *Runner) runReporting(ctx context.Context, engine *dataflow.Engine, campaign *model.Campaign,
-	prepared *dataflow.Result, details map[string]string) (float64, map[string]string, error) {
+	prepared *dataflow.BatchResult, details map[string]string) (float64, map[string]string, error) {
 
 	if len(campaign.Goal.GroupColumns) == 0 || campaign.Goal.ValueColumn == "" {
 		return 0, details, fmt.Errorf("%w: reporting needs group and value columns", ErrMissingParam)
 	}
-	src := dataflow.FromRows(campaign.Goal.TargetTable, prepared.Schema, prepared.Rows, analyticsPartitions)
+	src := dataflow.FromBatches(campaign.Goal.TargetTable, prepared.Schema, prepared.Batches)
 	plan, ok := analyticsPlan(campaign, src)
 	if !ok {
 		return 0, details, fmt.Errorf("%w: reporting plan", ErrMissingParam)
 	}
-	report, err := engine.Collect(ctx, plan)
+	report, err := engine.CollectBatches(ctx, plan)
 	if err != nil {
 		return 0, details, fmt.Errorf("runner: aggregate report: %w", err)
 	}
-	details["reporting.groups"] = fmt.Sprintf("%d", len(report.Rows))
-	if len(report.Rows) == 0 {
+	details["reporting.groups"] = fmt.Sprintf("%d", report.Len())
+	if report.Len() == 0 {
 		return 0, details, nil
 	}
 	// Aggregation is exact; the quality indicator reflects completeness.
 	return 1.0, details, nil
-}
-
-// recordsOf wraps the prepared result rows as records.
-func recordsOf(res *dataflow.Result) []dataflow.Record {
-	return (&dataflow.Result{Schema: res.Schema, Rows: res.Rows}).Records()
 }
 
 func parsePositiveInt(s string) (int, error) {

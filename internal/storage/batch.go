@@ -16,10 +16,15 @@ package storage
 // batch (Gather, AppendRow).
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
 )
+
+// ErrInvalidBatch reports a ColumnBatch that breaks one of the invariants
+// ValidateBatch checks.
+var ErrInvalidBatch = errors.New("storage: invalid batch")
 
 // nullBitmap records which rows of a column are null, one bit per row. The
 // bitmap is grown lazily on the first null, so all-valid columns carry no
@@ -31,6 +36,20 @@ type nullBitmap []uint64
 func (m nullBitmap) get(i int) bool {
 	w := i >> 6
 	return w < len(m) && m[w]&(1<<(uint(i)&63)) != 0
+}
+
+// anyBelow reports whether any of bits [0, n) is set.
+func (m nullBitmap) anyBelow(n int) bool {
+	full := n >> 6
+	for w := 0; w < full && w < len(m); w++ {
+		if m[w] != 0 {
+			return true
+		}
+	}
+	if rem := uint(n) & 63; rem != 0 && full < len(m) {
+		return m[full]&(1<<rem-1) != 0
+	}
+	return false
 }
 
 // set marks bit i, growing the bitmap as needed.
@@ -231,6 +250,44 @@ func (c *Column) appendGather(src *Column, sel []int32, dstStart int) {
 	}
 }
 
+// appendRange appends rows [lo, hi) of src (a column of the same type) at
+// row dstStart: one slice copy per column when src has no nulls, the per-cell
+// copy otherwise.
+func (c *Column) appendRange(src *Column, lo, hi, dstStart int) {
+	if len(src.nulls) == 0 {
+		switch c.typ {
+		case TypeInt, TypeTime:
+			c.ints = append(c.ints, src.ints[lo:hi]...)
+		case TypeFloat:
+			c.floats = append(c.floats, src.floats[lo:hi]...)
+		case TypeString:
+			c.strs = append(c.strs, src.strs[lo:hi]...)
+		case TypeBool:
+			c.bools = append(c.bools, src.bools[lo:hi]...)
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		c.appendFrom(src, i, dstStart+i-lo)
+	}
+}
+
+// valueLen returns the length of the column's value vector.
+func (c *Column) valueLen() int {
+	switch c.typ {
+	case TypeInt, TypeTime:
+		return len(c.ints)
+	case TypeFloat:
+		return len(c.floats)
+	case TypeString:
+		return len(c.strs)
+	case TypeBool:
+		return len(c.bools)
+	default:
+		return 0
+	}
+}
+
 // grow pre-sizes the column's value vector for capacity rows.
 func (c *Column) grow(capacity int) {
 	switch c.typ {
@@ -326,6 +383,15 @@ func (b *ColumnBatch) AppendGather(src *ColumnBatch, sel []int32) {
 		b.cols[c].appendGather(&src.cols[c], sel, b.n)
 	}
 	b.n += len(sel)
+}
+
+// AppendRange appends rows [lo, hi) of src, a batch with an identical column
+// layout, with typed range copies (no boxing, no selection vector).
+func (b *ColumnBatch) AppendRange(src *ColumnBatch, lo, hi int) {
+	for c := range b.cols {
+		b.cols[c].appendRange(&src.cols[c], lo, hi, b.n)
+	}
+	b.n += hi - lo
 }
 
 // AppendJoined appends the concatenation of row li of left and row ri of
@@ -601,8 +667,10 @@ func (c *Column) AppendNull(n int) { c.appendNull(n) }
 // BatchOfColumns assembles a batch over schema from externally built columns
 // of n rows each. Column storage is adopted, not copied — the caller must not
 // mutate the columns afterwards. Per-column types are verified against the
-// schema; row counts are the caller's contract (columns built with the typed
-// Append helpers or shared from another batch of n rows satisfy it).
+// schema; row counts and nullability are the caller's contract (columns built
+// with the typed Append helpers or shared from another batch of n rows
+// satisfy it), which ValidateBatch checks wherever a batch is adopted from
+// outside the engine.
 func BatchOfColumns(schema *Schema, n int, cols []Column) (*ColumnBatch, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("%w: batch needs a schema", ErrEmptySchema)
@@ -616,4 +684,67 @@ func BatchOfColumns(schema *Schema, n int, cols []Column) (*ColumnBatch, error) 
 		}
 	}
 	return &ColumnBatch{schema: schema, cols: cols, n: n}, nil
+}
+
+// ValidateBatch checks the invariants every consumer of a ColumnBatch relies
+// on, and reports the first one b breaks, wrapping ErrInvalidBatch:
+//   - the batch has one column per schema field, of the field's type;
+//   - every value vector holds at least Len values (a Head view shares
+//     longer vectors, so longer is allowed);
+//   - no non-nullable field has a null in rows [0, Len);
+//   - a dictionary-backed column keeps its stated invariant: the dictionary
+//     is strictly ascending, every code in [0, Len) is in range, and
+//     strs[i] == dict[codes[i]].
+//
+// Builders that go through AppendRow cannot break these; batches assembled
+// from external columns (BatchOfColumns, adopted engine output) can.
+func ValidateBatch(b *ColumnBatch) error {
+	if b == nil {
+		return fmt.Errorf("%w: nil batch", ErrInvalidBatch)
+	}
+	if b.schema == nil {
+		return fmt.Errorf("%w: batch has no schema", ErrInvalidBatch)
+	}
+	if len(b.cols) != b.schema.Len() {
+		return fmt.Errorf("%w: %d columns, schema %s has %d", ErrInvalidBatch, len(b.cols), b.schema, b.schema.Len())
+	}
+	n := b.n
+	if n < 0 {
+		return fmt.Errorf("%w: negative row count %d", ErrInvalidBatch, n)
+	}
+	for i := range b.cols {
+		f, c := b.schema.Field(i), &b.cols[i]
+		if c.typ != f.Type {
+			return fmt.Errorf("%w: column %q is %s, schema expects %s", ErrInvalidBatch, f.Name, c.typ, f.Type)
+		}
+		if l := c.valueLen(); l < n {
+			return fmt.Errorf("%w: column %q holds %d values, batch has %d rows", ErrInvalidBatch, f.Name, l, n)
+		}
+		if !f.Nullable && c.nulls.anyBelow(n) {
+			return fmt.Errorf("%w: non-nullable column %q holds a null", ErrInvalidBatch, f.Name)
+		}
+		if c.dict == nil && c.codes == nil {
+			continue
+		}
+		if c.typ != TypeString {
+			return fmt.Errorf("%w: %s column %q carries a dictionary", ErrInvalidBatch, c.typ, f.Name)
+		}
+		for k := 1; k < len(c.dict); k++ {
+			if c.dict[k] <= c.dict[k-1] {
+				return fmt.Errorf("%w: column %q dictionary not strictly ascending at entry %d", ErrInvalidBatch, f.Name, k)
+			}
+		}
+		if len(c.codes) < n {
+			return fmt.Errorf("%w: column %q holds %d codes, batch has %d rows", ErrInvalidBatch, f.Name, len(c.codes), n)
+		}
+		for r, code := range c.codes[:n] {
+			if int(code) >= len(c.dict) {
+				return fmt.Errorf("%w: column %q row %d code %d outside its %d-entry dictionary", ErrInvalidBatch, f.Name, r, code, len(c.dict))
+			}
+			if c.strs[r] != c.dict[code] {
+				return fmt.Errorf("%w: column %q row %d differs from its dictionary entry", ErrInvalidBatch, f.Name, r)
+			}
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -199,6 +200,118 @@ func TestBatchKeyEncoding(t *testing.T) {
 			}
 			if enc.Hash(r) != check.BatchHash(b, i) {
 				t.Errorf("cols %v row %d: hash mismatch", cols, i)
+			}
+		}
+	}
+}
+
+func TestValidateBatch(t *testing.T) {
+	schema := batchSchema(t)
+	valid, err := BatchFromRows(schema, batchRows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A dictionary-backed batch: a v2 frame decoded with its string
+	// dictionary kept on the column.
+	dictSchema := MustSchema(Field{Name: "s", Type: TypeString, Nullable: true})
+	var dictRows []Row
+	for i := 0; i < 64; i++ {
+		dictRows = append(dictRows, Row{[]Value{"beta", "alpha", nil, "beta"}[i%4]})
+	}
+	src, err := BatchFromRows(dictSchema, dictRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeBatch(dictSchema, EncodeBatchOpts(nil, src, CodecOptions{Compress: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Column(0).Dict() == nil {
+		t.Fatal("decoded v2 string column carries no dictionary")
+	}
+	for name, b := range map[string]*ColumnBatch{
+		"built":   valid,
+		"head":    valid.Head(1),
+		"empty":   NewColumnBatch(schema, 0),
+		"dict":    decoded,
+		"gather":  decoded.Gather([]int32{3, 0}),
+		"project": valid.ProjectCols(MustSchema(schema.Field(2)), []int{2}),
+	} {
+		if err := ValidateBatch(b); err != nil {
+			t.Errorf("%s: ValidateBatch = %v, want nil", name, err)
+		}
+	}
+
+	// withCol returns a copy of the valid batch with column c replaced.
+	withCol := func(c int, mutate func(col *Column)) *ColumnBatch {
+		cols := append([]Column(nil), valid.cols...)
+		mutate(&cols[c])
+		return &ColumnBatch{schema: schema, cols: cols, n: valid.n}
+	}
+	withDict := func(mutate func(col *Column)) *ColumnBatch {
+		col := decoded.cols[0]
+		col.dict = append([]string(nil), col.dict...)
+		col.codes = append([]uint32(nil), col.codes...)
+		col.strs = append([]string(nil), col.strs...)
+		mutate(&col)
+		return &ColumnBatch{schema: dictSchema, cols: []Column{col}, n: decoded.n}
+	}
+	cases := map[string]*ColumnBatch{
+		"nil":             nil,
+		"column count":    {schema: schema, cols: valid.cols[:2], n: valid.n},
+		"column type":     withCol(0, func(c *Column) { c.typ = TypeFloat; c.floats = []float64{1, 2, 3} }),
+		"short column":    withCol(2, func(c *Column) { c.strs = c.strs[:2] }),
+		"non-null null":   withCol(0, func(c *Column) { c.nulls = nil; c.nulls.set(1) }),
+		"long row count":  {schema: schema, cols: valid.cols, n: valid.n + 1},
+		"dict order":      withDict(func(c *Column) { c.dict[0], c.dict[1] = c.dict[1], c.dict[0] }),
+		"dict code range": withDict(func(c *Column) { c.codes[1] = uint32(len(c.dict)) }),
+		"dict mismatch":   withDict(func(c *Column) { c.strs[0] = "zz" }),
+		"short codes":     withDict(func(c *Column) { c.codes = c.codes[:1] }),
+	}
+	for name, b := range cases {
+		if err := ValidateBatch(b); !errors.Is(err, ErrInvalidBatch) {
+			t.Errorf("%s: ValidateBatch = %v, want ErrInvalidBatch", name, err)
+		}
+	}
+	// A null past Len in a shared longer vector is not the view's concern.
+	nulled := withCol(0, func(c *Column) { c.nulls = nil; c.nulls.set(2) })
+	if err := ValidateBatch(nulled.Head(2)); err != nil {
+		t.Errorf("head view above a trailing null: ValidateBatch = %v", err)
+	}
+}
+
+func TestAppendRangeMatchesGather(t *testing.T) {
+	schema := batchSchema(t)
+	src, err := BatchFromRows(schema, append(batchRows(), batchRows()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := BatchFromRows(schema, []Row{
+		{int64(7), 0.5, "x", true, int64(1)},
+		{int64(8), 1.5, "y", false, int64(2)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []*ColumnBatch{src, dense, src.Head(4)} {
+		for lo := 0; lo <= in.Len(); lo++ {
+			for hi := lo; hi <= in.Len(); hi++ {
+				got := NewColumnBatch(schema, 0)
+				got.AppendRange(dense, 0, 1) // a non-empty prefix shifts the destination rows
+				got.AppendRange(in, lo, hi)
+				want := NewColumnBatch(schema, 0)
+				want.AppendGather(dense, []int32{0})
+				var sel []int32
+				for i := lo; i < hi; i++ {
+					sel = append(sel, int32(i))
+				}
+				want.AppendGather(in, sel)
+				if !reflect.DeepEqual(got.Rows(), want.Rows()) {
+					t.Fatalf("AppendRange(%d, %d) = %v, gather %v", lo, hi, got.Rows(), want.Rows())
+				}
+				if err := ValidateBatch(got); err != nil {
+					t.Fatalf("AppendRange(%d, %d): %v", lo, hi, err)
+				}
 			}
 		}
 	}

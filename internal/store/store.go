@@ -359,7 +359,10 @@ func (s *Store) Schema(name string) (*storage.Schema, error) {
 // SaveTable durably writes batches as the named table, replacing any
 // previous version. The commit point is the fsync of the table's WAL
 // record: a crash before it leaves the old version (or no table), a crash
-// after it leaves the new one — never a mix.
+// after it leaves the new one — never a mix. Every batch must have the
+// table's schema and pass storage.ValidateBatch; otherwise SaveTable fails
+// before writing anything and the previous version stays. The batches are
+// only read, never retained.
 func (s *Store) SaveTable(name string, schema *storage.Schema, batches []*storage.ColumnBatch, topts ...TableOption) error {
 	if name == "" {
 		return errors.New("store: empty table name")
@@ -377,7 +380,10 @@ func (s *Store) SaveTable(name string, schema *storage.Schema, batches []*storag
 		return ErrClosed
 	}
 
-	chunks, totalRows := s.chunkForSegments(schema, batches)
+	chunks, totalRows, err := s.chunkForSegments(schema, batches)
+	if err != nil {
+		return err
+	}
 	meta := TableMeta{Name: name, Fields: fieldsFromSchema(schema), Rows: totalRows}
 
 	// Phase 1: write every segment through tmp + rename. Nothing here is
@@ -417,7 +423,8 @@ func (s *Store) SaveTable(name string, schema *storage.Schema, batches []*storag
 	return nil
 }
 
-// SaveRows is SaveTable for row-shaped data.
+// SaveRows is SaveTable for row-shaped data: the row edge for tests and
+// tools. Campaign runs hand SaveTable the engine's batches directly.
 func (s *Store) SaveRows(name string, schema *storage.Schema, rows []storage.Row, topts ...TableOption) error {
 	b, err := storage.BatchFromRows(schema, rows)
 	if err != nil {
@@ -426,53 +433,50 @@ func (s *Store) SaveRows(name string, schema *storage.Schema, rows []storage.Row
 	return s.SaveTable(name, schema, []*storage.ColumnBatch{b}, topts...)
 }
 
-// chunkForSegments re-chunks input batches into frame-sized batches grouped
-// into segment-sized groups. Row order is preserved.
-func (s *Store) chunkForSegments(schema *storage.Schema, batches []*storage.ColumnBatch) ([][]*storage.ColumnBatch, int) {
+// chunkForSegments re-chunks the input batches into frames of exactly
+// frameRows rows (the last one may be short), copied by typed ranges, and
+// groups consecutive frames into segments that close once they hold at least
+// segmentRows rows. Row order is preserved. Every input batch must match
+// schema and pass storage.ValidateBatch: the copies trust the vectors, so a
+// malformed batch is an error here, never a dropped or corrupt frame.
+func (s *Store) chunkForSegments(schema *storage.Schema, batches []*storage.ColumnBatch) ([][]*storage.ColumnBatch, int, error) {
+	remaining := 0
+	for i, b := range batches {
+		if err := storage.ValidateBatch(b); err != nil {
+			return nil, 0, fmt.Errorf("store: batch %d: %w", i, err)
+		}
+		if !b.Schema().Equal(schema) {
+			return nil, 0, fmt.Errorf("store: batch %d has schema %s, table schema is %s", i, b.Schema(), schema)
+		}
+		remaining += b.Len()
+	}
+	total := remaining
 	var segments [][]*storage.ColumnBatch
 	var current []*storage.ColumnBatch
 	currentRows := 0
-	total := 0
-	flushSeg := func() {
-		if len(current) > 0 {
-			segments = append(segments, current)
-			current, currentRows = nil, 0
-		}
-	}
-	var pending []storage.Row
-	flushFrame := func() {
-		if len(pending) == 0 {
-			return
-		}
-		b, err := storage.BatchFromRows(schema, pending)
-		if err == nil && b.Len() > 0 {
-			current = append(current, b)
-			currentRows += b.Len()
-			total += b.Len()
-		}
-		pending = pending[:0]
-		if currentRows >= s.segmentRows {
-			flushSeg()
-		}
-	}
+	var frame *storage.ColumnBatch
 	for _, b := range batches {
-		if b == nil {
-			continue
-		}
-		for i := 0; i < b.Len(); i++ {
-			pending = append(pending, b.Row(i))
-			if len(pending) >= s.frameRows {
-				flushFrame()
+		for lo := 0; lo < b.Len(); {
+			if frame == nil {
+				frame = storage.NewColumnBatch(schema, min(s.frameRows, remaining))
+			}
+			hi := min(b.Len(), lo+s.frameRows-frame.Len())
+			frame.AppendRange(b, lo, hi)
+			remaining -= hi - lo
+			lo = hi
+			if frame.Len() < s.frameRows && remaining > 0 {
+				continue
+			}
+			current = append(current, frame)
+			currentRows += frame.Len()
+			frame = nil
+			if currentRows >= s.segmentRows || remaining == 0 {
+				segments = append(segments, current)
+				current, currentRows = nil, 0
 			}
 		}
 	}
-	flushFrame()
-	flushSeg()
-	if len(segments) == 0 {
-		// An empty table still gets one empty segment-less manifest entry.
-		return nil, 0
-	}
-	return segments, total
+	return segments, total, nil
 }
 
 // Drop removes a table. Durable at its WAL record's fsync; the table's
