@@ -1,0 +1,287 @@
+package dataflow
+
+// agg_order_test.go pins the group-by's emission order and its float bits
+// against a plain-Go model, on inputs where both are fragile: keys repeat
+// across input partitions, sums are not exact in binary (so the order of
+// additions shows in the bits), min/max see ties between -0 and +0, NaN and
+// nulls, and the string key arrives dictionary-coded from the spill codec.
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/storage"
+)
+
+// orderModelState is the model's state for one group: the row count, the
+// count/sum/sum of squares of the non-null v cells, and the extremes and
+// distinct renderings of the non-null x cells.
+type orderModelState struct {
+	key        []storage.Value
+	enc        string
+	hash       uint64
+	rows, n    int64
+	sum, sumSq float64
+	hasX       bool
+	min, max   float64
+	distinct   map[string]struct{}
+}
+
+func (s *orderModelState) fold(v, x storage.Value) {
+	s.rows++
+	if f, ok := v.(float64); ok {
+		s.n++
+		s.sum += f
+		s.sumSq += f * f
+	}
+	f, ok := x.(float64)
+	if !ok {
+		return
+	}
+	s.foldExtremes(f, f)
+	s.distinct[storage.AsString(f)] = struct{}{}
+}
+
+// foldExtremes replaces an extreme only when strictly better, so the first of
+// equal values wins and a NaN never replaces (nor is replaced once held).
+func (s *orderModelState) foldExtremes(lo, hi float64) {
+	if !s.hasX {
+		s.hasX, s.min, s.max = true, lo, hi
+		return
+	}
+	if lo < s.min {
+		s.min = lo
+	}
+	if hi > s.max {
+		s.max = hi
+	}
+}
+
+func (s *orderModelState) merge(o *orderModelState) {
+	s.rows += o.rows
+	s.n += o.n
+	s.sum += o.sum
+	s.sumSq += o.sumSq
+	if o.hasX {
+		s.foldExtremes(o.min, o.max)
+	}
+	for k := range o.distinct {
+		s.distinct[k] = struct{}{}
+	}
+}
+
+func (s *orderModelState) row() storage.Row {
+	row := append(storage.Row{}, s.key...)
+	row = append(row, s.rows, s.sum)
+	if s.n == 0 {
+		row = append(row, nil, nil)
+	} else {
+		mean := s.sum / float64(s.n)
+		variance := s.sumSq/float64(s.n) - mean*mean
+		if variance < 0 {
+			variance = 0
+		}
+		row = append(row, mean, math.Sqrt(variance))
+	}
+	if s.hasX {
+		row = append(row, s.min, s.max)
+	} else {
+		row = append(row, nil, nil)
+	}
+	return append(row, int64(len(s.distinct)))
+}
+
+// orderModelGroups groups rows by the encoded key in first-seen order.
+type orderModelGroups struct {
+	enc   *storage.KeyEncoder
+	index map[string]*orderModelState
+	order []*orderModelState
+}
+
+func newOrderModelGroups(enc *storage.KeyEncoder) *orderModelGroups {
+	return &orderModelGroups{enc: enc, index: map[string]*orderModelState{}}
+}
+
+func (g *orderModelGroups) get(r storage.Row, keyValues []storage.Value) *orderModelState {
+	key := string(g.enc.Key(r))
+	s, ok := g.index[key]
+	if !ok {
+		s = &orderModelState{key: keyValues, enc: key, hash: g.enc.Hash(r), distinct: map[string]struct{}{}}
+		g.index[key] = s
+		g.order = append(g.order, s)
+	}
+	return s
+}
+
+// getPartial returns the group of a partial's key, adding an empty group
+// with the partial's key values when the key is new.
+func (g *orderModelGroups) getPartial(p *orderModelState) *orderModelState {
+	s, ok := g.index[p.enc]
+	if !ok {
+		s = &orderModelState{key: p.key, enc: p.enc, hash: p.hash, distinct: map[string]struct{}{}}
+		g.index[p.enc] = s
+		g.order = append(g.order, s)
+	}
+	return s
+}
+
+// orderModel is the expected group-by output. Output comes bucket by bucket
+// (PartitionOfHash of the key hash); within a bucket, groups are ordered by
+// the first input partition holding the key, then by first-seen order in that
+// partition. combined folds each input partition separately and adds the
+// partials up in partition order; otherwise each bucket folds its rows one
+// by one in (partition, row) order. Only float bits differ between the two.
+func orderModel(parts [][]storage.Row, schema *storage.Schema, keys []string, buckets int, combined bool) []storage.Row {
+	enc, err := storage.NewKeyEncoder(schema, keys...)
+	if err != nil {
+		panic(err)
+	}
+	vi, xi := schema.IndexOf("v"), schema.IndexOf("x")
+	keyValues := func(r storage.Row) []storage.Value {
+		out := make([]storage.Value, len(keys))
+		for i, k := range keys {
+			out[i] = r[schema.IndexOf(k)]
+		}
+		return out
+	}
+	out := make([]*orderModelGroups, buckets)
+	for b := range out {
+		out[b] = newOrderModelGroups(enc)
+	}
+	for _, p := range parts {
+		local := newOrderModelGroups(enc)
+		for _, r := range p {
+			if combined {
+				local.get(r, keyValues(r)).fold(r[vi], r[xi])
+				continue
+			}
+			b := storage.PartitionOfHash(enc.Hash(r), buckets)
+			out[b].get(r, keyValues(r)).fold(r[vi], r[xi])
+		}
+		for _, s := range local.order {
+			b := storage.PartitionOfHash(s.hash, buckets)
+			out[b].getPartial(s).merge(s)
+		}
+	}
+	var rows []storage.Row
+	for _, g := range out {
+		for _, s := range g.order {
+			rows = append(rows, s.row())
+		}
+	}
+	return rows
+}
+
+func TestGroupByEmissionOrder(t *testing.T) {
+	schema := storage.MustSchema(
+		storage.Field{Name: "k", Type: storage.TypeString},
+		storage.Field{Name: "n", Type: storage.TypeInt, Nullable: true},
+		storage.Field{Name: "v", Type: storage.TypeFloat, Nullable: true},
+		storage.Field{Name: "x", Type: storage.TypeFloat, Nullable: true},
+	)
+	rng := rand.New(rand.NewSource(38))
+	inexact := []storage.Value{0.1, 0.2, 0.3, 1e-3, 1e16, 3.3, -7.7, 2.0 / 3, nil}
+	extremes := []storage.Value{math.Copysign(0, -1), 0.0, math.NaN(), 1.5, -2.25, nil}
+	nulls := []storage.Value{nil, int64(1), int64(2)}
+	// Four input partitions whose keys repeat across partitions; every
+	// bucket stays under the budgeted aggregation's 256-row flush epoch, so
+	// the uncombined spill run adds each bucket's rows in one sequence.
+	parts := make([][]storage.Row, 4)
+	batches := make([]*storage.ColumnBatch, len(parts))
+	dictCoded := 0
+	for p := range parts {
+		for i := 0; i < 40+rng.Intn(20); i++ {
+			parts[p] = append(parts[p], storage.Row{
+				fmt.Sprintf("key-%02d", rng.Intn(12)),
+				nulls[rng.Intn(len(nulls))],
+				inexact[rng.Intn(len(inexact))],
+				extremes[rng.Intn(len(extremes))],
+			})
+		}
+		b, err := storage.BatchFromRows(schema, parts[p])
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A round trip through the compressed spill codec dictionary-codes
+		// the string key, as a restored spill frame would arrive.
+		if b, err = storage.DecodeBatch(schema, storage.EncodeBatchOpts(nil, b, storage.CodecOptions{Compress: true})); err != nil {
+			t.Fatal(err)
+		}
+		if b.Column(0).Dict() != nil {
+			dictCoded++
+		}
+		batches[p] = b
+	}
+	if dictCoded == 0 {
+		t.Fatal("no input partition arrived with a dictionary-coded key")
+	}
+	const buckets = 3
+	aggs := []Aggregation{Count(), Sum("v"), Avg("v"), StdDev("v"), Min("x"), Max("x"), CountDistinct("x")}
+	arms := []struct {
+		name     string
+		combined bool
+		opts     []EngineOption
+	}{
+		{"combined", true, nil},
+		{"combined/budget", true, []EngineOption{WithMemoryBudget(1)}},
+		{"uncombined", false, []EngineOption{WithMapSideCombine(false)}},
+		{"uncombined/budget", false, []EngineOption{WithMapSideCombine(false), WithMemoryBudget(1)}},
+	}
+	for _, keys := range [][]string{{"k"}, {"k", "n"}} {
+		plan := FromBatches("order", schema, batches).GroupBy(keys...).Agg(aggs...)
+		for _, arm := range arms {
+			t.Run(fmt.Sprintf("keys=%v/%s", keys, arm.name), func(t *testing.T) {
+				c, err := cluster.New(cluster.Uniform(2, 2, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := NewEngine(c, append([]EngineOption{WithShufflePartitions(buckets)}, arm.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := e.Collect(context.Background(), plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !arm.combined && len(arm.opts) > 1 && res.Stats.AggSpilledPartitions == 0 {
+					t.Fatal("the budgeted uncombined run never spilled its group state")
+				}
+				want := orderModel(parts, schema, keys, buckets, arm.combined)
+				if len(res.Rows) != len(want) {
+					t.Fatalf("%d groups, model %d", len(res.Rows), len(want))
+				}
+				for i := range want {
+					if !sameBits(res.Rows[i], want[i]) {
+						t.Fatalf("group %d: got %v, model %v", i, res.Rows[i], want[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// sameBits compares two rows cell by cell, floats by their bit patterns (so
+// -0 differs from +0 and a NaN matches only the same NaN).
+func sameBits(a, b storage.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		af, aok := a[i].(float64)
+		bf, bok := b[i].(float64)
+		if aok || bok {
+			if !aok || !bok || math.Float64bits(af) != math.Float64bits(bf) {
+				return false
+			}
+			continue
+		}
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
