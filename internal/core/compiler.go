@@ -55,21 +55,6 @@ type Compiler struct {
 // Option configures compiler construction.
 type Option func(*Compiler)
 
-// WithCatalog overrides the service catalog (default: catalog.DefaultRegistry).
-func WithCatalog(r *catalog.Registry) Option {
-	return func(c *Compiler) { c.catalog = r }
-}
-
-// WithComplianceEngine overrides the compliance engine (default rules).
-func WithComplianceEngine(e *compliance.Engine) Option {
-	return func(c *Compiler) { c.compliance = e }
-}
-
-// WithBinder overrides the deployment binder.
-func WithBinder(b *deployment.Binder) Option {
-	return func(c *Compiler) { c.binder = b }
-}
-
 // WithDurableStore lets source resolution fall back to tables persisted in
 // the durable segment store when a campaign references a table that is not in
 // the in-memory catalog — typically a prior campaign's saved result.
@@ -94,9 +79,6 @@ func NewCompiler(data *storage.Catalog, opts ...Option) (*Compiler, error) {
 	}
 	return c, nil
 }
-
-// Catalog returns the compiler's service catalog.
-func (c *Compiler) Catalog() *catalog.Registry { return c.catalog }
 
 // Alternative is one fully elaborated design option: a service composition,
 // its deployment plan, its compliance report and its estimated indicators.
@@ -125,7 +107,10 @@ func (a Alternative) Fingerprint() string {
 }
 
 // PhaseTimings records the wall-clock spent in each compilation phase
-// (reported by benchmark/ as core.phase_us.*).
+// (reported by benchmark/ as core.phase_us.*). Bind and Comply are summed
+// over the alternatives: Bind is choosing the platform and binding the
+// deployment; Comply is the compliance check, the indicator estimates and
+// the objective evaluation.
 type PhaseTimings struct {
 	Validate time.Duration
 	Match    time.Duration
@@ -400,11 +385,13 @@ func joinColumns(cols []string) string {
 	return out
 }
 
-// elaborate turns a composition into a full alternative: compliance check,
-// deployment binding, indicator estimation and objective evaluation.
+// elaborate turns a composition into a full alternative: deployment binding,
+// compliance check, indicator estimation and objective evaluation. It adds
+// the time it spends binding and complying to timings.
 func (c *Compiler) elaborate(campaign *model.Campaign, comp *procedural.Composition,
-	info sourceInfo, index int) (Alternative, bool) {
+	info sourceInfo, index int, timings *PhaseTimings) (Alternative, bool) {
 
+	start := time.Now()
 	platform := deployment.PlatformBatch
 	if comp.SupportsStreaming() && !comp.SupportsBatch() {
 		platform = deployment.PlatformStreaming
@@ -412,9 +399,12 @@ func (c *Compiler) elaborate(campaign *model.Campaign, comp *procedural.Composit
 		platform = deployment.PlatformStreaming
 	}
 	plan, err := c.binder.Bind(comp, platform, info.rows, campaign.Preferences)
+	timings.Bind += time.Since(start)
 	if err != nil {
 		return Alternative{}, false
 	}
+	start = time.Now()
+	defer func() { timings.Comply += time.Since(start) }()
 	report, err := c.compliance.Evaluate(compliance.Input{
 		Campaign:         campaign,
 		Composition:      comp,
@@ -454,25 +444,31 @@ func estimateIndicators(comp *procedural.Composition, plan *deployment.Plan,
 }
 
 // EnumerateAlternatives compiles the campaign into every distinct design
-// alternative, without choosing among them. The timings output parameter is
-// optional.
+// alternative, without choosing among them, and reports the time each phase
+// took.
 func (c *Compiler) EnumerateAlternatives(campaign *model.Campaign) ([]Alternative, PhaseTimings, error) {
+	alternatives, _, timings, err := c.enumerate(campaign)
+	return alternatives, timings, err
+}
+
+// enumerate is EnumerateAlternatives plus the campaign's resolved sources.
+func (c *Compiler) enumerate(campaign *model.Campaign) ([]Alternative, sourceInfo, PhaseTimings, error) {
 	var timings PhaseTimings
 
 	start := time.Now()
 	if err := campaign.Validate(); err != nil {
-		return nil, timings, err
+		return nil, sourceInfo{}, timings, err
 	}
 	info, err := c.resolveSources(campaign)
 	if err != nil {
-		return nil, timings, err
+		return nil, info, timings, err
 	}
 	timings.Validate = time.Since(start)
 
 	start = time.Now()
 	matched, err := c.match(campaign)
 	if err != nil {
-		return nil, timings, err
+		return nil, info, timings, err
 	}
 	timings.Match = time.Since(start)
 
@@ -480,36 +476,25 @@ func (c *Compiler) EnumerateAlternatives(campaign *model.Campaign) ([]Alternativ
 	compositions := c.compose(campaign, matched)
 	timings.Compose = time.Since(start)
 
-	start = time.Now()
 	var alternatives []Alternative
 	for _, comp := range compositions {
-		alt, ok := c.elaborate(campaign, comp, info, len(alternatives))
+		alt, ok := c.elaborate(campaign, comp, info, len(alternatives), &timings)
 		if !ok {
 			continue
 		}
 		alternatives = append(alternatives, alt)
 	}
-	// Split comply/bind timing evenly: elaborate interleaves them; the split
-	// is only informative for the core.phase_us.* benchmark metrics.
-	elapsed := time.Since(start)
-	timings.Comply = elapsed / 2
-	timings.Bind = elapsed - timings.Comply
-
 	if len(alternatives) == 0 {
-		return nil, timings, fmt.Errorf("%w: %q", ErrNoCandidateService, campaign.Name)
+		return nil, info, timings, fmt.Errorf("%w: %q", ErrNoCandidateService, campaign.Name)
 	}
-	return alternatives, timings, nil
+	return alternatives, info, timings, nil
 }
 
 // Compile enumerates the design space and selects the best compliant
 // alternative: feasible and highest estimated objective score, with ties
 // broken by lower estimated cost and then enumeration order.
 func (c *Compiler) Compile(campaign *model.Campaign) (*CompileResult, error) {
-	alternatives, timings, err := c.EnumerateAlternatives(campaign)
-	if err != nil {
-		return nil, err
-	}
-	info, err := c.resolveSources(campaign)
+	alternatives, info, timings, err := c.enumerate(campaign)
 	if err != nil {
 		return nil, err
 	}

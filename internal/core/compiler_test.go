@@ -65,6 +65,9 @@ func TestEnumerateAlternatives(t *testing.T) {
 	if timings.Total() <= 0 {
 		t.Error("phase timings must be recorded")
 	}
+	if timings.Bind <= 0 || timings.Comply <= 0 {
+		t.Errorf("bind %v and comply %v must each be timed", timings.Bind, timings.Comply)
+	}
 	// Every alternative must be internally consistent.
 	fingerprints := map[string]bool{}
 	for _, alt := range alternatives {

@@ -6,37 +6,44 @@ package dataflow
 // typed pass per aggregation instead of per-row interface dispatch over boxed
 // per-group state.
 //
-// Three paths are built on the same accumulators:
+// Group state leaves a task in one format, the partial-state batch
+// (aggSpillSchema: key columns, a first-seen sequence number, then per
+// aggregation its count plus sum and sum of squares, extreme, or encoded
+// distinct set). aggPartials.build writes it and aggPartials.merge folds it
+// back through a GroupTable, for both places state crosses a boundary:
 //
-//   - the combined map side (evalGroupByCombined) accumulates each input
-//     batch columnar, then converts group state to aggStates — the algebraic
-//     partials of aggregate.go — which cross the shuffle and merge per key
-//     into one output batch per bucket (mergeGroupPartials);
+//   - the combined group-by (evalGroupByCombined) accumulates each input
+//     partition map-side and builds one partial batch per shuffle bucket;
+//     one merge task per bucket folds the buckets' partials in input
+//     partition order (mergeGroupPartials);
 //   - the non-combined hash aggregation (evalGroupByHash) folds shuffled
-//     bucket batches into one table per bucket and emits the output as a
-//     columnar batch whose key columns are shared zero-copy from the table;
-//   - under WithMemoryBudget the non-combined path becomes spill-aware: when
-//     the resident group state exceeds the budget it is flushed as
-//     partial-state rows, hash-partitioned into aggSpillPartitions
-//     sub-partitions of a PartitionStore (which re-spills them through the
-//     batch codec), runs-then-merge style like storage.RunStore: a second
-//     pass re-aggregates each sub-partition, whose peak state is ~1/P of the
-//     group universe. A per-group first-seen sequence number travels with the
-//     partials so the merged output is re-sorted into the exact emission
-//     order of the in-memory paths.
+//     rows into one table per bucket and emits it directly; under
+//     WithMemoryBudget, whenever the resident group state exceeds the
+//     budget it is flushed as partial batches, hash-partitioned into
+//     aggSpillPartitions sub-partitions of a PartitionStore (which re-spills
+//     them through the batch codec), and each sub-partition is merged on its
+//     own, so the merge's peak state is ~1/P of the group universe.
+//
+// The sequence number restores the emission order: a merge emits its groups
+// in first-seen sequence order, which is the in-memory emission order of
+// the spilling path and, with the combined map task i numbering its groups
+// i<<32 | g, the bucket, partition, first-seen order of the combined path.
 //
 // All aggregation semantics — null skipping, CompareValues min/max ordering
 // (numerics through float64, NaN never replacing, first value winning ties),
-// AsFloat coercions — follow the formulas documented in aggregate.go; the
+// AsFloat coercions — follow the formulas documented on AggKind; the
 // equivalence suite holds every engine configuration to the reference
-// interpreter. The one caveat is float summation order: partials and
-// partial-state flushes regroup additions, which is only bit-stable when the
-// data sums exactly (the algebraic identity all spill tests rely on).
+// interpreter. Float sums add partials in sequence order, so a combined or
+// spilled sum regroups the additions of a row-by-row fold: its bits match
+// only when the data sums exactly (the identity the spill tests rely on).
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -92,8 +99,7 @@ func aggKeyLayout(n *groupByNode, inSchema *storage.Schema) (*storage.Schema, []
 // aggVecs holds one aggregation's state for every group id: counts, sums and
 // squared sums as dense numeric vectors, min/max extremes as one typed vector
 // (selected by the input column type) plus a has-value bitmap, and
-// count-distinct sets as lazily allocated maps. It is the columnar
-// counterpart of a column of *aggState objects.
+// count-distinct sets as lazily allocated maps.
 type aggVecs struct {
 	spec    Aggregation
 	colIdx  int
@@ -267,7 +273,7 @@ func (a *aggVecs) updateNumeric(b *storage.ColumnBatch, col *storage.Column, ids
 	default:
 		// Strings (and anything exotic) go through FloatAt, which matches
 		// AsFloat: unparsable cells still count and contribute zero, as the
-		// aggregate formulas on aggState say.
+		// aggregate formulas on AggKind say.
 		for j, id := range ids {
 			i := base + j
 			if col.Null(i) {
@@ -450,67 +456,6 @@ func (a *aggVecs) updateDistinct(b *storage.ColumnBatch, col *storage.Column, id
 	}
 }
 
-// extValue boxes group g's min/max extreme (nil when the group saw no
-// non-null value).
-func (a *aggVecs) extValue(g int) storage.Value {
-	if g >= len(a.has) || !a.has[g] {
-		return nil
-	}
-	switch a.extType {
-	case storage.TypeInt, storage.TypeTime:
-		return a.extInts[g]
-	case storage.TypeFloat:
-		return a.extFloats[g]
-	case storage.TypeString:
-		return a.extStrs[g]
-	case storage.TypeBool:
-		return a.extBools[g]
-	default:
-		return nil
-	}
-}
-
-// result computes group g's final value with aggState.result semantics.
-func (a *aggVecs) result(g int) storage.Value {
-	switch a.spec.Kind {
-	case AggCount:
-		return a.counts[g]
-	case AggSum:
-		return a.sums[g]
-	case AggAvg:
-		if a.counts[g] == 0 {
-			return nil
-		}
-		return a.sums[g] / float64(a.counts[g])
-	case AggStdDev:
-		return stdDevResult(a.counts[g], a.sums[g], a.sumSqs[g])
-	case AggMin, AggMax:
-		return a.extValue(g)
-	case AggCountDistinct:
-		return int64(len(a.distinct[g]))
-	default:
-		return nil
-	}
-}
-
-// toState converts group g's vector slots back into a boxed aggState, the
-// currency of the combined path's shuffle+merge tail. Distinct sets transfer
-// by reference (a nil set stays nil; aggState.merge and result tolerate it).
-func (a *aggVecs) toState(g int) *aggState {
-	st := &aggState{spec: a.spec, count: a.counts[g]}
-	switch a.spec.Kind {
-	case AggSum, AggAvg, AggStdDev:
-		st.sum, st.sumSq = a.sums[g], a.sumSqs[g]
-	case AggMin:
-		st.min = a.extValue(g)
-	case AggMax:
-		st.max = a.extValue(g)
-	case AggCountDistinct:
-		st.distinct = a.distinct[g]
-	}
-	return st
-}
-
 // appendResult appends group g's result to an output column of the
 // aggregation's output type, typed (no boxing for numeric results).
 func (a *aggVecs) appendResult(c *storage.Column, g int) {
@@ -528,36 +473,42 @@ func (a *aggVecs) appendResult(c *storage.Column, g int) {
 		}
 		c.AppendFloat(a.sums[g] / float64(a.counts[g]))
 	case AggStdDev:
-		if v := stdDevResult(a.counts[g], a.sums[g], a.sumSqs[g]); v == nil {
-			c.AppendNull(g)
-		} else {
-			c.AppendFloat(v.(float64))
-		}
-	case AggMin, AggMax:
-		if g >= len(a.has) || !a.has[g] {
+		if a.counts[g] == 0 {
 			c.AppendNull(g)
 			return
 		}
-		switch a.extType {
-		case storage.TypeInt, storage.TypeTime:
-			c.AppendInt(a.extInts[g])
-		case storage.TypeFloat:
-			c.AppendFloat(a.extFloats[g])
-		case storage.TypeString:
-			c.AppendStr(a.extStrs[g])
-		case storage.TypeBool:
-			c.AppendBool(a.extBools[g])
-		default:
-			c.AppendNull(g)
+		mean := a.sums[g] / float64(a.counts[g])
+		variance := a.sumSqs[g]/float64(a.counts[g]) - mean*mean
+		if variance < 0 {
+			variance = 0
 		}
+		c.AppendFloat(math.Sqrt(variance))
+	case AggMin, AggMax:
+		a.appendExtreme(c, g, g)
 	default:
 		c.AppendNull(g)
 	}
 }
 
-func stdDevResult(count int64, sum, sumSq float64) storage.Value {
-	st := aggState{spec: Aggregation{Kind: AggStdDev}, count: count, sum: sum, sumSq: sumSq}
-	return st.result()
+// appendExtreme appends group g's min/max extreme as row row of c, null when
+// the group saw no non-null value.
+func (a *aggVecs) appendExtreme(c *storage.Column, g, row int) {
+	if g >= len(a.has) || !a.has[g] {
+		c.AppendNull(row)
+		return
+	}
+	switch a.extType {
+	case storage.TypeInt, storage.TypeTime:
+		c.AppendInt(a.extInts[g])
+	case storage.TypeFloat:
+		c.AppendFloat(a.extFloats[g])
+	case storage.TypeString:
+		c.AppendStr(a.extStrs[g])
+	case storage.TypeBool:
+		c.AppendBool(a.extBools[g])
+	default:
+		c.AppendNull(row)
+	}
 }
 
 // emitAggBatch materialises the aggregation output as one columnar batch: key
@@ -585,22 +536,13 @@ func emitAggBatch(n *groupByNode, table *storage.GroupTable, accs []*aggVecs) (*
 // Map-side combined group-by
 // ---------------------------------------------------------------------------
 
-// partialGroup is one group's accumulated aggregation state on the map side
-// of a combined group-by. The binary key encoding and its hash travel with
-// the state so the shuffle and the merge never re-key.
-type partialGroup struct {
-	key       string
-	hash      uint64
-	keyValues []storage.Value
-	states    []*aggState
-}
-
 // evalGroupByCombined is the combined group-by: one job folds each input
-// batch through a GroupTable into typed accumulators and converts the
-// per-group state to partialGroups; only those partials cross the shuffle
-// boundary, and a second job merges them per key (mergeGroupPartials). When
-// keys repeat within partitions this shuffles far fewer rows than the
-// non-combined hash aggregation.
+// batch through a GroupTable into typed accumulators and builds one partial
+// batch per shuffle bucket; only those partials cross the shuffle boundary,
+// and a second job merges them per bucket (mergeGroupPartials). When keys
+// repeat within partitions this shuffles far fewer rows than the
+// non-combined hash aggregation. The partials stay resident, outside the
+// memory budget.
 func (e *Engine) evalGroupByCombined(ctx context.Context, n *groupByNode,
 	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]*storage.ColumnBatch, error) {
 
@@ -609,7 +551,13 @@ func (e *Engine) evalGroupByCombined(ctx context.Context, n *groupByNode,
 	if err != nil {
 		return nil, err
 	}
-	partials := make([][]*partialGroup, len(in))
+	p, err := newAggPartials(n, keySchema, inSchema)
+	if err != nil {
+		return nil, err
+	}
+	nParts := e.shufflePartitions
+	bucketOf := func(hash uint64) int { return storage.PartitionOfHash(hash, nParts) }
+	partials := make([][]*storage.ColumnBatch, len(in))
 	tasks := make([]cluster.Task, len(in))
 	inputRows := countBatchRows(in)
 	for i := range in {
@@ -626,20 +574,13 @@ func (e *Engine) evalGroupByCombined(ctx context.Context, n *groupByNode,
 					a.updateBatch(b, ids, 0)
 				}
 				st.noteAggPeak(table.MemSize() + aggVecsSize(accs))
-				kr := table.KeyRows()
-				order := make([]*partialGroup, table.Groups())
-				for g := range order {
-					states := make([]*aggState, len(accs))
-					for j, a := range accs {
-						states[j] = a.toState(g)
-					}
-					order[g] = &partialGroup{
-						key: table.Key(g), hash: table.Hash(g),
-						keyValues: kr.Row(g), states: states,
-					}
+				seqs := make([]int64, table.Groups())
+				for g := range seqs {
+					seqs[g] = int64(i)<<32 | int64(g)
 				}
-				partials[i] = order
-				return nil
+				out, err := p.build(table, accs, seqs, nParts, bucketOf)
+				partials[i] = out
+				return err
 			},
 		}
 	}
@@ -647,59 +588,49 @@ func (e *Engine) evalGroupByCombined(ctx context.Context, n *groupByNode,
 	if _, err := e.cluster.RunNamedJob(ctx, "groupby-combine", tasks); err != nil {
 		return nil, fmt.Errorf("dataflow: groupby-combine: %w", err)
 	}
-	return e.mergeGroupPartials(ctx, n, partials, inputRows, st)
+	return e.mergeGroupPartials(ctx, p, partials, inputRows, st)
 }
 
-// mergeGroupPartials is the reduce side of the combined group-by: shuffle the
-// partial groups (which carry their keys and hashes) into pre-sized buckets
-// and merge them per key in bucket order, so each group keeps the key values
-// of its first partial. Each bucket emits one output batch.
-func (e *Engine) mergeGroupPartials(ctx context.Context, n *groupByNode, partials [][]*partialGroup,
+// mergeGroupPartials is the reduce side of the combined group-by: bucket b's
+// merge task folds partials[i][b] for every input partition i in order, so
+// each group keeps the key values of its first partial and the bucket emits
+// its groups in partition, then first-seen order, as one output batch.
+func (e *Engine) mergeGroupPartials(ctx context.Context, p *aggPartials, partials [][]*storage.ColumnBatch,
 	inputRows int, st *execState) ([]*storage.ColumnBatch, error) {
 
 	st.addStage()
-	buckets := shuffleBy(e.shufflePartitions, partials, func(g *partialGroup) int {
-		return storage.PartitionOfHash(g.hash, e.shufflePartitions)
-	})
 	moved := 0
-	for _, b := range buckets {
-		moved += len(b)
+	for _, bs := range partials {
+		for _, pb := range bs {
+			if pb != nil {
+				moved += pb.Len()
+			}
+		}
 	}
 	st.addShuffled(moved)
 	st.addCombined(inputRows - moved)
 
-	out := make([]*storage.ColumnBatch, len(buckets))
-	mergeTasks := make([]cluster.Task, len(buckets))
-	for b := range buckets {
+	out := make([]*storage.ColumnBatch, e.shufflePartitions)
+	mergeTasks := make([]cluster.Task, len(out))
+	for b := range mergeTasks {
 		b := b
 		mergeTasks[b] = cluster.Task{
 			Name: fmt.Sprintf("groupby-merge[%d]", b),
 			Fn: func(ctx context.Context, node cluster.Node) error {
-				merged := make(map[string]*partialGroup, len(buckets[b]))
-				var order []*partialGroup
-				for _, g := range buckets[b] {
-					m, ok := merged[g.key]
-					if !ok {
-						merged[g.key] = g
-						order = append(order, g)
-						continue
-					}
-					for j := range m.states {
-						m.states[j].merge(g.states[j])
-					}
+				res, err := p.merge([]batchSeq{
+					func(fold func(*storage.ColumnBatch) error) error {
+						for _, bs := range partials {
+							if err := fold(bs[b]); err != nil {
+								return err
+							}
+						}
+						return nil
+					},
+				}, nil)
+				if err != nil {
+					return err
 				}
-				st.addAggGroups(len(order))
-				res := storage.NewColumnBatch(n.out, len(order))
-				row := make(storage.Row, n.out.Len())
-				for _, g := range order {
-					k := copy(row, g.keyValues)
-					for j, s := range g.states {
-						row[k+j] = s.result()
-					}
-					if err := res.AppendRow(row); err != nil {
-						return err
-					}
-				}
+				st.addAggGroups(res.Len())
 				out[b] = res
 				return nil
 			},
@@ -730,7 +661,7 @@ func (e *Engine) evalGroupByHash(ctx context.Context, n *groupByNode,
 	if err != nil {
 		return nil, err
 	}
-	spillSchema, err := aggSpillSchema(keySchema, n.aggs, inSchema)
+	partials, err := newAggPartials(n, keySchema, inSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -747,7 +678,7 @@ func (e *Engine) evalGroupByHash(ctx context.Context, n *groupByNode,
 		tasks[b] = cluster.Task{
 			Name: fmt.Sprintf("groupby[%d]", b),
 			Fn: func(ctx context.Context, node cluster.Node) error {
-				res, err := e.hashAggPartition(n, b, store, enc, keySchema, keyIdx, spillSchema, inSchema, st)
+				res, err := e.hashAggPartition(n, b, store, enc, keyIdx, partials, st)
 				if err != nil {
 					return err
 				}
@@ -766,17 +697,16 @@ func (e *Engine) evalGroupByHash(ctx context.Context, n *groupByNode,
 // hashAggPartition aggregates one shuffle bucket. The build loop maps each
 // restored batch to dense group ids and runs the typed update kernels; under
 // a memory budget, whenever the resident group state (table + accumulator
-// vectors) exceeds it, the state is flushed as partial rows into an aggSpill
+// vectors) exceeds it, the state is flushed as partial batches into an aggSpill
 // and the table reset — so peak resident state stays bounded by the budget
 // plus one batch's worth of fresh groups. If nothing flushed, groups are
 // emitted directly; otherwise the sub-partitions are merged and re-ordered by
 // first-seen sequence so the output matches the in-memory emission order.
 func (e *Engine) hashAggPartition(n *groupByNode, bucket int, store *storage.PartitionStore,
-	enc *storage.KeyEncoder, keySchema *storage.Schema, keyIdx []int,
-	spillSchema *storage.Schema, inSchema *storage.Schema, st *execState) (*storage.ColumnBatch, error) {
+	enc *storage.KeyEncoder, keyIdx []int, partials *aggPartials, st *execState) (*storage.ColumnBatch, error) {
 
-	table := storage.NewGroupTable(keySchema, keyIdx, enc.Clone())
-	accs := newAggVecSet(n.aggs, inSchema)
+	table := storage.NewGroupTable(partials.keySchema, keyIdx, enc.Clone())
+	accs := newAggVecSet(n.aggs, partials.inSchema)
 	var seqs []int64
 	var nextSeq int64
 	var sp *aggSpill
@@ -812,17 +742,17 @@ func (e *Engine) hashAggPartition(n *groupByNode, bucket int, store *storage.Par
 				if size := table.MemSize() + aggVecsSize(accs); size > budget {
 					st.noteAggPeak(size)
 					if sp == nil {
-						ps, err := e.newPartitionStore(spillSchema, aggSpillPartitions, budget)
+						ps, err := e.newPartitionStore(partials.schema, aggSpillPartitions, budget)
 						if err != nil {
 							return err
 						}
-						sp = &aggSpill{schema: spillSchema, store: ps, nKeys: len(n.keys)}
+						sp = &aggSpill{partials: partials, store: ps}
 					}
 					if err := sp.flush(table, accs, seqs); err != nil {
 						return err
 					}
 					table.Reset()
-					accs = newAggVecSet(n.aggs, inSchema)
+					accs = newAggVecSet(n.aggs, partials.inSchema)
 					seqs = seqs[:0]
 				}
 			}
@@ -851,16 +781,12 @@ func (e *Engine) hashAggPartition(n *groupByNode, bucket int, store *storage.Par
 	if err := sp.flush(table, accs, seqs); err != nil {
 		return nil, err
 	}
-	rows, partsMerged, err := sp.mergeSpilled(n, keySchema, inSchema, st.noteAggPeak)
+	b, partsMerged, err := sp.mergeSpilled(st.noteAggPeak)
 	if err != nil {
 		return nil, err
 	}
-	st.addAggGroups(len(rows))
+	st.addAggGroups(b.Len())
 	st.addAggSpilledParts(partsMerged)
-	b, err := storage.BatchFromRows(n.out, rows)
-	if err != nil {
-		return nil, err
-	}
 	if b.Len() > 0 {
 		st.addBatches(1, b.Len())
 	}
@@ -871,16 +797,91 @@ func (e *Engine) hashAggPartition(n *groupByNode, bucket int, store *storage.Par
 // Spill partitioning of overflowing group state
 // ---------------------------------------------------------------------------
 
-// aggSpill holds the partial-state rows of flushed group-state epochs,
+// aggSpill holds the partial-state batches of flushed group-state epochs,
 // hash-sub-partitioned into a PartitionStore that re-spills them to disk
 // through the batch codec under the same memory budget.
 type aggSpill struct {
-	schema *storage.Schema
-	store  *storage.PartitionStore
-	nKeys  int
+	partials *aggPartials
+	store    *storage.PartitionStore
 }
 
-// aggSpillSchema builds the partial-state row layout: the key columns (all
+// flush appends every group of the current epoch to its hash sub-partition
+// as partial state.
+func (sp *aggSpill) flush(table *storage.GroupTable, accs []*aggVecs, seqs []int64) error {
+	batches, err := sp.partials.build(table, accs, seqs, aggSpillPartitions, aggSubPartition)
+	if err != nil {
+		return err
+	}
+	for p, pb := range batches {
+		if pb == nil {
+			continue
+		}
+		if err := sp.store.Append(p, pb); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mergeSpilled merges each sub-partition on its own — peak resident state
+// is one sub-partition's group slice, ~1/aggSpillPartitions of the bucket's
+// groups — and emits the groups in first-seen sequence order, restoring the
+// exact in-memory emission order. partsMerged reports how many
+// sub-partitions held spilled state.
+func (sp *aggSpill) mergeSpilled(notePeak func(int64)) (*storage.ColumnBatch, int, error) {
+	var runs []batchSeq
+	for p := 0; p < aggSpillPartitions; p++ {
+		if sp.store.PartitionRows(p) == 0 {
+			continue
+		}
+		p := p
+		runs = append(runs, func(fold func(*storage.ColumnBatch) error) error {
+			return sp.store.EachBatch(p, fold)
+		})
+	}
+	b, err := sp.partials.merge(runs, notePeak)
+	return b, len(runs), err
+}
+
+// ---------------------------------------------------------------------------
+// Partial state: the one format group state crosses a boundary in
+// ---------------------------------------------------------------------------
+
+// batchSeq streams a sequence of batches into fold, stopping at the first
+// error.
+type batchSeq func(fold func(*storage.ColumnBatch) error) error
+
+// aggPartials writes and merges a group-by's partial-state batches.
+type aggPartials struct {
+	n         *groupByNode
+	schema    *storage.Schema // aggSpillSchema
+	keySchema *storage.Schema
+	inSchema  *storage.Schema
+	// enc encodes the partial layout's key columns (the first len(n.keys)),
+	// which hold the input key values with their types.
+	enc    *storage.KeyEncoder
+	keyIdx []int
+}
+
+func newAggPartials(n *groupByNode, keySchema, inSchema *storage.Schema) (*aggPartials, error) {
+	schema, err := aggSpillSchema(keySchema, n.aggs, inSchema)
+	if err != nil {
+		return nil, err
+	}
+	keyIdx := make([]int, len(n.keys))
+	keyCols := make([]string, len(n.keys))
+	for i := range keyIdx {
+		keyIdx[i] = i
+		keyCols[i] = schema.Field(i).Name
+	}
+	enc, err := storage.NewKeyEncoder(schema, keyCols...)
+	if err != nil {
+		return nil, err
+	}
+	return &aggPartials{n: n, schema: schema, keySchema: keySchema, inSchema: inSchema, enc: enc, keyIdx: keyIdx}, nil
+}
+
+// aggSpillSchema builds the partial-state layout: the key columns (all
 // nullable — a group key may legitimately be null), the group's first-seen
 // sequence number, then per aggregation a count column plus kind-specific
 // state (sum+sumSq, a typed nullable extreme, or an encoded distinct set).
@@ -912,63 +913,157 @@ func aggSpillSchema(keySchema *storage.Schema, aggs []Aggregation, in *storage.S
 	return storage.NewSchema(fields...)
 }
 
-// appendSpillValues appends group g's partial state to a spill row.
-func (a *aggVecs) appendSpillValues(row storage.Row, g int) storage.Row {
-	row = append(row, a.counts[g])
-	switch a.spec.Kind {
-	case AggSum, AggAvg, AggStdDev:
-		row = append(row, a.sums[g], a.sumSqs[g])
-	case AggMin, AggMax:
-		row = append(row, a.extValue(g))
-	case AggCountDistinct:
-		row = append(row, encodeDistinctSet(a.distinct[g]))
-	}
-	return row
-}
+// build writes the table's groups as partial-state batches, one per part
+// (nil for a part no group hashes to): group g goes to partOf(table.Hash(g))
+// with sequence number seqs[g], and each part keeps the groups in id order.
+func (p *aggPartials) build(table *storage.GroupTable, accs []*aggVecs, seqs []int64,
+	parts int, partOf func(hash uint64) int) ([]*storage.ColumnBatch, error) {
 
-// flush serialises every group of the current epoch as one partial-state row,
-// appended to its hash sub-partition.
-func (sp *aggSpill) flush(table *storage.GroupTable, accs []*aggVecs, seqs []int64) error {
-	groups := table.Groups()
-	if groups == 0 {
-		return nil
+	assign := make([]int32, table.Groups())
+	counts := make([]int, parts)
+	for g := range assign {
+		part := partOf(table.Hash(g))
+		assign[g] = int32(part)
+		counts[part]++
 	}
-	batches := make([]*storage.ColumnBatch, aggSpillPartitions)
+	sels := make([][]int32, parts)
+	for part, c := range counts {
+		sels[part] = make([]int32, 0, c)
+	}
+	for g, part := range assign {
+		sels[part] = append(sels[part], int32(g))
+	}
 	kr := table.KeyRows()
-	width := sp.schema.Len()
-	for g := 0; g < groups; g++ {
-		p := aggSubPartition(table.Hash(g))
-		bb := batches[p]
-		if bb == nil {
-			bb = storage.NewColumnBatch(sp.schema, 0)
-			batches[p] = bb
-		}
-		row := make(storage.Row, 0, width)
-		row = append(row, kr.Row(g)...)
-		row = append(row, seqs[g])
-		for _, a := range accs {
-			row = a.appendSpillValues(row, g)
-		}
-		if err := bb.AppendRow(row); err != nil {
-			return err
-		}
-	}
-	for p, bb := range batches {
-		if bb == nil {
+	out := make([]*storage.ColumnBatch, parts)
+	for part, sel := range sels {
+		if len(sel) == 0 {
 			continue
 		}
-		if err := sp.store.Append(p, bb); err != nil {
-			return err
+		cols := make([]storage.Column, 0, p.schema.Len())
+		for j := 0; j < kr.Width(); j++ {
+			cols = append(cols, kr.Column(j).Gather(sel))
+		}
+		seq := storage.NewColumnBuilder(storage.TypeInt, len(sel))
+		for _, g := range sel {
+			seq.AppendInt(seqs[g])
+		}
+		cols = append(cols, seq)
+		for _, a := range accs {
+			cols = a.appendPartialColumns(cols, sel)
+		}
+		b, err := storage.BatchOfColumns(p.schema, len(sel), cols)
+		if err != nil {
+			return nil, err
+		}
+		out[part] = b
+	}
+	return out, nil
+}
+
+// appendPartialColumns appends this aggregation's partial-state columns for
+// the groups in sel: the count, then the sum and sum of squares, the
+// extreme, or the encoded distinct set.
+func (a *aggVecs) appendPartialColumns(cols []storage.Column, sel []int32) []storage.Column {
+	counts := storage.NewColumnBuilder(storage.TypeInt, len(sel))
+	for _, g := range sel {
+		counts.AppendInt(a.counts[g])
+	}
+	cols = append(cols, counts)
+	switch a.spec.Kind {
+	case AggSum, AggAvg, AggStdDev:
+		sums := storage.NewColumnBuilder(storage.TypeFloat, len(sel))
+		sumSqs := storage.NewColumnBuilder(storage.TypeFloat, len(sel))
+		for _, g := range sel {
+			sums.AppendFloat(a.sums[g])
+			sumSqs.AppendFloat(a.sumSqs[g])
+		}
+		cols = append(cols, sums, sumSqs)
+	case AggMin, AggMax:
+		ext := storage.NewColumnBuilder(a.extType, len(sel))
+		for row, g := range sel {
+			a.appendExtreme(&ext, int(g), row)
+		}
+		cols = append(cols, ext)
+	case AggCountDistinct:
+		sets := storage.NewColumnBuilder(storage.TypeString, len(sel))
+		for _, g := range sel {
+			sets.AppendStr(encodeDistinctSet(a.distinct[g]))
+		}
+		cols = append(cols, sets)
+	}
+	return cols
+}
+
+// merge folds partial-state batches back into final groups. Each run merges
+// through a GroupTable of its own (see mergeSpillBatch), and a group keeps
+// the key values and sequence number of its first partial. The groups of
+// every run come out as one typed batch ordered by sequence number.
+// notePeak, when set, sees the merge's resident state after every batch.
+func (p *aggPartials) merge(runs []batchSeq, notePeak func(int64)) (*storage.ColumnBatch, error) {
+	emitted := make([]*storage.ColumnBatch, len(runs))
+	var order []int64 // each emitted group's sequence number, runs concatenated
+	nKeys := len(p.keyIdx)
+	var ids []int32
+	for r, each := range runs {
+		table := storage.NewGroupTable(p.keySchema, p.keyIdx, p.enc.Clone())
+		accs := newAggVecSet(p.n.aggs, p.inSchema)
+		err := each(func(pb *storage.ColumnBatch) error {
+			if pb == nil || pb.Len() == 0 {
+				return nil
+			}
+			old := table.Groups()
+			ids = table.MapBatch(pb, ids)
+			ensureAggVecs(accs, table.Groups())
+			// New ids appear in increasing order, each first at its group's
+			// first partial.
+			seqCol := pb.Column(nKeys)
+			for i, id := range ids {
+				if int(id) == old {
+					order = append(order, seqCol.Int(i))
+					old++
+				}
+			}
+			col := nKeys + 1
+			for _, a := range accs {
+				col = a.mergeSpillBatch(pb, ids, col)
+			}
+			if notePeak != nil {
+				notePeak(table.MemSize() + aggVecsSize(accs))
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		if emitted[r], err = emitAggBatch(p.n, table, accs); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	var all *storage.ColumnBatch
+	if len(emitted) == 1 {
+		all = emitted[0]
+	} else {
+		all = storage.NewColumnBatch(p.n.out, len(order))
+		for _, b := range emitted {
+			all.AppendRange(b, 0, b.Len())
+		}
+	}
+	if slices.IsSorted(order) {
+		return all, nil
+	}
+	sel := make([]int32, len(order))
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	slices.SortFunc(sel, func(a, b int32) int { return cmp.Compare(order[a], order[b]) })
+	return all.Gather(sel), nil
 }
 
 // mergeSpillBatch folds one partial-state batch into the merge accumulators,
-// starting at spill column col and returning the column after this
-// aggregation's state. Counts add, sums add, extremes compare with
-// aggState.merge semantics (a partial replaces only when strictly better, so
-// the earliest extreme wins ties), distinct sets union.
+// starting at partial column col and returning the column after this
+// aggregation's state. Counts, sums and squared sums add in row order,
+// extremes replace only when strictly better (so the earliest extreme wins
+// ties and a NaN never replaces), distinct sets union.
 func (a *aggVecs) mergeSpillBatch(pb *storage.ColumnBatch, ids []int32, col int) int {
 	cnt := pb.Column(col)
 	col++
@@ -999,81 +1094,6 @@ func (a *aggVecs) mergeSpillBatch(pb *storage.ColumnBatch, ids []int32, col int)
 		}
 	}
 	return col
-}
-
-// mergeSpilled re-aggregates each sub-partition's partial-state rows into a
-// fresh merge table — peak resident state is one sub-partition's group slice,
-// ~1/aggSpillPartitions of the bucket's groups — and emits the final rows
-// sorted by first-seen sequence, restoring the exact in-memory emission
-// order. partsMerged reports how many sub-partitions held spilled state.
-func (sp *aggSpill) mergeSpilled(n *groupByNode, keySchema *storage.Schema,
-	inSchema *storage.Schema, notePeak func(int64)) ([]storage.Row, int, error) {
-
-	keyIdx := make([]int, sp.nKeys)
-	keyCols := make([]string, sp.nKeys)
-	for i := range keyIdx {
-		keyIdx[i] = i
-		keyCols[i] = fmt.Sprintf("k%d", i)
-	}
-	enc, err := storage.NewKeyEncoder(sp.schema, keyCols...)
-	if err != nil {
-		return nil, 0, err
-	}
-	type seqRow struct {
-		seq int64
-		row storage.Row
-	}
-	var all []seqRow
-	partsMerged := 0
-	var ids []int32
-	for p := 0; p < aggSpillPartitions; p++ {
-		if sp.store.PartitionRows(p) == 0 {
-			continue
-		}
-		partsMerged++
-		table := storage.NewGroupTable(keySchema, keyIdx, enc.Clone())
-		accs := newAggVecSet(n.aggs, inSchema)
-		var seqs []int64
-		err := sp.store.EachBatch(p, func(pb *storage.ColumnBatch) error {
-			old := table.Groups()
-			ids = table.MapBatch(pb, ids)
-			groups := table.Groups()
-			ensureAggVecs(accs, groups)
-			for g := old; g < groups; g++ {
-				seqs = append(seqs, -1)
-			}
-			seqCol := pb.Column(sp.nKeys)
-			for i, id := range ids {
-				if seqs[id] == -1 {
-					seqs[id] = seqCol.Int(i)
-				}
-			}
-			col := sp.nKeys + 1
-			for _, a := range accs {
-				col = a.mergeSpillBatch(pb, ids, col)
-			}
-			notePeak(table.MemSize() + aggVecsSize(accs))
-			return nil
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		kr := table.KeyRows()
-		for g := 0; g < table.Groups(); g++ {
-			row := make(storage.Row, 0, n.out.Len())
-			row = append(row, kr.Row(g)...)
-			for _, a := range accs {
-				row = append(row, a.result(g))
-			}
-			all = append(all, seqRow{seq: seqs[g], row: row})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	rows := make([]storage.Row, len(all))
-	for i, sr := range all {
-		rows[i] = sr.row
-	}
-	return rows, partsMerged, nil
 }
 
 // encodeDistinctSet serialises a distinct set as sorted length-prefixed

@@ -2,12 +2,27 @@ package dataflow
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/storage"
 )
 
-// AggKind enumerates the supported aggregation functions.
+// AggKind enumerates the supported aggregation functions. Over a group's
+// rows in input order:
+//
+//   - count: the number of rows — every other kind counts only the non-null
+//     cells of its column;
+//   - sum: the AsFloat sum of the non-null cells (0 when there are none);
+//   - avg: sum / count, null when count is 0;
+//   - stddev: the population standard deviation sqrt(sumSq/count − mean²),
+//     with the variance clamped at 0, null when count is 0;
+//   - min, max: the extreme non-null cell under CompareValues, the first one
+//     winning ties, null when there is none;
+//   - count_distinct: the number of distinct AsString renderings of the
+//     non-null cells.
+//
+// Every kind is algebraic: counts, sums and sums of squares add, extremes
+// compare and distinct sets union, so merging the partial states of a
+// group's rows split across tasks yields the state one pass would have.
 type AggKind int
 
 const (
@@ -126,86 +141,5 @@ func (a Aggregation) outputType(in *storage.Schema) storage.FieldType {
 		return f.Type
 	default:
 		return storage.TypeFloat
-	}
-}
-
-// aggState is one aggregation's partial state for one group, the currency of
-// the combined group-by's shuffle and merge. The aggregate formulas, over the
-// group's rows in input order:
-//
-//   - count: the number of rows (count) — every other kind counts only the
-//     non-null cells of its column;
-//   - sum: the AsFloat sum of the non-null cells (0 when there are none);
-//   - avg: sum / count, null when count is 0;
-//   - stddev: the population standard deviation sqrt(sumSq/count − mean²),
-//     with the variance clamped at 0, null when count is 0;
-//   - min, max: the extreme non-null cell under CompareValues, the first one
-//     winning ties, null when there is none;
-//   - count_distinct: the number of distinct AsString renderings of the
-//     non-null cells.
-type aggState struct {
-	spec     Aggregation
-	count    int64
-	sum      float64
-	sumSq    float64
-	min      storage.Value
-	max      storage.Value
-	distinct map[string]struct{}
-}
-
-// merge folds another partial state of the same aggregation into st. It is
-// the combine step of map-side aggregation: every supported aggregation is
-// algebraic (count/sum/sumSq add, min/max compare, distinct sets union), so
-// merging partials yields exactly the state a single-pass aggregation over
-// the concatenated input would have produced.
-func (st *aggState) merge(other *aggState) {
-	st.count += other.count
-	st.sum += other.sum
-	st.sumSq += other.sumSq
-	if other.min != nil && (st.min == nil || storage.CompareValues(other.min, st.min) < 0) {
-		st.min = other.min
-	}
-	if other.max != nil && (st.max == nil || storage.CompareValues(other.max, st.max) > 0) {
-		st.max = other.max
-	}
-	if len(other.distinct) > 0 {
-		if st.distinct == nil {
-			st.distinct = make(map[string]struct{}, len(other.distinct))
-		}
-		for k := range other.distinct {
-			st.distinct[k] = struct{}{}
-		}
-	}
-}
-
-func (st *aggState) result() storage.Value {
-	switch st.spec.Kind {
-	case AggCount:
-		return st.count
-	case AggSum:
-		return st.sum
-	case AggAvg:
-		if st.count == 0 {
-			return nil
-		}
-		return st.sum / float64(st.count)
-	case AggStdDev:
-		if st.count == 0 {
-			return nil
-		}
-		mean := st.sum / float64(st.count)
-		variance := st.sumSq/float64(st.count) - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		return math.Sqrt(variance)
-	case AggMin:
-		return st.min
-	case AggMax:
-		return st.max
-	case AggCountDistinct:
-		return int64(len(st.distinct))
-	default:
-		return nil
 	}
 }

@@ -69,6 +69,10 @@ type Engine struct {
 	// spillDir places every spill temp file this engine creates ("" keeps
 	// os.TempDir()).
 	spillDir string
+	// checkBatch, when set, sees every batch every plan node's evaluation
+	// returns, with the node's output schema; an error fails the action.
+	// Tests set it to hold each operator's output to the batch invariants.
+	checkBatch func(schema *storage.Schema, b *storage.ColumnBatch) error
 }
 
 // EngineOption configures engine construction.
@@ -85,10 +89,10 @@ func WithShufflePartitions(n int) EngineOption {
 	}
 }
 
-// WithFusion toggles the stage compiler (default on). With fusion off every
+// withFusion toggles the stage compiler (default on). With fusion off every
 // narrow operator schedules its own cluster job and materialises its full
-// output, which is the baseline the fused benchmarks compare against.
-func WithFusion(enabled bool) EngineOption {
+// output: the equivalence suite's unfused arm.
+func withFusion(enabled bool) EngineOption {
 	return func(e *Engine) { e.fuse = enabled }
 }
 
@@ -99,16 +103,16 @@ func WithMapSideCombine(enabled bool) EngineOption {
 	return func(e *Engine) { e.combine = enabled }
 }
 
-// WithBroadcastJoin toggles the broadcast hash join strategy (default on).
+// withBroadcastJoin toggles the broadcast hash join strategy (default on).
 // With it off every join shuffles both inputs regardless of size.
-func WithBroadcastJoin(enabled bool) EngineOption {
+func withBroadcastJoin(enabled bool) EngineOption {
 	return func(e *Engine) { e.broadcastJoin = enabled }
 }
 
-// WithBroadcastThreshold sets the build-side row count at or under which a
+// withBroadcastThreshold sets the build-side row count at or under which a
 // join broadcasts instead of shuffling (default 10000). Non-positive values
-// are ignored; use WithBroadcastJoin(false) to disable broadcasting.
-func WithBroadcastThreshold(rows int) EngineOption {
+// are ignored; use withBroadcastJoin(false) to disable broadcasting.
+func withBroadcastThreshold(rows int) EngineOption {
 	return func(e *Engine) {
 		if rows > 0 {
 			e.broadcastThreshold = rows
@@ -515,11 +519,26 @@ func validateWideColumns(node planNode) error {
 	return nil
 }
 
-// eval recursively executes a plan node, returning its output partitions.
-// With fusion enabled, a maximal chain of narrow operators ending at node
-// executes as one fused stage (one cluster job per stage); with it disabled,
-// every narrow operator is a one-operator stage of its own.
+// eval recursively executes a plan node, returning its output partitions,
+// each passed through checkBatch when it is set.
 func (e *Engine) eval(ctx context.Context, node planNode, st *execState) ([]*storage.ColumnBatch, error) {
+	parts, err := e.evalNode(ctx, node, st)
+	if err != nil || e.checkBatch == nil {
+		return parts, err
+	}
+	for i, b := range parts {
+		if err := e.checkBatch(node.schema(), b); err != nil {
+			return nil, fmt.Errorf("dataflow: %s output batch %d: %w", node.label(), i, err)
+		}
+	}
+	return parts, nil
+}
+
+// evalNode executes one plan node over its evaluated children. With fusion
+// enabled, a maximal chain of narrow operators ending at node executes as one
+// fused stage (one cluster job per stage); with it disabled, every narrow
+// operator is a one-operator stage of its own.
+func (e *Engine) evalNode(ctx context.Context, node planNode, st *execState) ([]*storage.ColumnBatch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -616,38 +635,6 @@ func countBatchRows(in []*storage.ColumnBatch) int {
 // ---------------------------------------------------------------------------
 // Shuffle
 // ---------------------------------------------------------------------------
-
-// shuffleBy redistributes items into nParts buckets, preserving input order
-// within each bucket. Bucket assignment is computed once per item and the
-// output buffers are pre-sized exactly, so the redistribution itself never
-// reallocates.
-func shuffleBy[T any](nParts int, in [][]T, bucketOf func(T) int) [][]T {
-	total := 0
-	for _, p := range in {
-		total += len(p)
-	}
-	assign := make([]int32, 0, total)
-	counts := make([]int, nParts)
-	for _, p := range in {
-		for i := range p {
-			b := bucketOf(p[i])
-			assign = append(assign, int32(b))
-			counts[b]++
-		}
-	}
-	buckets := make([][]T, nParts)
-	for b := range buckets {
-		buckets[b] = make([]T, 0, counts[b])
-	}
-	i := 0
-	for _, p := range in {
-		for j := range p {
-			buckets[assign[i]] = append(buckets[assign[i]], p[j])
-			i++
-		}
-	}
-	return buckets
-}
 
 // spillChunkRows caps the open per-bucket builder on the budgeted batch
 // shuffle: a chunk seals into the partition store (and becomes spillable)

@@ -361,7 +361,7 @@ func TestInnerJoin(t *testing.T) {
 
 	// With broadcasting disabled the fallback shuffles both sides and must
 	// produce the same rows.
-	eOff := testEngineWith(t, WithBroadcastJoin(false))
+	eOff := testEngineWith(t, withBroadcastJoin(false))
 	resOff := collect(t, eOff, j)
 	if len(resOff.Rows) != 5 {
 		t.Fatalf("shuffled inner join rows = %d, want 5", len(resOff.Rows))

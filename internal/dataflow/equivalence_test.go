@@ -145,15 +145,32 @@ func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 	case 1:
 		d = d.Distinct()
 	case 2:
-		if hasKeys {
-			d = d.GroupBy("c0").Agg(Count(), Sum("c1"), Min("c1"), CountDistinct("c0"))
-		}
+		d = genGroupBy(rng, d)
 	case 3:
 		if hasKeys {
 			d = d.Sort(SortOrder{Column: "c0"}, SortOrder{Column: "c1", Descending: true})
 		}
 	}
 	return d
+}
+
+// genGroupBy groups d by one or two of its columns and draws one to four
+// aggregations, of any of the seven kinds, over any of its columns. Each
+// aggregation is named after its position, so output names never collide.
+func genGroupBy(rng *rand.Rand, d *Dataset) *Dataset {
+	names := d.Schema().Names()
+	rng.Shuffle(len(names), func(a, b int) { names[a], names[b] = names[b], names[a] })
+	keys := names[:1+rng.Intn(min(2, len(names)))]
+	kinds := []AggKind{AggCount, AggSum, AggAvg, AggMin, AggMax, AggCountDistinct, AggStdDev}
+	aggs := make([]Aggregation, 1+rng.Intn(4))
+	for j := range aggs {
+		a := Aggregation{Kind: kinds[rng.Intn(len(kinds))], As: fmt.Sprintf("a%d", j)}
+		if a.Kind != AggCount {
+			a.Column = names[rng.Intn(len(names))]
+		}
+		aggs[j] = a
+	}
+	return d.GroupBy(keys...).Agg(aggs...)
 }
 
 // genPlan builds the randomized suite's plan for seed. rows < 0 keeps the row
@@ -179,7 +196,8 @@ type engineArm struct {
 // engineArms builds the defaults plus one arm per live planning switch, each
 // over an identical fresh cluster (same seed, no failure injection). The
 // spill arm's one-byte budget forces every batch a wide operator accumulates
-// through the compressed spill codec to disk.
+// through the compressed spill codec to disk. Every arm checks every batch
+// every operator returns with checkOperatorBatch.
 func engineArms(t testing.TB, opts ...EngineOption) []engineArm {
 	t.Helper()
 	build := func(extra ...EngineOption) *Engine {
@@ -191,15 +209,28 @@ func engineArms(t testing.TB, opts ...EngineOption) []engineArm {
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.checkBatch = checkOperatorBatch
 		return e
 	}
 	return []engineArm{
 		{"default", build()},
-		{"unfused", build(WithFusion(false))},
+		{"unfused", build(withFusion(false))},
 		{"spill", build(WithMemoryBudget(1))},
 		{"uncombined", build(WithMapSideCombine(false))},
-		{"shuffle-join", build(WithBroadcastJoin(false))},
+		{"shuffle-join", build(withBroadcastJoin(false))},
 	}
+}
+
+// checkOperatorBatch holds one operator's output batch to the batch
+// invariants and to the operator's output schema.
+func checkOperatorBatch(schema *storage.Schema, b *storage.ColumnBatch) error {
+	if err := storage.ValidateBatch(b); err != nil {
+		return err
+	}
+	if !b.Schema().Equal(schema) {
+		return fmt.Errorf("batch schema %s, operator schema %s", b.Schema(), schema)
+	}
+	return nil
 }
 
 // checkArms runs plan under every arm, requires every batch each arm emits
@@ -251,6 +282,50 @@ func collectValidated(e *Engine, plan *Dataset) (*Result, error) {
 		return nil, fmt.Errorf("batches hold %d rows, Len reports %d", len(res.Rows), br.Len())
 	}
 	return res, nil
+}
+
+// TestOperatorBatchCheck pins the batch hook: production engines run
+// without it, it sees the output of operators below the plan's root, and the
+// engine arms use it, so a group-by output broken in a column a projection
+// then drops still fails the suite.
+func TestOperatorBatchCheck(t *testing.T) {
+	schema := storage.MustSchema(
+		storage.Field{Name: "k", Type: storage.TypeString},
+		storage.Field{Name: "v", Type: storage.TypeFloat, Nullable: true},
+	)
+	rows := make([]storage.Row, 200)
+	for i := range rows {
+		rows[i] = storage.Row{fmt.Sprintf("k%d", i%17), float64(i) / 4}
+	}
+	plan := FromRows("hook", schema, rows, 3).
+		GroupBy("k").Agg(Sum("v"), Count()).
+		Project("k", "sum_v")
+
+	c, err := cluster.New(cluster.Uniform(2, 2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.checkBatch != nil {
+		t.Fatal("a production engine has a batch hook")
+	}
+	seen := map[string]int{}
+	e.checkBatch = func(schema *storage.Schema, b *storage.ColumnBatch) error {
+		seen[schema.String()]++
+		return checkOperatorBatch(schema, b)
+	}
+	if _, err := e.Collect(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*storage.Schema{schema, plan.node.children()[0].schema(), plan.Schema()} {
+		if seen[s.String()] == 0 {
+			t.Errorf("hook never saw a batch of schema %s; saw %v", s, seen)
+		}
+	}
+	checkArms(t, plan)
 }
 
 func TestRandomizedPlanEquivalence(t *testing.T) {

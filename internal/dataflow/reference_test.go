@@ -4,7 +4,7 @@ package dataflow
 // logical plans over boxed rows. It has no fusion, no shuffle and no spill.
 // It walks the plan nodes, calls their closures on row-backed Records, and
 // decides every value question with storage.CompareValues, AsFloat and
-// AsString alone, applying the aggregate formulas documented on aggState in
+// AsString alone, applying the aggregate formulas documented on AggKind in
 // aggregate.go. It shares nothing with the executor beyond the plan nodes,
 // so a bug in a batch kernel, a key encoder or a comparator cannot hide in
 // both.

@@ -88,7 +88,7 @@ func TestSpillShuffledJoin(t *testing.T) {
 			Join(FromRows("dims", dimSchema, dim, 2), "k", "k", InnerJoin)
 	}
 
-	mem := spillEngine(t, WithBroadcastJoin(false))
+	mem := spillEngine(t, withBroadcastJoin(false))
 	base, err := mem.Collect(ctx, plan())
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestSpillShuffledJoin(t *testing.T) {
 		t.Fatalf("unlimited engine spilled %d batches", base.Stats.SpilledBatches)
 	}
 
-	spill := spillEngine(t, WithBroadcastJoin(false), WithMemoryBudget(1))
+	spill := spillEngine(t, withBroadcastJoin(false), WithMemoryBudget(1))
 	got, err := spill.Collect(ctx, plan())
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +371,7 @@ func TestNegativeZeroJoin(t *testing.T) {
 		opts []EngineOption
 	}{
 		{"broadcast", nil},
-		{"shuffled", []EngineOption{WithBroadcastJoin(false)}},
+		{"shuffled", []EngineOption{withBroadcastJoin(false)}},
 	} {
 		for _, arm := range engineArms(t, strategy.opts...) {
 			mode := arm.name

@@ -21,7 +21,7 @@ func fusedAndUnfusedEngines(t *testing.T, opts ...EngineOption) (*Engine, *Engin
 		if err != nil {
 			t.Fatal(err)
 		}
-		all := append([]EngineOption{WithFusion(fuse), WithMapSideCombine(fuse)}, opts...)
+		all := append([]EngineOption{withFusion(fuse), WithMapSideCombine(fuse)}, opts...)
 		e, err := NewEngine(c, all...)
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +125,7 @@ func TestUnfusedNarrowChainRunsJobPerOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(c, WithFusion(false))
+	e, err := NewEngine(c, withFusion(false))
 	if err != nil {
 		t.Fatal(err)
 	}

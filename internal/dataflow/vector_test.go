@@ -70,7 +70,7 @@ func TestExplainNamesExecutionMode(t *testing.T) {
 	if capped := testEngine(t).Explain(vectorChainPlan(t, 100, 2).Limit(5)); !strings.Contains(capped, "+Limit(5)") {
 		t.Errorf("limit-capped chain must name its limit:\n%s", capped)
 	}
-	unfused := testEngineWith(t, WithFusion(false)).Explain(d)
+	unfused := testEngineWith(t, withFusion(false)).Explain(d)
 	if !strings.Contains(unfused, "fusion=off") || strings.Contains(unfused, "FusedStage") {
 		t.Errorf("unfused Explain must name the switch and render no fused stage:\n%s", unfused)
 	}

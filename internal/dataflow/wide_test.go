@@ -199,13 +199,13 @@ func TestBroadcastJoinThresholdBoundary(t *testing.T) {
 	plan := wideDataset(t, 400, 4).Join(right, "k", "k", InnerJoin)
 
 	// Build side of 5 rows at threshold 5: broadcast.
-	at := collect(t, testEngineWith(t, WithBroadcastThreshold(5)), plan)
+	at := collect(t, testEngineWith(t, withBroadcastThreshold(5)), plan)
 	if at.Stats.BroadcastJoins != 1 || at.Stats.ShuffledRows != 0 {
 		t.Errorf("threshold==build size must broadcast (joins=%d shuffled=%d)",
 			at.Stats.BroadcastJoins, at.Stats.ShuffledRows)
 	}
 	// One below: shuffle.
-	under := collect(t, testEngineWith(t, WithBroadcastThreshold(4)), plan)
+	under := collect(t, testEngineWith(t, withBroadcastThreshold(4)), plan)
 	if under.Stats.BroadcastJoins != 0 || under.Stats.ShuffledRows == 0 {
 		t.Errorf("build side over threshold must shuffle (joins=%d shuffled=%d)",
 			under.Stats.BroadcastJoins, under.Stats.ShuffledRows)
@@ -229,7 +229,7 @@ func TestBroadcastLeftJoinMatchesShuffled(t *testing.T) {
 	// Keys 0..39 on the left, only 1 and 2 match: most rows null-extend.
 	plan := wideDataset(t, 400, 4).Join(right, "k", "k", LeftJoin)
 	broadcast := collect(t, testEngineWith(t), plan)
-	shuffled := collect(t, testEngineWith(t, WithBroadcastJoin(false)), plan)
+	shuffled := collect(t, testEngineWith(t, withBroadcastJoin(false)), plan)
 	if len(broadcast.Rows) != 400 || len(shuffled.Rows) != 400 {
 		t.Fatalf("left join rows = %d / %d, want 400", len(broadcast.Rows), len(shuffled.Rows))
 	}
@@ -410,10 +410,10 @@ func TestExplainWideStrategies(t *testing.T) {
 	if got := e.Explain(join); !strings.Contains(got, "[broadcast(build≤2)]") {
 		t.Errorf("Explain must predict the broadcast join with the build-side bound:\n%s", got)
 	}
-	if got := testEngineWith(t, WithBroadcastJoin(false)).Explain(join); !strings.Contains(got, "[shuffle-hash]") {
+	if got := testEngineWith(t, withBroadcastJoin(false)).Explain(join); !strings.Contains(got, "[shuffle-hash]") {
 		t.Errorf("broadcast-off Explain must name the shuffled strategy:\n%s", got)
 	}
-	if got := testEngineWith(t, WithBroadcastThreshold(1)).Explain(join); !strings.Contains(got, "[shuffle-hash]") {
+	if got := testEngineWith(t, withBroadcastThreshold(1)).Explain(join); !strings.Contains(got, "[shuffle-hash]") {
 		t.Errorf("build side above threshold must render shuffle-hash:\n%s", got)
 	}
 

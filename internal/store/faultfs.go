@@ -125,13 +125,6 @@ func (fs *FaultFS) Ops() int {
 	return fs.ops
 }
 
-// Crashed reports whether a crash point has fired.
-func (fs *FaultFS) Crashed() bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.crashed
-}
-
 // Reset clears the crashed state and disarms faults, simulating the process
 // restart that follows power loss. Durable state is preserved.
 func (fs *FaultFS) Reset() {
@@ -408,18 +401,6 @@ func (fs *FaultFS) SyncDir(dir string) error {
 
 func underDir(name, dir string) bool {
 	return path.Dir(name) == dir || strings.HasPrefix(name, dir+"/")
-}
-
-// DumpFiles returns the live file names, sorted — a debugging aid for tests.
-func (fs *FaultFS) DumpFiles() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 type faultFile struct {

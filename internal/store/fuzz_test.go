@@ -76,7 +76,7 @@ func goldenSegment() ([]byte, error) {
 		return nil, err
 	}
 	ffs := NewFaultFS()
-	if _, _, err := writeSegment(ffs, "/g.seg", schema, []*storage.ColumnBatch{b}, "region", storage.CodecOptions{Compress: true}); err != nil {
+	if _, _, err := writeSegment(ffs, "/g.seg", schema, []*storage.ColumnBatch{b}, "region"); err != nil {
 		return nil, err
 	}
 	return readAll(ffs, "/g.seg")

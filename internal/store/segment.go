@@ -522,10 +522,14 @@ func bloomValueBytes(v any) ([]byte, bool) {
 
 // --- segment writer ---
 
+// segmentCodec is the codec every segment frame is written with: compressed
+// v2 frames (see storage/frame.go).
+var segmentCodec = storage.CodecOptions{Compress: true}
+
 // writeSegment writes batches as one immutable segment at tmpPath, fsyncs
 // it, and returns the footer-derived metadata. The caller renames it into
 // place and records it in the manifest; until then it is invisible.
-func writeSegment(fs FS, tmpPath string, schema *storage.Schema, batches []*storage.ColumnBatch, bloomCol string, codec storage.CodecOptions) (ref SegmentRef, footer segmentFooter, err error) {
+func writeSegment(fs FS, tmpPath string, schema *storage.Schema, batches []*storage.ColumnBatch, bloomCol string) (ref SegmentRef, footer segmentFooter, err error) {
 	f, err := fs.Create(tmpPath)
 	if err != nil {
 		return ref, footer, err
@@ -563,7 +567,7 @@ func writeSegment(fs FS, tmpPath string, schema *storage.Schema, batches []*stor
 		if b.Len() == 0 {
 			continue
 		}
-		enc = storage.EncodeBatchOpts(enc[:0], b, codec)
+		enc = storage.EncodeBatchOpts(enc[:0], b, segmentCodec)
 		crc := crc32.ChecksumIEEE(enc)
 		var hdr [8]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(enc)))

@@ -38,7 +38,6 @@ type Store struct {
 	checkpointEvery        int
 	segmentRows            int
 	frameRows              int
-	codec                  storage.CodecOptions
 
 	reg    *metrics.Registry
 	closed bool
@@ -71,9 +70,6 @@ type Option func(*Store)
 // WithFS substitutes the filesystem (tests use FaultFS).
 func WithFS(fs FS) Option { return func(s *Store) { s.fs = fs } }
 
-// WithMetrics attaches a registry for store.* counters.
-func WithMetrics(reg *metrics.Registry) Option { return func(s *Store) { s.reg = reg } }
-
 // WithSegmentRows caps rows per segment file (default 8192).
 func WithSegmentRows(n int) Option {
 	return func(s *Store) {
@@ -102,9 +98,6 @@ func WithCheckpointEvery(n int) Option {
 	}
 }
 
-// WithCodec overrides the frame codec options (default: v2, compressed).
-func WithCodec(c storage.CodecOptions) Option { return func(s *Store) { s.codec = c } }
-
 // TableOption configures SaveTable.
 type TableOption func(*tableOpts)
 
@@ -124,14 +117,11 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		manifest:        newManifestState(),
 		segmentRows:     defaultSegmentRows,
 		frameRows:       defaultFrameRows,
+		reg:             metrics.NewRegistry(),
 		checkpointEvery: defaultCheckpointEvery,
-		codec:           storage.CodecOptions{Compress: true},
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.reg == nil {
-		s.reg = metrics.NewRegistry()
 	}
 	for _, d := range []string{dir, s.segsDir(), s.tmpDir(), s.quarantineDir()} {
 		if err := s.fs.MkdirAll(d); err != nil {
@@ -393,7 +383,7 @@ func (s *Store) SaveTable(name string, schema *storage.Schema, batches []*storag
 		s.nextSeq++
 		fileName := segFileName(seq)
 		tmpPath := path.Join(s.tmpDir(), fmt.Sprintf("seg-%08d.tmp", seq))
-		ref, _, err := writeSegment(s.fs, tmpPath, schema, chunk, o.bloomCol, s.codec)
+		ref, _, err := writeSegment(s.fs, tmpPath, schema, chunk, o.bloomCol)
 		if err != nil {
 			return fmt.Errorf("store: writing segment for %q: %w", name, err)
 		}
