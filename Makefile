@@ -50,7 +50,8 @@ lint:
 # hash/fnv and fmt's %016x on arbitrary strings; FuzzSaveTableChunking saves
 # random batch lengths with nullable columns under random frame and segment
 # sizes and holds the store's typed re-chunking to SaveRows of the same rows.
-# The
+# FuzzTopologicalOrder holds the index-based composition order (literal and
+# built by procedural.New) to the map-based one it replaced. The
 # time box keeps the target usable as a pre-commit check; raise FUZZTIME for a
 # longer soak. Go fuzzing accepts one -fuzz pattern per package invocation,
 # so the targets run back to back.
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanEquivalence' -fuzztime $(FUZZTIME) ./internal/dataflow/
 	$(GO) test -run '^$$' -fuzz 'FuzzAprioriEquivalence' -fuzztime $(FUZZTIME) ./internal/analytics/
 	$(GO) test -run '^$$' -fuzz 'FuzzPseudonymize' -fuzztime $(FUZZTIME) ./internal/runner/
+	$(GO) test -run '^$$' -fuzz 'FuzzTopologicalOrder' -fuzztime $(FUZZTIME) ./internal/procedural/
 
 # Fault-injection soak of the multi-tenant service runtime under the race
 # detector: concurrent tenants, injected cluster faults, a tight memory

@@ -12,6 +12,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -126,6 +127,9 @@ func (d Descriptor) EstimateLatencyMillis(rows, parallelism int) float64 {
 type Registry struct {
 	mu       sync.RWMutex
 	services map[string]Descriptor
+	// sorted holds every descriptor in id order. Register replaces it and
+	// never modifies it in place, so a reader may keep the snapshot it read.
+	sorted []Descriptor
 }
 
 // NewRegistry returns an empty registry.
@@ -144,6 +148,11 @@ func (r *Registry) Register(d Descriptor) error {
 		return fmt.Errorf("%w: %q", ErrDuplicateService, d.ID)
 	}
 	r.services[d.ID] = d
+	at, _ := slices.BinarySearchFunc(r.sorted, d.ID, func(e Descriptor, id string) int { return strings.Compare(e.ID, id) })
+	next := make([]Descriptor, 0, len(r.sorted)+1)
+	next = append(next, r.sorted[:at]...)
+	next = append(next, d)
+	r.sorted = append(next, r.sorted[at:]...)
 	return nil
 }
 
@@ -173,22 +182,23 @@ func (r *Registry) Len() int {
 	return len(r.services)
 }
 
-// All returns every descriptor sorted by id.
-func (r *Registry) All() []Descriptor {
+// snapshot returns every descriptor in id order. The slice is shared: do not
+// modify it.
+func (r *Registry) snapshot() []Descriptor {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Descriptor, 0, len(r.services))
-	for _, d := range r.services {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return r.sorted
+}
+
+// All returns every descriptor sorted by id.
+func (r *Registry) All() []Descriptor {
+	return slices.Clone(r.snapshot())
 }
 
 // ByArea returns every descriptor of the given area, sorted by id.
 func (r *Registry) ByArea(area model.Area) []Descriptor {
 	var out []Descriptor
-	for _, d := range r.All() {
+	for _, d := range r.snapshot() {
 		if d.Area == area {
 			out = append(out, d)
 		}
@@ -200,7 +210,7 @@ func (r *Registry) ByArea(area model.Area) []Descriptor {
 // task, sorted by descending quality (ties broken by id).
 func (r *Registry) CandidatesForTask(task model.AnalyticsTask) []Descriptor {
 	var out []Descriptor
-	for _, d := range r.All() {
+	for _, d := range r.snapshot() {
 		if d.Area == model.AreaAnalytics && d.Task == task {
 			out = append(out, d)
 		}
@@ -217,7 +227,7 @@ func (r *Registry) CandidatesForTask(task model.AnalyticsTask) []Descriptor {
 // ByCapability returns services exposing the given capability, sorted by id.
 func (r *Registry) ByCapability(capability string) []Descriptor {
 	var out []Descriptor
-	for _, d := range r.All() {
+	for _, d := range r.snapshot() {
 		if d.Capability == capability {
 			out = append(out, d)
 		}

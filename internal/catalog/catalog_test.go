@@ -208,4 +208,13 @@ func TestAllSorted(t *testing.T) {
 			break
 		}
 	}
+	if len(all) != r.Len() {
+		t.Errorf("All has %d descriptors, Len = %d", len(all), r.Len())
+	}
+	// All returns a copy: writing to it leaves the registry's lookups alone.
+	first := all[0].ID
+	all[0].ID = "zz-overwritten"
+	if got := r.All()[0].ID; got != first {
+		t.Errorf("All()[0] = %q after writing to an earlier result, want %q", got, first)
+	}
 }

@@ -15,6 +15,7 @@ package compliance
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/procedural"
@@ -152,13 +153,11 @@ func (e *Engine) Evaluate(in Input) (Report, error) {
 		return Report{}, fmt.Errorf("%w: campaign and composition are required", ErrBadInput)
 	}
 	var report Report
-	seenObligation := map[string]bool{}
 	for _, rule := range e.rules {
 		violations, obligations := rule.Evaluate(in)
 		report.Violations = append(report.Violations, violations...)
 		for _, o := range obligations {
-			if !seenObligation[o] {
-				seenObligation[o] = true
+			if !slices.Contains(report.Obligations, o) {
 				report.Obligations = append(report.Obligations, o)
 			}
 		}
@@ -292,7 +291,7 @@ type clearanceRule struct{}
 func (clearanceRule) ID() string { return "R4-sensitivity-clearance" }
 
 func (r clearanceRule) Evaluate(in Input) ([]Violation, []string) {
-	order, err := in.Composition.TopologicalOrder()
+	order, err := in.Composition.Order()
 	if err != nil {
 		return []Violation{{Rule: r.ID(), Severity: Blocking, Message: "composition is not a DAG"}}, nil
 	}
@@ -301,7 +300,8 @@ func (r clearanceRule) Evaluate(in Input) ([]Violation, []string) {
 		effective = storage.Internal
 	}
 	var violations []Violation
-	for _, step := range order {
+	for _, k := range order {
+		step := &in.Composition.Steps[k]
 		if step.Service.Anonymizes {
 			// Downstream of anonymisation the data is no longer personal.
 			if effective > storage.Internal {

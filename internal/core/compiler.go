@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/catalog"
@@ -103,7 +104,7 @@ func (a Alternative) Compliant() bool { return a.Compliance.Compliant() }
 
 // Fingerprint identifies the alternative by its service chain and platform.
 func (a Alternative) Fingerprint() string {
-	return fmt.Sprintf("%s @ %s", a.Composition.Fingerprint(), a.Plan.Platform)
+	return a.Composition.Fingerprint() + " @ " + string(a.Plan.Platform)
 }
 
 // PhaseTimings records the wall-clock spent in each compilation phase
@@ -264,8 +265,13 @@ func (c *Compiler) compose(campaign *model.Campaign, m matchResult) []*procedura
 		normalizeOptions = append(normalizeOptions, true)
 	}
 	platforms := []deployment.Platform{deployment.PlatformBatch, deployment.PlatformStreaming}
+	// Every composition of one compile shares its step parameters; the
+	// runner only reads them.
+	ingestParams := map[string]string{"table": campaign.Goal.TargetTable}
+	analyzeParams := analyticsParams(campaign)
 
 	var out []*procedural.Composition
+	seen := map[string]bool{}
 	for _, privacy := range privacyOptions {
 		for _, normalize := range normalizeOptions {
 			for _, analytics := range m.analytics {
@@ -276,58 +282,46 @@ func (c *Compiler) compose(campaign *model.Campaign, m matchResult) []*procedura
 						continue
 					}
 					for _, display := range m.display {
-						comp := c.buildComposition(campaign, ingest, m.basePrep[0], privacy, normalize, m.normalize, analytics, process, display)
-						if comp == nil {
-							continue
-						}
+						steps := compositionSteps(ingestParams, analyzeParams,
+							ingest, m.basePrep[0], privacy, normalize, m.normalize, analytics, process, display)
 						// Only keep compositions whose every step supports the
-						// intended processing style.
-						if platform == deployment.PlatformStreaming && !comp.SupportsStreaming() {
+						// intended processing style; check before validating.
+						candidate := procedural.Composition{Steps: steps}
+						if platform == deployment.PlatformStreaming && !candidate.SupportsStreaming() {
 							continue
 						}
-						if platform != deployment.PlatformStreaming && !comp.SupportsBatch() {
+						if platform != deployment.PlatformStreaming && !candidate.SupportsBatch() {
 							continue
 						}
+						comp, err := procedural.New(campaign.Name, steps)
+						if err != nil || seen[comp.Fingerprint()] {
+							continue
+						}
+						seen[comp.Fingerprint()] = true
 						out = append(out, comp)
 					}
 				}
 			}
 		}
 	}
-	return dedupeCompositions(out)
-}
-
-func dedupeCompositions(in []*procedural.Composition) []*procedural.Composition {
-	seen := map[string]bool{}
-	var out []*procedural.Composition
-	for _, comp := range in {
-		fp := comp.Fingerprint()
-		if seen[fp] {
-			continue
-		}
-		seen[fp] = true
-		out = append(out, comp)
-	}
 	return out
 }
 
-// buildComposition assembles one linear composition.
-func (c *Compiler) buildComposition(campaign *model.Campaign,
+// compositionSteps assembles the steps of one linear composition.
+func compositionSteps(ingestParams, analyzeParams map[string]string,
 	ingest, basePrep catalog.Descriptor, privacy *catalog.Descriptor,
 	normalize bool, normalizeServices []catalog.Descriptor,
-	analytics, process, display catalog.Descriptor) *procedural.Composition {
+	analytics, process, display catalog.Descriptor) []procedural.Step {
 
-	comp := &procedural.Composition{Campaign: campaign.Name}
-	prev := ""
+	steps := make([]procedural.Step, 0, 7)
 	add := func(id string, d catalog.Descriptor, params map[string]string) {
 		step := procedural.Step{ID: id, Service: d, Params: params}
-		if prev != "" {
-			step.DependsOn = []string{prev}
+		if len(steps) > 0 {
+			step.DependsOn = []string{steps[len(steps)-1].ID}
 		}
-		comp.Steps = append(comp.Steps, step)
-		prev = id
+		steps = append(steps, step)
 	}
-	add("ingest", ingest, map[string]string{"table": campaign.Goal.TargetTable})
+	add("ingest", ingest, ingestParams)
 	add("clean", basePrep, nil)
 	if privacy != nil {
 		add("privacy", *privacy, nil)
@@ -335,13 +329,10 @@ func (c *Compiler) buildComposition(campaign *model.Campaign,
 	if normalize && len(normalizeServices) > 0 {
 		add("normalize", normalizeServices[0], nil)
 	}
-	add("analyze", analytics, analyticsParams(campaign))
+	add("analyze", analytics, analyzeParams)
 	add("process", process, nil)
 	add("display", display, nil)
-	if err := comp.Validate(); err != nil {
-		return nil
-	}
-	return comp
+	return steps
 }
 
 // analyticsParams maps the campaign goal onto the analytics step parameters
@@ -354,7 +345,7 @@ func analyticsParams(campaign *model.Campaign) map[string]string {
 		p["label"] = campaign.Goal.LabelColumn
 	}
 	if len(campaign.Goal.FeatureColumns) > 0 {
-		p["features"] = joinColumns(campaign.Goal.FeatureColumns)
+		p["features"] = strings.Join(campaign.Goal.FeatureColumns, ",")
 	}
 	if campaign.Goal.ValueColumn != "" {
 		p["value"] = campaign.Goal.ValueColumn
@@ -369,20 +360,9 @@ func analyticsParams(campaign *model.Campaign) map[string]string {
 		p["transaction"] = campaign.Goal.TransactionColumn
 	}
 	if len(campaign.Goal.GroupColumns) > 0 {
-		p["group"] = joinColumns(campaign.Goal.GroupColumns)
+		p["group"] = strings.Join(campaign.Goal.GroupColumns, ",")
 	}
 	return p
-}
-
-func joinColumns(cols []string) string {
-	out := ""
-	for i, c := range cols {
-		if i > 0 {
-			out += ","
-		}
-		out += c
-	}
-	return out
 }
 
 // elaborate turns a composition into a full alternative: deployment binding,
@@ -476,7 +456,7 @@ func (c *Compiler) enumerate(campaign *model.Campaign) ([]Alternative, sourceInf
 	compositions := c.compose(campaign, matched)
 	timings.Compose = time.Since(start)
 
-	var alternatives []Alternative
+	alternatives := make([]Alternative, 0, len(compositions))
 	for _, comp := range compositions {
 		alt, ok := c.elaborate(campaign, comp, info, len(alternatives), &timings)
 		if !ok {

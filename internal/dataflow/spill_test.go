@@ -19,6 +19,8 @@ import (
 	"repro/internal/storage"
 )
 
+// spillEngine returns an engine on a 2×2 cluster that validates every batch
+// every operator emits (checkOperatorBatch).
 func spillEngine(t *testing.T, opts ...EngineOption) *Engine {
 	t.Helper()
 	c, err := cluster.New(cluster.Uniform(2, 2, 0))
@@ -29,6 +31,7 @@ func spillEngine(t *testing.T, opts ...EngineOption) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.checkBatch = checkOperatorBatch
 	return e
 }
 

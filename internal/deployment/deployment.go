@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/model"
@@ -148,23 +147,20 @@ func SupportedPlatforms(comp *procedural.Composition) []Platform {
 	if comp == nil {
 		return out
 	}
-	if comp.SupportsBatch() {
-		out = append(out, PlatformBatch, PlatformSingleNode)
+	for _, p := range Platforms() {
+		if supports(comp, p) {
+			out = append(out, p)
+		}
 	}
-	if comp.SupportsStreaming() {
-		out = append(out, PlatformStreaming)
-	}
-	sort.Slice(out, func(i, j int) bool { return indexOfPlatform(out[i]) < indexOfPlatform(out[j]) })
 	return out
 }
 
-func indexOfPlatform(p Platform) int {
-	for i, known := range Platforms() {
-		if p == known {
-			return i
-		}
+// supports reports whether every step of comp runs on the known platform p.
+func supports(comp *procedural.Composition, p Platform) bool {
+	if p == PlatformStreaming {
+		return comp.SupportsStreaming()
 	}
-	return len(Platforms())
+	return comp.SupportsBatch()
 }
 
 // Binder turns compositions into deployment plans.
@@ -182,7 +178,8 @@ func NewBinder() *Binder {
 }
 
 // Bind produces a deployment plan for the composition on the given platform,
-// sized for inputRows records.
+// sized for inputRows records. A composition built by procedural.New was
+// validated when it was built; Bind reads its stored execution order.
 func (b *Binder) Bind(comp *procedural.Composition, platform Platform, inputRows int, prefs model.Preferences) (*Plan, error) {
 	if comp == nil {
 		return nil, fmt.Errorf("%w: nil composition", ErrBadBinding)
@@ -196,14 +193,7 @@ func (b *Binder) Bind(comp *procedural.Composition, platform Platform, inputRows
 	if inputRows < 0 {
 		return nil, fmt.Errorf("%w: negative input size", ErrBadBinding)
 	}
-	supported := false
-	for _, p := range SupportedPlatforms(comp) {
-		if p == platform {
-			supported = true
-			break
-		}
-	}
-	if !supported {
+	if !supports(comp, platform) {
 		return nil, fmt.Errorf("%w %q: %s", ErrUnsupportedPlatform, platform, comp.Fingerprint())
 	}
 
@@ -227,12 +217,13 @@ func (b *Binder) Bind(comp *procedural.Composition, platform Platform, inputRows
 		region = b.DefaultRegion
 	}
 
-	order, err := comp.TopologicalOrder()
+	order, err := comp.Order()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadBinding, err)
 	}
 	steps := make([]BoundStep, len(order))
-	for i, s := range order {
+	for i, k := range order {
+		s := &comp.Steps[k]
 		steps[i] = BoundStep{StepID: s.ID, ServiceID: s.Service.ID, Parallelism: parallelism}
 	}
 

@@ -12,6 +12,7 @@ package procedural
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,106 +40,220 @@ type Step struct {
 }
 
 // Composition is the full procedural model of one campaign.
+//
+// A composition built by New is validated once, when it is built, and
+// carries the facts derived from its steps: the execution order, the service
+// ids, the fingerprint and the analytics step. It must not be mutated
+// afterwards. A composition built as a literal or decoded from JSON carries
+// no facts; every reader derives them afresh from its current steps.
 type Composition struct {
 	// Campaign is the name of the declarative campaign this was compiled from.
 	Campaign string `json:"campaign"`
 	// Steps are the composition nodes. Order is not significant; use
 	// TopologicalOrder for execution order.
 	Steps []Step `json:"steps"`
+
+	// facts is set by New; nil for literal and decoded compositions.
+	facts *facts
+}
+
+// facts are what every reader of a composition derives from its steps.
+type facts struct {
+	// order holds indices into Steps in execution order; nil when err is set.
+	order []int
+	// err is why there is no execution order (an unknown dependency, a cycle
+	// or a duplicate step id).
+	err error
+	// ids are the steps' service ids in execution order, or in declaration
+	// order when there is none.
+	ids []string
+	// fingerprint joins ids with " -> ".
+	fingerprint string
+	// analytics indexes the analytics step with the smallest ID; -1 when
+	// there is none.
+	analytics int
+}
+
+// New builds a composition from its steps, validates it (see Validate) and
+// derives its facts once. The composition must not be mutated afterwards:
+// its readers trust the stored facts, and Validate reports it valid without
+// checking again.
+func New(campaign string, steps []Step) (*Composition, error) {
+	c := &Composition{Campaign: campaign, Steps: steps}
+	order, err := c.validate()
+	if err != nil {
+		return nil, err
+	}
+	f := c.factsFor(order, nil)
+	c.facts = &f
+	return c, nil
+}
+
+// derive returns the composition's facts: the stored ones for a composition
+// built by New, freshly computed (and not stored) for any other.
+func (c *Composition) derive() facts {
+	if c.facts != nil {
+		return *c.facts
+	}
+	order, err := c.order()
+	return c.factsFor(order, err)
+}
+
+// factsFor derives the facts of c given its execution order (or the reason
+// it has none).
+func (c *Composition) factsFor(order []int, err error) facts {
+	f := facts{order: order, err: err, ids: make([]string, len(c.Steps)), analytics: -1}
+	if err != nil {
+		for i := range c.Steps {
+			f.ids[i] = c.Steps[i].Service.ID
+		}
+	} else {
+		for i, k := range order {
+			f.ids[i] = c.Steps[k].Service.ID
+		}
+	}
+	f.fingerprint = strings.Join(f.ids, " -> ")
+	for i := range c.Steps {
+		s := &c.Steps[i]
+		if s.Service.Area == model.AreaAnalytics && (f.analytics < 0 || s.ID < c.Steps[f.analytics].ID) {
+			f.analytics = i
+		}
+	}
+	return f
+}
+
+// indexOf returns the index of the first step with the given ID, or -1.
+// A composition has one step per design-area slot, so a scan beats a map.
+func (c *Composition) indexOf(id string) int {
+	for i := range c.Steps {
+		if c.Steps[i].ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Validate checks structural well-formedness: non-empty, unique step IDs,
 // resolvable dependencies, acyclicity, and area monotonicity (a step may only
 // depend on steps whose area is the same or earlier in the pipeline order).
+// A composition built by New was validated when it was built and is not
+// checked again.
 func (c *Composition) Validate() error {
-	if c == nil || len(c.Steps) == 0 {
-		return fmt.Errorf("%w: no steps", ErrInvalidComposition)
+	if c != nil && c.facts != nil {
+		return nil
 	}
-	index := make(map[string]Step, len(c.Steps))
-	for _, s := range c.Steps {
+	_, err := c.validate()
+	return err
+}
+
+// validate runs Validate's checks and returns the execution order.
+func (c *Composition) validate() ([]int, error) {
+	if c == nil || len(c.Steps) == 0 {
+		return nil, fmt.Errorf("%w: no steps", ErrInvalidComposition)
+	}
+	for i := range c.Steps {
+		s := &c.Steps[i]
 		if strings.TrimSpace(s.ID) == "" {
-			return fmt.Errorf("%w: step with empty id", ErrInvalidComposition)
+			return nil, fmt.Errorf("%w: step with empty id", ErrInvalidComposition)
 		}
-		if _, dup := index[s.ID]; dup {
-			return fmt.Errorf("%w: duplicate step id %q", ErrInvalidComposition, s.ID)
+		if c.indexOf(s.ID) < i {
+			return nil, fmt.Errorf("%w: duplicate step id %q", ErrInvalidComposition, s.ID)
 		}
 		if err := s.Service.Validate(); err != nil {
-			return fmt.Errorf("%w: step %q: %v", ErrInvalidComposition, s.ID, err)
+			return nil, fmt.Errorf("%w: step %q: %v", ErrInvalidComposition, s.ID, err)
 		}
-		index[s.ID] = s
 	}
-	for _, s := range c.Steps {
+	for i := range c.Steps {
+		s := &c.Steps[i]
 		for _, dep := range s.DependsOn {
-			parent, ok := index[dep]
-			if !ok {
-				return fmt.Errorf("%w: step %q depends on unknown step %q", ErrInvalidComposition, s.ID, dep)
+			p := c.indexOf(dep)
+			if p < 0 {
+				return nil, fmt.Errorf("%w: step %q depends on unknown step %q", ErrInvalidComposition, s.ID, dep)
 			}
+			parent := &c.Steps[p]
 			if parent.Service.Area.Order() > s.Service.Area.Order() {
-				return fmt.Errorf("%w: step %q (%s) depends on later-area step %q (%s)",
+				return nil, fmt.Errorf("%w: step %q (%s) depends on later-area step %q (%s)",
 					ErrInvalidComposition, s.ID, s.Service.Area, dep, parent.Service.Area)
 			}
 		}
 	}
-	if _, err := c.TopologicalOrder(); err != nil {
-		return err
+	return c.order()
+}
+
+// order computes the execution order as indices into Steps: Kahn's
+// algorithm, always taking the ready step that comes first by area order and
+// then by ID. An unknown dependency is ErrInvalidComposition; a cycle or a
+// duplicate step ID is ErrCycle.
+func (c *Composition) order() ([]int, error) {
+	n := len(c.Steps)
+	for i := range c.Steps {
+		for _, dep := range c.Steps[i].DependsOn {
+			if c.indexOf(dep) < 0 {
+				return nil, fmt.Errorf("%w: unknown dependency %q", ErrInvalidComposition, dep)
+			}
+		}
 	}
-	return nil
+	for i := range c.Steps {
+		if c.indexOf(c.Steps[i].ID) < i {
+			return nil, ErrCycle
+		}
+	}
+	// pending[i] counts the unfinished dependencies of step i; -1 marks a
+	// step already placed.
+	scratch := make([]int, 3*n)
+	pending, area, order := scratch[:n], scratch[n:2*n], scratch[2*n:2*n:3*n]
+	for i := range c.Steps {
+		pending[i] = len(c.Steps[i].DependsOn)
+		area[i] = c.Steps[i].Service.Area.Order()
+	}
+	for len(order) < n {
+		next := -1
+		for i := range c.Steps {
+			if pending[i] != 0 {
+				continue
+			}
+			if next < 0 || area[i] < area[next] || area[i] == area[next] && c.Steps[i].ID < c.Steps[next].ID {
+				next = i
+			}
+		}
+		if next < 0 {
+			return nil, ErrCycle
+		}
+		pending[next] = -1
+		order = append(order, next)
+		id := c.Steps[next].ID
+		for i := range c.Steps {
+			for _, dep := range c.Steps[i].DependsOn {
+				if dep == id {
+					pending[i]--
+				}
+			}
+		}
+	}
+	return order, nil
+}
+
+// Order returns the indices into Steps in execution order (see
+// TopologicalOrder). For a composition built by New the slice is the stored
+// one: callers must not modify it.
+func (c *Composition) Order() ([]int, error) {
+	f := c.derive()
+	return f.order, f.err
 }
 
 // TopologicalOrder returns the steps in a valid execution order (dependencies
 // first). The order is deterministic: ties are broken by area order and then
 // by step ID.
 func (c *Composition) TopologicalOrder() ([]Step, error) {
-	index := make(map[string]Step, len(c.Steps))
-	indegree := make(map[string]int, len(c.Steps))
-	dependents := make(map[string][]string, len(c.Steps))
-	for _, s := range c.Steps {
-		index[s.ID] = s
-		if _, ok := indegree[s.ID]; !ok {
-			indegree[s.ID] = 0
-		}
+	order, err := c.Order()
+	if err != nil {
+		return nil, err
 	}
-	for _, s := range c.Steps {
-		for _, dep := range s.DependsOn {
-			if _, ok := index[dep]; !ok {
-				return nil, fmt.Errorf("%w: unknown dependency %q", ErrInvalidComposition, dep)
-			}
-			indegree[s.ID]++
-			dependents[dep] = append(dependents[dep], s.ID)
-		}
+	out := make([]Step, len(order))
+	for i, k := range order {
+		out[i] = c.Steps[k]
 	}
-	ready := make([]string, 0, len(c.Steps))
-	for id, deg := range indegree {
-		if deg == 0 {
-			ready = append(ready, id)
-		}
-	}
-	less := func(a, b string) bool {
-		sa, sb := index[a], index[b]
-		if sa.Service.Area.Order() != sb.Service.Area.Order() {
-			return sa.Service.Area.Order() < sb.Service.Area.Order()
-		}
-		return a < b
-	}
-	sort.Slice(ready, func(i, j int) bool { return less(ready[i], ready[j]) })
-
-	var order []Step
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		order = append(order, index[id])
-		for _, next := range dependents[id] {
-			indegree[next]--
-			if indegree[next] == 0 {
-				ready = append(ready, next)
-			}
-		}
-		sort.Slice(ready, func(i, j int) bool { return less(ready[i], ready[j]) })
-	}
-	if len(order) != len(c.Steps) {
-		return nil, ErrCycle
-	}
-	return order, nil
+	return out, nil
 }
 
 // StepsByArea returns the steps belonging to the given area, in ID order.
@@ -163,14 +278,14 @@ func (c *Composition) Step(id string) (Step, bool) {
 	return Step{}, false
 }
 
-// AnalyticsStep returns the (first) analytics-area step, which drives the
-// runner's task dispatch.
+// AnalyticsStep returns the (first, in ID order) analytics-area step, which
+// drives the runner's task dispatch.
 func (c *Composition) AnalyticsStep() (Step, bool) {
-	steps := c.StepsByArea(model.AreaAnalytics)
-	if len(steps) == 0 {
+	f := c.derive()
+	if f.analytics < 0 {
 		return Step{}, false
 	}
-	return steps[0], true
+	return c.Steps[f.analytics], true
 }
 
 // HasCapability reports whether any step's service exposes the capability.
@@ -194,25 +309,17 @@ func (c *Composition) HasAnonymization() bool {
 	return false
 }
 
-// ServiceIDs returns the catalog IDs of every step in topological order;
-// useful as a compact fingerprint of an alternative.
+// ServiceIDs returns the catalog IDs of every step in topological order
+// (declaration order for a composition without one); useful as a compact
+// fingerprint of an alternative.
 func (c *Composition) ServiceIDs() []string {
-	order, err := c.TopologicalOrder()
-	if err != nil {
-		// Fall back to declaration order for invalid compositions.
-		order = c.Steps
-	}
-	out := make([]string, len(order))
-	for i, s := range order {
-		out[i] = s.Service.ID
-	}
-	return out
+	return slices.Clone(c.derive().ids)
 }
 
 // Fingerprint returns a stable textual identity of the composition based on
 // the chosen services.
 func (c *Composition) Fingerprint() string {
-	return strings.Join(c.ServiceIDs(), " -> ")
+	return c.derive().fingerprint
 }
 
 // EstimateCost sums the static per-service cost estimates for the given input
@@ -227,41 +334,35 @@ func (c *Composition) EstimateCost(rows int) float64 {
 
 // EstimateLatencyMillis returns the critical-path latency estimate for the
 // given input size and degree of parallelism: the longest dependency chain
-// where each step contributes its per-service latency estimate.
+// where each step contributes its per-service latency estimate. It is one
+// pass over the execution order; a composition without one is walked in
+// declaration order, counting only the dependencies declared before a step.
 func (c *Composition) EstimateLatencyMillis(rows, parallelism int) float64 {
-	memo := make(map[string]float64, len(c.Steps))
-	index := make(map[string]Step, len(c.Steps))
-	for _, s := range c.Steps {
-		index[s.ID] = s
+	f := c.derive()
+	order := f.order
+	if f.err != nil {
+		order = make([]int, len(c.Steps))
+		for i := range order {
+			order[i] = i
+		}
 	}
-	var chain func(id string, visiting map[string]bool) float64
-	chain = func(id string, visiting map[string]bool) float64 {
-		if v, ok := memo[id]; ok {
-			return v
-		}
-		if visiting[id] {
-			return 0 // cycle: Validate reports it; avoid infinite recursion here
-		}
-		visiting[id] = true
-		defer delete(visiting, id)
-		s := index[id]
-		longest := 0.0
-		for _, dep := range s.DependsOn {
-			if _, ok := index[dep]; !ok {
-				continue
-			}
-			if v := chain(dep, visiting); v > longest {
-				longest = v
-			}
-		}
-		total := longest + s.Service.EstimateLatencyMillis(rows, parallelism)
-		memo[id] = total
-		return total
+	var buf [8]float64 // the chain ending at each step; compositions are short
+	chain := buf[:]
+	if len(c.Steps) > len(buf) {
+		chain = make([]float64, len(c.Steps))
 	}
 	longest := 0.0
-	for _, s := range c.Steps {
-		if v := chain(s.ID, map[string]bool{}); v > longest {
-			longest = v
+	for _, k := range order {
+		s := &c.Steps[k]
+		upstream := 0.0
+		for _, dep := range s.DependsOn {
+			if p := c.indexOf(dep); p >= 0 && chain[p] > upstream {
+				upstream = chain[p]
+			}
+		}
+		chain[k] = upstream + s.Service.EstimateLatencyMillis(rows, parallelism)
+		if chain[k] > longest {
+			longest = chain[k]
 		}
 	}
 	return longest
@@ -270,11 +371,11 @@ func (c *Composition) EstimateLatencyMillis(rows, parallelism int) float64 {
 // EstimateQuality returns the expected analytics quality of the composition:
 // the quality of its analytics step (0 when there is none).
 func (c *Composition) EstimateQuality() float64 {
-	step, ok := c.AnalyticsStep()
-	if !ok {
+	f := c.derive()
+	if f.analytics < 0 {
 		return 0
 	}
-	return step.Service.Quality
+	return c.Steps[f.analytics].Service.Quality
 }
 
 // SupportsStreaming reports whether every step can run in a streaming

@@ -2,6 +2,10 @@ package procedural
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -41,9 +45,53 @@ func linearComposition() *Composition {
 	}
 }
 
+// validateBoth validates c as a literal and through New, and fails the test
+// unless both report the same error.
+func validateBoth(t *testing.T, c *Composition) error {
+	t.Helper()
+	err := c.Validate()
+	built, newErr := New(c.Campaign, c.Steps)
+	if fmt.Sprint(err) != fmt.Sprint(newErr) || (newErr == nil) != (built != nil) {
+		t.Errorf("Validate = %v, New = %v, %v", err, built, newErr)
+	}
+	return err
+}
+
 func TestValidateLinear(t *testing.T) {
-	if err := linearComposition().Validate(); err != nil {
+	if err := validateBoth(t, linearComposition()); err != nil {
 		t.Fatalf("valid composition rejected: %v", err)
+	}
+}
+
+func TestNewStoresWhatLiteralsDerive(t *testing.T) {
+	literal := linearComposition()
+	literal.Steps[2], literal.Steps[4] = literal.Steps[4], literal.Steps[2] // declaration order is not execution order
+	built, err := New(literal.Campaign, literal.Steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Composition{literal, built} {
+		if got, want := c.Fingerprint(), "ingest-batch -> clean -> classify -> batch -> dash"; got != want {
+			t.Errorf("Fingerprint = %q, want %q", got, want)
+		}
+		order, err := c.Order()
+		if err != nil || fmt.Sprint(order) != "[0 1 4 3 2]" {
+			t.Errorf("Order = %v, %v", order, err)
+		}
+		if s, ok := c.AnalyticsStep(); !ok || s.ID != "analyze" {
+			t.Errorf("AnalyticsStep = %v, %v", s.ID, ok)
+		}
+		if got := c.EstimateLatencyMillis(10000, 1); got < 499 || got > 501 {
+			t.Errorf("latency = %v, want 500", got)
+		}
+	}
+	// ServiceIDs hands out a copy of the stored list.
+	built.ServiceIDs()[0] = "overwritten"
+	if built.ServiceIDs()[0] != "ingest-batch" {
+		t.Error("ServiceIDs exposes the stored list")
+	}
+	if built.Validate() != nil {
+		t.Error("a composition from New must validate")
 	}
 }
 
@@ -52,38 +100,38 @@ func TestValidateRejectsBadCompositions(t *testing.T) {
 	if err := nilComp.Validate(); !errors.Is(err, ErrInvalidComposition) {
 		t.Error("nil composition must fail")
 	}
-	if err := (&Composition{Campaign: "x"}).Validate(); !errors.Is(err, ErrInvalidComposition) {
+	if err := validateBoth(t, &Composition{Campaign: "x"}); !errors.Is(err, ErrInvalidComposition) {
 		t.Error("empty composition must fail")
 	}
 
 	c := linearComposition()
 	c.Steps[1].ID = ""
-	if err := c.Validate(); !errors.Is(err, ErrInvalidComposition) {
+	if err := validateBoth(t, c); !errors.Is(err, ErrInvalidComposition) {
 		t.Error("empty step id must fail")
 	}
 
 	c = linearComposition()
 	c.Steps[1].ID = "ingest"
-	if err := c.Validate(); !errors.Is(err, ErrInvalidComposition) {
+	if err := validateBoth(t, c); !errors.Is(err, ErrInvalidComposition) {
 		t.Error("duplicate step id must fail")
 	}
 
 	c = linearComposition()
 	c.Steps[1].DependsOn = []string{"ghost"}
-	if err := c.Validate(); !errors.Is(err, ErrInvalidComposition) {
+	if err := validateBoth(t, c); !errors.Is(err, ErrInvalidComposition) {
 		t.Error("unknown dependency must fail")
 	}
 
 	c = linearComposition()
 	c.Steps[1].Service = catalog.Descriptor{} // invalid service
-	if err := c.Validate(); !errors.Is(err, ErrInvalidComposition) {
+	if err := validateBoth(t, c); !errors.Is(err, ErrInvalidComposition) {
 		t.Error("invalid service must fail")
 	}
 
 	// Area monotonicity: a preparation step must not depend on analytics.
 	c = linearComposition()
 	c.Steps[1].DependsOn = []string{"analyze"}
-	if err := c.Validate(); !errors.Is(err, ErrInvalidComposition) {
+	if err := validateBoth(t, c); !errors.Is(err, ErrInvalidComposition) {
 		t.Error("area order violation must fail")
 	}
 }
@@ -269,4 +317,218 @@ func TestServiceIDsOnInvalidComposition(t *testing.T) {
 	if got := c.ServiceIDs(); len(got) != 2 {
 		t.Errorf("ServiceIDs on cyclic composition = %v", got)
 	}
+}
+
+// topologicalOrderNaive is the map-based Kahn's algorithm TopologicalOrder
+// used before it was rewritten over step indices, kept verbatim as the
+// oracle for the rewrite: it re-sorts the ready list after every pop.
+func topologicalOrderNaive(c *Composition) ([]Step, error) {
+	index := make(map[string]Step, len(c.Steps))
+	indegree := make(map[string]int, len(c.Steps))
+	dependents := make(map[string][]string, len(c.Steps))
+	for _, s := range c.Steps {
+		index[s.ID] = s
+		if _, ok := indegree[s.ID]; !ok {
+			indegree[s.ID] = 0
+		}
+	}
+	for _, s := range c.Steps {
+		for _, dep := range s.DependsOn {
+			if _, ok := index[dep]; !ok {
+				return nil, fmt.Errorf("%w: unknown dependency %q", ErrInvalidComposition, dep)
+			}
+			indegree[s.ID]++
+			dependents[dep] = append(dependents[dep], s.ID)
+		}
+	}
+	ready := make([]string, 0, len(c.Steps))
+	for id, deg := range indegree {
+		if deg == 0 {
+			ready = append(ready, id)
+		}
+	}
+	less := func(a, b string) bool {
+		sa, sb := index[a], index[b]
+		if sa.Service.Area.Order() != sb.Service.Area.Order() {
+			return sa.Service.Area.Order() < sb.Service.Area.Order()
+		}
+		return a < b
+	}
+	sort.Slice(ready, func(i, j int) bool { return less(ready[i], ready[j]) })
+
+	var order []Step
+	for len(ready) > 0 {
+		id := ready[0]
+		ready = ready[1:]
+		order = append(order, index[id])
+		for _, next := range dependents[id] {
+			indegree[next]--
+			if indegree[next] == 0 {
+				ready = append(ready, next)
+			}
+		}
+		sort.Slice(ready, func(i, j int) bool { return less(ready[i], ready[j]) })
+	}
+	if len(order) != len(c.Steps) {
+		return nil, ErrCycle
+	}
+	return order, nil
+}
+
+// stepsFromBytes decodes a fuzz input into a step set. Neighbouring steps
+// sometimes share an ID; six areas (the five plus an unknown
+// one) give area ties broken by ID; dependencies mostly point at earlier steps
+// (DAGs), sometimes at any ID (cycles) and sometimes at "ghost" (unknown).
+func stepsFromBytes(data []byte) []Step {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	ids := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
+	areas := append(model.Areas(), model.Area("unknown"))
+	n := int(next()) % 9
+	steps := make([]Step, 0, n)
+	area := 0
+	for i := 0; i < n; i++ {
+		// Areas rise slowly with declaration order, so that New accepts
+		// many of the sets and many steps share an area.
+		b := next()
+		if b/16 == 1 && area < len(model.Areas())-1 {
+			area++
+		}
+		stepArea := areas[area]
+		if b/16 == 15 {
+			stepArea = areas[len(areas)-1]
+		}
+		k := (3*i + int(b%4)) % len(ids) // neighbours collide now and then
+		if b&8 != 0 {
+			k = len(ids) - 1 - k // IDs that sort against declaration order
+		}
+		id := ids[k]
+		s := Step{ID: id, Service: svc("svc-"+id, stepArea)}
+		for d := int(next()) % 4; d > 0 && i > 0; d-- {
+			pick := next()
+			switch {
+			case pick%16 == 0:
+				s.DependsOn = append(s.DependsOn, "ghost")
+			case pick%16 == 1:
+				s.DependsOn = append(s.DependsOn, ids[int(pick/16)%len(ids)])
+			default:
+				s.DependsOn = append(s.DependsOn, steps[int(pick/16)%i].ID)
+			}
+		}
+		steps = append(steps, s)
+	}
+	return steps
+}
+
+// errorClass names which of the composition errors err is.
+func errorClass(err error) string {
+	switch {
+	case err == nil:
+		return "none"
+	case errors.Is(err, ErrCycle):
+		return "cycle"
+	case errors.Is(err, ErrInvalidComposition):
+		return "invalid"
+	default:
+		return "other: " + err.Error()
+	}
+}
+
+// checkOrderAgainstNaive holds TopologicalOrder, on a literal composition
+// and on one built by New, to topologicalOrderNaive: the same steps or the
+// same error class.
+func checkOrderAgainstNaive(t *testing.T, steps []Step) {
+	t.Helper()
+	c := &Composition{Campaign: "fuzz", Steps: steps}
+	want, wantErr := topologicalOrderNaive(c)
+	got, gotErr := c.TopologicalOrder()
+	if errorClass(gotErr) != errorClass(wantErr) {
+		t.Fatalf("steps %s: error %v, naive %v", describe(steps), gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
+		t.Fatalf("steps %s:\n order %v\n naive %v", describe(steps), stepIDs(got), stepIDs(want))
+	}
+	// New also runs Validate's other checks, so it may reject a step set
+	// the order accepts, but never the reverse.
+	built, err := New("fuzz", steps)
+	if err != nil {
+		return
+	}
+	if wantErr != nil {
+		t.Fatalf("steps %s: New accepted what the naive order rejects (%v)", describe(steps), wantErr)
+	}
+	stored, err := built.TopologicalOrder()
+	if err != nil || !reflect.DeepEqual(stored, want) {
+		t.Fatalf("steps %s:\n stored order %v (%v)\n naive %v", describe(steps), stepIDs(stored), err, stepIDs(want))
+	}
+	if fp := strings.Join(stepServiceIDs(want), " -> "); built.Fingerprint() != fp || c.Fingerprint() != fp {
+		t.Fatalf("fingerprint %q / %q, want %q", built.Fingerprint(), c.Fingerprint(), fp)
+	}
+}
+
+// describe renders a step set as id(area)<-deps for failure messages.
+func describe(steps []Step) string {
+	parts := make([]string, len(steps))
+	for i, s := range steps {
+		parts[i] = fmt.Sprintf("%s(%s)<-%v", s.ID, s.Service.Area, s.DependsOn)
+	}
+	return strings.Join(parts, " ")
+}
+
+func stepIDs(steps []Step) []string {
+	out := make([]string, len(steps))
+	for i, s := range steps {
+		out[i] = s.ID
+	}
+	return out
+}
+
+func stepServiceIDs(steps []Step) []string {
+	out := make([]string, len(steps))
+	for i, s := range steps {
+		out[i] = s.Service.ID
+	}
+	return out
+}
+
+// randomStepSets returns n fuzz inputs drawn from a fixed seed.
+func randomStepSets(n int) [][]byte {
+	rng := rand.New(rand.NewSource(1))
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = make([]byte, 48)
+		rng.Read(out[i])
+	}
+	return out
+}
+
+func TestTopologicalOrderMatchesNaive(t *testing.T) {
+	for _, data := range randomStepSets(5000) {
+		checkOrderAgainstNaive(t, stepsFromBytes(data))
+	}
+	// Hand-picked ties: siblings in one area, and steps of different areas
+	// whose IDs sort against their area order.
+	checkOrderAgainstNaive(t, []Step{
+		{ID: "src", Service: svc("src", model.AreaRepresentation)},
+		{ID: "z", Service: svc("p1", model.AreaPreparation), DependsOn: []string{"src"}},
+		{ID: "m", Service: svc("p2", model.AreaPreparation), DependsOn: []string{"src"}},
+		{ID: "a", Service: svc("an", model.AreaAnalytics), DependsOn: []string{"src"}},
+	})
+	checkOrderAgainstNaive(t, nil)
+}
+
+func FuzzTopologicalOrder(f *testing.F) {
+	f.Add([]byte{})
+	for _, data := range randomStepSets(64) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkOrderAgainstNaive(t, stepsFromBytes(data))
+	})
 }

@@ -22,7 +22,6 @@ type GroupTable struct {
 	enc       *KeyEncoder
 	ids       map[string]int32
 	hashes    []uint64
-	keys      []string
 	keySchema *Schema
 	keyIdx    []int
 	keyRows   *ColumnBatch
@@ -109,7 +108,6 @@ func (t *GroupTable) lookupRow(b *ColumnBatch, i int) int32 {
 		id = int32(len(t.hashes))
 		t.ids[ks] = id
 		t.hashes = append(t.hashes, HashBytes64(k))
-		t.keys = append(t.keys, ks)
 		t.keyBytes += int64(len(ks))
 		for c, src := range t.keyIdx {
 			t.keyRows.cols[c].appendFrom(&b.cols[src], i, t.keyRows.n)
@@ -125,19 +123,17 @@ func (t *GroupTable) Groups() int { return len(t.hashes) }
 // Hash returns group g's 64-bit key hash.
 func (t *GroupTable) Hash(g int) uint64 { return t.hashes[g] }
 
-// Key returns group g's encoded key bytes (as an immutable string).
-func (t *GroupTable) Key(g int) string { return t.keys[g] }
-
 // KeyRows returns the key columns of every group, one row per group id, in id
 // order. The batch shares the table's storage and must be treated as
 // read-only.
 func (t *GroupTable) KeyRows() *ColumnBatch { return t.keyRows }
 
 // MemSize estimates the table's resident footprint: the key batch, the
-// encoded key bytes, and per-group fixed overhead (hash, slice headers, map
-// entry). It is the quantity the spilling hash aggregation budgets against.
+// encoded key bytes held by the id map, and per-group fixed overhead (hash,
+// map entry). It is the quantity the spilling hash aggregation budgets
+// against.
 func (t *GroupTable) MemSize() int64 {
-	const perGroup = 8 + 16 + 48 // hash + string header + map entry estimate
+	const perGroup = 8 + 48 // hash + map entry estimate
 	return int64(len(t.hashes))*perGroup + t.keyBytes + BatchMemSize(t.keyRows)
 }
 
@@ -146,7 +142,6 @@ func (t *GroupTable) MemSize() int64 {
 func (t *GroupTable) Reset() {
 	t.ids = make(map[string]int32)
 	t.hashes = nil
-	t.keys = nil
 	t.keyBytes = 0
 	t.keyRows = NewColumnBatch(t.keySchema, 0)
 	// Cached ids are dense ids of the dropped generation — invalidate.

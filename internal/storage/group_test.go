@@ -61,8 +61,13 @@ func TestGroupTableDenseFirstSeenIDs(t *testing.T) {
 		}
 	}
 
-	// Hashes match the encoder's row hashes for the same keys.
+	// Hashes match the encoder's row hashes for the same keys, and each
+	// group's key row encodes to its key.
 	rowEnc := enc.Clone()
+	keyEnc, err := NewKeyEncoder(keySchema, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := map[string]int{}
 	for i := 0; i < b.Len(); i++ {
 		k := string(rowEnc.BatchKey(b, i))
@@ -71,8 +76,8 @@ func TestGroupTableDenseFirstSeenIDs(t *testing.T) {
 		}
 		g := int(ids[i])
 		seen[k] = g
-		if table.Key(g) != k {
-			t.Errorf("group %d Key mismatch", g)
+		if string(keyEnc.BatchKey(kr, g)) != k {
+			t.Errorf("group %d key row mismatch", g)
 		}
 		if table.Hash(g) != HashString64(k) {
 			t.Errorf("group %d Hash = %d, want %d", g, table.Hash(g), HashString64(k))
