@@ -103,14 +103,6 @@ func (d *IQRDetector) Fit(values []float64) error {
 	return nil
 }
 
-// Bounds returns the fitted inlier interval.
-func (d *IQRDetector) Bounds() (lower, upper float64, err error) {
-	if !d.fitted {
-		return 0, 0, ErrNotFitted
-	}
-	return d.lower, d.upper, nil
-}
-
 // IsAnomaly implements AnomalyDetector.
 func (d *IQRDetector) IsAnomaly(v float64) (bool, error) {
 	if !d.fitted {

@@ -76,9 +76,8 @@ func TestIQRDetector(t *testing.T) {
 	if len(flagged) == 0 {
 		t.Error("no anomalies flagged")
 	}
-	lower, upper, err := d.Bounds()
-	if err != nil || lower >= upper {
-		t.Errorf("bounds = %v..%v, %v", lower, upper, err)
+	if d.lower >= d.upper {
+		t.Errorf("bounds = %v..%v", d.lower, d.upper)
 	}
 	if d.Name() != "iqr_detector" {
 		t.Error("name mismatch")
@@ -89,9 +88,6 @@ func TestIQRDetectorErrors(t *testing.T) {
 	d := &IQRDetector{}
 	if _, err := d.IsAnomaly(1); !errors.Is(err, ErrNotFitted) {
 		t.Error("unfitted detector must fail")
-	}
-	if _, _, err := d.Bounds(); !errors.Is(err, ErrNotFitted) {
-		t.Error("unfitted bounds must fail")
 	}
 	if err := d.Fit(nil); !errors.Is(err, ErrNoData) {
 		t.Error("empty fit must fail")

@@ -3,7 +3,6 @@ package analytics
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Classifier is the common interface of the supervised models in the catalog.
@@ -446,35 +445,4 @@ func Evaluate(model Classifier, train, test *FeatureSet) (ConfusionMatrix, error
 		cm.Add(pred, test.Labels[i])
 	}
 	return cm, nil
-}
-
-// CrossValidate runs k-fold cross validation and returns the mean accuracy.
-// The fold assignment is deterministic for a given seed.
-func CrossValidate(newModel func() Classifier, fs *FeatureSet, folds int, seed int64) (float64, error) {
-	if fs == nil || len(fs.X) == 0 {
-		return 0, ErrNoData
-	}
-	if folds < 2 || folds > len(fs.X) {
-		return 0, fmt.Errorf("%w: folds=%d for %d rows", ErrBadParameter, folds, len(fs.X))
-	}
-	perm := rand.New(rand.NewSource(seed)).Perm(len(fs.X))
-	total := 0.0
-	for f := 0; f < folds; f++ {
-		train := &FeatureSet{Columns: fs.Columns}
-		test := &FeatureSet{Columns: fs.Columns}
-		for i, idx := range perm {
-			dst := train
-			if i%folds == f {
-				dst = test
-			}
-			dst.X = append(dst.X, fs.X[idx])
-			dst.Labels = append(dst.Labels, fs.Labels[idx])
-		}
-		cm, err := Evaluate(newModel(), train, test)
-		if err != nil {
-			return 0, err
-		}
-		total += cm.Accuracy()
-	}
-	return total / float64(folds), nil
 }

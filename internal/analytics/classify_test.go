@@ -212,21 +212,3 @@ func TestEvaluateAndModelRanking(t *testing.T) {
 		t.Error("nil model must fail")
 	}
 }
-
-func TestCrossValidate(t *testing.T) {
-	x, y := syntheticBinary(200, 21)
-	fs := &FeatureSet{X: x, Labels: y}
-	acc, err := CrossValidate(func() Classifier { return &LogisticRegression{Epochs: 50} }, fs, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.8 {
-		t.Errorf("cv accuracy = %.3f, want >= 0.8", acc)
-	}
-	if _, err := CrossValidate(func() Classifier { return &NaiveBayes{} }, fs, 1, 3); !errors.Is(err, ErrBadParameter) {
-		t.Error("folds < 2 must fail")
-	}
-	if _, err := CrossValidate(func() Classifier { return &NaiveBayes{} }, &FeatureSet{}, 2, 3); !errors.Is(err, ErrNoData) {
-		t.Error("empty feature set must fail")
-	}
-}

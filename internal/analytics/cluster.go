@@ -164,22 +164,6 @@ func (m *KMeans) Predict(row []float64) (int, error) {
 	return m.nearest(row), nil
 }
 
-// Assignments returns the cluster index of every row in x.
-func (m *KMeans) Assignments(x Matrix) ([]int, error) {
-	if !m.fitted {
-		return nil, ErrNotFitted
-	}
-	out := make([]int, len(x))
-	for i, row := range x {
-		k, err := m.Predict(row)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = k
-	}
-	return out, nil
-}
-
 // Inertia returns the total within-cluster sum of squared distances of x.
 func (m *KMeans) Inertia(x Matrix) (float64, error) {
 	if !m.fitted {

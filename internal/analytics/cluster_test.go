@@ -32,17 +32,13 @@ func TestKMeansRecoverseparatedBlobs(t *testing.T) {
 	if err := km.Fit(x); err != nil {
 		t.Fatal(err)
 	}
-	assign, err := km.Assignments(x)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Every ground-truth blob must map (almost) entirely to a single cluster.
 	for blob := 0; blob < 3; blob++ {
 		counts := map[int]int{}
 		total := 0
 		for i, tr := range truth {
 			if tr == blob {
-				counts[assign[i]]++
+				counts[km.nearest(x[i])]++
 				total++
 			}
 		}
@@ -120,9 +116,6 @@ func TestKMeansErrors(t *testing.T) {
 	unfitted := &KMeans{K: 2}
 	if _, err := unfitted.Predict([]float64{1}); !errors.Is(err, ErrNotFitted) {
 		t.Error("predict before fit must fail")
-	}
-	if _, err := unfitted.Assignments(Matrix{{1}}); !errors.Is(err, ErrNotFitted) {
-		t.Error("assignments before fit must fail")
 	}
 	if _, err := unfitted.Inertia(Matrix{{1}}); !errors.Is(err, ErrNotFitted) {
 		t.Error("inertia before fit must fail")
@@ -207,16 +200,12 @@ func TestKMeansEmptyClusterKeepsPreviousCentroid(t *testing.T) {
 		if err := fit.Fit(dup); err != nil {
 			t.Fatal(err)
 		}
-		assign, err := fit.Assignments(dup)
-		if err != nil {
-			t.Fatal(err)
-		}
 		used := map[int]bool{}
-		for _, k := range assign {
-			used[k] = true
+		for _, row := range dup {
+			used[fit.nearest(row)] = true
 		}
 		if len(used) != 2 {
-			t.Fatalf("seed=%d: assignments %v, want exactly one empty cluster", seed, assign)
+			t.Fatalf("seed=%d: used clusters %v, want exactly one empty cluster", seed, used)
 		}
 		for k, c := range fit.Centroids() {
 			if math.IsNaN(c[0]) {

@@ -122,18 +122,6 @@ func ExtractFeatures(schema *storage.Schema, batches []*storage.ColumnBatch, fea
 	return fs, nil
 }
 
-// ExtractFeaturesFromTable is ExtractFeatures for a storage table.
-func ExtractFeaturesFromTable(t *storage.Table, featureColumns []string, labelColumn string) (*FeatureSet, error) {
-	if t == nil || t.NumRows() == 0 {
-		return nil, ErrNoData
-	}
-	b, err := storage.BatchFromRows(t.Schema(), t.Rows())
-	if err != nil {
-		return nil, err
-	}
-	return ExtractFeatures(t.Schema(), []*storage.ColumnBatch{b}, featureColumns, labelColumn)
-}
-
 // Split partitions the feature set into train and test subsets; testFraction
 // of the rows (rounded down, at least one when possible) go to the test set.
 // The split is deterministic for a given seed.

@@ -128,25 +128,6 @@ func TestExtractFeaturesTypedCells(t *testing.T) {
 	}
 }
 
-func TestExtractFeaturesFromTable(t *testing.T) {
-	tbl, err := storage.NewTable("t", storage.MustSchema(
-		storage.Field{Name: "x", Type: storage.TypeFloat},
-		storage.Field{Name: "y", Type: storage.TypeBool},
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tbl.Append(storage.Row{1.5, true})
-	fs, err := ExtractFeaturesFromTable(tbl, []string{"x"}, "y")
-	if err != nil || len(fs.X) != 1 {
-		t.Fatalf("fs = %+v, %v", fs, err)
-	}
-	empty, _ := storage.NewTable("e", tbl.Schema())
-	if _, err := ExtractFeaturesFromTable(empty, []string{"x"}, ""); !errors.Is(err, ErrNoData) {
-		t.Error("empty table must fail with ErrNoData")
-	}
-}
-
 func TestSplit(t *testing.T) {
 	schema, batches := labelledBatches()
 	fs, _ := ExtractFeatures(schema, batches, []string{"a", "b"}, "y")

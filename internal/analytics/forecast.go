@@ -165,18 +165,6 @@ func RMSE(forecast, actual []float64) (float64, error) {
 	return math.Sqrt(sum / float64(len(forecast))), nil
 }
 
-// MAE returns the mean absolute error between forecasts and actuals.
-func MAE(forecast, actual []float64) (float64, error) {
-	if len(forecast) == 0 || len(forecast) != len(actual) {
-		return 0, fmt.Errorf("%w: forecast %d vs actual %d", ErrDimMismatch, len(forecast), len(actual))
-	}
-	sum := 0.0
-	for i := range forecast {
-		sum += math.Abs(forecast[i] - actual[i])
-	}
-	return sum / float64(len(forecast)), nil
-}
-
 // BacktestForecaster evaluates a forecaster by holding out the last horizon
 // points of the series, fitting on the rest, and returning the RMSE on the
 // held-out suffix.

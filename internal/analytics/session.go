@@ -1,7 +1,6 @@
 package analytics
 
 import (
-	"fmt"
 	"sort"
 	"time"
 )
@@ -9,19 +8,17 @@ import (
 // Event is a single clickstream event used by the sessionizer.
 type Event struct {
 	UserID    int64
-	URL       string
 	At        time.Time
 	Converted bool
 }
 
-// Session groups consecutive events of one user separated by gaps shorter
+// Session groups consecutive events of one user separated by gaps no longer
 // than the sessionizer's timeout.
 type Session struct {
 	UserID    int64
 	Start     time.Time
 	End       time.Time
 	Events    int
-	Pages     []string
 	Converted bool
 }
 
@@ -68,7 +65,6 @@ func (s *Sessionizer) Sessionize(events []Event) ([]Session, error) {
 			}
 			cur.End = ev.At
 			cur.Events++
-			cur.Pages = append(cur.Pages, ev.URL)
 			cur.Converted = cur.Converted || ev.Converted
 		}
 		if cur != nil {
@@ -76,37 +72,6 @@ func (s *Sessionizer) Sessionize(events []Event) ([]Session, error) {
 		}
 	}
 	return sessions, nil
-}
-
-// FunnelStep is one step of a conversion funnel report.
-type FunnelStep struct {
-	Page     string
-	Sessions int
-	Rate     float64 // fraction of all sessions reaching this step
-}
-
-// Funnel computes how many sessions touched each of the given pages, in order.
-func Funnel(sessions []Session, steps []string) ([]FunnelStep, error) {
-	if len(sessions) == 0 {
-		return nil, ErrNoData
-	}
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("%w: funnel needs at least one step", ErrBadParameter)
-	}
-	out := make([]FunnelStep, len(steps))
-	for i, page := range steps {
-		count := 0
-		for _, s := range sessions {
-			for _, p := range s.Pages {
-				if p == page {
-					count++
-					break
-				}
-			}
-		}
-		out[i] = FunnelStep{Page: page, Sessions: count, Rate: float64(count) / float64(len(sessions))}
-	}
-	return out, nil
 }
 
 // ConversionRate returns the fraction of sessions with a conversion event.

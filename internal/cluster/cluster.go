@@ -380,7 +380,9 @@ func (c *Cluster) runTask(ctx context.Context, sl slot, task Task) Result {
 	return res
 }
 
-func (c *Cluster) attempt(ctx context.Context, sl slot, task Task) error {
+// attempt runs one try of task on sl. A panic in task.Fn is recovered into an
+// ErrTaskPanicked error, so it fails this task's job and not the process.
+func (c *Cluster) attempt(ctx context.Context, sl slot, task Task) (err error) {
 	if sl.injectFailure() {
 		return errInjected
 	}
@@ -395,6 +397,11 @@ func (c *Cluster) attempt(ctx context.Context, sl slot, task Task) error {
 	if task.Fn == nil {
 		return nil
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = Recovered(r)
+		}
+	}()
 	return task.Fn(ctx, sl.node)
 }
 

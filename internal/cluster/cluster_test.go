@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -318,5 +320,58 @@ func TestNamedJobAccountingAndRootCauseError(t *testing.T) {
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Errorf("job error leaks a bystander cancellation: %v", err)
+	}
+}
+
+// TestRunJobRecoversTaskPanic checks that a panicking task fails its job
+// with a permanent ErrTaskPanicked error after one attempt, that the next job
+// on the same cluster succeeds, and that no goroutine is left behind.
+func TestRunJobRecoversTaskPanic(t *testing.T) {
+	cfg := Uniform(1, 2, 0)
+	cfg.MaxAttempts = 3
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	var calls atomic.Int32
+	waiter := func(ctx context.Context, _ Node) error { <-ctx.Done(); return ctx.Err() }
+	_, err = c.RunNamedJob(context.Background(), "job", []Task{
+		{Name: "waiter", Fn: waiter},
+		{Name: "panicker", Fn: func(context.Context, Node) error {
+			calls.Add(1)
+			panic("index out of range")
+		}},
+	})
+	if !errors.Is(err, ErrTaskFailed) || !errors.Is(err, ErrTaskPanicked) {
+		t.Fatalf("err = %v, want ErrTaskFailed wrapping ErrTaskPanicked", err)
+	}
+	if !strings.Contains(err.Error(), "index out of range") {
+		t.Errorf("err = %v, want the panic value in the message", err)
+	}
+	if !Permanent(err) {
+		t.Errorf("Classify(%v) = %s, want permanent", err, Classify(err))
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("panicking task ran %d times, want 1 (never retried)", n)
+	}
+
+	var ran atomic.Int32
+	if _, err := c.RunNamedJob(context.Background(), "next", []Task{
+		{Name: "a", Fn: func(context.Context, Node) error { ran.Add(1); return nil }},
+		{Name: "b", Fn: func(context.Context, Node) error { ran.Add(1); return nil }},
+	}); err != nil || ran.Load() != 2 {
+		t.Fatalf("next job: err = %v, ran %d of 2 tasks", err, ran.Load())
+	}
+
+	// RunNamedJob waits for its slot goroutines, so the count is back at
+	// the baseline as soon as it returns; the loop only absorbs runtime
+	// goroutines that a loaded machine schedules late.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("goroutines = %d after the jobs, baseline %d", n, base)
 	}
 }

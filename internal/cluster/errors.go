@@ -8,7 +8,17 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 )
+
+// ErrTaskPanicked marks a task, or a service's campaign run, that panicked.
+// The panic is recovered at that boundary into an error wrapping this one,
+// and Classify treats it as permanent: a defect panics again on every retry.
+var ErrTaskPanicked = errors.New("cluster: task panicked")
+
+// Recovered turns a value returned by recover into an error wrapping
+// ErrTaskPanicked; the message carries the panic value.
+func Recovered(v any) error { return fmt.Errorf("%w: %v", ErrTaskPanicked, v) }
 
 // Class is the retry classification of an error.
 type Class int
@@ -25,7 +35,8 @@ const (
 	// was not defective.
 	ClassCanceled
 	// ClassPermanent marks deterministic errors — bad plans, unknown columns,
-	// invalid campaigns — that will fail identically on every attempt.
+	// invalid campaigns, recovered panics — that will fail identically on
+	// every attempt.
 	ClassPermanent
 )
 

@@ -31,6 +31,8 @@ func TestClassify(t *testing.T) {
 		{"plan error", planErr, ClassPermanent},
 		{"plan error wrapped", fmt.Errorf("runner: %w", planErr), ClassPermanent},
 		{"task failed without injection", fmt.Errorf("%w: job j: t on n: %w", ErrTaskFailed, planErr), ClassPermanent},
+		{"panic", Recovered("boom"), ClassPermanent},
+		{"panic under ErrTaskFailed", fmt.Errorf("%w: job j: t on n: %w", ErrTaskFailed, Recovered("boom")), ClassPermanent},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -72,17 +72,6 @@ func (r Report) Compliant() bool {
 	return true
 }
 
-// BlockingCount returns the number of blocking violations.
-func (r Report) BlockingCount() int {
-	n := 0
-	for _, v := range r.Violations {
-		if v.Severity == Blocking {
-			n++
-		}
-	}
-	return n
-}
-
 // Input is everything a rule can inspect.
 type Input struct {
 	// Campaign is the declarative model.
@@ -130,21 +119,6 @@ type Engine struct {
 // NewEngine returns an engine with the default TOREADOR rule set.
 func NewEngine() *Engine {
 	return &Engine{rules: DefaultRules()}
-}
-
-// NewEngineWithRules returns an engine with a custom rule set (used by the
-// ablation benchmarks).
-func NewEngineWithRules(rules ...Rule) *Engine {
-	return &Engine{rules: rules}
-}
-
-// Rules returns the engine's rule identifiers.
-func (e *Engine) Rules() []string {
-	out := make([]string, len(e.rules))
-	for i, r := range e.rules {
-		out[i] = r.ID()
-	}
-	return out
 }
 
 // Evaluate runs every rule and assembles the report.

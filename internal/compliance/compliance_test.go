@@ -339,16 +339,6 @@ func TestInterferenceMonotonicity(t *testing.T) {
 	}
 }
 
-func TestEngineWithCustomRules(t *testing.T) {
-	e := NewEngineWithRules(anonymizeBeforeAnalyticsRule{})
-	if len(e.Rules()) != 1 || e.Rules()[0] != "R1-anonymize-before-analytics" {
-		t.Errorf("rules = %v", e.Rules())
-	}
-	if got := NewEngine().Rules(); len(got) != len(DefaultRules()) {
-		t.Errorf("default engine rules = %d, want %d", len(got), len(DefaultRules()))
-	}
-}
-
 func TestSeverityString(t *testing.T) {
 	if Warning.String() != "warning" || Blocking.String() != "blocking" {
 		t.Error("Severity.String misbehaves")
@@ -363,9 +353,6 @@ func TestReportHelpers(t *testing.T) {
 	}}
 	if r.Compliant() {
 		t.Error("report with blocking violations must not be compliant")
-	}
-	if r.BlockingCount() != 2 {
-		t.Errorf("blocking count = %d, want 2", r.BlockingCount())
 	}
 	if !(Report{}).Compliant() {
 		t.Error("empty report must be compliant")

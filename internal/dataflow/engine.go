@@ -458,15 +458,6 @@ func (e *Engine) Count(ctx context.Context, d *Dataset) (int64, error) {
 	return st.stats.RowsOutput, nil
 }
 
-// CountStats is Count plus the execution statistics of the action.
-func (e *Engine) CountStats(ctx context.Context, d *Dataset) (int64, Stats, error) {
-	_, st, err := e.execute(ctx, d)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	return st.stats.RowsOutput, st.stats, nil
-}
-
 // validateWideColumns walks the plan and verifies that every column a wide
 // operator keys on exists in its input schema. The Dataset builders already
 // reject unknown columns, but plans assembled through other paths used to

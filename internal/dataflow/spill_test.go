@@ -274,10 +274,11 @@ func TestSortSampleBudget(t *testing.T) {
 	const partitions = 10
 	e := spillEngine(t, WithShufflePartitions(partitions))
 	d := FromRows("sample", schema, data, 4).Sort(SortOrder{Column: "k"})
-	_, stats, err := e.CountStats(ctx, d)
+	res, err := e.CollectBatches(ctx, d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := res.Stats
 	target := int64(partitions * sortSamplesPerPartition)
 	if stats.SortSampledRows == 0 {
 		t.Fatal("range sort did not sample")

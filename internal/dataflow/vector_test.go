@@ -154,14 +154,14 @@ func TestCountSkipsMaterialization(t *testing.T) {
 	e := testEngine(t)
 	d := vectorChainPlan(t, 500, 4)
 	res := collect(t, e, d)
-	n, stats, err := e.CountStats(context.Background(), d)
+	n, err := e.Count(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(len(res.Rows)) {
 		t.Errorf("Count = %d, Collect rows = %d", n, len(res.Rows))
 	}
-	if stats.Batches == 0 {
-		t.Error("Count must report batch stats")
+	if res.Stats.Batches == 0 {
+		t.Error("the plan must report batch stats")
 	}
 }

@@ -140,21 +140,6 @@ var profiles = map[Platform]platformProfile{
 	PlatformSingleNode: {perStepOverheadMillis: 10, costFactor: 0.6, nodes: 1, slots: 2},
 }
 
-// SupportedPlatforms returns the platforms every step of the composition can
-// run on, in the canonical order.
-func SupportedPlatforms(comp *procedural.Composition) []Platform {
-	var out []Platform
-	if comp == nil {
-		return out
-	}
-	for _, p := range Platforms() {
-		if supports(comp, p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // supports reports whether every step of comp runs on the known platform p.
 func supports(comp *procedural.Composition, p Platform) bool {
 	if p == PlatformStreaming {
@@ -252,23 +237,6 @@ func (b *Binder) Bind(comp *procedural.Composition, platform Platform, inputRows
 		EstimatedLatencyMillis:    latency,
 		EstimatedFreshnessSeconds: freshness,
 	}, nil
-}
-
-// BindAll binds the composition to every supported platform, returning plans
-// keyed by platform.
-func (b *Binder) BindAll(comp *procedural.Composition, inputRows int, prefs model.Preferences) (map[Platform]*Plan, error) {
-	out := make(map[Platform]*Plan)
-	for _, p := range SupportedPlatforms(comp) {
-		plan, err := b.Bind(comp, p, inputRows, prefs)
-		if err != nil {
-			return nil, err
-		}
-		out[p] = plan
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%w: no platform supports %s", ErrUnsupportedPlatform, comp.Fingerprint())
-	}
-	return out, nil
 }
 
 func minInt(a, b int) int {

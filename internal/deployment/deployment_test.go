@@ -43,16 +43,22 @@ func streamableComposition(t *testing.T) *procedural.Composition {
 }
 
 func TestSupportedPlatforms(t *testing.T) {
-	batch := SupportedPlatforms(batchOnlyComposition(t))
-	if len(batch) != 2 || batch[0] != PlatformBatch || batch[1] != PlatformSingleNode {
-		t.Errorf("batch-only platforms = %v", batch)
-	}
-	stream := SupportedPlatforms(streamableComposition(t))
-	if len(stream) != 1 || stream[0] != PlatformStreaming {
-		t.Errorf("stream-only platforms = %v", stream)
-	}
-	if got := SupportedPlatforms(nil); len(got) != 0 {
-		t.Errorf("nil composition platforms = %v", got)
+	batch, stream := batchOnlyComposition(t), streamableComposition(t)
+	for _, tc := range []struct {
+		comp     *procedural.Composition
+		platform Platform
+		want     bool
+	}{
+		{batch, PlatformBatch, true},
+		{batch, PlatformSingleNode, true},
+		{batch, PlatformStreaming, false},
+		{stream, PlatformBatch, false},
+		{stream, PlatformSingleNode, false},
+		{stream, PlatformStreaming, true},
+	} {
+		if got := supports(tc.comp, tc.platform); got != tc.want {
+			t.Errorf("supports(%s, %s) = %v, want %v", tc.comp.Fingerprint(), tc.platform, got, tc.want)
+		}
 	}
 }
 
@@ -149,20 +155,6 @@ func TestBindErrors(t *testing.T) {
 	invalid := &procedural.Composition{Campaign: "x"}
 	if _, err := b.Bind(invalid, PlatformBatch, 10, model.Preferences{}); !errors.Is(err, ErrBadBinding) {
 		t.Error("invalid composition must fail")
-	}
-}
-
-func TestBindAll(t *testing.T) {
-	b := NewBinder()
-	plans, err := b.BindAll(batchOnlyComposition(t), 5000, model.Preferences{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plans) != 2 {
-		t.Fatalf("plans = %d, want 2 (batch + single node)", len(plans))
-	}
-	if plans[PlatformBatch] == nil || plans[PlatformSingleNode] == nil {
-		t.Error("expected batch and single-node plans")
 	}
 }
 

@@ -435,17 +435,6 @@ func (s *Session) Attempts() []*Attempt {
 	return append([]*Attempt(nil), s.attempts...)
 }
 
-// AttemptsFor returns the attempts of one trainee on one challenge.
-func (s *Session) AttemptsFor(trainee, challengeID string) []*Attempt {
-	var out []*Attempt
-	for _, a := range s.attempts {
-		if a.Trainee == trainee && a.ChallengeID == challengeID {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // LeaderboardEntry is one row of the session leaderboard.
 type LeaderboardEntry struct {
 	Trainee    string

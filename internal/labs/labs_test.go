@@ -182,10 +182,6 @@ func TestSessionCompareAndLeaderboard(t *testing.T) {
 	if attempts[1].Number != 2 {
 		t.Errorf("second attempt of alice numbered %d, want 2", attempts[1].Number)
 	}
-	aliceAttempts := session.AttemptsFor("alice", "retail-baskets")
-	if len(aliceAttempts) != 2 {
-		t.Errorf("alice attempts = %d", len(aliceAttempts))
-	}
 	rows := Compare(attempts)
 	if len(rows) != 4 {
 		t.Fatalf("comparison rows = %d", len(rows))

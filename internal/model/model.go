@@ -124,16 +124,6 @@ func (i Indicator) Valid() bool {
 	return false
 }
 
-// HigherIsBetter reports the improvement direction of the indicator.
-func (i Indicator) HigherIsBetter() bool {
-	switch i {
-	case IndicatorAccuracy, IndicatorThroughput, IndicatorPrivacy:
-		return true
-	default:
-		return false
-	}
-}
-
 // Comparison is the relational operator of an objective.
 type Comparison string
 

@@ -57,9 +57,6 @@ func TestTasksAndIndicators(t *testing.T) {
 	if !IndicatorAccuracy.Valid() || Indicator("x").Valid() {
 		t.Error("indicator validity misbehaves")
 	}
-	if !IndicatorAccuracy.HigherIsBetter() || IndicatorCost.HigherIsBetter() || IndicatorLatency.HigherIsBetter() {
-		t.Error("indicator direction misbehaves")
-	}
 }
 
 func TestComparison(t *testing.T) {

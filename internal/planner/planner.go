@@ -2,9 +2,7 @@
 // space enumerated by the core compiler: the exhaustive model-driven search
 // the platform performs for its users, a cheaper greedy heuristic, and a
 // random-sampling baseline that models the "manual trial and error" of a user
-// without the platform. It also computes Pareto fronts over the standard
-// indicators, which is how the Labs visualise trade-offs between
-// alternatives.
+// without the platform.
 package planner
 
 import (
@@ -259,69 +257,4 @@ func Regret(decision Decision, optimal Decision) float64 {
 		return 0
 	}
 	return r
-}
-
-// ParetoFront returns the non-dominated alternatives with respect to the
-// given indicators (direction taken from the indicator definition: higher is
-// better for accuracy/throughput/privacy, lower for the rest). Alternatives
-// missing any of the indicators are excluded.
-func ParetoFront(alternatives []core.Alternative, indicators []model.Indicator) []core.Alternative {
-	if len(indicators) == 0 {
-		return nil
-	}
-	values := func(a core.Alternative) ([]float64, bool) {
-		out := make([]float64, len(indicators))
-		for i, ind := range indicators {
-			v, ok := a.Estimates.Get(ind)
-			if !ok {
-				return nil, false
-			}
-			if ind.HigherIsBetter() {
-				out[i] = -v // normalise to "lower is better"
-			} else {
-				out[i] = v
-			}
-		}
-		return out, true
-	}
-	type candidate struct {
-		alt  core.Alternative
-		vals []float64
-	}
-	var candidates []candidate
-	for _, a := range alternatives {
-		if vals, ok := values(a); ok {
-			candidates = append(candidates, candidate{alt: a, vals: vals})
-		}
-	}
-	dominates := func(a, b []float64) bool {
-		strictly := false
-		for i := range a {
-			if a[i] > b[i] {
-				return false
-			}
-			if a[i] < b[i] {
-				strictly = true
-			}
-		}
-		return strictly
-	}
-	var front []core.Alternative
-	for i, c := range candidates {
-		dominated := false
-		for j, other := range candidates {
-			if i == j {
-				continue
-			}
-			if dominates(other.vals, c.vals) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, c.alt)
-		}
-	}
-	sort.Slice(front, func(i, j int) bool { return front[i].Index < front[j].Index })
-	return front
 }

@@ -216,40 +216,3 @@ func TestPlanOverDegenerateDesignSpaces(t *testing.T) {
 		t.Errorf("empty space err = %v, want ErrNoDecision", err)
 	}
 }
-
-func TestParetoFront(t *testing.T) {
-	_, _, alternatives := plannerEnv(t)
-	indicators := []model.Indicator{model.IndicatorAccuracy, model.IndicatorCost}
-	front := ParetoFront(alternatives, indicators)
-	if len(front) == 0 {
-		t.Fatal("pareto front must not be empty")
-	}
-	if len(front) > len(alternatives) {
-		t.Fatal("front cannot exceed the population")
-	}
-	// No front member may be dominated by any alternative.
-	dominated := func(a, b core.Alternative) bool {
-		accA, _ := a.Estimates.Get(model.IndicatorAccuracy)
-		accB, _ := b.Estimates.Get(model.IndicatorAccuracy)
-		costA, _ := a.Estimates.Get(model.IndicatorCost)
-		costB, _ := b.Estimates.Get(model.IndicatorCost)
-		return (accB >= accA && costB <= costA) && (accB > accA || costB < costA)
-	}
-	for _, member := range front {
-		for _, other := range alternatives {
-			if other.Index == member.Index {
-				continue
-			}
-			if dominated(member, other) {
-				t.Errorf("front member %d is dominated by %d", member.Index, other.Index)
-			}
-		}
-	}
-	// Degenerate inputs.
-	if got := ParetoFront(alternatives, nil); got != nil {
-		t.Error("empty indicator list must yield nil")
-	}
-	if got := ParetoFront(nil, indicators); len(got) != 0 {
-		t.Error("empty population must yield empty front")
-	}
-}

@@ -733,7 +733,7 @@ func (r *Runner) runSessionization(campaign *model.Campaign, prepared *dataflow.
 	}
 	// Absent columns read as zero values: IndexOf's -1 is out of range for
 	// every *At accessor.
-	timeIdx, urlIdx, labelIdx := schema.IndexOf(campaign.Goal.TimeColumn), schema.IndexOf("url"), -1
+	timeIdx, labelIdx := schema.IndexOf(campaign.Goal.TimeColumn), -1
 	if campaign.Goal.LabelColumn != "" {
 		labelIdx = schema.IndexOf(campaign.Goal.LabelColumn)
 	}
@@ -748,7 +748,6 @@ func (r *Runner) runSessionization(campaign *model.Campaign, prepared *dataflow.
 			converted, _ := b.BoolAt(i, labelIdx)
 			events = append(events, analytics.Event{
 				UserID:    user,
-				URL:       b.StringAt(i, urlIdx),
 				At:        at,
 				Converted: converted,
 			})

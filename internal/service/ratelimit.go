@@ -4,10 +4,7 @@ package service
 // each tenant owns a bucket with a configured burst capacity refilled at a
 // steady rate, so one chatty tenant cannot monopolise the submission queue.
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // TenantConfig sets a tenant's admission budget. The zero value disables rate
 // limiting for the tenant (every submission passes the bucket).
@@ -26,8 +23,7 @@ type TenantConfig struct {
 func (tc TenantConfig) limited() bool { return tc.Burst > 0 }
 
 // bucket is one tenant's token bucket. Callers hold the service mutex, so the
-// bucket itself is unsynchronised; the standalone limiter wraps it with its
-// own lock for direct use.
+// bucket itself is unsynchronised.
 type bucket struct {
 	cfg    TenantConfig
 	tokens float64
@@ -55,36 +51,4 @@ func (b *bucket) allow(now time.Time) bool {
 	}
 	b.tokens--
 	return true
-}
-
-// Limiter is a standalone concurrency-safe multi-tenant token-bucket limiter.
-// The service embeds the same buckets under its own lock; the exported type
-// exists so other entry points (CLIs, tests) can reuse the policy.
-type Limiter struct {
-	mu       sync.Mutex
-	def      TenantConfig
-	perTen   map[string]TenantConfig
-	buckets  map[string]*bucket
-	lastSeen time.Time
-}
-
-// NewLimiter builds a limiter with a default config and per-tenant overrides.
-func NewLimiter(def TenantConfig, perTenant map[string]TenantConfig) *Limiter {
-	return &Limiter{def: def, perTen: perTenant, buckets: map[string]*bucket{}}
-}
-
-// Allow consumes one token for the tenant at the given instant.
-func (l *Limiter) Allow(tenant string, now time.Time) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	b, ok := l.buckets[tenant]
-	if !ok {
-		cfg, ok := l.perTen[tenant]
-		if !ok {
-			cfg = l.def
-		}
-		b = newBucket(cfg, now)
-		l.buckets[tenant] = b
-	}
-	return b.allow(now)
 }

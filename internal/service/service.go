@@ -450,7 +450,7 @@ func (s *Service) execute(t *Ticket) {
 			ctx, cancel = context.WithTimeout(s.baseCtx, deadline)
 		}
 		start := time.Now()
-		report, err := s.run.Run(ctx, t.Campaign, t.Alt)
+		report, err := s.runOnce(ctx, t)
 		cancel()
 		t.mu.Lock()
 		t.attempts = attempt
@@ -483,6 +483,18 @@ func (s *Service) execute(t *Ticket) {
 	s.reg.Counter("service.failed." + cluster.Classify(lastErr).String()).Inc()
 	s.reg.Timer("service.latency").ObserveDuration(time.Since(t.submittedAt))
 	t.finish(StatusFailed, nil, lastErr)
+}
+
+// runOnce makes one attempt at the ticket's campaign. A panic in the runner is
+// recovered into a permanent ErrTaskPanicked error, so it fails this ticket
+// and not the service.
+func (s *Service) runOnce(ctx context.Context, t *Ticket) (report *runner.Report, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			report, err = nil, cluster.Recovered(r)
+		}
+	}()
+	return s.run.Run(ctx, t.Campaign, t.Alt)
 }
 
 // Shutdown stops admitting, drains queued and in-flight campaigns, and

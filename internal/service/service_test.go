@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -418,35 +420,34 @@ func TestTenantRateLimiting(t *testing.T) {
 	}
 }
 
-// TestLimiterRefill covers the standalone limiter deterministically by
+// TestLimiterRefill covers the per-tenant token bucket deterministically by
 // driving time explicitly.
 func TestLimiterRefill(t *testing.T) {
-	l := NewLimiter(TenantConfig{Burst: 2, RefillPerSec: 10}, map[string]TenantConfig{
-		"vip": {}, // unlimited
-	})
 	base := time.Unix(1000, 0)
-	if !l.Allow("a", base) || !l.Allow("a", base) {
+	b := newBucket(TenantConfig{Burst: 2, RefillPerSec: 10}, base)
+	if !b.allow(base) || !b.allow(base) {
 		t.Fatal("burst of 2 must admit twice")
 	}
-	if l.Allow("a", base) {
+	if b.allow(base) {
 		t.Fatal("third immediate submission must be limited")
 	}
 	// 100ms refills one token at 10/s.
-	if !l.Allow("a", base.Add(100*time.Millisecond)) {
+	if !b.allow(base.Add(100 * time.Millisecond)) {
 		t.Fatal("refilled token must admit")
 	}
-	if l.Allow("a", base.Add(100*time.Millisecond)) {
+	if b.allow(base.Add(100 * time.Millisecond)) {
 		t.Fatal("only one token refilled")
 	}
 	// Refill caps at the burst.
-	if !l.Allow("a", base.Add(time.Hour)) || !l.Allow("a", base.Add(time.Hour)) {
+	if !b.allow(base.Add(time.Hour)) || !b.allow(base.Add(time.Hour)) {
 		t.Fatal("bucket must cap at burst, not accumulate an hour of tokens")
 	}
-	if l.Allow("a", base.Add(time.Hour)) {
+	if b.allow(base.Add(time.Hour)) {
 		t.Fatal("burst cap exceeded")
 	}
+	vip := newBucket(TenantConfig{}, base) // unlimited
 	for i := 0; i < 100; i++ {
-		if !l.Allow("vip", base) {
+		if !vip.allow(base) {
 			t.Fatal("unlimited tenant must always be admitted")
 		}
 	}
@@ -602,6 +603,63 @@ func TestPermanentErrorFailsFast(t *testing.T) {
 	shutdownOK(t, s)
 	if n := s.Stats().CounterValue("service.retries"); n != 0 {
 		t.Errorf("service.retries = %d, want 0 for a permanent error", n)
+	}
+}
+
+// TestRunPanicFailsOneTicket checks that a runner panic fails its ticket
+// with a permanent ErrTaskPanicked error and no retry, that the next ticket on
+// the same service completes, and that no goroutine outlives Shutdown.
+func TestRunPanicFailsOneTicket(t *testing.T) {
+	base := runtime.NumGoroutine()
+	run := newFakeRunner()
+	run.script["panics"] = func(context.Context, int) error { panic("analytics defect") }
+	s, err := New(run, Config{Workers: 1, MaxRetries: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := s.Submit("acme", campaignWithLatency("panics", 0), testAlt(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, rerr := bad.Result()
+	if bad.Status() != StatusFailed || bad.Attempts() != 1 {
+		t.Errorf("status = %s attempts = %d, want failed after 1", bad.Status(), bad.Attempts())
+	}
+	if !errors.Is(rerr, cluster.ErrTaskPanicked) || !strings.Contains(rerr.Error(), "analytics defect") {
+		t.Errorf("surfaced err = %v, want ErrTaskPanicked with the panic value", rerr)
+	}
+
+	good, err := s.Submit("acme", campaignWithLatency("fine", 0), testAlt(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := good.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := good.Result(); good.Status() != StatusCompleted || err != nil || rep.Campaign != "fine" {
+		t.Errorf("next ticket: status = %s report = %+v err = %v, want completed", good.Status(), rep, err)
+	}
+	shutdownOK(t, s)
+	snap := s.Stats()
+	if n := snap.CounterValue("service.failed.permanent"); n != 1 {
+		t.Errorf("service.failed.permanent = %d, want 1", n)
+	}
+	if n := snap.CounterValue("service.retries"); n != 0 {
+		t.Errorf("service.retries = %d, want 0 for a panic", n)
+	}
+
+	// Shutdown waits for the workers, so the count is back at the baseline
+	// once it returns; the loop only absorbs runtime goroutines that a
+	// loaded machine schedules late.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("goroutines = %d after Shutdown, baseline %d", n, base)
 	}
 }
 

@@ -170,15 +170,6 @@ func AsBool(v Value) (bool, bool) {
 	}
 }
 
-// AsTime converts a TypeTime value (Unix milliseconds) to a time.Time in UTC.
-func AsTime(v Value) (time.Time, bool) {
-	ms, ok := AsInt(v)
-	if !ok {
-		return time.Time{}, false
-	}
-	return time.UnixMilli(ms).UTC(), true
-}
-
 // TimeValue converts a time.Time to the engine's TypeTime representation.
 func TimeValue(t time.Time) Value { return t.UnixMilli() }
 

@@ -1,7 +1,7 @@
 // Package storage implements the storage substrate of the simulated Big Data
 // platform: typed schemas, rows, columnar batches (typed column vectors with
-// null bitmaps), in-memory tables partitioned into blocks, CSV/JSON codecs,
-// and a dataset catalog.
+// null bitmaps), in-memory tables partitioned into blocks, the batch frame
+// codec used by spilling and by the segment store, and a dataset catalog.
 //
 // The TOREADOR platform assumes data sources registered with the platform and
 // described by a representation model; this package plays that role. All data
@@ -49,24 +49,6 @@ func (t FieldType) String() string {
 		return "time"
 	default:
 		return "unknown"
-	}
-}
-
-// ParseFieldType converts a textual type name into a FieldType.
-func ParseFieldType(s string) (FieldType, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "string", "text", "varchar":
-		return TypeString, nil
-	case "int", "integer", "long":
-		return TypeInt, nil
-	case "float", "double", "real":
-		return TypeFloat, nil
-	case "bool", "boolean":
-		return TypeBool, nil
-	case "time", "timestamp", "datetime":
-		return TypeTime, nil
-	default:
-		return TypeUnknown, fmt.Errorf("storage: unknown field type %q", s)
 	}
 }
 
@@ -269,18 +251,6 @@ func (s *Schema) MaxSensitivity() Sensitivity {
 		}
 	}
 	return maxLevel
-}
-
-// SensitiveFields returns the names of all fields at or above the given
-// sensitivity level.
-func (s *Schema) SensitiveFields(min Sensitivity) []string {
-	var out []string
-	for _, f := range s.fields {
-		if f.Sensitivity >= min {
-			out = append(out, f.Name)
-		}
-	}
-	return out
 }
 
 // String renders a readable schema description.

@@ -126,30 +126,6 @@ func TestSchemaSensitivity(t *testing.T) {
 	if s.MaxSensitivity() != Personal {
 		t.Errorf("MaxSensitivity = %v, want Personal", s.MaxSensitivity())
 	}
-	fields := s.SensitiveFields(Personal)
-	if len(fields) != 1 || fields[0] != "name" {
-		t.Errorf("SensitiveFields = %v, want [name]", fields)
-	}
-	if got := s.SensitiveFields(Public); len(got) != 5 {
-		t.Errorf("SensitiveFields(Public) = %v, want all fields", got)
-	}
-}
-
-func TestParseFieldType(t *testing.T) {
-	cases := map[string]FieldType{
-		"string": TypeString, "TEXT": TypeString, "int": TypeInt, "Long": TypeInt,
-		"float": TypeFloat, "double": TypeFloat, "bool": TypeBool,
-		"timestamp": TypeTime, " time ": TypeTime,
-	}
-	for in, want := range cases {
-		got, err := ParseFieldType(in)
-		if err != nil || got != want {
-			t.Errorf("ParseFieldType(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseFieldType("blob"); err == nil {
-		t.Error("ParseFieldType(blob) must fail")
-	}
 }
 
 func TestFieldTypeString(t *testing.T) {

@@ -164,33 +164,6 @@ func (t *Table) Scan(fn func(Row) bool) {
 	}
 }
 
-// Clear removes every row while keeping schema and partitioning.
-func (t *Table) Clear() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.blocks = make([][]Row, t.partitions)
-	t.nextRR = 0
-}
-
-// Repartition returns a new table with the same schema and rows distributed
-// over n partitions keyed by keyField (or round-robin when keyField is empty).
-func (t *Table) Repartition(n int, keyField string) (*Table, error) {
-	opts := []TableOption{WithPartitions(n)}
-	if keyField != "" {
-		opts = append(opts, WithPartitionKey(keyField))
-	}
-	out, err := NewTable(t.name, t.schema, opts...)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range t.Rows() {
-		if err := out.Append(r); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Catalog is a registry of named tables, mirroring the data-source registry of
 // the TOREADOR platform.
 type Catalog struct {
@@ -244,11 +217,4 @@ func (c *Catalog) Names() []string {
 		out = append(out, n)
 	}
 	return out
-}
-
-// Drop removes the named table; dropping an absent table is a no-op.
-func (c *Catalog) Drop(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.tables, name)
 }

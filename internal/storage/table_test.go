@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"bytes"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -115,24 +113,6 @@ func TestTableRoundRobinSpreadsRows(t *testing.T) {
 	}
 }
 
-func TestTableClearAndRepartition(t *testing.T) {
-	tbl := newPeopleTable(t, WithPartitions(2))
-	for i := 0; i < 10; i++ {
-		_ = tbl.Append(Row{int64(i), "n", 1.0, true, int64(0)})
-	}
-	re, err := tbl.Repartition(5, "id")
-	if err != nil {
-		t.Fatalf("Repartition: %v", err)
-	}
-	if re.Partitions() != 5 || re.NumRows() != 10 {
-		t.Errorf("repartitioned: partitions=%d rows=%d", re.Partitions(), re.NumRows())
-	}
-	tbl.Clear()
-	if tbl.NumRows() != 0 {
-		t.Errorf("Clear left %d rows", tbl.NumRows())
-	}
-}
-
 func TestTableConcurrentAppend(t *testing.T) {
 	tbl := newPeopleTable(t, WithPartitions(4), WithPartitionKey("name"))
 	var wg sync.WaitGroup
@@ -200,104 +180,5 @@ func TestCatalog(t *testing.T) {
 	got, _ = c.Lookup("people")
 	if got != other {
 		t.Error("Replace must overwrite")
-	}
-	c.Drop("people")
-	if _, err := c.Lookup("people"); err == nil {
-		t.Error("dropped table must not resolve")
-	}
-	c.Drop("people") // dropping twice is a no-op
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tbl := newPeopleTable(t)
-	rows := []Row{
-		{int64(1), "alice", 10.5, true, int64(1000)},
-		{int64(2), "bob", 20.25, nil, int64(2000)},
-	}
-	if _, err := tbl.AppendAll(rows); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tbl); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	back, err := ReadCSV(&buf, "people2", tbl.Schema())
-	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
-	}
-	if back.NumRows() != 2 {
-		t.Fatalf("round trip rows = %d, want 2", back.NumRows())
-	}
-	// Spot-check typed values survived.
-	found := false
-	back.Scan(func(r Row) bool {
-		if r[1] == "alice" {
-			found = true
-			if r[0] != int64(1) || r[2] != 10.5 || r[3] != true {
-				t.Errorf("alice row corrupted: %v", r)
-			}
-		}
-		return true
-	})
-	if !found {
-		t.Error("alice row missing after round trip")
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	schema := MustSchema(Field{Name: "id", Type: TypeInt}, Field{Name: "v", Type: TypeFloat, Nullable: true})
-	if _, err := ReadCSV(strings.NewReader("v\n1.5\n"), "t", schema); err == nil {
-		t.Error("missing required column must fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("id,v\nnot-int,1.5\n"), "t", schema); err == nil {
-		t.Error("bad cell must fail")
-	}
-	got, err := ReadCSV(strings.NewReader("id,v,extra\n7,,ignored\n"), "t", schema)
-	if err != nil {
-		t.Fatalf("ReadCSV with empty nullable cell: %v", err)
-	}
-	r := got.Rows()[0]
-	if r[0] != int64(7) || r[1] != nil {
-		t.Errorf("row = %v, want [7 <nil>]", r)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	tbl := newPeopleTable(t)
-	rows := []Row{
-		{int64(1), "alice", 10.5, true, int64(1000)},
-		{int64(2), "bob", 20.25, nil, int64(2000)},
-	}
-	if _, err := tbl.AppendAll(rows); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, tbl); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	back, err := ReadJSON(&buf, "people2", tbl.Schema())
-	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
-	}
-	if back.NumRows() != 2 {
-		t.Fatalf("round trip rows = %d, want 2", back.NumRows())
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	schema := MustSchema(Field{Name: "id", Type: TypeInt})
-	if _, err := ReadJSON(strings.NewReader(`{"id": "abc"}`), "t", schema); err == nil {
-		t.Error("unparsable value must fail")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{bad json`), "t", schema); err == nil {
-		t.Error("malformed json must fail")
-	}
-	got, err := ReadJSON(strings.NewReader(`{"id": 3}`+"\n"+`{"id": 4.9}`), "t", schema)
-	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
-	}
-	rows := got.Rows()
-	if rows[0][0] != int64(3) || rows[1][0] != int64(4) {
-		t.Errorf("rows = %v", rows)
 	}
 }

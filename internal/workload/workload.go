@@ -37,34 +37,17 @@ func Verticals() []Vertical {
 // baseTime anchors all generated timestamps; fixed so runs are reproducible.
 var baseTime = time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
 
+// tablePartitions is the partition count of every generated table.
+const tablePartitions = 4
+
 // Generator produces the datasets of a single vertical scenario.
 type Generator struct {
-	rng        *rand.Rand
-	partitions int
-}
-
-// Option configures a Generator.
-type Option func(*Generator)
-
-// WithDataPartitions sets the partition count of generated tables.
-func WithDataPartitions(n int) Option {
-	return func(g *Generator) {
-		if n >= 1 {
-			g.partitions = n
-		}
-	}
+	rng *rand.Rand
 }
 
 // NewGenerator returns a generator seeded with seed.
-func NewGenerator(seed int64, opts ...Option) *Generator {
-	g := &Generator{
-		rng:        rand.New(rand.NewSource(seed)),
-		partitions: 4,
-	}
-	for _, opt := range opts {
-		opt(g)
-	}
-	return g
+func NewGenerator(seed int64) *Generator {
+	return &Generator{rng: rand.New(rand.NewSource(seed))}
 }
 
 // ---------------------------------------------------------------------------
@@ -108,7 +91,7 @@ var plans = []string{"basic", "standard", "premium", "enterprise"}
 // shrinks with tenure, so classifiers have real signal to learn.
 func (g *Generator) TelcoCustomers(n int) (*storage.Table, error) {
 	tbl, err := storage.NewTable("telco_customers", TelcoCustomerSchema(),
-		storage.WithPartitions(g.partitions), storage.WithPartitionKey("customer_id"))
+		storage.WithPartitions(tablePartitions), storage.WithPartitionKey("customer_id"))
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +130,7 @@ func (g *Generator) TelcoCustomers(n int) (*storage.Table, error) {
 // TelcoCDRs generates about perCustomer call records for each of n customers.
 func (g *Generator) TelcoCDRs(customers, perCustomer int) (*storage.Table, error) {
 	tbl, err := storage.NewTable("telco_cdrs", TelcoCDRSchema(),
-		storage.WithPartitions(g.partitions), storage.WithPartitionKey("customer_id"))
+		storage.WithPartitions(tablePartitions), storage.WithPartitionKey("customer_id"))
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +197,7 @@ var stores = []string{"milan-01", "milan-02", "crema-01", "rome-01", "madrid-01"
 // frequent-itemset mining finds non-trivial rules.
 func (g *Generator) RetailBaskets(n int) (*storage.Table, error) {
 	tbl, err := storage.NewTable("retail_baskets", RetailSchema(),
-		storage.WithPartitions(g.partitions), storage.WithPartitionKey("basket_id"))
+		storage.WithPartitions(tablePartitions), storage.WithPartitionKey("basket_id"))
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +295,7 @@ func EnergySchema() *storage.Schema {
 // column so detection quality can be scored.
 func (g *Generator) SmartMeterReadings(meters, days int) (*storage.Table, error) {
 	tbl, err := storage.NewTable("meter_readings", EnergySchema(),
-		storage.WithPartitions(g.partitions), storage.WithPartitionKey("meter_id"))
+		storage.WithPartitions(tablePartitions), storage.WithPartitionKey("meter_id"))
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +357,7 @@ var pages = []string{"/", "/catalog", "/product/1", "/product/2", "/product/3", 
 // /checkout mark the terminal event as converted.
 func (g *Generator) Clickstream(users, eventsPerUser int) (*storage.Table, error) {
 	tbl, err := storage.NewTable("clickstream", ClickstreamSchema(),
-		storage.WithPartitions(g.partitions), storage.WithPartitionKey("user_id"))
+		storage.WithPartitions(tablePartitions), storage.WithPartitionKey("user_id"))
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +435,7 @@ func (g *Generator) Payments(n int, fraudRate float64) (*storage.Table, error) {
 		return nil, fmt.Errorf("workload: fraud rate %v out of [0,1]", fraudRate)
 	}
 	tbl, err := storage.NewTable("payments", PaymentsSchema(),
-		storage.WithPartitions(g.partitions), storage.WithPartitionKey("account_id"))
+		storage.WithPartitions(tablePartitions), storage.WithPartitionKey("account_id"))
 	if err != nil {
 		return nil, err
 	}

@@ -281,18 +281,11 @@ func TestSizingNormalization(t *testing.T) {
 }
 
 func TestGeneratorPartitionOption(t *testing.T) {
-	tbl, err := NewGenerator(1, WithDataPartitions(7)).TelcoCustomers(10)
+	tbl, err := NewGenerator(1).TelcoCustomers(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Partitions() != 7 {
-		t.Errorf("partitions = %d, want 7", tbl.Partitions())
-	}
-	tbl2, err := NewGenerator(1, WithDataPartitions(-1)).TelcoCustomers(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl2.Partitions() != 4 {
-		t.Errorf("invalid partition option should keep default 4, got %d", tbl2.Partitions())
+	if tbl.Partitions() != 4 {
+		t.Errorf("partitions = %d, want the default 4", tbl.Partitions())
 	}
 }
