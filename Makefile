@@ -51,13 +51,17 @@ lint:
 # random batch lengths with nullable columns under random frame and segment
 # sizes and holds the store's typed re-chunking to SaveRows of the same rows.
 # FuzzTopologicalOrder holds the index-based composition order (literal and
-# built by procedural.New) to the map-based one it replaced. The
+# built by procedural.New) to the map-based one it replaced.
+# FuzzTableBatches mixes row appends, batch appends and snapshots on a keyed
+# or round-robin table and holds Partition, Rows, Scan, NumRows and every
+# earlier snapshot to a plain row model. The
 # time box keeps the target usable as a pre-commit check; raise FUZZTIME for a
 # longer soak. Go fuzzing accepts one -fuzz pattern per package invocation,
 # so the targets run back to back.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch' -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz 'FuzzTableBatches' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeManifest' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegmentFooter' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzSaveTableChunking' -fuzztime $(FUZZTIME) ./internal/store/

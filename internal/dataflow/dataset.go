@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/storage"
 )
@@ -227,73 +226,36 @@ func (d *Dataset) invalid() (*Dataset, bool) {
 // ---------------------------------------------------------------------------
 
 type sourceNode struct {
-	name       string
-	sch        *storage.Schema
-	partitions [][]storage.Row
-	parts      int // partition count
-	rows       int // row count, for Explain and the static row bound
-
-	// Columnar form of partitions, built on first execution and reused by
-	// every later action over the same (immutable) plan — the analogue of
-	// data already sitting in a columnar store. FromBatches sets it at
-	// construction.
-	batchOnce sync.Once
-	batches   []*storage.ColumnBatch
-	batchErr  error
-}
-
-// batchPartitions lazily converts the source partitions to columnar batches.
-func (s *sourceNode) batchPartitions() ([]*storage.ColumnBatch, error) {
-	s.batchOnce.Do(func() {
-		out := make([]*storage.ColumnBatch, len(s.partitions))
-		for i, p := range s.partitions {
-			b, err := storage.BatchFromRows(s.sch, p)
-			if err != nil {
-				s.batchErr = fmt.Errorf("dataflow: source %s partition %d: %w", s.name, i, err)
-				return
-			}
-			out[i] = b
-		}
-		s.batches = out
-	})
-	return s.batches, s.batchErr
+	name    string
+	sch     *storage.Schema
+	batches []*storage.ColumnBatch // one per partition, read-only
+	rows    int                    // row count, for Explain and the static row bound
 }
 
 func (s *sourceNode) schema() *storage.Schema { return s.sch }
 func (s *sourceNode) children() []planNode    { return nil }
 func (s *sourceNode) label() string {
-	return fmt.Sprintf("Source(%s, partitions=%d, rows=%d)", s.name, s.parts, s.rows)
+	return fmt.Sprintf("Source(%s, partitions=%d, rows=%d)", s.name, len(s.batches), s.rows)
 }
 
-// rowSource builds a source node over boxed row partitions.
-func rowSource(name string, schema *storage.Schema, parts [][]storage.Row) *Dataset {
-	rows := 0
-	for _, p := range parts {
-		rows += len(p)
-	}
-	return &Dataset{node: &sourceNode{name: name, sch: schema, partitions: parts, parts: len(parts), rows: rows}}
+// batchSource builds a source node that adopts batches as its partitions.
+func batchSource(name string, schema *storage.Schema, batches []*storage.ColumnBatch) *Dataset {
+	return &Dataset{node: &sourceNode{name: name, sch: schema, batches: batches, rows: countBatchRows(batches)}}
 }
 
-// FromTable creates a dataset reading the table's current contents. The table
-// is snapshotted partition by partition: later table mutations do not affect
-// the plan.
+// FromTable creates a dataset reading the table's current contents: a
+// snapshot of its partitions' column batches, so later table mutations do not
+// affect the plan.
 func FromTable(t *storage.Table) *Dataset {
 	if t == nil {
 		return failed(fmt.Errorf("%w: nil table", ErrNoSource))
 	}
-	parts := make([][]storage.Row, t.Partitions())
-	for p := 0; p < t.Partitions(); p++ {
-		rows, err := t.Partition(p)
-		if err != nil {
-			return failed(err)
-		}
-		parts[p] = append([]storage.Row(nil), rows...)
-	}
-	return rowSource(t.Name(), t.Schema(), parts)
+	return batchSource(t.Name(), t.Schema(), t.Snapshot())
 }
 
-// FromRows creates a dataset over in-memory rows split into the given number
-// of partitions (minimum 1). Rows are validated against the schema.
+// FromRows creates a dataset over in-memory rows split round-robin into the
+// given number of partitions (minimum 1). Rows are validated against the
+// schema.
 func FromRows(name string, schema *storage.Schema, rows []storage.Row, partitions int) *Dataset {
 	if schema == nil {
 		return failed(fmt.Errorf("%w: nil schema", ErrNoSource))
@@ -301,17 +263,16 @@ func FromRows(name string, schema *storage.Schema, rows []storage.Row, partition
 	if partitions < 1 {
 		partitions = 1
 	}
+	batches := make([]*storage.ColumnBatch, partitions)
+	for p := range batches {
+		batches[p] = storage.NewColumnBatch(schema, (len(rows)+partitions-1-p)/partitions)
+	}
 	for i, r := range rows {
-		if err := storage.ValidateRow(schema, r); err != nil {
+		if err := batches[i%partitions].AppendRow(r); err != nil {
 			return failed(fmt.Errorf("dataflow: FromRows row %d: %w", i, err))
 		}
 	}
-	parts := make([][]storage.Row, partitions)
-	for i, r := range rows {
-		p := i % partitions
-		parts[p] = append(parts[p], r)
-	}
-	return rowSource(name, schema, parts)
+	return batchSource(name, schema, batches)
 }
 
 // FromBatches creates a dataset whose partitions are the given batches, one
@@ -324,7 +285,6 @@ func FromBatches(name string, schema *storage.Schema, batches []*storage.ColumnB
 	if schema == nil {
 		return failed(fmt.Errorf("%w: nil schema", ErrNoSource))
 	}
-	rows := 0
 	for i, b := range batches {
 		if err := storage.ValidateBatch(b); err != nil {
 			return failed(fmt.Errorf("%w: FromBatches batch %d: %v", ErrBadPlan, i, err))
@@ -332,12 +292,8 @@ func FromBatches(name string, schema *storage.Schema, batches []*storage.ColumnB
 		if !b.Schema().Equal(schema) {
 			return failed(fmt.Errorf("%w: FromBatches batch %d has schema %s, want %s", ErrBadPlan, i, b.Schema(), schema))
 		}
-		rows += b.Len()
 	}
-	n := &sourceNode{name: name, sch: schema, parts: len(batches), rows: rows,
-		batches: append([]*storage.ColumnBatch{}, batches...)}
-	n.batchOnce.Do(func() {}) // already columnar: nothing to convert
-	return &Dataset{node: n}
+	return batchSource(name, schema, append([]*storage.ColumnBatch{}, batches...))
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -70,14 +71,88 @@ func TestFromTableSnapshot(t *testing.T) {
 	}
 	src := d.node.(*sourceNode)
 	total := 0
-	for _, p := range src.partitions {
-		total += len(p)
+	for _, b := range src.batches {
+		total += len(b.Rows())
 	}
 	if total != 6 {
 		t.Errorf("snapshot rows = %d, want 6", total)
 	}
 	if FromTable(nil).Err() == nil {
 		t.Error("FromTable(nil) must be invalid")
+	}
+}
+
+// salesTable builds a two-partition sales table of n rows, every third
+// priority null.
+func salesTable(t *testing.T, n int) *storage.Table {
+	t.Helper()
+	tbl, err := storage.NewTable("sales", salesSchema(), storage.WithPartitions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		var priority storage.Value
+		if i%3 != 0 {
+			priority = i%2 == 0
+		}
+		row := storage.Row{int64(i), []string{"north", "south", "east"}[i%3], float64(i % 100), priority}
+		if err := tbl.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl
+}
+
+// TestFromTableAllocsIndependentOfRows pins FromTable to an O(partitions)
+// snapshot: it allocates the same on a 10-row and a 10,000-row table.
+func TestFromTableAllocsIndependentOfRows(t *testing.T) {
+	small, large := salesTable(t, 10), salesTable(t, 10_000)
+	a := testing.AllocsPerRun(50, func() { _ = FromTable(small) })
+	b := testing.AllocsPerRun(50, func() { _ = FromTable(large) })
+	if a != b {
+		t.Errorf("FromTable allocates %v times on 10 rows, %v on 10,000", a, b)
+	}
+}
+
+// TestFromTableConcurrentAppend collects a plan over a table snapshot while
+// another goroutine appends rows, nulls included, to the same table: the
+// plan's output must not change. Under the race detector (make race) it also
+// checks that appends never write memory a snapshot reads; the writer never
+// signals the reader, since that would order their accesses and hide a race.
+func TestFromTableConcurrentAppend(t *testing.T) {
+	tbl := salesTable(t, 1000)
+	e := testEngine(t)
+	plan := FromTable(tbl).
+		Filter("priority set", func(r Record) (bool, error) { return !r.IsNull("priority"), nil }).
+		GroupBy("region").Agg(Count(), Sum("amount"))
+	want := collect(t, e, plan)
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1000; i < 50_000; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var priority storage.Value
+			if i%2 == 0 {
+				priority = true
+			}
+			if err := tbl.Append(storage.Row{int64(i), "west", 1.0, priority}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 5; i++ {
+		assertSameResult(t, fmt.Sprintf("collect %d during appends", i), collect(t, e, plan), want)
+	}
+	close(stop)
+	<-done
+	if tbl.NumRows() <= 1000 {
+		t.Errorf("table has %d rows after the appends", tbl.NumRows())
 	}
 }
 

@@ -263,18 +263,6 @@ type BatchResult struct {
 // Len returns the number of output rows.
 func (r *BatchResult) Len() int { return int(r.Stats.RowsOutput) }
 
-// Table converts the result into a named storage table.
-func (r *Result) Table(name string, opts ...storage.TableOption) (*storage.Table, error) {
-	t, err := storage.NewTable(name, r.Schema, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := t.AppendAll(r.Rows); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // Records wraps each result row for named access.
 func (r *Result) Records() []Record {
 	out := make([]Record, len(r.Rows))
@@ -540,7 +528,7 @@ func (e *Engine) evalNode(ctx context.Context, node planNode, st *execState) ([]
 	}
 	switch n := node.(type) {
 	case *sourceNode:
-		return e.evalSource(n, st)
+		return e.evalSource(n, st), nil
 	case *filterNode, *mapNode, *flatMapNode, *projectNode, *withColumnNode, *mapStringsNode, *sampleNode:
 		return e.evalChain(ctx, fusedChain{ops: []planNode{n}, base: n.children()[0], limit: -1}, st)
 	case *unionNode:
@@ -572,17 +560,11 @@ func (e *Engine) evalNode(ctx context.Context, node planNode, st *execState) ([]
 	}
 }
 
-// evalSource returns the source partitions as columnar batches (converted
-// once per plan and cached on the source node).
-func (e *Engine) evalSource(n *sourceNode, st *execState) ([]*storage.ColumnBatch, error) {
-	batches, err := n.batchPartitions()
-	if err != nil {
-		return nil, err
-	}
-	total := countBatchRows(batches)
-	st.addRead(total)
-	st.addBatches(len(batches), total)
-	return append([]*storage.ColumnBatch(nil), batches...), nil
+// evalSource returns the source's partition batches.
+func (e *Engine) evalSource(n *sourceNode, st *execState) []*storage.ColumnBatch {
+	st.addRead(n.rows)
+	st.addBatches(len(n.batches), n.rows)
+	return append([]*storage.ColumnBatch(nil), n.batches...)
 }
 
 // truncateBatches keeps the first limit rows in partition order, collapsing

@@ -413,18 +413,6 @@ func TestJoinDuplicateKeysProduceCrossProduct(t *testing.T) {
 	}
 }
 
-func TestResultTable(t *testing.T) {
-	e := testEngine(t)
-	res := collect(t, e, salesDataset(t).GroupBy("region").Agg(Count()))
-	tbl, err := res.Table("per_region")
-	if err != nil {
-		t.Fatalf("Result.Table: %v", err)
-	}
-	if tbl.NumRows() != len(res.Rows) || tbl.Name() != "per_region" {
-		t.Errorf("table rows = %d name = %q", tbl.NumRows(), tbl.Name())
-	}
-}
-
 func TestEngineMetricsAccumulate(t *testing.T) {
 	e := testEngine(t)
 	_ = collect(t, e, salesDataset(t).GroupBy("region").Agg(Count()))

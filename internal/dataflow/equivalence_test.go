@@ -184,7 +184,7 @@ func genPlan(seed int64, rows int) *Dataset {
 	}
 	data := genRows(rng, schema, n)
 	parts := 1 + rng.Intn(5)
-	return genChain(rng, FromRows("equiv", schema, data, parts))
+	return genChain(rng, refFromRows("equiv", schema, data, parts))
 }
 
 // engineArm is one engine configuration the suite runs every plan under.
@@ -297,7 +297,7 @@ func TestOperatorBatchCheck(t *testing.T) {
 	for i := range rows {
 		rows[i] = storage.Row{fmt.Sprintf("k%d", i%17), float64(i) / 4}
 	}
-	plan := FromRows("hook", schema, rows, 3).
+	plan := refFromRows("hook", schema, rows, 3).
 		GroupBy("k").Agg(Sum("v"), Count()).
 		Project("k", "sum_v")
 
@@ -380,7 +380,7 @@ func TestSampleUnfusedVectorizedEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			schema := genSchema(rng)
 			rows := genRows(rng, schema, 200+rng.Intn(400))
-			plan := FromRows("sampleequiv", schema, rows, 1+rng.Intn(5)).
+			plan := refFromRows("sampleequiv", schema, rows, 1+rng.Intn(5)).
 				Sample(0.25+rng.Float64()/2, seed)
 			if res := checkArms(t, plan)["unfused"]; res.Stats.Batches == 0 {
 				t.Error("unfused Sample processed no batches")
@@ -401,7 +401,7 @@ func TestMapFlatMapUnfusedVectorizedEquivalence(t *testing.T) {
 			schema := genSchema(rng)
 			rows := genRows(rng, schema, 200+rng.Intn(400))
 			fields := schema.Fields()
-			plan := FromRows("mapequiv", schema, rows, 1+rng.Intn(5)).
+			plan := refFromRows("mapequiv", schema, rows, 1+rng.Intn(5)).
 				Map("rebuild", schema, func(r Record) (storage.Row, error) {
 					row := make(storage.Row, len(fields))
 					for c, f := range fields {
@@ -443,7 +443,7 @@ func TestMapStringsEquivalence(t *testing.T) {
 			keepAll := seed%4 == 2
 			keep := func(r Record) (bool, error) { return keepAll || r.Int("k")%3 != 0, nil }
 			rng := rand.New(rand.NewSource(seed))
-			src := FromRows("maskequiv", schema, genRows(rng, schema, 200+rng.Intn(400)), 1+rng.Intn(5))
+			src := refFromRows("maskequiv", schema, genRows(rng, schema, 200+rng.Intn(400)), 1+rng.Intn(5))
 			var plan *Dataset
 			if seed%2 == 0 {
 				plan = src.Filter("k%3", keep).MapStrings("tag", []string{"c", "b", "a"}, tag)
@@ -502,7 +502,7 @@ func TestSortEquivalenceHeavyDuplicates(t *testing.T) {
 				{Column: "f", Descending: rng.Intn(2) == 0},
 				{Column: "b"},
 			}
-			plan := FromRows("sortequiv", schema, rows, 1+rng.Intn(6)).Sort(orders...)
+			plan := refFromRows("sortequiv", schema, rows, 1+rng.Intn(6)).Sort(orders...)
 			results := checkArms(t, plan)
 			for name, res := range results {
 				if res.Stats.ShuffledRows != results["default"].Stats.ShuffledRows {
@@ -557,7 +557,7 @@ func TestGroupByEquivalenceForcedSpill(t *testing.T) {
 			// rows across several batches: the spilling aggregation flushes at
 			// batch granularity, so its resident peak is one epoch's groups,
 			// not the bucket's.
-			plan := FromRows("aggequiv", schema, rows, 6+rng.Intn(3)).
+			plan := refFromRows("aggequiv", schema, rows, 6+rng.Intn(3)).
 				GroupBy("k").
 				Agg(Count(), Sum("v"), Avg("v"), Min("v"), Max("v"),
 					Min("s"), Max("s"), StdDev("v"), CountDistinct("s"))

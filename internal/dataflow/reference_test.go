@@ -7,7 +7,8 @@ package dataflow
 // AsString alone, applying the aggregate formulas documented on AggKind in
 // aggregate.go. It shares nothing with the executor beyond the plan nodes,
 // so a bug in a batch kernel, a key encoder or a comparator cannot hide in
-// both.
+// both. Its sources are the rows refFromRows recorded, not the engine's
+// source batches.
 //
 // Narrow operators keep the partitioning (Sample seeds one generator per
 // partition; Limit takes rows in partition order). Wide operators and Limit
@@ -20,11 +21,39 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/storage"
 )
+
+// refSources holds, for every source built with refFromRows, the rows it was
+// given, partitioned as FromRows documents. The interpreter reads these, never
+// the source's batches, so FromRows' row-to-batch conversion stays under test.
+// Keys are weak and an entry goes when its source node is collected, so a
+// long fuzz run does not keep every plan's rows.
+var refSources sync.Map // weak.Pointer[sourceNode] -> [][]storage.Row
+
+// refFromRows is FromRows that also records rows as the reference
+// interpreter's own row source: row i in partition i mod partitions.
+func refFromRows(name string, schema *storage.Schema, rows []storage.Row, partitions int) *Dataset {
+	d := FromRows(name, schema, rows, partitions)
+	if d.Err() != nil {
+		return d
+	}
+	parts := make([][]storage.Row, max(partitions, 1))
+	for i, r := range rows {
+		parts[i%len(parts)] = append(parts[i%len(parts)], r)
+	}
+	n := d.node.(*sourceNode)
+	key := weak.Make(n)
+	refSources.Store(key, parts)
+	runtime.AddCleanup(n, func(k weak.Pointer[sourceNode]) { refSources.Delete(k) }, key)
+	return d
+}
 
 // refRun is the interpreter's answer for one plan.
 type refRun struct {
@@ -117,12 +146,11 @@ func refConcat(parts [][]storage.Row) []storage.Row {
 func (r *refRun) eval(node planNode) ([][]storage.Row, error) {
 	switch n := node.(type) {
 	case *sourceNode:
-		parts := n.partitions
-		if parts == nil { // FromBatches: the adopted batches, boxed
-			for _, b := range n.batches {
-				parts = append(parts, b.Rows())
-			}
+		v, ok := refSources.Load(weak.Make(n))
+		if !ok {
+			return nil, fmt.Errorf("reference: source %s was not built with refFromRows", n.name)
 		}
+		parts := v.([][]storage.Row)
 		out := make([][]storage.Row, len(parts))
 		for i, p := range parts {
 			out[i] = append([]storage.Row(nil), p...)

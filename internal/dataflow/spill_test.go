@@ -87,8 +87,8 @@ func TestSpillShuffledJoin(t *testing.T) {
 		dim[i] = storage.Row{int64(i), "label-" + string(rune('a'+i%7))}
 	}
 	plan := func() *Dataset {
-		return FromRows("facts", schema, facts, 4).
-			Join(FromRows("dims", dimSchema, dim, 2), "k", "k", InnerJoin)
+		return refFromRows("facts", schema, facts, 4).
+			Join(refFromRows("dims", dimSchema, dim, 2), "k", "k", InnerJoin)
 	}
 
 	mem := spillEngine(t, withBroadcastJoin(false))
@@ -134,7 +134,7 @@ func TestSpillGroupByNonCombined(t *testing.T) {
 	schema := spillBenchSchema(t)
 	data := spillBenchData(5000, 40)
 	plan := func() *Dataset {
-		return FromRows("g", schema, data, 4).
+		return refFromRows("g", schema, data, 4).
 			GroupBy("k").
 			Agg(Count(), Sum("v"), Min("v"), CountDistinct("tag"))
 	}
@@ -165,7 +165,7 @@ func TestSpillDistinct(t *testing.T) {
 	ctx := context.Background()
 	schema := spillBenchSchema(t)
 	data := spillBenchData(4000, 25)
-	plan := func() *Dataset { return FromRows("d", schema, data, 4).Distinct("k", "tag") }
+	plan := func() *Dataset { return refFromRows("d", schema, data, 4).Distinct("k", "tag") }
 
 	base, err := spillEngine(t).Collect(ctx, plan())
 	if err != nil {
@@ -193,7 +193,7 @@ func TestSpillSortStaging(t *testing.T) {
 	schema := spillBenchSchema(t)
 	data := spillBenchData(3000, 1000)
 	plan := func() *Dataset {
-		return FromRows("s", schema, data, 4).Sort(SortOrder{Column: "v"}, SortOrder{Column: "k", Descending: true})
+		return refFromRows("s", schema, data, 4).Sort(SortOrder{Column: "v"}, SortOrder{Column: "k", Descending: true})
 	}
 	base, err := spillEngine(t).Collect(ctx, plan())
 	if err != nil {
@@ -219,7 +219,7 @@ func TestExternalSortRunsAndMerge(t *testing.T) {
 	schema := spillBenchSchema(t)
 	data := spillBenchData(20_000, 137)
 	plan := func() *Dataset {
-		return FromRows("s", schema, data, 4).
+		return refFromRows("s", schema, data, 4).
 			Sort(SortOrder{Column: "v"}, SortOrder{Column: "k", Descending: true}, SortOrder{Column: "tag"})
 	}
 	base, err := spillEngine(t).Collect(ctx, plan())
@@ -273,7 +273,7 @@ func TestSortSampleBudget(t *testing.T) {
 	data := spillBenchData(1000, 997)
 	const partitions = 10
 	e := spillEngine(t, WithShufflePartitions(partitions))
-	d := FromRows("sample", schema, data, 4).Sort(SortOrder{Column: "k"})
+	d := refFromRows("sample", schema, data, 4).Sort(SortOrder{Column: "k"})
 	res, err := e.CollectBatches(ctx, d)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestSortSampleBudget(t *testing.T) {
 // the budget and spill state.
 func TestExplainSpillState(t *testing.T) {
 	schema := spillBenchSchema(t)
-	d := FromRows("x", schema, spillBenchData(10, 5), 2).Distinct("k")
+	d := refFromRows("x", schema, spillBenchData(10, 5), 2).Distinct("k")
 
 	mem := spillEngine(t)
 	plan := mem.Explain(d)
@@ -322,7 +322,7 @@ func TestNegativeZeroGroupBy(t *testing.T) {
 	}
 	for _, arm := range engineArms(t) {
 		mode := arm.name
-		res, err := arm.e.Collect(ctx, FromRows("nz", schema, rows, 2).GroupBy("f").Agg(Count()))
+		res, err := arm.e.Collect(ctx, refFromRows("nz", schema, rows, 2).GroupBy("f").Agg(Count()))
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -345,7 +345,7 @@ func TestNegativeZeroDistinct(t *testing.T) {
 	schema := storage.MustSchema(storage.Field{Name: "f", Type: storage.TypeFloat})
 	rows := []storage.Row{{negZero}, {0.0}, {2.5}, {negZero}, {0.0}}
 	for _, arm := range engineArms(t) {
-		res, err := arm.e.Collect(ctx, FromRows("nz", schema, rows, 2).Distinct())
+		res, err := arm.e.Collect(ctx, refFromRows("nz", schema, rows, 2).Distinct())
 		if err != nil {
 			t.Fatalf("%s: %v", arm.name, err)
 		}
@@ -379,8 +379,8 @@ func TestNegativeZeroJoin(t *testing.T) {
 	} {
 		for _, arm := range engineArms(t, strategy.opts...) {
 			mode := arm.name
-			plan := FromRows("l", leftSchema, left, 2).
-				Join(FromRows("r", rightSchema, right, 2), "f", "f", InnerJoin)
+			plan := refFromRows("l", leftSchema, left, 2).
+				Join(refFromRows("r", rightSchema, right, 2), "f", "f", InnerJoin)
 			res, err := arm.e.Collect(ctx, plan)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", strategy.name, mode, err)

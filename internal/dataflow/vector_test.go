@@ -25,7 +25,7 @@ func vectorChainPlan(t *testing.T, n, parts int) *Dataset {
 		}
 		rows[i] = storage.Row{int64(i % 50), float64(i%100) / 2, tag}
 	}
-	return FromRows("vec", schema, rows, parts).
+	return refFromRows("vec", schema, rows, parts).
 		Filter("v >= 5", func(r Record) (bool, error) { return r.Float("v") >= 5, nil }).
 		Project("k", "v").
 		WithColumn(storage.Field{Name: "bucket", Type: storage.TypeInt},
@@ -91,14 +91,14 @@ func TestValidationGating(t *testing.T) {
 	for i := range rows {
 		rows[i] = storage.Row{int64(i)}
 	}
-	bad := FromRows("vals", schema, rows, 1).
+	bad := refFromRows("vals", schema, rows, 1).
 		Map("bad late row", schema, func(r Record) (storage.Row, error) {
 			if r.Int("x") == 7 {
 				return storage.Row{"not an int"}, nil
 			}
 			return storage.Row{r.Int("x")}, nil
 		})
-	badFirst := FromRows("vals", schema, rows, 1).
+	badFirst := refFromRows("vals", schema, rows, 1).
 		Map("bad first row", schema, func(r Record) (storage.Row, error) {
 			return storage.Row{"nope"}, nil
 		})
@@ -138,8 +138,8 @@ func TestVectorizedJoinMatchesRowJoin(t *testing.T) {
 		dimRows[i] = storage.Row{int64(i), "dim"}
 	}
 	for _, kind := range []JoinType{InnerJoin, LeftJoin} {
-		plan := FromRows("facts", facts, factRows, 4).
-			Join(FromRows("dims", dims, dimRows, 2), "k", "k", kind)
+		plan := refFromRows("facts", facts, factRows, 4).
+			Join(refFromRows("dims", dims, dimRows, 2), "k", "k", kind)
 		results := checkArms(t, plan)
 		if results["default"].Stats.BroadcastJoins != 1 || results["shuffle-join"].Stats.BroadcastJoins != 0 {
 			t.Errorf("kind=%v: broadcast joins = %d (default) / %d (shuffle-join), want 1 / 0", kind,

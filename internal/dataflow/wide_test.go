@@ -30,7 +30,7 @@ func wideDataset(t testing.TB, n, p int) *Dataset {
 		scrambled := (uint64(i) * 2654435761) % 1_000_003
 		rows[i] = storage.Row{int64(i), int64(i % 40), float64(scrambled)}
 	}
-	return FromRows("wide", schema, rows, p)
+	return refFromRows("wide", schema, rows, p)
 }
 
 func TestRangeSortMatchesSingleTask(t *testing.T) {
@@ -84,7 +84,7 @@ func TestColumnarSortMatchesBoxed(t *testing.T) {
 		}
 		rows[i] = storage.Row{iv, fv, "s" + string(rune('a'+i%3)), i%2 == 0, int64(i)}
 	}
-	plan := FromRows("typed", schema, rows, 8).Sort(
+	plan := refFromRows("typed", schema, rows, 8).Sort(
 		SortOrder{Column: "i"},
 		SortOrder{Column: "f", Descending: true},
 		SortOrder{Column: "s"},
@@ -105,7 +105,7 @@ func TestColumnarSortStability(t *testing.T) {
 	for i := range rows {
 		rows[i] = storage.Row{int64(i % 3), int64(i)}
 	}
-	res := collect(t, testEngineWith(t), FromRows("stable", schema, rows, 1).Sort(SortOrder{Column: "k"}))
+	res := collect(t, testEngineWith(t), refFromRows("stable", schema, rows, 1).Sort(SortOrder{Column: "k"}))
 	lastID := map[int64]int64{}
 	for _, r := range res.Rows {
 		k, id := r[0].(int64), r[1].(int64)
@@ -175,7 +175,7 @@ func TestMapSideDistinctWholeRowAndMetrics(t *testing.T) {
 	for i := range rows {
 		rows[i] = storage.Row{int64(i % 200), "row"}
 	}
-	dup := FromRows("dup", schema, rows, 4)
+	dup := refFromRows("dup", schema, rows, 4)
 	res := collect(t, e, dup.Distinct())
 	if len(res.Rows) != 200 {
 		t.Fatalf("whole-row distinct rows = %d, want 200", len(res.Rows))
@@ -189,7 +189,7 @@ func TestMapSideDistinctWholeRowAndMetrics(t *testing.T) {
 }
 
 func TestBroadcastJoinThresholdBoundary(t *testing.T) {
-	right := FromRows("dims", storage.MustSchema(
+	right := refFromRows("dims", storage.MustSchema(
 		storage.Field{Name: "k", Type: storage.TypeInt},
 		storage.Field{Name: "name", Type: storage.TypeString},
 	), []storage.Row{
@@ -222,7 +222,7 @@ func TestBroadcastJoinThresholdBoundary(t *testing.T) {
 }
 
 func TestBroadcastLeftJoinMatchesShuffled(t *testing.T) {
-	right := FromRows("dims", storage.MustSchema(
+	right := refFromRows("dims", storage.MustSchema(
 		storage.Field{Name: "k", Type: storage.TypeInt},
 		storage.Field{Name: "name", Type: storage.TypeString},
 	), []storage.Row{{int64(1), "one"}, {int64(2), "two"}}, 1)
@@ -288,7 +288,7 @@ func TestWideOperatorValidationCatchesHandBuiltPlans(t *testing.T) {
 // wideFailurePlans enumerates one plan per wide operator, each large enough
 // to exercise the optimised strategies.
 func wideFailurePlans(t testing.TB) map[string]*Dataset {
-	right := FromRows("dims", storage.MustSchema(
+	right := refFromRows("dims", storage.MustSchema(
 		storage.Field{Name: "k", Type: storage.TypeInt},
 		storage.Field{Name: "name", Type: storage.TypeString},
 	), []storage.Row{{int64(1), "one"}, {int64(2), "two"}}, 1)
@@ -374,7 +374,7 @@ func TestWideOperatorsSurviveRetries(t *testing.T) {
 }
 
 func TestExplainWideStrategies(t *testing.T) {
-	small := FromRows("dims", storage.MustSchema(
+	small := refFromRows("dims", storage.MustSchema(
 		storage.Field{Name: "k", Type: storage.TypeInt},
 	), []storage.Row{{int64(1)}, {int64(2)}}, 1)
 

@@ -173,38 +173,6 @@ func AsBool(v Value) (bool, bool) {
 // TimeValue converts a time.Time to the engine's TypeTime representation.
 func TimeValue(t time.Time) Value { return t.UnixMilli() }
 
-// Coerce converts v to the given field type, returning an error when the
-// conversion is not possible. Null passes through unchanged.
-func Coerce(t FieldType, v Value) (Value, error) {
-	if v == nil {
-		return nil, nil
-	}
-	switch t {
-	case TypeString:
-		return AsString(v), nil
-	case TypeInt, TypeTime:
-		i, ok := AsInt(v)
-		if !ok {
-			return nil, fmt.Errorf("%w: cannot coerce %T to %s", ErrTypeMismatch, v, t)
-		}
-		return i, nil
-	case TypeFloat:
-		f, ok := AsFloat(v)
-		if !ok {
-			return nil, fmt.Errorf("%w: cannot coerce %T to float", ErrTypeMismatch, v)
-		}
-		return f, nil
-	case TypeBool:
-		b, ok := AsBool(v)
-		if !ok {
-			return nil, fmt.Errorf("%w: cannot coerce %T to bool", ErrTypeMismatch, v)
-		}
-		return b, nil
-	default:
-		return nil, fmt.Errorf("storage: cannot coerce to unknown type")
-	}
-}
-
 // CompareValues orders two values of the same logical type. Nulls sort first.
 // The result is negative when a < b, zero when equal, positive when a > b.
 func CompareValues(a, b Value) int {

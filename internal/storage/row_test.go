@@ -92,35 +92,6 @@ func TestTimeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCoerce(t *testing.T) {
-	cases := []struct {
-		typ  FieldType
-		in   Value
-		want Value
-	}{
-		{TypeString, int64(5), "5"},
-		{TypeInt, "12", int64(12)},
-		{TypeFloat, int64(2), float64(2)},
-		{TypeBool, int64(0), false},
-		{TypeTime, "1700000000000", int64(1700000000000)},
-	}
-	for _, tc := range cases {
-		got, err := Coerce(tc.typ, tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("Coerce(%v, %v) = %v, %v; want %v", tc.typ, tc.in, got, err, tc.want)
-		}
-	}
-	if v, err := Coerce(TypeInt, nil); err != nil || v != nil {
-		t.Error("Coerce(nil) must pass nil through")
-	}
-	if _, err := Coerce(TypeInt, "abc"); err == nil {
-		t.Error("Coerce to int from garbage must fail")
-	}
-	if _, err := Coerce(TypeUnknown, int64(1)); err == nil {
-		t.Error("Coerce to unknown type must fail")
-	}
-}
-
 func TestCompareValues(t *testing.T) {
 	cases := []struct {
 		a, b Value
@@ -164,24 +135,6 @@ func sign(x int) int {
 func TestCompareValuesPropertyAntisymmetric(t *testing.T) {
 	f := func(a, b int64) bool {
 		return sign(CompareValues(a, b)) == -sign(CompareValues(b, a))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: int round-trips through Coerce(TypeString) + Coerce(TypeInt).
-func TestCoercePropertyRoundTrip(t *testing.T) {
-	f := func(x int64) bool {
-		s, err := Coerce(TypeString, x)
-		if err != nil {
-			return false
-		}
-		back, err := Coerce(TypeInt, s)
-		if err != nil {
-			return false
-		}
-		return back.(int64) == x
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 // Package storage implements the storage substrate of the simulated Big Data
 // platform: typed schemas, rows, columnar batches (typed column vectors with
-// null bitmaps), in-memory tables partitioned into blocks, the batch frame
-// codec used by spilling and by the segment store, and a dataset catalog.
+// null bitmaps), in-memory tables holding one batch per partition, the batch
+// frame codec used by spilling and by the segment store, and a dataset
+// catalog.
 //
 // The TOREADOR platform assumes data sources registered with the platform and
 // described by a representation model; this package plays that role. All data

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"hash/fnv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -134,13 +135,16 @@ func TestTableConcurrentAppend(t *testing.T) {
 }
 
 func TestHashPartitionProperties(t *testing.T) {
-	// Property: HashPartition always returns a value in [0, n) and is
-	// deterministic.
+	// Property: HashPartition always returns a value in [0, n), is
+	// deterministic, and is hash/fnv's 32-bit FNV-1a modulo n (partition
+	// contents, and so plan output order, depend on the routing).
 	f := func(key string, n uint8) bool {
 		parts := int(n%16) + 1
 		p1 := HashPartition(key, parts)
 		p2 := HashPartition(key, parts)
-		return p1 == p2 && p1 >= 0 && p1 < parts
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		return p1 == p2 && p1 == int(h.Sum32()%uint32(parts))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

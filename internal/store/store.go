@@ -726,7 +726,8 @@ func (s *Store) scanOneSegment(ref SegmentRef, filter Filter, fn func(*storage.C
 }
 
 // ReadTable materialises a stored table back into an in-memory
-// storage.Table, bit-identical to what SaveTable was given.
+// storage.Table, bit-identical to what SaveTable was given: the decoded
+// batches are routed into the table's partitions with typed copies.
 func (s *Store) ReadTable(name string) (*storage.Table, error) {
 	schema, err := s.Schema(name)
 	if err != nil {
@@ -736,15 +737,7 @@ func (s *Store) ReadTable(name string) (*storage.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, err = s.Scan(name, nil, func(b *storage.ColumnBatch) error {
-		for i := 0; i < b.Len(); i++ {
-			if err := t.Append(b.Row(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if _, err := s.Scan(name, nil, t.AppendBatch); err != nil {
 		return nil, err
 	}
 	return t, nil
