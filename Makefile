@@ -54,7 +54,10 @@ lint:
 # built by procedural.New) to the map-based one it replaced.
 # FuzzTableBatches mixes row appends, batch appends and snapshots on a keyed
 # or round-robin table and holds Partition, Rows, Scan, NumRows and every
-# earlier snapshot to a plain row model. The
+# earlier snapshot to a plain row model. FuzzSpillStore interleaves appends
+# and reads on a partition store under random budgets and frame sizes, holds
+# every read and spill counter to a plain row model, and merges the same
+# batches as runs against a stable sort. The
 # time box keeps the target usable as a pre-commit check; raise FUZZTIME for a
 # longer soak. Go fuzzing accepts one -fuzz pattern per package invocation,
 # so the targets run back to back.
@@ -62,6 +65,7 @@ FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzTableBatches' -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz 'FuzzSpillStore' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeManifest' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegmentFooter' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzSaveTableChunking' -fuzztime $(FUZZTIME) ./internal/store/

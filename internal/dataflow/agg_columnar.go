@@ -566,7 +566,9 @@ func (e *Engine) evalGroupByCombined(ctx context.Context, n *groupByNode,
 			Name: fmt.Sprintf("groupby-combine[%d]", i),
 			Fn: func(ctx context.Context, node cluster.Node) error {
 				b := in[i]
-				table := storage.NewGroupTable(keySchema, keyIdx, enc.Clone())
+				// No size hint: sizing for b.Len() rows, far more than the
+				// batch's groups, raises the engine's peak RSS.
+				table := storage.NewGroupTable(keySchema, keyIdx, enc.Clone(), 0)
 				accs := newAggVecSet(n.aggs, inSchema)
 				ids := table.MapBatch(b, nil)
 				ensureAggVecs(accs, table.Groups())
@@ -617,6 +619,12 @@ func (e *Engine) mergeGroupPartials(ctx context.Context, p *aggPartials, partial
 		mergeTasks[b] = cluster.Task{
 			Name: fmt.Sprintf("groupby-merge[%d]", b),
 			Fn: func(ctx context.Context, node cluster.Node) error {
+				rows := 0
+				for _, bs := range partials {
+					if bs[b] != nil {
+						rows += bs[b].Len()
+					}
+				}
 				res, err := p.merge([]batchSeq{
 					func(fold func(*storage.ColumnBatch) error) error {
 						for _, bs := range partials {
@@ -626,7 +634,7 @@ func (e *Engine) mergeGroupPartials(ctx context.Context, p *aggPartials, partial
 						}
 						return nil
 					},
-				}, nil)
+				}, []int{rows}, nil)
 				if err != nil {
 					return err
 				}
@@ -705,7 +713,7 @@ func (e *Engine) evalGroupByHash(ctx context.Context, n *groupByNode,
 func (e *Engine) hashAggPartition(n *groupByNode, bucket int, store *storage.PartitionStore,
 	enc *storage.KeyEncoder, keyIdx []int, partials *aggPartials, st *execState) (*storage.ColumnBatch, error) {
 
-	table := storage.NewGroupTable(partials.keySchema, keyIdx, enc.Clone())
+	table := storage.NewGroupTable(partials.keySchema, keyIdx, enc.Clone(), 0)
 	accs := newAggVecSet(n.aggs, partials.inSchema)
 	var seqs []int64
 	var nextSeq int64
@@ -830,16 +838,19 @@ func (sp *aggSpill) flush(table *storage.GroupTable, accs []*aggVecs, seqs []int
 // sub-partitions held spilled state.
 func (sp *aggSpill) mergeSpilled(notePeak func(int64)) (*storage.ColumnBatch, int, error) {
 	var runs []batchSeq
+	var rows []int
 	for p := 0; p < aggSpillPartitions; p++ {
-		if sp.store.PartitionRows(p) == 0 {
+		n := sp.store.PartitionRows(p)
+		if n == 0 {
 			continue
 		}
 		p := p
 		runs = append(runs, func(fold func(*storage.ColumnBatch) error) error {
 			return sp.store.EachBatch(p, fold)
 		})
+		rows = append(rows, n)
 	}
-	b, err := sp.partials.merge(runs, notePeak)
+	b, err := sp.partials.merge(runs, rows, notePeak)
 	return b, len(runs), err
 }
 
@@ -997,15 +1008,16 @@ func (a *aggVecs) appendPartialColumns(cols []storage.Column, sel []int32) []sto
 // merge folds partial-state batches back into final groups. Each run merges
 // through a GroupTable of its own (see mergeSpillBatch), and a group keeps
 // the key values and sequence number of its first partial. The groups of
-// every run come out as one typed batch ordered by sequence number.
-// notePeak, when set, sees the merge's resident state after every batch.
-func (p *aggPartials) merge(runs []batchSeq, notePeak func(int64)) (*storage.ColumnBatch, error) {
+// every run come out as one typed batch ordered by sequence number. rows[r]
+// is run r's partial row count, which sizes its GroupTable. notePeak, when
+// set, sees the merge's resident state after every batch.
+func (p *aggPartials) merge(runs []batchSeq, rows []int, notePeak func(int64)) (*storage.ColumnBatch, error) {
 	emitted := make([]*storage.ColumnBatch, len(runs))
 	var order []int64 // each emitted group's sequence number, runs concatenated
 	nKeys := len(p.keyIdx)
 	var ids []int32
 	for r, each := range runs {
-		table := storage.NewGroupTable(p.keySchema, p.keyIdx, p.enc.Clone())
+		table := storage.NewGroupTable(p.keySchema, p.keyIdx, p.enc.Clone(), rows[r])
 		accs := newAggVecSet(p.n.aggs, p.inSchema)
 		err := each(func(pb *storage.ColumnBatch) error {
 			if pb == nil || pb.Len() == 0 {

@@ -335,29 +335,31 @@ func (s *execState) addBatches(batches, rows int) {
 	s.stats.BatchRows += int64(rows)
 	s.mu.Unlock()
 }
-func (s *execState) addSpilled(batches, bytes, logical int64) {
+
+// spillStore is a partition or run store as releaseStore sees it.
+type spillStore interface {
+	SpilledBatches() int64
+	SpilledBytes() int64
+	SpilledLogicalBytes() int64
+	FileBytes() int64
+	Close() error
+}
+
+// releaseStore folds a spill store's counters into the stats and releases
+// its spill file. Callers defer it as soon as the store exists, so temp files
+// are cleaned up on every error path.
+func (s *execState) releaseStore(store spillStore) {
+	batches, bytes, logical := store.SpilledBatches(), store.SpilledBytes(), store.SpilledLogicalBytes()
+	file := store.FileBytes()
+	_ = store.Close()
 	s.mu.Lock()
 	s.stats.SpilledBatches += batches
 	s.stats.SpilledBytes += bytes
 	s.stats.SpillLogicalBytes += logical
-	s.mu.Unlock()
-}
-
-func (s *execState) noteSpillFilePeak(bytes int64) {
-	s.mu.Lock()
-	if bytes > s.stats.SpillFilePeakBytes {
-		s.stats.SpillFilePeakBytes = bytes
+	if file > s.stats.SpillFilePeakBytes {
+		s.stats.SpillFilePeakBytes = file
 	}
 	s.mu.Unlock()
-}
-
-// releaseStore folds a partition store's spill counters into the stats and
-// releases its spill file. Callers defer it as soon as the store exists, so
-// temp files are cleaned up on every error path.
-func (s *execState) releaseStore(store *storage.PartitionStore) {
-	s.addSpilled(store.SpilledBatches(), store.SpilledBytes(), store.SpilledLogicalBytes())
-	s.noteSpillFilePeak(store.FileBytes())
-	_ = store.Close()
 }
 
 // execute runs the plan and returns its output partitions, with stats
@@ -912,10 +914,8 @@ func (e *Engine) sortPartition(schema *storage.Schema, cmp *batchComparator, row
 	rs.SetCodec(spillCodec)
 	rs.SetSpillDir(e.spillDir)
 	defer func() {
-		st.addSpilled(rs.SpilledBatches(), rs.SpilledBytes(), rs.SpilledLogicalBytes())
-		st.noteSpillFilePeak(rs.FileBytes())
 		st.noteSortPeak(rs.MaxResidentBytes())
-		_ = rs.Close()
+		st.releaseStore(rs)
 	}()
 	chunkCap := SortChunkRows
 	if rows < chunkCap {

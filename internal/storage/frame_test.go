@@ -363,7 +363,7 @@ func TestGroupTableDictCodeCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewGroupTable(keySchema, []int{0}, enc)
+		return NewGroupTable(keySchema, []int{0}, enc, 0)
 	}
 	slow, fast := mkTable(), mkTable()
 	slowIDs := slow.MapBatch(b, nil)   // no dictionary: encoded-key path

@@ -39,14 +39,17 @@ type GroupTable struct {
 // NewGroupTable returns an empty table. keySchema describes the key columns
 // in output order; keyIdx maps each of them to its column index in the input
 // batches; enc must encode exactly those input columns (the caller clones one
-// per task, since encoders are not goroutine-safe).
-func NewGroupTable(keySchema *Schema, keyIdx []int, enc *KeyEncoder) *GroupTable {
+// per task, since encoders are not goroutine-safe). rows is the number of
+// input rows the table will map, if known (0 otherwise): no more groups than
+// that can appear, so the id map and key columns are sized for it up front.
+func NewGroupTable(keySchema *Schema, keyIdx []int, enc *KeyEncoder, rows int) *GroupTable {
 	return &GroupTable{
 		enc:       enc,
-		ids:       make(map[string]int32),
+		ids:       make(map[string]int32, rows),
+		hashes:    make([]uint64, 0, rows),
 		keySchema: keySchema,
 		keyIdx:    keyIdx,
-		keyRows:   NewColumnBatch(keySchema, 0),
+		keyRows:   NewColumnBatch(keySchema, rows),
 	}
 }
 

@@ -33,7 +33,7 @@ func TestGroupTableDenseFirstSeenIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	keySchema := MustSchema(Field{Name: "k", Type: TypeString, Nullable: true})
-	table := NewGroupTable(keySchema, []int{0}, enc)
+	table := NewGroupTable(keySchema, []int{0}, enc, 0)
 
 	ids := table.MapBatch(b, nil)
 	want := []int32{0, 1, 0, 2, 1, 2, 3}
@@ -92,7 +92,7 @@ func TestGroupTableMapBatchReusesScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	keySchema := MustSchema(Field{Name: "k", Type: TypeString, Nullable: true})
-	table := NewGroupTable(keySchema, []int{0}, enc)
+	table := NewGroupTable(keySchema, []int{0}, enc, 0)
 	scratch := make([]int32, 0, 64)
 	ids := table.MapBatch(b, scratch)
 	ids2 := table.MapBatch(b, ids)
@@ -112,7 +112,7 @@ func TestGroupTableMemSizeAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	keySchema := MustSchema(Field{Name: "k", Type: TypeString, Nullable: true})
-	table := NewGroupTable(keySchema, []int{0}, enc)
+	table := NewGroupTable(keySchema, []int{0}, enc, 0)
 	if table.MemSize() != 0 {
 		t.Errorf("empty table MemSize = %d, want 0", table.MemSize())
 	}

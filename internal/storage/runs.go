@@ -1,24 +1,20 @@
 package storage
 
-// runs.go implements the sorted-run layer of the external merge sort: a
-// RunStore accumulates the sorted runs one partition's sort produced (each
-// run a ColumnBatch whose rows are already ordered), spills cold runs to a
-// temp file through the batch codec when a memory budget is exceeded, and
-// streams the k-way merge of all runs through a loser tree. Spilled runs are
-// split into fixed-size frames so the merge restores at most one frame per
-// run at a time: peak merge memory is bounded by runs × frame, not by the
-// partition size.
+// runs.go implements the sorted-run layer of the external merge sort. A
+// RunStore is a loser-tree merge over a one-partition PartitionStore: each
+// sorted run (a ColumnBatch whose rows are already ordered) is one slot of
+// that store, which spills cold runs through the batch codec when the memory
+// budget is exceeded, split into runFrameRows-row frames. The merge restores
+// at most one frame per run at a time, so peak merge memory is bounded by
+// runs × frame, not by the partition size. Spill-file writes, reads,
+// counters and removal are all the partition store's.
 //
 // Stability contract: runs are merged in append order, ties go to the
 // lower-numbered run, and rows within a run keep their order. Appending the
 // stably-sorted chunks of a partition in input order therefore yields exactly
 // the permutation a global stable sort of the partition would produce.
 
-import (
-	"fmt"
-	"os"
-	"sync"
-)
+import "fmt"
 
 // BatchRowCompare orders row ai of batch a against row bi of batch b. Both
 // batches share one schema; the comparison must be a total order consistent
@@ -30,266 +26,85 @@ type BatchRowCompare func(a *ColumnBatch, ai int, b *ColumnBatch, bi int) int
 // decode calls for a lower resident bound during the merge.
 const runFrameRows = 1024
 
-// runFrame is one encoded frame of a spilled run in the store's temp file.
-type runFrame struct {
-	off  int64
-	len  int64
-	rows int
-}
-
-// runSlot is one sorted run: resident (batch != nil) or spilled into frames.
-type runSlot struct {
-	batch  *ColumnBatch
-	mem    int64
-	rows   int
-	frames []runFrame
-	cold   bool
-}
-
 // RunStore holds the sorted runs of one partition's external sort. Appends
 // happen from the sorting task's goroutine; Merge streams the loser-tree
 // merge of all runs once appending is done. The store is single-use: Close
 // releases the spill file.
 type RunStore struct {
-	mu       sync.Mutex
-	schema   *Schema
-	budget   int64
-	codec    CodecOptions
-	spillDir string
-	closed   bool
-	runs     []*runSlot
-	rows     int
-
-	resident    int64
-	maxResident int64
-
-	file     *os.File
-	fileSize int64
-
-	spilledBatches  int64
-	spilledBytes    int64
-	logicalBytes    int64
-	restoredBatches int64
-
-	encodeBuf []byte
+	store *PartitionStore
 }
 
 // NewRunStore returns an empty run store over schema. budget bounds the
 // resident bytes of run data (BatchMemSize estimates); <= 0 keeps every run
 // in memory and never touches disk.
 func NewRunStore(schema *Schema, budget int64) (*RunStore, error) {
-	if schema == nil {
-		return nil, fmt.Errorf("%w: run store needs a schema", ErrEmptySchema)
+	store, err := NewPartitionStore(schema, 1, WithMemoryBudget(budget))
+	if err != nil {
+		return nil, err
 	}
-	return &RunStore{schema: schema, budget: budget}, nil
+	store.frameRows = runFrameRows
+	store.filePattern = "toreador-runs-*.bin"
+	return &RunStore{store: store}, nil
 }
 
 // SetCodec selects the batch codec spilled run frames are written with (the
 // zero value is the raw v1 codec). Call before the first AppendRun; reads
 // auto-detect the version.
-func (s *RunStore) SetCodec(c CodecOptions) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.codec = c
-}
+func (s *RunStore) SetCodec(c CodecOptions) { WithCodec(c)(s.store) }
 
 // SetSpillDir places the store's spill temp file in dir instead of the
 // system temp directory ("" keeps os.TempDir()). Call before the first
 // AppendRun; the directory must already exist.
-func (s *RunStore) SetSpillDir(dir string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.spillDir = dir
-}
+func (s *RunStore) SetSpillDir(dir string) { WithSpillDir(dir)(s.store) }
 
 // Runs returns the number of sorted runs appended so far.
 func (s *RunStore) Runs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.runs)
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
+	return len(s.store.parts[0])
 }
 
 // Rows returns the total rows across all runs.
-func (s *RunStore) Rows() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rows
-}
+func (s *RunStore) Rows() int { return s.store.PartitionRows(0) }
 
 // SpilledBatches returns the number of run frames written to the spill file.
-func (s *RunStore) SpilledBatches() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spilledBatches
-}
+func (s *RunStore) SpilledBatches() int64 { return s.store.SpilledBatches() }
 
 // SpilledBytes returns the cumulative physical bytes written to the spill
 // file (encoded, possibly compressed frame lengths).
-func (s *RunStore) SpilledBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spilledBytes
-}
+func (s *RunStore) SpilledBytes() int64 { return s.store.SpilledBytes() }
 
 // SpilledLogicalBytes returns the cumulative logical bytes spilled — what the
 // same frames would occupy under the raw v1 codec. Equal to SpilledBytes when
 // compression is off.
-func (s *RunStore) SpilledLogicalBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.logicalBytes
-}
+func (s *RunStore) SpilledLogicalBytes() int64 { return s.store.SpilledLogicalBytes() }
 
 // FileBytes returns the bytes occupied by the append-only spill file — the
 // store's physical-on-disk high-water mark.
-func (s *RunStore) FileBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fileSize
-}
+func (s *RunStore) FileBytes() int64 { return s.store.FileBytes() }
 
 // RestoredBatches returns the number of frames decoded back during merges.
-func (s *RunStore) RestoredBatches() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.restoredBatches
-}
+func (s *RunStore) RestoredBatches() int64 { return s.store.RestoredBatches() }
 
 // MaxResidentBytes returns the high-water mark of the store's resident run
 // bytes — runs awaiting their merge plus the frames the merge held decoded.
 func (s *RunStore) MaxResidentBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxResident
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
+	return s.store.maxResident
 }
 
 // AppendRun seals b — whose rows must already be sorted — as the next run.
 // The batch must not be mutated afterwards. Under budget pressure the oldest
 // resident runs (possibly b itself) are spilled into frames before AppendRun
 // returns.
-func (s *RunStore) AppendRun(b *ColumnBatch) error {
-	if b == nil || b.Len() == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	slot := &runSlot{batch: b, mem: BatchMemSize(b), rows: b.Len()}
-	s.runs = append(s.runs, slot)
-	s.rows += slot.rows
-	s.noteResidentLocked(slot.mem)
-	if s.budget > 0 {
-		for _, r := range s.runs {
-			if s.resident <= s.budget {
-				break
-			}
-			if !r.cold {
-				if err := s.spillRunLocked(r); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// noteResidentLocked adjusts the resident total and tracks its high water.
-// Caller holds s.mu.
-func (s *RunStore) noteResidentLocked(delta int64) {
-	s.resident += delta
-	if s.resident > s.maxResident {
-		s.maxResident = s.resident
-	}
-}
-
-// spillRunLocked encodes one resident run into runFrameRows-sized frames and
-// releases its memory. Caller holds s.mu.
-func (s *RunStore) spillRunLocked(slot *runSlot) error {
-	if s.closed {
-		return fmt.Errorf("storage: spill to closed run store")
-	}
-	if s.file == nil {
-		f, err := os.CreateTemp(s.spillDir, "toreador-runs-*.bin")
-		if err != nil {
-			return fmt.Errorf("storage: create run spill file: %w", err)
-		}
-		s.file = f
-	}
-	for off := 0; off < slot.rows; off += runFrameRows {
-		end := off + runFrameRows
-		if end > slot.rows {
-			end = slot.rows
-		}
-		frame := slot.batch
-		if off > 0 || end < slot.rows {
-			// Only multi-frame runs pay a gather into the frame window; a run
-			// that fits one frame encodes its batch directly.
-			frame = NewColumnBatch(s.schema, end-off)
-			for i := off; i < end; i++ {
-				frame.AppendRowFrom(slot.batch, i)
-			}
-		}
-		s.encodeBuf = EncodeBatchOpts(s.encodeBuf[:0], frame, s.codec)
-		if _, err := s.file.WriteAt(s.encodeBuf, s.fileSize); err != nil {
-			return fmt.Errorf("storage: write run spill file: %w", err)
-		}
-		fl := int64(len(s.encodeBuf))
-		logical := fl
-		if s.codec.Compress {
-			logical = EncodedSizeV1(frame)
-		}
-		slot.frames = append(slot.frames, runFrame{off: s.fileSize, len: fl, rows: end - off})
-		s.fileSize += fl
-		s.spilledBatches++
-		s.spilledBytes += fl
-		s.logicalBytes += logical
-	}
-	slot.cold = true
-	slot.batch = nil
-	s.resident -= slot.mem
-	return nil
-}
-
-// restoreFrame decodes one spilled frame and accounts its resident bytes
-// until releaseFrame is called.
-func (s *RunStore) restoreFrame(f runFrame) (*ColumnBatch, int64, error) {
-	buf := make([]byte, f.len)
-	if _, err := s.file.ReadAt(buf, f.off); err != nil {
-		return nil, 0, fmt.Errorf("storage: read run spill file: %w", err)
-	}
-	b, err := DecodeBatch(s.schema, buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	mem := BatchMemSize(b)
-	s.mu.Lock()
-	s.restoredBatches++
-	s.noteResidentLocked(mem)
-	s.mu.Unlock()
-	return b, mem, nil
-}
-
-// releaseFrame returns a restored frame's bytes to the accounting.
-func (s *RunStore) releaseFrame(mem int64) {
-	s.mu.Lock()
-	s.resident -= mem
-	s.mu.Unlock()
-}
-
-// releaseRun drops a fully-merged resident run.
-func (s *RunStore) releaseRun(slot *runSlot) {
-	s.mu.Lock()
-	if !slot.cold && slot.batch != nil {
-		slot.batch = nil
-		s.resident -= slot.mem
-	}
-	s.mu.Unlock()
-}
+func (s *RunStore) AppendRun(b *ColumnBatch) error { return s.store.Append(0, b) }
 
 // runCursor streams one run during the merge: a resident run iterates its
 // batch in place; a spilled run decodes one frame at a time.
 type runCursor struct {
-	s    *RunStore
-	slot *runSlot
+	s    *PartitionStore
+	slot *batchSlot
 	// batch/row is the current head of the run.
 	batch *ColumnBatch
 	row   int
@@ -312,20 +127,19 @@ func (c *runCursor) init() error {
 }
 
 func (c *runCursor) loadFrame() error {
-	if c.frameMem > 0 {
-		c.s.releaseFrame(c.frameMem)
-		c.frameMem = 0
-	}
+	c.close()
 	if c.next >= len(c.slot.frames) {
 		c.done = true
 		c.batch = nil
 		return nil
 	}
-	b, mem, err := c.s.restoreFrame(c.slot.frames[c.next])
+	b, err := c.s.restore(c.slot.frames[c.next])
 	if err != nil {
 		return err
 	}
-	c.batch, c.frameMem, c.row = b, mem, 0
+	c.frameMem = BatchMemSize(b)
+	c.s.hold(c.frameMem)
+	c.batch, c.row = b, 0
 	c.next++
 	return nil
 }
@@ -341,14 +155,14 @@ func (c *runCursor) advance() error {
 	}
 	c.done = true
 	c.batch = nil
-	c.s.releaseRun(c.slot)
+	c.s.releaseSlot(c.slot)
 	return nil
 }
 
-// close releases whatever the cursor still holds (early merge abort).
+// close releases the frame the cursor holds decoded, if any.
 func (c *runCursor) close() {
 	if c.frameMem > 0 {
-		c.s.releaseFrame(c.frameMem)
+		c.s.hold(-c.frameMem)
 		c.frameMem = 0
 	}
 }
@@ -418,10 +232,11 @@ func (t *loserTree) replay(i int) {
 // to the earlier run) and within runs (rows keep their order). The store must
 // not be appended to afterwards.
 func (s *RunStore) Merge(cmp BatchRowCompare, outRows int, emit func(*ColumnBatch) error) error {
-	s.mu.Lock()
-	runs := s.runs
-	remaining := s.rows
-	s.mu.Unlock()
+	st := s.store
+	st.mu.Lock()
+	runs := st.parts[0]
+	remaining := st.rows[0]
+	st.mu.Unlock()
 	if remaining == 0 {
 		return nil
 	}
@@ -430,23 +245,25 @@ func (s *RunStore) Merge(cmp BatchRowCompare, outRows int, emit func(*ColumnBatc
 	}
 	cursors := make([]*runCursor, len(runs))
 	for i, slot := range runs {
-		cursors[i] = &runCursor{s: s, slot: slot}
-		if err := cursors[i].init(); err != nil {
-			return err
-		}
+		cursors[i] = &runCursor{s: st, slot: slot}
 	}
 	defer func() {
 		for _, c := range cursors {
 			c.close()
 		}
 	}()
+	for _, c := range cursors {
+		if err := c.init(); err != nil {
+			return err
+		}
+	}
 	lt := newLoserTree(cursors, cmp)
 	newOut := func() *ColumnBatch {
 		n := outRows
 		if remaining < n {
 			n = remaining
 		}
-		return NewColumnBatch(s.schema, n)
+		return NewColumnBatch(st.schema, n)
 	}
 	out := newOut()
 	for remaining > 0 {
@@ -474,21 +291,4 @@ func (s *RunStore) Merge(cmp BatchRowCompare, outRows int, emit func(*ColumnBatc
 // Close releases the spill file (if one was created). Idempotent: a second
 // call is a no-op, never a double remove. The store must not be used for
 // appends afterwards.
-func (s *RunStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.file == nil {
-		return nil
-	}
-	name := s.file.Name()
-	err := s.file.Close()
-	if rmErr := os.Remove(name); err == nil {
-		err = rmErr
-	}
-	s.file = nil
-	return err
-}
+func (s *RunStore) Close() error { return s.store.Close() }

@@ -212,10 +212,10 @@ func TestRunStoreCloseRemovesSpillFile(t *testing.T) {
 	if err := s.AppendRun(b); err != nil {
 		t.Fatal(err)
 	}
-	if s.file == nil {
+	if s.store.file == nil {
 		t.Fatal("budgeted append must open a spill file")
 	}
-	name := s.file.Name()
+	name := s.store.file.Name()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

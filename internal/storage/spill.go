@@ -8,7 +8,8 @@ package storage
 // exceeded, restoring them transparently on read. The dataflow engine
 // accumulates shuffle buckets, sort inputs and join/group-by build sides into
 // a store instead of bare slices, which lets wide operators run over inputs
-// larger than the memory budget.
+// larger than the memory budget; the external sort's runs live in one too
+// (RunStore, runs.go), so this is the only code that touches a spill file.
 
 import (
 	"encoding/binary"
@@ -302,24 +303,32 @@ func WithSpillDir(dir string) StoreOption {
 	return func(s *PartitionStore) { s.spillDir = dir }
 }
 
+// spillFrame is one encoded frame of a cold slot: a range of the spill file.
+type spillFrame struct {
+	off int64
+	len int64
+}
+
 // batchSlot is one sealed batch of a partition: resident (batch != nil) or
-// spilled (an offset/length range of the spill file).
+// cold (spilled as frames of the spill file). A resident slot its consumer
+// released early (releaseSlot) is neither.
 type batchSlot struct {
-	batch *ColumnBatch
-	mem   int64 // BatchMemSize estimate while resident
-	rows  int
-	off   int64 // spill-file location once spilled
-	len   int64
-	cold  bool
+	batch  *ColumnBatch
+	mem    int64 // BatchMemSize estimate while resident
+	rows   int
+	frames []spillFrame
+	cold   bool
 }
 
 // PartitionStore holds the sealed column batches of a fixed number of
 // partitions, spilling cold batches to a single temp file when a memory
-// budget is configured and exceeded. Appends are expected from one goroutine
-// (the shuffle gather loop); reads (Partition, EachBatch) are safe from
-// concurrent task goroutines once appending is done, and restores go through
-// ReadAt so readers never contend on a file cursor. Close releases the spill
-// file; the store is single-use.
+// budget is configured and exceeded. It is the module's one spill store:
+// shuffles, join sides and group-by overflow use it directly, and RunStore
+// is a merge over a one-partition store. Appends are expected from one
+// goroutine (the shuffle gather loop); reads (Partition, EachBatch) are safe
+// from concurrent task goroutines once appending is done, and restores go
+// through ReadAt so readers never contend on a file cursor. Close releases
+// the spill file; the store is single-use.
 type PartitionStore struct {
 	mu     sync.Mutex
 	schema *Schema
@@ -330,7 +339,15 @@ type PartitionStore struct {
 	codec    CodecOptions
 	spillDir string
 	closed   bool
-	resident int64
+	// frameRows splits a spilled slot into frames of at most this many rows,
+	// so a streaming consumer restores one frame at a time; 0 writes each
+	// slot as one frame. filePattern names the spill temp file.
+	frameRows   int
+	filePattern string
+	// resident counts the bytes of resident slots plus the restored frames a
+	// consumer holds (hold); maxResident is its high-water mark.
+	resident    int64
+	maxResident int64
 	// appendOrder tracks resident slots oldest-first, so spilling evicts the
 	// coldest batches.
 	appendOrder []*batchSlot
@@ -356,9 +373,10 @@ func NewPartitionStore(schema *Schema, nParts int, opts ...StoreOption) (*Partit
 		nParts = 1
 	}
 	s := &PartitionStore{
-		schema: schema,
-		parts:  make([][]*batchSlot, nParts),
-		rows:   make([]int, nParts),
+		schema:      schema,
+		parts:       make([][]*batchSlot, nParts),
+		rows:        make([]int, nParts),
+		filePattern: "toreador-spill-*.bin",
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -376,7 +394,8 @@ func (s *PartitionStore) PartitionRows(p int) int {
 	return s.rows[p]
 }
 
-// SpilledBatches returns the number of batches written to the spill file.
+// SpilledBatches returns the number of frames written to the spill file
+// (one per spilled batch unless the store splits slots into frames).
 func (s *PartitionStore) SpilledBatches() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -412,7 +431,7 @@ func (s *PartitionStore) FileBytes() int64 {
 	return s.fileSize
 }
 
-// RestoredBatches returns the number of spilled batches decoded back on read.
+// RestoredBatches returns the number of spilled frames decoded back on read.
 func (s *PartitionStore) RestoredBatches() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -433,9 +452,18 @@ func (s *PartitionStore) Append(p int, b *ColumnBatch) error {
 	slot := &batchSlot{batch: b, mem: BatchMemSize(b), rows: b.Len()}
 	s.parts[p] = append(s.parts[p], slot)
 	s.rows[p] += b.Len()
-	s.resident += slot.mem
+	s.noteResidentLocked(slot.mem)
 	s.appendOrder = append(s.appendOrder, slot)
 	return s.enforceBudgetLocked()
+}
+
+// noteResidentLocked adjusts the resident total and tracks its high-water
+// mark. Caller holds s.mu.
+func (s *PartitionStore) noteResidentLocked(delta int64) {
+	s.resident += delta
+	if s.resident > s.maxResident {
+		s.maxResident = s.resident
+	}
 }
 
 // enforceBudgetLocked spills oldest resident slots until the resident total
@@ -456,44 +484,62 @@ func (s *PartitionStore) enforceBudgetLocked() error {
 	return nil
 }
 
-// spillLocked encodes one slot to the spill file and releases its memory.
+// spillLocked encodes one slot to the spill file, frameRows rows per frame,
+// and releases its memory. Caller holds s.mu.
 func (s *PartitionStore) spillLocked(slot *batchSlot) error {
 	if s.closed {
 		return fmt.Errorf("storage: spill to closed store")
 	}
 	if s.file == nil {
-		f, err := os.CreateTemp(s.spillDir, "toreador-spill-*.bin")
+		f, err := os.CreateTemp(s.spillDir, s.filePattern)
 		if err != nil {
 			return fmt.Errorf("storage: create spill file: %w", err)
 		}
 		s.file = f
 	}
-	s.encodeBuf = EncodeBatchOpts(s.encodeBuf[:0], slot.batch, s.codec)
-	if _, err := s.file.WriteAt(s.encodeBuf, s.fileSize); err != nil {
-		return fmt.Errorf("storage: write spill file: %w", err)
+	step := s.frameRows
+	if step <= 0 {
+		step = slot.rows
 	}
-	logical := int64(len(s.encodeBuf))
-	if s.codec.Compress {
-		logical = EncodedSizeV1(slot.batch)
+	for lo := 0; lo < slot.rows; lo += step {
+		hi := min(lo+step, slot.rows)
+		frame := slot.batch
+		if lo > 0 || hi < slot.rows {
+			// Only multi-frame slots pay a gather into the frame window; a
+			// slot that fits one frame encodes its batch directly.
+			frame = NewColumnBatch(s.schema, hi-lo)
+			for i := lo; i < hi; i++ {
+				frame.AppendRowFrom(slot.batch, i)
+			}
+		}
+		s.encodeBuf = EncodeBatchOpts(s.encodeBuf[:0], frame, s.codec)
+		if _, err := s.file.WriteAt(s.encodeBuf, s.fileSize); err != nil {
+			return fmt.Errorf("storage: write spill file: %w", err)
+		}
+		n := int64(len(s.encodeBuf))
+		logical := n
+		if s.codec.Compress {
+			logical = EncodedSizeV1(frame)
+		}
+		slot.frames = append(slot.frames, spillFrame{off: s.fileSize, len: n})
+		s.fileSize += n
+		s.spilledBatches++
+		s.spilledBytes += n
+		s.logicalBytes += logical
 	}
-	slot.off = s.fileSize
-	slot.len = int64(len(s.encodeBuf))
 	slot.cold = true
 	slot.batch = nil
-	s.fileSize += slot.len
 	s.resident -= slot.mem
-	s.spilledBatches++
-	s.spilledBytes += slot.len
-	s.logicalBytes += logical
 	return nil
 }
 
-// restore decodes one spilled slot from the file. Restored batches are handed
-// to the caller without being re-cached: consumers stream them once, and
-// re-caching would immediately push the store back over budget.
-func (s *PartitionStore) restore(off, length int64) (*ColumnBatch, error) {
-	buf := make([]byte, length)
-	if _, err := s.file.ReadAt(buf, off); err != nil {
+// restore decodes one spilled frame. Restored batches are handed to the
+// caller without being re-cached: consumers stream them once, and re-caching
+// would immediately push the store back over budget. A consumer that keeps a
+// frame decoded for a while (the run merge) accounts it through hold.
+func (s *PartitionStore) restore(f spillFrame) (*ColumnBatch, error) {
+	buf := make([]byte, f.len)
+	if _, err := s.file.ReadAt(buf, f.off); err != nil {
 		return nil, fmt.Errorf("storage: read spill file: %w", err)
 	}
 	b, err := DecodeBatch(s.schema, buf)
@@ -506,23 +552,48 @@ func (s *PartitionStore) restore(off, length int64) (*ColumnBatch, error) {
 	return b, nil
 }
 
-// EachBatch streams the batches of partition p in append order, restoring
-// spilled ones transparently. At most one restored batch is alive at a time,
-// so a streaming consumer's extra memory is bounded by the largest batch.
+// hold counts delta bytes of restored frames as resident (negative releases
+// them), so the high-water mark covers what a consumer holds decoded.
+func (s *PartitionStore) hold(delta int64) {
+	s.mu.Lock()
+	s.noteResidentLocked(delta)
+	s.mu.Unlock()
+}
+
+// releaseSlot drops a resident slot whose consumer is done with it, ahead of
+// Close. The slot must not be read again.
+func (s *PartitionStore) releaseSlot(slot *batchSlot) {
+	s.mu.Lock()
+	if slot.batch != nil {
+		slot.batch = nil
+		s.resident -= slot.mem
+	}
+	s.mu.Unlock()
+}
+
+// EachBatch streams the batches of partition p in append order (a spilled
+// batch as its frames), restoring spilled ones transparently. At most one
+// restored frame is alive at a time, so a streaming consumer's extra memory
+// is bounded by the largest batch.
 func (s *PartitionStore) EachBatch(p int, f func(*ColumnBatch) error) error {
 	s.mu.Lock()
 	slots := s.parts[p]
 	s.mu.Unlock()
 	for _, slot := range slots {
-		b := slot.batch
-		if slot.cold {
-			var err error
-			if b, err = s.restore(slot.off, slot.len); err != nil {
+		if !slot.cold {
+			if err := f(slot.batch); err != nil {
 				return err
 			}
+			continue
 		}
-		if err := f(b); err != nil {
-			return err
+		for _, fr := range slot.frames {
+			b, err := s.restore(fr)
+			if err != nil {
+				return err
+			}
+			if err := f(b); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
