@@ -49,7 +49,11 @@ lint:
 # FuzzPseudonymize holds the runner's inline FNV-64a token formatter to
 # hash/fnv and fmt's %016x on arbitrary strings; FuzzSaveTableChunking saves
 # random batch lengths with nullable columns under random frame and segment
-# sizes and holds the store's typed re-chunking to SaveRows of the same rows.
+# sizes and holds every segment file, byte for byte, to the copy-then-encode
+# save path it replaced. FuzzFrameEncoderRange encodes random row ranges of
+# batches of every column type under all three codec settings on one reused
+# encoder and holds the bytes to the encoding of a copy of those rows and to
+# the build-both-and-compare encoder it replaced.
 # FuzzTopologicalOrder holds the index-based composition order (literal and
 # built by procedural.New) to the map-based one it replaced.
 # FuzzTableBatches mixes row appends, batch appends and snapshots on a keyed
@@ -66,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzTableBatches' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzSpillStore' -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz 'FuzzFrameEncoderRange' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeManifest' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegmentFooter' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzSaveTableChunking' -fuzztime $(FUZZTIME) ./internal/store/

@@ -24,6 +24,13 @@ package storage
 // when compression does not pay. DecodeBatch (spill.go) dispatches on the
 // version byte, so v1 frames written by older spill files still decode.
 //
+// One encoder writes every frame of both versions: FrameEncoder encodes rows
+// [lo, hi) of a batch, so callers encode spans of the batches they hold
+// instead of copying rows into per-frame batches first. EncodeBatch and
+// EncodeBatchOpts are that encoder over [0, n). It decides each column's
+// encoding from computed lengths, builds only the winner, and reuses its
+// scratch buffers and dictionary map from frame to frame.
+//
 // Every encoding decision is deterministic (sorted dictionaries, fixed
 // tie-breaks), so re-encoding identical batches yields identical bytes — the
 // property the aggregation spill tests rely on.
@@ -32,7 +39,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // batchVersion2 is the compressed-frame codec version.
@@ -87,164 +95,256 @@ type CodecOptions struct {
 // v2 frame), the v2 compressed-frame layout otherwise. DecodeBatch accepts
 // either, so readers need no options.
 func EncodeBatchOpts(dst []byte, b *ColumnBatch, opts CodecOptions) []byte {
-	if !opts.Compress || b.n > maxFrameRows {
-		return EncodeBatch(dst, b)
+	var e FrameEncoder
+	return e.Encode(dst, b, 0, b.n, opts)
+}
+
+// FrameEncoder encodes row ranges of column batches as codec frames. It is
+// the one encoder behind EncodeBatch, EncodeBatchOpts, the spill store and
+// the table store's segments. It keeps its scratch state (the range's null
+// words, the dictionary map, the dictionary and its codes) between calls, so
+// encoding a stream of frames leaves no per-frame garbage. The zero value is
+// ready to use; an encoder must not be used by two goroutines at once.
+type FrameEncoder struct {
+	nulls  []uint64          // one column's null words over the range, bit 0 = row lo
+	sec    []byte            // one column's v2 null section
+	runs   []byte            // null-section run lengths
+	ids    map[string]uint32 // string → first-seen id; cleared per column
+	dict   []string          // unique strings, first-seen order until sorted
+	rowIDs []uint32          // first-seen id per row
+	codes  []uint32          // first-seen id → sorted dictionary code
+	block  []byte            // block-layer output
+}
+
+// Encode appends the frame of rows [lo, hi) of b, 0 ≤ lo ≤ hi ≤ b.Len(),
+// under opts. The bytes are those of encoding a copy of just those rows: the
+// range's null bits are shifted to start at row lo, and cells under a null
+// bit are encoded as stored (batches keep the zero value there).
+func (e *FrameEncoder) Encode(dst []byte, b *ColumnBatch, lo, hi int, opts CodecOptions) []byte {
+	if !opts.Compress || hi-lo > maxFrameRows {
+		return e.appendV1(dst, b, lo, hi)
 	}
 	base := len(dst)
 	dst = append(dst, batchMagic, batchVersion2, 0)
 	bodyStart := len(dst)
-	dst = appendFrameBody(dst, b)
-	if !opts.Block {
-		return dst
-	}
+	dst = e.appendBody(dst, b, lo, hi)
 	body := dst[bodyStart:]
-	if len(body) > maxFrameBodyBytes {
+	if !opts.Block || len(body) > maxFrameBodyBytes {
 		return dst
 	}
-	var comp []byte
-	comp = binary.AppendUvarint(comp, uint64(len(body)))
-	comp = lzCompress(comp, body)
-	if len(comp) >= len(body) {
+	e.block = binary.AppendUvarint(e.block[:0], uint64(len(body)))
+	e.block = lzCompress(e.block, body)
+	if len(e.block) >= len(body) {
 		return dst // block layer did not win; keep the raw body
 	}
 	dst[base+2] |= frameFlagBlock
-	dst = append(dst[:bodyStart], comp...)
-	return dst
+	return append(dst[:bodyStart], e.block...)
 }
 
-// appendFrameBody appends the v2 body: row/column counts then each column as
-// a (type, encoding, payload-length, payload) record.
-func appendFrameBody(dst []byte, b *ColumnBatch) []byte {
-	dst = binary.AppendUvarint(dst, uint64(b.n))
+// appendV1 appends the v1 layout (spill.go's EncodeBatch): every column raw,
+// behind its null words.
+func (e *FrameEncoder) appendV1(dst []byte, b *ColumnBatch, lo, hi int) []byte {
+	dst = append(dst, batchMagic, batchVersion)
+	dst = binary.AppendUvarint(dst, uint64(hi-lo))
 	dst = binary.AppendUvarint(dst, uint64(len(b.cols)))
-	var scratch, raw []byte
 	for c := range b.cols {
 		col := &b.cols[c]
-		enc := encRaw
-		scratch = appendNullSection(scratch[:0], col, b.n)
-		switch col.typ {
-		case TypeInt, TypeTime:
-			raw = appendRawValues(raw[:0], col, b.n)
-			mark := len(scratch)
-			scratch = appendDeltaInts(scratch, col.ints[:b.n])
-			if len(scratch)-mark < len(raw) {
-				enc = encDelta
-			} else {
-				scratch = append(scratch[:mark], raw...)
-			}
-		case TypeString:
-			raw = appendRawValues(raw[:0], col, b.n)
-			mark := len(scratch)
-			scratch = appendDictStrings(scratch, col.strs[:b.n])
-			if len(scratch)-mark < len(raw) {
-				enc = encDict
-			} else {
-				scratch = append(scratch[:mark], raw...)
-			}
-		case TypeBool:
-			raw = appendRawValues(raw[:0], col, b.n)
-			mark := len(scratch)
-			scratch = appendRLEBools(scratch, col.bools[:b.n])
-			if len(scratch)-mark < len(raw) {
-				enc = encRLE
-			} else {
-				scratch = append(scratch[:mark], raw...)
-			}
-		default: // floats (and anything future) stay raw
-			scratch = appendRawValues(scratch, col, b.n)
-		}
-		dst = append(dst, byte(col.typ), enc)
-		dst = binary.AppendUvarint(dst, uint64(len(scratch)))
-		dst = append(dst, scratch...)
+		nulls := e.loadNulls(col, lo, hi)
+		plen := rawNullsLen(len(nulls)) + rawValuesLen(col, lo, hi)
+		dst = slices.Grow(dst, 1+binary.MaxVarintLen64+plen)
+		dst = append(dst, byte(col.typ))
+		dst = binary.AppendUvarint(dst, uint64(plen))
+		dst = appendRawNulls(dst, nulls)
+		dst = appendRawValues(dst, col, lo, hi)
 	}
 	return dst
 }
 
-// appendNullSection encodes col's null bitmap over rows [0, n) in whichever
-// of the raw/RLE forms is smaller (or a single mode byte when the column has
-// no nulls in range).
-func appendNullSection(dst []byte, col *Column, n int) []byte {
-	words := (n + 63) / 64
-	if words > len(col.nulls) {
-		words = len(col.nulls)
+// v1Len returns the length appendV1 would produce for rows [lo, hi) of b
+// without encoding them: the "logical" spilled size the spill store reports
+// next to the bytes it actually wrote.
+func (e *FrameEncoder) v1Len(b *ColumnBatch, lo, hi int) int {
+	size := 2 + uvarintLen(uint64(hi-lo)) + uvarintLen(uint64(len(b.cols)))
+	for c := range b.cols {
+		col := &b.cols[c]
+		plen := rawNullsLen(len(e.loadNulls(col, lo, hi))) + rawValuesLen(col, lo, hi)
+		size += 1 + uvarintLen(uint64(plen)) + plen
 	}
-	// Mask stray bits past n (Head views share a longer parent bitmap) and
-	// drop trailing all-zero words so an effectively null-free column costs
-	// one byte.
-	masked := make(nullBitmap, words)
-	for w := 0; w < words; w++ {
-		word := col.nulls[w]
-		if hi := n - w*64; hi < 64 {
-			word &= (1 << uint(hi)) - 1
+	return size
+}
+
+// appendBody appends the v2 body: row/column counts then each column as a
+// (type, encoding, payload-length, payload) record. Each column takes the
+// smallest of its encodings, the raw payload on a tie. Every length is
+// computed before anything is written, so the losing encodings are never
+// built.
+func (e *FrameEncoder) appendBody(dst []byte, b *ColumnBatch, lo, hi int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(hi-lo))
+	dst = binary.AppendUvarint(dst, uint64(len(b.cols)))
+	for c := range b.cols {
+		col := &b.cols[c]
+		e.sec = e.appendNullSection(e.sec[:0], col, lo, hi)
+		enc, vlen := encRaw, rawValuesLen(col, lo, hi)
+		switch col.typ {
+		case TypeInt, TypeTime:
+			if l := deltaIntsLen(col.ints[lo:hi], vlen); l < vlen {
+				enc, vlen = encDelta, l
+			}
+		case TypeString:
+			if l := e.planDict(col.strs[lo:hi], vlen); l < vlen {
+				enc, vlen = encDict, l
+			}
+		case TypeBool:
+			if l := rleBoolsLen(col.bools[lo:hi]); l < vlen {
+				enc, vlen = encRLE, l
+			}
 		}
-		masked[w] = word
+		plen := len(e.sec) + vlen
+		dst = slices.Grow(dst, 2+binary.MaxVarintLen64+plen)
+		dst = append(dst, byte(col.typ), enc)
+		dst = binary.AppendUvarint(dst, uint64(plen))
+		dst = append(dst, e.sec...)
+		switch enc {
+		case encDelta:
+			dst = appendDeltaInts(dst, col.ints[lo:hi])
+		case encDict:
+			dst = e.appendDict(dst)
+		case encRLE:
+			dst = appendRLEBools(dst, col.bools[lo:hi])
+		default: // floats (and anything future) stay raw
+			dst = appendRawValues(dst, col, lo, hi)
+		}
 	}
-	for len(masked) > 0 && masked[len(masked)-1] == 0 {
-		masked = masked[:len(masked)-1]
+	return dst
+}
+
+// loadNulls fills e.nulls with col's null bits for rows [lo, hi), shifted so
+// that bit 0 is row lo, with bits past hi cleared and trailing all-zero words
+// dropped: exactly the bitmap a copy of those rows carries, so a range with
+// no null costs no word.
+func (e *FrameEncoder) loadNulls(col *Column, lo, hi int) []uint64 {
+	src, s := col.nulls, uint(lo)&63
+	e.nulls = e.nulls[:0]
+	for k, w := 0, lo>>6; k<<6 < hi-lo && w < len(src); k, w = k+1, w+1 {
+		word := src[w] >> s
+		if s != 0 && w+1 < len(src) {
+			word |= src[w+1] << (64 - s)
+		}
+		if rest := hi - lo - k<<6; rest < 64 {
+			word &= 1<<uint(rest) - 1
+		}
+		e.nulls = append(e.nulls, word)
 	}
-	if len(masked) == 0 {
+	for len(e.nulls) > 0 && e.nulls[len(e.nulls)-1] == 0 {
+		e.nulls = e.nulls[:len(e.nulls)-1]
+	}
+	return e.nulls
+}
+
+// rawNullsLen is the length of the raw null layout of words words.
+func rawNullsLen(words int) int { return uvarintLen(uint64(words)) + 8*words }
+
+// appendRawNulls appends the raw null layout: a uvarint word count, then the
+// words little-endian.
+func appendRawNulls(dst []byte, words []uint64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(words)))
+	for _, w := range words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst
+}
+
+// appendNullSection appends the v2 null section of col over rows [lo, hi):
+// one mode byte when no row in range is null, else whichever of the raw and
+// run-length forms is smaller.
+func (e *FrameEncoder) appendNullSection(dst []byte, col *Column, lo, hi int) []byte {
+	words := e.loadNulls(col, lo, hi)
+	if len(words) == 0 {
 		return append(dst, nullsNone)
 	}
-	var raw []byte
-	raw = binary.AppendUvarint(raw, uint64(len(masked)))
-	for _, w := range masked {
-		raw = binary.LittleEndian.AppendUint64(raw, w)
-	}
-	// RLE over row status: alternating run lengths, first run non-null.
-	var runs []byte
-	nRuns := 0
-	i := 0
-	for i < n {
-		status := masked.get(i)
-		j := i
-		for j < n && masked.get(j) == status {
-			j++
-		}
-		if nRuns == 0 && status {
-			// First run must be non-null by convention; emit a zero-length
-			// non-null run ahead of a leading null run.
-			runs = binary.AppendUvarint(runs, 0)
-			nRuns++
-		}
-		runs = binary.AppendUvarint(runs, uint64(j-i))
+	// RLE over row status: alternating run lengths, first run non-null (a
+	// leading null run gets a zero-length non-null run ahead of it). Counting
+	// stops once the runs alone are as long as the raw form.
+	rawLen, n := rawNullsLen(len(words)), hi-lo
+	e.runs = e.runs[:0]
+	nRuns, null := 0, false
+	for i := 0; i < n && len(e.runs) < rawLen; null = !null {
+		j := nextNullFlip(words, i, n, null)
+		e.runs = binary.AppendUvarint(e.runs, uint64(j-i))
 		nRuns++
 		i = j
 	}
-	var rle []byte
-	rle = binary.AppendUvarint(rle, uint64(nRuns))
-	rle = append(rle, runs...)
-	if len(rle) < len(raw) {
+	if uvarintLen(uint64(nRuns))+len(e.runs) < rawLen {
 		dst = append(dst, nullsRLE)
-		return append(dst, rle...)
+		dst = binary.AppendUvarint(dst, uint64(nRuns))
+		return append(dst, e.runs...)
 	}
-	dst = append(dst, nullsRaw)
-	return append(dst, raw...)
+	return appendRawNulls(append(dst, nullsRaw), words)
 }
 
-// appendRawValues encodes col's value vector exactly as v1 does (spill.go's
-// value layout), without the null bitmap prefix.
-func appendRawValues(dst []byte, col *Column, n int) []byte {
+// nextNullFlip returns the first row in [i, n) whose null bit differs from
+// null, or n. Rows past the end of words are non-null.
+func nextNullFlip(words []uint64, i, n int, null bool) int {
+	for w := i >> 6; i < n; w++ {
+		var word uint64
+		if w < len(words) {
+			word = words[w]
+		}
+		if null {
+			word = ^word
+		}
+		if word &= ^uint64(0) << (uint(i) & 63); word != 0 {
+			return min(w<<6+bits.TrailingZeros64(word), n)
+		}
+		i = (w + 1) << 6
+	}
+	return n
+}
+
+// rawValuesLen is the length of col's raw value payload over rows [lo, hi).
+func rawValuesLen(col *Column, lo, hi int) int {
+	switch col.typ {
+	case TypeInt, TypeTime, TypeFloat:
+		return 8 * (hi - lo)
+	case TypeBool:
+		return (hi - lo + 7) / 8
+	case TypeString:
+		size := 0
+		for _, s := range col.strs[lo:hi] {
+			size += uvarintLen(uint64(len(s))) + len(s)
+		}
+		return size
+	}
+	return 0
+}
+
+// appendRawValues appends col's value vector over rows [lo, hi) in the v1
+// value layout (spill.go), without the null bitmap.
+func appendRawValues(dst []byte, col *Column, lo, hi int) []byte {
 	switch col.typ {
 	case TypeInt, TypeTime:
-		for i := 0; i < n; i++ {
-			dst = binary.BigEndian.AppendUint64(dst, uint64(col.ints[i]))
+		for _, v := range col.ints[lo:hi] {
+			dst = binary.BigEndian.AppendUint64(dst, uint64(v))
 		}
 	case TypeFloat:
-		for i := 0; i < n; i++ {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(col.floats[i]))
+		for _, v := range col.floats[lo:hi] {
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 		}
 	case TypeBool:
-		packed := make([]byte, (n+7)/8)
-		for i := 0; i < n; i++ {
-			if col.bools[i] {
-				packed[i>>3] |= 1 << uint(i&7)
+		vals := col.bools[lo:hi]
+		for i := 0; i < len(vals); i += 8 {
+			var packed byte
+			for j, v := range vals[i:min(i+8, len(vals))] {
+				if v {
+					packed |= 1 << uint(j)
+				}
 			}
+			dst = append(dst, packed)
 		}
-		dst = append(dst, packed...)
 	case TypeString:
-		for i := 0; i < n; i++ {
-			dst = binary.AppendUvarint(dst, uint64(len(col.strs[i])))
-			dst = append(dst, col.strs[i]...)
+		for _, s := range col.strs[lo:hi] {
+			dst = binary.AppendUvarint(dst, uint64(len(s)))
+			dst = append(dst, s...)
 		}
 	}
 	return dst
@@ -254,6 +354,19 @@ func appendRawValues(dst []byte, col *Column, n int) []byte {
 // either sign stay short).
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// deltaIntsLen returns the length of vals' delta payload, or a length of at
+// least limit as soon as it reaches limit.
+func deltaIntsLen(vals []int64, limit int) int {
+	size, prev := 0, int64(0)
+	for _, v := range vals {
+		if size += uvarintLen(zigzag(v - prev)); size >= limit {
+			return size
+		}
+		prev = v
+	}
+	return size
+}
 
 // appendDeltaInts encodes vals as zig-zag varints of the first value and each
 // successive delta.
@@ -266,34 +379,76 @@ func appendDeltaInts(dst []byte, vals []int64) []byte {
 	return dst
 }
 
-// appendDictStrings encodes vals as a sorted unique-value dictionary followed
-// by one uvarint code per row. Sorting makes the encoding deterministic and
-// gives decoded frames the sorted-dictionary invariant the code-based
-// operator fast paths rely on.
-func appendDictStrings(dst []byte, vals []string) []byte {
-	uniq := make(map[string]uint32, len(vals)/4+1)
+// planDict builds vals' dictionary for appendDict and returns the length of
+// its payload: a sorted unique-value dictionary followed by one uvarint code
+// per row. Sorting makes the encoding deterministic and gives decoded frames
+// the sorted-dictionary invariant the code-based operator fast paths rely
+// on. Every row's code takes at least one byte, so once uvarint(k) +
+// Σ_unique(uvarint(len)+len) + n reaches rawLen the dictionary cannot win:
+// planDict then returns that bound without sorting or coding anything.
+func (e *FrameEncoder) planDict(vals []string, rawLen int) int {
+	if e.ids == nil {
+		e.ids = make(map[string]uint32)
+	}
+	clear(e.ids)
+	e.dict, e.rowIDs = e.dict[:0], e.rowIDs[:0]
+	uniq := 0
 	for _, s := range vals {
-		if _, ok := uniq[s]; !ok {
-			uniq[s] = 0
+		id, ok := e.ids[s]
+		if !ok {
+			id = uint32(len(e.dict))
+			e.ids[s] = id
+			e.dict = append(e.dict, s)
+			uniq += uvarintLen(uint64(len(s))) + len(s)
+			if bound := uvarintLen(uint64(len(e.dict))) + uniq + len(vals); bound >= rawLen {
+				return bound
+			}
 		}
+		e.rowIDs = append(e.rowIDs, id)
 	}
-	dict := make([]string, 0, len(uniq))
-	for s := range uniq {
-		dict = append(dict, s)
+	e.codes = slices.Grow(e.codes[:0], len(e.dict))[:len(e.dict)]
+	slices.Sort(e.dict)
+	for code, s := range e.dict {
+		e.codes[e.ids[s]] = uint32(code)
 	}
-	sort.Strings(dict)
-	for i, s := range dict {
-		uniq[s] = uint32(i)
+	size := uvarintLen(uint64(len(e.dict))) + uniq
+	for _, id := range e.rowIDs {
+		size += uvarintLen(uint64(e.codes[id]))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(dict)))
-	for _, s := range dict {
+	return size
+}
+
+// appendDict appends the dictionary payload planDict built.
+func (e *FrameEncoder) appendDict(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(e.dict)))
+	for _, s := range e.dict {
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		dst = append(dst, s...)
 	}
-	for _, s := range vals {
-		dst = binary.AppendUvarint(dst, uint64(uniq[s]))
+	for _, id := range e.rowIDs {
+		dst = binary.AppendUvarint(dst, uint64(e.codes[id]))
 	}
 	return dst
+}
+
+// boolRuns returns the number of runs of equal values in vals and the bytes
+// their uvarint lengths take.
+func boolRuns(vals []bool) (runs, size int) {
+	for i := 0; i < len(vals); runs++ {
+		j := i + 1
+		for j < len(vals) && vals[j] == vals[i] {
+			j++
+		}
+		size += uvarintLen(uint64(j - i))
+		i = j
+	}
+	return runs, size
+}
+
+// rleBoolsLen returns the length of vals' run-length payload.
+func rleBoolsLen(vals []bool) int {
+	runs, size := boolRuns(vals)
+	return 1 + uvarintLen(uint64(runs)) + size
 }
 
 // appendRLEBools encodes vals as a first-value byte plus alternating run
@@ -303,21 +458,18 @@ func appendRLEBools(dst []byte, vals []bool) []byte {
 	if len(vals) > 0 && vals[0] {
 		first = 1
 	}
-	var runs []byte
-	nRuns := 0
-	i := 0
-	for i < len(vals) {
-		j := i
+	runs, _ := boolRuns(vals)
+	dst = append(dst, first)
+	dst = binary.AppendUvarint(dst, uint64(runs))
+	for i := 0; i < len(vals); {
+		j := i + 1
 		for j < len(vals) && vals[j] == vals[i] {
 			j++
 		}
-		runs = binary.AppendUvarint(runs, uint64(j-i))
-		nRuns++
+		dst = binary.AppendUvarint(dst, uint64(j-i))
 		i = j
 	}
-	dst = append(dst, first)
-	dst = binary.AppendUvarint(dst, uint64(nRuns))
-	return append(dst, runs...)
+	return dst
 }
 
 // decodeBatchV2 reconstructs a v2 frame body (block layer already removed).
@@ -611,43 +763,14 @@ func decodeRLEBools(col *Column, data []byte, n int) error {
 }
 
 // EncodedSizeV1 computes the exact byte length EncodeBatch would produce for
-// b without encoding it — the "logical" spilled size the stores report next
-// to the physical (possibly compressed) bytes actually written.
+// b without encoding it.
 func EncodedSizeV1(b *ColumnBatch) int64 {
-	size := int64(2) // magic + version
-	size += uvarintLen(uint64(b.n)) + uvarintLen(uint64(len(b.cols)))
-	for c := range b.cols {
-		col := &b.cols[c]
-		words := (b.n + 63) / 64
-		if words > len(col.nulls) {
-			words = len(col.nulls)
-		}
-		plen := uvarintLen(uint64(words)) + 8*int64(words)
-		switch col.typ {
-		case TypeInt, TypeTime, TypeFloat:
-			plen += 8 * int64(b.n)
-		case TypeBool:
-			plen += int64((b.n + 7) / 8)
-		case TypeString:
-			for i := 0; i < b.n; i++ {
-				l := len(col.strs[i])
-				plen += uvarintLen(uint64(l)) + int64(l)
-			}
-		}
-		size += 1 + uvarintLen(uint64(plen)) + plen
-	}
-	return size
+	var e FrameEncoder
+	return int64(e.v1Len(b, 0, b.n))
 }
 
 // uvarintLen returns the encoded length of v as a uvarint.
-func uvarintLen(v uint64) int64 {
-	n := int64(1)
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // ---------------------------------------------------------------------------
 // Block layer: a minimal pure-Go LZ77 compressor

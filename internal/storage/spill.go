@@ -74,62 +74,11 @@ func BatchMemSize(b *ColumnBatch) int64 {
 //	    int/time/float: rows × 8 bytes (BE)
 //	    bool:           ceil(rows/8) packed bytes
 //	    string:         per row uvarint length + bytes
+//
+// The null words run up to the last word holding a null, none for a column
+// without one. It is FrameEncoder's v1 layout (frame.go).
 func EncodeBatch(dst []byte, b *ColumnBatch) []byte {
-	dst = append(dst, batchMagic, batchVersion)
-	dst = binary.AppendUvarint(dst, uint64(b.n))
-	dst = binary.AppendUvarint(dst, uint64(len(b.cols)))
-	var payload []byte
-	for c := range b.cols {
-		col := &b.cols[c]
-		payload = appendColumnPayload(payload[:0], col, b.n)
-		dst = append(dst, byte(col.typ))
-		dst = binary.AppendUvarint(dst, uint64(len(payload)))
-		dst = append(dst, payload...)
-	}
-	return dst
-}
-
-// appendColumnPayload encodes the first n rows of col (vectors may be longer
-// than n for Head views, which share parent storage).
-func appendColumnPayload(dst []byte, col *Column, n int) []byte {
-	// Null bitmap: only the words covering rows [0,n), with stray bits past n
-	// in the last word masked off (a Head view shares its parent's bitmap).
-	words := (n + 63) / 64
-	if words > len(col.nulls) {
-		words = len(col.nulls)
-	}
-	dst = binary.AppendUvarint(dst, uint64(words))
-	for w := 0; w < words; w++ {
-		word := col.nulls[w]
-		if hi := n - w*64; hi < 64 {
-			word &= (1 << uint(hi)) - 1
-		}
-		dst = binary.LittleEndian.AppendUint64(dst, word)
-	}
-	switch col.typ {
-	case TypeInt, TypeTime:
-		for i := 0; i < n; i++ {
-			dst = binary.BigEndian.AppendUint64(dst, uint64(col.ints[i]))
-		}
-	case TypeFloat:
-		for i := 0; i < n; i++ {
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(col.floats[i]))
-		}
-	case TypeBool:
-		packed := make([]byte, (n+7)/8)
-		for i := 0; i < n; i++ {
-			if col.bools[i] {
-				packed[i>>3] |= 1 << uint(i&7)
-			}
-		}
-		dst = append(dst, packed...)
-	case TypeString:
-		for i := 0; i < n; i++ {
-			dst = binary.AppendUvarint(dst, uint64(len(col.strs[i])))
-			dst = append(dst, col.strs[i]...)
-		}
-	}
-	return dst
+	return EncodeBatchOpts(dst, b, CodecOptions{})
 }
 
 // DecodeBatch reconstructs a batch encoded by EncodeBatch or EncodeBatchOpts.
@@ -501,25 +450,20 @@ func (s *PartitionStore) spillLocked(slot *batchSlot) error {
 	if step <= 0 {
 		step = slot.rows
 	}
+	// The encoder lives for one slot: kept per store, its dictionary scratch,
+	// sized to the largest slot it encoded, would stay allocated in every
+	// open store and raise the engine's peak memory.
+	var encoder FrameEncoder
 	for lo := 0; lo < slot.rows; lo += step {
 		hi := min(lo+step, slot.rows)
-		frame := slot.batch
-		if lo > 0 || hi < slot.rows {
-			// Only multi-frame slots pay a gather into the frame window; a
-			// slot that fits one frame encodes its batch directly.
-			frame = NewColumnBatch(s.schema, hi-lo)
-			for i := lo; i < hi; i++ {
-				frame.AppendRowFrom(slot.batch, i)
-			}
-		}
-		s.encodeBuf = EncodeBatchOpts(s.encodeBuf[:0], frame, s.codec)
+		s.encodeBuf = encoder.Encode(s.encodeBuf[:0], slot.batch, lo, hi, s.codec)
 		if _, err := s.file.WriteAt(s.encodeBuf, s.fileSize); err != nil {
 			return fmt.Errorf("storage: write spill file: %w", err)
 		}
 		n := int64(len(s.encodeBuf))
 		logical := n
 		if s.codec.Compress {
-			logical = EncodedSizeV1(frame)
+			logical = int64(encoder.v1Len(slot.batch, lo, hi))
 		}
 		slot.frames = append(slot.frames, spillFrame{off: s.fileSize, len: n})
 		s.fileSize += n

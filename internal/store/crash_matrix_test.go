@@ -3,7 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -33,6 +35,20 @@ func matrixWorkload(t *testing.T) ([]matrixStep, *storage.Schema) {
 	rowsB := testRows(80, 1000)
 	rowsB2 := testRows(40, 2000)
 	rowsC := testRows(60, 3000)
+	// D arrives as odd-sized batches, one of them empty: with 16-row frames
+	// and 48-row segments its save copies straddling frames, writes several
+	// segments and encodes on several goroutines.
+	rowsD := testRows(101, 4000)
+	var batchesD []*storage.ColumnBatch
+	lo := 0
+	for _, n := range []int{7, 23, 0, 41, 13, 17} {
+		b, err := storage.BatchFromRows(schema, rowsD[lo:lo+n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchesD = append(batchesD, b)
+		lo += n
+	}
 	return []matrixStep{
 		{
 			name:  "save-A",
@@ -64,6 +80,11 @@ func matrixWorkload(t *testing.T) ([]matrixStep, *storage.Schema) {
 			run:   func(s *Store) error { return s.SaveRows("C", schema, rowsC) },
 			apply: func(m map[string][]storage.Row) { m["C"] = rowsC },
 		},
+		{
+			name:  "save-D-batches",
+			run:   func(s *Store) error { return s.SaveTable("D", schema, batchesD) },
+			apply: func(m map[string][]storage.Row) { m["D"] = rowsD },
+		},
 	}, schema
 }
 
@@ -82,7 +103,7 @@ func matrixStates(steps []matrixStep) []map[string][]storage.Row {
 	return states
 }
 
-func openMatrixStore(t *testing.T, ffs *FaultFS) *Store {
+func openMatrixStore(t *testing.T, ffs FS) *Store {
 	t.Helper()
 	s, err := Open("/db", WithFS(ffs), WithSegmentRows(48), WithFrameRows(16), WithCheckpointEvery(1000))
 	if err != nil {
@@ -211,6 +232,116 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// opLogFS is a FaultFS that logs every call the store makes: the operation,
+// its path and, for a write, the length and checksum of the bytes.
+type opLogFS struct {
+	*FaultFS
+	log *[]string
+}
+
+func (fs opLogFS) note(format string, args ...any) {
+	*fs.log = append(*fs.log, fmt.Sprintf(format, args...))
+}
+
+func (fs opLogFS) MkdirAll(dir string) error {
+	fs.note("mkdir %s", dir)
+	return fs.FaultFS.MkdirAll(dir)
+}
+
+func (fs opLogFS) Create(name string) (File, error) {
+	fs.note("create %s", name)
+	f, err := fs.FaultFS.Create(name)
+	return opLogFile{f, fs}, err
+}
+
+func (fs opLogFS) Append(name string) (File, error) {
+	fs.note("append %s", name)
+	f, err := fs.FaultFS.Append(name)
+	return opLogFile{f, fs}, err
+}
+
+func (fs opLogFS) Open(name string) (ReadFile, error) {
+	fs.note("open %s", name)
+	return fs.FaultFS.Open(name)
+}
+
+func (fs opLogFS) Rename(oldpath, newpath string) error {
+	fs.note("rename %s %s", oldpath, newpath)
+	return fs.FaultFS.Rename(oldpath, newpath)
+}
+
+func (fs opLogFS) Remove(name string) error {
+	fs.note("remove %s", name)
+	return fs.FaultFS.Remove(name)
+}
+
+func (fs opLogFS) Truncate(name string, size int64) error {
+	fs.note("truncate %s %d", name, size)
+	return fs.FaultFS.Truncate(name, size)
+}
+
+func (fs opLogFS) ReadDir(dir string) ([]string, error) {
+	fs.note("readdir %s", dir)
+	return fs.FaultFS.ReadDir(dir)
+}
+
+func (fs opLogFS) SyncDir(dir string) error {
+	fs.note("syncdir %s", dir)
+	return fs.FaultFS.SyncDir(dir)
+}
+
+type opLogFile struct {
+	File
+	fs opLogFS
+}
+
+func (f opLogFile) Write(p []byte) (int, error) {
+	f.fs.note("write %d %08x", len(p), crc32.ChecksumIEEE(p))
+	return f.File.Write(p)
+}
+
+func (f opLogFile) Sync() error {
+	f.fs.note("sync")
+	return f.File.Sync()
+}
+
+func (f opLogFile) Close() error {
+	f.fs.note("close")
+	return f.File.Close()
+}
+
+// TestCrashRecoveryMatrixOpSequence runs the matrix workload fault-free twice,
+// with more goroutines than frames in some saves, and requires the same
+// filesystem operation sequence both times: frames are encoded in parallel,
+// but the crash and error matrices' ordinals must name the same operation in
+// every run.
+func TestCrashRecoveryMatrixOpSequence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	steps, _ := matrixWorkload(t)
+	run := func() []string {
+		var log []string
+		s := openMatrixStore(t, opLogFS{FaultFS: NewFaultFS(), log: &log})
+		for _, st := range steps {
+			if err := st.run(s); err != nil {
+				t.Fatalf("step %s: %v", st.name, err)
+			}
+		}
+		return log
+	}
+	first, second := run(), run()
+	if len(first) < 30 {
+		t.Fatalf("the workload made only %d filesystem calls", len(first))
+	}
+	if !reflect.DeepEqual(first, second) {
+		for i := range min(len(first), len(second)) {
+			if first[i] != second[i] {
+				t.Fatalf("call %d differs between fault-free runs: %q vs %q", i, first[i], second[i])
+			}
+		}
+		t.Fatalf("fault-free runs made %d and %d filesystem calls", len(first), len(second))
 	}
 }
 

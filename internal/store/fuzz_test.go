@@ -75,8 +75,10 @@ func goldenSegment() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	frames := []segFrame{{b: b, hi: b.Len()}}
+	encodeFrames(frames)
 	ffs := NewFaultFS()
-	if _, _, err := writeSegment(ffs, "/g.seg", schema, []*storage.ColumnBatch{b}, "region"); err != nil {
+	if _, _, err := writeSegment(ffs, "/g.seg", schema, frames, "region"); err != nil {
 		return nil, err
 	}
 	return readAll(ffs, "/g.seg")

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
@@ -251,35 +252,37 @@ func rangeExcludes(min, max, v float64, op PredOp) bool {
 	return false
 }
 
-// buildZones computes one ZoneMap per schema column over a batch.
-func buildZones(b *storage.ColumnBatch) []ZoneMap {
+// buildZones computes one ZoneMap per schema column over rows [lo, hi) of a
+// batch.
+func buildZones(b *storage.ColumnBatch, start, end int) []ZoneMap {
 	schema := b.Schema()
 	zones := make([]ZoneMap, schema.Len())
 	for c := 0; c < schema.Len(); c++ {
-		zones[c] = buildZone(b, c)
+		zones[c] = buildZone(b, c, start, end)
 	}
 	return zones
 }
 
-func buildZone(b *storage.ColumnBatch, c int) ZoneMap {
+func buildZone(b *storage.ColumnBatch, c, start, end int) ZoneMap {
 	f := b.Schema().Field(c)
 	col := b.Column(c)
 	z := ZoneMap{Col: f.Name}
-	n := b.Len()
+	nulls := col.HasNulls()
 	seen := 0
 	switch f.Type {
 	case storage.TypeInt, storage.TypeTime:
 		var lo, hi int64
-		for i := 0; i < n; i++ {
-			if col.HasNulls() && col.Null(i) {
+		for i := start; i < end; i++ {
+			if nulls && col.Null(i) {
 				z.HasNulls = true
 				continue
 			}
 			v := col.Int(i)
-			if seen == 0 || v < lo {
+			if seen == 0 {
+				lo, hi = v, v
+			} else if v < lo {
 				lo = v
-			}
-			if seen == 0 || v > hi {
+			} else if v > hi {
 				hi = v
 			}
 			seen++
@@ -289,8 +292,8 @@ func buildZone(b *storage.ColumnBatch, c int) ZoneMap {
 		}
 	case storage.TypeFloat:
 		var lo, hi float64
-		for i := 0; i < n; i++ {
-			if col.HasNulls() && col.Null(i) {
+		for i := start; i < end; i++ {
+			if nulls && col.Null(i) {
 				z.HasNulls = true
 				continue
 			}
@@ -300,10 +303,11 @@ func buildZone(b *storage.ColumnBatch, c int) ZoneMap {
 				z.Unpruned = true
 				return z
 			}
-			if seen == 0 || v < lo {
+			if seen == 0 {
+				lo, hi = v, v
+			} else if v < lo {
 				lo = v
-			}
-			if seen == 0 || v > hi {
+			} else if v > hi {
 				hi = v
 			}
 			seen++
@@ -313,16 +317,17 @@ func buildZone(b *storage.ColumnBatch, c int) ZoneMap {
 		}
 	case storage.TypeString:
 		var lo, hi string
-		for i := 0; i < n; i++ {
-			if col.HasNulls() && col.Null(i) {
+		for i := start; i < end; i++ {
+			if nulls && col.Null(i) {
 				z.HasNulls = true
 				continue
 			}
 			v := col.Str(i)
-			if seen == 0 || v < lo {
+			if seen == 0 {
+				lo, hi = v, v
+			} else if v < lo {
 				lo = v
-			}
-			if seen == 0 || v > hi {
+			} else if v > hi {
 				hi = v
 			}
 			seen++
@@ -335,8 +340,8 @@ func buildZone(b *storage.ColumnBatch, c int) ZoneMap {
 		return z
 	}
 	if seen == 0 {
-		z.AllNull = n > 0
-		z.HasNulls = n > 0
+		z.AllNull = end > start
+		z.HasNulls = end > start
 	}
 	return z
 }
@@ -526,10 +531,30 @@ func bloomValueBytes(v any) ([]byte, bool) {
 // v2 frames (see storage/frame.go).
 var segmentCodec = storage.CodecOptions{Compress: true}
 
-// writeSegment writes batches as one immutable segment at tmpPath, fsyncs
-// it, and returns the footer-derived metadata. The caller renames it into
-// place and records it in the manifest; until then it is invisible.
-func writeSegment(fs FS, tmpPath string, schema *storage.Schema, batches []*storage.ColumnBatch, bloomCol string) (ref SegmentRef, footer segmentFooter, err error) {
+// segFrame is one frame of a segment: rows [lo, hi) of a batch and, once
+// encoded, its body, CRC and zone maps.
+type segFrame struct {
+	b      *storage.ColumnBatch
+	lo, hi int
+	body   []byte
+	crc    uint32
+	zones  []ZoneMap
+}
+
+// encode fills in the frame's body, CRC and zone maps. scratch is the
+// encoder's output buffer, returned for reuse; the body is an exact copy.
+func (fr *segFrame) encode(enc *storage.FrameEncoder, scratch []byte) []byte {
+	scratch = enc.Encode(scratch[:0], fr.b, fr.lo, fr.hi, segmentCodec)
+	fr.body = bytes.Clone(scratch)
+	fr.crc = crc32.ChecksumIEEE(fr.body)
+	fr.zones = buildZones(fr.b, fr.lo, fr.hi)
+	return scratch
+}
+
+// writeSegment writes encoded frames as one immutable segment at tmpPath,
+// fsyncs it, and returns the footer-derived metadata. The caller renames it
+// into place and records it in the manifest; until then it is invisible.
+func writeSegment(fs FS, tmpPath string, schema *storage.Schema, frames []segFrame, bloomCol string) (ref SegmentRef, footer segmentFooter, err error) {
 	f, err := fs.Create(tmpPath)
 	if err != nil {
 		return ref, footer, err
@@ -549,8 +574,8 @@ func writeSegment(fs FS, tmpPath string, schema *storage.Schema, batches []*stor
 	if bloomCol != "" && schema.Has(bloomCol) {
 		bloomIdx = schema.IndexOf(bloomCol)
 		total := 0
-		for _, b := range batches {
-			total += b.Len()
+		for _, fr := range frames {
+			total += fr.hi - fr.lo
 		}
 		bloom = newBloom(total)
 	}
@@ -562,38 +587,31 @@ func writeSegment(fs FS, tmpPath string, schema *storage.Schema, batches []*stor
 
 	var segZones []ZoneMap
 	var keyBuf []byte
-	var enc []byte
-	for _, b := range batches {
-		if b.Len() == 0 {
-			continue
-		}
-		enc = storage.EncodeBatchOpts(enc[:0], b, segmentCodec)
-		crc := crc32.ChecksumIEEE(enc)
+	for _, fr := range frames {
 		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(enc)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc)
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(fr.body)))
+		binary.LittleEndian.PutUint32(hdr[4:8], fr.crc)
 		if _, err = f.Write(hdr[:]); err != nil {
 			return ref, footer, err
 		}
-		if _, err = f.Write(enc); err != nil {
+		if _, err = f.Write(fr.body); err != nil {
 			return ref, footer, err
 		}
-		zones := buildZones(b)
 		footer.Frames = append(footer.Frames, frameInfo{
 			Off:   off + 8,
-			Len:   len(enc),
-			Rows:  b.Len(),
-			CRC:   crc,
-			Zones: zones,
+			Len:   len(fr.body),
+			Rows:  fr.hi - fr.lo,
+			CRC:   fr.crc,
+			Zones: fr.zones,
 		})
-		segZones = mergeZones(segZones, zones)
-		footer.Rows += b.Len()
-		off += 8 + int64(len(enc))
+		segZones = mergeZones(segZones, fr.zones)
+		footer.Rows += fr.hi - fr.lo
+		off += 8 + int64(len(fr.body))
 
 		if bloom != nil {
-			col := b.Column(bloomIdx)
+			col := fr.b.Column(bloomIdx)
 			typ := schema.Field(bloomIdx).Type
-			for i := 0; i < b.Len(); i++ {
+			for i := fr.lo; i < fr.hi; i++ {
 				if kb, ok := bloomKeyBytes(col, typ, i, keyBuf); ok {
 					keyBuf = kb
 					bloom.add(kb)

@@ -6,9 +6,12 @@ import (
 	"hash/crc32"
 	"io"
 	"path"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/storage"
@@ -364,26 +367,31 @@ func (s *Store) SaveTable(name string, schema *storage.Schema, batches []*storag
 	for _, opt := range topts {
 		opt(&o)
 	}
+	// Validate, cut and encode before taking the lock, so that the lock
+	// covers only the filesystem work and concurrent saves encode in
+	// parallel.
+	frames, segments, totalRows, err := s.chunkForSegments(schema, batches)
+	if err != nil {
+		return err
+	}
+	encodeFrames(frames)
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-
-	chunks, totalRows, err := s.chunkForSegments(schema, batches)
-	if err != nil {
-		return err
-	}
 	meta := TableMeta{Name: name, Fields: fieldsFromSchema(schema), Rows: totalRows}
 
-	// Phase 1: write every segment through tmp + rename. Nothing here is
-	// visible to readers or survives recovery until the WAL record commits.
-	for _, chunk := range chunks {
+	// Phase 1: write every segment through tmp + rename, in order. Nothing
+	// here is visible to readers or survives recovery until the WAL record
+	// commits.
+	for _, seg := range segments {
 		seq := s.nextSeq
 		s.nextSeq++
 		fileName := segFileName(seq)
 		tmpPath := path.Join(s.tmpDir(), fmt.Sprintf("seg-%08d.tmp", seq))
-		ref, _, err := writeSegment(s.fs, tmpPath, schema, chunk, o.bloomCol)
+		ref, _, err := writeSegment(s.fs, tmpPath, schema, seg, o.bloomCol)
 		if err != nil {
 			return fmt.Errorf("store: writing segment for %q: %w", name, err)
 		}
@@ -423,50 +431,104 @@ func (s *Store) SaveRows(name string, schema *storage.Schema, rows []storage.Row
 	return s.SaveTable(name, schema, []*storage.ColumnBatch{b}, topts...)
 }
 
-// chunkForSegments re-chunks the input batches into frames of exactly
-// frameRows rows (the last one may be short), copied by typed ranges, and
-// groups consecutive frames into segments that close once they hold at least
-// segmentRows rows. Row order is preserved. Every input batch must match
-// schema and pass storage.ValidateBatch: the copies trust the vectors, so a
-// malformed batch is an error here, never a dropped or corrupt frame.
-func (s *Store) chunkForSegments(schema *storage.Schema, batches []*storage.ColumnBatch) ([][]*storage.ColumnBatch, int, error) {
+// chunkForSegments cuts the input batches into frames of exactly frameRows
+// rows (the last one may be short) and groups consecutive frames into
+// segments that close once they hold at least segmentRows rows. Row order is
+// preserved. A frame is a row span of one input batch; only a frame that
+// straddles two batches is copied, by typed ranges, into a batch of its own.
+// Every input batch must match schema and pass storage.ValidateBatch: the
+// encoder trusts the vectors, so a malformed batch is an error here, never a
+// dropped or corrupt frame. The segments are views of frames.
+func (s *Store) chunkForSegments(schema *storage.Schema, batches []*storage.ColumnBatch) (frames []segFrame, segments [][]segFrame, rows int, err error) {
 	remaining := 0
 	for i, b := range batches {
 		if err := storage.ValidateBatch(b); err != nil {
-			return nil, 0, fmt.Errorf("store: batch %d: %w", i, err)
+			return nil, nil, 0, fmt.Errorf("store: batch %d: %w", i, err)
 		}
 		if !b.Schema().Equal(schema) {
-			return nil, 0, fmt.Errorf("store: batch %d has schema %s, table schema is %s", i, b.Schema(), schema)
+			return nil, nil, 0, fmt.Errorf("store: batch %d has schema %s, table schema is %s", i, b.Schema(), schema)
 		}
 		remaining += b.Len()
 	}
-	total := remaining
-	var segments [][]*storage.ColumnBatch
-	var current []*storage.ColumnBatch
-	currentRows := 0
-	var frame *storage.ColumnBatch
+	rows = remaining
+	var ends []int
+	segRows := 0
+	var straddle *storage.ColumnBatch // a frame being copied together from several batches
+	want := 0                         // the rows straddle will hold
 	for _, b := range batches {
 		for lo := 0; lo < b.Len(); {
-			if frame == nil {
-				frame = storage.NewColumnBatch(schema, min(s.frameRows, remaining))
+			if n := min(s.frameRows, remaining); straddle == nil && lo+n <= b.Len() {
+				frames = append(frames, segFrame{b: b, lo: lo, hi: lo + n})
+				lo += n
+				remaining -= n
+			} else {
+				if straddle == nil {
+					want = n
+					straddle = storage.NewColumnBatch(schema, want)
+				}
+				hi := min(b.Len(), lo+want-straddle.Len())
+				straddle.AppendRange(b, lo, hi)
+				remaining -= hi - lo
+				lo = hi
+				if straddle.Len() < want {
+					continue
+				}
+				frames = append(frames, segFrame{b: straddle, hi: want})
+				straddle = nil
 			}
-			hi := min(b.Len(), lo+s.frameRows-frame.Len())
-			frame.AppendRange(b, lo, hi)
-			remaining -= hi - lo
-			lo = hi
-			if frame.Len() < s.frameRows && remaining > 0 {
-				continue
-			}
-			current = append(current, frame)
-			currentRows += frame.Len()
-			frame = nil
-			if currentRows >= s.segmentRows || remaining == 0 {
-				segments = append(segments, current)
-				current, currentRows = nil, 0
+			last := frames[len(frames)-1]
+			if segRows += last.hi - last.lo; segRows >= s.segmentRows || remaining == 0 {
+				ends = append(ends, len(frames))
+				segRows = 0
 			}
 		}
 	}
-	return segments, total, nil
+	start := 0
+	for _, end := range ends {
+		segments = append(segments, frames[start:end])
+		start = end
+	}
+	return frames, segments, rows, nil
+}
+
+// encodeFrames encodes every frame on min(GOMAXPROCS, len(frames))
+// goroutines, the caller's among them, each with its own encoder. It returns
+// once every goroutine has; a panic in any of them is raised again on the
+// caller's goroutine.
+func encodeFrames(frames []segFrame) {
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicked any
+	)
+	work := func() {
+		defer func() {
+			if p := recover(); p != nil {
+				mu.Lock()
+				panicked = p
+				mu.Unlock()
+			}
+		}()
+		var enc storage.FrameEncoder
+		var scratch []byte
+		for i := next.Add(1) - 1; i < int64(len(frames)); i = next.Add(1) - 1 {
+			scratch = frames[i].encode(&enc, scratch)
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(frames))
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // Drop removes a table. Durable at its WAL record's fsync; the table's
@@ -697,12 +759,13 @@ func (s *Store) scanOneSegment(ref SegmentRef, filter Filter, fn func(*storage.C
 		return segScanStats{}, false, corruptf("footer schema: %v", err)
 	}
 	var stats segScanStats
+	var body []byte // one frame buffer per segment: DecodeBatch copies out of it
 	for _, fr := range footer.Frames {
 		if zonesPrune(fr.Zones, filter) {
 			stats.framesSkipped++
 			continue
 		}
-		body := make([]byte, fr.Len)
+		body = slices.Grow(body[:0], fr.Len)[:fr.Len]
 		if _, err := f.ReadAt(body, fr.Off); err != nil {
 			return stats, false, corruptf("reading frame at %d: %v", fr.Off, err)
 		}
