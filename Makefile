@@ -56,6 +56,12 @@ lint:
 # the build-both-and-compare encoder it replaced.
 # FuzzTopologicalOrder holds the index-based composition order (literal and
 # built by procedural.New) to the map-based one it replaced.
+# FuzzSessionization holds Sessionizer.Count over typed columns (users out of
+# order, ties, null and extreme times, gaps of exactly the timeout and 1 ms
+# more) to the event-object Sessionize it replaced.
+# FuzzAssociationBaskets holds the runner's typed basket builder over
+# transaction columns of every type (nulls, "", -0, NaN) to the string-keyed
+# builder it replaced, basket for basket, in first-seen order.
 # FuzzTableBatches mixes row appends, batch appends and snapshots on a keyed
 # or round-robin table and holds Partition, Rows, Scan, NumRows and every
 # earlier snapshot to a plain row model. FuzzSpillStore interleaves appends
@@ -76,7 +82,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzSaveTableChunking' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanEquivalence' -fuzztime $(FUZZTIME) ./internal/dataflow/
 	$(GO) test -run '^$$' -fuzz 'FuzzAprioriEquivalence' -fuzztime $(FUZZTIME) ./internal/analytics/
+	$(GO) test -run '^$$' -fuzz 'FuzzSessionization' -fuzztime $(FUZZTIME) ./internal/analytics/
 	$(GO) test -run '^$$' -fuzz 'FuzzPseudonymize' -fuzztime $(FUZZTIME) ./internal/runner/
+	$(GO) test -run '^$$' -fuzz 'FuzzAssociationBaskets' -fuzztime $(FUZZTIME) ./internal/runner/
 	$(GO) test -run '^$$' -fuzz 'FuzzTopologicalOrder' -fuzztime $(FUZZTIME) ./internal/procedural/
 
 # Fault-injection soak of the multi-tenant service runtime under the race

@@ -62,8 +62,21 @@ func (a *Apriori) defaults() {
 	}
 }
 
-// Mine returns frequent itemsets (sorted by descending support) and rules
-// (sorted by descending confidence, then lift).
+// Baskets is a list of transactions over interned items, in compressed
+// sparse row form: transaction t holds the item ids Items[Start[t]:Start[t+1]],
+// and id i names the item Names[i]. Start begins at 0 and never decreases,
+// every id indexes Names, and Names are distinct and non-empty.
+type Baskets struct {
+	Names []string
+	Start []int
+	Items []int32
+}
+
+// Len returns the number of transactions.
+func (b Baskets) Len() int { return max(len(b.Start)-1, 0) }
+
+// MineBaskets returns frequent itemsets (sorted by descending support) and
+// rules (sorted by descending confidence, then lift).
 //
 // Support is counted on a vertical layout (Apriori's level-wise search over
 // Eclat-style transaction sets): every frequent item gets a dense id, in
@@ -71,13 +84,13 @@ func (a *Apriori) defaults() {
 // is the prefix join of two sorted (k-1)-sets; it is pruned when one of its
 // (k-1)-subsets is infrequent, and otherwise its support is the popcount of
 // its prefix's bitset ANDed with its last item's bitset.
-func (a *Apriori) Mine(transactions [][]string) ([]Itemset, []Rule, error) {
-	if len(transactions) == 0 {
+func (a *Apriori) MineBaskets(b Baskets) ([]Itemset, []Rule, error) {
+	if b.Len() == 0 {
 		return nil, nil, ErrNoData
 	}
 	a.defaults()
-	v := &vertical{n: float64(len(transactions)), minSupport: a.MinSupport, counts: map[string]int{}}
-	v.names, v.items = v.frequentItems(transactions)
+	v := &vertical{n: float64(b.Len()), minSupport: a.MinSupport, counts: map[string]int{}}
+	v.names, v.items = v.frequentItems(b)
 
 	// Level 1: frequent single items, whose bitsets seed the next level.
 	var sets []frequentSet
@@ -138,7 +151,7 @@ type frequentSet struct {
 	count int
 }
 
-// vertical is the state of one Mine call.
+// vertical is the state of one MineBaskets call.
 type vertical struct {
 	n          float64
 	minSupport float64
@@ -153,61 +166,47 @@ func (v *vertical) isFrequent(count int) bool {
 	return float64(count)/v.n >= v.minSupport
 }
 
-// frequentItems interns the frequent items of transactions to dense ids in
-// name order and returns each id's name and transaction bitset. The empty
-// string is not an item, and an item repeated within one transaction counts
-// once.
-func (v *vertical) frequentItems(transactions [][]string) ([]string, [][]uint64) {
-	index := map[string]int{}
-	var names []string
-	var counts, lastTx []int
-	for t, tx := range transactions {
-		for _, item := range tx {
-			if item == "" {
-				continue
-			}
-			i, ok := index[item]
-			if !ok {
-				i = len(names)
-				index[item] = i
-				names = append(names, item)
-				counts = append(counts, 0)
-				lastTx = append(lastTx, -1)
-			}
-			if lastTx[i] != t {
-				lastTx[i] = t
-				counts[i]++
+// frequentItems renumbers the frequent items of b to dense ids in name order
+// and returns each new id's name and transaction bitset. An item repeated
+// within one transaction counts once.
+func (v *vertical) frequentItems(b Baskets) ([]string, [][]uint64) {
+	counts := make([]int, len(b.Names))
+	lastTx := make([]int, len(b.Names)) // 1 + the last transaction counted
+	for t := 0; t < b.Len(); t++ {
+		for _, id := range b.Items[b.Start[t]:b.Start[t+1]] {
+			if lastTx[id] != t+1 {
+				lastTx[id] = t + 1
+				counts[id]++
 			}
 		}
 	}
-	var kept []string
-	for i, name := range names {
-		if v.isFrequent(counts[i]) {
-			kept = append(kept, name)
+	var kept []int32
+	for id, count := range counts {
+		if v.isFrequent(count) {
+			kept = append(kept, int32(id))
 		}
 	}
-	sort.Strings(kept)
-	id := make([]int, len(names)) // first-seen index → id + 1, 0 when infrequent
-	for k, name := range kept {
-		id[index[name]] = k + 1
+	slices.SortFunc(kept, func(x, y int32) int { return strings.Compare(b.Names[x], b.Names[y]) })
+	names := make([]string, len(kept))
+	newID := make([]int, len(b.Names)) // new id + 1, 0 when infrequent
+	for k, id := range kept {
+		names[k] = b.Names[id]
+		newID[id] = k + 1
 	}
-	words := (len(transactions) + 63) / 64
+	words := (b.Len() + 63) / 64
 	slab := make([]uint64, len(kept)*words)
 	items := make([][]uint64, len(kept))
 	for k := range items {
 		items[k] = slab[k*words : (k+1)*words : (k+1)*words]
 	}
-	for t, tx := range transactions {
-		for _, item := range tx {
-			if item == "" {
-				continue
-			}
-			if k := id[index[item]]; k > 0 {
+	for t := 0; t < b.Len(); t++ {
+		for _, id := range b.Items[b.Start[t]:b.Start[t+1]] {
+			if k := newID[id]; k > 0 {
 				items[k-1][t/64] |= 1 << (t % 64)
 			}
 		}
 	}
-	return kept, items
+	return names, items
 }
 
 // nextLevel joins level, the frequent (k-1)-sets in ascending lexicographic

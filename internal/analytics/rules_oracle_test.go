@@ -197,10 +197,10 @@ func nonEmptySplits(items []string) []split {
 	return out
 }
 
-// assertMatchesOracle mines transactions with both Mine and mineNaive under
-// the same thresholds and fails unless the results are deeply equal: the same
-// itemsets and rules in the same order, every float equal, nil where the
-// oracle returns nil.
+// assertMatchesOracle mines transactions with both Mine (MineBaskets over
+// interned ids) and mineNaive under the same thresholds and fails unless the
+// results are deeply equal: the same itemsets and rules in the same order,
+// every float equal, nil where the oracle returns nil.
 func assertMatchesOracle(t *testing.T, transactions [][]string, a Apriori) {
 	t.Helper()
 	want := a

@@ -6,6 +6,30 @@ import (
 	"testing"
 )
 
+// Mine mines string transactions through MineBaskets, the way the tests
+// state their baskets: items are interned to ids in first-seen order, and the
+// empty string is not an item.
+func (a *Apriori) Mine(transactions [][]string) ([]Itemset, []Rule, error) {
+	b := Baskets{Start: []int{0}}
+	ids := map[string]int32{}
+	for _, tx := range transactions {
+		for _, item := range tx {
+			if item == "" {
+				continue
+			}
+			id, ok := ids[item]
+			if !ok {
+				id = int32(len(b.Names))
+				ids[item] = id
+				b.Names = append(b.Names, item)
+			}
+			b.Items = append(b.Items, id)
+		}
+		b.Start = append(b.Start, len(b.Items))
+	}
+	return a.MineBaskets(b)
+}
+
 func basketTransactions() [][]string {
 	// pasta appears with tomatoes in 4 of 5 pasta baskets.
 	return [][]string{

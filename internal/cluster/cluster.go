@@ -201,7 +201,7 @@ func New(cfg Config) (*Cluster, error) {
 		for s := 0; s < n.Slots; s++ {
 			c.slotList = append(c.slotList, slot{
 				node: n,
-				rng:  &workerRNG{rng: rand.New(rand.NewSource(cfg.Seed + worker))},
+				rng:  &workerRNG{seed: cfg.Seed + worker},
 			})
 			worker++
 		}
@@ -224,13 +224,19 @@ func (c *Cluster) TotalSlots() int {
 // workerRNG is one worker slot's failure-injection generator. The mutex only
 // guards against concurrently running jobs sharing the slot list; within one
 // job a slot is driven by a single goroutine, so the lock is uncontended.
+// The generator is seeded on its first draw, so a cluster without failure
+// injection or backoff jitter, which never draws, seeds no source at all.
 type workerRNG struct {
-	mu  sync.Mutex
-	rng *rand.Rand
+	mu   sync.Mutex
+	seed int64
+	rng  *rand.Rand
 }
 
 func (w *workerRNG) float64() float64 {
 	w.mu.Lock()
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(w.seed))
+	}
 	v := w.rng.Float64()
 	w.mu.Unlock()
 	return v

@@ -190,5 +190,33 @@ func TestRunJobBackoffHonorsCancellation(t *testing.T) {
 
 // newTestWorkerRNG builds a seeded slot RNG for backoff tests.
 func newTestWorkerRNG(seed int64) *workerRNG {
-	return &workerRNG{rng: rand.New(rand.NewSource(seed))}
+	return &workerRNG{seed: seed}
+}
+
+// TestWorkerRNGSeedsOnFirstDraw pins the lazily seeded slot generators: New
+// seeds none of them, and every slot's draws, failure injection and backoff
+// jitter interleaved, equal those of rand.New(rand.NewSource(Seed+slot)).
+func TestWorkerRNGSeedsOnFirstDraw(t *testing.T) {
+	cfg := Uniform(2, 3, 0.4)
+	cfg.Seed = 17
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Jitter: 0.5}
+	for w, sl := range c.slotList {
+		if sl.rng.rng != nil {
+			t.Fatalf("slot %d: New seeded a generator before any draw", w)
+		}
+		oracle := &workerRNG{rng: rand.New(rand.NewSource(cfg.Seed + int64(w)))}
+		for retry := 1; retry <= 6; retry++ {
+			want := oracle.float64() < sl.node.FailureRate
+			if got := sl.injectFailure(); got != want {
+				t.Fatalf("slot %d draw %d: injectFailure = %v, want %v", w, retry, got, want)
+			}
+			if got, want := b.delay(retry, sl.rng), b.delay(retry, oracle); got != want {
+				t.Fatalf("slot %d retry %d: jittered delay %v, want %v", w, retry, got, want)
+			}
+		}
+	}
 }

@@ -300,10 +300,13 @@ func FromBatches(name string, schema *storage.Schema, batches []*storage.ColumnB
 // Narrow transformations
 // ---------------------------------------------------------------------------
 
+// filterNode keeps the rows fn accepts or, when fn is nil, the rows that are
+// null in none of the columns at nonNull (input indices bound at plan time).
 type filterNode struct {
-	child planNode
-	fn    FilterFunc
-	desc  string
+	child   planNode
+	fn      FilterFunc
+	nonNull []int
+	desc    string
 }
 
 func (n *filterNode) schema() *storage.Schema { return n.child.schema() }
@@ -320,6 +323,25 @@ func (d *Dataset) Filter(desc string, fn FilterFunc) *Dataset {
 		return failed(fmt.Errorf("%w: nil filter function", ErrBadPlan))
 	}
 	return &Dataset{node: &filterNode{child: d.node, fn: fn, desc: desc}}
+}
+
+// FilterNonNull keeps the records that are null in none of the named
+// columns; with no columns it keeps every record. The column indices are
+// bound here, and the kernel reads only null bitmaps: a batch whose named
+// columns carry none passes without a row being visited. desc is a
+// human-readable description used in plan explanations.
+func (d *Dataset) FilterNonNull(desc string, cols []string) *Dataset {
+	if bad, ok := d.invalid(); ok {
+		return bad
+	}
+	schema := d.node.schema()
+	indices := make([]int, len(cols))
+	for i, c := range cols {
+		if indices[i] = schema.IndexOf(c); indices[i] < 0 {
+			return failed(fmt.Errorf("%w: FilterNonNull: %w: column %q", ErrBadPlan, storage.ErrUnknownField, c))
+		}
+	}
+	return &Dataset{node: &filterNode{child: d.node, nonNull: indices, desc: desc}}
 }
 
 type mapNode struct {

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -283,6 +284,33 @@ func TestMapStringsPlanValidation(t *testing.T) {
 	}
 	if got := ok.Explain(); !strings.HasPrefix(got, "MapStrings(upper-case regions [region])") {
 		t.Errorf("Explain = %q", got)
+	}
+}
+
+func TestFilterNonNullPlanValidation(t *testing.T) {
+	d := salesDataset(t)
+	bad := d.FilterNonNull("drop", []string{"priority", "ghost"})
+	if err := bad.Err(); !errors.Is(err, ErrBadPlan) || !errors.Is(err, storage.ErrUnknownField) {
+		t.Errorf("unknown column: Err() = %v, want ErrBadPlan wrapping ErrUnknownField", err)
+	}
+	e := testEngine(t)
+	for _, tc := range []struct {
+		cols []string
+		want int64
+	}{
+		{nil, 6},                        // no columns keeps every row
+		{[]string{"id", "amount"}, 6},   // no bitmap on either column
+		{[]string{"priority", "id"}, 5}, // row 3 is null
+		{[]string{"priority", "priority"}, 5},
+	} {
+		plan := d.FilterNonNull("drop rows with missing required values", tc.cols)
+		if got := plan.Explain(); !strings.HasPrefix(got, "Filter(drop rows with missing required values)") {
+			t.Errorf("%v: Explain = %q", tc.cols, got)
+		}
+		n, err := e.Count(context.Background(), plan)
+		if err != nil || n != tc.want {
+			t.Errorf("%v: Count = %d, %v, want %d", tc.cols, n, err, tc.want)
+		}
 	}
 }
 

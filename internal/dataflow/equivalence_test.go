@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -77,7 +78,7 @@ func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 	ops := 1 + rng.Intn(5)
 	for i := 0; i < ops; i++ {
 		schema := d.Schema()
-		switch rng.Intn(7) {
+		switch rng.Intn(8) {
 		case 0: // filter on a random column, via the typed accessors
 			col := schema.Field(rng.Intn(schema.Len())).Name
 			cut := float64(rng.Intn(100) - 50)
@@ -129,6 +130,14 @@ func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 			if len(cols) > 0 {
 				d = d.MapStrings("tag", cols, func(s string) string { return "m:" + s })
 			}
+		case 7: // typed null filter on zero to two columns, nullable or not;
+			// a column a gathering operator rebuilt after an earlier null
+			// filter is nullable but carries no bitmap
+			cols := make([]string, rng.Intn(3))
+			for j := range cols {
+				cols[j] = schema.Field(rng.Intn(schema.Len())).Name
+			}
+			d = d.FilterNonNull("non-null "+strings.Join(cols, ","), cols)
 		}
 	}
 	if rng.Intn(2) == 0 {

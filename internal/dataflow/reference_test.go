@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -212,6 +213,12 @@ func refNarrow(node planNode, p int, rows []storage.Row) ([]storage.Row, error) 
 	switch n := node.(type) {
 	case *filterNode:
 		for _, row := range rows {
+			if n.fn == nil {
+				if !slices.ContainsFunc(n.nonNull, func(c int) bool { return row[c] == nil }) {
+					out = append(out, row)
+				}
+				continue
+			}
 			keep, err := n.fn(Record{schema: in, row: row})
 			if err != nil {
 				return nil, err

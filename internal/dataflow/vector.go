@@ -157,6 +157,10 @@ func runKernels(ops []planNode, rngs []*rand.Rand, b *storage.ColumnBatch, sel [
 	for opIdx, op := range ops {
 		switch n := op.(type) {
 		case *filterNode:
+			if n.fn == nil {
+				sel = keepNonNull(cur, sel, n.nonNull)
+				continue
+			}
 			schema := n.child.schema()
 			next := make([]int32, 0, selLen(cur.Len(), sel))
 			err := eachSel(cur.Len(), sel, func(i int) error {
@@ -273,6 +277,32 @@ func runKernels(ops []planNode, rngs []*rand.Rand, b *storage.ColumnBatch, sel [
 		cur = cur.Gather(sel)
 	}
 	return cur, nil
+}
+
+// keepNonNull narrows sel (nil = every row of b) to the rows that are null in
+// none of b's columns at cols. Only columns that carry a null bitmap are
+// tested; when none does, sel is returned as it is and no row is visited.
+func keepNonNull(b *storage.ColumnBatch, sel []int32, cols []int) []int32 {
+	var nullable []*storage.Column
+	for _, c := range cols {
+		if col := b.Column(c); col.HasNulls() {
+			nullable = append(nullable, col)
+		}
+	}
+	if len(nullable) == 0 {
+		return sel
+	}
+	next := make([]int32, 0, selLen(b.Len(), sel))
+	_ = eachSel(b.Len(), sel, func(i int) error {
+		for _, col := range nullable {
+			if col.Null(i) {
+				return nil
+			}
+		}
+		next = append(next, int32(i))
+		return nil
+	})
+	return narrowSel(b.Len(), sel, next)
 }
 
 // mapStringColumn builds fn of every selected cell of the n-row string column

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -163,5 +164,62 @@ func TestCountSkipsMaterialization(t *testing.T) {
 	}
 	if res.Stats.Batches == 0 {
 		t.Error("the plan must report batch stats")
+	}
+}
+
+// TestKeepNonNullSelection pins the typed null filter's kernel: columns
+// without a null bitmap leave the selection as it came in (the same slice,
+// or no selection at all), and a selection an earlier filter narrowed is
+// narrowed again by the bitmaps of the bound columns.
+func TestKeepNonNullSelection(t *testing.T) {
+	schema := storage.MustSchema(
+		storage.Field{Name: "k", Type: storage.TypeInt},
+		storage.Field{Name: "tag", Type: storage.TypeString, Nullable: true},
+		storage.Field{Name: "v", Type: storage.TypeFloat, Nullable: true},
+		storage.Field{Name: "w", Type: storage.TypeBool, Nullable: true},
+	)
+	rows := make([]storage.Row, 70)
+	for i := range rows {
+		rows[i] = storage.Row{int64(i), "t", float64(i), i%2 == 0}
+		if i%5 == 3 {
+			rows[i][2] = nil
+		}
+		if i == 66 {
+			rows[i][3] = nil
+		}
+	}
+	b, err := storage.BatchFromRows(schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Column(1).HasNulls() || !b.Column(2).HasNulls() {
+		t.Fatal("fixture: tag must carry no bitmap and v one")
+	}
+	if got := keepNonNull(b, nil, []int{0, 1}); got != nil {
+		t.Errorf("no bitmap, no selection: got %v, want nil", got)
+	}
+	earlier := []int32{1, 2, 3, 8, 13, 40, 66, 69}
+	if got := keepNonNull(b, earlier, []int{1, 0}); &got[0] != &earlier[0] || len(got) != len(earlier) {
+		t.Errorf("no bitmap: selection %v, want the incoming one", got)
+	}
+	if got := keepNonNull(b, earlier, nil); &got[0] != &earlier[0] {
+		t.Errorf("no columns: selection %v, want the incoming one", got)
+	}
+	want := []int32{1, 2, 40, 69}
+	if got := keepNonNull(b, earlier, []int{2, 1, 3}); !slices.Equal(got, want) {
+		t.Errorf("chained selection: got %v, want %v", got, want)
+	}
+	var all []int32
+	for i := range rows {
+		if i%5 != 3 {
+			all = append(all, int32(i))
+		}
+	}
+	if got := keepNonNull(b, nil, []int{2}); !slices.Equal(got, all) {
+		t.Errorf("no selection: got %v, want %v", got, all)
+	}
+	kept := []int32{0, 1, 2}
+	if got := keepNonNull(b, kept, []int{2, 3}); &got[0] != &kept[0] {
+		t.Errorf("every selected row kept: got %v, want the incoming selection", got)
 	}
 }

@@ -359,16 +359,8 @@ func (r *Runner) applyPreparation(campaign *model.Campaign, comp *procedural.Com
 	for _, step := range comp.StepsByArea(model.AreaPreparation) {
 		switch step.Service.Capability {
 		case "clean_missing":
-			cols := append([]string(nil), required...)
-			d = d.Filter("drop rows with missing required values", func(rec dataflow.Record) (bool, error) {
-				for _, c := range cols {
-					if rec.IsNull(c) {
-						return false, nil
-					}
-				}
-				return true, nil
-			})
-			details["preparation.clean"] = "drop-null on " + strings.Join(cols, ",")
+			d = d.FilterNonNull("drop rows with missing required values", required)
+			details["preparation.clean"] = "drop-null on " + strings.Join(required, ",")
 		case "pseudonymize":
 			d = maskSensitiveColumns(d, schema, pseudonymize)
 			details["preparation.privacy"] = "pseudonymized " + strings.Join(sensitiveColumns(schema), ",")
@@ -460,8 +452,8 @@ func maskSensitiveColumns(d *dataflow.Dataset, schema *storage.Schema, fn func(s
 
 // runAnalytics executes the analytics step over the prepared batches and
 // returns the measured accuracy indicator plus diagnostics. Every reader
-// resolves its column indices once and reads typed cells with the
-// ColumnBatch *At accessors; no prepared row is boxed.
+// resolves its column indices once and reads typed cells, from the column
+// vectors or through the ColumnBatch *At accessors; no prepared row is boxed.
 func (r *Runner) runAnalytics(ctx context.Context, engine *dataflow.Engine, campaign *model.Campaign,
 	step procedural.Step, prepared *dataflow.BatchResult) (float64, map[string]string, error) {
 
@@ -580,31 +572,15 @@ func (r *Runner) runAssociation(campaign *model.Campaign, prepared *dataflow.Bat
 	if itemCol == "" || txCol == "" {
 		return 0, details, fmt.Errorf("%w: association needs item and transaction columns", ErrMissingParam)
 	}
-	// One transaction per distinct basket, in first-seen row order.
-	txIdx := prepared.Schema.IndexOf(txCol)
-	itemIdx := prepared.Schema.IndexOf(itemCol)
-	basketOf := map[string]int{}
-	var txList [][]string
-	for _, b := range prepared.Batches {
-		for i := 0; i < b.Len(); i++ {
-			key := b.StringAt(i, txIdx)
-			t, ok := basketOf[key]
-			if !ok {
-				t = len(txList)
-				basketOf[key] = t
-				txList = append(txList, nil)
-			}
-			txList[t] = append(txList[t], b.StringAt(i, itemIdx))
-		}
-	}
+	baskets := basketsOf(prepared.Batches, prepared.Schema.IndexOf(txCol), prepared.Schema.IndexOf(itemCol))
 	apriori := &analytics.Apriori{MinSupport: 0.05, MinConfidence: 0.4}
-	itemsets, rules, err := apriori.Mine(txList)
+	itemsets, rules, err := apriori.MineBaskets(baskets)
 	if err != nil {
 		return 0, details, fmt.Errorf("runner: apriori: %w", err)
 	}
 	details["association.itemsets"] = fmt.Sprintf("%d", len(itemsets))
 	details["association.rules"] = fmt.Sprintf("%d", len(rules))
-	details["association.baskets"] = fmt.Sprintf("%d", len(txList))
+	details["association.baskets"] = fmt.Sprintf("%d", baskets.Len())
 	if len(rules) == 0 {
 		return 0, details, nil
 	}
@@ -737,37 +713,23 @@ func (r *Runner) runSessionization(campaign *model.Campaign, prepared *dataflow.
 	if campaign.Goal.LabelColumn != "" {
 		labelIdx = schema.IndexOf(campaign.Goal.LabelColumn)
 	}
-	events := make([]analytics.Event, 0, prepared.Len())
-	for _, b := range prepared.Batches {
-		for i := 0; i < b.Len(); i++ {
-			var at time.Time
-			if ms, ok := b.IntAt(i, timeIdx); ok {
-				at = time.UnixMilli(ms).UTC()
-			}
-			user, _ := b.IntAt(i, userIdx)
-			converted, _ := b.BoolAt(i, labelIdx)
-			events = append(events, analytics.Event{
-				UserID:    user,
-				At:        at,
-				Converted: converted,
-			})
-		}
-	}
+	users := intColumn(prepared.Batches, prepared.Len(), userIdx, 0)
+	times := intColumn(prepared.Batches, prepared.Len(), timeIdx, zeroTimeMs)
+	converted := boolColumn(prepared.Batches, prepared.Len(), labelIdx)
 	sessionizer := &analytics.Sessionizer{Timeout: 30 * time.Minute}
-	sessions, err := sessionizer.Sessionize(events)
+	sessions, err := sessionizer.Count(users, times, converted)
 	if err != nil {
 		return 0, details, fmt.Errorf("runner: sessionize: %w", err)
 	}
-	rate := analytics.ConversionRate(sessions)
-	details["sessionization.sessions"] = fmt.Sprintf("%d", len(sessions))
-	details["sessionization.conversion_rate"] = fmt.Sprintf("%.3f", rate)
+	details["sessionization.sessions"] = fmt.Sprintf("%d", sessions.Sessions)
+	details["sessionization.conversion_rate"] = fmt.Sprintf("%.3f", sessions.ConversionRate())
 	// Quality: coverage of events by sessions (always 1 with this algorithm)
 	// scaled by a sanity factor that sessions are non-degenerate (more events
 	// than sessions).
-	if len(sessions) == 0 || len(events) == 0 {
+	if sessions.Sessions == 0 || len(users) == 0 {
 		return 0, details, nil
 	}
-	quality := 1.0 - float64(len(sessions))/float64(len(events))
+	quality := 1.0 - float64(sessions.Sessions)/float64(len(users))
 	if quality < 0 {
 		quality = 0
 	}

@@ -14,7 +14,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 )
@@ -165,6 +164,8 @@ func DecodeBatch(schema *Schema, data []byte) (*ColumnBatch, error) {
 	return b, nil
 }
 
+// decodeColumnPayload decodes a v1 column payload: the null bitmap's word
+// count and words, then the raw values.
 func decodeColumnPayload(col *Column, typ FieldType, data []byte, n int) error {
 	col.typ = typ
 	words, k := binary.Uvarint(data)
@@ -181,48 +182,7 @@ func decodeColumnPayload(col *Column, typ FieldType, data []byte, n int) error {
 		}
 		data = data[words*8:]
 	}
-	switch typ {
-	case TypeInt, TypeTime:
-		if len(data) != n*8 {
-			return fmt.Errorf("%w: int column payload is %d bytes, want %d", ErrBadBatchEncoding, len(data), n*8)
-		}
-		col.ints = make([]int64, n)
-		for i := range col.ints {
-			col.ints[i] = int64(binary.BigEndian.Uint64(data[i*8:]))
-		}
-	case TypeFloat:
-		if len(data) != n*8 {
-			return fmt.Errorf("%w: float column payload is %d bytes, want %d", ErrBadBatchEncoding, len(data), n*8)
-		}
-		col.floats = make([]float64, n)
-		for i := range col.floats {
-			col.floats[i] = math.Float64frombits(binary.BigEndian.Uint64(data[i*8:]))
-		}
-	case TypeBool:
-		if len(data) != (n+7)/8 {
-			return fmt.Errorf("%w: bool column payload is %d bytes, want %d", ErrBadBatchEncoding, len(data), (n+7)/8)
-		}
-		col.bools = make([]bool, n)
-		for i := range col.bools {
-			col.bools[i] = data[i>>3]&(1<<uint(i&7)) != 0
-		}
-	case TypeString:
-		col.strs = make([]string, n)
-		for i := range col.strs {
-			l, k := binary.Uvarint(data)
-			if k <= 0 || uint64(len(data)-k) < l {
-				return fmt.Errorf("%w: truncated string row %d", ErrBadBatchEncoding, i)
-			}
-			col.strs[i] = string(data[k : k+int(l)])
-			data = data[k+int(l):]
-		}
-		if len(data) != 0 {
-			return fmt.Errorf("%w: %d trailing bytes after string column", ErrBadBatchEncoding, len(data))
-		}
-	default:
-		return fmt.Errorf("%w: unsupported column type %d", ErrBadBatchEncoding, typ)
-	}
-	return nil
+	return decodeRawValues(col, typ, data, n)
 }
 
 // StoreOption configures a PartitionStore.
