@@ -67,7 +67,11 @@ lint:
 # earlier snapshot to a plain row model. FuzzSpillStore interleaves appends
 # and reads on a partition store under random budgets and frame sizes, holds
 # every read and spill counter to a plain row model, and merges the same
-# batches as runs against a stable sort. The
+# batches as runs against a stable sort. FuzzSortKeys sorts 1-3 keys over
+# every column type (nulls, -0, NaN, infinities, ints beyond 2^53, strings
+# sharing an 8-byte prefix) in both directions and holds the sort's
+# selection, its merge comparator and its range split to a boxed stable sort.
+# The
 # time box keeps the target usable as a pre-commit check; raise FUZZTIME for a
 # longer soak. Go fuzzing accepts one -fuzz pattern per package invocation,
 # so the targets run back to back.
@@ -81,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegmentFooter' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzSaveTableChunking' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanEquivalence' -fuzztime $(FUZZTIME) ./internal/dataflow/
+	$(GO) test -run '^$$' -fuzz 'FuzzSortKeys' -fuzztime $(FUZZTIME) ./internal/dataflow/
 	$(GO) test -run '^$$' -fuzz 'FuzzAprioriEquivalence' -fuzztime $(FUZZTIME) ./internal/analytics/
 	$(GO) test -run '^$$' -fuzz 'FuzzSessionization' -fuzztime $(FUZZTIME) ./internal/analytics/
 	$(GO) test -run '^$$' -fuzz 'FuzzPseudonymize' -fuzztime $(FUZZTIME) ./internal/runner/

@@ -467,7 +467,9 @@ func (n *mapStringsNode) label() string {
 // MapStrings replaces every non-null cell of the named string columns with
 // fn of its value. Null cells stay null and fn never sees them; the output
 // schema is the input schema. desc describes the rewrite in plan
-// explanations.
+// explanations. fn must be a pure function: it may be called fewer times
+// than there are rows, since a cell equal to the previous non-null cell of
+// its column reuses that cell's output.
 func (d *Dataset) MapStrings(desc string, cols []string, fn func(string) string) *Dataset {
 	if bad, ok := d.invalid(); ok {
 		return bad
@@ -606,7 +608,11 @@ func (n *sortNode) label() string           { return fmt.Sprintf("Sort(%v)", n.o
 // parallel (output partitions are ordered end to end, so their concatenation
 // is the fully sorted dataset) or, for small inputs and engines with a single
 // shuffle partition, collapses everything into one sorted partition. The
-// order is storage.CompareValues' (nulls first), and the sort is stable.
+// sort is stable. Each column orders as storage.CompareValues does with
+// nulls first (ints and times through their float64 conversions), except
+// that floats follow cmp.Compare so the order is total: nulls, then NaN,
+// then -Inf … +Inf, with -0 tying +0. A descending column reverses this
+// order, so its nulls sort last.
 func (d *Dataset) Sort(orders ...SortOrder) *Dataset {
 	if bad, ok := d.invalid(); ok {
 		return bad

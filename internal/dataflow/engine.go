@@ -3,7 +3,6 @@ package dataflow
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -753,7 +752,7 @@ func (e *Engine) gatherBatches(in []*storage.ColumnBatch, schema *storage.Schema
 // Sort
 // ---------------------------------------------------------------------------
 
-// evalSort executes Sort over columnar batches: per-type compare kernels
+// evalSort executes Sort over columnar batches: normalized key words
 // (batchComparator) order selection vectors directly over the column vectors
 // — no row is boxed anywhere, including the range-partition sampling — and
 // under a memory budget each partition runs as a spill-aware external merge
@@ -839,19 +838,16 @@ func (e *Engine) evalSortRange(ctx context.Context, in []*storage.ColumnBatch, t
 		}
 	}
 	st.addSampled(sample.Len())
-	sortedSample := sample.Gather(cmp.sortedSelection(sample))
-	bounds := make([]int, 0, e.shufflePartitions-1)
+	order := cmp.sortedSelection(sample)
+	points := make([]int32, 0, e.shufflePartitions-1)
 	for b := 1; b < e.shufflePartitions; b++ {
-		bounds = append(bounds, b*sortedSample.Len()/e.shufflePartitions)
+		points = append(points, order[b*len(order)/e.shufflePartitions])
 	}
 
-	// Range shuffle: partition p receives the rows in [bounds[p-1], bounds[p]),
-	// rows equal to a split point landing on its right.
-	store, err := e.gatherBatches(in, schema, st, func(b *storage.ColumnBatch, r int) int {
-		return sort.Search(len(bounds), func(x int) bool {
-			return cmp.Compare(b, r, sortedSample, bounds[x]) < 0
-		})
-	})
+	// Range shuffle: partition p receives the rows between split points p-1
+	// and p, rows equal to a split point landing on its right.
+	split := newRangeSplit(cmp, sample.Gather(points))
+	store, err := e.gatherBatches(in, schema, st, split.partition)
 	if err != nil {
 		return nil, err
 	}

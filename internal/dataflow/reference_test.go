@@ -17,6 +17,7 @@ package dataflow
 // answer; the plan generators never build one.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -348,14 +349,14 @@ func refDistinct(n *distinctNode, rows []storage.Row) []storage.Row {
 	return out
 }
 
-// refSort is a stable sort on the orders under CompareValues.
+// refSort is a stable sort on the orders under refSortCompare.
 func refSort(n *sortNode, rows []storage.Row) []storage.Row {
 	in := n.child.schema()
 	out := append([]storage.Row(nil), rows...)
 	sort.SliceStable(out, func(a, b int) bool {
 		for _, o := range n.orders {
 			c := in.IndexOf(o.Column)
-			d := storage.CompareValues(out[a][c], out[b][c])
+			d := refSortCompare(out[a][c], out[b][c])
 			if o.Descending {
 				d = -d
 			}
@@ -366,6 +367,18 @@ func refSort(n *sortNode, rows []storage.Row) []storage.Row {
 		return false
 	})
 	return out
+}
+
+// refSortCompare is Sort's order of two cells of one column: CompareValues'
+// (nulls first), except that two floats follow cmp.Compare (NaN below -Inf,
+// -0 tying +0) so that the order is total.
+func refSortCompare(a, b storage.Value) int {
+	if x, ok := a.(float64); ok {
+		if y, ok := b.(float64); ok {
+			return cmp.Compare(x, y)
+		}
+	}
+	return storage.CompareValues(a, b)
 }
 
 // refGroupBy emits one row per key: the key values of the group's first row,

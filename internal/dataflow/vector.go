@@ -19,12 +19,16 @@ package dataflow
 //     (KeyEncoder.BatchKey/BatchHash) and move rows by batch index with
 //     typed copies (shuffleBatches, ColumnBatch.Gather), so a shuffle never
 //     materialises a boxed Row either.
-//   - Sort orders selection vectors with typed per-column compare kernels
-//     (batchComparator) directly over the column vectors.
+//   - Sort orders rows by normalized keys (batchComparator): one uint64
+//     word per key and row that compares as an unsigned integer, so a
+//     single-word key radix-sorts and the run merge compares the same
+//     words; only string prefixes that tie are compared in full.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -306,15 +310,22 @@ func keepNonNull(b *storage.ColumnBatch, sel []int32, cols []int) []int32 {
 }
 
 // mapStringColumn builds fn of every selected cell of the n-row string column
-// src into a fresh vector. Null cells stay null; fn never sees them.
+// src into a fresh vector. Null cells stay null; fn never sees them. fn is
+// pure, so a cell equal to the previous non-null cell reuses its output:
+// fn runs once per run of equal adjacent values.
 func mapStringColumn(src *storage.Column, n int, sel []int32, fn func(string) string) storage.Column {
 	out := storage.NewColumnBuilder(storage.TypeString, selLen(n, sel))
 	row := 0
+	var prevIn, prevOut string
+	seen := false
 	_ = eachSel(n, sel, func(i int) error {
 		if src.Null(i) {
 			out.AppendNull(row)
 		} else {
-			out.AppendStr(fn(src.Str(i)))
+			if s := src.Str(i); !seen || s != prevIn {
+				prevIn, prevOut, seen = s, fn(s), true
+			}
+			out.AppendStr(prevOut)
 		}
 		row++
 		return nil
@@ -323,210 +334,277 @@ func mapStringColumn(src *storage.Column, n int, sel []int32, fn func(string) st
 }
 
 // ---------------------------------------------------------------------------
-// Sort (typed comparator kernels)
+// Sort (normalized keys)
 // ---------------------------------------------------------------------------
 
-// colCompareFn is one per-type compare kernel: it orders cell ai of column a
-// against cell bi of column b (both columns of the same field type) without
-// boxing either value. The result must match storage.CompareValues over the
-// boxed equivalents exactly — which pairs count as equal decides how a stable
-// sort breaks ties, and Sort's documented semantics are CompareValues'.
-type colCompareFn func(a *storage.Column, ai int, b *storage.Column, bi int) int
-
-// compareNullCells orders the null cases: nulls sort first, two nulls tie.
-// ok is false when neither cell is null and the typed kernel must decide.
-func compareNullCells(aNull, bNull bool) (int, bool) {
-	switch {
-	case aNull && bNull:
-		return 0, true
-	case aNull:
-		return -1, true
-	case bNull:
-		return 1, true
-	default:
-		return 0, false
-	}
+// sortKey is one resolved sort key: column position, field type and
+// direction.
+type sortKey struct {
+	col  int
+	typ  storage.FieldType
+	desc bool
 }
 
-// compareIntCells orders int/time cells. CompareValues routes numerics
-// through AsFloat, so the kernel compares the float64 conversions too: int64
-// pairs beyond 2^53 that collapse to the same float64 must stay "equal" here
-// as well, or the sort would break ties differently from CompareValues.
-func compareIntCells(a *storage.Column, ai int, b *storage.Column, bi int) int {
-	if c, done := compareNullCells(a.Null(ai), b.Null(bi)); done {
-		return c
+// The sort order is defined by one normalized word per key and row: fixed
+// 64-bit words that compare as unsigned integers. Null is word 0, below
+// every value; a descending key inverts its words, so its nulls sort last.
+const (
+	nullWord  uint64 = 0
+	nanWord   uint64 = 1 // every NaN: above null, below -Inf
+	falseWord uint64 = 1
+	trueWord  uint64 = 2
+)
+
+// floatWord is the order-preserving transform of a non-NaN float64: flip
+// every bit of a negative value, set the sign bit of a non-negative one.
+// -Inf maps above nanWord, and -0 must be made +0 first to tie with it.
+func floatWord(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
 	}
-	af, bf := float64(a.Int(ai)), float64(b.Int(bi))
-	switch {
-	case af < bf:
-		return -1
-	case af > bf:
-		return 1
-	default:
-		return 0
-	}
+	return b | 1<<63
 }
 
-// compareFloatCells orders float cells. NaN compares "equal" to everything —
-// both < and > are false — which is CompareValues' behaviour too.
-func compareFloatCells(a *storage.Column, ai int, b *storage.Column, bi int) int {
-	if c, done := compareNullCells(a.Null(ai), b.Null(bi)); done {
-		return c
+// strWord is the first 8 bytes of s, big-endian and zero-padded. Equal
+// words do not mean equal strings: a tie is settled by tie.
+func strWord(s string) uint64 {
+	if len(s) >= 8 {
+		return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
 	}
-	af, bf := a.Float(ai), b.Float(bi)
-	switch {
-	case af < bf:
-		return -1
-	case af > bf:
-		return 1
-	default:
-		return 0
+	var w uint64
+	for i := 0; i < len(s); i++ {
+		w |= uint64(s[i]) << (56 - 8*i)
 	}
+	return w
 }
 
-func compareStringCells(a *storage.Column, ai int, b *storage.Column, bi int) int {
-	if c, done := compareNullCells(a.Null(ai), b.Null(bi)); done {
-		return c
-	}
-	// Dictionary fast path: when both cells come from the same decoded spill
-	// frame, their codes index one strictly sorted dictionary, so code order
-	// is string order — two uint32 compares instead of a byte-wise one. The
-	// external merge hits this whenever it compares rows within one restored
-	// run frame.
-	if storage.DictShared(a, b) {
-		ac, bc := a.Codes()[ai], b.Codes()[bi]
-		switch {
-		case ac < bc:
-			return -1
-		case ac > bc:
-			return 1
-		default:
-			return 0
+// word returns the normalized word of row i of c, the key's column.
+// Int and time cells order by their float64 conversion, as
+// storage.CompareValues does, so int64 values beyond 2^53 that round to one
+// float64 tie.
+func (k sortKey) word(c *storage.Column, i int) uint64 {
+	w := nullWord
+	if !c.Null(i) {
+		switch k.typ {
+		case storage.TypeInt, storage.TypeTime:
+			w = floatWord(float64(c.Int(i)))
+		case storage.TypeFloat:
+			w = floatKeyWord(c.Float(i))
+		case storage.TypeBool:
+			w = falseWord
+			if c.Bool(i) {
+				w = trueWord
+			}
+		case storage.TypeString:
+			w = strWord(c.Str(i))
 		}
 	}
-	as, bs := a.Str(ai), b.Str(bi)
-	switch {
-	case as < bs:
-		return -1
-	case as > bs:
-		return 1
-	default:
+	if k.desc {
+		return ^w
+	}
+	return w
+}
+
+// floatKeyWord is a non-null float cell's word: NaN below -Inf, -0 tying +0.
+func floatKeyWord(f float64) uint64 {
+	if f != f {
+		return nanWord
+	}
+	if f == 0 {
+		f = 0
+	}
+	return floatWord(f)
+}
+
+// tie orders two cells of the key whose words are equal. Only strings can
+// still differ: they compare in full, with null before "" (both word 0).
+func (k sortKey) tie(a *storage.Column, ai int, b *storage.Column, bi int) int {
+	if k.typ != storage.TypeString {
 		return 0
 	}
-}
-
-// compareBoolCells orders bool cells: false < true.
-func compareBoolCells(a *storage.Column, ai int, b *storage.Column, bi int) int {
-	if c, done := compareNullCells(a.Null(ai), b.Null(bi)); done {
-		return c
-	}
-	ab, bb := a.Bool(ai), b.Bool(bi)
-	switch {
-	case !ab && bb:
-		return -1
-	case ab && !bb:
-		return 1
+	var r int
+	switch an, bn := a.Null(ai), b.Null(bi); {
+	case an && bn:
+		r = 0
+	case an:
+		r = -1
+	case bn:
+		r = 1
 	default:
-		return 0
+		r = cmp.Compare(a.Str(ai), b.Str(bi))
 	}
+	if k.desc {
+		return -r
+	}
+	return r
 }
 
-// compareBoxedCells is the total fallback for column types without a typed
-// kernel: box both cells and defer to CompareValues. Schema-validated plans
-// never reach it.
-func compareBoxedCells(a *storage.Column, ai int, b *storage.Column, bi int) int {
-	return storage.CompareValues(a.Value(ai), b.Value(bi))
+// keyRow pairs a row index with one normalized word of it.
+type keyRow struct {
+	w   uint64
+	row int32
 }
 
-// sortKeyKernel is one resolved sort key: column position, direction, and the
-// type-selected compare kernel.
-type sortKeyKernel struct {
-	col  int
-	desc bool
-	cmp  colCompareFn
-}
-
-// batchComparator orders batch rows under a multi-key sort without
-// materialising or boxing them: each key compares through its typed kernel
-// and later keys only break ties of earlier ones.
+// batchComparator orders batch rows under a multi-key sort by their
+// normalized words, without materialising or boxing a row: later keys only
+// break ties of earlier ones.
 type batchComparator struct {
-	keys []sortKeyKernel
+	keys []sortKey
 }
 
-// newBatchComparator resolves the sort orders against schema, selecting one
-// typed kernel per key column.
+// newBatchComparator resolves the sort orders against schema.
 func newBatchComparator(schema *storage.Schema, orders []SortOrder) (*batchComparator, error) {
-	keys := make([]sortKeyKernel, len(orders))
+	keys := make([]sortKey, len(orders))
 	for i, o := range orders {
 		idx := schema.IndexOf(o.Column)
 		if idx < 0 {
 			return nil, fmt.Errorf("dataflow: sort: %w: column %q not in input schema %s",
 				storage.ErrUnknownField, o.Column, schema)
 		}
-		var cmp colCompareFn
-		switch schema.Field(idx).Type {
-		case storage.TypeInt, storage.TypeTime:
-			cmp = compareIntCells
-		case storage.TypeFloat:
-			cmp = compareFloatCells
-		case storage.TypeString:
-			cmp = compareStringCells
-		case storage.TypeBool:
-			cmp = compareBoolCells
-		default:
-			cmp = compareBoxedCells
-		}
-		keys[i] = sortKeyKernel{col: idx, desc: o.Descending, cmp: cmp}
+		keys[i] = sortKey{col: idx, typ: schema.Field(idx).Type, desc: o.Descending}
 	}
 	return &batchComparator{keys: keys}, nil
 }
 
-// Compare orders row ai of batch a against row bi of batch b. Both batches
-// must share the comparator's schema. The signature matches
-// storage.BatchRowCompare, so the same comparator drives in-batch selection
-// sorts, range-bound searches and the external run merge.
-func (c *batchComparator) Compare(a *storage.ColumnBatch, ai int, b *storage.ColumnBatch, bi int) int {
-	for _, k := range c.keys {
-		r := k.cmp(a.Column(k.col), ai, b.Column(k.col), bi)
-		if r == 0 {
-			continue
+// compareFrom orders row ai of batch a against row bi of batch b on the keys
+// from index from on, deriving each key's words from the cells.
+func (c *batchComparator) compareFrom(from int, a *storage.ColumnBatch, ai int, b *storage.ColumnBatch, bi int) int {
+	for _, k := range c.keys[from:] {
+		ca, cb := a.Column(k.col), b.Column(k.col)
+		if r := cmp.Compare(k.word(ca, ai), k.word(cb, bi)); r != 0 {
+			return r
 		}
-		if k.desc {
-			return -r
+		if r := k.tie(ca, ai, cb, bi); r != 0 {
+			return r
 		}
-		return r
 	}
 	return 0
 }
 
+// Compare orders row ai of batch a against row bi of batch b. Both batches
+// must share the comparator's schema. The signature matches
+// storage.BatchRowCompare: it is the external run merge's comparator, and
+// it orders rows exactly as sortedSelection does.
+func (c *batchComparator) Compare(a *storage.ColumnBatch, ai int, b *storage.ColumnBatch, bi int) int {
+	return c.compareFrom(0, a, ai, b, bi)
+}
+
 // sortedSelection returns the stable sort permutation of b's rows as a
 // selection vector: Gather-ing it materialises the sorted batch with typed
-// copies. The key columns are resolved once and the sort permutes 4-byte
-// indices through slices.SortStableFunc (no reflect-based swapping), which is
-// what makes the sort core allocation-free up to the selection vector itself.
+// copies. It sorts (first word, row) pairs; ties break on the row index, so
+// an unstable sort yields exactly the stable permutation. One non-string
+// key is fully ordered by its words and takes an LSD radix sort; otherwise
+// pdqsort settles first-word ties on the string and later keys.
 func (c *batchComparator) sortedSelection(b *storage.ColumnBatch) []int32 {
-	cols := make([]*storage.Column, len(c.keys))
-	for i, k := range c.keys {
-		cols[i] = b.Column(k.col)
+	k0 := c.keys[0]
+	col0 := b.Column(k0.col)
+	pairs := make([]keyRow, b.Len())
+	for i := range pairs {
+		pairs[i] = keyRow{w: k0.word(col0, i), row: int32(i)}
 	}
-	sel := make([]int32, b.Len())
-	for i := range sel {
-		sel[i] = int32(i)
+	if len(c.keys) == 1 && k0.typ != storage.TypeString {
+		pairs = radixSort(pairs, make([]keyRow, len(pairs)))
+	} else {
+		slices.SortFunc(pairs, func(x, y keyRow) int {
+			if x.w != y.w {
+				return cmp.Compare(x.w, y.w)
+			}
+			xr, yr := int(x.row), int(y.row)
+			if r := k0.tie(col0, xr, col0, yr); r != 0 {
+				return r
+			}
+			if r := c.compareFrom(1, b, xr, b, yr); r != 0 {
+				return r
+			}
+			return cmp.Compare(x.row, y.row)
+		})
 	}
-	slices.SortStableFunc(sel, func(x, y int32) int {
-		for i := range c.keys {
-			r := c.keys[i].cmp(cols[i], int(x), cols[i], int(y))
-			if r == 0 {
-				continue
-			}
-			if c.keys[i].desc {
-				return -r
-			}
-			return r
-		}
-		return 0
-	})
+	sel := make([]int32, len(pairs))
+	for i, p := range pairs {
+		sel[i] = p.row
+	}
 	return sel
+}
+
+// radixSort sorts a by word with a stable LSD radix sort over 8-bit digits,
+// using buf (len(a)) as scratch, and returns whichever of the two holds the
+// result. Digits on which every word agrees are skipped.
+func radixSort(a, buf []keyRow) []keyRow {
+	if len(a) < 2 {
+		return a
+	}
+	var diff uint64
+	for _, p := range a {
+		diff |= p.w ^ a[0].w
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if (diff>>shift)&0xff == 0 {
+			continue
+		}
+		var offsets [256]int
+		for _, p := range a {
+			offsets[byte(p.w>>shift)]++
+		}
+		pos := 0
+		for d, n := range offsets {
+			offsets[d] = pos
+			pos += n
+		}
+		for _, p := range a {
+			d := byte(p.w >> shift)
+			buf[offsets[d]] = p
+			offsets[d]++
+		}
+		a, buf = buf, a
+	}
+	return a
+}
+
+// rangeSplit assigns rows to range partitions: partition p receives the rows
+// ordered at or after split point p-1 and before split point p. The split
+// points' first-key words are extracted once; later keys and string
+// prefixes are consulted only on a first-word tie.
+type rangeSplit struct {
+	cmp    *batchComparator
+	points *storage.ColumnBatch
+	words  []uint64
+}
+
+func newRangeSplit(c *batchComparator, points *storage.ColumnBatch) *rangeSplit {
+	k0 := c.keys[0]
+	col := points.Column(k0.col)
+	words := make([]uint64, points.Len())
+	for i := range words {
+		words[i] = k0.word(col, i)
+	}
+	return &rangeSplit{cmp: c, points: points, words: words}
+}
+
+// partition returns row r of b's range partition: the number of split
+// points it does not sort before, so rows equal to a split point land on its
+// right.
+func (s *rangeSplit) partition(b *storage.ColumnBatch, r int) int {
+	k0 := s.cmp.keys[0]
+	col := b.Column(k0.col)
+	w := k0.word(col, r)
+	lo, hi := 0, len(s.words)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		c := cmp.Compare(w, s.words[m])
+		if c == 0 {
+			if c = k0.tie(col, r, s.points.Column(k0.col), m); c == 0 {
+				c = s.cmp.compareFrom(1, b, r, s.points, m)
+			}
+		}
+		if c < 0 {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // ---------------------------------------------------------------------------

@@ -223,3 +223,46 @@ func TestKeepNonNullSelection(t *testing.T) {
 		t.Errorf("every selected row kept: got %v, want the incoming selection", got)
 	}
 }
+
+// TestMapStringColumnOncePerRun pins the mask kernel's reuse: fn runs once
+// per run of equal adjacent non-null cells (a null between two equal cells
+// does not split their run) and never on a null, with or without a selection
+// vector, and every output cell is fn of its input.
+func TestMapStringColumnOncePerRun(t *testing.T) {
+	schema := storage.MustSchema(storage.Field{Name: "s", Type: storage.TypeString, Nullable: true})
+	cells := []storage.Value{"a", "a", nil, "a", "b", "b", "a", nil, nil, "c", "c", "", "", "c"}
+	rows := make([]storage.Row, len(cells))
+	for i, v := range cells {
+		rows[i] = storage.Row{v}
+	}
+	b, err := storage.BatchFromRows(schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		sel   []int32
+		calls int
+	}{
+		{"every row", nil, 6}, // a b a c "" c
+		{"selection", []int32{0, 2, 3, 5, 7, 9, 10, 11, 13}, 5}, // a a b c c "" c
+	} {
+		calls := 0
+		fn := func(s string) string { calls++; return "m:" + s }
+		out := mapStringColumn(b.Column(0), b.Len(), tc.sel, fn)
+		if calls != tc.calls {
+			t.Errorf("%s: fn called %d times, want %d", tc.name, calls, tc.calls)
+		}
+		row := 0
+		_ = eachSel(b.Len(), tc.sel, func(i int) error {
+			switch {
+			case cells[i] == nil && !out.Null(row):
+				t.Errorf("%s: row %d: null cell mapped to %q", tc.name, row, out.Str(row))
+			case cells[i] != nil && (out.Null(row) || out.Str(row) != "m:"+cells[i].(string)):
+				t.Errorf("%s: row %d = %q, want %q", tc.name, row, out.Str(row), "m:"+cells[i].(string))
+			}
+			row++
+			return nil
+		})
+	}
+}

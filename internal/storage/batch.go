@@ -69,12 +69,11 @@ func (m *nullBitmap) set(i int) {
 // the frame's sorted unique-value dictionary and the per-row codes into it:
 // strs[i] == dict[codes[i]], dict is strictly ascending, so within one frame
 // code equality is string equality and code order is string order. Operators
-// use this for code-based fast paths (group-by, distinct, sort comparators);
-// dictionaries from different frames are unrelated, so codes must never be
-// compared across columns unless DictShared reports the same backing
-// dictionary. Builder-constructed columns have no dictionary, and the
-// read-only-after-construction contract keeps dict/codes consistent with
-// strs.
+// use this for code-based fast paths (group-by, distinct); dictionaries from
+// different frames are unrelated, so codes must never be compared across
+// columns of different frames. Builder-constructed columns have no
+// dictionary, and the read-only-after-construction contract keeps
+// dict/codes consistent with strs.
 type Column struct {
 	typ    FieldType
 	ints   []int64
@@ -97,12 +96,6 @@ func (c *Column) Dict() []string { return c.dict }
 // (nil otherwise). Only indices below the owning batch's Len are meaningful —
 // Head views share longer parent vectors. Read-only.
 func (c *Column) Codes() []uint32 { return c.codes }
-
-// DictShared reports whether a and b are backed by the same dictionary (the
-// same decoded frame), which is the precondition for comparing their codes.
-func DictShared(a, b *Column) bool {
-	return len(a.dict) > 0 && len(a.dict) == len(b.dict) && &a.dict[0] == &b.dict[0]
-}
 
 // Null reports whether row i of the column is null.
 func (c *Column) Null(i int) bool { return c.nulls.get(i) }

@@ -125,17 +125,6 @@ func TestBatchCodecV2DictInvariant(t *testing.T) {
 			t.Fatalf("row %d: dict[%d]=%q != %q", i, codes[i], dict[codes[i]], col.Str(i))
 		}
 	}
-	if !DictShared(col, col) {
-		t.Error("DictShared must hold for a column against itself")
-	}
-	enc2 := EncodeBatchOpts(nil, b, CodecOptions{Compress: true})
-	dec2, err := DecodeBatch(b.Schema(), enc2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if DictShared(col, dec2.Column(1)) {
-		t.Error("DictShared must distinguish dictionaries of different decoded frames")
-	}
 }
 
 func TestBatchCodecV2CompressionWins(t *testing.T) {
