@@ -4,10 +4,10 @@
 // engine that compiles logical plans into parallel tasks executed on the
 // simulated cluster.
 //
-// A Dataset is an immutable logical plan. Transformations (Filter, Map,
-// GroupBy, Join, …) build a new plan; nothing executes until an Engine action
-// (Collect, Count) is called. Narrow transformations run one task per
-// partition; wide transformations (group-by, join, distinct, sort) introduce a
+// A Dataset is an immutable logical plan. Transformations (Filter,
+// WithColumn, GroupBy, Join, …) build a new plan; nothing executes until an
+// Engine action (Collect, Count) is called. Narrow transformations run one
+// task per partition; wide transformations (group-by, join, sort) introduce a
 // shuffle boundary that re-partitions intermediate data by key.
 package dataflow
 
@@ -21,17 +21,16 @@ import (
 
 // Errors reported while building or executing plans.
 var (
-	ErrNoSource     = errors.New("dataflow: dataset has no source")
-	ErrBadPlan      = errors.New("dataflow: invalid plan")
-	ErrUDF          = errors.New("dataflow: user function failed")
-	ErrIncompatible = errors.New("dataflow: incompatible schemas")
+	ErrNoSource = errors.New("dataflow: dataset has no source")
+	ErrBadPlan  = errors.New("dataflow: invalid plan")
+	ErrUDF      = errors.New("dataflow: user function failed")
 )
 
 // Record gives user functions named access to the current row. A record is
 // either row-backed (a boxed storage.Row) or batch-backed: a zero-copy view
 // over one row of a columnar batch. Batch-backed records resolve the typed
 // accessors (Int, Float, String, Bool) directly against the column vectors,
-// so no cell is boxed or materialised unless Value or Row is called.
+// so no cell is boxed unless Value is called.
 type Record struct {
 	schema *storage.Schema
 	row    storage.Row
@@ -41,16 +40,6 @@ type Record struct {
 
 // Schema returns the record's schema.
 func (r Record) Schema() *storage.Schema { return r.schema }
-
-// Row returns the underlying row; callers must not mutate it. For
-// batch-backed records this materialises (and boxes) the row — prefer the
-// named accessors on hot paths.
-func (r Record) Row() storage.Row {
-	if r.batch != nil {
-		return r.batch.Row(r.idx)
-	}
-	return r.row
-}
 
 // Value returns the raw value of the named column (nil when the column is
 // absent or null).
@@ -118,11 +107,6 @@ func (r Record) IsNull(name string) bool {
 type (
 	// FilterFunc decides whether a record is kept.
 	FilterFunc func(Record) (bool, error)
-	// MapFunc transforms a record into a new row matching the declared
-	// output schema.
-	MapFunc func(Record) (storage.Row, error)
-	// FlatMapFunc transforms a record into zero or more output rows.
-	FlatMapFunc func(Record) ([]storage.Row, error)
 	// ColumnFunc computes the value of a derived column.
 	ColumnFunc func(Record) (storage.Value, error)
 )
@@ -344,53 +328,9 @@ func (d *Dataset) FilterNonNull(desc string, cols []string) *Dataset {
 	return &Dataset{node: &filterNode{child: d.node, nonNull: indices, desc: desc}}
 }
 
-type mapNode struct {
-	child planNode
-	out   *storage.Schema
-	fn    MapFunc
-	desc  string
-}
-
-func (n *mapNode) schema() *storage.Schema { return n.out }
-func (n *mapNode) children() []planNode    { return []planNode{n.child} }
-func (n *mapNode) label() string           { return "Map(" + n.desc + ")" }
-
-// Map transforms every record into a row of the given output schema.
-func (d *Dataset) Map(desc string, out *storage.Schema, fn MapFunc) *Dataset {
-	if bad, ok := d.invalid(); ok {
-		return bad
-	}
-	if out == nil || fn == nil {
-		return failed(fmt.Errorf("%w: Map requires an output schema and a function", ErrBadPlan))
-	}
-	return &Dataset{node: &mapNode{child: d.node, out: out, fn: fn, desc: desc}}
-}
-
-type flatMapNode struct {
-	child planNode
-	out   *storage.Schema
-	fn    FlatMapFunc
-	desc  string
-}
-
-func (n *flatMapNode) schema() *storage.Schema { return n.out }
-func (n *flatMapNode) children() []planNode    { return []planNode{n.child} }
-func (n *flatMapNode) label() string           { return "FlatMap(" + n.desc + ")" }
-
-// FlatMap transforms every record into zero or more rows of the output schema.
-func (d *Dataset) FlatMap(desc string, out *storage.Schema, fn FlatMapFunc) *Dataset {
-	if bad, ok := d.invalid(); ok {
-		return bad
-	}
-	if out == nil || fn == nil {
-		return failed(fmt.Errorf("%w: FlatMap requires an output schema and a function", ErrBadPlan))
-	}
-	return &Dataset{node: &flatMapNode{child: d.node, out: out, fn: fn, desc: desc}}
-}
-
-// projectNode keeps only the columns at the given input indices. Unlike a
-// generic map it is a pure column operation: the batch kernel reorders
-// column references without touching any cell.
+// projectNode keeps only the columns at the given input indices. It is a pure
+// column operation: the batch kernel reorders column references without
+// touching any cell.
 type projectNode struct {
 	child   planNode
 	out     *storage.Schema
@@ -497,96 +437,9 @@ func (d *Dataset) MapStrings(desc string, cols []string, fn func(string) string)
 	}}
 }
 
-type sampleNode struct {
-	child    planNode
-	fraction float64
-	seed     int64
-}
-
-func (n *sampleNode) schema() *storage.Schema { return n.child.schema() }
-func (n *sampleNode) children() []planNode    { return []planNode{n.child} }
-func (n *sampleNode) label() string           { return fmt.Sprintf("Sample(fraction=%.3f)", n.fraction) }
-
-// Sample keeps approximately fraction of the records, chosen pseudo-randomly
-// with the given seed.
-func (d *Dataset) Sample(fraction float64, seed int64) *Dataset {
-	if bad, ok := d.invalid(); ok {
-		return bad
-	}
-	if fraction < 0 || fraction > 1 {
-		return failed(fmt.Errorf("%w: sample fraction %v out of [0,1]", ErrBadPlan, fraction))
-	}
-	return &Dataset{node: &sampleNode{child: d.node, fraction: fraction, seed: seed}}
-}
-
-type unionNode struct {
-	left, right planNode
-}
-
-func (n *unionNode) schema() *storage.Schema { return n.left.schema() }
-func (n *unionNode) children() []planNode    { return []planNode{n.left, n.right} }
-func (n *unionNode) label() string           { return "Union" }
-
-// Union concatenates two datasets with equal schemas.
-func (d *Dataset) Union(other *Dataset) *Dataset {
-	if bad, ok := d.invalid(); ok {
-		return bad
-	}
-	if bad, ok := other.invalid(); ok {
-		return bad
-	}
-	if !d.node.schema().Equal(other.node.schema()) {
-		return failed(fmt.Errorf("%w: union of %s and %s", ErrIncompatible, d.node.schema(), other.node.schema()))
-	}
-	return &Dataset{node: &unionNode{left: d.node, right: other.node}}
-}
-
-type limitNode struct {
-	child planNode
-	n     int
-}
-
-func (n *limitNode) schema() *storage.Schema { return n.child.schema() }
-func (n *limitNode) children() []planNode    { return []planNode{n.child} }
-func (n *limitNode) label() string           { return fmt.Sprintf("Limit(%d)", n.n) }
-
-// Limit keeps at most n records (taken in partition order).
-func (d *Dataset) Limit(n int) *Dataset {
-	if bad, ok := d.invalid(); ok {
-		return bad
-	}
-	if n < 0 {
-		return failed(fmt.Errorf("%w: negative limit", ErrBadPlan))
-	}
-	return &Dataset{node: &limitNode{child: d.node, n: n}}
-}
-
 // ---------------------------------------------------------------------------
 // Wide transformations
 // ---------------------------------------------------------------------------
-
-type distinctNode struct {
-	child planNode
-	cols  []string
-}
-
-func (n *distinctNode) schema() *storage.Schema { return n.child.schema() }
-func (n *distinctNode) children() []planNode    { return []planNode{n.child} }
-func (n *distinctNode) label() string           { return fmt.Sprintf("Distinct(%v)", n.cols) }
-
-// Distinct removes duplicate rows. When cols are given, uniqueness is decided
-// on those columns only (the first occurrence wins).
-func (d *Dataset) Distinct(cols ...string) *Dataset {
-	if bad, ok := d.invalid(); ok {
-		return bad
-	}
-	for _, c := range cols {
-		if !d.node.schema().Has(c) {
-			return failed(fmt.Errorf("%w: distinct column %q", storage.ErrUnknownField, c))
-		}
-	}
-	return &Dataset{node: &distinctNode{child: d.node, cols: cols}}
-}
 
 // SortOrder pairs a column with a direction.
 type SortOrder struct {

@@ -43,8 +43,8 @@ var spillCodec = storage.CodecOptions{Compress: true}
 // operators into single-job stages of batch kernels (see stage.go and
 // vector.go); wide operators remain shuffle boundaries, but each picks a
 // physical strategy: sort range-partitions and sorts partitions in parallel,
-// join broadcasts small build sides, group-by combines map-side, distinct
-// dedups map-side before shuffling. An Engine is safe for concurrent use.
+// join broadcasts small build sides, group-by combines map-side. An Engine is
+// safe for concurrent use.
 type Engine struct {
 	cluster           *cluster.Cluster
 	reg               *metrics.Registry
@@ -78,7 +78,7 @@ type Engine struct {
 type EngineOption func(*Engine)
 
 // WithShufflePartitions sets the number of partitions produced by wide
-// transformations (group-by, join, distinct, sort). The default is the
+// transformations (group-by, join, sort). The default is the
 // cluster's total slot count.
 func WithShufflePartitions(n int) EngineOption {
 	return func(e *Engine) {
@@ -209,9 +209,6 @@ type Stats struct {
 	// (hash table plus accumulator vectors) any single aggregation task
 	// reached — the measured side of the spilling hash-agg's memory bound.
 	AggPeakResidentBytes int64
-	// DistinctPrecombinedRows is the number of duplicate rows the map-side
-	// dedup pass removed before distinct shuffles.
-	DistinctPrecombinedRows int64
 	// Batches is the number of columnar batches operators produced: source
 	// partitions, narrow-stage outputs, shuffle chunks, and the outputs of
 	// joins, sorts and non-combined aggregations.
@@ -252,7 +249,7 @@ type Result struct {
 // as the engine produced them, in partition order. The batches may share
 // column vectors with the plan's source and with each other (pass-through
 // kernels such as MapStrings and an all-keeping filter hand vectors on
-// unchanged, and a limit cuts zero-copy head views), so they are read-only.
+// unchanged), so they are read-only.
 type BatchResult struct {
 	Schema  *storage.Schema
 	Batches []*storage.ColumnBatch
@@ -323,11 +320,6 @@ func (s *execState) noteAggPeak(bytes int64) {
 	}
 	s.mu.Unlock()
 }
-func (s *execState) addPrecombined(n int) {
-	s.mu.Lock()
-	s.stats.DistinctPrecombinedRows += int64(n)
-	s.mu.Unlock()
-}
 func (s *execState) addBatches(batches, rows int) {
 	s.mu.Lock()
 	s.stats.Batches += int64(batches)
@@ -395,7 +387,6 @@ func (e *Engine) execute(ctx context.Context, d *Dataset) ([]*storage.ColumnBatc
 	e.reg.Counter("sort.merged.batches").Add(st.stats.SortMergedBatches)
 	e.reg.Counter("agg.groups").Add(st.stats.AggGroups)
 	e.reg.Counter("agg.spilled.partitions").Add(st.stats.AggSpilledPartitions)
-	e.reg.Counter("distinct.precombined").Add(st.stats.DistinctPrecombinedRows)
 	e.reg.Counter("batches").Add(st.stats.Batches)
 	e.reg.Counter("batches.rows").Add(st.stats.BatchRows)
 	e.reg.Counter("spill.batches").Add(st.stats.SpilledBatches)
@@ -475,10 +466,6 @@ func validateWideColumns(node planNode) error {
 		if err := requireAll("sort", n.child.schema(), cols); err != nil {
 			return err
 		}
-	case *distinctNode:
-		if err := requireAll("distinct", n.child.schema(), n.cols); err != nil {
-			return err
-		}
 	case *groupByNode:
 		if err := requireAll("group-by", n.child.schema(), n.keys); err != nil {
 			return err
@@ -530,26 +517,8 @@ func (e *Engine) evalNode(ctx context.Context, node planNode, st *execState) ([]
 	switch n := node.(type) {
 	case *sourceNode:
 		return e.evalSource(n, st), nil
-	case *filterNode, *mapNode, *flatMapNode, *projectNode, *withColumnNode, *mapStringsNode, *sampleNode:
-		return e.evalChain(ctx, fusedChain{ops: []planNode{n}, base: n.children()[0], limit: -1}, st)
-	case *unionNode:
-		left, err := e.eval(ctx, n.left, st)
-		if err != nil {
-			return nil, err
-		}
-		right, err := e.eval(ctx, n.right, st)
-		if err != nil {
-			return nil, err
-		}
-		return append(append([]*storage.ColumnBatch{}, left...), right...), nil
-	case *limitNode:
-		in, err := e.eval(ctx, n.child, st)
-		if err != nil {
-			return nil, err
-		}
-		return truncateBatches(in, n.n, n.schema()), nil
-	case *distinctNode:
-		return e.evalDistinct(ctx, n, st)
+	case *filterNode, *projectNode, *withColumnNode, *mapStringsNode:
+		return e.evalChain(ctx, fusedChain{ops: []planNode{n}, base: n.children()[0]}, st)
 	case *sortNode:
 		return e.evalSort(ctx, n, st)
 	case *groupByNode:
@@ -566,36 +535,6 @@ func (e *Engine) evalSource(n *sourceNode, st *execState) []*storage.ColumnBatch
 	st.addRead(n.rows)
 	st.addBatches(len(n.batches), n.rows)
 	return append([]*storage.ColumnBatch(nil), n.batches...)
-}
-
-// truncateBatches keeps the first limit rows in partition order, collapsing
-// the output into a single partition (Limit's semantics). Partitions are cut
-// as zero-copy head views; several surviving pieces are concatenated.
-func truncateBatches(in []*storage.ColumnBatch, limit int, schema *storage.Schema) []*storage.ColumnBatch {
-	var kept []*storage.ColumnBatch
-	remaining := limit
-	for _, b := range in {
-		if remaining <= 0 {
-			break
-		}
-		n := b.Len()
-		if n == 0 {
-			continue
-		}
-		if n > remaining {
-			b, n = b.Head(remaining), remaining
-		}
-		kept = append(kept, b)
-		remaining -= n
-	}
-	switch len(kept) {
-	case 0:
-		return []*storage.ColumnBatch{storage.NewColumnBatch(schema, 0)}
-	case 1:
-		return kept
-	default:
-		return []*storage.ColumnBatch{flattenBatches(schema, kept)}
-	}
 }
 
 func countBatchRows(in []*storage.ColumnBatch) int {

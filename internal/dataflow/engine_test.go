@@ -107,32 +107,21 @@ func TestFilterUDFError(t *testing.T) {
 
 func TestMapAndProject(t *testing.T) {
 	e := testEngine(t)
-	out := storage.MustSchema(
-		storage.Field{Name: "id", Type: storage.TypeInt},
-		storage.Field{Name: "amount_eur", Type: storage.TypeFloat},
-	)
-	d := salesDataset(t).Map("to eur", out, func(r Record) (storage.Row, error) {
-		return storage.Row{r.Int("id"), r.Float("amount") * 0.92}, nil
-	})
-	res := collect(t, e, d)
-	if len(res.Rows) != 6 || res.Schema.Len() != 2 {
-		t.Fatalf("map result: rows=%d schema=%v", len(res.Rows), res.Schema.Names())
-	}
-
 	p := collect(t, e, salesDataset(t).Project("region", "amount"))
 	if p.Schema.Len() != 2 || p.Schema.Names()[0] != "region" {
 		t.Errorf("projected schema = %v", p.Schema.Names())
+	}
+	if len(p.Rows) != 6 {
+		t.Errorf("projected rows = %d, want 6", len(p.Rows))
 	}
 }
 
 func TestMapOutputValidation(t *testing.T) {
 	e := testEngine(t)
-	out := storage.MustSchema(storage.Field{Name: "x", Type: storage.TypeInt})
-	d := salesDataset(t).Map("bad", out, func(r Record) (storage.Row, error) {
-		return storage.Row{"not an int"}, nil
-	})
+	d := salesDataset(t).WithColumn(storage.Field{Name: "x", Type: storage.TypeInt},
+		func(r Record) (storage.Value, error) { return "not an int", nil })
 	if _, err := e.Collect(context.Background(), d); err == nil {
-		t.Error("rows violating the declared output schema must fail")
+		t.Error("values violating the declared column type must fail")
 	}
 }
 
@@ -148,79 +137,8 @@ func TestWithColumn(t *testing.T) {
 	}
 	for _, rec := range res.Records() {
 		if math.Abs(rec.Float("vat")-rec.Float("amount")*0.22) > 1e-9 {
-			t.Errorf("vat mismatch for %v", rec.Row())
+			t.Errorf("vat mismatch for id %d", rec.Int("id"))
 		}
-	}
-}
-
-func TestFlatMap(t *testing.T) {
-	e := testEngine(t)
-	out := storage.MustSchema(storage.Field{Name: "token", Type: storage.TypeString})
-	d := salesDataset(t).FlatMap("explode region chars", out, func(r Record) ([]storage.Row, error) {
-		region := r.String("region")
-		rows := make([]storage.Row, 0, len(region))
-		for _, ch := range region {
-			rows = append(rows, storage.Row{string(ch)})
-		}
-		return rows, nil
-	})
-	res := collect(t, e, d)
-	wantTokens := 0
-	for _, r := range salesRows() {
-		wantTokens += len(r[1].(string))
-	}
-	if len(res.Rows) != wantTokens {
-		t.Errorf("flatmap rows = %d, want %d", len(res.Rows), wantTokens)
-	}
-}
-
-func TestSampleDeterministic(t *testing.T) {
-	e := testEngine(t)
-	d1 := collect(t, e, salesDataset(t).Sample(0.5, 42))
-	d2 := collect(t, e, salesDataset(t).Sample(0.5, 42))
-	if len(d1.Rows) != len(d2.Rows) {
-		t.Errorf("same seed must give same sample size: %d vs %d", len(d1.Rows), len(d2.Rows))
-	}
-	full := collect(t, e, salesDataset(t).Sample(1.0, 1))
-	if len(full.Rows) != 6 {
-		t.Errorf("fraction 1.0 must keep everything, got %d", len(full.Rows))
-	}
-	empty := collect(t, e, salesDataset(t).Sample(0.0, 1))
-	if len(empty.Rows) != 0 {
-		t.Errorf("fraction 0.0 must keep nothing, got %d", len(empty.Rows))
-	}
-}
-
-func TestUnionAndLimit(t *testing.T) {
-	e := testEngine(t)
-	d := salesDataset(t).Union(salesDataset(t))
-	res := collect(t, e, d)
-	if len(res.Rows) != 12 {
-		t.Errorf("union rows = %d, want 12", len(res.Rows))
-	}
-	lim := collect(t, e, d.Limit(5))
-	if len(lim.Rows) != 5 {
-		t.Errorf("limit rows = %d, want 5", len(lim.Rows))
-	}
-	lim0 := collect(t, e, d.Limit(0))
-	if len(lim0.Rows) != 0 {
-		t.Errorf("limit 0 rows = %d, want 0", len(lim0.Rows))
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	e := testEngine(t)
-	dup := salesDataset(t).Union(salesDataset(t))
-	res := collect(t, e, dup.Distinct())
-	if len(res.Rows) != 6 {
-		t.Errorf("distinct rows = %d, want 6", len(res.Rows))
-	}
-	regions := collect(t, e, salesDataset(t).Distinct("region"))
-	if len(regions.Rows) != 3 {
-		t.Errorf("distinct regions = %d, want 3", len(regions.Rows))
-	}
-	if regions.Stats.Stages == 0 || regions.Stats.ShuffledRows == 0 {
-		t.Error("distinct must introduce a shuffle stage")
 	}
 }
 
@@ -299,7 +217,7 @@ func TestGroupByAggregations(t *testing.T) {
 	}
 	south := byRegion["south"]
 	if south.Int("count") != 2 || math.Abs(south.Float("sum_amount")-70) > 1e-9 {
-		t.Errorf("south aggregation wrong: %v", south.Row())
+		t.Errorf("south aggregation wrong: count %d, sum %v", south.Int("count"), south.Float("sum_amount"))
 	}
 }
 
@@ -581,9 +499,9 @@ func TestEmptyDatasetOperations(t *testing.T) {
 	cases := []*Dataset{
 		empty.Filter("x", func(Record) (bool, error) { return true, nil }),
 		empty.GroupBy("v").Agg(Count()),
-		empty.Distinct(),
+		empty.FilterNonNull("v set", []string{"v"}),
 		empty.Sort(SortOrder{Column: "v"}),
-		empty.Limit(10),
+		empty.Project("v"),
 		empty.Join(empty, "v", "v", InnerJoin),
 	}
 	for i, d := range cases {

@@ -71,14 +71,13 @@ func genRows(rng *rand.Rand, schema *storage.Schema, n int) []storage.Row {
 	return rows
 }
 
-// genChain appends 1..5 random narrow operators to d, then optionally a
-// limit and one wide operator, returning the plan. Every closure is pure and
-// deterministic.
+// genChain appends 1..5 random narrow operators to d, then half the time one
+// wide operator, returning the plan. Every closure is pure and deterministic.
 func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 	ops := 1 + rng.Intn(5)
 	for i := 0; i < ops; i++ {
 		schema := d.Schema()
-		switch rng.Intn(8) {
+		switch rng.Intn(5) {
 		case 0: // filter on a random column, via the typed accessors
 			col := schema.Field(rng.Intn(schema.Len())).Name
 			cut := float64(rng.Intn(100) - 50)
@@ -99,28 +98,7 @@ func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 					}
 					return r.Float(src)*3 + 1, nil
 				})
-		case 3: // map: rebuild the row through Record accessors (same schema)
-			fields := schema.Fields()
-			d = d.Map("identity-ish", schema, func(r Record) (storage.Row, error) {
-				row := make(storage.Row, len(fields))
-				for c, f := range fields {
-					row[c] = r.Value(f.Name)
-				}
-				return row, nil
-			})
-		case 4: // flatmap: duplicate rows whose c-column is "large", drop none
-			col := schema.Field(rng.Intn(schema.Len())).Name
-			out := schema
-			d = d.FlatMap("dup "+col, out, func(r Record) ([]storage.Row, error) {
-				row := r.Row()
-				if !r.IsNull(col) && r.Float(col) > 25 {
-					return []storage.Row{row, row.Clone()}, nil
-				}
-				return []storage.Row{row}, nil
-			})
-		case 5:
-			d = d.Sample(0.5+rng.Float64()/2, int64(rng.Intn(1000)))
-		case 6: // typed rewrite of whichever string columns survive
+		case 3: // typed rewrite of whichever string columns survive
 			var cols []string
 			for _, f := range schema.Fields() {
 				if f.Type == storage.TypeString {
@@ -130,7 +108,7 @@ func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 			if len(cols) > 0 {
 				d = d.MapStrings("tag", cols, func(s string) string { return "m:" + s })
 			}
-		case 7: // typed null filter on zero to two columns, nullable or not;
+		case 4: // typed null filter on zero to two columns, nullable or not;
 			// a column a gathering operator rebuilt after an earlier null
 			// filter is nullable but carries no bitmap
 			cols := make([]string, rng.Intn(3))
@@ -140,23 +118,14 @@ func genChain(rng *rand.Rand, d *Dataset) *Dataset {
 			d = d.FilterNonNull("non-null "+strings.Join(cols, ","), cols)
 		}
 	}
-	if rng.Intn(2) == 0 {
-		d = d.Limit(rng.Intn(40))
-	}
-	// Terminal wide operator half the time, to drive the shuffle paths.
-	// Group-by and sort need the key columns to have survived any
-	// projections above.
+	// Terminal wide operator half the time, to drive the shuffle paths. The
+	// sort needs its key columns to have survived any projections above.
 	schema := d.Schema()
-	hasKeys := schema.Has("c0") && schema.Has("c1")
-	switch rng.Intn(6) {
+	switch rng.Intn(4) {
 	case 0:
-		d = d.Distinct(schema.Field(rng.Intn(schema.Len())).Name)
-	case 1:
-		d = d.Distinct()
-	case 2:
 		d = genGroupBy(rng, d)
-	case 3:
-		if hasKeys {
+	case 1:
+		if schema.Has("c0") && schema.Has("c1") {
 			d = d.Sort(SortOrder{Column: "c0"}, SortOrder{Column: "c1", Descending: true})
 		}
 	}
@@ -378,10 +347,11 @@ func FuzzPlanEquivalence(f *testing.F) {
 	})
 }
 
-// TestSampleUnfusedVectorizedEquivalence drives Sample-only stages over
-// larger inputs than the randomized suite: with the stage compiler off a
-// Sample runs as its own batch-kernel job, and every arm must keep the exact
-// per-partition pseudo-random selection of the reference.
+// TestSampleUnfusedVectorizedEquivalence drives closure-Filter stages over
+// larger inputs than the randomized suite: with the stage compiler off each
+// Filter runs as its own batch-kernel job, narrowing a selection through
+// zero-copy batch views, and every arm must keep exactly the rows the
+// reference keeps.
 func TestSampleUnfusedVectorizedEquivalence(t *testing.T) {
 	for seed := int64(300); seed < 306; seed++ {
 		seed := seed
@@ -389,19 +359,23 @@ func TestSampleUnfusedVectorizedEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			schema := genSchema(rng)
 			rows := genRows(rng, schema, 200+rng.Intn(400))
-			plan := refFromRows("sampleequiv", schema, rows, 1+rng.Intn(5)).
-				Sample(0.25+rng.Float64()/2, seed)
+			cut := float64(rng.Intn(100) - 50)
+			plan := refFromRows("filterequiv", schema, rows, 1+rng.Intn(5)).
+				Filter("c0 odd", func(r Record) (bool, error) { return r.Int("c0")%2 != 0, nil }).
+				Filter("c1 null or >= cut", func(r Record) (bool, error) {
+					return r.IsNull("c1") || r.Float("c1") >= cut, nil
+				})
 			if res := checkArms(t, plan)["unfused"]; res.Stats.Batches == 0 {
-				t.Error("unfused Sample processed no batches")
+				t.Error("unfused Filter processed no batches")
 			}
 		})
 	}
 }
 
-// TestMapFlatMapUnfusedVectorizedEquivalence drives Map and FlatMap stages
-// over larger inputs than the randomized suite: closures read zero-copy
-// batch views and their outputs are appended into typed vectors, fused or
-// one job per operator, and every arm must reproduce the reference exactly.
+// TestMapFlatMapUnfusedVectorizedEquivalence drives WithColumn stages over
+// larger inputs than the randomized suite: closures read zero-copy batch
+// views and their values are appended into typed vectors, fused or one job
+// per operator, and every arm must reproduce the reference exactly.
 func TestMapFlatMapUnfusedVectorizedEquivalence(t *testing.T) {
 	for seed := int64(400); seed < 406; seed++ {
 		seed := seed
@@ -409,34 +383,28 @@ func TestMapFlatMapUnfusedVectorizedEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			schema := genSchema(rng)
 			rows := genRows(rng, schema, 200+rng.Intn(400))
-			fields := schema.Fields()
-			plan := refFromRows("mapequiv", schema, rows, 1+rng.Intn(5)).
-				Map("rebuild", schema, func(r Record) (storage.Row, error) {
-					row := make(storage.Row, len(fields))
-					for c, f := range fields {
-						row[c] = r.Value(f.Name)
-					}
-					return row, nil
-				}).
-				FlatMap("dup-large", schema, func(r Record) ([]storage.Row, error) {
-					row := r.Row()
-					if !r.IsNull("c1") && r.Float("c1") > 25 {
-						return []storage.Row{row, row.Clone()}, nil
-					}
-					return []storage.Row{row}, nil
-				})
+			plan := refFromRows("columnequiv", schema, rows, 1+rng.Intn(5)).
+				WithColumn(storage.Field{Name: "scaled", Type: storage.TypeFloat, Nullable: true},
+					func(r Record) (storage.Value, error) {
+						if r.IsNull("c1") {
+							return nil, nil
+						}
+						return r.Float("c1") * 3, nil
+					}).
+				WithColumn(storage.Field{Name: "large", Type: storage.TypeBool},
+					func(r Record) (storage.Value, error) { return r.Float("scaled") > 25, nil })
 			if res := checkArms(t, plan)["unfused"]; res.Stats.Batches == 0 {
-				t.Error("unfused Map/FlatMap processed no batches")
+				t.Error("unfused WithColumn processed no batches")
 			}
 		})
 	}
 }
 
 // TestMapStringsEquivalence drives MapStrings over several nullable string
-// columns (and, behind the filter, the non-nullable one too), behind a filter (so the kernel builds its vectors from a pending
-// selection and gathers only the pass-through columns, or shares them when
-// the filter keeps every row) or ahead of one, with and without a trailing
-// limit, under every arm.
+// columns (and, behind the filter, the non-nullable one too), behind a filter
+// (so the kernel builds its vectors from a pending selection and gathers only
+// the pass-through columns, or shares them when the filter keeps every row)
+// or ahead of one, under every arm.
 func TestMapStringsEquivalence(t *testing.T) {
 	schema := storage.MustSchema(
 		storage.Field{Name: "k", Type: storage.TypeInt},
@@ -458,9 +426,6 @@ func TestMapStringsEquivalence(t *testing.T) {
 				plan = src.Filter("k%3", keep).MapStrings("tag", []string{"c", "b", "a"}, tag)
 			} else {
 				plan = src.MapStrings("tag", []string{"a", "c"}, tag).Filter("k%3", keep)
-			}
-			if seed%3 == 0 {
-				plan = plan.Limit(rng.Intn(150))
 			}
 			checkArms(t, plan)
 		})

@@ -10,17 +10,13 @@ package dataflow
 // both. Its sources are the rows refFromRows recorded, not the engine's
 // source batches.
 //
-// Narrow operators keep the partitioning (Sample seeds one generator per
-// partition; Limit takes rows in partition order). Wide operators and Limit
-// emit one partition in input order, so a Sample or Limit above a wide
-// operator whose output order the engine does not define has no reference
-// answer; the plan generators never build one.
+// Narrow operators keep the partitioning. Wide operators emit one partition
+// in input order.
 
 import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -125,7 +121,7 @@ func refCanonical(rows []storage.Row) []string {
 
 func refHasWide(node planNode) bool {
 	switch node.(type) {
-	case *distinctNode, *sortNode, *groupByNode, *joinNode:
+	case *sortNode, *groupByNode, *joinNode:
 		return true
 	}
 	for _, c := range node.children() {
@@ -159,16 +155,6 @@ func (r *refRun) eval(node planNode) ([][]storage.Row, error) {
 			r.read += int64(len(p))
 		}
 		return out, nil
-	case *unionNode:
-		left, err := r.eval(n.left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := r.eval(n.right)
-		if err != nil {
-			return nil, err
-		}
-		return append(left, right...), nil
 	case *joinNode:
 		left, err := r.eval(n.left)
 		if err != nil {
@@ -185,14 +171,6 @@ func (r *refRun) eval(node planNode) ([][]storage.Row, error) {
 		return nil, err
 	}
 	switch n := node.(type) {
-	case *limitNode:
-		all := refConcat(in)
-		if len(all) > n.n {
-			all = all[:n.n]
-		}
-		return [][]storage.Row{all}, nil
-	case *distinctNode:
-		return [][]storage.Row{refDistinct(n, refConcat(in))}, nil
 	case *sortNode:
 		return [][]storage.Row{refSort(n, refConcat(in))}, nil
 	case *groupByNode:
@@ -200,15 +178,15 @@ func (r *refRun) eval(node planNode) ([][]storage.Row, error) {
 	}
 	out := make([][]storage.Row, len(in))
 	for p, rows := range in {
-		if out[p], err = refNarrow(node, p, rows); err != nil {
+		if out[p], err = refNarrow(node, rows); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// refNarrow applies one narrow operator to partition p.
-func refNarrow(node planNode, p int, rows []storage.Row) ([]storage.Row, error) {
+// refNarrow applies one narrow operator to one partition's rows.
+func refNarrow(node planNode, rows []storage.Row) ([]storage.Row, error) {
 	in := node.children()[0].schema()
 	var out []storage.Row
 	switch n := node.(type) {
@@ -226,30 +204,6 @@ func refNarrow(node planNode, p int, rows []storage.Row) ([]storage.Row, error) 
 			}
 			if keep {
 				out = append(out, row)
-			}
-		}
-	case *mapNode:
-		for _, row := range rows {
-			nr, err := n.fn(Record{schema: in, row: row})
-			if err != nil {
-				return nil, err
-			}
-			if err := storage.ValidateRow(n.out, nr); err != nil {
-				return nil, fmt.Errorf("map output: %w", err)
-			}
-			out = append(out, nr)
-		}
-	case *flatMapNode:
-		for _, row := range rows {
-			produced, err := n.fn(Record{schema: in, row: row})
-			if err != nil {
-				return nil, err
-			}
-			for _, nr := range produced {
-				if err := storage.ValidateRow(n.out, nr); err != nil {
-					return nil, fmt.Errorf("flatmap output: %w", err)
-				}
-				out = append(out, nr)
 			}
 		}
 	case *projectNode:
@@ -281,13 +235,6 @@ func refNarrow(node planNode, p int, rows []storage.Row) ([]storage.Row, error) 
 			}
 			out = append(out, nr)
 		}
-	case *sampleNode:
-		rng := rand.New(rand.NewSource(n.seed + int64(p)))
-		for _, row := range rows {
-			if rng.Float64() < n.fraction {
-				out = append(out, row)
-			}
-		}
 	default:
 		return nil, fmt.Errorf("reference: unknown node %T", node)
 	}
@@ -304,11 +251,8 @@ func refCompareOn(a, b storage.Row, cols []int) int {
 	return 0
 }
 
-// refColumns resolves column names (all columns when names is empty).
+// refColumns resolves column names.
 func refColumns(s *storage.Schema, names []string) []int {
-	if len(names) == 0 {
-		names = s.Names()
-	}
 	cols := make([]int, len(names))
 	for i, name := range names {
 		cols[i] = s.IndexOf(name)
@@ -332,21 +276,6 @@ func refRuns(rows []storage.Row, cols []int) [][]int {
 		runs[len(runs)-1] = append(runs[len(runs)-1], j)
 	}
 	return runs
-}
-
-// refDistinct keeps the first row of every key, in input order.
-func refDistinct(n *distinctNode, rows []storage.Row) []storage.Row {
-	keep := make([]bool, len(rows))
-	for _, run := range refRuns(rows, refColumns(n.child.schema(), n.cols)) {
-		keep[run[0]] = true
-	}
-	var out []storage.Row
-	for i, row := range rows {
-		if keep[i] {
-			out = append(out, row)
-		}
-	}
-	return out
 }
 
 // refSort is a stable sort on the orders under refSortCompare.

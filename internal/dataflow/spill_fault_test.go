@@ -58,9 +58,6 @@ func TestSpillCreateFailureIsLocal(t *testing.T) {
 		{"non-combined group-by", "toreador-spill-", func() *Dataset {
 			return refFromRows("g", schema, data, 4).GroupBy("k").Agg(Count(), Sum("v"), CountDistinct("tag"))
 		}},
-		{"distinct", "toreador-spill-", func() *Dataset {
-			return refFromRows("d", schema, data, 4).Distinct("k", "tag")
-		}},
 	}
 
 	e := spillEngine(t, withBroadcastJoin(false), WithMapSideCombine(false),

@@ -5,7 +5,7 @@ package dataflow
 // accumulated batches, restore them transparently, and produce bit-identical
 // results to the unlimited in-memory runs — and the counters/Explain surface
 // must report the spill state. It also holds the negative-zero key regression
-// tests: -0.0 and 0.0 must land in one group/row/match set in every engine
+// tests: -0.0 and 0.0 must land in one group or match set in every engine
 // arm.
 
 import (
@@ -160,32 +160,6 @@ func TestSpillGroupByNonCombined(t *testing.T) {
 	assertSameResult(t, "spilled group-by vs in-memory", got, base)
 }
 
-// TestSpillDistinct forces the map-side distinct's survivor shuffle to disk.
-func TestSpillDistinct(t *testing.T) {
-	ctx := context.Background()
-	schema := spillBenchSchema(t)
-	data := spillBenchData(4000, 25)
-	plan := func() *Dataset { return refFromRows("d", schema, data, 4).Distinct("k", "tag") }
-
-	base, err := spillEngine(t).Collect(ctx, plan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	spill := spillEngine(t, WithMemoryBudget(1))
-	got, err := spill.Collect(ctx, plan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats.SpilledBatches == 0 {
-		t.Fatal("budgeted distinct did not spill")
-	}
-	if got.Stats.DistinctPrecombinedRows != base.Stats.DistinctPrecombinedRows {
-		t.Errorf("spilled DistinctPrecombinedRows = %d, want %d",
-			got.Stats.DistinctPrecombinedRows, base.Stats.DistinctPrecombinedRows)
-	}
-	assertSameResult(t, "distinct under budget", got, base)
-}
-
 // TestSpillSortStaging checks that a budgeted sort stages its columnar input
 // through the spill store and still produces the identical ordering.
 func TestSpillSortStaging(t *testing.T) {
@@ -293,7 +267,7 @@ func TestSortSampleBudget(t *testing.T) {
 // the budget and spill state.
 func TestExplainSpillState(t *testing.T) {
 	schema := spillBenchSchema(t)
-	d := refFromRows("x", schema, spillBenchData(10, 5), 2).Distinct("k")
+	d := refFromRows("x", schema, spillBenchData(10, 5), 2).GroupBy("k").Agg(Count())
 
 	mem := spillEngine(t)
 	plan := mem.Explain(d)
@@ -333,24 +307,6 @@ func TestNegativeZeroGroupBy(t *testing.T) {
 			if f := r[0].(float64); f == 0 && r[1].(int64) != 4 {
 				t.Errorf("%s: zero group counted %v rows, want 4", mode, r[1])
 			}
-		}
-	}
-}
-
-// TestNegativeZeroDistinct requires distinct to collapse -0.0 and 0.0 into
-// one row in every engine arm.
-func TestNegativeZeroDistinct(t *testing.T) {
-	ctx := context.Background()
-	negZero := math.Copysign(0, -1)
-	schema := storage.MustSchema(storage.Field{Name: "f", Type: storage.TypeFloat})
-	rows := []storage.Row{{negZero}, {0.0}, {2.5}, {negZero}, {0.0}}
-	for _, arm := range engineArms(t) {
-		res, err := arm.e.Collect(ctx, refFromRows("nz", schema, rows, 2).Distinct())
-		if err != nil {
-			t.Fatalf("%s: %v", arm.name, err)
-		}
-		if len(res.Rows) != 2 {
-			t.Fatalf("%s: distinct produced %d rows, want 2: %v", arm.name, len(res.Rows), res.Rows)
 		}
 	}
 }

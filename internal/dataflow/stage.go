@@ -2,85 +2,48 @@ package dataflow
 
 // stage.go implements the stage compiler: before execution the engine walks
 // the logical plan and fuses maximal chains of narrow, per-partition
-// operators (filter, map, flatMap, project, withColumn, mapStrings and
-// sample, optionally capped by a trailing limit) into a single fused stage.
-// A fused stage runs as ONE cluster job with one task per input partition;
-// inside each task the operators run as a chain of batch kernels over the
-// partition's column batch (see vector.go), passing selection vectors and
-// shared columns between them, so no intermediate per-operator partition is
-// ever materialised. Wide operators (shuffle, group-by, join, sort,
-// distinct) remain stage boundaries.
+// operators (filter, project, withColumn and mapStrings) into a single fused
+// stage. A fused stage runs as ONE cluster job with one task per input
+// partition; inside each task the operators run as a chain of batch kernels
+// over the partition's column batch (see vector.go), passing selection
+// vectors and shared columns between them, so no intermediate per-operator
+// partition is ever materialised. Wide operators (group-by, join, sort)
+// remain stage boundaries.
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-
-	"repro/internal/storage"
 )
 
 // fusedChain is one maximal chain of narrow operators compiled into a single
 // stage.
 type fusedChain struct {
 	// ops are the narrow plan nodes in execution order (closest to the input
-	// first): filter, map, flatMap, project, withColumn, mapStrings and
-	// sample nodes.
+	// first): filter, project, withColumn and mapStrings nodes.
 	ops []planNode
-	// limit caps the number of rows each partition emits; -1 means uncapped.
-	// A capped chain is followed by a driver-side global truncation that
-	// preserves Limit's partition-order semantics.
-	limit int
-	// base is the node feeding the chain: a source, a wide operator, a union
-	// or a mid-plan limit.
+	// base is the node feeding the chain: a source or a wide operator.
 	base planNode
 }
 
 // narrowChainOf walks down from node and collects the maximal fusible chain
 // ending at node. ok is false when node starts no fusible chain (it is a
-// source, a wide operator, a union, or a bare limit with no narrow child).
+// source or a wide operator).
 func narrowChainOf(node planNode) (fusedChain, bool) {
-	ch := fusedChain{limit: -1}
+	var ch fusedChain
 	cur := node
-	if ln, isLimit := cur.(*limitNode); isLimit {
-		ch.limit = ln.n
-		cur = ln.child
-	}
 	for {
-		switch n := cur.(type) {
-		case *filterNode:
-			ch.ops = append(ch.ops, n)
-			cur = n.child
-		case *mapNode:
-			ch.ops = append(ch.ops, n)
-			cur = n.child
-		case *flatMapNode:
-			ch.ops = append(ch.ops, n)
-			cur = n.child
-		case *projectNode:
-			ch.ops = append(ch.ops, n)
-			cur = n.child
-		case *withColumnNode:
-			ch.ops = append(ch.ops, n)
-			cur = n.child
-		case *mapStringsNode:
-			ch.ops = append(ch.ops, n)
-			cur = n.child
-		case *sampleNode:
-			ch.ops = append(ch.ops, n)
-			cur = n.child
+		switch cur.(type) {
+		case *filterNode, *projectNode, *withColumnNode, *mapStringsNode:
+			ch.ops = append(ch.ops, cur)
+			cur = cur.children()[0]
 		default:
 			ch.base = cur
 			// Collected top-down; reverse into execution order.
-			for i, j := 0, len(ch.ops)-1; i < j; i, j = i+1, j-1 {
-				ch.ops[i], ch.ops[j] = ch.ops[j], ch.ops[i]
-			}
+			slices.Reverse(ch.ops)
 			return ch, len(ch.ops) > 0
 		}
 	}
-}
-
-// schema is the schema of the rows the chain emits: its last operator's.
-func (ch fusedChain) schema() *storage.Schema {
-	return ch.ops[len(ch.ops)-1].schema()
 }
 
 // opKind names one fused operator for job/task naming.
@@ -88,34 +51,24 @@ func opKind(op planNode) string {
 	switch op.(type) {
 	case *filterNode:
 		return "filter"
-	case *mapNode:
-		return "map"
-	case *flatMapNode:
-		return "flatmap"
 	case *projectNode:
 		return "project"
 	case *withColumnNode:
 		return "with_column"
 	case *mapStringsNode:
 		return "map_strings"
-	case *sampleNode:
-		return "sample"
 	default:
 		return "op"
 	}
 }
 
-// name renders the stage's job name, e.g. "stage(filter→map→flatmap)".
+// name renders the stage's job name, e.g. "stage(filter→with_column)".
 func (ch fusedChain) name() string {
 	kinds := make([]string, len(ch.ops))
 	for i, op := range ch.ops {
 		kinds[i] = opKind(op)
 	}
-	s := "stage(" + strings.Join(kinds, "→")
-	if ch.limit >= 0 {
-		s += fmt.Sprintf("→limit(%d)", ch.limit)
-	}
-	return s + ")"
+	return "stage(" + strings.Join(kinds, "→") + ")"
 }
 
 // Explain renders the physical plan the engine would execute for d: fused
@@ -189,48 +142,21 @@ func (e *Engine) spillMode() string {
 }
 
 // estimateMaxRows returns a static upper bound on the number of rows node can
-// produce, derived from source sizes: narrow row-preserving and row-reducing
-// operators bound by their child, limits cap, unions add. ok is false when no
-// bound can be derived (flatMap and joins can grow their input arbitrarily).
+// produce, derived from source sizes: narrow operators, sorts and group-bys
+// are bounded by their child. ok is false when no bound can be derived (a
+// join can grow its input arbitrarily).
 // Explain uses the bound to predict the runtime broadcast-join decision,
 // which compares the materialised build side against the threshold.
 func estimateMaxRows(node planNode) (int, bool) {
 	switch n := node.(type) {
 	case *sourceNode:
 		return n.rows, true
-	case *filterNode:
-		return estimateMaxRows(n.child)
-	case *mapNode:
-		return estimateMaxRows(n.child)
-	case *projectNode:
-		return estimateMaxRows(n.child)
-	case *withColumnNode:
-		return estimateMaxRows(n.child)
-	case *mapStringsNode:
-		return estimateMaxRows(n.child)
-	case *sampleNode:
-		return estimateMaxRows(n.child)
-	case *distinctNode:
-		return estimateMaxRows(n.child)
-	case *sortNode:
-		return estimateMaxRows(n.child)
-	case *groupByNode:
-		// At most one output row per input row.
-		return estimateMaxRows(n.child)
-	case *limitNode:
-		if bound, ok := estimateMaxRows(n.child); ok && bound < n.n {
-			return bound, true
-		}
-		return n.n, true
-	case *unionNode:
-		l, lok := estimateMaxRows(n.left)
-		r, rok := estimateMaxRows(n.right)
-		if lok && rok {
-			return l + r, true
-		}
+	case *joinNode:
 		return 0, false
-	default: // flatMapNode, joinNode
-		return 0, false
+	default:
+		// A group-by emits at most one row per input row; every other
+		// operator at most its input.
+		return estimateMaxRows(node.children()[0])
 	}
 }
 
@@ -249,13 +175,9 @@ func (e *Engine) explainNode(sb *strings.Builder, node planNode, depth int) {
 			for i, op := range ch.ops {
 				labels[i] = op.label()
 			}
-			line := fmt.Sprintf("FusedStage(ops=%d: %s)", len(ch.ops), strings.Join(labels, " → "))
-			if ch.limit >= 0 {
-				line += fmt.Sprintf(" +Limit(%d)", ch.limit)
-			}
 			// The job name ties the line to the cluster job that runs it.
-			line += " as " + ch.name()
-			sb.WriteString(indent + line + "\n")
+			sb.WriteString(indent + fmt.Sprintf("FusedStage(ops=%d: %s) as %s\n",
+				len(ch.ops), strings.Join(labels, " → "), ch.name()))
 			e.explainNode(sb, ch.base, depth+1)
 			return
 		}
@@ -269,8 +191,6 @@ func (e *Engine) explainNode(sb *strings.Builder, node planNode, depth int) {
 			label += " [shuffle]"
 		}
 		label += " " + e.aggCoreLabel()
-	case *distinctNode:
-		label += " [map-dedup+shuffle]"
 	case *sortNode:
 		// Mirror evalSort's runtime decision: small bounded inputs take the
 		// single-task fallback; unbounded inputs are assumed large enough to

@@ -3,18 +3,15 @@ package dataflow
 // vector.go holds the batch kernels of the engine. Every partition is a
 // storage.ColumnBatch:
 //
-//   - A narrow stage runs as a chain of batch kernels. Filter and Sample
-//     evaluate their predicate per row through a zero-copy batch view and
-//     emit a selection vector — no row is copied or boxed, and one that
-//     drops nothing leaves the selection as it was. Project re-points
-//     column references, WithColumn appends one freshly computed typed
-//     vector, and MapStrings rebuilds only the string vectors it rewrites
-//     (straight from a pending selection, which it gathers for the other
-//     columns alone); in each case unaffected columns are shared with the
-//     input batch. Arbitrary Map/FlatMap closures read per-row batch views
-//     and their output rows are unboxed straight into a new batch (which
-//     validates them against the output schema for free). A stage capped by
-//     a trailing limit runs the same kernels over windows of its partition.
+//   - A narrow stage runs as a chain of batch kernels. Filter evaluates its
+//     predicate per row through a zero-copy batch view (or, for the typed
+//     null filter, reads only null bitmaps) and emits a selection vector —
+//     no row is copied or boxed, and a filter that drops nothing leaves the
+//     selection as it was. Project re-points column references, WithColumn
+//     appends one freshly computed typed vector, and MapStrings rebuilds
+//     only the string vectors it rewrites (straight from a pending
+//     selection, which it gathers for the other columns alone); in each case
+//     unaffected columns are shared with the input batch.
 //   - Wide operators key rows directly from the column vectors
 //     (KeyEncoder.BatchKey/BatchHash) and move rows by batch index with
 //     typed copies (shuffleBatches, ColumnBatch.Gather), so a shuffle never
@@ -29,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 
 	"repro/internal/cluster"
@@ -62,11 +58,10 @@ func selLen(n int, sel []int32) int {
 	return len(sel)
 }
 
-// narrowSel returns the selection after a filter or sample kept next out of
-// the rows sel selects. Kept rows stay in order, so keeping all of them
-// reproduces sel itself: the old selection is returned, and a batch no
-// operator has narrowed stays unselected, its columns shared rather than
-// gathered.
+// narrowSel returns the selection after a filter kept next out of the rows
+// sel selects. Kept rows stay in order, so keeping all of them reproduces sel
+// itself: the old selection is returned, and a batch no operator has
+// narrowed stays unselected, its columns shared rather than gathered.
 func narrowSel(n int, sel, next []int32) []int32 {
 	if len(next) == selLen(n, sel) {
 		return sel
@@ -75,9 +70,7 @@ func narrowSel(n int, sel, next []int32) []int32 {
 }
 
 // evalChain executes a chain of narrow operators as one cluster job whose
-// tasks run batch kernels, one task per input partition. A chain capped by a
-// trailing limit is followed by the global truncation that preserves Limit's
-// partition-order semantics.
+// tasks run batch kernels, one task per input partition.
 func (e *Engine) evalChain(ctx context.Context, ch fusedChain, st *execState) ([]*storage.ColumnBatch, error) {
 	in, err := e.eval(ctx, ch.base, st)
 	if err != nil {
@@ -91,7 +84,7 @@ func (e *Engine) evalChain(ctx context.Context, ch fusedChain, st *execState) ([
 		tasks[i] = cluster.Task{
 			Name: fmt.Sprintf("%s[%d]", name, i),
 			Fn: func(ctx context.Context, node cluster.Node) error {
-				res, err := runChain(ch, i, in[i])
+				res, err := runKernels(ch.ops, in[i])
 				if err != nil {
 					return fmt.Errorf("%w: %v", ErrUDF, err)
 				}
@@ -108,57 +101,17 @@ func (e *Engine) evalChain(ctx context.Context, ch fusedChain, st *execState) ([
 	if len(ch.ops) > 1 {
 		st.addFused()
 	}
-	if ch.limit >= 0 {
-		return truncateBatches(out, ch.limit, ch.schema()), nil
-	}
 	return out, nil
 }
 
-// runChain pushes partition partIdx through the chain's kernels. An uncapped
-// chain processes the whole batch at once. A capped chain processes windows
-// of it, each sized to the rows the limit still needs, and stops as soon as
-// limit rows are out: a chain whose operators emit at most one row per input
-// row reads exactly the rows it has to. Sample generators belong to the
-// partition, not the window, so windowing never changes which rows a sample
-// keeps.
-func runChain(ch fusedChain, partIdx int, b *storage.ColumnBatch) (*storage.ColumnBatch, error) {
-	rngs := make([]*rand.Rand, len(ch.ops))
-	for i, op := range ch.ops {
-		if s, ok := op.(*sampleNode); ok {
-			rngs[i] = rand.New(rand.NewSource(s.seed + int64(partIdx)))
-		}
-	}
-	if ch.limit < 0 {
-		return runKernels(ch.ops, rngs, b, nil)
-	}
-	out := storage.NewColumnBatch(ch.schema(), min(ch.limit, b.Len()))
-	var window []int32
-	for lo := 0; lo < b.Len() && out.Len() < ch.limit; {
-		hi := min(lo+ch.limit-out.Len(), b.Len())
-		window = window[:0]
-		for i := lo; i < hi; i++ {
-			window = append(window, int32(i))
-		}
-		res, err := runKernels(ch.ops, rngs, b, window)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < res.Len() && out.Len() < ch.limit; i++ {
-			out.AppendRowFrom(res, i)
-		}
-		lo = hi
-	}
-	return out, nil
-}
-
-// runKernels pushes the selected rows of one batch (sel, nil = every row)
-// through the operators. The current state is a batch plus an optional
-// selection vector; filters only narrow the selection, and the selection is
-// materialised (gathered) lazily — when a kernel needs aligned columns or at
-// the end of the chain. rngs holds each sample operator's generator.
-func runKernels(ops []planNode, rngs []*rand.Rand, b *storage.ColumnBatch, sel []int32) (*storage.ColumnBatch, error) {
+// runKernels pushes one batch through the operators. The current state is a
+// batch plus an optional selection vector (nil = every row); filters only
+// narrow the selection, and the selection is materialised (gathered) lazily —
+// when a kernel needs aligned columns or at the end of the chain.
+func runKernels(ops []planNode, b *storage.ColumnBatch) (*storage.ColumnBatch, error) {
 	cur := b
-	for opIdx, op := range ops {
+	var sel []int32
+	for _, op := range ops {
 		switch n := op.(type) {
 		case *filterNode:
 			if n.fn == nil {
@@ -180,16 +133,6 @@ func runKernels(ops []planNode, rngs []*rand.Rand, b *storage.ColumnBatch, sel [
 			if err != nil {
 				return nil, err
 			}
-			sel = narrowSel(cur.Len(), sel, next)
-		case *sampleNode:
-			rng := rngs[opIdx]
-			next := make([]int32, 0, selLen(cur.Len(), sel))
-			_ = eachSel(cur.Len(), sel, func(i int) error {
-				if rng.Float64() < n.fraction {
-					next = append(next, int32(i))
-				}
-				return nil
-			})
 			sel = narrowSel(cur.Len(), sel, next)
 		case *projectNode:
 			// Pure column operation: re-point the projected columns, leave
@@ -235,42 +178,6 @@ func runKernels(ops []planNode, rngs []*rand.Rand, b *storage.ColumnBatch, sel [
 			next, err := storage.BatchOfColumns(n.schema(), selLen(cur.Len(), sel), cols)
 			if err != nil {
 				return nil, fmt.Errorf("map_strings output: %w", err)
-			}
-			cur, sel = next, nil
-		case *mapNode:
-			schema := n.child.schema()
-			next := storage.NewColumnBatch(n.out, selLen(cur.Len(), sel))
-			err := eachSel(cur.Len(), sel, func(i int) error {
-				nr, err := n.fn(Record{schema: schema, batch: cur, idx: i})
-				if err != nil {
-					return err
-				}
-				if err := next.AppendRow(nr); err != nil {
-					return fmt.Errorf("map output: %w", err)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			cur, sel = next, nil
-		case *flatMapNode:
-			schema := n.child.schema()
-			next := storage.NewColumnBatch(n.out, selLen(cur.Len(), sel))
-			err := eachSel(cur.Len(), sel, func(i int) error {
-				produced, err := n.fn(Record{schema: schema, batch: cur, idx: i})
-				if err != nil {
-					return err
-				}
-				for _, nr := range produced {
-					if err := next.AppendRow(nr); err != nil {
-						return fmt.Errorf("flatmap output: %w", err)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
 			}
 			cur, sel = next, nil
 		default:
@@ -605,278 +512,6 @@ func (s *rangeSplit) partition(b *storage.ColumnBatch, r int) int {
 		}
 	}
 	return lo
-}
-
-// ---------------------------------------------------------------------------
-// Distinct
-// ---------------------------------------------------------------------------
-
-// keyedBatch carries deduped survivor rows of one partition together with
-// their key encodings and hashes across the distinct shuffle.
-type keyedBatch struct {
-	batch  *storage.ColumnBatch
-	keys   []string
-	hashes []uint64
-}
-
-// evalDistinct executes distinct with a map-side dedup pass: each partition
-// dedups locally (keying every row exactly once, straight from the column
-// vectors), only the surviving rows cross the shuffle — gathered by batch
-// index, with their keys carried — and the merge side dedups on the carried
-// keys. The removed rows are reported as DistinctPrecombinedRows. Under a
-// memory budget the shuffle goes through a spill-backed partition store
-// instead (see evalDistinctSpill).
-func (e *Engine) evalDistinct(ctx context.Context, n *distinctNode, st *execState) ([]*storage.ColumnBatch, error) {
-	in, err := e.eval(ctx, n.child, st)
-	if err != nil {
-		return nil, err
-	}
-	schema := n.child.schema()
-	enc, err := storage.NewKeyEncoder(schema, n.cols...)
-	if err != nil {
-		return nil, fmt.Errorf("dataflow: distinct: %w", err)
-	}
-	if e.memoryBudget > 0 {
-		return e.evalDistinctSpill(ctx, schema, in, enc, st)
-	}
-
-	// Map side: one task per input batch dedups locally and gathers the
-	// survivors with their keys.
-	partials := make([]keyedBatch, len(in))
-	tasks := make([]cluster.Task, len(in))
-	for i := range in {
-		i := i
-		tasks[i] = cluster.Task{
-			Name: fmt.Sprintf("distinct-combine[%d]", i),
-			Fn: func(ctx context.Context, node cluster.Node) error {
-				b := in[i]
-				local := enc.Clone()
-				seen := make(map[string]struct{}, 64)
-				var sel []int32
-				var keys []string
-				var hashes []uint64
-				for r := 0; r < b.Len(); r++ {
-					k := local.BatchKey(b, r)
-					if _, dup := seen[string(k)]; dup {
-						continue
-					}
-					ks := string(k)
-					seen[ks] = struct{}{}
-					sel = append(sel, int32(r))
-					keys = append(keys, ks)
-					hashes = append(hashes, storage.HashString64(ks))
-				}
-				partials[i] = keyedBatch{batch: b.Gather(sel), keys: keys, hashes: hashes}
-				return nil
-			},
-		}
-	}
-	st.addTasks(len(tasks))
-	if _, err := e.cluster.RunNamedJob(ctx, "distinct-combine", tasks); err != nil {
-		return nil, fmt.Errorf("dataflow: distinct-combine: %w", err)
-	}
-
-	// Shuffle only the survivors, by batch index, with carried keys.
-	inputRows := countBatchRows(in)
-	moved := 0
-	for _, kb := range partials {
-		moved += kb.batch.Len()
-	}
-	st.addStage()
-	st.addShuffled(moved)
-	st.addPrecombined(inputRows - moved)
-	counts := make([]int, e.shufflePartitions)
-	for _, kb := range partials {
-		for _, h := range kb.hashes {
-			counts[storage.PartitionOfHash(h, e.shufflePartitions)]++
-		}
-	}
-	type bucket struct {
-		batch *storage.ColumnBatch
-		keys  []string
-	}
-	buckets := make([]bucket, e.shufflePartitions)
-	for p := range buckets {
-		buckets[p] = bucket{batch: storage.NewColumnBatch(schema, counts[p]), keys: make([]string, 0, counts[p])}
-	}
-	for _, kb := range partials {
-		for r, h := range kb.hashes {
-			p := storage.PartitionOfHash(h, e.shufflePartitions)
-			buckets[p].batch.AppendRowFrom(kb.batch, r)
-			buckets[p].keys = append(buckets[p].keys, kb.keys[r])
-		}
-	}
-	st.addBatches(len(buckets), moved)
-
-	// Reduce side: merge survivors per bucket on the carried keys.
-	out := make([]*storage.ColumnBatch, len(buckets))
-	mergeTasks := make([]cluster.Task, len(buckets))
-	for bi := range buckets {
-		bi := bi
-		mergeTasks[bi] = cluster.Task{
-			Name: fmt.Sprintf("distinct-merge[%d]", bi),
-			Fn: func(ctx context.Context, node cluster.Node) error {
-				bk := buckets[bi]
-				seen := make(map[string]struct{}, len(bk.keys))
-				sel := make([]int32, 0, len(bk.keys))
-				for r, k := range bk.keys {
-					if _, dup := seen[k]; dup {
-						continue
-					}
-					seen[k] = struct{}{}
-					sel = append(sel, int32(r))
-				}
-				out[bi] = bk.batch.Gather(sel)
-				return nil
-			},
-		}
-	}
-	st.addTasks(len(mergeTasks))
-	if _, err := e.cluster.RunNamedJob(ctx, "distinct-merge", mergeTasks); err != nil {
-		return nil, fmt.Errorf("dataflow: distinct-merge: %w", err)
-	}
-	return out, nil
-}
-
-// evalDistinctSpill is the budgeted variant of distinct. The map side dedups
-// each partition locally exactly as the in-memory path does, but the
-// survivors shuffle through a spill-backed partition store instead of
-// carrying their key strings across the boundary, and the merge side re-keys
-// the restored rows. Re-keying survivors trades the carried-key optimisation
-// for bounded memory: a key string per surviving row would otherwise stay
-// pinned resident no matter how many batches spill.
-func (e *Engine) evalDistinctSpill(ctx context.Context, schema *storage.Schema,
-	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]*storage.ColumnBatch, error) {
-
-	partials := make([]*storage.ColumnBatch, len(in))
-	tasks := make([]cluster.Task, len(in))
-	for i := range in {
-		i := i
-		tasks[i] = cluster.Task{
-			Name: fmt.Sprintf("distinct-combine[%d]", i),
-			Fn: func(ctx context.Context, node cluster.Node) error {
-				b := in[i]
-				local := enc.Clone()
-				seen := make(map[string]struct{}, 64)
-				var sel []int32
-				for r := 0; r < b.Len(); r++ {
-					k := local.BatchKey(b, r)
-					if _, dup := seen[string(k)]; dup {
-						continue
-					}
-					seen[string(k)] = struct{}{}
-					sel = append(sel, int32(r))
-				}
-				partials[i] = b.Gather(sel)
-				return nil
-			},
-		}
-	}
-	st.addTasks(len(tasks))
-	if _, err := e.cluster.RunNamedJob(ctx, "distinct-combine", tasks); err != nil {
-		return nil, fmt.Errorf("dataflow: distinct-combine: %w", err)
-	}
-	st.addPrecombined(countBatchRows(in) - countBatchRows(partials))
-	store, err := e.shuffleBatches(partials, schema, enc, st)
-	if err != nil {
-		return nil, err
-	}
-	defer st.releaseStore(store)
-	return e.distinctMergeFromStore(ctx, "distinct-merge", schema, store, enc, st)
-}
-
-// dictKeyColumn returns the batch column the encoder's whole key reduces to
-// when that key is a single dictionary-backed string column without nulls —
-// the precondition for dedup by dictionary code — or nil otherwise. A nil
-// column-index list means "every column", so a one-column batch qualifies.
-func dictKeyColumn(enc *storage.KeyEncoder, b *storage.ColumnBatch) *storage.Column {
-	keyCol := -1
-	if idx := enc.Columns(); len(idx) == 1 {
-		keyCol = idx[0]
-	} else if idx == nil && b.Width() == 1 {
-		keyCol = 0
-	}
-	if keyCol < 0 {
-		return nil
-	}
-	col := b.Column(keyCol)
-	if len(col.Dict()) == 0 || col.HasNulls() {
-		return nil
-	}
-	return col
-}
-
-// distinctMergeFromStore runs one task per store partition that streams the
-// partition's batches — restoring spilled chunks transparently — and keeps
-// the first occurrence of every key.
-func (e *Engine) distinctMergeFromStore(ctx context.Context, name string, schema *storage.Schema,
-	store *storage.PartitionStore, enc *storage.KeyEncoder, st *execState) ([]*storage.ColumnBatch, error) {
-
-	nParts := store.Partitions()
-	out := make([]*storage.ColumnBatch, nParts)
-	tasks := make([]cluster.Task, nParts)
-	for bi := range tasks {
-		bi := bi
-		tasks[bi] = cluster.Task{
-			Name: fmt.Sprintf("%s[%d]", name, bi),
-			Fn: func(ctx context.Context, node cluster.Node) error {
-				local := enc.Clone()
-				rows := store.PartitionRows(bi)
-				seen := make(map[string]struct{}, rows)
-				res := storage.NewColumnBatch(schema, rows)
-				var codeSeen []bool
-				err := store.EachBatch(bi, func(b *storage.ColumnBatch) error {
-					// Code-based fast path: when the distinct key reduces to a
-					// single dictionary-backed string column without nulls,
-					// each distinct code's fate (kept or dup) is decided once
-					// per restored frame; repeated codes skip the key encode
-					// and map probe entirely. Output is identical — a repeated
-					// code is a repeated string, whose first occurrence in
-					// this frame already went through the global seen map.
-					if col := dictKeyColumn(local, b); col != nil {
-						codes := col.Codes()
-						codeSeen = codeSeen[:0]
-						for range col.Dict() {
-							codeSeen = append(codeSeen, false)
-						}
-						for i := 0; i < b.Len(); i++ {
-							code := codes[i]
-							if codeSeen[code] {
-								continue
-							}
-							codeSeen[code] = true
-							k := local.BatchKey(b, i)
-							if _, dup := seen[string(k)]; dup {
-								continue
-							}
-							seen[string(k)] = struct{}{}
-							res.AppendRowFrom(b, i)
-						}
-						return nil
-					}
-					for i := 0; i < b.Len(); i++ {
-						k := local.BatchKey(b, i)
-						if _, dup := seen[string(k)]; dup {
-							continue
-						}
-						seen[string(k)] = struct{}{}
-						res.AppendRowFrom(b, i)
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				out[bi] = res
-				return nil
-			},
-		}
-	}
-	st.addTasks(len(tasks))
-	if _, err := e.cluster.RunNamedJob(ctx, name, tasks); err != nil {
-		return nil, fmt.Errorf("dataflow: %s: %w", name, err)
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------------

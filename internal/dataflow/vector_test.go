@@ -36,7 +36,7 @@ func vectorChainPlan(t *testing.T, n, parts int) *Dataset {
 
 func TestVectorizedStatsAndMetrics(t *testing.T) {
 	vec := testEngine(t)
-	d := vectorChainPlan(t, 1000, 4).Distinct("k", "bucket")
+	d := vectorChainPlan(t, 1000, 4).GroupBy("k", "bucket").Agg(Count())
 
 	vres := collect(t, vec, d)
 	if vres.Stats.Batches == 0 || vres.Stats.BatchRows == 0 {
@@ -53,13 +53,12 @@ func TestVectorizedStatsAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.check(t, "distinct over kernel chain", vres)
+	want.check(t, "group-by over kernel chain", vres)
 }
 
 // TestExplainNamesExecutionMode pins how Explain describes narrow-operator
-// execution: fused chains render as one FusedStage line (with a capped
-// chain's limit), unfused engines render one line per operator, and the
-// header names the fusion switch.
+// execution: fused chains render as one FusedStage line, unfused engines
+// render one line per operator, and the header names the fusion switch.
 func TestExplainNamesExecutionMode(t *testing.T) {
 	d := vectorChainPlan(t, 100, 2)
 	plan := testEngine(t).Explain(d)
@@ -67,9 +66,6 @@ func TestExplainNamesExecutionMode(t *testing.T) {
 		if !strings.Contains(plan, want) {
 			t.Errorf("fused Explain missing %q:\n%s", want, plan)
 		}
-	}
-	if capped := testEngine(t).Explain(vectorChainPlan(t, 100, 2).Limit(5)); !strings.Contains(capped, "+Limit(5)") {
-		t.Errorf("limit-capped chain must name its limit:\n%s", capped)
 	}
 	unfused := testEngineWith(t, withFusion(false)).Explain(d)
 	if !strings.Contains(unfused, "fusion=off") || strings.Contains(unfused, "FusedStage") {
@@ -82,27 +78,26 @@ func TestExplainNamesExecutionMode(t *testing.T) {
 	}
 }
 
-// TestValidationGating checks that Map output is validated against the
-// declared schema on every row in every arm: storing a cell into a typed
-// column vector is the check, so a mistyped row late in a partition fails
-// the action just like a mistyped first row.
+// TestValidationGating checks that WithColumn output is validated against
+// the declared field on every row in every arm: storing a cell into a typed
+// column vector is the check, so a mistyped value late in a partition fails
+// the action just like a mistyped first value.
 func TestValidationGating(t *testing.T) {
 	schema := storage.MustSchema(storage.Field{Name: "x", Type: storage.TypeInt})
 	rows := make([]storage.Row, 10)
 	for i := range rows {
 		rows[i] = storage.Row{int64(i)}
 	}
+	y := storage.Field{Name: "y", Type: storage.TypeInt}
 	bad := refFromRows("vals", schema, rows, 1).
-		Map("bad late row", schema, func(r Record) (storage.Row, error) {
+		WithColumn(y, func(r Record) (storage.Value, error) {
 			if r.Int("x") == 7 {
-				return storage.Row{"not an int"}, nil
+				return "not an int", nil
 			}
-			return storage.Row{r.Int("x")}, nil
+			return r.Int("x"), nil
 		})
 	badFirst := refFromRows("vals", schema, rows, 1).
-		Map("bad first row", schema, func(r Record) (storage.Row, error) {
-			return storage.Row{"nope"}, nil
-		})
+		WithColumn(y, func(r Record) (storage.Value, error) { return "nope", nil })
 	ctx := context.Background()
 	for _, arm := range engineArms(t) {
 		for name, plan := range map[string]*Dataset{"late": bad, "first": badFirst} {
@@ -111,8 +106,8 @@ func TestValidationGating(t *testing.T) {
 				t.Errorf("%s: mistyped %s row must fail the action", arm.name, name)
 				continue
 			}
-			if !strings.Contains(err.Error(), "map output") || !strings.Contains(err.Error(), "expects int, got string") {
-				t.Errorf("%s: %s-row error = %v, want map output context and the type mismatch", arm.name, name, err)
+			if !strings.Contains(err.Error(), "with_column output") || !strings.Contains(err.Error(), "expects int, got string") {
+				t.Errorf("%s: %s-row error = %v, want with_column output context and the type mismatch", arm.name, name, err)
 			}
 		}
 	}

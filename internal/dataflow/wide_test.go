@@ -2,7 +2,7 @@ package dataflow
 
 // wide_test.go covers the physical strategies of the wide operators
 // (DESIGN.md §2.5): the range-partitioned parallel sort, the broadcast hash
-// join, map-side distinct dedup, and the engine-level plan validation that
+// join, and the engine-level plan validation that
 // keeps hand-built plans from panicking mid-task.
 
 import (
@@ -138,56 +138,6 @@ func TestRangeSortMetrics(t *testing.T) {
 	}
 }
 
-func TestMapSideDistinctMatchesBaseline(t *testing.T) {
-	// 40 keys across 2000 rows: the map side should collapse each partition
-	// to at most 40 survivors.
-	plan := wideDataset(t, 2000, 8).Distinct("k")
-	combined := checkArms(t, plan)["default"]
-
-	if len(combined.Rows) != 40 {
-		t.Fatalf("distinct rows = %d, want 40", len(combined.Rows))
-	}
-	// The baseline is every input row crossing the shuffle: the map-side pass
-	// must split exactly those rows into precombined and shuffled ones.
-	if combined.Stats.DistinctPrecombinedRows == 0 {
-		t.Error("map-side pass must report precombined rows")
-	}
-	if combined.Stats.ShuffledRows >= combined.Stats.RowsRead {
-		t.Errorf("map-side distinct shuffled %d of %d rows — dedup must reduce the shuffle",
-			combined.Stats.ShuffledRows, combined.Stats.RowsRead)
-	}
-	if combined.Stats.DistinctPrecombinedRows+combined.Stats.ShuffledRows != combined.Stats.RowsRead {
-		t.Errorf("precombined (%d) + shuffled (%d) must equal the input rows (%d)",
-			combined.Stats.DistinctPrecombinedRows, combined.Stats.ShuffledRows, combined.Stats.RowsRead)
-	}
-}
-
-func TestMapSideDistinctWholeRowAndMetrics(t *testing.T) {
-	e := testEngineWith(t)
-	// 400 rows cycling through 200 distinct tuples over 4 partitions: the
-	// copies of each tuple (i and i+200, with 200 ≡ 0 mod 4) land in the
-	// same partition, so the map side can remove them before the shuffle.
-	schema := storage.MustSchema(
-		storage.Field{Name: "seq", Type: storage.TypeInt},
-		storage.Field{Name: "tag", Type: storage.TypeString},
-	)
-	rows := make([]storage.Row, 400)
-	for i := range rows {
-		rows[i] = storage.Row{int64(i % 200), "row"}
-	}
-	dup := refFromRows("dup", schema, rows, 4)
-	res := collect(t, e, dup.Distinct())
-	if len(res.Rows) != 200 {
-		t.Fatalf("whole-row distinct rows = %d, want 200", len(res.Rows))
-	}
-	if res.Stats.DistinctPrecombinedRows == 0 {
-		t.Error("duplicated union must precombine rows map-side")
-	}
-	if e.Metrics().Snapshot().CounterValue("distinct.precombined") == 0 {
-		t.Error("distinct.precombined counter must accumulate")
-	}
-}
-
 func TestBroadcastJoinThresholdBoundary(t *testing.T) {
 	right := refFromRows("dims", storage.MustSchema(
 		storage.Field{Name: "k", Type: storage.TypeInt},
@@ -256,7 +206,6 @@ func TestWideOperatorValidationCatchesHandBuiltPlans(t *testing.T) {
 		want string
 	}{
 		{"sort", &sortNode{child: base.node, orders: []SortOrder{{Column: "ghost"}}}, "sort"},
-		{"distinct", &distinctNode{child: base.node, cols: []string{"ghost"}}, "distinct"},
 		{"groupby", &groupByNode{child: base.node, keys: []string{"ghost"}, aggs: []Aggregation{Count()}}, "group-by"},
 		{"join-left", &joinNode{left: base.node, right: other.node, leftKey: "ghost", rightKey: "k", kind: InnerJoin}, "join (left)"},
 		{"join-right", &joinNode{left: base.node, right: other.node, leftKey: "k", rightKey: "ghost", kind: InnerJoin}, "join (right)"},
@@ -277,7 +226,7 @@ func TestWideOperatorValidationCatchesHandBuiltPlans(t *testing.T) {
 	}
 	// A bad node below a wide operator must be caught too.
 	nested := &sortNode{
-		child:  &distinctNode{child: base.node, cols: []string{"ghost"}},
+		child:  &sortNode{child: base.node, orders: []SortOrder{{Column: "ghost"}}},
 		orders: []SortOrder{{Column: "k"}},
 	}
 	if _, err := e.Collect(context.Background(), &Dataset{node: nested}); !errors.Is(err, storage.ErrUnknownField) {
@@ -293,10 +242,9 @@ func wideFailurePlans(t testing.TB) map[string]*Dataset {
 		storage.Field{Name: "name", Type: storage.TypeString},
 	), []storage.Row{{int64(1), "one"}, {int64(2), "two"}}, 1)
 	return map[string]*Dataset{
-		"sort":     wideDataset(t, 2000, 8).Sort(SortOrder{Column: "v"}),
-		"distinct": wideDataset(t, 2000, 8).Distinct("k"),
-		"join":     wideDataset(t, 2000, 8).Join(right, "k", "k", InnerJoin),
-		"groupby":  wideDataset(t, 2000, 8).GroupBy("k").Agg(Count()),
+		"sort":    wideDataset(t, 2000, 8).Sort(SortOrder{Column: "v"}),
+		"join":    wideDataset(t, 2000, 8).Join(right, "k", "k", InnerJoin),
+		"groupby": wideDataset(t, 2000, 8).GroupBy("k").Agg(Count()),
 	}
 }
 
@@ -417,18 +365,11 @@ func TestExplainWideStrategies(t *testing.T) {
 		t.Errorf("build side above threshold must render shuffle-hash:\n%s", got)
 	}
 
-	// A flatMap below the build side makes its size unbounded: Explain must
+	// A join below the build side makes its size unbounded: Explain must
 	// fall back to the shuffled strategy.
-	grown := small.FlatMap("grow", small.Schema(), func(r Record) ([]storage.Row, error) {
-		return []storage.Row{r.Row()}, nil
-	})
+	grown := small.Join(small, "k", "k", InnerJoin).Project("k")
 	if got := e.Explain(wideDataset(t, 100, 4).Join(grown, "k", "k", InnerJoin)); !strings.Contains(got, "[shuffle-hash]") {
 		t.Errorf("unbounded build side must render shuffle-hash:\n%s", got)
-	}
-
-	distinct := wideDataset(t, 100, 4).Distinct("k")
-	if got := e.Explain(distinct); !strings.Contains(got, "[map-dedup+shuffle]") {
-		t.Errorf("Explain must name the map-side distinct strategy:\n%s", got)
 	}
 }
 
@@ -443,20 +384,14 @@ func TestEstimateMaxRows(t *testing.T) {
 	if n, ok := estimateMaxRows(filtered.node); !ok || n != 100 {
 		t.Errorf("filter bound = %d/%v, want 100", n, ok)
 	}
-	if n, ok := estimateMaxRows(base.Limit(7).node); !ok || n != 7 {
-		t.Errorf("limit bound = %d/%v, want 7", n, ok)
-	}
-	if n, ok := estimateMaxRows(base.Union(base).node); !ok || n != 200 {
-		t.Errorf("union bound = %d/%v, want 200", n, ok)
-	}
 	if n, ok := estimateMaxRows(base.GroupBy("k").Agg(Count()).node); !ok || n != 100 {
 		t.Errorf("group-by bound = %d/%v, want 100", n, ok)
 	}
-	grown := base.FlatMap("grow", base.Schema(), func(r Record) ([]storage.Row, error) { return nil, nil })
+	grown := base.Join(base, "k", "k", InnerJoin)
 	if _, ok := estimateMaxRows(grown.node); ok {
-		t.Error("flatMap must have no static bound")
-	}
-	if _, ok := estimateMaxRows(base.Join(base, "k", "k", InnerJoin).node); ok {
 		t.Error("join must have no static bound")
+	}
+	if _, ok := estimateMaxRows(grown.Project("k").node); ok {
+		t.Error("a narrow operator above a join must have no static bound")
 	}
 }

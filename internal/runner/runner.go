@@ -301,11 +301,17 @@ func analyticsPlan(campaign *model.Campaign, src *dataflow.Dataset) (*dataflow.D
 		if g.ValueColumn == "" {
 			return nil, false
 		}
-		ordered := src
-		if g.TimeColumn != "" {
-			ordered = src.Sort(dataflow.SortOrder{Column: g.TimeColumn})
+		if g.TimeColumn == "" {
+			return src.Project(g.ValueColumn), true
 		}
-		return ordered.Project(g.ValueColumn), true
+		// Sort only the columns the forecast reads: the range shuffle and the
+		// sorted gather copy every column they are given. The order depends
+		// on the time keys and row positions alone, which Project keeps.
+		keep := []string{g.TimeColumn}
+		if g.ValueColumn != g.TimeColumn {
+			keep = append(keep, g.ValueColumn)
+		}
+		return src.Project(keep...).Sort(dataflow.SortOrder{Column: g.TimeColumn}).Project(g.ValueColumn), true
 	case model.TaskReporting:
 		if len(g.GroupColumns) == 0 || g.ValueColumn == "" {
 			return nil, false

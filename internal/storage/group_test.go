@@ -79,8 +79,8 @@ func TestGroupTableDenseFirstSeenIDs(t *testing.T) {
 		if string(keyEnc.BatchKey(kr, g)) != k {
 			t.Errorf("group %d key row mismatch", g)
 		}
-		if table.Hash(g) != HashString64(k) {
-			t.Errorf("group %d Hash = %d, want %d", g, table.Hash(g), HashString64(k))
+		if table.Hash(g) != fnv64a(k) {
+			t.Errorf("group %d Hash = %d, want %d", g, table.Hash(g), fnv64a(k))
 		}
 	}
 }

@@ -51,17 +51,6 @@ func HashBytes64(b []byte) uint64 {
 	return h
 }
 
-// HashString64 returns the 64-bit FNV-1a hash of s without converting it to a
-// byte slice.
-func HashString64(s string) uint64 {
-	h := fnvOffset64
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // PartitionOfHash maps a 64-bit hash onto one of n partitions.
 func PartitionOfHash(h uint64, n int) int {
 	if n <= 1 {
@@ -121,18 +110,15 @@ func AppendKeyValue(dst []byte, v Value) []byte {
 // a reusable buffer and is NOT safe for concurrent use — clone one per task
 // with Clone (clones share only the immutable column indices).
 type KeyEncoder struct {
-	// idx holds the key column positions; nil means "every column".
+	// idx holds the key column positions.
 	idx []int
 	buf []byte
 }
 
 // NewKeyEncoder returns an encoder for the named columns of schema s. With no
-// columns the whole row is the key. Unknown columns are rejected here, at
-// plan/build time, instead of panicking row-by-row during execution.
+// columns every row has the same, empty key. Unknown columns are rejected
+// here, at plan/build time, instead of panicking row-by-row during execution.
 func NewKeyEncoder(s *Schema, cols ...string) (*KeyEncoder, error) {
-	if len(cols) == 0 {
-		return &KeyEncoder{}, nil
-	}
 	if s == nil {
 		return nil, fmt.Errorf("%w: key encoder needs a schema", ErrEmptySchema)
 	}
@@ -151,20 +137,9 @@ func NewKeyEncoder(s *Schema, cols ...string) (*KeyEncoder, error) {
 // from another goroutine.
 func (e *KeyEncoder) Clone() *KeyEncoder { return &KeyEncoder{idx: e.idx} }
 
-// Columns returns the key's column positions, nil when the whole row is the
-// key. Read-only; consumers use it to recognise single-column keys eligible
-// for dictionary-code fast paths.
-func (e *KeyEncoder) Columns() []int { return e.idx }
-
 // AppendKey appends the encoded key of r to dst and returns the extended
 // slice.
 func (e *KeyEncoder) AppendKey(dst []byte, r Row) []byte {
-	if e.idx == nil {
-		for _, v := range r {
-			dst = AppendKeyValue(dst, v)
-		}
-		return dst
-	}
 	for _, j := range e.idx {
 		var v Value
 		if j < len(r) {
@@ -227,12 +202,6 @@ func appendBatchValue(dst []byte, b *ColumnBatch, row, col int) []byte {
 // AppendBatchKey appends the encoded key of batch row i to dst, reading the
 // key columns from the typed vectors without materialising a Row.
 func (e *KeyEncoder) AppendBatchKey(dst []byte, b *ColumnBatch, i int) []byte {
-	if e.idx == nil {
-		for col := 0; col < b.Width(); col++ {
-			dst = appendBatchValue(dst, b, i, col)
-		}
-		return dst
-	}
 	for _, col := range e.idx {
 		dst = appendBatchValue(dst, b, i, col)
 	}

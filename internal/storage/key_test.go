@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -26,8 +27,8 @@ func TestNewKeyEncoderUnknownColumn(t *testing.T) {
 	if _, err := NewKeyEncoder(nil, "id"); err == nil {
 		t.Fatal("nil schema with columns must fail")
 	}
-	if _, err := NewKeyEncoder(nil); err != nil {
-		t.Fatalf("whole-row encoder needs no schema: %v", err)
+	if _, err := NewKeyEncoder(nil); err == nil {
+		t.Fatal("nil schema without columns must fail")
 	}
 }
 
@@ -138,9 +139,19 @@ func TestKeyEncoderHashDeterministic(t *testing.T) {
 	if enc.Hash(r) != clone.Hash(r) {
 		t.Error("clone must hash identically")
 	}
-	if HashBytes64([]byte("shuffle")) != HashString64("shuffle") {
-		t.Error("HashBytes64 and HashString64 must agree")
+	for _, s := range []string{"", "shuffle", "\x00\xff key"} {
+		if HashBytes64([]byte(s)) != fnv64a(s) {
+			t.Errorf("HashBytes64(%q) must agree with hash/fnv's FNV-1a", s)
+		}
 	}
+}
+
+// fnv64a is the standard library's 64-bit FNV-1a hash of s: the oracle for
+// HashBytes64 and GroupTable.Hash.
+func fnv64a(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
 }
 
 func TestKeyEncoderSteadyStateAllocFree(t *testing.T) {
