@@ -71,6 +71,10 @@ lint:
 # every column type (nulls, -0, NaN, infinities, ints beyond 2^53, strings
 # sharing an 8-byte prefix) in both directions and holds the sort's
 # selection, its merge comparator and its range split to a boxed stable sort.
+# FuzzKeyTable maps random batches of 1-3 typed key columns (nulls, -0, NaN
+# payloads, "", ints meeting times) through the group and join key tables,
+# also with one forced hash for every row, and holds ids, hashes and join
+# matches to a string map over the encoded key bytes.
 # The
 # time box keeps the target usable as a pre-commit check; raise FUZZTIME for a
 # longer soak. Go fuzzing accepts one -fuzz pattern per package invocation,
@@ -81,6 +85,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzTableBatches' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzSpillStore' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzFrameEncoderRange' -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz 'FuzzKeyTable' -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeManifest' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegmentFooter' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzSaveTableChunking' -fuzztime $(FUZZTIME) ./internal/store/

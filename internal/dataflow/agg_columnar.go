@@ -52,10 +52,10 @@ import (
 
 // aggSpillPartitions is the number of hash sub-partitions the spilling hash
 // aggregation re-partitions overflowing group state into. The key hash is run
-// through a finalizing mixer first: the raw low bits already chose the
-// shuffle bucket (PartitionOfHash is h % nParts), and FNV-1a barely stirs the
-// bits above 32 for short keys, so any fixed bit range of the raw hash would
-// leave the sub-partitions skewed or correlated with the bucket split.
+// through storage.Mix64 first: its raw low bits already chose the shuffle
+// bucket (PartitionOfHash is h % nParts), and FNV-1a barely stirs the bits
+// above 32 for short keys, so any fixed bit range of the raw hash would leave
+// the sub-partitions skewed or correlated with the bucket split.
 const aggSpillPartitions = 16
 
 // aggBudgetCheckRows is the sub-range granularity at which the budgeted hash
@@ -64,16 +64,9 @@ const aggSpillPartitions = 16
 const aggBudgetCheckRows = 256
 
 // aggSubPartition maps a group's key hash to its spill sub-partition through
-// a 64-bit avalanche mixer (the Murmur3 finalizer), so every input bit
-// reaches the partition choice.
+// storage.Mix64, so every input bit reaches the partition choice.
 func aggSubPartition(hash uint64) int {
-	h := hash
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return int(h % aggSpillPartitions)
+	return int(storage.Mix64(hash) % aggSpillPartitions)
 }
 
 // aggKeyLayout derives the key-column schema (the output schema's key prefix)
@@ -566,9 +559,10 @@ func (e *Engine) evalGroupByCombined(ctx context.Context, n *groupByNode,
 			Name: fmt.Sprintf("groupby-combine[%d]", i),
 			Fn: func(ctx context.Context, node cluster.Node) error {
 				b := in[i]
-				// No size hint: sizing for b.Len() rows, far more than the
-				// batch's groups, raises the engine's peak RSS.
-				table := storage.NewGroupTable(keySchema, keyIdx, enc.Clone(), 0)
+				// No size hint: a slot array sized for b.Len() rows, far
+				// more than the batch's groups, saved no CPU and raised the
+				// engine's peak RSS in interleaved runs.
+				table := storage.NewGroupTable(keySchema, keyIdx, enc, 0)
 				accs := newAggVecSet(n.aggs, inSchema)
 				ids := table.MapBatch(b, nil)
 				ensureAggVecs(accs, table.Groups())
@@ -713,7 +707,7 @@ func (e *Engine) evalGroupByHash(ctx context.Context, n *groupByNode,
 func (e *Engine) hashAggPartition(n *groupByNode, bucket int, store *storage.PartitionStore,
 	enc *storage.KeyEncoder, keyIdx []int, partials *aggPartials, st *execState) (*storage.ColumnBatch, error) {
 
-	table := storage.NewGroupTable(partials.keySchema, keyIdx, enc.Clone(), 0)
+	table := storage.NewGroupTable(partials.keySchema, keyIdx, enc, 0)
 	accs := newAggVecSet(n.aggs, partials.inSchema)
 	var seqs []int64
 	var nextSeq int64
@@ -868,7 +862,7 @@ type aggPartials struct {
 	schema    *storage.Schema // aggSpillSchema
 	keySchema *storage.Schema
 	inSchema  *storage.Schema
-	// enc encodes the partial layout's key columns (the first len(n.keys)),
+	// enc hashes the partial layout's key columns (the first len(n.keys)),
 	// which hold the input key values with their types.
 	enc    *storage.KeyEncoder
 	keyIdx []int
@@ -1017,7 +1011,7 @@ func (p *aggPartials) merge(runs []batchSeq, rows []int, notePeak func(int64)) (
 	nKeys := len(p.keyIdx)
 	var ids []int32
 	for r, each := range runs {
-		table := storage.NewGroupTable(p.keySchema, p.keyIdx, p.enc.Clone(), rows[r])
+		table := storage.NewGroupTable(p.keySchema, p.keyIdx, p.enc, rows[r])
 		accs := newAggVecSet(p.n.aggs, p.inSchema)
 		err := each(func(pb *storage.ColumnBatch) error {
 			if pb == nil || pb.Len() == 0 {

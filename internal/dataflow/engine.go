@@ -3,6 +3,7 @@ package dataflow
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -555,17 +556,17 @@ func countBatchRows(in []*storage.ColumnBatch) int {
 // unbounded resident state.
 const spillChunkRows = 4096
 
-// shuffleBatches hash-partitions columnar batches on keys encoded straight
-// from the column vectors into a partition store, so no boxed Row is ever
+// shuffleBatches hash-partitions columnar batches into a partition store by
+// their key hash, which enc folds straight from the key columns, one column
+// after the other over a chunk of rows: no key is encoded and no boxed Row is
 // materialised on either side of the shuffle. See gatherBatches for the
 // gather and spill mechanics. Callers must release the store via
 // execState.releaseStore once its partitions are consumed.
 func (e *Engine) shuffleBatches(in []*storage.ColumnBatch, schema *storage.Schema,
 	enc *storage.KeyEncoder, st *execState) (*storage.PartitionStore, error) {
 
-	local := enc.Clone()
-	return e.gatherBatches(in, schema, st, func(b *storage.ColumnBatch, i int) int {
-		return storage.PartitionOfHash(local.BatchHash(b, i), e.shufflePartitions)
+	return e.gatherBatches(in, schema, st, func(b *storage.ColumnBatch, parts []int32) {
+		enc.BatchPartitions(b, e.shufflePartitions, parts)
 	})
 }
 
@@ -579,15 +580,16 @@ func (e *Engine) newPartitionStore(schema *storage.Schema, parts int, budget int
 
 // gatherBatches redistributes columnar batches into a partition store under
 // an arbitrary (batch, row) → partition assignment — hash buckets for the
-// keyed shuffles, range buckets for the sort. Without a memory budget the
-// gather runs in two passes (exact pre-sizing, one resident batch per
-// bucket). With a budget it gathers in spillChunkRows chunks that seal into
+// keyed shuffles, range buckets for the sort; partsOf writes the partition
+// of every row of b into parts (len(parts) == b.Len()). Without a memory
+// budget the gather runs in two passes (exact pre-sizing, one resident batch
+// per bucket). With a budget it gathers in spillChunkRows chunks that seal into
 // the store as they fill; the store spills the coldest chunks to disk
 // whenever the resident total exceeds the budget, and the consuming tasks
 // restore them transparently on read. Callers must release the store via
 // execState.releaseStore once its partitions are consumed.
 func (e *Engine) gatherBatches(in []*storage.ColumnBatch, schema *storage.Schema,
-	st *execState, partOf func(b *storage.ColumnBatch, i int) int) (*storage.PartitionStore, error) {
+	st *execState, partsOf func(b *storage.ColumnBatch, parts []int32)) (*storage.PartitionStore, error) {
 
 	st.addStage()
 	nParts := e.shufflePartitions
@@ -611,9 +613,8 @@ func (e *Engine) gatherBatches(in []*storage.ColumnBatch, schema *storage.Schema
 			n := b.Len()
 			total += n
 			a := make([]int32, n)
-			for i := 0; i < n; i++ {
-				p := partOf(b, i)
-				a[i] = int32(p)
+			partsOf(b, a)
+			for _, p := range a {
 				counts[p]++
 			}
 			assign[bi] = a
@@ -652,11 +653,13 @@ func (e *Engine) gatherBatches(in []*storage.ColumnBatch, schema *storage.Schema
 		// Single bounded pass: rows append to per-bucket open chunks that
 		// seal (and may spill) as they fill.
 		open := make([]*storage.ColumnBatch, nParts)
+		var parts []int32
 		for _, b := range in {
 			n := b.Len()
 			total += n
-			for i := 0; i < n; i++ {
-				p := partOf(b, i)
+			parts = slices.Grow(parts[:0], n)[:n]
+			partsOf(b, parts)
+			for i, p := range parts {
 				ob := open[p]
 				if ob == nil {
 					ob = storage.NewColumnBatch(schema, spillChunkRows)
@@ -664,7 +667,7 @@ func (e *Engine) gatherBatches(in []*storage.ColumnBatch, schema *storage.Schema
 				}
 				ob.AppendRowFrom(b, i)
 				if ob.Len() >= spillChunkRows {
-					if err := store.Append(p, ob); err != nil {
+					if err := store.Append(int(p), ob); err != nil {
 						return fail(err)
 					}
 					sealed++
@@ -786,7 +789,7 @@ func (e *Engine) evalSortRange(ctx context.Context, in []*storage.ColumnBatch, t
 	// Range shuffle: partition p receives the rows between split points p-1
 	// and p, rows equal to a split point landing on its right.
 	split := newRangeSplit(cmp, sample.Gather(points))
-	store, err := e.gatherBatches(in, schema, st, split.partition)
+	store, err := e.gatherBatches(in, schema, st, split.partitions)
 	if err != nil {
 		return nil, err
 	}

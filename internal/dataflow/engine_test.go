@@ -3,7 +3,9 @@ package dataflow
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -328,6 +330,112 @@ func TestJoinDuplicateKeysProduceCrossProduct(t *testing.T) {
 	res := collect(t, e, left.Join(right, "k", "k", InnerJoin))
 	if len(res.Rows) != 6 {
 		t.Errorf("duplicate-key join rows = %d, want 2*3=6", len(res.Rows))
+	}
+}
+
+// TestJoinKeySemantics pins the join's key equality on both join arms
+// (broadcast, and shuffled under a one-byte budget) for both kinds: null
+// equals null, -0 equals +0, an int key equals a time key of the same value,
+// a NaN matches only a NaN with the same bits, and an int never equals a
+// float. The engine's matches are held to an explicit list, and to refJoin
+// where CompareValues agrees with key equality: it calls NaN equal to every
+// float and compares an int with a float through float64, so those two cases
+// are pinned against the list alone.
+func TestJoinKeySemantics(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nanA := math.Float64frombits(0x7ff8000000000001)
+	nanB := math.Float64frombits(0x7ff8000000000002)
+	cases := []struct {
+		name        string
+		lt, rt      storage.FieldType
+		left, right []storage.Value
+		pairs       [][2]int // (left row, right row) of every match
+		ref         bool     // refJoin agrees
+	}{
+		{"null equals null", storage.TypeString, storage.TypeString,
+			[]storage.Value{nil, "", "a"}, []storage.Value{"a", nil, "", nil},
+			[][2]int{{0, 1}, {0, 3}, {1, 2}, {2, 0}}, true},
+		{"-0 equals +0", storage.TypeFloat, storage.TypeFloat,
+			[]storage.Value{negZero, 0.0, 1.5}, []storage.Value{0.0, negZero, 2.0},
+			[][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}}, true},
+		{"int equals time", storage.TypeInt, storage.TypeTime,
+			[]storage.Value{int64(1), int64(2), nil}, []storage.Value{int64(1), int64(1), int64(3), nil},
+			[][2]int{{0, 0}, {0, 1}, {2, 3}}, true},
+		{"NaN matches same bits only", storage.TypeFloat, storage.TypeFloat,
+			[]storage.Value{nanA, nanB, 1.0}, []storage.Value{nanA, nanB, nanA, 1.0},
+			[][2]int{{0, 0}, {0, 2}, {1, 1}, {2, 3}}, false},
+		{"int never equals float", storage.TypeInt, storage.TypeFloat,
+			[]storage.Value{int64(1), int64(0)}, []storage.Value{1.0, 0.0, negZero},
+			nil, false},
+	}
+	arms := []struct {
+		name      string
+		opts      []EngineOption
+		broadcast int64
+	}{
+		{"broadcast", nil, 1},
+		{"shuffled", []EngineOption{withBroadcastJoin(false), WithMemoryBudget(1)}, 0},
+	}
+	// matches renders a join output as sorted "left id → right label" lines.
+	matches := func(rows []storage.Row) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprintf("%v → %v", r[1], r[3])
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, c := range cases {
+		ls := storage.MustSchema(
+			storage.Field{Name: "k", Type: c.lt, Nullable: true},
+			storage.Field{Name: "id", Type: storage.TypeInt},
+		)
+		rs := storage.MustSchema(
+			storage.Field{Name: "k", Type: c.rt, Nullable: true},
+			storage.Field{Name: "label", Type: storage.TypeString},
+		)
+		var lrows, rrows []storage.Row
+		for i, v := range c.left {
+			lrows = append(lrows, storage.Row{v, int64(i)})
+		}
+		for j, v := range c.right {
+			rrows = append(rrows, storage.Row{v, fmt.Sprintf("r%d", j)})
+		}
+		for _, kind := range []JoinType{InnerJoin, LeftJoin} {
+			var want []storage.Row
+			for i := range c.left {
+				matched := false
+				for _, p := range c.pairs {
+					if p[0] == i {
+						want = append(want, storage.Row{nil, int64(i), nil, fmt.Sprintf("r%d", p[1])})
+						matched = true
+					}
+				}
+				if !matched && kind == LeftJoin {
+					want = append(want, storage.Row{nil, int64(i), nil, nil})
+				}
+			}
+			plan := refFromRows("l", ls, lrows, 2).Join(refFromRows("r", rs, rrows, 2), "k", "k", kind)
+			label := fmt.Sprintf("%s/%v", c.name, kind)
+			if c.ref {
+				ref, err := reference(plan)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", label, err)
+				}
+				if got, w := matches(ref.rows), matches(want); !slices.Equal(got, w) {
+					t.Fatalf("%s: refJoin matches %v, want %v", label, got, w)
+				}
+			}
+			for _, arm := range arms {
+				res := collect(t, testEngineWith(t, arm.opts...), plan)
+				if got, w := matches(res.Rows), matches(want); !slices.Equal(got, w) {
+					t.Errorf("%s/%s: matches %v, want %v", label, arm.name, got, w)
+				}
+				if res.Stats.BroadcastJoins != arm.broadcast {
+					t.Errorf("%s/%s: BroadcastJoins = %d, want %d", label, arm.name, res.Stats.BroadcastJoins, arm.broadcast)
+				}
+			}
+		}
 	}
 }
 

@@ -347,12 +347,12 @@ func FuzzPlanEquivalence(f *testing.F) {
 	})
 }
 
-// TestSampleUnfusedVectorizedEquivalence drives closure-Filter stages over
+// TestFilterUnfusedVectorizedEquivalence drives closure-Filter stages over
 // larger inputs than the randomized suite: with the stage compiler off each
 // Filter runs as its own batch-kernel job, narrowing a selection through
 // zero-copy batch views, and every arm must keep exactly the rows the
 // reference keeps.
-func TestSampleUnfusedVectorizedEquivalence(t *testing.T) {
+func TestFilterUnfusedVectorizedEquivalence(t *testing.T) {
 	for seed := int64(300); seed < 306; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -372,11 +372,11 @@ func TestSampleUnfusedVectorizedEquivalence(t *testing.T) {
 	}
 }
 
-// TestMapFlatMapUnfusedVectorizedEquivalence drives WithColumn stages over
+// TestWithColumnUnfusedVectorizedEquivalence drives WithColumn stages over
 // larger inputs than the randomized suite: closures read zero-copy batch
 // views and their values are appended into typed vectors, fused or one job
 // per operator, and every arm must reproduce the reference exactly.
-func TestMapFlatMapUnfusedVectorizedEquivalence(t *testing.T) {
+func TestWithColumnUnfusedVectorizedEquivalence(t *testing.T) {
 	for seed := int64(400); seed < 406; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

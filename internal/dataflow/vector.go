@@ -12,10 +12,13 @@ package dataflow
 //     only the string vectors it rewrites (straight from a pending
 //     selection, which it gathers for the other columns alone); in each case
 //     unaffected columns are shared with the input batch.
-//   - Wide operators key rows directly from the column vectors
-//     (KeyEncoder.BatchKey/BatchHash) and move rows by batch index with
-//     typed copies (shuffleBatches, ColumnBatch.Gather), so a shuffle never
-//     materialises a boxed Row either.
+//   - Wide operators hash keys straight from the column vectors
+//     (KeyEncoder.BatchHashes folds each key column into per-row hashes, no
+//     key is encoded to bytes), look them up in storage's open-addressing
+//     key table (GroupTable, JoinTable), which confirms a hit on the typed
+//     key cells, and move rows by batch index with typed copies
+//     (shuffleBatches, ColumnBatch.Gather), so a shuffle never materialises
+//     a boxed Row either.
 //   - Sort orders rows by normalized keys (batchComparator): one uint64
 //     word per key and row that compares as an unsigned integer, so a
 //     single-word key radix-sorts and the run merge compares the same
@@ -489,6 +492,13 @@ func newRangeSplit(c *batchComparator, points *storage.ColumnBatch) *rangeSplit 
 	return &rangeSplit{cmp: c, points: points, words: words}
 }
 
+// partitions writes the range partition of every row of b into parts.
+func (s *rangeSplit) partitions(b *storage.ColumnBatch, parts []int32) {
+	for r := range parts {
+		parts[r] = int32(s.partition(b, r))
+	}
+}
+
 // partition returns row r of b's range partition: the number of split
 // points it does not sort before, so rows equal to a split point land on its
 // right.
@@ -518,34 +528,27 @@ func (s *rangeSplit) partition(b *storage.ColumnBatch, r int) int {
 // Join
 // ---------------------------------------------------------------------------
 
-// batchJoinTable indexes the rows of one build-side batch by encoded key.
-func batchJoinTable(b *storage.ColumnBatch, enc *storage.KeyEncoder) map[string][]int32 {
-	build := make(map[string][]int32, b.Len())
-	for i := 0; i < b.Len(); i++ {
-		k := string(enc.BatchKey(b, i))
-		build[k] = append(build[k], int32(i))
-	}
-	return build
-}
-
 // probeBatch streams probe-side batch rows against the build table, emitting
-// joined rows with typed column copies (AppendJoined); unmatched left-join
-// rows are null-extended. No boxed Row exists at any point.
-func probeBatch(out *storage.ColumnBatch, probe *storage.ColumnBatch, build map[string][]int32,
-	buildBatch *storage.ColumnBatch, enc *storage.KeyEncoder, kind JoinType) {
+// joined rows with typed column copies (AppendJoined): each probe row joins
+// its key's build rows in build-row order, and unmatched left-join rows are
+// null-extended. No boxed Row exists at any point. ids is scratch for the
+// probe's key ids, returned for reuse.
+func probeBatch(out *storage.ColumnBatch, probe *storage.ColumnBatch, build *storage.JoinTable,
+	buildBatch *storage.ColumnBatch, enc *storage.KeyEncoder, kind JoinType, ids []int32) []int32 {
 
-	for i := 0; i < probe.Len(); i++ {
-		matches := build[string(enc.BatchKey(probe, i))]
-		if len(matches) == 0 {
+	ids = build.Probe(probe, enc, ids)
+	for i, g := range ids {
+		if g < 0 {
 			if kind == LeftJoin {
 				out.AppendNullExtended(probe, i)
 			}
 			continue
 		}
-		for _, m := range matches {
+		for _, m := range build.Rows(g) {
 			out.AppendJoined(probe, i, buildBatch, int(m))
 		}
 	}
+	return ids
 }
 
 // flattenBatches concatenates batches into one (typed copies).
@@ -587,12 +590,12 @@ func (e *Engine) evalJoin(ctx context.Context, n *joinNode, st *execState) ([]*s
 		// materialising the broadcast variable — then share the table
 		// read-only across every probe task.
 		var buildBatch *storage.ColumnBatch
-		var build map[string][]int32
+		var build *storage.JoinTable
 		buildTask := []cluster.Task{{
 			Name: "join-broadcast-build",
 			Fn: func(ctx context.Context, node cluster.Node) error {
 				buildBatch = flattenBatches(rs, right)
-				build = batchJoinTable(buildBatch, rEnc.Clone())
+				build = storage.NewJoinTable(buildBatch, rEnc)
 				return nil
 			},
 		}}
@@ -608,7 +611,7 @@ func (e *Engine) evalJoin(ctx context.Context, n *joinNode, st *execState) ([]*s
 				Name: fmt.Sprintf("join-broadcast[%d]", i),
 				Fn: func(ctx context.Context, node cluster.Node) error {
 					res := storage.NewColumnBatch(n.out, left[i].Len())
-					probeBatch(res, left[i], build, buildBatch, lEnc.Clone(), n.kind)
+					probeBatch(res, left[i], build, buildBatch, lEnc, n.kind, nil)
 					out[i] = res
 					return nil
 				},
@@ -649,11 +652,11 @@ func (e *Engine) evalJoin(ctx context.Context, n *joinNode, st *execState) ([]*s
 				if err != nil {
 					return err
 				}
-				build := batchJoinTable(buildBatch, rEnc.Clone())
+				build := storage.NewJoinTable(buildBatch, rEnc)
 				res := storage.NewColumnBatch(n.out, lStore.PartitionRows(i))
-				probe := lEnc.Clone()
+				var ids []int32
 				err = lStore.EachBatch(i, func(pb *storage.ColumnBatch) error {
-					probeBatch(res, pb, build, buildBatch, probe, n.kind)
+					ids = probeBatch(res, pb, build, buildBatch, lEnc, n.kind, ids)
 					return nil
 				})
 				if err != nil {

@@ -1,18 +1,25 @@
 package storage
 
-// key.go implements the binary key encoder used by the dataflow engine's
-// shuffle machinery. Wide operators (group-by, join, distinct, sort-range
-// partitioning) key every input row; rendering those keys with AsString plus
-// strings.Join allocates two strings per row and dominated shuffle profiles.
-// A KeyEncoder instead appends a type-tagged, self-delimiting binary encoding
-// of the key columns into a reusable buffer, and can reduce it to a 64-bit
-// FNV-1a hash without allocating at all.
+// key.go defines the engine's key encoding and key hash. A key is the
+// concatenation of a type-tagged, self-delimiting binary encoding of each key
+// column's value; two rows have equal keys iff their key columns hold equal
+// values of the same key type. The hash of a key is the 64-bit FNV-1a hash
+// of those bytes. The shuffles partition by it (PartitionOfHash), the group
+// table keeps it per group, and the spilling aggregation sub-partitions by
+// it (Mix64).
 //
-// The encoding is injective: two rows produce the same bytes iff their key
-// columns hold equal values of the same dynamic type. Because schemas are
-// typed per column, this matches the engine's equality semantics; unlike the
-// old string rendering it does not conflate int64(5) with "5" across
-// differently-typed columns.
+// The engine never builds the bytes on its hot paths: FNV-1a is a byte-stream
+// fold, so BatchHash and BatchHashes fold each cell's tag, length prefix and
+// payload straight into the running state, column by column, and produce the
+// hash of the bytes AppendBatchKey would have written. Key equality is
+// decided on the typed cells (keyCellsEqual) under the same rule the bytes
+// express. The byte encoding itself (Key, BatchKey, AppendBatchKey) remains
+// as the definition the tests hold the folds and the tables to, and for the
+// row-mode callers that key boxed rows.
+//
+// Because schemas are typed per column, the encoding matches the engine's
+// equality semantics; unlike a string rendering it does not conflate
+// int64(5) with "5" across differently-typed columns.
 
 import (
 	"encoding/binary"
@@ -49,6 +56,164 @@ func HashBytes64(b []byte) uint64 {
 		h *= fnvPrime64
 	}
 	return h
+}
+
+// Mix64 runs h through a 64-bit avalanche mixer (the Murmur3 finalizer), so
+// that every input bit reaches every output bit. The raw low bits of a key
+// hash already chose its shuffle bucket (PartitionOfHash is h % n), and
+// FNV-1a barely stirs the bits above 32 for short keys: anything else that
+// splits keys by hash (hash-table slots, spill sub-partitions) mixes first.
+func Mix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// fnvByte folds one byte into an FNV-1a state.
+func fnvByte(h uint64, c byte) uint64 {
+	return (h ^ uint64(c)) * fnvPrime64
+}
+
+// fnvUint64 folds v's eight big-endian bytes into an FNV-1a state.
+func fnvUint64(h, v uint64) uint64 {
+	h = (h ^ v>>56) * fnvPrime64
+	h = (h ^ v>>48&0xff) * fnvPrime64
+	h = (h ^ v>>40&0xff) * fnvPrime64
+	h = (h ^ v>>32&0xff) * fnvPrime64
+	h = (h ^ v>>24&0xff) * fnvPrime64
+	h = (h ^ v>>16&0xff) * fnvPrime64
+	h = (h ^ v>>8&0xff) * fnvPrime64
+	return (h ^ v&0xff) * fnvPrime64
+}
+
+// fnvString folds s's uvarint length prefix and bytes into an FNV-1a state.
+func fnvString(h uint64, s string) uint64 {
+	x := uint64(len(s))
+	for x >= 0x80 {
+		h = fnvByte(h, byte(x)|0x80)
+		x >>= 7
+	}
+	h = fnvByte(h, byte(x))
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// keyTag returns the key type tag of a non-null cell of a column of type t:
+// time keys like int, and a column of no key type keys every cell as null,
+// as appendBatchValue does.
+func keyTag(t FieldType) byte {
+	switch t {
+	case TypeInt, TypeTime:
+		return keyTagInt
+	case TypeFloat:
+		return keyTagFloat
+	case TypeString:
+		return keyTagString
+	case TypeBool:
+		return keyTagBool
+	default:
+		return keyTagNull
+	}
+}
+
+// cellTag returns the key type tag of cell i of c.
+func cellTag(c *Column, i int) byte {
+	if c.nulls.get(i) {
+		return keyTagNull
+	}
+	return keyTag(c.typ)
+}
+
+// foldCell folds the key encoding of cell i of c into an FNV-1a state: the
+// hash of appendBatchValue's bytes, without writing them.
+func foldCell(h uint64, c *Column, i int) uint64 {
+	tag := cellTag(c, i)
+	h = fnvByte(h, tag)
+	switch tag {
+	case keyTagInt:
+		return fnvUint64(h, uint64(c.ints[i]))
+	case keyTagFloat:
+		return fnvUint64(h, floatKeyBits(c.floats[i]))
+	case keyTagString:
+		return fnvString(h, c.strs[i])
+	case keyTagBool:
+		if c.bools[i] {
+			return fnvByte(h, 1)
+		}
+		return fnvByte(h, 0)
+	default:
+		return h
+	}
+}
+
+// foldColumn folds column col of b, rows [lo, lo+len(hs)), into hs, one
+// state per row. The type dispatch runs once per column; columns with nulls
+// take the per-cell fold.
+func foldColumn(hs []uint64, b *ColumnBatch, col, lo int) {
+	if col < 0 || col >= len(b.cols) {
+		for j := range hs {
+			hs[j] = fnvByte(hs[j], keyTagNull)
+		}
+		return
+	}
+	c := &b.cols[col]
+	tag := keyTag(c.typ)
+	if len(c.nulls) > 0 || tag == keyTagNull {
+		for j := range hs {
+			hs[j] = foldCell(hs[j], c, lo+j)
+		}
+		return
+	}
+	switch tag {
+	case keyTagInt:
+		for j, v := range c.ints[lo : lo+len(hs)] {
+			hs[j] = fnvUint64(fnvByte(hs[j], keyTagInt), uint64(v))
+		}
+	case keyTagFloat:
+		for j, v := range c.floats[lo : lo+len(hs)] {
+			hs[j] = fnvUint64(fnvByte(hs[j], keyTagFloat), floatKeyBits(v))
+		}
+	case keyTagString:
+		for j, v := range c.strs[lo : lo+len(hs)] {
+			hs[j] = fnvString(fnvByte(hs[j], keyTagString), v)
+		}
+	case keyTagBool:
+		for j, v := range c.bools[lo : lo+len(hs)] {
+			var x byte
+			if v {
+				x = 1
+			}
+			hs[j] = fnvByte(fnvByte(hs[j], keyTagBool), x)
+		}
+	}
+}
+
+// keyCellsEqual reports whether cell i of a and cell j of k encode to the
+// same key bytes: both null; or the same key type and value, where time
+// equals int, -0 equals +0, a NaN equals only a NaN of the same bits, and an
+// int never equals a float.
+func keyCellsEqual(a *Column, i int, k *Column, j int) bool {
+	tag := cellTag(a, i)
+	if tag != cellTag(k, j) {
+		return false
+	}
+	switch tag {
+	case keyTagInt:
+		return a.ints[i] == k.ints[j]
+	case keyTagFloat:
+		return floatKeyBits(a.floats[i]) == floatKeyBits(k.floats[j])
+	case keyTagString:
+		return a.strs[i] == k.strs[j]
+	case keyTagBool:
+		return a.bools[i] == k.bools[j]
+	default:
+		return true
+	}
 }
 
 // PartitionOfHash maps a 64-bit hash onto one of n partitions.
@@ -105,10 +270,12 @@ func AppendKeyValue(dst []byte, v Value) []byte {
 	}
 }
 
-// KeyEncoder encodes a fixed set of key columns of rows sharing one schema.
-// The zero value is not usable; construct with NewKeyEncoder. An encoder owns
-// a reusable buffer and is NOT safe for concurrent use — clone one per task
-// with Clone (clones share only the immutable column indices).
+// KeyEncoder encodes and hashes a fixed set of key columns of rows sharing
+// one schema. The zero value is not usable; construct with NewKeyEncoder.
+// Key and BatchKey write into a reusable buffer and are NOT safe for
+// concurrent use (clone one per goroutine with Clone, which shares only the
+// immutable column indices); the batch hash methods write no encoder state
+// and may be called from any number of goroutines.
 type KeyEncoder struct {
 	// idx holds the key column positions.
 	idx []int
@@ -216,7 +383,40 @@ func (e *KeyEncoder) BatchKey(b *ColumnBatch, i int) []byte {
 }
 
 // BatchHash returns the 64-bit FNV-1a hash of batch row i's encoded key,
-// reusing the encoder's buffer.
+// folded cell by cell without encoding it.
 func (e *KeyEncoder) BatchHash(b *ColumnBatch, i int) uint64 {
-	return HashBytes64(e.BatchKey(b, i))
+	h := fnvOffset64
+	for _, col := range e.idx {
+		if col < 0 || col >= len(b.cols) {
+			h = fnvByte(h, keyTagNull)
+			continue
+		}
+		h = foldCell(h, &b.cols[col], i)
+	}
+	return h
+}
+
+// BatchPartitions writes the shuffle partition of every row i of b,
+// PartitionOfHash(BatchHash(b, i), n), into parts (len(parts) == b.Len()),
+// hashing a chunk of rows at a time.
+func (e *KeyEncoder) BatchPartitions(b *ColumnBatch, n int, parts []int32) {
+	var hs [hashChunkRows]uint64
+	for lo := 0; lo < len(parts); lo += len(hs) {
+		chunk := hs[:min(len(parts)-lo, len(hs))]
+		e.BatchHashes(b, lo, chunk)
+		for j, h := range chunk {
+			parts[lo+j] = int32(PartitionOfHash(h, n))
+		}
+	}
+}
+
+// BatchHashes writes BatchHash of rows [lo, lo+len(hs)) of b into hs,
+// folding the key columns one after the other over the whole range.
+func (e *KeyEncoder) BatchHashes(b *ColumnBatch, lo int, hs []uint64) {
+	for j := range hs {
+		hs[j] = fnvOffset64
+	}
+	for _, col := range e.idx {
+		foldColumn(hs, b, col, lo)
+	}
 }
