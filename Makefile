@@ -51,7 +51,7 @@ lint:
 # random batch lengths with nullable columns under random frame and segment
 # sizes and holds every segment file, byte for byte, to the copy-then-encode
 # save path it replaced. FuzzFrameEncoderRange encodes random row ranges of
-# batches of every column type under all three codec settings on one reused
+# batches of every column type under both codec settings on one reused
 # encoder and holds the bytes to the encoding of a copy of those rows and to
 # the build-both-and-compare encoder it replaced.
 # FuzzTopologicalOrder holds the index-based composition order (literal and

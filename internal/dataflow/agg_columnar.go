@@ -8,9 +8,9 @@ package dataflow
 //
 // Group state leaves a task in one format, the partial-state batch
 // (aggSpillSchema: key columns, a first-seen sequence number, then per
-// aggregation its count plus sum and sum of squares, extreme, or encoded
-// distinct set). aggPartials.build writes it and aggPartials.merge folds it
-// back through a GroupTable, for both places state crosses a boundary:
+// aggregation its count, plus its sum for sum and avg). aggPartials.build
+// writes it and aggPartials.merge folds it back through a GroupTable, for
+// both places state crosses a boundary:
 //
 //   - the combined group-by (evalGroupByCombined) accumulates each input
 //     partition map-side and builds one partial batch per shuffle bucket;
@@ -29,22 +29,18 @@ package dataflow
 // the spilling path and, with the combined map task i numbering its groups
 // i<<32 | g, the bucket, partition, first-seen order of the combined path.
 //
-// All aggregation semantics — null skipping, CompareValues min/max ordering
-// (numerics through float64, NaN never replacing, first value winning ties),
-// AsFloat coercions — follow the formulas documented on AggKind; the
-// equivalence suite holds every engine configuration to the reference
-// interpreter. Float sums add partials in sequence order, so a combined or
-// spilled sum regroups the additions of a row-by-row fold: its bits match
-// only when the data sums exactly (the identity the spill tests rely on).
+// All aggregation semantics — null skipping, AsFloat coercions — follow the
+// formulas documented on AggKind; the equivalence suite holds every engine
+// configuration to the reference interpreter. Float sums add partials in
+// sequence order, so a combined or spilled sum regroups the additions of a
+// row-by-row fold: its bits match only when the data sums exactly (the
+// identity the spill tests rely on).
 
 import (
 	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/storage"
@@ -89,35 +85,20 @@ func aggKeyLayout(n *groupByNode, inSchema *storage.Schema) (*storage.Schema, []
 // aggVecs: one aggregation's state across all groups, as typed vectors
 // ---------------------------------------------------------------------------
 
-// aggVecs holds one aggregation's state for every group id: counts, sums and
-// squared sums as dense numeric vectors, min/max extremes as one typed vector
-// (selected by the input column type) plus a has-value bitmap, and
-// count-distinct sets as lazily allocated maps.
+// aggVecs holds one aggregation's state for every group id as dense numeric
+// vectors: the count, and for sum and avg the sum.
 type aggVecs struct {
-	spec    Aggregation
-	colIdx  int
-	extType storage.FieldType
+	spec   Aggregation
+	colIdx int
 
 	counts []int64
 	sums   []float64
-	sumSqs []float64
-
-	has       []bool
-	extInts   []int64
-	extFloats []float64
-	extStrs   []string
-	extBools  []bool
-
-	distinct []map[string]struct{}
 }
 
 func newAggVecs(spec Aggregation, in *storage.Schema) *aggVecs {
 	a := &aggVecs{spec: spec, colIdx: -1}
 	if spec.Column != "" {
 		a.colIdx = in.IndexOf(spec.Column)
-	}
-	if a.colIdx >= 0 {
-		a.extType = in.Field(a.colIdx).Type
 	}
 	return a
 }
@@ -148,24 +129,8 @@ func growZero[T any](s []T, n int) []T {
 // ensure grows the state vectors to cover group ids [0, n).
 func (a *aggVecs) ensure(n int) {
 	a.counts = growZero(a.counts, n)
-	switch a.spec.Kind {
-	case AggSum, AggAvg, AggStdDev:
+	if a.spec.Kind != AggCount {
 		a.sums = growZero(a.sums, n)
-		a.sumSqs = growZero(a.sumSqs, n)
-	case AggMin, AggMax:
-		a.has = growZero(a.has, n)
-		switch a.extType {
-		case storage.TypeInt, storage.TypeTime:
-			a.extInts = growZero(a.extInts, n)
-		case storage.TypeFloat:
-			a.extFloats = growZero(a.extFloats, n)
-		case storage.TypeString:
-			a.extStrs = growZero(a.extStrs, n)
-		case storage.TypeBool:
-			a.extBools = growZero(a.extBools, n)
-		}
-	case AggCountDistinct:
-		a.distinct = growZero(a.distinct, n)
 	}
 }
 
@@ -177,18 +142,7 @@ func ensureAggVecs(accs []*aggVecs, n int) {
 
 // memSize estimates the resident footprint of the state vectors.
 func (a *aggVecs) memSize() int64 {
-	total := 8 * int64(len(a.counts)+len(a.sums)+len(a.sumSqs)+len(a.extInts)+len(a.extFloats))
-	total += int64(len(a.has) + len(a.extBools))
-	for _, s := range a.extStrs {
-		total += 16 + int64(len(s))
-	}
-	for _, m := range a.distinct {
-		total += 8
-		for k := range m {
-			total += 48 + int64(len(k))
-		}
-	}
-	return total
+	return 8 * int64(len(a.counts)+len(a.sums))
 }
 
 func aggVecsSize(accs []*aggVecs) int64 {
@@ -213,19 +167,6 @@ func (a *aggVecs) updateBatch(b *storage.ColumnBatch, ids []int32, base int) {
 		return
 	}
 	col := b.Column(a.colIdx)
-	switch a.spec.Kind {
-	case AggSum, AggAvg, AggStdDev:
-		a.updateNumeric(b, col, ids, base)
-	case AggMin:
-		a.foldMin(col, ids, base, true)
-	case AggMax:
-		a.foldMax(col, ids, base, true)
-	case AggCountDistinct:
-		a.updateDistinct(b, col, ids, base)
-	}
-}
-
-func (a *aggVecs) updateNumeric(b *storage.ColumnBatch, col *storage.Column, ids []int32, base int) {
 	switch col.Type() {
 	case storage.TypeFloat:
 		for j, id := range ids {
@@ -233,10 +174,8 @@ func (a *aggVecs) updateNumeric(b *storage.ColumnBatch, col *storage.Column, ids
 			if col.Null(i) {
 				continue
 			}
-			f := col.Float(i)
 			a.counts[id]++
-			a.sums[id] += f
-			a.sumSqs[id] += f * f
+			a.sums[id] += col.Float(i)
 		}
 	case storage.TypeInt, storage.TypeTime:
 		for j, id := range ids {
@@ -244,10 +183,8 @@ func (a *aggVecs) updateNumeric(b *storage.ColumnBatch, col *storage.Column, ids
 			if col.Null(i) {
 				continue
 			}
-			f := float64(col.Int(i))
 			a.counts[id]++
-			a.sums[id] += f
-			a.sumSqs[id] += f * f
+			a.sums[id] += float64(col.Int(i))
 		}
 	case storage.TypeBool:
 		for j, id := range ids {
@@ -261,7 +198,6 @@ func (a *aggVecs) updateNumeric(b *storage.ColumnBatch, col *storage.Column, ids
 			}
 			a.counts[id]++
 			a.sums[id] += f
-			a.sumSqs[id] += f * f
 		}
 	default:
 		// Strings (and anything exotic) go through FloatAt, which matches
@@ -275,177 +211,7 @@ func (a *aggVecs) updateNumeric(b *storage.ColumnBatch, col *storage.Column, ids
 			f, _ := b.FloatAt(i, a.colIdx)
 			a.counts[id]++
 			a.sums[id] += f
-			a.sumSqs[id] += f * f
 		}
-	}
-}
-
-// foldMin folds column cells into the per-group minimum, replicating
-// CompareValues ordering: numerics compare through float64 (so NaN never
-// replaces an extreme and ties keep the first value), strings lexically,
-// bools false < true. addCount counts every considered (non-null) cell, as
-// every non-count aggregation does; the spill merge replays counts
-// separately and passes false.
-func (a *aggVecs) foldMin(col *storage.Column, ids []int32, base int, addCount bool) {
-	switch a.extType {
-	case storage.TypeInt, storage.TypeTime:
-		for j, id := range ids {
-			i := base + j
-			if col.Null(i) {
-				continue
-			}
-			if addCount {
-				a.counts[id]++
-			}
-			v := col.Int(i)
-			if !a.has[id] {
-				a.has[id] = true
-				a.extInts[id] = v
-			} else if float64(v) < float64(a.extInts[id]) {
-				a.extInts[id] = v
-			}
-		}
-	case storage.TypeFloat:
-		for j, id := range ids {
-			i := base + j
-			if col.Null(i) {
-				continue
-			}
-			if addCount {
-				a.counts[id]++
-			}
-			v := col.Float(i)
-			if !a.has[id] {
-				a.has[id] = true
-				a.extFloats[id] = v
-			} else if v < a.extFloats[id] {
-				a.extFloats[id] = v
-			}
-		}
-	case storage.TypeString:
-		for j, id := range ids {
-			i := base + j
-			if col.Null(i) {
-				continue
-			}
-			if addCount {
-				a.counts[id]++
-			}
-			v := col.Str(i)
-			if !a.has[id] {
-				a.has[id] = true
-				a.extStrs[id] = v
-			} else if v < a.extStrs[id] {
-				a.extStrs[id] = v
-			}
-		}
-	case storage.TypeBool:
-		for j, id := range ids {
-			i := base + j
-			if col.Null(i) {
-				continue
-			}
-			if addCount {
-				a.counts[id]++
-			}
-			v := col.Bool(i)
-			if !a.has[id] {
-				a.has[id] = true
-				a.extBools[id] = v
-			} else if !v && a.extBools[id] {
-				a.extBools[id] = false
-			}
-		}
-	}
-}
-
-// foldMax mirrors foldMin with the comparison reversed.
-func (a *aggVecs) foldMax(col *storage.Column, ids []int32, base int, addCount bool) {
-	switch a.extType {
-	case storage.TypeInt, storage.TypeTime:
-		for j, id := range ids {
-			i := base + j
-			if col.Null(i) {
-				continue
-			}
-			if addCount {
-				a.counts[id]++
-			}
-			v := col.Int(i)
-			if !a.has[id] {
-				a.has[id] = true
-				a.extInts[id] = v
-			} else if float64(v) > float64(a.extInts[id]) {
-				a.extInts[id] = v
-			}
-		}
-	case storage.TypeFloat:
-		for j, id := range ids {
-			i := base + j
-			if col.Null(i) {
-				continue
-			}
-			if addCount {
-				a.counts[id]++
-			}
-			v := col.Float(i)
-			if !a.has[id] {
-				a.has[id] = true
-				a.extFloats[id] = v
-			} else if v > a.extFloats[id] {
-				a.extFloats[id] = v
-			}
-		}
-	case storage.TypeString:
-		for j, id := range ids {
-			i := base + j
-			if col.Null(i) {
-				continue
-			}
-			if addCount {
-				a.counts[id]++
-			}
-			v := col.Str(i)
-			if !a.has[id] {
-				a.has[id] = true
-				a.extStrs[id] = v
-			} else if v > a.extStrs[id] {
-				a.extStrs[id] = v
-			}
-		}
-	case storage.TypeBool:
-		for j, id := range ids {
-			i := base + j
-			if col.Null(i) {
-				continue
-			}
-			if addCount {
-				a.counts[id]++
-			}
-			v := col.Bool(i)
-			if !a.has[id] {
-				a.has[id] = true
-				a.extBools[id] = v
-			} else if v && !a.extBools[id] {
-				a.extBools[id] = true
-			}
-		}
-	}
-}
-
-func (a *aggVecs) updateDistinct(b *storage.ColumnBatch, col *storage.Column, ids []int32, base int) {
-	for j, id := range ids {
-		i := base + j
-		if col.Null(i) {
-			continue
-		}
-		a.counts[id]++
-		set := a.distinct[id]
-		if set == nil {
-			set = make(map[string]struct{})
-			a.distinct[id] = set
-		}
-		set[b.StringAt(i, a.colIdx)] = struct{}{}
 	}
 }
 
@@ -455,8 +221,6 @@ func (a *aggVecs) appendResult(c *storage.Column, g int) {
 	switch a.spec.Kind {
 	case AggCount:
 		c.AppendInt(a.counts[g])
-	case AggCountDistinct:
-		c.AppendInt(int64(len(a.distinct[g])))
 	case AggSum:
 		c.AppendFloat(a.sums[g])
 	case AggAvg:
@@ -465,42 +229,6 @@ func (a *aggVecs) appendResult(c *storage.Column, g int) {
 			return
 		}
 		c.AppendFloat(a.sums[g] / float64(a.counts[g]))
-	case AggStdDev:
-		if a.counts[g] == 0 {
-			c.AppendNull(g)
-			return
-		}
-		mean := a.sums[g] / float64(a.counts[g])
-		variance := a.sumSqs[g]/float64(a.counts[g]) - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		c.AppendFloat(math.Sqrt(variance))
-	case AggMin, AggMax:
-		a.appendExtreme(c, g, g)
-	default:
-		c.AppendNull(g)
-	}
-}
-
-// appendExtreme appends group g's min/max extreme as row row of c, null when
-// the group saw no non-null value.
-func (a *aggVecs) appendExtreme(c *storage.Column, g, row int) {
-	if g >= len(a.has) || !a.has[g] {
-		c.AppendNull(row)
-		return
-	}
-	switch a.extType {
-	case storage.TypeInt, storage.TypeTime:
-		c.AppendInt(a.extInts[g])
-	case storage.TypeFloat:
-		c.AppendFloat(a.extFloats[g])
-	case storage.TypeString:
-		c.AppendStr(a.extStrs[g])
-	case storage.TypeBool:
-		c.AppendBool(a.extBools[g])
-	default:
-		c.AppendNull(row)
 	}
 }
 
@@ -869,7 +597,7 @@ type aggPartials struct {
 }
 
 func newAggPartials(n *groupByNode, keySchema, inSchema *storage.Schema) (*aggPartials, error) {
-	schema, err := aggSpillSchema(keySchema, n.aggs, inSchema)
+	schema, err := aggSpillSchema(keySchema, n.aggs)
 	if err != nil {
 		return nil, err
 	}
@@ -888,10 +616,10 @@ func newAggPartials(n *groupByNode, keySchema, inSchema *storage.Schema) (*aggPa
 
 // aggSpillSchema builds the partial-state layout: the key columns (all
 // nullable — a group key may legitimately be null), the group's first-seen
-// sequence number, then per aggregation a count column plus kind-specific
-// state (sum+sumSq, a typed nullable extreme, or an encoded distinct set).
-func aggSpillSchema(keySchema *storage.Schema, aggs []Aggregation, in *storage.Schema) (*storage.Schema, error) {
-	fields := make([]storage.Field, 0, keySchema.Len()+1+3*len(aggs))
+// sequence number, then per aggregation a count column, followed for sum and
+// avg by a sum column.
+func aggSpillSchema(keySchema *storage.Schema, aggs []Aggregation) (*storage.Schema, error) {
+	fields := make([]storage.Field, 0, keySchema.Len()+1+2*len(aggs))
 	for i := 0; i < keySchema.Len(); i++ {
 		fields = append(fields, storage.Field{
 			Name: fmt.Sprintf("k%d", i), Type: keySchema.Field(i).Type, Nullable: true,
@@ -900,19 +628,8 @@ func aggSpillSchema(keySchema *storage.Schema, aggs []Aggregation, in *storage.S
 	fields = append(fields, storage.Field{Name: "seq", Type: storage.TypeInt})
 	for j, a := range aggs {
 		fields = append(fields, storage.Field{Name: fmt.Sprintf("a%d_count", j), Type: storage.TypeInt})
-		switch a.Kind {
-		case AggSum, AggAvg, AggStdDev:
-			fields = append(fields,
-				storage.Field{Name: fmt.Sprintf("a%d_sum", j), Type: storage.TypeFloat},
-				storage.Field{Name: fmt.Sprintf("a%d_sumsq", j), Type: storage.TypeFloat})
-		case AggMin, AggMax:
-			t := storage.TypeFloat
-			if idx := in.IndexOf(a.Column); idx >= 0 {
-				t = in.Field(idx).Type
-			}
-			fields = append(fields, storage.Field{Name: fmt.Sprintf("a%d_ext", j), Type: t, Nullable: true})
-		case AggCountDistinct:
-			fields = append(fields, storage.Field{Name: fmt.Sprintf("a%d_set", j), Type: storage.TypeString})
+		if a.Kind != AggCount {
+			fields = append(fields, storage.Field{Name: fmt.Sprintf("a%d_sum", j), Type: storage.TypeFloat})
 		}
 	}
 	return storage.NewSchema(fields...)
@@ -966,37 +683,21 @@ func (p *aggPartials) build(table *storage.GroupTable, accs []*aggVecs, seqs []i
 }
 
 // appendPartialColumns appends this aggregation's partial-state columns for
-// the groups in sel: the count, then the sum and sum of squares, the
-// extreme, or the encoded distinct set.
+// the groups in sel: the count, then for sum and avg the sum.
 func (a *aggVecs) appendPartialColumns(cols []storage.Column, sel []int32) []storage.Column {
 	counts := storage.NewColumnBuilder(storage.TypeInt, len(sel))
 	for _, g := range sel {
 		counts.AppendInt(a.counts[g])
 	}
 	cols = append(cols, counts)
-	switch a.spec.Kind {
-	case AggSum, AggAvg, AggStdDev:
-		sums := storage.NewColumnBuilder(storage.TypeFloat, len(sel))
-		sumSqs := storage.NewColumnBuilder(storage.TypeFloat, len(sel))
-		for _, g := range sel {
-			sums.AppendFloat(a.sums[g])
-			sumSqs.AppendFloat(a.sumSqs[g])
-		}
-		cols = append(cols, sums, sumSqs)
-	case AggMin, AggMax:
-		ext := storage.NewColumnBuilder(a.extType, len(sel))
-		for row, g := range sel {
-			a.appendExtreme(&ext, int(g), row)
-		}
-		cols = append(cols, ext)
-	case AggCountDistinct:
-		sets := storage.NewColumnBuilder(storage.TypeString, len(sel))
-		for _, g := range sel {
-			sets.AppendStr(encodeDistinctSet(a.distinct[g]))
-		}
-		cols = append(cols, sets)
+	if a.spec.Kind == AggCount {
+		return cols
 	}
-	return cols
+	sums := storage.NewColumnBuilder(storage.TypeFloat, len(sel))
+	for _, g := range sel {
+		sums.AppendFloat(a.sums[g])
+	}
+	return append(cols, sums)
 }
 
 // merge folds partial-state batches back into final groups. Each run merges
@@ -1067,78 +768,19 @@ func (p *aggPartials) merge(runs []batchSeq, rows []int, notePeak func(int64)) (
 
 // mergeSpillBatch folds one partial-state batch into the merge accumulators,
 // starting at partial column col and returning the column after this
-// aggregation's state. Counts, sums and squared sums add in row order,
-// extremes replace only when strictly better (so the earliest extreme wins
-// ties and a NaN never replaces), distinct sets union.
+// aggregation's state. Counts and sums add in row order.
 func (a *aggVecs) mergeSpillBatch(pb *storage.ColumnBatch, ids []int32, col int) int {
 	cnt := pb.Column(col)
 	col++
 	for i, id := range ids {
 		a.counts[id] += cnt.Int(i)
 	}
-	switch a.spec.Kind {
-	case AggSum, AggAvg, AggStdDev:
-		sum, sq := pb.Column(col), pb.Column(col+1)
-		col += 2
-		for i, id := range ids {
-			a.sums[id] += sum.Float(i)
-			a.sumSqs[id] += sq.Float(i)
-		}
-	case AggMin:
-		a.foldMin(pb.Column(col), ids, 0, false)
-		col++
-	case AggMax:
-		a.foldMax(pb.Column(col), ids, 0, false)
-		col++
-	case AggCountDistinct:
-		set := pb.Column(col)
-		col++
-		for i, id := range ids {
-			if s := set.Str(i); s != "" {
-				a.distinct[id] = decodeDistinctSet(s, a.distinct[id])
-			}
-		}
+	if a.spec.Kind == AggCount {
+		return col
 	}
-	return col
-}
-
-// encodeDistinctSet serialises a distinct set as sorted length-prefixed
-// entries (sorted so the spilled bytes are deterministic run to run).
-func encodeDistinctSet(set map[string]struct{}) string {
-	if len(set) == 0 {
-		return ""
+	sum := pb.Column(col)
+	for i, id := range ids {
+		a.sums[id] += sum.Float(i)
 	}
-	entries := make([]string, 0, len(set))
-	for k := range set {
-		entries = append(entries, k)
-	}
-	sort.Strings(entries)
-	size := 0
-	for _, s := range entries {
-		size += len(s) + binary.MaxVarintLen64
-	}
-	buf := make([]byte, 0, size)
-	for _, s := range entries {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	return string(buf)
-}
-
-// decodeDistinctSet unions an encoded set into dst (allocating it on first
-// use), returning dst.
-func decodeDistinctSet(s string, dst map[string]struct{}) map[string]struct{} {
-	b := []byte(s)
-	for len(b) > 0 {
-		l, k := binary.Uvarint(b)
-		if k <= 0 || uint64(len(b)-k) < l {
-			break
-		}
-		if dst == nil {
-			dst = make(map[string]struct{})
-		}
-		dst[string(b[k:k+int(l)])] = struct{}{}
-		b = b[k+int(l):]
-	}
-	return dst
+	return col + 1
 }

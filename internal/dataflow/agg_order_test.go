@@ -3,7 +3,7 @@ package dataflow
 // agg_order_test.go pins the group-by's emission order and its float bits
 // against a plain-Go model, on inputs where both are fragile: keys repeat
 // across input partitions, sums are not exact in binary (so the order of
-// additions shows in the bits), min/max see ties between -0 and +0, NaN and
+// additions shows in the bits), a second summed column holds -0, +0, NaN and
 // nulls, and the string key arrives dictionary-coded from the spill codec.
 
 import (
@@ -17,82 +17,59 @@ import (
 	"repro/internal/storage"
 )
 
-// orderModelState is the model's state for one group: the row count, the
-// count/sum/sum of squares of the non-null v cells, and the extremes and
-// distinct renderings of the non-null x cells.
+// orderModelState is the model's state for one group: the row count, and
+// the count and sum of the non-null cells of v and of x.
 type orderModelState struct {
-	key        []storage.Value
-	enc        string
-	hash       uint64
-	rows, n    int64
-	sum, sumSq float64
-	hasX       bool
-	min, max   float64
-	distinct   map[string]struct{}
+	key  []storage.Value
+	enc  string
+	hash uint64
+	rows int64
+	v, x orderModelSum
+}
+
+// orderModelSum is the count and sum of one column's non-null cells.
+type orderModelSum struct {
+	n   int64
+	sum float64
+}
+
+func (m *orderModelSum) fold(v storage.Value) {
+	if f, ok := v.(float64); ok {
+		m.n++
+		m.sum += f
+	}
+}
+
+func (m *orderModelSum) merge(o orderModelSum) {
+	m.n += o.n
+	m.sum += o.sum
+}
+
+// cells returns the column's sum and average (null over no cells).
+func (m orderModelSum) cells() []storage.Value {
+	if m.n == 0 {
+		return []storage.Value{m.sum, nil}
+	}
+	return []storage.Value{m.sum, m.sum / float64(m.n)}
 }
 
 func (s *orderModelState) fold(v, x storage.Value) {
 	s.rows++
-	if f, ok := v.(float64); ok {
-		s.n++
-		s.sum += f
-		s.sumSq += f * f
-	}
-	f, ok := x.(float64)
-	if !ok {
-		return
-	}
-	s.foldExtremes(f, f)
-	s.distinct[storage.AsString(f)] = struct{}{}
-}
-
-// foldExtremes replaces an extreme only when strictly better, so the first of
-// equal values wins and a NaN never replaces (nor is replaced once held).
-func (s *orderModelState) foldExtremes(lo, hi float64) {
-	if !s.hasX {
-		s.hasX, s.min, s.max = true, lo, hi
-		return
-	}
-	if lo < s.min {
-		s.min = lo
-	}
-	if hi > s.max {
-		s.max = hi
-	}
+	s.v.fold(v)
+	s.x.fold(x)
 }
 
 func (s *orderModelState) merge(o *orderModelState) {
 	s.rows += o.rows
-	s.n += o.n
-	s.sum += o.sum
-	s.sumSq += o.sumSq
-	if o.hasX {
-		s.foldExtremes(o.min, o.max)
-	}
-	for k := range o.distinct {
-		s.distinct[k] = struct{}{}
-	}
+	s.v.merge(o.v)
+	s.x.merge(o.x)
 }
 
 func (s *orderModelState) row() storage.Row {
 	row := append(storage.Row{}, s.key...)
-	row = append(row, s.rows, s.sum)
-	if s.n == 0 {
-		row = append(row, nil, nil)
-	} else {
-		mean := s.sum / float64(s.n)
-		variance := s.sumSq/float64(s.n) - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		row = append(row, mean, math.Sqrt(variance))
-	}
-	if s.hasX {
-		row = append(row, s.min, s.max)
-	} else {
-		row = append(row, nil, nil)
-	}
-	return append(row, int64(len(s.distinct)))
+	row = append(row, s.rows)
+	row = append(row, s.v.cells()...)
+	return append(row, s.x.cells()...)
 }
 
 // orderModelGroups groups rows by the encoded key in first-seen order.
@@ -110,7 +87,7 @@ func (g *orderModelGroups) get(r storage.Row, keyValues []storage.Value) *orderM
 	key := string(g.enc.Key(r))
 	s, ok := g.index[key]
 	if !ok {
-		s = &orderModelState{key: keyValues, enc: key, hash: g.enc.Hash(r), distinct: map[string]struct{}{}}
+		s = &orderModelState{key: keyValues, enc: key, hash: g.enc.Hash(r)}
 		g.index[key] = s
 		g.order = append(g.order, s)
 	}
@@ -122,7 +99,7 @@ func (g *orderModelGroups) get(r storage.Row, keyValues []storage.Value) *orderM
 func (g *orderModelGroups) getPartial(p *orderModelState) *orderModelState {
 	s, ok := g.index[p.enc]
 	if !ok {
-		s = &orderModelState{key: p.key, enc: p.enc, hash: p.hash, distinct: map[string]struct{}{}}
+		s = &orderModelState{key: p.key, enc: p.enc, hash: p.hash}
 		g.index[p.enc] = s
 		g.order = append(g.order, s)
 	}
@@ -185,7 +162,7 @@ func TestGroupByEmissionOrder(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(38))
 	inexact := []storage.Value{0.1, 0.2, 0.3, 1e-3, 1e16, 3.3, -7.7, 2.0 / 3, nil}
-	extremes := []storage.Value{math.Copysign(0, -1), 0.0, math.NaN(), 1.5, -2.25, nil}
+	specials := []storage.Value{math.Copysign(0, -1), 0.0, math.NaN(), 1.5, -2.25, nil}
 	nulls := []storage.Value{nil, int64(1), int64(2)}
 	// Four input partitions whose keys repeat across partitions; every
 	// bucket stays under the budgeted aggregation's 256-row flush epoch, so
@@ -199,7 +176,7 @@ func TestGroupByEmissionOrder(t *testing.T) {
 				fmt.Sprintf("key-%02d", rng.Intn(12)),
 				nulls[rng.Intn(len(nulls))],
 				inexact[rng.Intn(len(inexact))],
-				extremes[rng.Intn(len(extremes))],
+				specials[rng.Intn(len(specials))],
 			})
 		}
 		b, err := storage.BatchFromRows(schema, parts[p])
@@ -220,7 +197,7 @@ func TestGroupByEmissionOrder(t *testing.T) {
 		t.Fatal("no input partition arrived with a dictionary-coded key")
 	}
 	const buckets = 3
-	aggs := []Aggregation{Count(), Sum("v"), Avg("v"), StdDev("v"), Min("x"), Max("x"), CountDistinct("x")}
+	aggs := []Aggregation{Count(), Sum("v"), Avg("v"), Sum("x"), Avg("x")}
 	arms := []struct {
 		name     string
 		combined bool

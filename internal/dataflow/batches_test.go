@@ -90,7 +90,7 @@ func TestFromBatchesMatchesFromRows(t *testing.T) {
 		},
 		"sort ties": func(d *Dataset) *Dataset { return d.Sort(SortOrder{Column: "tie"}) },
 		"group by": func(d *Dataset) *Dataset {
-			return d.GroupBy("tie").Agg(Count(), Sum("score"), Min("at"))
+			return d.GroupBy("tie").Agg(Count(), Sum("score"), Sum("at"))
 		},
 	}
 	for _, in := range []struct {

@@ -598,7 +598,7 @@ func (g *GroupedDataset) Agg(aggs ...Aggregation) *Dataset {
 		if err := a.validate(in); err != nil {
 			return failed(err)
 		}
-		fields = append(fields, storage.Field{Name: a.OutputName(), Type: a.outputType(in), Nullable: true})
+		fields = append(fields, storage.Field{Name: a.OutputName(), Type: a.outputType(), Nullable: true})
 	}
 	out, err := storage.NewSchema(fields...)
 	if err != nil {

@@ -338,7 +338,7 @@ func TestAggregationNaming(t *testing.T) {
 	if Avg("x").Named("mean_x").OutputName() != "mean_x" {
 		t.Errorf("Named output = %q", Avg("x").Named("mean_x").OutputName())
 	}
-	kinds := []AggKind{AggCount, AggSum, AggAvg, AggMin, AggMax, AggCountDistinct, AggStdDev}
+	kinds := []AggKind{AggCount, AggSum, AggAvg}
 	for _, k := range kinds {
 		if k.String() == "" || strings.HasPrefix(k.String(), "agg(") {
 			t.Errorf("AggKind(%d).String() = %q", k, k.String())
@@ -350,12 +350,12 @@ func TestAggregationNaming(t *testing.T) {
 }
 
 func TestGroupByOutputSchema(t *testing.T) {
-	d := salesDataset(t).GroupBy("region").Agg(Count(), Avg("amount"), Min("id"), CountDistinct("priority"))
+	d := salesDataset(t).GroupBy("region").Agg(Count(), Avg("amount"), Sum("id"), Sum("priority"))
 	if d.Err() != nil {
 		t.Fatal(d.Err())
 	}
 	s := d.Schema()
-	want := []string{"region", "count", "avg_amount", "min_id", "count_distinct_priority"}
+	want := []string{"region", "count", "avg_amount", "sum_id", "sum_priority"}
 	got := s.Names()
 	if len(got) != len(want) {
 		t.Fatalf("schema = %v, want %v", got, want)
@@ -371,7 +371,20 @@ func TestGroupByOutputSchema(t *testing.T) {
 	if f, _ := s.FieldByName("avg_amount"); f.Type != storage.TypeFloat {
 		t.Error("avg must be float")
 	}
-	if f, _ := s.FieldByName("min_id"); f.Type != storage.TypeInt {
-		t.Error("min of int column must be int")
+	if f, _ := s.FieldByName("sum_id"); f.Type != storage.TypeFloat {
+		t.Error("sum of int column must be float")
+	}
+}
+
+// TestAggRejectsUnknownKinds holds Agg to the three aggregation kinds: any
+// other AggKind value, including the values 3–6 that min, max,
+// count-distinct and stddev once held, fails the plan instead of producing
+// an all-null column.
+func TestAggRejectsUnknownKinds(t *testing.T) {
+	for _, k := range []AggKind{-1, 3, 4, 5, 6} {
+		d := salesDataset(t).GroupBy("region").Agg(Count(), Aggregation{Kind: k, Column: "amount"})
+		if !errors.Is(d.Err(), ErrBadPlan) {
+			t.Errorf("AggKind(%d): Err() = %v, want ErrBadPlan", int(k), d.Err())
+		}
 	}
 }

@@ -16,7 +16,6 @@ package dataflow
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -335,9 +334,7 @@ func refAggregate(a Aggregation, in *storage.Schema, rows []storage.Row, group [
 	}
 	c := in.IndexOf(a.Column)
 	var count int64
-	var sum, sumSq float64
-	var extreme storage.Value
-	distinct := map[string]bool{}
+	var sum float64
 	for _, i := range group {
 		v := rows[i][c]
 		if v == nil {
@@ -346,47 +343,33 @@ func refAggregate(a Aggregation, in *storage.Schema, rows []storage.Row, group [
 		count++
 		f, _ := storage.AsFloat(v)
 		sum += f
-		sumSq += f * f
-		switch {
-		case extreme == nil,
-			a.Kind == AggMin && storage.CompareValues(v, extreme) < 0,
-			a.Kind == AggMax && storage.CompareValues(v, extreme) > 0:
-			extreme = v
-		}
-		distinct[storage.AsString(v)] = true
 	}
-	switch a.Kind {
-	case AggSum:
+	if a.Kind == AggSum {
 		return sum
-	case AggAvg:
-		if count == 0 {
-			return nil
-		}
-		return sum / float64(count)
-	case AggStdDev:
-		if count == 0 {
-			return nil
-		}
-		mean := sum / float64(count)
-		return math.Sqrt(math.Max(sumSq/float64(count)-mean*mean, 0))
-	case AggMin, AggMax:
-		return extreme
-	case AggCountDistinct:
-		return int64(len(distinct))
 	}
-	return nil
+	if count == 0 {
+		return nil
+	}
+	return sum / float64(count)
 }
 
-// refJoin pairs every left row with every right row whose key compares equal
-// (in left-then-right input order), null-extending unmatched left rows of a
-// left join.
+// refJoin pairs every left row with every right row whose key has the same
+// row-mode key encoding (storage.AppendKeyValue: null equals null, -0 equals
+// +0, a NaN matches only the same bits, an int never a float), in
+// left-then-right input order, null-extending unmatched left rows of a left
+// join.
 func refJoin(n *joinNode, left, right []storage.Row) []storage.Row {
 	lk, rk := n.left.schema().IndexOf(n.leftKey), n.right.schema().IndexOf(n.rightKey)
+	rightKeys := make([]string, len(right))
+	for i, r := range right {
+		rightKeys[i] = string(storage.AppendKeyValue(nil, r[rk]))
+	}
 	var out []storage.Row
 	for _, l := range left {
+		key := string(storage.AppendKeyValue(nil, l[lk]))
 		matched := false
-		for _, r := range right {
-			if storage.CompareValues(l[lk], r[rk]) == 0 {
+		for i, r := range right {
+			if rightKeys[i] == key {
 				out = append(out, append(append(storage.Row{}, l...), r...))
 				matched = true
 			}

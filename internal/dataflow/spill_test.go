@@ -136,7 +136,7 @@ func TestSpillGroupByNonCombined(t *testing.T) {
 	plan := func() *Dataset {
 		return refFromRows("g", schema, data, 4).
 			GroupBy("k").
-			Agg(Count(), Sum("v"), Min("v"), CountDistinct("tag"))
+			Agg(Count(), Sum("v"), Avg("v"), Avg("tag"))
 	}
 
 	base, err := spillEngine(t, WithMapSideCombine(false)).Collect(ctx, plan())

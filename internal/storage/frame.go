@@ -18,11 +18,10 @@ package storage
 //   - float columns stay raw (IEEE-754 bit exactness is the codec contract
 //     and floats rarely compress without loss).
 //
-// On top of the column encodings an opt-in whole-frame block layer
-// (CodecOptions.Block) squeezes the encoded body through a small pure-Go
-// LZ77 compressor — no cgo, no external bindings — and keeps the body raw
-// when compression does not pay. DecodeBatch (spill.go) dispatches on the
-// version byte, so v1 frames written by older spill files still decode.
+// A v2 frame's header carries a flags byte after the version; no flag is
+// defined, so it is always zero and DecodeBatch rejects any other value.
+// DecodeBatch (spill.go) dispatches on the version byte, so v1 frames written
+// by older spill files still decode.
 //
 // One encoder writes every frame of both versions: FrameEncoder encodes rows
 // [lo, hi) of a batch, so callers encode spans of the batches they hold
@@ -45,9 +44,6 @@ import (
 
 // batchVersion2 is the compressed-frame codec version.
 const batchVersion2 byte = 2
-
-// frameFlagBlock marks a v2 frame whose body went through the LZ block layer.
-const frameFlagBlock byte = 0x01
 
 // Column encoding tags (v2). encRaw payloads use the exact v1 value layout.
 const (
@@ -73,21 +69,13 @@ const (
 // bound; real spill frames are orders of magnitude smaller.
 const maxFrameRows = 1 << 24
 
-// maxFrameBodyBytes bounds the uncompressed body size the block layer will
-// declare or inflate — the same allocation-bomb guard for the LZ layer, whose
-// overlapped copies can expand a few bytes into gigabytes.
-const maxFrameBodyBytes = 1 << 28
-
-// CodecOptions selects the batch codec a spill store writes with. The zero
-// value is the v1 raw codec.
+// CodecOptions selects the batch codec a writer (a spill store, the table
+// store's segments) encodes with. The zero value is the v1 raw codec;
+// Compress selects the v2 column encodings.
 type CodecOptions struct {
 	// Compress enables the v2 per-column encodings (dictionary strings,
 	// delta ints, RLE bools/null bitmaps, raw fallback).
 	Compress bool
-	// Block additionally passes each encoded v2 frame through the pure-Go LZ
-	// block layer. Only meaningful with Compress; frames where the block
-	// layer does not win are stored with the body raw.
-	Block bool
 }
 
 // EncodeBatchOpts appends the encoding of b under the given codec options:
@@ -113,7 +101,6 @@ type FrameEncoder struct {
 	dict   []string          // unique strings, first-seen order until sorted
 	rowIDs []uint32          // first-seen id per row
 	codes  []uint32          // first-seen id → sorted dictionary code
-	block  []byte            // block-layer output
 }
 
 // Encode appends the frame of rows [lo, hi) of b, 0 ≤ lo ≤ hi ≤ b.Len(),
@@ -124,21 +111,8 @@ func (e *FrameEncoder) Encode(dst []byte, b *ColumnBatch, lo, hi int, opts Codec
 	if !opts.Compress || hi-lo > maxFrameRows {
 		return e.appendV1(dst, b, lo, hi)
 	}
-	base := len(dst)
 	dst = append(dst, batchMagic, batchVersion2, 0)
-	bodyStart := len(dst)
-	dst = e.appendBody(dst, b, lo, hi)
-	body := dst[bodyStart:]
-	if !opts.Block || len(body) > maxFrameBodyBytes {
-		return dst
-	}
-	e.block = binary.AppendUvarint(e.block[:0], uint64(len(body)))
-	e.block = lzCompress(e.block, body)
-	if len(e.block) >= len(body) {
-		return dst // block layer did not win; keep the raw body
-	}
-	dst[base+2] |= frameFlagBlock
-	return append(dst[:bodyStart], e.block...)
+	return e.appendBody(dst, b, lo, hi)
 }
 
 // appendV1 appends the v1 layout (spill.go's EncodeBatch): every column raw,
@@ -472,7 +446,7 @@ func appendRLEBools(dst []byte, vals []bool) []byte {
 	return dst
 }
 
-// decodeBatchV2 reconstructs a v2 frame body (block layer already removed).
+// decodeBatchV2 reconstructs a v2 frame body (the bytes after the flags).
 func decodeBatchV2(schema *Schema, data []byte) (*ColumnBatch, error) {
 	rows, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -771,133 +745,3 @@ func EncodedSizeV1(b *ColumnBatch) int64 {
 
 // uvarintLen returns the encoded length of v as a uvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-// ---------------------------------------------------------------------------
-// Block layer: a minimal pure-Go LZ77 compressor
-// ---------------------------------------------------------------------------
-
-// The block format is a token stream:
-//
-//	control byte c with c&1 == 0: literal run of (c>>1)+1 bytes follows
-//	control byte c with c&1 == 1: copy of (c>>1)+lzMinMatch bytes from
-//	                              uvarint offset back in the output
-//
-// Literal runs cover 1..128 bytes per token, copies lzMinMatch..131+lzMinMatch-4
-// bytes; longer stretches simply emit more tokens. The compressor is a greedy
-// single-pass matcher over a 4-byte-prefix hash table — Snappy-shaped, far
-// simpler, and entirely dependency-free.
-
-const (
-	lzMinMatch  = 4
-	lzMaxToken  = 128 // max literals (and max copy length span) per token
-	lzHashBits  = 14
-	lzHashShift = 32 - lzHashBits
-)
-
-func lzHash(u uint32) uint32 {
-	return (u * 2654435761) >> lzHashShift
-}
-
-func lzLoad32(b []byte, i int) uint32 {
-	return uint32(b[i]) | uint32(b[i+1])<<8 | uint32(b[i+2])<<16 | uint32(b[i+3])<<24
-}
-
-// lzCompress appends the compressed form of src to dst. Output is always a
-// valid token stream; callers compare sizes and keep the raw body when
-// compression does not win.
-func lzCompress(dst, src []byte) []byte {
-	var table [1 << lzHashBits]int32
-	for i := range table {
-		table[i] = -1
-	}
-	emitLiterals := func(lit []byte) {
-		for len(lit) > 0 {
-			run := len(lit)
-			if run > lzMaxToken {
-				run = lzMaxToken
-			}
-			dst = append(dst, byte((run-1)<<1))
-			dst = append(dst, lit[:run]...)
-			lit = lit[run:]
-		}
-	}
-	litStart := 0
-	i := 0
-	for i+lzMinMatch <= len(src) {
-		h := lzHash(lzLoad32(src, i))
-		cand := table[h]
-		table[h] = int32(i)
-		if cand < 0 || lzLoad32(src, int(cand)) != lzLoad32(src, i) {
-			i++
-			continue
-		}
-		// Extend the match as far as it goes.
-		match := int(cand)
-		length := lzMinMatch
-		for i+length < len(src) && src[match+length] == src[i+length] {
-			length++
-		}
-		emitLiterals(src[litStart:i])
-		offset := i - match
-		for length >= lzMinMatch {
-			span := length
-			if span > lzMaxToken+lzMinMatch-1 {
-				span = lzMaxToken + lzMinMatch - 1
-			}
-			dst = append(dst, byte((span-lzMinMatch)<<1)|1)
-			dst = binary.AppendUvarint(dst, uint64(offset))
-			length -= span
-			i += span
-		}
-		// A leftover tail shorter than a copy token's minimum stays at i and
-		// is re-scanned by the outer loop (ultimately emitted as literals).
-		litStart = i
-	}
-	emitLiterals(src[litStart:])
-	return dst
-}
-
-// lzDecompress appends the decompressed token stream to dst, which must equal
-// rawLen bytes on completion. Every read and copy is bounds-checked; malformed
-// streams return ErrBadBatchEncoding.
-func lzDecompress(dst, src []byte, rawLen int) ([]byte, error) {
-	base := len(dst)
-	for len(src) > 0 {
-		c := src[0]
-		src = src[1:]
-		if c&1 == 0 {
-			run := int(c>>1) + 1
-			if run > len(src) {
-				return nil, fmt.Errorf("%w: truncated literal run", ErrBadBatchEncoding)
-			}
-			if len(dst)-base+run > rawLen {
-				return nil, fmt.Errorf("%w: block output exceeds declared size", ErrBadBatchEncoding)
-			}
-			dst = append(dst, src[:run]...)
-			src = src[run:]
-			continue
-		}
-		length := int(c>>1) + lzMinMatch
-		off, k := binary.Uvarint(src)
-		if k <= 0 {
-			return nil, fmt.Errorf("%w: truncated copy offset", ErrBadBatchEncoding)
-		}
-		src = src[k:]
-		if off == 0 || off > uint64(len(dst)-base) {
-			return nil, fmt.Errorf("%w: copy offset out of range", ErrBadBatchEncoding)
-		}
-		if len(dst)-base+length > rawLen {
-			return nil, fmt.Errorf("%w: block output exceeds declared size", ErrBadBatchEncoding)
-		}
-		// Byte-at-a-time copy: offsets shorter than the length overlap the
-		// destination (the LZ idiom for runs).
-		pos := len(dst) - int(off)
-		for j := 0; j < length; j++ {
-			dst = append(dst, dst[pos+j])
-		}
-	}
-	if len(dst)-base != rawLen {
-		return nil, fmt.Errorf("%w: block decoded %d of %d bytes", ErrBadBatchEncoding, len(dst)-base, rawLen)
-	}
-	return dst, nil
-}

@@ -77,7 +77,7 @@ func encoderRows(rng *rand.Rand, schema *Schema, n, card, nullPct int) []Row {
 
 // FuzzFrameEncoderRange holds FrameEncoder.Encode over rows [lo, hi) of a
 // batch to EncodeBatchOpts of a copy of just those rows, and to the encoder
-// it replaced (frame_oracle_test.go), under all three codec settings. One
+// it replaced (frame_oracle_test.go), under both codec settings. One
 // encoder is reused across ranges, codecs and both schemas, so scratch state
 // leaking from one column or call into the next shows as different bytes.
 func FuzzFrameEncoderRange(f *testing.F) {
@@ -86,7 +86,7 @@ func FuzzFrameEncoderRange(f *testing.F) {
 	f.Add(int64(3), uint16(129), uint16(63), uint16(64), uint8(1), uint8(0))
 	f.Add(int64(4), uint16(2048), uint16(1000), uint16(2048), uint8(255), uint8(5))
 	f.Add(int64(5), uint16(0), uint16(0), uint16(0), uint8(3), uint8(50))
-	codecs := []CodecOptions{{}, {Compress: true}, {Compress: true, Block: true}}
+	codecs := []CodecOptions{{}, {Compress: true}}
 	f.Fuzz(func(t *testing.T, seed int64, rows, lo, hi uint16, card, nullPct uint8) {
 		n := int(rows) % 2500
 		rng := rand.New(rand.NewSource(seed))
@@ -130,7 +130,7 @@ func FuzzFrameEncoderRange(f *testing.F) {
 
 // TestDecodeBatchCopiesOutOfItsInput overwrites a frame's bytes after
 // DecodeBatch and checks that the decoded batch does not change, for every
-// column encoding and the block layer: a reader may reuse one frame buffer
+// column encoding and both codecs: a reader may reuse one frame buffer
 // for every frame it decodes.
 func TestDecodeBatchCopiesOutOfItsInput(t *testing.T) {
 	schema := encoderSchemas[0]
@@ -143,7 +143,7 @@ func TestDecodeBatchCopiesOutOfItsInput(t *testing.T) {
 		{"raw", encoderRows(rand.New(rand.NewSource(8)), schema, 700, 5000, 3)}, // raw strings and ints
 	} {
 		b := mustBatch(t, schema, tc.rows)
-		for _, opts := range []CodecOptions{{}, {Compress: true}, {Compress: true, Block: true}} {
+		for _, opts := range []CodecOptions{{}, {Compress: true}} {
 			frame := EncodeBatchOpts(nil, b, opts)
 			dec, err := DecodeBatch(schema, frame)
 			if err != nil {

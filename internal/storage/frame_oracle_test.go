@@ -15,26 +15,8 @@ func naiveEncodeBatchOpts(dst []byte, b *ColumnBatch, opts CodecOptions) []byte 
 	if !opts.Compress || b.n > maxFrameRows {
 		return naiveEncodeBatch(dst, b)
 	}
-	base := len(dst)
 	dst = append(dst, batchMagic, batchVersion2, 0)
-	bodyStart := len(dst)
-	dst = naiveFrameBody(dst, b)
-	if !opts.Block {
-		return dst
-	}
-	body := dst[bodyStart:]
-	if len(body) > maxFrameBodyBytes {
-		return dst
-	}
-	var comp []byte
-	comp = binary.AppendUvarint(comp, uint64(len(body)))
-	comp = lzCompress(comp, body)
-	if len(comp) >= len(body) {
-		return dst // block layer did not win; keep the raw body
-	}
-	dst[base+2] |= frameFlagBlock
-	dst = append(dst[:bodyStart], comp...)
-	return dst
+	return naiveFrameBody(dst, b)
 }
 
 // naiveFrameBody appends the v2 body: row/column counts then each column as

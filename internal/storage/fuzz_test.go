@@ -10,8 +10,8 @@ import (
 // anything structurally wrong) or produce a batch that re-encodes and
 // re-decodes consistently — and it must never panic, because spill files are
 // the one input the engine reads back from disk. Seeds cover both codec
-// versions, the block layer, and hand-truncated frames; `make fuzz` runs a
-// short time-boxed session and CI runs an even shorter smoke.
+// versions, a v2 frame with a flag set, and hand-truncated frames; `make
+// fuzz` runs a short time-boxed session and CI runs an even shorter smoke.
 func FuzzDecodeBatch(f *testing.F) {
 	schema := MustSchema(
 		Field{Name: "seq", Type: TypeInt},
@@ -27,13 +27,16 @@ func FuzzDecodeBatch(f *testing.F) {
 	}
 	v1 := EncodeBatch(nil, b)
 	v2 := EncodeBatchOpts(nil, b, CodecOptions{Compress: true})
-	v2b := EncodeBatchOpts(nil, b, CodecOptions{Compress: true, Block: true})
+	// A v2 frame whose flags byte is set: no flag is defined, so it must
+	// be rejected.
+	v2f := append([]byte(nil), v2...)
+	v2f[2] = 0x01
 	f.Add(v1)
 	f.Add(v2)
-	f.Add(v2b)
+	f.Add(v2f)
 	f.Add(v1[:len(v1)/2])
 	f.Add(v2[:len(v2)/3])
-	f.Add(v2b[:7])
+	f.Add(v2f[:7])
 	f.Add([]byte{})
 	f.Add([]byte{0xCB})
 	f.Add([]byte{0xCB, 0x02, 0x01, 0x05})

@@ -96,23 +96,10 @@ func DecodeBatch(schema *Schema, data []byte) (*ColumnBatch, error) {
 		if len(data) < 3 {
 			return nil, fmt.Errorf("%w: truncated frame flags", ErrBadBatchEncoding)
 		}
-		flags := data[2]
-		body := data[3:]
-		if flags&^frameFlagBlock != 0 {
+		if flags := data[2]; flags != 0 {
 			return nil, fmt.Errorf("%w: unknown frame flags %#x", ErrBadBatchEncoding, flags)
 		}
-		if flags&frameFlagBlock != 0 {
-			rawLen, k := binary.Uvarint(body)
-			if k <= 0 || rawLen > maxFrameBodyBytes {
-				return nil, fmt.Errorf("%w: bad block size", ErrBadBatchEncoding)
-			}
-			decoded, err := lzDecompress(make([]byte, 0, rawLen), body[k:], int(rawLen))
-			if err != nil {
-				return nil, err
-			}
-			body = decoded
-		}
-		return decodeBatchV2(schema, body)
+		return decodeBatchV2(schema, data[3:])
 	}
 	if data[1] != batchVersion {
 		return nil, fmt.Errorf("%w: unsupported codec version %d", ErrBadBatchEncoding, data[1])
