@@ -50,7 +50,11 @@ lint:
 # hash/fnv and fmt's %016x on arbitrary strings; FuzzSaveTableChunking saves
 # random batch lengths with nullable columns under random frame and segment
 # sizes and holds every segment file, byte for byte, to the copy-then-encode
-# save path it replaced. FuzzFrameEncoderRange encodes random row ranges of
+# save path it replaced. FuzzScanPruning scans random tables (ints at
+# +-2^53 and the int64 edges, -0/NaN/Inf floats, strings cut from fuzz bytes,
+# all-null frames) under random predicate conjunctions and holds the rows
+# and the skipped segment and frame counts to plain-Go filters over the
+# saved rows. FuzzFrameEncoderRange encodes random row ranges of
 # batches of every column type under both codec settings on one reused
 # encoder and holds the bytes to the encoding of a copy of those rows and to
 # the build-both-and-compare encoder it replaced.
@@ -89,6 +93,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeManifest' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegmentFooter' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzSaveTableChunking' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz 'FuzzScanPruning' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanEquivalence' -fuzztime $(FUZZTIME) ./internal/dataflow/
 	$(GO) test -run '^$$' -fuzz 'FuzzSortKeys' -fuzztime $(FUZZTIME) ./internal/dataflow/
 	$(GO) test -run '^$$' -fuzz 'FuzzAprioriEquivalence' -fuzztime $(FUZZTIME) ./internal/analytics/

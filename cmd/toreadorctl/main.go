@@ -186,7 +186,7 @@ func doTables(out io.Writer, platform *toreador.Platform, table, filter string) 
 		fmt.Fprintf(out, "filter:   %s\n", filter)
 	}
 	fmt.Fprintf(out, "scanned:  %d rows\n", rows)
-	fmt.Fprintf(out, "segments: %d scanned, %d skipped by zone maps/bloom\n", stats.SegmentsScanned, stats.SegmentsSkipped)
+	fmt.Fprintf(out, "segments: %d scanned, %d skipped by zone maps\n", stats.SegmentsScanned, stats.SegmentsSkipped)
 	fmt.Fprintf(out, "frames:   %d scanned, %d skipped\n", stats.FramesScanned, stats.FramesSkipped)
 	return nil
 }

@@ -108,7 +108,7 @@ func TestCLIExplain(t *testing.T) {
 	// The chosen churn pipeline prepares data with a null-dropping filter
 	// plus the MapStrings column mask, so the physical plan must show them
 	// fused into a single stage over the source table.
-	for _, want := range []string{"PhysicalPlan(fusion=on, combine=on", "FusedStage(ops=", "Source(telco_customers"} {
+	for _, want := range []string{"PhysicalPlan(combine=on", "FusedStage(ops=", "Source(telco_customers"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}

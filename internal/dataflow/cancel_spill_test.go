@@ -85,7 +85,7 @@ func TestCancelBudgetedShuffleReleasesSpill(t *testing.T) {
 		dim[i] = storage.Row{int64(i), "label-" + string(rune('a'+i%7))}
 	}
 
-	e := spillEngine(t, withBroadcastJoin(false), WithMemoryBudget(1))
+	e := spillEngine(t, withBroadcastThreshold(-1), WithMemoryBudget(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	plan := FromRows("facts", schema, facts, 4).

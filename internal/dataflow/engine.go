@@ -50,15 +50,12 @@ type Engine struct {
 	cluster           *cluster.Cluster
 	reg               *metrics.Registry
 	shufflePartitions int
-	// fuse enables the stage compiler; disabled, every narrow operator runs
-	// as its own cluster job.
-	fuse bool
 	// combine enables the map-side partial aggregation pass before group-by
 	// shuffles.
 	combine bool
-	// broadcastJoin enables broadcasting build sides below
-	// broadcastThreshold rows; disabled, every join shuffles both inputs.
-	broadcastJoin      bool
+	// broadcastThreshold is the largest build side, in rows, a join
+	// broadcasts; larger build sides shuffle both inputs, and a negative
+	// threshold shuffles every join.
 	broadcastThreshold int
 	// memoryBudget bounds the resident bytes of each wide operator's batch
 	// accumulation (shuffle buckets, sort runs, join build sides, group
@@ -89,13 +86,6 @@ func WithShufflePartitions(n int) EngineOption {
 	}
 }
 
-// withFusion toggles the stage compiler (default on). With fusion off every
-// narrow operator schedules its own cluster job and materialises its full
-// output: the equivalence suite's unfused arm.
-func withFusion(enabled bool) EngineOption {
-	return func(e *Engine) { e.fuse = enabled }
-}
-
 // WithMapSideCombine toggles partial aggregation before group-by shuffles
 // (default on). With combining off every input row crosses the shuffle
 // boundary.
@@ -103,21 +93,11 @@ func WithMapSideCombine(enabled bool) EngineOption {
 	return func(e *Engine) { e.combine = enabled }
 }
 
-// withBroadcastJoin toggles the broadcast hash join strategy (default on).
-// With it off every join shuffles both inputs regardless of size.
-func withBroadcastJoin(enabled bool) EngineOption {
-	return func(e *Engine) { e.broadcastJoin = enabled }
-}
-
 // withBroadcastThreshold sets the build-side row count at or under which a
-// join broadcasts instead of shuffling (default 10000). Non-positive values
-// are ignored; use withBroadcastJoin(false) to disable broadcasting.
+// join broadcasts instead of shuffling (default 10000). A negative threshold
+// never broadcasts: the equivalence suite's shuffle-join arm.
 func withBroadcastThreshold(rows int) EngineOption {
-	return func(e *Engine) {
-		if rows > 0 {
-			e.broadcastThreshold = rows
-		}
-	}
+	return func(e *Engine) { e.broadcastThreshold = rows }
 }
 
 // WithMemoryBudget bounds the bytes of columnar batch data each wide
@@ -148,9 +128,7 @@ func NewEngine(c *cluster.Cluster, opts ...EngineOption) (*Engine, error) {
 		cluster:            c,
 		reg:                metrics.NewRegistry(),
 		shufflePartitions:  c.TotalSlots(),
-		fuse:               true,
 		combine:            true,
-		broadcastJoin:      true,
 		broadcastThreshold: defaultBroadcastThreshold,
 	}
 	if e.shufflePartitions < 1 {
@@ -502,24 +480,19 @@ func (e *Engine) eval(ctx context.Context, node planNode, st *execState) ([]*sto
 	return parts, nil
 }
 
-// evalNode executes one plan node over its evaluated children. With fusion
-// enabled, a maximal chain of narrow operators ending at node executes as one
-// fused stage (one cluster job per stage); with it disabled, every narrow
-// operator is a one-operator stage of its own.
+// evalNode executes one plan node over its evaluated children. A maximal
+// chain of narrow operators ending at node executes as one fused stage (one
+// cluster job per stage).
 func (e *Engine) evalNode(ctx context.Context, node planNode, st *execState) ([]*storage.ColumnBatch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if e.fuse {
-		if ch, ok := narrowChainOf(node); ok {
-			return e.evalChain(ctx, ch, st)
-		}
+	if ch, ok := narrowChainOf(node); ok {
+		return e.evalChain(ctx, ch, st)
 	}
 	switch n := node.(type) {
 	case *sourceNode:
 		return e.evalSource(n, st), nil
-	case *filterNode, *projectNode, *withColumnNode, *mapStringsNode:
-		return e.evalChain(ctx, fusedChain{ops: []planNode{n}, base: n.children()[0]}, st)
 	case *sortNode:
 		return e.evalSort(ctx, n, st)
 	case *groupByNode:

@@ -272,7 +272,7 @@ func TestInnerJoin(t *testing.T) {
 
 	// With broadcasting disabled the fallback shuffles both sides and must
 	// produce the same rows.
-	eOff := testEngineWith(t, withBroadcastJoin(false))
+	eOff := testEngineWith(t, withBroadcastThreshold(-1))
 	resOff := collect(t, eOff, j)
 	if len(resOff.Rows) != 5 {
 		t.Fatalf("shuffled inner join rows = %d, want 5", len(resOff.Rows))
@@ -361,7 +361,7 @@ func TestJoinKeySemantics(t *testing.T) {
 		broadcast int64
 	}{
 		{"broadcast", nil, 1},
-		{"shuffled", []EngineOption{withBroadcastJoin(false), WithMemoryBudget(1)}, 0},
+		{"shuffled", []EngineOption{withBroadcastThreshold(-1), WithMemoryBudget(1)}, 0},
 	}
 	// matches renders a join output as sorted "left id → right label" lines.
 	matches := func(rows []storage.Row) []string {

@@ -192,10 +192,9 @@ func engineArms(t testing.TB, opts ...EngineOption) []engineArm {
 	}
 	return []engineArm{
 		{"default", build()},
-		{"unfused", build(withFusion(false))},
 		{"spill", build(WithMemoryBudget(1))},
 		{"uncombined", build(WithMapSideCombine(false))},
-		{"shuffle-join", build(withBroadcastJoin(false))},
+		{"shuffle-join", build(withBroadcastThreshold(-1))},
 	}
 }
 
@@ -348,10 +347,10 @@ func FuzzPlanEquivalence(f *testing.F) {
 }
 
 // TestFilterUnfusedVectorizedEquivalence drives closure-Filter stages over
-// larger inputs than the randomized suite: with the stage compiler off each
-// Filter runs as its own batch-kernel job, narrowing a selection through
-// zero-copy batch views, and every arm must keep exactly the rows the
-// reference keeps.
+// larger inputs than the randomized suite: a Sort between the two Filters
+// keeps them from fusing, so each runs as its own one-operator batch-kernel
+// job, narrowing a selection through zero-copy batch views, and every arm
+// must keep exactly the rows the reference keeps.
 func TestFilterUnfusedVectorizedEquivalence(t *testing.T) {
 	for seed := int64(300); seed < 306; seed++ {
 		seed := seed
@@ -362,11 +361,13 @@ func TestFilterUnfusedVectorizedEquivalence(t *testing.T) {
 			cut := float64(rng.Intn(100) - 50)
 			plan := refFromRows("filterequiv", schema, rows, 1+rng.Intn(5)).
 				Filter("c0 odd", func(r Record) (bool, error) { return r.Int("c0")%2 != 0, nil }).
+				Sort(SortOrder{Column: "c0"}).
 				Filter("c1 null or >= cut", func(r Record) (bool, error) {
 					return r.IsNull("c1") || r.Float("c1") >= cut, nil
 				})
-			if res := checkArms(t, plan)["unfused"]; res.Stats.Batches == 0 {
-				t.Error("unfused Filter processed no batches")
+			if res := checkArms(t, plan)["default"]; res.Stats.Batches == 0 || res.Stats.FusedStages != 0 {
+				t.Errorf("Filters processed %d batches in %d fused stages, want some batches and no fused stage",
+					res.Stats.Batches, res.Stats.FusedStages)
 			}
 		})
 	}
@@ -374,8 +375,8 @@ func TestFilterUnfusedVectorizedEquivalence(t *testing.T) {
 
 // TestWithColumnUnfusedVectorizedEquivalence drives WithColumn stages over
 // larger inputs than the randomized suite: closures read zero-copy batch
-// views and their values are appended into typed vectors, fused or one job
-// per operator, and every arm must reproduce the reference exactly.
+// views and their values are appended into typed vectors, the two fused into
+// one stage, and every arm must reproduce the reference exactly.
 func TestWithColumnUnfusedVectorizedEquivalence(t *testing.T) {
 	for seed := int64(400); seed < 406; seed++ {
 		seed := seed
@@ -393,8 +394,9 @@ func TestWithColumnUnfusedVectorizedEquivalence(t *testing.T) {
 					}).
 				WithColumn(storage.Field{Name: "large", Type: storage.TypeBool},
 					func(r Record) (storage.Value, error) { return r.Float("scaled") > 25, nil })
-			if res := checkArms(t, plan)["unfused"]; res.Stats.Batches == 0 {
-				t.Error("unfused WithColumn processed no batches")
+			if res := checkArms(t, plan)["default"]; res.Stats.Batches == 0 || res.Stats.FusedStages != 1 {
+				t.Errorf("WithColumns processed %d batches in %d fused stages, want some batches in one",
+					res.Stats.Batches, res.Stats.FusedStages)
 			}
 		})
 	}

@@ -60,7 +60,7 @@ func TestSpillCreateFailureIsLocal(t *testing.T) {
 		}},
 	}
 
-	e := spillEngine(t, withBroadcastJoin(false), WithMapSideCombine(false),
+	e := spillEngine(t, withBroadcastThreshold(-1), WithMapSideCombine(false),
 		WithMemoryBudget(1), WithSpillDir(spillDir))
 	ctx := context.Background()
 	for _, p := range plans {

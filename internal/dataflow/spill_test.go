@@ -91,7 +91,7 @@ func TestSpillShuffledJoin(t *testing.T) {
 			Join(refFromRows("dims", dimSchema, dim, 2), "k", "k", InnerJoin)
 	}
 
-	mem := spillEngine(t, withBroadcastJoin(false))
+	mem := spillEngine(t, withBroadcastThreshold(-1))
 	base, err := mem.Collect(ctx, plan())
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestSpillShuffledJoin(t *testing.T) {
 		t.Fatalf("unlimited engine spilled %d batches", base.Stats.SpilledBatches)
 	}
 
-	spill := spillEngine(t, withBroadcastJoin(false), WithMemoryBudget(1))
+	spill := spillEngine(t, withBroadcastThreshold(-1), WithMemoryBudget(1))
 	got, err := spill.Collect(ctx, plan())
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestNegativeZeroJoin(t *testing.T) {
 		opts []EngineOption
 	}{
 		{"broadcast", nil},
-		{"shuffled", []EngineOption{withBroadcastJoin(false)}},
+		{"shuffled", []EngineOption{withBroadcastThreshold(-1)}},
 	} {
 		for _, arm := range engineArms(t, strategy.opts...) {
 			mode := arm.name

@@ -85,9 +85,8 @@ func (e *Engine) Explain(d *Dataset) string {
 		return fmt.Sprintf("<invalid plan: %v>", err)
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "PhysicalPlan(fusion=%s, combine=%s, broadcastJoin=%s(≤%d), shufflePartitions=%d, memoryBudget=%s)\n",
-		onOff(e.fuse), onOff(e.combine), onOff(e.broadcastJoin), e.broadcastThreshold,
-		e.shufflePartitions, e.budgetLabel())
+	fmt.Fprintf(&sb, "PhysicalPlan(combine=%s, broadcastJoin(≤%d), shufflePartitions=%d, memoryBudget=%s)\n",
+		onOff(e.combine), e.broadcastThreshold, e.shufflePartitions, e.budgetLabel())
 	fmt.Fprintf(&sb, "  spill: %s\n", e.spillMode())
 	e.explainNode(&sb, d.node, 1)
 	return sb.String()
@@ -169,18 +168,16 @@ func onOff(b bool) string {
 
 func (e *Engine) explainNode(sb *strings.Builder, node planNode, depth int) {
 	indent := strings.Repeat("  ", depth)
-	if e.fuse {
-		if ch, ok := narrowChainOf(node); ok {
-			labels := make([]string, len(ch.ops))
-			for i, op := range ch.ops {
-				labels[i] = op.label()
-			}
-			// The job name ties the line to the cluster job that runs it.
-			sb.WriteString(indent + fmt.Sprintf("FusedStage(ops=%d: %s) as %s\n",
-				len(ch.ops), strings.Join(labels, " → "), ch.name()))
-			e.explainNode(sb, ch.base, depth+1)
-			return
+	if ch, ok := narrowChainOf(node); ok {
+		labels := make([]string, len(ch.ops))
+		for i, op := range ch.ops {
+			labels[i] = op.label()
 		}
+		// The job name ties the line to the cluster job that runs it.
+		sb.WriteString(indent + fmt.Sprintf("FusedStage(ops=%d: %s) as %s\n",
+			len(ch.ops), strings.Join(labels, " → "), ch.name()))
+		e.explainNode(sb, ch.base, depth+1)
+		return
 	}
 	label := node.label()
 	switch n := node.(type) {
@@ -205,7 +202,7 @@ func (e *Engine) explainNode(sb *strings.Builder, node planNode, depth int) {
 		}
 		label += " " + e.sortCoreLabel(bound, bounded)
 	case *joinNode:
-		if bound, ok := estimateMaxRows(n.right); e.broadcastJoin && ok && bound <= e.broadcastThreshold {
+		if bound, ok := estimateMaxRows(n.right); ok && bound <= e.broadcastThreshold {
 			label += fmt.Sprintf(" [broadcast(build≤%d)]", bound)
 		} else {
 			label += " [shuffle-hash]"

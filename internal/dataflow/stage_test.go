@@ -12,26 +12,15 @@ import (
 	"repro/internal/storage"
 )
 
-// fusedAndUnfusedEngines returns two engines over fresh clusters, one with
-// the stage compiler enabled and one running the per-operator baseline.
-func fusedAndUnfusedEngines(t *testing.T, opts ...EngineOption) (*Engine, *Engine) {
+// combinedAndUncombinedEngines returns two engines over fresh clusters, one
+// combining group-by partials map-side and one shuffling every input row.
+func combinedAndUncombinedEngines(t *testing.T) (*Engine, *Engine) {
 	t.Helper()
-	build := func(fuse bool) *Engine {
-		c, err := cluster.New(cluster.Uniform(2, 2, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		all := append([]EngineOption{withFusion(fuse), WithMapSideCombine(fuse)}, opts...)
-		e, err := NewEngine(c, all...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	return build(true), build(false)
+	return testEngineWith(t, WithMapSideCombine(true)), testEngineWith(t, WithMapSideCombine(false))
 }
 
-// numbersDataset builds a deterministic integer dataset over p partitions.
+// numbersDataset builds a deterministic integer dataset over p partitions,
+// recorded as a reference-interpreter source.
 func numbersDataset(t *testing.T, n, p int) *Dataset {
 	t.Helper()
 	schema := storage.MustSchema(
@@ -42,7 +31,7 @@ func numbersDataset(t *testing.T, n, p int) *Dataset {
 	for i := range rows {
 		rows[i] = storage.Row{int64(i % 7), float64(i)}
 	}
-	return FromRows("numbers", schema, rows, p)
+	return refFromRows("numbers", schema, rows, p)
 }
 
 // narrowChainPlan builds a 3-operator narrow chain over d.
@@ -115,29 +104,42 @@ func TestFusedNarrowChainRunsOneJob(t *testing.T) {
 	}
 }
 
+// TestUnfusedNarrowChainRunsJobPerOperator runs narrow operators that a
+// group-by separates, so none fuses with another: each is a one-operator
+// stage of its own, one cluster job with one task per input partition.
 func TestUnfusedNarrowChainRunsJobPerOperator(t *testing.T) {
-	c, err := cluster.New(cluster.Uniform(2, 2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(c, withFusion(false))
-	if err != nil {
-		t.Fatal(err)
-	}
 	const parts = 4
-	d := narrowChainPlan(numbersDataset(t, 1000, parts))
-	res, err := e.Collect(context.Background(), d)
-	if err != nil {
-		t.Fatal(err)
+	run := func(build func(*Dataset) *Dataset) (tasks, jobs int64, res *Result) {
+		c, err := cluster.New(cluster.Uniform(2, 2, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(c, WithShufflePartitions(parts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res = collect(t, e, build(numbersDataset(t, 1000, parts)))
+		return res.Stats.Tasks, c.Metrics().Snapshot().CounterValue("jobs"), res
 	}
-	if res.Stats.Tasks != 3*parts {
-		t.Errorf("unfused tasks = %d, want %d (one per operator per partition)", res.Stats.Tasks, 3*parts)
+	grouped := func(d *Dataset) *Dataset { return d.GroupBy("k").Agg(Count()) }
+	wideTasks, wideJobs, _ := run(grouped)
+	tasks, jobs, res := run(func(d *Dataset) *Dataset {
+		return grouped(d.Filter("v >= 10", func(r Record) (bool, error) { return r.Float("v") >= 10, nil })).
+			Filter("k != 3", func(r Record) (bool, error) { return r.Int("k") != 3, nil })
+	})
+	if jobs != wideJobs+2 {
+		t.Errorf("cluster jobs = %d, want the group-by's %d plus one per filter", jobs, wideJobs)
 	}
-	if jobs := c.Metrics().Snapshot().CounterValue("jobs"); jobs != 3 {
-		t.Errorf("unfused cluster jobs = %d, want 3", jobs)
+	if tasks != wideTasks+2*parts {
+		t.Errorf("tasks = %d, want the group-by's %d plus %d per filter", tasks, wideTasks, parts)
+	}
+	if res.Stats.FusedStages != 0 {
+		t.Errorf("fused stages = %d, want 0", res.Stats.FusedStages)
 	}
 }
 
+// TestFusionMatchesUnfused holds fused narrow chains to the reference
+// interpreter, which runs one operator at a time.
 func TestFusionMatchesUnfused(t *testing.T) {
 	plans := map[string]func(*Dataset) *Dataset{
 		"filter-map-filter": narrowChainPlan,
@@ -147,22 +149,13 @@ func TestFusionMatchesUnfused(t *testing.T) {
 	}
 	for name, build := range plans {
 		t.Run(name, func(t *testing.T) {
-			fused, unfused := fusedAndUnfusedEngines(t)
-			ctx := context.Background()
-			got, err := fused.Collect(ctx, build(numbersDataset(t, 1000, 4)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := unfused.Collect(ctx, build(numbersDataset(t, 1000, 4)))
+			plan := build(numbersDataset(t, 1000, 4))
+			want, err := reference(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Narrow chains and sort preserve order.
-			g, w := rowStrings(got.Rows), rowStrings(want.Rows)
-			if !equalStrings(g, w) {
-				t.Errorf("fused result differs from unfused:\nfused   (%d rows): %v\nunfused (%d rows): %v",
-					len(g), g[:min(5, len(g))], len(w), w[:min(5, len(w))])
-			}
+			want.check(t, "fused", collect(t, testEngine(t), plan))
 		})
 	}
 }
@@ -173,13 +166,13 @@ func TestGroupByCombineMatchesAndReducesShuffle(t *testing.T) {
 			Count(), Sum("v"), Avg("v"),
 		)
 	}
-	fused, unfused := fusedAndUnfusedEngines(t)
+	combiner, shuffler := combinedAndUncombinedEngines(t)
 	ctx := context.Background()
-	combined, err := fused.Collect(ctx, build())
+	combined, err := combiner.Collect(ctx, build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := unfused.Collect(ctx, build())
+	plain, err := shuffler.Collect(ctx, build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +192,7 @@ func TestGroupByCombineMatchesAndReducesShuffle(t *testing.T) {
 	if combined.Stats.CombinedRows != 2000-combined.Stats.ShuffledRows {
 		t.Errorf("combined rows = %d, want %d", combined.Stats.CombinedRows, 2000-combined.Stats.ShuffledRows)
 	}
-	if got := fused.Metrics().Snapshot().CounterValue("shuffle.combined"); got != combined.Stats.CombinedRows {
+	if got := combiner.Metrics().Snapshot().CounterValue("shuffle.combined"); got != combined.Stats.CombinedRows {
 		t.Errorf("shuffle.combined counter = %d, want %d", got, combined.Stats.CombinedRows)
 	}
 	if plain.Stats.CombinedRows != 0 {
@@ -208,7 +201,7 @@ func TestGroupByCombineMatchesAndReducesShuffle(t *testing.T) {
 }
 
 func TestFusedUDFErrorFailsAction(t *testing.T) {
-	fused, _ := fusedAndUnfusedEngines(t)
+	fused := testEngine(t)
 	d := numbersDataset(t, 100, 4).
 		Filter("ok", func(r Record) (bool, error) { return true, nil }).
 		WithColumn(storage.Field{Name: "x", Type: storage.TypeInt},
@@ -220,12 +213,12 @@ func TestFusedUDFErrorFailsAction(t *testing.T) {
 }
 
 func TestExplainPhysicalPlan(t *testing.T) {
-	fused, unfused := fusedAndUnfusedEngines(t)
+	fused, uncombined := combinedAndUncombinedEngines(t)
 	d := narrowChainPlan(numbersDataset(t, 10, 2)).GroupBy("k").Agg(Count())
 
 	plan := fused.Explain(d)
 	for _, want := range []string{
-		"PhysicalPlan(fusion=on, combine=on",
+		"PhysicalPlan(combine=on, broadcastJoin(≤10000), shufflePartitions=4, memoryBudget=unlimited)",
 		"FusedStage(ops=3:",
 		"Filter(v >= 10) → WithColumn(v2) → Filter(k != 3)",
 		"GroupBy(keys=[k], aggs=1) [combine+shuffle]",
@@ -236,12 +229,9 @@ func TestExplainPhysicalPlan(t *testing.T) {
 		}
 	}
 
-	baseline := unfused.Explain(d)
-	if strings.Contains(baseline, "FusedStage") {
-		t.Errorf("unfused Explain must not contain fused stages:\n%s", baseline)
-	}
+	baseline := uncombined.Explain(d)
 	if !strings.Contains(baseline, "GroupBy(keys=[k], aggs=1) [shuffle]") {
-		t.Errorf("unfused Explain missing plain group-by:\n%s", baseline)
+		t.Errorf("uncombined Explain missing plain group-by:\n%s", baseline)
 	}
 
 	if got := fused.Explain(nil); got != "<invalid plan>" {

@@ -584,7 +584,7 @@ func (e *Engine) evalJoin(ctx context.Context, n *joinNode, st *execState) ([]*s
 	if err != nil {
 		return nil, fmt.Errorf("dataflow: join (right): %w", err)
 	}
-	if e.broadcastJoin && countBatchRows(right) <= e.broadcastThreshold {
+	if countBatchRows(right) <= e.broadcastThreshold {
 		st.addBroadcast()
 		// Build once as a single cluster task — the simulated analogue of
 		// materialising the broadcast variable — then share the table

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/storage"
 )
 
@@ -57,24 +58,30 @@ func TestVectorizedStatsAndMetrics(t *testing.T) {
 }
 
 // TestExplainNamesExecutionMode pins how Explain describes narrow-operator
-// execution: fused chains render as one FusedStage line, unfused engines
-// render one line per operator, and the header names the fusion switch.
+// execution: a fused chain renders as one FusedStage line, and running it
+// takes the one cluster job, with one task per partition, that line names.
 func TestExplainNamesExecutionMode(t *testing.T) {
-	d := vectorChainPlan(t, 100, 2)
-	plan := testEngine(t).Explain(d)
-	for _, want := range []string{"fusion=on", "FusedStage(ops=4: Filter(v >= 5) → Project([k v]) → WithColumn(bucket) → Filter(bucket < 4))"} {
-		if !strings.Contains(plan, want) {
-			t.Errorf("fused Explain missing %q:\n%s", want, plan)
-		}
+	const parts = 2
+	d := vectorChainPlan(t, 100, parts)
+	c, err := cluster.New(cluster.Uniform(2, 2, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	unfused := testEngineWith(t, withFusion(false)).Explain(d)
-	if !strings.Contains(unfused, "fusion=off") || strings.Contains(unfused, "FusedStage") {
-		t.Errorf("unfused Explain must name the switch and render no fused stage:\n%s", unfused)
+	e, err := NewEngine(c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"Filter(v >= 5)", "Project([k v])", "WithColumn(bucket)", "Filter(bucket < 4)"} {
-		if !strings.Contains(unfused, want) {
-			t.Errorf("unfused Explain missing operator %q:\n%s", want, unfused)
-		}
+	plan := e.Explain(d)
+	want := "FusedStage(ops=4: Filter(v >= 5) → Project([k v]) → WithColumn(bucket) → Filter(bucket < 4)) as stage(filter→project→with_column→filter)"
+	if !strings.Contains(plan, want) {
+		t.Errorf("Explain missing %q:\n%s", want, plan)
+	}
+	res := collect(t, e, d)
+	if res.Stats.FusedStages != 1 || res.Stats.Tasks != parts {
+		t.Errorf("ran %d fused stages in %d tasks, want 1 stage in %d", res.Stats.FusedStages, res.Stats.Tasks, parts)
+	}
+	if jobs := c.Metrics().Snapshot().CounterValue("jobs"); jobs != 1 {
+		t.Errorf("cluster jobs = %d, want 1", jobs)
 	}
 }
 

@@ -179,7 +179,7 @@ func TestBroadcastLeftJoinMatchesShuffled(t *testing.T) {
 	// Keys 0..39 on the left, only 1 and 2 match: most rows null-extend.
 	plan := wideDataset(t, 400, 4).Join(right, "k", "k", LeftJoin)
 	broadcast := collect(t, testEngineWith(t), plan)
-	shuffled := collect(t, testEngineWith(t, withBroadcastJoin(false)), plan)
+	shuffled := collect(t, testEngineWith(t, withBroadcastThreshold(-1)), plan)
 	if len(broadcast.Rows) != 400 || len(shuffled.Rows) != 400 {
 		t.Fatalf("left join rows = %d / %d, want 400", len(broadcast.Rows), len(shuffled.Rows))
 	}
@@ -327,7 +327,7 @@ func TestExplainWideStrategies(t *testing.T) {
 	), []storage.Row{{int64(1)}, {int64(2)}}, 1)
 
 	e := testEngineWith(t)
-	header := "PhysicalPlan(fusion=on, combine=on, broadcastJoin=on(≤10000), shufflePartitions=4, memoryBudget=unlimited)\n"
+	header := "PhysicalPlan(combine=on, broadcastJoin(≤10000), shufflePartitions=4, memoryBudget=unlimited)\n"
 	bigSort := wideDataset(t, 2000, 8).Sort(SortOrder{Column: "v"})
 	plan := e.Explain(bigSort)
 	if !strings.HasPrefix(plan, header) {
@@ -358,7 +358,7 @@ func TestExplainWideStrategies(t *testing.T) {
 	if got := e.Explain(join); !strings.Contains(got, "[broadcast(build≤2)]") {
 		t.Errorf("Explain must predict the broadcast join with the build-side bound:\n%s", got)
 	}
-	if got := testEngineWith(t, withBroadcastJoin(false)).Explain(join); !strings.Contains(got, "[shuffle-hash]") {
+	if got := testEngineWith(t, withBroadcastThreshold(-1)).Explain(join); !strings.Contains(got, "[shuffle-hash]") {
 		t.Errorf("broadcast-off Explain must name the shuffled strategy:\n%s", got)
 	}
 	if got := testEngineWith(t, withBroadcastThreshold(1)).Explain(join); !strings.Contains(got, "[shuffle-hash]") {

@@ -152,7 +152,7 @@ func oracleChunks(schema *storage.Schema, batches []*storage.ColumnBatch, frameR
 // oracleSegments returns the bytes of every segment file the copy-then-encode
 // save path wrote for batches: oracleChunks' copies, each encoded whole with
 // storage.EncodeBatchOpts and zone-mapped whole, written by writeSegment.
-func oracleSegments(t *testing.T, schema *storage.Schema, batches []*storage.ColumnBatch, frameRows, segmentRows int, bloomCol string) [][]byte {
+func oracleSegments(t *testing.T, schema *storage.Schema, batches []*storage.ColumnBatch, frameRows, segmentRows int) [][]byte {
 	t.Helper()
 	ffs := NewFaultFS()
 	var files [][]byte
@@ -163,7 +163,7 @@ func oracleSegments(t *testing.T, schema *storage.Schema, batches []*storage.Col
 			frames[j] = segFrame{b: b, hi: b.Len(), body: body, crc: crc32.ChecksumIEEE(body), zones: buildZones(b, 0, b.Len())}
 		}
 		name := fmt.Sprintf("/oracle-%d.seg", i)
-		if _, _, err := writeSegment(ffs, name, schema, frames, bloomCol); err != nil {
+		if _, _, err := writeSegment(ffs, name, schema, frames); err != nil {
 			t.Fatal(err)
 		}
 		data, err := readAll(ffs, name)
@@ -195,18 +195,18 @@ func segmentFiles(t *testing.T, s *Store, name string) [][]byte {
 // FuzzSaveTableChunking saves random batches — lengths from lens (0 allowed;
 // a high bit makes the batch a Head view of a longer one), random frame and
 // segment sizes, nullable columns whose nulls fall at any row offset, a
-// string column of random cardinality, an optional bloom column — and checks
+// string column of random cardinality — and checks
 // the round trip, the frame sizes, that every segment file equals the
 // copy-then-encode oracle's byte for byte, and that the table info equals
 // SaveRows' of the same rows.
 func FuzzSaveTableChunking(f *testing.F) {
-	f.Add(int64(1), []byte{6}, uint8(2), uint8(3), uint8(3), false)
-	f.Add(int64(2), []byte{0, 5, 0, 17, 1}, uint8(4), uint8(9), uint8(200), true)
-	f.Add(int64(3), []byte{200, 130, 7}, uint8(16), uint8(40), uint8(0), false)
-	f.Add(int64(4), []byte{}, uint8(1), uint8(1), uint8(1), true)
-	f.Add(int64(5), []byte{64, 64, 64}, uint8(64), uint8(128), uint8(255), false)
-	f.Add(int64(6), []byte{127, 0, 100, 90}, uint8(99), uint8(250), uint8(40), false)
-	f.Fuzz(func(t *testing.T, seed int64, lens []byte, frameRows, segmentRows, card uint8, bloom bool) {
+	f.Add(int64(1), []byte{6}, uint8(2), uint8(3), uint8(3))
+	f.Add(int64(2), []byte{0, 5, 0, 17, 1}, uint8(4), uint8(9), uint8(200))
+	f.Add(int64(3), []byte{200, 130, 7}, uint8(16), uint8(40), uint8(0))
+	f.Add(int64(4), []byte{}, uint8(1), uint8(1), uint8(1))
+	f.Add(int64(5), []byte{64, 64, 64}, uint8(64), uint8(128), uint8(255))
+	f.Add(int64(6), []byte{127, 0, 100, 90}, uint8(99), uint8(250), uint8(40))
+	f.Fuzz(func(t *testing.T, seed int64, lens []byte, frameRows, segmentRows, card uint8) {
 		if len(lens) > 8 {
 			lens = lens[:8]
 		}
@@ -217,12 +217,6 @@ func FuzzSaveTableChunking(f *testing.F) {
 		}
 		defer s.Close()
 		schema := chunkSchema()
-		var topts []TableOption
-		bloomCol := ""
-		if bloom {
-			bloomCol = "token"
-			topts = append(topts, WithBloomColumn(bloomCol))
-		}
 		rng := rand.New(rand.NewSource(seed))
 		var all []storage.Row
 		var batches []*storage.ColumnBatch
@@ -240,7 +234,7 @@ func FuzzSaveTableChunking(f *testing.F) {
 			all = append(all, rows[:n]...)
 		}
 
-		if err := s.SaveTable("batches", schema, batches, topts...); err != nil {
+		if err := s.SaveTable("batches", schema, batches); err != nil {
 			t.Fatalf("SaveTable: %v", err)
 		}
 		got, err := s.Rows("batches")
@@ -264,7 +258,7 @@ func FuzzSaveTableChunking(f *testing.F) {
 		}
 
 		gotFiles := segmentFiles(t, s, "batches")
-		wantFiles := oracleSegments(t, schema, batches, fr, sr, bloomCol)
+		wantFiles := oracleSegments(t, schema, batches, fr, sr)
 		if len(gotFiles) != len(wantFiles) {
 			t.Fatalf("saved %d segment files, the oracle wrote %d", len(gotFiles), len(wantFiles))
 		}
@@ -275,7 +269,7 @@ func FuzzSaveTableChunking(f *testing.F) {
 			}
 		}
 
-		if err := s.SaveRows("rows", schema, all, topts...); err != nil {
+		if err := s.SaveRows("rows", schema, all); err != nil {
 			t.Fatal(err)
 		}
 		gotInfo, err := s.Info("batches")

@@ -52,7 +52,7 @@ func matrixWorkload(t *testing.T) ([]matrixStep, *storage.Schema) {
 	return []matrixStep{
 		{
 			name:  "save-A",
-			run:   func(s *Store) error { return s.SaveRows("A", schema, rowsA, WithBloomColumn("region")) },
+			run:   func(s *Store) error { return s.SaveRows("A", schema, rowsA) },
 			apply: func(m map[string][]storage.Row) { m["A"] = rowsA },
 		},
 		{

@@ -4,8 +4,8 @@
 // The design follows the MANIFEST/WAL/checkpoint discipline of LSM stores:
 //
 //   - data lives in immutable segment files (segment.go) — checksummed v2
-//     frames plus a checksummed footer carrying per-column min/max zone maps
-//     and an optional bloom filter on a designated key column;
+//     frames plus a checksummed footer carrying per-column min/max zone maps,
+//     the one structure a filtered scan prunes segments and frames with;
 //   - which tables exist, and which segments make them up, is recorded by a
 //     manifest reconstructed on open from an append-only write-ahead log of
 //     CRC-framed records (manifest.go); a commit is the fsync of its WAL

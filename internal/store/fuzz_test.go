@@ -33,7 +33,6 @@ func goldenWAL() []byte {
 			Bytes:     4096,
 			FooterCRC: 0xDEADBEEF,
 			Zones:     []ZoneMap{{Col: "id", MinInt: &minID, MaxInt: &maxID}},
-			BloomCol:  "region",
 		}},
 	}
 	snap := newManifestState()
@@ -78,7 +77,7 @@ func goldenSegment() ([]byte, error) {
 	frames := []segFrame{{b: b, hi: b.Len()}}
 	encodeFrames(frames)
 	ffs := NewFaultFS()
-	if _, _, err := writeSegment(ffs, "/g.seg", schema, frames, "region"); err != nil {
+	if _, _, err := writeSegment(ffs, "/g.seg", schema, frames); err != nil {
 		return nil, err
 	}
 	return readAll(ffs, "/g.seg")

@@ -53,9 +53,6 @@ type SegmentRef struct {
 	// Zones carries the per-column min/max zone maps for pruning without
 	// opening the segment.
 	Zones []ZoneMap `json:"zones,omitempty"`
-	// BloomCol names the column the segment's bloom filter indexes ("" =
-	// no bloom filter).
-	BloomCol string `json:"bloom_col,omitempty"`
 }
 
 // TableMeta is a manifest entry describing one live table.

@@ -2,14 +2,14 @@ package store
 
 import (
 	"bytes"
-	"encoding/base64"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"math"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/storage"
 )
@@ -44,8 +44,9 @@ const (
 // ZoneMap holds one column's min/max bounds over a frame or a whole segment.
 // Pointer fields distinguish "no bound recorded" from a genuine zero value;
 // only the pair matching the column type is set. Unpruned means the column
-// contributed no usable bounds (bool columns, NaN/Inf floats — which JSON
-// cannot encode — or all-null frames) and must never cause a skip.
+// contributed no usable bounds (bool columns, NaN/Inf floats, which JSON
+// cannot encode, or string bounds that are not valid UTF-8, which JSON
+// cannot carry unchanged) and must never cause a skip.
 type ZoneMap struct {
 	Col      string   `json:"col"`
 	MinInt   *int64   `json:"min_int,omitempty"`
@@ -68,14 +69,6 @@ type frameInfo struct {
 	Zones []ZoneMap `json:"zones,omitempty"`
 }
 
-// bloomMeta serialises the optional per-segment bloom filter.
-type bloomMeta struct {
-	Col  string `json:"col"`
-	K    int    `json:"k"`
-	Bits string `json:"bits"` // base64 raw bit array
-	N    int    `json:"n"`    // keys inserted, for diagnostics
-}
-
 // segmentFooter is the JSON footer at the end of every segment file.
 type segmentFooter struct {
 	Version int         `json:"version"`
@@ -83,7 +76,6 @@ type segmentFooter struct {
 	Frames  []frameInfo `json:"frames"`
 	Rows    int         `json:"rows"`
 	Zones   []ZoneMap   `json:"zones,omitempty"`
-	Bloom   *bloomMeta  `json:"bloom,omitempty"`
 }
 
 // --- predicates ---
@@ -199,55 +191,37 @@ func zonesPrune(zones []ZoneMap, filter Filter) bool {
 	return false
 }
 
+// zoneExcludes reports whether z's bounds prove no row can satisfy p. Each
+// value type is compared in its own domain: an int64 bound against an int64
+// value, never through float64, which cannot tell 2^53 from 2^53+1.
 func zoneExcludes(z *ZoneMap, p Pred) bool {
 	switch v := p.Value.(type) {
 	case int64:
-		if z.MinInt == nil || z.MaxInt == nil {
-			return false
-		}
-		return rangeExcludes(float64(*z.MinInt), float64(*z.MaxInt), float64(v), p.Op)
+		return z.MinInt != nil && z.MaxInt != nil && rangeExcludes(*z.MinInt, *z.MaxInt, v, p.Op)
 	case int:
-		if z.MinInt == nil || z.MaxInt == nil {
-			return false
-		}
-		return rangeExcludes(float64(*z.MinInt), float64(*z.MaxInt), float64(v), p.Op)
+		return z.MinInt != nil && z.MaxInt != nil && rangeExcludes(*z.MinInt, *z.MaxInt, int64(v), p.Op)
 	case float64:
-		if z.MinFloat == nil || z.MaxFloat == nil {
-			return false
-		}
-		return rangeExcludes(*z.MinFloat, *z.MaxFloat, v, p.Op)
+		return z.MinFloat != nil && z.MaxFloat != nil && rangeExcludes(*z.MinFloat, *z.MaxFloat, v, p.Op)
 	case string:
-		if z.MinStr == nil || z.MaxStr == nil {
-			return false
-		}
-		switch p.Op {
-		case OpEq:
-			return v < *z.MinStr || v > *z.MaxStr
-		case OpGE:
-			return *z.MaxStr < v
-		case OpGT:
-			return *z.MaxStr <= v
-		case OpLE:
-			return *z.MinStr > v
-		case OpLT:
-			return *z.MinStr >= v
-		}
+		return z.MinStr != nil && z.MaxStr != nil && rangeExcludes(*z.MinStr, *z.MaxStr, v, p.Op)
 	}
 	return false
 }
 
-func rangeExcludes(min, max, v float64, op PredOp) bool {
+// rangeExcludes reports whether no x in [lo, hi] satisfies "x op v". A NaN v
+// fails every comparison, so it never excludes.
+func rangeExcludes[T cmp.Ordered](lo, hi, v T, op PredOp) bool {
 	switch op {
 	case OpEq:
-		return v < min || v > max
+		return v < lo || v > hi
 	case OpGE:
-		return max < v
+		return hi < v
 	case OpGT:
-		return max <= v
+		return hi <= v
 	case OpLE:
-		return min > v
+		return lo > v
 	case OpLT:
-		return min >= v
+		return lo >= v
 	}
 	return false
 }
@@ -331,6 +305,12 @@ func buildZone(b *storage.ColumnBatch, c, start, end int) ZoneMap {
 				hi = v
 			}
 			seen++
+		}
+		if !utf8.ValidString(lo) || !utf8.ValidString(hi) {
+			// JSON would carry these bounds with U+FFFD in place of the
+			// invalid bytes, moving them; give up pruning here.
+			z.Unpruned = true
+			return z
 		}
 		if seen > 0 {
 			z.MinStr, z.MaxStr = &lo, &hi
@@ -430,101 +410,6 @@ func maxStr(a, b *string) *string {
 	return b
 }
 
-// --- bloom filter ---
-
-// bloomBitsPerKey and bloomHashes give ~1% false positives at 10 bits/key.
-const (
-	bloomBitsPerKey = 10
-	bloomHashes     = 7
-)
-
-type bloomFilter struct {
-	bits []byte
-	k    int
-	n    int
-}
-
-func newBloom(expectedKeys int) *bloomFilter {
-	nbits := expectedKeys * bloomBitsPerKey
-	if nbits < 64 {
-		nbits = 64
-	}
-	return &bloomFilter{bits: make([]byte, (nbits+7)/8), k: bloomHashes}
-}
-
-// hash2 derives the double-hashing pair (FNV-64a over key, then over
-// key+salt) used to place k probes.
-func bloomHash2(key []byte) (uint64, uint64) {
-	h1 := fnv.New64a()
-	h1.Write(key)
-	a := h1.Sum64()
-	h1.Write([]byte{0x9e})
-	b := h1.Sum64() | 1 // odd step so probes cycle through all bits
-	return a, b
-}
-
-func (bf *bloomFilter) add(key []byte) {
-	a, b := bloomHash2(key)
-	nbits := uint64(len(bf.bits)) * 8
-	for i := 0; i < bf.k; i++ {
-		bit := (a + uint64(i)*b) % nbits
-		bf.bits[bit/8] |= 1 << (bit % 8)
-	}
-	bf.n++
-}
-
-func (bf *bloomFilter) mayContain(key []byte) bool {
-	if len(bf.bits) == 0 {
-		return true
-	}
-	a, b := bloomHash2(key)
-	nbits := uint64(len(bf.bits)) * 8
-	for i := 0; i < bf.k; i++ {
-		bit := (a + uint64(i)*b) % nbits
-		if bf.bits[bit/8]&(1<<(bit%8)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// bloomKeyBytes renders one cell of the bloom column as hash input. ok is
-// false for nulls and unsupported types (those rows are simply not indexed,
-// which is safe: absence of indexing can only cause false positives, and a
-// null never equals a predicate value anyway).
-func bloomKeyBytes(col *storage.Column, typ storage.FieldType, i int, buf []byte) ([]byte, bool) {
-	if col.HasNulls() && col.Null(i) {
-		return buf, false
-	}
-	switch typ {
-	case storage.TypeInt, storage.TypeTime:
-		return binary.LittleEndian.AppendUint64(buf[:0], uint64(col.Int(i))), true
-	case storage.TypeFloat:
-		return binary.LittleEndian.AppendUint64(buf[:0], math.Float64bits(col.Float(i))), true
-	case storage.TypeString:
-		return append(buf[:0], col.Str(i)...), true
-	default:
-		return buf, false
-	}
-}
-
-// bloomValueBytes renders a predicate value the same way bloomKeyBytes
-// renders cells, so Eq probes line up with inserted keys.
-func bloomValueBytes(v any) ([]byte, bool) {
-	switch x := v.(type) {
-	case int64:
-		return binary.LittleEndian.AppendUint64(nil, uint64(x)), true
-	case int:
-		return binary.LittleEndian.AppendUint64(nil, uint64(int64(x))), true
-	case float64:
-		return binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)), true
-	case string:
-		return []byte(x), true
-	default:
-		return nil, false
-	}
-}
-
 // --- segment writer ---
 
 // segmentCodec is the codec every segment frame is written with: compressed
@@ -554,7 +439,7 @@ func (fr *segFrame) encode(enc *storage.FrameEncoder, scratch []byte) []byte {
 // writeSegment writes encoded frames as one immutable segment at tmpPath,
 // fsyncs it, and returns the footer-derived metadata. The caller renames it
 // into place and records it in the manifest; until then it is invisible.
-func writeSegment(fs FS, tmpPath string, schema *storage.Schema, frames []segFrame, bloomCol string) (ref SegmentRef, footer segmentFooter, err error) {
+func writeSegment(fs FS, tmpPath string, schema *storage.Schema, frames []segFrame) (ref SegmentRef, footer segmentFooter, err error) {
 	f, err := fs.Create(tmpPath)
 	if err != nil {
 		return ref, footer, err
@@ -569,24 +454,12 @@ func writeSegment(fs FS, tmpPath string, schema *storage.Schema, frames []segFra
 	footer.Version = 1
 	footer.Fields = fieldsFromSchema(schema)
 
-	var bloom *bloomFilter
-	bloomIdx := -1
-	if bloomCol != "" && schema.Has(bloomCol) {
-		bloomIdx = schema.IndexOf(bloomCol)
-		total := 0
-		for _, fr := range frames {
-			total += fr.hi - fr.lo
-		}
-		bloom = newBloom(total)
-	}
-
 	if _, err = f.Write(segMagic[:]); err != nil {
 		return ref, footer, err
 	}
 	off := int64(len(segMagic))
 
 	var segZones []ZoneMap
-	var keyBuf []byte
 	for _, fr := range frames {
 		var hdr [8]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(fr.body)))
@@ -607,27 +480,8 @@ func writeSegment(fs FS, tmpPath string, schema *storage.Schema, frames []segFra
 		segZones = mergeZones(segZones, fr.zones)
 		footer.Rows += fr.hi - fr.lo
 		off += 8 + int64(len(fr.body))
-
-		if bloom != nil {
-			col := fr.b.Column(bloomIdx)
-			typ := schema.Field(bloomIdx).Type
-			for i := fr.lo; i < fr.hi; i++ {
-				if kb, ok := bloomKeyBytes(col, typ, i, keyBuf); ok {
-					keyBuf = kb
-					bloom.add(kb)
-				}
-			}
-		}
 	}
 	footer.Zones = segZones
-	if bloom != nil {
-		footer.Bloom = &bloomMeta{
-			Col:  bloomCol,
-			K:    bloom.k,
-			Bits: base64.StdEncoding.EncodeToString(bloom.bits),
-			N:    bloom.n,
-		}
-	}
 
 	footJSON, err := json.Marshal(footer)
 	if err != nil {
@@ -658,7 +512,6 @@ func writeSegment(fs FS, tmpPath string, schema *storage.Schema, frames []segFra
 		Bytes:     off + int64(len(footJSON)) + segTrailerLen,
 		FooterCRC: footCRC,
 		Zones:     segZones,
-		BloomCol:  bloomCol,
 	}
 	return ref, footer, nil
 }
@@ -750,27 +603,4 @@ type segScanStats struct {
 	framesScanned int
 	framesSkipped int
 	rows          int
-}
-
-// segmentBloomSkips reports whether the segment's bloom filter proves an Eq
-// predicate on its indexed column cannot match.
-func segmentBloomSkips(footer *bloomMeta, filter Filter) bool {
-	if footer == nil {
-		return false
-	}
-	bits, err := base64.StdEncoding.DecodeString(footer.Bits)
-	if err != nil || len(bits) == 0 || footer.K <= 0 || footer.K > 64 {
-		return false
-	}
-	bf := &bloomFilter{bits: bits, k: footer.K}
-	for _, p := range filter {
-		if p.Op != OpEq || p.Col != footer.Col {
-			continue
-		}
-		vb, ok := bloomValueBytes(p.Value)
-		if ok && !bf.mayContain(vb) {
-			return true
-		}
-	}
-	return false
 }

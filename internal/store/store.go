@@ -101,15 +101,6 @@ func WithCheckpointEvery(n int) Option {
 	}
 }
 
-// TableOption configures SaveTable.
-type TableOption func(*tableOpts)
-
-type tableOpts struct{ bloomCol string }
-
-// WithBloomColumn builds a per-segment bloom filter over the named column so
-// equality scans can skip segments without the key.
-func WithBloomColumn(col string) TableOption { return func(o *tableOpts) { o.bloomCol = col } }
-
 // Open opens (creating if needed) the store rooted at dir and runs recovery:
 // replay the WAL, truncate any torn tail, verify every referenced segment's
 // footer checksum (quarantining failures), and sweep orphaned files.
@@ -356,16 +347,12 @@ func (s *Store) Schema(name string) (*storage.Schema, error) {
 // table's schema and pass storage.ValidateBatch; otherwise SaveTable fails
 // before writing anything and the previous version stays. The batches are
 // only read, never retained.
-func (s *Store) SaveTable(name string, schema *storage.Schema, batches []*storage.ColumnBatch, topts ...TableOption) error {
+func (s *Store) SaveTable(name string, schema *storage.Schema, batches []*storage.ColumnBatch) error {
 	if name == "" {
 		return errors.New("store: empty table name")
 	}
 	if schema == nil {
 		return errors.New("store: nil schema")
-	}
-	var o tableOpts
-	for _, opt := range topts {
-		opt(&o)
 	}
 	// Validate, cut and encode before taking the lock, so that the lock
 	// covers only the filesystem work and concurrent saves encode in
@@ -391,7 +378,7 @@ func (s *Store) SaveTable(name string, schema *storage.Schema, batches []*storag
 		s.nextSeq++
 		fileName := segFileName(seq)
 		tmpPath := path.Join(s.tmpDir(), fmt.Sprintf("seg-%08d.tmp", seq))
-		ref, _, err := writeSegment(s.fs, tmpPath, schema, seg, o.bloomCol)
+		ref, _, err := writeSegment(s.fs, tmpPath, schema, seg)
 		if err != nil {
 			return fmt.Errorf("store: writing segment for %q: %w", name, err)
 		}
@@ -423,12 +410,12 @@ func (s *Store) SaveTable(name string, schema *storage.Schema, batches []*storag
 
 // SaveRows is SaveTable for row-shaped data: the row edge for tests and
 // tools. Campaign runs hand SaveTable the engine's batches directly.
-func (s *Store) SaveRows(name string, schema *storage.Schema, rows []storage.Row, topts ...TableOption) error {
+func (s *Store) SaveRows(name string, schema *storage.Schema, rows []storage.Row) error {
 	b, err := storage.BatchFromRows(schema, rows)
 	if err != nil {
 		return err
 	}
-	return s.SaveTable(name, schema, []*storage.ColumnBatch{b}, topts...)
+	return s.SaveTable(name, schema, []*storage.ColumnBatch{b})
 }
 
 // chunkForSegments cuts the input batches into frames of exactly frameRows
@@ -692,10 +679,9 @@ type ScanStats struct {
 }
 
 // Scan streams the named table's batches through fn in segment order,
-// skipping segments and frames whose zone maps (or bloom filter, for Eq
-// predicates on the indexed column) prove no row can match the filter.
-// Batches may still contain non-matching rows — pruning is conservative and
-// row-level filtering stays the caller's job. Every byte that reaches fn
+// skipping segments and frames whose zone maps prove no row can match the
+// filter. Batches may still contain non-matching rows: pruning is
+// conservative, and row-level filtering stays the caller's job. Every byte that reaches fn
 // has passed its frame CRC and the footer checksum.
 func (s *Store) Scan(name string, filter Filter, fn func(*storage.ColumnBatch) error) (ScanStats, error) {
 	s.mu.Lock()
@@ -714,13 +700,9 @@ func (s *Store) Scan(name string, filter Filter, fn func(*storage.ColumnBatch) e
 			stats.SegmentsSkipped++
 			continue
 		}
-		segStats, skipped, err := s.scanOneSegment(ref, filter, fn)
+		segStats, err := s.scanOneSegment(ref, filter, fn)
 		if err != nil {
 			return stats, fmt.Errorf("store: scanning %q segment %s: %w", name, ref.Name, err)
-		}
-		if skipped {
-			stats.SegmentsSkipped++
-			continue
 		}
 		stats.SegmentsScanned++
 		stats.FramesScanned += segStats.framesScanned
@@ -735,28 +717,25 @@ func (s *Store) Scan(name string, filter Filter, fn func(*storage.ColumnBatch) e
 	return stats, nil
 }
 
-// scanOneSegment opens one segment, applies the bloom gate, and streams
-// frames. skipped=true means the bloom filter excluded the whole segment.
-func (s *Store) scanOneSegment(ref SegmentRef, filter Filter, fn func(*storage.ColumnBatch) error) (segScanStats, bool, error) {
+// scanOneSegment opens one segment and streams the frames its zone maps do
+// not prune.
+func (s *Store) scanOneSegment(ref SegmentRef, filter Filter, fn func(*storage.ColumnBatch) error) (segScanStats, error) {
 	f, err := s.fs.Open(s.segPath(ref.Name))
 	if err != nil {
-		return segScanStats{}, false, err
+		return segScanStats{}, err
 	}
 	defer f.Close()
 	footer, crc, err := decodeSegmentFooter(f)
 	if err != nil {
-		return segScanStats{}, false, err
+		return segScanStats{}, err
 	}
 	if crc != ref.FooterCRC {
-		return segScanStats{}, false, corruptf("footer checksum drifted from manifest")
-	}
-	if segmentBloomSkips(footer.Bloom, filter) {
-		return segScanStats{}, true, nil
+		return segScanStats{}, corruptf("footer checksum drifted from manifest")
 	}
 	meta := TableMeta{Name: ref.Name, Fields: footer.Fields}
 	schema, err := meta.schema()
 	if err != nil {
-		return segScanStats{}, false, corruptf("footer schema: %v", err)
+		return segScanStats{}, corruptf("footer schema: %v", err)
 	}
 	var stats segScanStats
 	var body []byte // one frame buffer per segment: DecodeBatch copies out of it
@@ -767,25 +746,25 @@ func (s *Store) scanOneSegment(ref SegmentRef, filter Filter, fn func(*storage.C
 		}
 		body = slices.Grow(body[:0], fr.Len)[:fr.Len]
 		if _, err := f.ReadAt(body, fr.Off); err != nil {
-			return stats, false, corruptf("reading frame at %d: %v", fr.Off, err)
+			return stats, corruptf("reading frame at %d: %v", fr.Off, err)
 		}
 		if crc32.ChecksumIEEE(body) != fr.CRC {
-			return stats, false, corruptf("frame checksum mismatch at offset %d", fr.Off)
+			return stats, corruptf("frame checksum mismatch at offset %d", fr.Off)
 		}
 		b, err := storage.DecodeBatch(schema, body)
 		if err != nil {
-			return stats, false, corruptf("frame decode at %d: %v", fr.Off, err)
+			return stats, corruptf("frame decode at %d: %v", fr.Off, err)
 		}
 		if b.Len() != fr.Rows {
-			return stats, false, corruptf("frame rows %d != index %d", b.Len(), fr.Rows)
+			return stats, corruptf("frame rows %d != index %d", b.Len(), fr.Rows)
 		}
 		stats.framesScanned++
 		stats.rows += b.Len()
 		if err := fn(b); err != nil {
-			return stats, false, err
+			return stats, err
 		}
 	}
-	return stats, false, nil
+	return stats, nil
 }
 
 // ReadTable materialises a stored table back into an in-memory

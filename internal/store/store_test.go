@@ -226,43 +226,39 @@ func TestZoneMapFrameSkipping(t *testing.T) {
 	}
 }
 
-func TestBloomFilterSkipsSegments(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, WithSegmentRows(100))
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	defer s.Close()
-	schema := testSchema(t)
-	// Region strings repeat within every segment, so zone maps cannot prune
-	// an equality probe for an absent key — only the bloom filter can.
-	if err := s.SaveRows("events", schema, testRows(1000, 0), WithBloomColumn("region")); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	stats, err := s.Scan("events", Filter{{Col: "region", Op: OpEq, Value: "region-nope"}}, func(b *storage.ColumnBatch) error {
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("scan: %v", err)
-	}
-	if stats.SegmentsSkipped == 0 {
-		t.Fatalf("bloom probe for absent key skipped nothing: %+v", stats)
-	}
-	// A present key must not be excluded.
-	var rows int
-	if _, err := s.Scan("events", Filter{{Col: "region", Op: OpEq, Value: "region-03"}}, func(b *storage.ColumnBatch) error {
-		col := b.Column(2)
-		for i := 0; i < b.Len(); i++ {
-			if col.Str(i) == "region-03" {
-				rows++
-			}
+// TestZoneMapExactIntBounds saves ids one past ±2^53, where float64 rounds
+// onto the predicate value, and requires the scan that matches each to
+// return it: zones compare int bounds as ints.
+func TestZoneMapExactIntBounds(t *testing.T) {
+	const p53 = int64(1) << 53
+	for _, tc := range []struct {
+		id   int64
+		pred Pred
+	}{
+		{p53 + 1, Pred{Col: "id", Op: OpGT, Value: p53}},
+		{-(p53 + 1), Pred{Col: "id", Op: OpLT, Value: -p53}},
+	} {
+		s, err := Open("/db", WithFS(NewFaultFS()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil {
-		t.Fatalf("scan: %v", err)
-	}
-	if rows == 0 {
-		t.Fatal("bloom filter excluded a present key")
+		if err := s.SaveRows("t", testSchema(t), []storage.Row{{tc.id, 1.0, "r"}}); err != nil {
+			t.Fatal(err)
+		}
+		var ids []int64
+		stats, err := s.Scan("t", Filter{tc.pred}, func(b *storage.ColumnBatch) error {
+			for i := 0; i < b.Len(); i++ {
+				ids = append(ids, b.Column(0).Int(i))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != 1 || ids[0] != tc.id {
+			t.Errorf("scan id %s %d over a table holding id %d returned %v (%+v)", tc.pred.Op, tc.pred.Value, tc.id, ids, stats)
+		}
+		s.Close()
 	}
 }
 
