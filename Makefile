@@ -54,7 +54,10 @@ lint:
 # +-2^53 and the int64 edges, -0/NaN/Inf floats, strings cut from fuzz bytes,
 # all-null frames) under random predicate conjunctions and holds the rows
 # and the skipped segment and frame counts to plain-Go filters over the
-# saved rows. FuzzFrameEncoderRange encodes random row ranges of
+# saved rows. FuzzParsePred renders random typed predicates (operator
+# characters in string values, int64 edges, -0/NaN/Inf floats) and holds
+# ParsePred's parse of them to the predicate itself, and rejects numbers
+# followed by junk. FuzzFrameEncoderRange encodes random row ranges of
 # batches of every column type under both codec settings on one reused
 # encoder and holds the bytes to the encoding of a copy of those rows and to
 # the build-both-and-compare encoder it replaced.
@@ -94,6 +97,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeSegmentFooter' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzSaveTableChunking' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzScanPruning' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz 'FuzzParsePred' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanEquivalence' -fuzztime $(FUZZTIME) ./internal/dataflow/
 	$(GO) test -run '^$$' -fuzz 'FuzzSortKeys' -fuzztime $(FUZZTIME) ./internal/dataflow/
 	$(GO) test -run '^$$' -fuzz 'FuzzAprioriEquivalence' -fuzztime $(FUZZTIME) ./internal/analytics/

@@ -17,8 +17,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // Node describes one simulated machine.
@@ -129,7 +127,7 @@ func Uniform(nodes, slotsPerNode int, failureRate float64) Config {
 // Task is one schedulable unit of work. Fn receives the execution context and
 // the node it was placed on.
 type Task struct {
-	// Name identifies the task in metrics and errors.
+	// Name identifies the task in results and errors.
 	Name string
 	// Fn performs the work.
 	Fn func(ctx context.Context, node Node) error
@@ -160,12 +158,15 @@ func IsInjectedFailure(err error) bool { return errors.Is(err, errInjected) }
 type Cluster struct {
 	cfg      Config
 	nodes    []Node
-	reg      *metrics.Registry
 	slotList []slot
-	usageMu  sync.Mutex
+	// usageMu guards the accounting below, which Usage reports.
+	usageMu sync.Mutex
 	// busySlotSeconds accumulates slot-seconds of executed work per node for
 	// cost accounting.
 	busySlotSeconds map[string]float64
+	jobs            int64
+	tasksRun        int64
+	retries         int64
 }
 
 // New validates cfg and returns a cluster ready to run jobs.
@@ -189,7 +190,6 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:             cfg,
 		nodes:           append([]Node(nil), cfg.Nodes...),
-		reg:             metrics.NewRegistry(),
 		busySlotSeconds: make(map[string]float64),
 	}
 	// One failure-injection RNG per worker slot, seeded Seed+worker index:
@@ -208,9 +208,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	return c, nil
 }
-
-// Metrics exposes the cluster's metric registry.
-func (c *Cluster) Metrics() *metrics.Registry { return c.reg }
 
 // TotalSlots returns the number of task slots across all nodes.
 func (c *Cluster) TotalSlots() int {
@@ -256,19 +253,25 @@ func (sl slot) injectFailure() bool {
 	return sl.rng.float64() < sl.node.FailureRate
 }
 
-func (c *Cluster) recordUsage(nodeID string, d time.Duration) {
+// recordUsage accounts one finished task: its busy time on nodeID, whether
+// it succeeded, and the retries it ran.
+func (c *Cluster) recordUsage(nodeID string, res Result, retries int) {
 	c.usageMu.Lock()
 	defer c.usageMu.Unlock()
-	c.busySlotSeconds[nodeID] += d.Seconds()
+	c.busySlotSeconds[nodeID] += res.Duration.Seconds()
+	if res.Err == nil {
+		c.tasksRun++
+	}
+	c.retries += int64(retries)
 }
 
 // RunNamedJob executes all tasks on the cluster's slots as a single named job,
 // retrying transient failures up to MaxAttempts per task. It returns the
 // per-task results; the error is non-nil if any task ultimately failed or the
-// context was cancelled. The name feeds the cluster's job accounting ("jobs",
-// "jobs.tasks" counters and the "job.duration" timer), so callers that fuse
-// many logical operators into one job — like the dataflow stage compiler —
-// are visible as exactly one scheduled job rather than one per operator.
+// context was cancelled. The name labels the job in errors. Every call with
+// tasks counts as one job in UsageReport.Jobs, so callers that fuse many
+// logical operators into one job — like the dataflow stage compiler — are
+// visible as exactly one scheduled job rather than one per operator.
 func (c *Cluster) RunNamedJob(ctx context.Context, name string, tasks []Task) ([]Result, error) {
 	if len(tasks) == 0 {
 		return nil, nil
@@ -276,12 +279,9 @@ func (c *Cluster) RunNamedJob(ctx context.Context, name string, tasks []Task) ([
 	if name == "" {
 		name = "job"
 	}
-	c.reg.Counter("jobs").Inc()
-	c.reg.Counter("jobs.tasks").Add(int64(len(tasks)))
-	jobStart := time.Now()
-	defer func() {
-		c.reg.Timer("job.duration").ObserveDuration(time.Since(jobStart))
-	}()
+	c.usageMu.Lock()
+	c.jobs++
+	c.usageMu.Unlock()
 	type indexed struct {
 		idx  int
 		task Task
@@ -345,27 +345,26 @@ func (c *Cluster) runTask(ctx context.Context, sl slot, task Task) Result {
 	node := sl.node
 	res := Result{Task: task.Name, Node: node.ID}
 	start := time.Now()
+	retries := 0
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
 		res.Attempts = attempt
 		if err := ctx.Err(); err != nil {
 			res.Err = err
 			break
 		}
-		c.reg.Counter("tasks.attempts").Inc()
+		if attempt > 1 {
+			retries++
+		}
 		err := c.attempt(ctx, sl, task)
+		res.Err = err
 		if err == nil {
-			res.Err = nil
-			c.reg.Counter("tasks.succeeded").Inc()
 			break
 		}
-		res.Err = err
-		c.reg.Counter("tasks.failed_attempts").Inc()
 		if !Transient(err) {
 			// Permanent task errors are deterministic and cancellations are
 			// final: neither is retried.
 			break
 		}
-		c.reg.Counter("tasks.retries").Inc()
 		if attempt < c.cfg.MaxAttempts {
 			if d := c.cfg.RetryBackoff.delay(attempt, sl.rng); d > 0 {
 				select {
@@ -378,11 +377,7 @@ func (c *Cluster) runTask(ctx context.Context, sl slot, task Task) Result {
 		}
 	}
 	res.Duration = time.Since(start)
-	c.recordUsage(node.ID, res.Duration)
-	c.reg.Timer("task.duration").ObserveDuration(res.Duration)
-	if res.Err != nil {
-		c.reg.Counter("tasks.exhausted").Inc()
-	}
+	c.recordUsage(node.ID, res, retries)
 	return res
 }
 
@@ -417,9 +412,15 @@ type UsageReport struct {
 	BusySlotSeconds map[string]float64
 	// TotalCost in the cluster's currency unit.
 	TotalCost float64
+	// Jobs is the number of jobs RunNamedJob scheduled (calls with at
+	// least one task).
+	Jobs int64
 	// TasksRun is the number of successful task executions.
 	TasksRun int64
-	// Retries is the number of retried attempts.
+	// Retries is the number of attempts that re-ran a task after a transient
+	// failure: a failure on the last attempt, or one whose job was cancelled
+	// before the next attempt started, is not counted, because no retry
+	// followed it.
 	Retries int64
 }
 
@@ -436,9 +437,7 @@ func (c *Cluster) Usage() UsageReport {
 		rep.BusySlotSeconds[id] = secs
 		rep.TotalCost += secs / 3600 * costPerNode[id]
 	}
-	snap := c.reg.Snapshot()
-	rep.TasksRun = snap.CounterValue("tasks.succeeded")
-	rep.Retries = snap.CounterValue("tasks.retries")
+	rep.Jobs, rep.TasksRun, rep.Retries = c.jobs, c.tasksRun, c.retries
 	return rep
 }
 

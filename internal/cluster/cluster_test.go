@@ -119,6 +119,30 @@ func TestRunJobRetriesInjectedFailures(t *testing.T) {
 	}
 }
 
+// TestRetriesCountOnlyAttemptsThatFollow fails every attempt of one task and
+// checks that UsageReport.Retries counts the attempts after the first, not
+// the failures: the failure on the last attempt is followed by no retry.
+func TestRetriesCountOnlyAttemptsThatFollow(t *testing.T) {
+	for _, maxAttempts := range []int{1, 3} {
+		cfg := Uniform(1, 1, 0.999)
+		cfg.MaxAttempts = maxAttempts
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.RunNamedJob(context.Background(), "job", []Task{{Name: "doomed"}})
+		if !errors.Is(err, ErrTaskFailed) || !IsInjectedFailure(err) {
+			t.Fatalf("MaxAttempts=%d: job error = %v, want an exhausted injected failure", maxAttempts, err)
+		}
+		if res[0].Attempts != maxAttempts {
+			t.Fatalf("MaxAttempts=%d: task ran %d attempts", maxAttempts, res[0].Attempts)
+		}
+		if got, want := c.Usage().Retries, int64(maxAttempts-1); got != want {
+			t.Errorf("MaxAttempts=%d: Retries = %d, want %d", maxAttempts, got, want)
+		}
+	}
+}
+
 // TestFailureInjectionDeterministicPerSeed verifies the per-worker failure
 // RNGs: for a fixed seed and slot layout, repeated single-worker runs inject
 // the same failures (each worker's generator is seeded Seed+worker index, so
@@ -278,13 +302,13 @@ func TestRunJobPropertyAllTasksReported(t *testing.T) {
 
 func TestMetricsExposed(t *testing.T) {
 	c, _ := New(Uniform(1, 1, 0))
-	_, _ = c.RunNamedJob(context.Background(), "job", []Task{{Name: "m", Fn: func(ctx context.Context, n Node) error { return nil }}})
-	snap := c.Metrics().Snapshot()
-	if snap.CounterValue("tasks.succeeded") != 1 {
-		t.Errorf("tasks.succeeded = %d, want 1", snap.CounterValue("tasks.succeeded"))
+	res, _ := c.RunNamedJob(context.Background(), "job", []Task{{Name: "m", Fn: func(ctx context.Context, n Node) error { return nil }}})
+	usage := c.Usage()
+	if usage.TasksRun != 1 {
+		t.Errorf("TasksRun = %d, want 1", usage.TasksRun)
 	}
-	if snap.CounterValue("tasks.attempts") != 1 {
-		t.Errorf("tasks.attempts = %d, want 1", snap.CounterValue("tasks.attempts"))
+	if usage.Retries != 0 || len(res) != 1 || res[0].Attempts != 1 {
+		t.Errorf("attempts: Retries = %d, results = %+v, want one attempt", usage.Retries, res)
 	}
 }
 
@@ -299,10 +323,8 @@ func TestNamedJobAccountingAndRootCauseError(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Metrics().Snapshot()
-	if snap.CounterValue("jobs") != 1 || snap.CounterValue("jobs.tasks") != 2 {
-		t.Errorf("job accounting: jobs=%d tasks=%d, want 1/2",
-			snap.CounterValue("jobs"), snap.CounterValue("jobs.tasks"))
+	if usage := c.Usage(); usage.Jobs != 1 || usage.TasksRun != 2 {
+		t.Errorf("job accounting: jobs=%d tasks=%d, want 1/2", usage.Jobs, usage.TasksRun)
 	}
 
 	// A real task failure cancels the job; siblings blocked on the job

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/storage"
 )
 
@@ -48,7 +47,6 @@ var spillCodec = storage.CodecOptions{Compress: true}
 // safe for concurrent use.
 type Engine struct {
 	cluster           *cluster.Cluster
-	reg               *metrics.Registry
 	shufflePartitions int
 	// combine enables the map-side partial aggregation pass before group-by
 	// shuffles.
@@ -126,7 +124,6 @@ func NewEngine(c *cluster.Cluster, opts ...EngineOption) (*Engine, error) {
 	}
 	e := &Engine{
 		cluster:            c,
-		reg:                metrics.NewRegistry(),
 		shufflePartitions:  c.TotalSlots(),
 		combine:            true,
 		broadcastThreshold: defaultBroadcastThreshold,
@@ -139,9 +136,6 @@ func NewEngine(c *cluster.Cluster, opts ...EngineOption) (*Engine, error) {
 	}
 	return e, nil
 }
-
-// Metrics exposes the engine's metric registry (rows read, shuffled, tasks…).
-func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 
 // Stats summarises the execution of a single action.
 type Stats struct {
@@ -333,7 +327,7 @@ func (s *execState) releaseStore(store spillStore) {
 }
 
 // execute runs the plan and returns its output partitions, with stats
-// finalised and metrics recorded.
+// finalised.
 func (e *Engine) execute(ctx context.Context, d *Dataset) ([]*storage.ColumnBatch, *execState, error) {
 	if d == nil {
 		return nil, nil, ErrNoSource
@@ -353,28 +347,6 @@ func (e *Engine) execute(ctx context.Context, d *Dataset) ([]*storage.ColumnBatc
 	st.stats.RowsOutput = int64(countBatchRows(parts))
 	st.stats.WallTime = time.Since(start)
 
-	e.reg.Counter("actions").Inc()
-	e.reg.Counter("rows.read").Add(st.stats.RowsRead)
-	e.reg.Counter("rows.output").Add(st.stats.RowsOutput)
-	e.reg.Counter("rows.shuffled").Add(st.stats.ShuffledRows)
-	e.reg.Counter("tasks").Add(st.stats.Tasks)
-	e.reg.Counter("stages.fused").Add(st.stats.FusedStages)
-	e.reg.Counter("shuffle.combined").Add(st.stats.CombinedRows)
-	e.reg.Counter("joins.broadcast").Add(st.stats.BroadcastJoins)
-	e.reg.Counter("sort.sampled").Add(st.stats.SortSampledRows)
-	e.reg.Counter("sort.runs").Add(st.stats.SortRuns)
-	e.reg.Counter("sort.merged.batches").Add(st.stats.SortMergedBatches)
-	e.reg.Counter("agg.groups").Add(st.stats.AggGroups)
-	e.reg.Counter("agg.spilled.partitions").Add(st.stats.AggSpilledPartitions)
-	e.reg.Counter("batches").Add(st.stats.Batches)
-	e.reg.Counter("batches.rows").Add(st.stats.BatchRows)
-	e.reg.Counter("spill.batches").Add(st.stats.SpilledBatches)
-	e.reg.Counter("spill.bytes").Add(st.stats.SpilledBytes)
-	e.reg.Counter("spill.bytes.logical").Add(st.stats.SpillLogicalBytes)
-	// Monotonic compression win: logical minus physical bytes. Divide the
-	// logical counter by (logical - saved) for the cumulative ratio.
-	e.reg.Counter("spill.bytes.saved").Add(st.stats.SpillLogicalBytes - st.stats.SpilledBytes)
-	e.reg.Timer("action.duration").ObserveDuration(st.stats.WallTime)
 	return parts, st, nil
 }
 

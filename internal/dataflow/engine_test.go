@@ -426,15 +426,11 @@ func TestJoinKeySemantics(t *testing.T) {
 
 func TestEngineMetricsAccumulate(t *testing.T) {
 	e := testEngine(t)
-	_ = collect(t, e, salesDataset(t).GroupBy("region").Agg(Count()))
-	snap := e.Metrics().Snapshot()
-	if snap.CounterValue("actions") != 1 {
-		t.Errorf("actions = %d", snap.CounterValue("actions"))
+	st := collect(t, e, salesDataset(t).GroupBy("region").Agg(Count())).Stats
+	if st.RowsRead != 6 {
+		t.Errorf("RowsRead = %d", st.RowsRead)
 	}
-	if snap.CounterValue("rows.read") != 6 {
-		t.Errorf("rows.read = %d", snap.CounterValue("rows.read"))
-	}
-	if snap.CounterValue("tasks") == 0 || snap.CounterValue("rows.shuffled") == 0 {
+	if st.Tasks == 0 || st.ShuffledRows == 0 {
 		t.Error("tasks and shuffled rows must be recorded")
 	}
 }

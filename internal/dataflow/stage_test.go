@@ -92,15 +92,12 @@ func TestFusedNarrowChainRunsOneJob(t *testing.T) {
 	if res.Stats.FusedStages != 1 {
 		t.Errorf("fused stages = %d, want 1", res.Stats.FusedStages)
 	}
-	snap := c.Metrics().Snapshot()
-	if jobs := snap.CounterValue("jobs"); jobs != 1 {
-		t.Errorf("cluster jobs = %d, want 1", jobs)
+	usage := c.Usage()
+	if usage.Jobs != 1 {
+		t.Errorf("cluster jobs = %d, want 1", usage.Jobs)
 	}
-	if jt := snap.CounterValue("jobs.tasks"); jt != parts {
-		t.Errorf("cluster job tasks = %d, want %d", jt, parts)
-	}
-	if got := e.Metrics().Snapshot().CounterValue("stages.fused"); got != 1 {
-		t.Errorf("stages.fused counter = %d, want 1", got)
+	if usage.TasksRun != parts {
+		t.Errorf("cluster job tasks = %d, want %d", usage.TasksRun, parts)
 	}
 }
 
@@ -119,7 +116,7 @@ func TestUnfusedNarrowChainRunsJobPerOperator(t *testing.T) {
 			t.Fatal(err)
 		}
 		res = collect(t, e, build(numbersDataset(t, 1000, parts)))
-		return res.Stats.Tasks, c.Metrics().Snapshot().CounterValue("jobs"), res
+		return res.Stats.Tasks, c.Usage().Jobs, res
 	}
 	grouped := func(d *Dataset) *Dataset { return d.GroupBy("k").Agg(Count()) }
 	wideTasks, wideJobs, _ := run(grouped)
@@ -191,9 +188,6 @@ func TestGroupByCombineMatchesAndReducesShuffle(t *testing.T) {
 	}
 	if combined.Stats.CombinedRows != 2000-combined.Stats.ShuffledRows {
 		t.Errorf("combined rows = %d, want %d", combined.Stats.CombinedRows, 2000-combined.Stats.ShuffledRows)
-	}
-	if got := combiner.Metrics().Snapshot().CounterValue("shuffle.combined"); got != combined.Stats.CombinedRows {
-		t.Errorf("shuffle.combined counter = %d, want %d", got, combined.Stats.CombinedRows)
 	}
 	if plain.Stats.CombinedRows != 0 {
 		t.Errorf("uncombined run reported CombinedRows = %d", plain.Stats.CombinedRows)

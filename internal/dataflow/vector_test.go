@@ -43,12 +43,11 @@ func TestVectorizedStatsAndMetrics(t *testing.T) {
 	if vres.Stats.Batches == 0 || vres.Stats.BatchRows == 0 {
 		t.Errorf("run reported Batches=%d BatchRows=%d", vres.Stats.Batches, vres.Stats.BatchRows)
 	}
-	snap := vec.Metrics().Snapshot()
-	if got := snap.CounterValue("batches"); got != vres.Stats.Batches {
-		t.Errorf("batches counter = %d, want %d", got, vres.Stats.Batches)
-	}
-	if got := snap.CounterValue("batches.rows"); got != vres.Stats.BatchRows {
-		t.Errorf("batches.rows counter = %d, want %d", got, vres.Stats.BatchRows)
+	// The four source partitions alone are four batches carrying every row
+	// read.
+	if vres.Stats.Batches < 4 || vres.Stats.BatchRows < vres.Stats.RowsRead {
+		t.Errorf("Batches=%d BatchRows=%d, want at least the 4 source batches of %d rows",
+			vres.Stats.Batches, vres.Stats.BatchRows, vres.Stats.RowsRead)
 	}
 	want, err := reference(d)
 	if err != nil {
@@ -80,7 +79,7 @@ func TestExplainNamesExecutionMode(t *testing.T) {
 	if res.Stats.FusedStages != 1 || res.Stats.Tasks != parts {
 		t.Errorf("ran %d fused stages in %d tasks, want 1 stage in %d", res.Stats.FusedStages, res.Stats.Tasks, parts)
 	}
-	if jobs := c.Metrics().Snapshot().CounterValue("jobs"); jobs != 1 {
+	if jobs := c.Usage().Jobs; jobs != 1 {
 		t.Errorf("cluster jobs = %d, want 1", jobs)
 	}
 }

@@ -131,10 +131,8 @@ func TestRangeSortSmallInputFallsBack(t *testing.T) {
 
 func TestRangeSortMetrics(t *testing.T) {
 	e := testEngineWith(t)
-	collect(t, e, wideDataset(t, 2000, 8).Sort(SortOrder{Column: "v"}))
-	snap := e.Metrics().Snapshot()
-	if snap.CounterValue("sort.sampled") == 0 {
-		t.Error("sort.sampled counter must accumulate")
+	if collect(t, e, wideDataset(t, 2000, 8).Sort(SortOrder{Column: "v"})).Stats.SortSampledRows == 0 {
+		t.Error("SortSampledRows must accumulate")
 	}
 }
 
@@ -163,11 +161,9 @@ func TestBroadcastJoinThresholdBoundary(t *testing.T) {
 	if !equalStrings(sortedRowStrings(at.Rows), sortedRowStrings(under.Rows)) {
 		t.Error("broadcast and shuffled joins must produce the same rows")
 	}
-	// Metric accumulates on the broadcasting engine.
-	e := testEngineWith(t)
-	collect(t, e, plan)
-	if e.Metrics().Snapshot().CounterValue("joins.broadcast") != 1 {
-		t.Error("joins.broadcast counter must accumulate")
+	// The default threshold broadcasts the 5-row build side.
+	if collect(t, testEngineWith(t), plan).Stats.BroadcastJoins != 1 {
+		t.Error("BroadcastJoins must count the default-threshold broadcast")
 	}
 }
 

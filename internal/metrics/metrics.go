@@ -1,14 +1,12 @@
 // Package metrics provides lightweight, concurrency-safe instrumentation
-// primitives (counters, gauges, timers and histograms) used by the dataflow
-// engine, the simulated cluster and the Labs scoring machinery.
+// primitives (counters, gauges and timers) for the campaign service and the
+// durable table store, whose registries /stats prints.
 //
-// The package is deliberately dependency-free and allocation-light: hot paths
-// in the dataflow executor update counters per record batch, so all primitives
-// are backed by atomics or a small mutex-protected state.
+// The package is deliberately dependency-free and allocation-light: every
+// primitive is backed by atomics or a small mutex-protected state.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -186,21 +184,12 @@ func (t *Timer) ObserveDuration(d time.Duration) {
 	t.h.Observe(float64(d) / float64(time.Millisecond))
 }
 
-// Time runs fn and records its wall-clock duration.
-func (t *Timer) Time(fn func()) {
-	start := time.Now()
-	fn()
-	t.ObserveDuration(time.Since(start))
-}
-
-// Histogram exposes the underlying histogram (milliseconds).
-func (t *Timer) Histogram() *Histogram { return t.h }
-
 // Snapshot is a point-in-time copy of a registry's contents, suitable for
 // reporting and comparison between runs.
 type Snapshot struct {
-	Counters   map[string]int64
-	Gauges     map[string]int64
+	Counters map[string]int64
+	Gauges   map[string]int64
+	// Histograms summarises each timer under "<name>.ms".
 	Histograms map[string]HistogramSummary
 }
 
@@ -219,20 +208,18 @@ type HistogramSummary struct {
 // Registry is a named collection of metrics. The zero value is not usable;
 // construct with NewRegistry.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	timers     map[string]*Timer
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	timers   map[string]*Timer
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-		timers:     make(map[string]*Timer),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		timers:   make(map[string]*Timer),
 	}
 }
 
@@ -260,19 +247,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it on first
-// use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram(0)
-		r.histograms[name] = h
-	}
-	return h
-}
-
 // Timer returns the timer registered under name, creating it on first use.
 func (r *Registry) Timer(name string) *Timer {
 	r.mu.Lock()
@@ -292,16 +266,13 @@ func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
 		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSummary, len(r.histograms)+len(r.timers)),
+		Histograms: make(map[string]HistogramSummary, len(r.timers)),
 	}
 	for name, c := range r.counters {
 		snap.Counters[name] = c.Value()
 	}
 	for name, g := range r.gauges {
 		snap.Gauges[name] = g.Value()
-	}
-	for name, h := range r.histograms {
-		snap.Histograms[name] = summarize(h)
 	}
 	for name, t := range r.timers {
 		snap.Histograms[name+".ms"] = summarize(t.h)
@@ -336,20 +307,6 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	}
 	for name, v := range s.Counters {
 		out.Counters[name] = v - prev.Counters[name]
-	}
-	return out
-}
-
-// String renders a compact, sorted representation used by CLI reporting.
-func (s Snapshot) String() string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := ""
-	for _, n := range names {
-		out += fmt.Sprintf("%s=%d ", n, s.Counters[n])
 	}
 	return out
 }

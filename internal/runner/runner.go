@@ -152,7 +152,8 @@ func (r *Runner) Run(ctx context.Context, campaign *model.Campaign, alt core.Alt
 		return nil, fmt.Errorf("runner: prepare data: %w", err)
 	}
 
-	accuracy, taskDetails, err := r.runAnalytics(ctx, engine, campaign, step, prepared)
+	var analyzed dataflow.Stats
+	accuracy, taskDetails, err := r.runAnalytics(ctx, engine, campaign, step, prepared, &analyzed)
 	if err != nil {
 		return nil, err
 	}
@@ -162,14 +163,13 @@ func (r *Runner) Run(ctx context.Context, campaign *model.Campaign, alt core.Alt
 	rows := prepared.Len()
 
 	// The report's engine stats describe the preparation collect, except the
-	// spill counters, which fold in every Collect the run issued (analytics
-	// stages re-enter the engine): a budgeted campaign's spill activity is a
-	// whole-run fact, not a preparation-stage one.
+	// spill counters, which add the analytics collect's (forecasting and
+	// reporting re-enter the engine): a budgeted campaign's spill activity is
+	// a whole-run fact, not a preparation-stage one.
 	engineStats := prepared.Stats
-	snap := engine.Metrics().Snapshot()
-	engineStats.SpilledBatches = snap.CounterValue("spill.batches")
-	engineStats.SpilledBytes = snap.CounterValue("spill.bytes")
-	engineStats.SpillLogicalBytes = snap.CounterValue("spill.bytes.logical")
+	engineStats.SpilledBatches += analyzed.SpilledBatches
+	engineStats.SpilledBytes += analyzed.SpilledBytes
+	engineStats.SpillLogicalBytes += analyzed.SpillLogicalBytes
 
 	measured := sla.Measurement{
 		model.IndicatorAccuracy: accuracy,
@@ -460,8 +460,10 @@ func maskSensitiveColumns(d *dataflow.Dataset, schema *storage.Schema, fn func(s
 // returns the measured accuracy indicator plus diagnostics. Every reader
 // resolves its column indices once and reads typed cells, from the column
 // vectors or through the ColumnBatch *At accessors; no prepared row is boxed.
+// The tasks that run on the engine (forecasting, reporting) store their
+// collect's stats in *analyzed; the others leave it zero.
 func (r *Runner) runAnalytics(ctx context.Context, engine *dataflow.Engine, campaign *model.Campaign,
-	step procedural.Step, prepared *dataflow.BatchResult) (float64, map[string]string, error) {
+	step procedural.Step, prepared *dataflow.BatchResult, analyzed *dataflow.Stats) (float64, map[string]string, error) {
 
 	details := map[string]string{"analytics.service": step.Service.ID}
 	if prepared.Len() == 0 {
@@ -477,11 +479,11 @@ func (r *Runner) runAnalytics(ctx context.Context, engine *dataflow.Engine, camp
 	case model.TaskAnomaly:
 		return r.runAnomaly(campaign, step, prepared, details)
 	case model.TaskForecasting:
-		return r.runForecasting(ctx, engine, campaign, step, prepared, details)
+		return r.runForecasting(ctx, engine, campaign, step, prepared, details, analyzed)
 	case model.TaskSessionization:
 		return r.runSessionization(campaign, prepared, details)
 	case model.TaskReporting:
-		return r.runReporting(ctx, engine, campaign, prepared, details)
+		return r.runReporting(ctx, engine, campaign, prepared, details, analyzed)
 	default:
 		return 0, details, fmt.Errorf("%w: %q", ErrUnknownEngine, step.Service.ID)
 	}
@@ -655,7 +657,7 @@ func (r *Runner) runAnomaly(campaign *model.Campaign, step procedural.Step,
 }
 
 func (r *Runner) runForecasting(ctx context.Context, engine *dataflow.Engine, campaign *model.Campaign,
-	step procedural.Step, prepared *dataflow.BatchResult, details map[string]string) (float64, map[string]string, error) {
+	step procedural.Step, prepared *dataflow.BatchResult, details map[string]string, analyzed *dataflow.Stats) (float64, map[string]string, error) {
 
 	if campaign.Goal.ValueColumn == "" {
 		return 0, details, fmt.Errorf("%w: forecasting needs a value column", ErrMissingParam)
@@ -669,6 +671,7 @@ func (r *Runner) runForecasting(ctx context.Context, engine *dataflow.Engine, ca
 	if err != nil {
 		return 0, details, fmt.Errorf("runner: order series: %w", err)
 	}
+	*analyzed = res.Stats
 	series := make([]float64, 0, res.Len())
 	for _, b := range res.Batches {
 		for i := 0; i < b.Len(); i++ {
@@ -743,7 +746,7 @@ func (r *Runner) runSessionization(campaign *model.Campaign, prepared *dataflow.
 }
 
 func (r *Runner) runReporting(ctx context.Context, engine *dataflow.Engine, campaign *model.Campaign,
-	prepared *dataflow.BatchResult, details map[string]string) (float64, map[string]string, error) {
+	prepared *dataflow.BatchResult, details map[string]string, analyzed *dataflow.Stats) (float64, map[string]string, error) {
 
 	if len(campaign.Goal.GroupColumns) == 0 || campaign.Goal.ValueColumn == "" {
 		return 0, details, fmt.Errorf("%w: reporting needs group and value columns", ErrMissingParam)
@@ -757,6 +760,7 @@ func (r *Runner) runReporting(ctx context.Context, engine *dataflow.Engine, camp
 	if err != nil {
 		return 0, details, fmt.Errorf("runner: aggregate report: %w", err)
 	}
+	*analyzed = report.Stats
 	details["reporting.groups"] = fmt.Sprintf("%d", report.Len())
 	if report.Len() == 0 {
 		return 0, details, nil

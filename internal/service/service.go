@@ -273,9 +273,6 @@ func New(run Runner, cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Metrics exposes the service metric registry.
-func (s *Service) Metrics() *metrics.Registry { return s.reg }
-
 // Stats snapshots the service counters, gauges and latency histograms.
 func (s *Service) Stats() metrics.Snapshot { return s.reg.Snapshot() }
 

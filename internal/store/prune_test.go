@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
@@ -341,4 +342,89 @@ func FuzzScanPruning(f *testing.F) {
 			}
 		}
 	})
+}
+
+// renderPred writes p the way a -filter flag spells it: the column, the
+// operator and the value, its floats in the shortest text that parses back
+// to the same bits.
+func renderPred(p Pred) string {
+	var v string
+	switch x := p.Value.(type) {
+	case int64:
+		v = strconv.FormatInt(x, 10)
+	case float64:
+		v = strconv.FormatFloat(x, 'g', -1, 64)
+	case string:
+		v = x
+	}
+	return p.Col + p.Op.String() + v
+}
+
+// predJunk holds suffixes that no rendered int or float extends to another
+// number.
+var predJunk = []string{"abc", "#", " x", "..", "e", "!1"}
+
+// FuzzParsePred renders random typed predicates over pruneSchema (the values
+// prunePred draws, strings cut from the fuzzer's bytes, which may hold
+// operator characters) and parses them back: ParsePred must return the same
+// column, operator and typed value, and must reject a numeric predicate with
+// text after its number. An arbitrary expression must fail or parse to a
+// column that holds no operator character.
+func FuzzParsePred(f *testing.F) {
+	f.Add(int64(1), []byte("a=b"), "s<a=b")
+	f.Add(int64(2), []byte("<= x"), "i>=12abc")
+	f.Add(int64(3), []byte{0xff, '>', '='}, "s>x<=y")
+	f.Fuzz(func(t *testing.T, seed int64, raw []byte, expr string) {
+		if len(raw) > 32 {
+			raw = raw[:32]
+		}
+		schema := pruneSchema()
+		rng := rand.New(rand.NewSource(seed))
+		for range 16 {
+			p := prunePred(rng, schema, raw)
+			// ParsePred trims the value, and an '=' that follows '<' or '>'
+			// belongs to the operator.
+			if s, ok := p.Value.(string); ok && (strings.TrimSpace(s) != s ||
+				(p.Op == OpLT || p.Op == OpGT) && strings.HasPrefix(s, "=")) {
+				continue
+			}
+			text := renderPred(p)
+			got, err := ParsePred(text, schema)
+			if err != nil {
+				t.Fatalf("ParsePred(%q) of %+v: %v", text, p, err)
+			}
+			if got.Col != p.Col || got.Op != p.Op || !sameCell(got.Value, p.Value) {
+				t.Fatalf("ParsePred(%q) = %+v, want %+v", text, got, p)
+			}
+			if _, ok := p.Value.(string); !ok {
+				text += predJunk[rng.Intn(len(predJunk))]
+				if got, err := ParsePred(text, schema); err == nil {
+					t.Fatalf("ParsePred(%q) = %+v, want an error for the text after the number", text, got)
+				}
+			}
+		}
+		if got, err := ParsePred(expr, schema); err == nil && (got.Col == "" || strings.ContainsAny(got.Col, "<>=")) {
+			t.Fatalf("ParsePred(%q) = %+v: the column must be the text before the first operator", expr, got)
+		}
+	})
+}
+
+// TestZonesPruneAllocatesNothing checks that pruning allocates nothing, also
+// over more zones than a small map keeps on the stack: it runs once per
+// segment and once per frame of every filtered scan.
+func TestZonesPruneAllocatesNothing(t *testing.T) {
+	zones := make([]ZoneMap, 16)
+	for i := range zones {
+		lo, hi := int64(i), int64(i+10)
+		zones[i] = ZoneMap{Col: "c" + strconv.Itoa(i), MinInt: &lo, MaxInt: &hi}
+	}
+	// The first predicate holds somewhere in c15's zone; the second excludes
+	// c7's, whose minimum is 7.
+	filter := Filter{{Col: "c15", Op: OpGE, Value: int64(0)}, {Col: "c7", Op: OpLT, Value: int64(7)}}
+	if !zonesPrune(zones, filter) {
+		t.Fatal("c7 < 7 must prune a zone with minimum 7")
+	}
+	if n := testing.AllocsPerRun(100, func() { zonesPrune(zones, filter) }); n != 0 {
+		t.Errorf("zonesPrune over %d zones allocated %v times per call, want 0", len(zones), n)
+	}
 }

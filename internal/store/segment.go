@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 
@@ -120,72 +121,70 @@ type Pred struct {
 // when ANY predicate proves no row can match.
 type Filter []Pred
 
-// ParsePred parses "col=v", "col>=v", "col<=v", "col>v", "col<v". The value
-// is typed against the schema when one is supplied.
+// ParsePred parses "col=v", "col>=v", "col<=v", "col>v", "col<v". It splits
+// at the leftmost '<', '>' or '=', so the value may itself hold operator
+// characters and the column may not. The value is typed against the schema
+// when one is supplied: an int or time column wants a base-10 int64, a float
+// column a float64, and trailing text after the number is an error.
 func ParsePred(expr string, schema *storage.Schema) (Pred, error) {
-	ops := []struct {
-		tok string
-		op  PredOp
-	}{{">=", OpGE}, {"<=", OpLE}, {"=", OpEq}, {">", OpGT}, {"<", OpLT}}
-	for _, o := range ops {
-		i := strings.Index(expr, o.tok)
-		if i <= 0 {
-			continue
+	i := strings.IndexAny(expr, "<>=")
+	if i < 0 || strings.TrimSpace(expr[:i]) == "" {
+		return Pred{}, fmt.Errorf("store: cannot parse predicate %q (want col=v, col>=v, col<=v, col>v, col<v)", expr)
+	}
+	p := Pred{Col: strings.TrimSpace(expr[:i])}
+	rest := expr[i+1:]
+	switch expr[i] {
+	case '=':
+		p.Op = OpEq
+	case '>':
+		p.Op = OpGT
+		if strings.HasPrefix(rest, "=") {
+			p.Op, rest = OpGE, rest[1:]
 		}
-		col := strings.TrimSpace(expr[:i])
-		raw := strings.TrimSpace(expr[i+len(o.tok):])
-		p := Pred{Col: col, Op: o.op}
-		if schema != nil && schema.Has(col) {
-			f, err := schema.FieldByName(col)
-			if err != nil {
-				return Pred{}, err
-			}
-			switch f.Type {
-			case storage.TypeInt, storage.TypeTime:
-				var v int64
-				if _, err := fmt.Sscanf(raw, "%d", &v); err != nil {
-					return Pred{}, fmt.Errorf("store: predicate %q: %v", expr, err)
-				}
-				p.Value = v
-			case storage.TypeFloat:
-				var v float64
-				if _, err := fmt.Sscanf(raw, "%g", &v); err != nil {
-					return Pred{}, fmt.Errorf("store: predicate %q: %v", expr, err)
-				}
-				p.Value = v
-			default:
-				p.Value = raw
-			}
-		} else {
-			p.Value = raw
+	case '<':
+		p.Op = OpLT
+		if strings.HasPrefix(rest, "=") {
+			p.Op, rest = OpLE, rest[1:]
 		}
+	}
+	raw := strings.TrimSpace(rest)
+	p.Value = raw
+	if schema == nil || !schema.Has(p.Col) {
 		return p, nil
 	}
-	return Pred{}, fmt.Errorf("store: cannot parse predicate %q (want col=v, col>=v, col<=v, col>v, col<v)", expr)
+	f, err := schema.FieldByName(p.Col)
+	if err != nil {
+		return Pred{}, err
+	}
+	switch f.Type {
+	case storage.TypeInt, storage.TypeTime:
+		p.Value, err = strconv.ParseInt(raw, 10, 64)
+	case storage.TypeFloat:
+		p.Value, err = strconv.ParseFloat(raw, 64)
+	}
+	if err != nil {
+		return Pred{}, fmt.Errorf("store: predicate %q: %w", expr, err)
+	}
+	return p, nil
 }
 
 // zonesPrune reports whether the zone maps prove no row in the zone can
-// satisfy the filter. Conservative: any doubt returns false (scan it).
+// satisfy the filter. Conservative: any doubt returns false (scan it). Each
+// predicate finds its column's zone by a linear scan: a zone list is one
+// entry per schema column, and the scan allocates nothing.
 func zonesPrune(zones []ZoneMap, filter Filter) bool {
-	if len(zones) == 0 || len(filter) == 0 {
-		return false
-	}
-	byCol := make(map[string]*ZoneMap, len(zones))
-	for i := range zones {
-		byCol[zones[i].Col] = &zones[i]
-	}
 	for _, p := range filter {
-		z, ok := byCol[p.Col]
-		if !ok || z.Unpruned {
-			continue
-		}
-		if z.AllNull {
+		for i := range zones {
+			z := &zones[i]
+			if z.Col != p.Col {
+				continue
+			}
 			// No comparison matches a null, so any predicate on an all-null
 			// column excludes the whole zone.
-			return true
-		}
-		if zoneExcludes(z, p) {
-			return true
+			if !z.Unpruned && (z.AllNull || zoneExcludes(z, p)) {
+				return true
+			}
+			break
 		}
 	}
 	return false

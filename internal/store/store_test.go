@@ -412,6 +412,10 @@ func TestParsePred(t *testing.T) {
 		{"id<5", Pred{Col: "id", Op: OpLT, Value: int64(5)}},
 		{"score<=2.5", Pred{Col: "score", Op: OpLE, Value: 2.5}},
 		{"region=region-03", Pred{Col: "region", Op: OpEq, Value: "region-03"}},
+		// The column ends at the leftmost '<', '>' or '=': a value may hold
+		// operator characters.
+		{"s<a=b", Pred{Col: "s", Op: OpLT, Value: "a=b"}},
+		{"s>x<=y", Pred{Col: "s", Op: OpGT, Value: "x<=y"}},
 	}
 	for _, c := range cases {
 		got, err := ParsePred(c.expr, schema)
@@ -422,7 +426,11 @@ func TestParsePred(t *testing.T) {
 			t.Fatalf("parse %q: got %+v want %+v", c.expr, got, c.want)
 		}
 	}
-	if _, err := ParsePred("nonsense", schema); err == nil {
-		t.Fatal("expected error for unparseable predicate")
+	// Neither an expression without an operator nor a number followed by
+	// other text parses.
+	for _, expr := range []string{"nonsense", "id>=12abc"} {
+		if got, err := ParsePred(expr, schema); err == nil {
+			t.Errorf("parse %q: got %+v, want an error", expr, got)
+		}
 	}
 }
