@@ -62,7 +62,7 @@ func run(args []string, out io.Writer) error {
 		customers  = fs.Int("customers", 2000, "scenario sizing: customers/baskets/transactions")
 		repository = fs.String("repository", "", "optional model-repository directory for persistence")
 		strategy   = fs.String("strategy", "exhaustive", "planning strategy for the plan command (exhaustive|greedy|random)")
-		memBudget  = fs.Int64("memory-budget", 0, "bytes of columnar batch data the engine keeps resident per wide operator; excess spills to disk (0 = unlimited)")
+		memBudget  = fs.Int64("memory-budget", 0, "bytes of columnar batch data the engine keeps resident per shuffle, sort or join; excess spills to disk, group-by state stays resident (0 = unlimited)")
 		failRate   = fs.Float64("failure-rate", 0, "injected transient task-failure probability on the simulated cluster (serve: exercised by the retry policy)")
 		listen     = fs.String("listen", "127.0.0.1:8321", "serve: listen address (host:0 picks a free port)")
 		queueDepth = fs.Int("queue", 16, "serve: submission queue depth before admission control rejects or sheds")

@@ -138,8 +138,10 @@ type Task struct {
 
 // Result reports the outcome of one task.
 type Result struct {
-	Task     string
-	Node     string
+	Task string
+	Node string
+	// Attempts is the number of attempts that ran; a task cancelled before
+	// its first attempt reports 0.
 	Attempts int
 	Err      error
 	Duration time.Duration
@@ -347,11 +349,11 @@ func (c *Cluster) runTask(ctx context.Context, sl slot, task Task) Result {
 	start := time.Now()
 	retries := 0
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
-		res.Attempts = attempt
 		if err := ctx.Err(); err != nil {
 			res.Err = err
 			break
 		}
+		res.Attempts = attempt
 		if attempt > 1 {
 			retries++
 		}

@@ -188,6 +188,36 @@ func TestRunJobBackoffHonorsCancellation(t *testing.T) {
 	}
 }
 
+// TestCancelDuringBackoffCountsOnlyRunAttempts cancels a task during the
+// backoff that follows its failed first attempt: the second attempt never
+// runs, so the task reports one attempt and the cluster counts no retry.
+func TestCancelDuringBackoffCountsOnlyRunAttempts(t *testing.T) {
+	cfg := Uniform(1, 1, 0.999)
+	cfg.Seed = 3
+	cfg.MaxAttempts = 5
+	cfg.RetryBackoff = Backoff{Base: 10 * time.Second}
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	res, err := cl.RunNamedJob(ctx, "job", []Task{{Name: "t"}})
+	if !Canceled(err) {
+		t.Fatalf("job error = %v, want a cancellation", err)
+	}
+	if len(res) != 1 || res[0].Attempts != 1 {
+		t.Fatalf("results = %+v, want one task with Attempts == 1", res)
+	}
+	if got := cl.Usage().Retries; got != 0 {
+		t.Errorf("Retries = %d, want 0", got)
+	}
+}
+
 // newTestWorkerRNG builds a seeded slot RNG for backoff tests.
 func newTestWorkerRNG(seed int64) *workerRNG {
 	return &workerRNG{seed: seed}

@@ -1,69 +1,39 @@
 package dataflow
 
-// agg_columnar.go implements the group-by core: a storage.GroupTable maps
-// keys to dense group ids and every aggregation accumulates into typed
-// vectors indexed by group id (aggVecs), so the per-row hot loop is one tight
-// typed pass per aggregation instead of per-row interface dispatch over boxed
+// agg_columnar.go implements the group-by: a storage.GroupTable maps keys to
+// dense group ids and every aggregation accumulates into typed vectors
+// indexed by group id (aggVecs), so the per-row hot loop is one tight typed
+// pass per aggregation instead of per-row interface dispatch over boxed
 // per-group state.
 //
-// Group state leaves a task in one format, the partial-state batch
-// (aggSpillSchema: key columns, a first-seen sequence number, then per
-// aggregation its count, plus its sum for sum and avg). aggPartials.build
-// writes it and aggPartials.merge folds it back through a GroupTable, for
-// both places state crosses a boundary:
+// A group-by runs as combine → shuffle → merge (evalGroupBy). One job folds
+// each input partition through a GroupTable and writes its groups as one
+// partial-state batch per shuffle bucket (partialSchema: key columns, then
+// per aggregation its count, plus its sum for sum and avg; aggPartials.build).
+// Only those batches cross the shuffle boundary. A second job merges each
+// bucket: its task folds the bucket's partials of every input partition, in
+// partition order, through a GroupTable of its own (aggPartials.merge) and
+// emits one typed output batch. The partials and the merge state stay
+// resident, outside the memory budget.
 //
-//   - the combined group-by (evalGroupByCombined) accumulates each input
-//     partition map-side and builds one partial batch per shuffle bucket;
-//     one merge task per bucket folds the buckets' partials in input
-//     partition order (mergeGroupPartials);
-//   - the non-combined hash aggregation (evalGroupByHash) folds shuffled
-//     rows into one table per bucket and emits it directly; under
-//     WithMemoryBudget, whenever the resident group state exceeds the
-//     budget it is flushed as partial batches, hash-partitioned into
-//     aggSpillPartitions sub-partitions of a PartitionStore (which re-spills
-//     them through the batch codec), and each sub-partition is merged on its
-//     own, so the merge's peak state is ~1/P of the group universe.
-//
-// The sequence number restores the emission order: a merge emits its groups
-// in first-seen sequence order, which is the in-memory emission order of
-// the spilling path and, with the combined map task i numbering its groups
-// i<<32 | g, the bucket, partition, first-seen order of the combined path.
+// The emission order needs no bookkeeping: map task i writes its groups in
+// id (first-seen) order and the merge folds partitions in order, so a bucket
+// emits its groups by the first input partition holding the key, then by
+// first-seen order in that partition.
 //
 // All aggregation semantics — null skipping, AsFloat coercions — follow the
 // formulas documented on AggKind; the equivalence suite holds every engine
 // configuration to the reference interpreter. Float sums add partials in
-// sequence order, so a combined or spilled sum regroups the additions of a
-// row-by-row fold: its bits match only when the data sums exactly (the
-// identity the spill tests rely on).
+// partition order, so a sum regroups the additions of a row-by-row fold: its
+// bits match only when the data sums exactly.
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/storage"
 )
-
-// aggSpillPartitions is the number of hash sub-partitions the spilling hash
-// aggregation re-partitions overflowing group state into. The key hash is run
-// through storage.Mix64 first: its raw low bits already chose the shuffle
-// bucket (PartitionOfHash is h % nParts), and FNV-1a barely stirs the bits
-// above 32 for short keys, so any fixed bit range of the raw hash would leave
-// the sub-partitions skewed or correlated with the bucket split.
-const aggSpillPartitions = 16
-
-// aggBudgetCheckRows is the sub-range granularity at which the budgeted hash
-// aggregation re-checks its resident state against the memory budget, so one
-// flush epoch holds at most this many rows' worth of new groups.
-const aggBudgetCheckRows = 256
-
-// aggSubPartition maps a group's key hash to its spill sub-partition through
-// storage.Mix64, so every input bit reaches the partition choice.
-func aggSubPartition(hash uint64) int {
-	return int(storage.Mix64(hash) % aggSpillPartitions)
-}
 
 // aggKeyLayout derives the key-column schema (the output schema's key prefix)
 // and the input column index of each key.
@@ -156,7 +126,7 @@ func aggVecsSize(accs []*aggVecs) int64 {
 // updateBatch folds one input batch into the state vectors: ids[i] is the
 // group id of batch row i. The kind × column-type dispatch happens once per
 // batch; the inner loops read the typed vectors directly.
-func (a *aggVecs) updateBatch(b *storage.ColumnBatch, ids []int32, base int) {
+func (a *aggVecs) updateBatch(b *storage.ColumnBatch, ids []int32) {
 	if a.spec.Kind == AggCount {
 		for _, id := range ids {
 			a.counts[id]++
@@ -169,8 +139,7 @@ func (a *aggVecs) updateBatch(b *storage.ColumnBatch, ids []int32, base int) {
 	col := b.Column(a.colIdx)
 	switch col.Type() {
 	case storage.TypeFloat:
-		for j, id := range ids {
-			i := base + j
+		for i, id := range ids {
 			if col.Null(i) {
 				continue
 			}
@@ -178,8 +147,7 @@ func (a *aggVecs) updateBatch(b *storage.ColumnBatch, ids []int32, base int) {
 			a.sums[id] += col.Float(i)
 		}
 	case storage.TypeInt, storage.TypeTime:
-		for j, id := range ids {
-			i := base + j
+		for i, id := range ids {
 			if col.Null(i) {
 				continue
 			}
@@ -187,8 +155,7 @@ func (a *aggVecs) updateBatch(b *storage.ColumnBatch, ids []int32, base int) {
 			a.sums[id] += float64(col.Int(i))
 		}
 	case storage.TypeBool:
-		for j, id := range ids {
-			i := base + j
+		for i, id := range ids {
 			if col.Null(i) {
 				continue
 			}
@@ -203,8 +170,7 @@ func (a *aggVecs) updateBatch(b *storage.ColumnBatch, ids []int32, base int) {
 		// Strings (and anything exotic) go through FloatAt, which matches
 		// AsFloat: unparsable cells still count and contribute zero, as the
 		// aggregate formulas on AggKind say.
-		for j, id := range ids {
-			i := base + j
+		for i, id := range ids {
 			if col.Null(i) {
 				continue
 			}
@@ -254,20 +220,24 @@ func emitAggBatch(n *groupByNode, table *storage.GroupTable, accs []*aggVecs) (*
 }
 
 // ---------------------------------------------------------------------------
-// Map-side combined group-by
+// Combine → shuffle → merge
 // ---------------------------------------------------------------------------
 
-// evalGroupByCombined is the combined group-by: one job folds each input
-// batch through a GroupTable into typed accumulators and builds one partial
-// batch per shuffle bucket; only those partials cross the shuffle boundary,
-// and a second job merges them per bucket (mergeGroupPartials). When keys
-// repeat within partitions this shuffles far fewer rows than the
-// non-combined hash aggregation. The partials stay resident, outside the
-// memory budget.
-func (e *Engine) evalGroupByCombined(ctx context.Context, n *groupByNode,
-	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]*storage.ColumnBatch, error) {
-
+// evalGroupBy executes a group-by: one job folds each input batch through a
+// GroupTable into typed accumulators and builds one partial batch per
+// shuffle bucket; only those partials cross the shuffle boundary, and a
+// second job merges them per bucket (mergeGroupPartials). When keys repeat
+// within partitions this shuffles far fewer rows than the input holds.
+func (e *Engine) evalGroupBy(ctx context.Context, n *groupByNode, st *execState) ([]*storage.ColumnBatch, error) {
+	in, err := e.eval(ctx, n.child, st)
+	if err != nil {
+		return nil, err
+	}
 	inSchema := n.child.schema()
+	enc, err := storage.NewKeyEncoder(inSchema, n.keys...)
+	if err != nil {
+		return nil, fmt.Errorf("dataflow: group-by: %w", err)
+	}
 	keySchema, keyIdx, err := aggKeyLayout(n, inSchema)
 	if err != nil {
 		return nil, err
@@ -295,14 +265,10 @@ func (e *Engine) evalGroupByCombined(ctx context.Context, n *groupByNode,
 				ids := table.MapBatch(b, nil)
 				ensureAggVecs(accs, table.Groups())
 				for _, a := range accs {
-					a.updateBatch(b, ids, 0)
+					a.updateBatch(b, ids)
 				}
 				st.noteAggPeak(table.MemSize() + aggVecsSize(accs))
-				seqs := make([]int64, table.Groups())
-				for g := range seqs {
-					seqs[g] = int64(i)<<32 | int64(g)
-				}
-				out, err := p.build(table, accs, seqs, nParts, bucketOf)
+				out, err := p.build(table, accs, nParts, bucketOf)
 				partials[i] = out
 				return err
 			},
@@ -315,21 +281,17 @@ func (e *Engine) evalGroupByCombined(ctx context.Context, n *groupByNode,
 	return e.mergeGroupPartials(ctx, p, partials, inputRows, st)
 }
 
-// mergeGroupPartials is the reduce side of the combined group-by: bucket b's
-// merge task folds partials[i][b] for every input partition i in order, so
-// each group keeps the key values of its first partial and the bucket emits
-// its groups in partition, then first-seen order, as one output batch.
+// mergeGroupPartials is the reduce side of the group-by: bucket b's merge
+// task folds partials[i][b] for every input partition i in order, so each
+// group keeps the key values of its first partial and the bucket emits its
+// groups in partition, then first-seen order, as one output batch.
 func (e *Engine) mergeGroupPartials(ctx context.Context, p *aggPartials, partials [][]*storage.ColumnBatch,
 	inputRows int, st *execState) ([]*storage.ColumnBatch, error) {
 
 	st.addStage()
 	moved := 0
 	for _, bs := range partials {
-		for _, pb := range bs {
-			if pb != nil {
-				moved += pb.Len()
-			}
-		}
+		moved += partialRows(bs)
 	}
 	st.addShuffled(moved)
 	st.addCombined(inputRows - moved)
@@ -341,25 +303,15 @@ func (e *Engine) mergeGroupPartials(ctx context.Context, p *aggPartials, partial
 		mergeTasks[b] = cluster.Task{
 			Name: fmt.Sprintf("groupby-merge[%d]", b),
 			Fn: func(ctx context.Context, node cluster.Node) error {
-				rows := 0
-				for _, bs := range partials {
-					if bs[b] != nil {
-						rows += bs[b].Len()
-					}
+				bucket := make([]*storage.ColumnBatch, len(partials))
+				for i, bs := range partials {
+					bucket[i] = bs[b]
 				}
-				res, err := p.merge([]batchSeq{
-					func(fold func(*storage.ColumnBatch) error) error {
-						for _, bs := range partials {
-							if err := fold(bs[b]); err != nil {
-								return err
-							}
-						}
-						return nil
-					},
-				}, []int{rows}, nil)
+				res, resident, err := p.merge(bucket)
 				if err != nil {
 					return err
 				}
+				st.noteAggPeak(resident)
 				st.addAggGroups(res.Len())
 				out[b] = res
 				return nil
@@ -374,220 +326,13 @@ func (e *Engine) mergeGroupPartials(ctx context.Context, p *aggPartials, partial
 }
 
 // ---------------------------------------------------------------------------
-// Non-combined hash aggregation (in-memory and spilling)
+// Partial state: the one format group state crosses the shuffle in
 // ---------------------------------------------------------------------------
-
-// evalGroupByHash is the non-combined columnar group-by: rows cross the
-// shuffle boundary through a partition store, and one task per bucket folds
-// the restored batches through a GroupTable into typed accumulators. Without
-// a budget the bucket's groups are emitted directly as a columnar batch;
-// under WithMemoryBudget the group state itself is spill-aware (see
-// hashAggPartition).
-func (e *Engine) evalGroupByHash(ctx context.Context, n *groupByNode,
-	in []*storage.ColumnBatch, enc *storage.KeyEncoder, st *execState) ([]*storage.ColumnBatch, error) {
-
-	inSchema := n.child.schema()
-	keySchema, keyIdx, err := aggKeyLayout(n, inSchema)
-	if err != nil {
-		return nil, err
-	}
-	partials, err := newAggPartials(n, keySchema, inSchema)
-	if err != nil {
-		return nil, err
-	}
-	store, err := e.shuffleBatches(in, inSchema, enc, st)
-	if err != nil {
-		return nil, err
-	}
-	defer st.releaseStore(store)
-	nParts := store.Partitions()
-	out := make([]*storage.ColumnBatch, nParts)
-	tasks := make([]cluster.Task, nParts)
-	for b := range tasks {
-		b := b
-		tasks[b] = cluster.Task{
-			Name: fmt.Sprintf("groupby[%d]", b),
-			Fn: func(ctx context.Context, node cluster.Node) error {
-				res, err := e.hashAggPartition(n, b, store, enc, keyIdx, partials, st)
-				if err != nil {
-					return err
-				}
-				out[b] = res
-				return nil
-			},
-		}
-	}
-	st.addTasks(len(tasks))
-	if _, err := e.cluster.RunNamedJob(ctx, "groupby", tasks); err != nil {
-		return nil, fmt.Errorf("dataflow: groupby: %w", err)
-	}
-	return out, nil
-}
-
-// hashAggPartition aggregates one shuffle bucket. The build loop maps each
-// restored batch to dense group ids and runs the typed update kernels; under
-// a memory budget, whenever the resident group state (table + accumulator
-// vectors) exceeds it, the state is flushed as partial batches into an aggSpill
-// and the table reset — so peak resident state stays bounded by the budget
-// plus one batch's worth of fresh groups. If nothing flushed, groups are
-// emitted directly; otherwise the sub-partitions are merged and re-ordered by
-// first-seen sequence so the output matches the in-memory emission order.
-func (e *Engine) hashAggPartition(n *groupByNode, bucket int, store *storage.PartitionStore,
-	enc *storage.KeyEncoder, keyIdx []int, partials *aggPartials, st *execState) (*storage.ColumnBatch, error) {
-
-	table := storage.NewGroupTable(partials.keySchema, keyIdx, enc, 0)
-	accs := newAggVecSet(n.aggs, partials.inSchema)
-	var seqs []int64
-	var nextSeq int64
-	var sp *aggSpill
-	var ids []int32
-	budget := e.memoryBudget
-	// Under a budget the batch is consumed in sub-ranges with a budget check
-	// between them, so the resident epoch is bounded even when a bucket's
-	// whole input arrives as one shuffle chunk; without one, each batch is
-	// one range and the check never runs.
-	step := 1 << 30
-	if budget > 0 {
-		step = aggBudgetCheckRows
-	}
-	err := store.EachBatch(bucket, func(cb *storage.ColumnBatch) error {
-		rows := cb.Len()
-		for lo := 0; lo < rows; lo += step {
-			hi := lo + step
-			if hi > rows {
-				hi = rows
-			}
-			old := table.Groups()
-			ids = table.MapRange(cb, lo, hi, ids)
-			groups := table.Groups()
-			ensureAggVecs(accs, groups)
-			for g := old; g < groups; g++ {
-				seqs = append(seqs, nextSeq)
-				nextSeq++
-			}
-			for _, a := range accs {
-				a.updateBatch(cb, ids, lo)
-			}
-			if budget > 0 && groups > 0 {
-				if size := table.MemSize() + aggVecsSize(accs); size > budget {
-					st.noteAggPeak(size)
-					if sp == nil {
-						ps, err := e.newPartitionStore(partials.schema, aggSpillPartitions, budget)
-						if err != nil {
-							return err
-						}
-						sp = &aggSpill{partials: partials, store: ps}
-					}
-					if err := sp.flush(table, accs, seqs); err != nil {
-						return err
-					}
-					table.Reset()
-					accs = newAggVecSet(n.aggs, partials.inSchema)
-					seqs = seqs[:0]
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		if sp != nil {
-			st.releaseStore(sp.store)
-		}
-		return nil, err
-	}
-	if sp == nil {
-		st.noteAggPeak(table.MemSize() + aggVecsSize(accs))
-		st.addAggGroups(table.Groups())
-		b, err := emitAggBatch(n, table, accs)
-		if err != nil {
-			return nil, err
-		}
-		if b.Len() > 0 {
-			st.addBatches(1, b.Len())
-		}
-		return b, nil
-	}
-	defer st.releaseStore(sp.store)
-	if err := sp.flush(table, accs, seqs); err != nil {
-		return nil, err
-	}
-	b, partsMerged, err := sp.mergeSpilled(st.noteAggPeak)
-	if err != nil {
-		return nil, err
-	}
-	st.addAggGroups(b.Len())
-	st.addAggSpilledParts(partsMerged)
-	if b.Len() > 0 {
-		st.addBatches(1, b.Len())
-	}
-	return b, nil
-}
-
-// ---------------------------------------------------------------------------
-// Spill partitioning of overflowing group state
-// ---------------------------------------------------------------------------
-
-// aggSpill holds the partial-state batches of flushed group-state epochs,
-// hash-sub-partitioned into a PartitionStore that re-spills them to disk
-// through the batch codec under the same memory budget.
-type aggSpill struct {
-	partials *aggPartials
-	store    *storage.PartitionStore
-}
-
-// flush appends every group of the current epoch to its hash sub-partition
-// as partial state.
-func (sp *aggSpill) flush(table *storage.GroupTable, accs []*aggVecs, seqs []int64) error {
-	batches, err := sp.partials.build(table, accs, seqs, aggSpillPartitions, aggSubPartition)
-	if err != nil {
-		return err
-	}
-	for p, pb := range batches {
-		if pb == nil {
-			continue
-		}
-		if err := sp.store.Append(p, pb); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mergeSpilled merges each sub-partition on its own — peak resident state
-// is one sub-partition's group slice, ~1/aggSpillPartitions of the bucket's
-// groups — and emits the groups in first-seen sequence order, restoring the
-// exact in-memory emission order. partsMerged reports how many
-// sub-partitions held spilled state.
-func (sp *aggSpill) mergeSpilled(notePeak func(int64)) (*storage.ColumnBatch, int, error) {
-	var runs []batchSeq
-	var rows []int
-	for p := 0; p < aggSpillPartitions; p++ {
-		n := sp.store.PartitionRows(p)
-		if n == 0 {
-			continue
-		}
-		p := p
-		runs = append(runs, func(fold func(*storage.ColumnBatch) error) error {
-			return sp.store.EachBatch(p, fold)
-		})
-		rows = append(rows, n)
-	}
-	b, err := sp.partials.merge(runs, rows, notePeak)
-	return b, len(runs), err
-}
-
-// ---------------------------------------------------------------------------
-// Partial state: the one format group state crosses a boundary in
-// ---------------------------------------------------------------------------
-
-// batchSeq streams a sequence of batches into fold, stopping at the first
-// error.
-type batchSeq func(fold func(*storage.ColumnBatch) error) error
 
 // aggPartials writes and merges a group-by's partial-state batches.
 type aggPartials struct {
 	n         *groupByNode
-	schema    *storage.Schema // aggSpillSchema
+	schema    *storage.Schema // partialSchema
 	keySchema *storage.Schema
 	inSchema  *storage.Schema
 	// enc hashes the partial layout's key columns (the first len(n.keys)),
@@ -597,7 +342,7 @@ type aggPartials struct {
 }
 
 func newAggPartials(n *groupByNode, keySchema, inSchema *storage.Schema) (*aggPartials, error) {
-	schema, err := aggSpillSchema(keySchema, n.aggs)
+	schema, err := partialSchema(keySchema, n.aggs)
 	if err != nil {
 		return nil, err
 	}
@@ -614,18 +359,16 @@ func newAggPartials(n *groupByNode, keySchema, inSchema *storage.Schema) (*aggPa
 	return &aggPartials{n: n, schema: schema, keySchema: keySchema, inSchema: inSchema, enc: enc, keyIdx: keyIdx}, nil
 }
 
-// aggSpillSchema builds the partial-state layout: the key columns (all
-// nullable — a group key may legitimately be null), the group's first-seen
-// sequence number, then per aggregation a count column, followed for sum and
-// avg by a sum column.
-func aggSpillSchema(keySchema *storage.Schema, aggs []Aggregation) (*storage.Schema, error) {
-	fields := make([]storage.Field, 0, keySchema.Len()+1+2*len(aggs))
+// partialSchema builds the partial-state layout: the key columns (all
+// nullable — a group key may legitimately be null), then per aggregation a
+// count column, followed for sum and avg by a sum column.
+func partialSchema(keySchema *storage.Schema, aggs []Aggregation) (*storage.Schema, error) {
+	fields := make([]storage.Field, 0, keySchema.Len()+2*len(aggs))
 	for i := 0; i < keySchema.Len(); i++ {
 		fields = append(fields, storage.Field{
 			Name: fmt.Sprintf("k%d", i), Type: keySchema.Field(i).Type, Nullable: true,
 		})
 	}
-	fields = append(fields, storage.Field{Name: "seq", Type: storage.TypeInt})
 	for j, a := range aggs {
 		fields = append(fields, storage.Field{Name: fmt.Sprintf("a%d_count", j), Type: storage.TypeInt})
 		if a.Kind != AggCount {
@@ -636,9 +379,9 @@ func aggSpillSchema(keySchema *storage.Schema, aggs []Aggregation) (*storage.Sch
 }
 
 // build writes the table's groups as partial-state batches, one per part
-// (nil for a part no group hashes to): group g goes to partOf(table.Hash(g))
-// with sequence number seqs[g], and each part keeps the groups in id order.
-func (p *aggPartials) build(table *storage.GroupTable, accs []*aggVecs, seqs []int64,
+// (nil for a part no group hashes to): group g goes to partOf(table.Hash(g)),
+// and each part keeps the groups in id order.
+func (p *aggPartials) build(table *storage.GroupTable, accs []*aggVecs,
 	parts int, partOf func(hash uint64) int) ([]*storage.ColumnBatch, error) {
 
 	assign := make([]int32, table.Groups())
@@ -665,11 +408,6 @@ func (p *aggPartials) build(table *storage.GroupTable, accs []*aggVecs, seqs []i
 		for j := 0; j < kr.Width(); j++ {
 			cols = append(cols, kr.Column(j).Gather(sel))
 		}
-		seq := storage.NewColumnBuilder(storage.TypeInt, len(sel))
-		for _, g := range sel {
-			seq.AppendInt(seqs[g])
-		}
-		cols = append(cols, seq)
 		for _, a := range accs {
 			cols = a.appendPartialColumns(cols, sel)
 		}
@@ -680,6 +418,18 @@ func (p *aggPartials) build(table *storage.GroupTable, accs []*aggVecs, seqs []i
 		out[part] = b
 	}
 	return out, nil
+}
+
+// partialRows counts the rows of partial-state batches; a nil batch (a part
+// no group hashed to) holds none.
+func partialRows(bs []*storage.ColumnBatch) int {
+	rows := 0
+	for _, b := range bs {
+		if b != nil {
+			rows += b.Len()
+		}
+	}
+	return rows
 }
 
 // appendPartialColumns appends this aggregation's partial-state columns for
@@ -700,76 +450,36 @@ func (a *aggVecs) appendPartialColumns(cols []storage.Column, sel []int32) []sto
 	return append(cols, sums)
 }
 
-// merge folds partial-state batches back into final groups. Each run merges
-// through a GroupTable of its own (see mergeSpillBatch), and a group keeps
-// the key values and sequence number of its first partial. The groups of
-// every run come out as one typed batch ordered by sequence number. rows[r]
-// is run r's partial row count, which sizes its GroupTable. notePeak, when
-// set, sees the merge's resident state after every batch.
-func (p *aggPartials) merge(runs []batchSeq, rows []int, notePeak func(int64)) (*storage.ColumnBatch, error) {
-	emitted := make([]*storage.ColumnBatch, len(runs))
-	var order []int64 // each emitted group's sequence number, runs concatenated
-	nKeys := len(p.keyIdx)
+// merge folds one bucket's partial-state batches, in order, into final
+// groups through one GroupTable (see mergePartialBatch); a nil batch is a
+// partition with no group in the bucket. A group keeps the key values of its
+// first partial, and the groups come out as one typed batch in first-seen
+// order. resident is the merge state's footprint when the fold ends: the
+// table plus the accumulator vectors.
+func (p *aggPartials) merge(parts []*storage.ColumnBatch) (out *storage.ColumnBatch, resident int64, err error) {
+	table := storage.NewGroupTable(p.keySchema, p.keyIdx, p.enc, partialRows(parts))
+	accs := newAggVecSet(p.n.aggs, p.inSchema)
 	var ids []int32
-	for r, each := range runs {
-		table := storage.NewGroupTable(p.keySchema, p.keyIdx, p.enc, rows[r])
-		accs := newAggVecSet(p.n.aggs, p.inSchema)
-		err := each(func(pb *storage.ColumnBatch) error {
-			if pb == nil || pb.Len() == 0 {
-				return nil
-			}
-			old := table.Groups()
-			ids = table.MapBatch(pb, ids)
-			ensureAggVecs(accs, table.Groups())
-			// New ids appear in increasing order, each first at its group's
-			// first partial.
-			seqCol := pb.Column(nKeys)
-			for i, id := range ids {
-				if int(id) == old {
-					order = append(order, seqCol.Int(i))
-					old++
-				}
-			}
-			col := nKeys + 1
-			for _, a := range accs {
-				col = a.mergeSpillBatch(pb, ids, col)
-			}
-			if notePeak != nil {
-				notePeak(table.MemSize() + aggVecsSize(accs))
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	for _, pb := range parts {
+		if pb == nil || pb.Len() == 0 {
+			continue
 		}
-		if emitted[r], err = emitAggBatch(p.n, table, accs); err != nil {
-			return nil, err
+		ids = table.MapBatch(pb, ids)
+		ensureAggVecs(accs, table.Groups())
+		col := len(p.keyIdx)
+		for _, a := range accs {
+			col = a.mergePartialBatch(pb, ids, col)
 		}
 	}
-	var all *storage.ColumnBatch
-	if len(emitted) == 1 {
-		all = emitted[0]
-	} else {
-		all = storage.NewColumnBatch(p.n.out, len(order))
-		for _, b := range emitted {
-			all.AppendRange(b, 0, b.Len())
-		}
-	}
-	if slices.IsSorted(order) {
-		return all, nil
-	}
-	sel := make([]int32, len(order))
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	slices.SortFunc(sel, func(a, b int32) int { return cmp.Compare(order[a], order[b]) })
-	return all.Gather(sel), nil
+	resident = table.MemSize() + aggVecsSize(accs)
+	out, err = emitAggBatch(p.n, table, accs)
+	return out, resident, err
 }
 
-// mergeSpillBatch folds one partial-state batch into the merge accumulators,
-// starting at partial column col and returning the column after this
-// aggregation's state. Counts and sums add in row order.
-func (a *aggVecs) mergeSpillBatch(pb *storage.ColumnBatch, ids []int32, col int) int {
+// mergePartialBatch folds one partial-state batch into the merge
+// accumulators, starting at partial column col and returning the column after
+// this aggregation's state. Counts and sums add in row order.
+func (a *aggVecs) mergePartialBatch(pb *storage.ColumnBatch, ids []int32, col int) int {
 	cnt := pb.Column(col)
 	col++
 	for i, id := range ids {

@@ -109,10 +109,9 @@ func (g *orderModelGroups) getPartial(p *orderModelState) *orderModelState {
 // orderModel is the expected group-by output. Output comes bucket by bucket
 // (PartitionOfHash of the key hash); within a bucket, groups are ordered by
 // the first input partition holding the key, then by first-seen order in that
-// partition. combined folds each input partition separately and adds the
-// partials up in partition order; otherwise each bucket folds its rows one
-// by one in (partition, row) order. Only float bits differ between the two.
-func orderModel(parts [][]storage.Row, schema *storage.Schema, keys []string, buckets int, combined bool) []storage.Row {
+// partition. Each input partition is folded separately and the partials add
+// up in partition order, which fixes the float bits.
+func orderModel(parts [][]storage.Row, schema *storage.Schema, keys []string, buckets int) []storage.Row {
 	enc, err := storage.NewKeyEncoder(schema, keys...)
 	if err != nil {
 		panic(err)
@@ -132,12 +131,7 @@ func orderModel(parts [][]storage.Row, schema *storage.Schema, keys []string, bu
 	for _, p := range parts {
 		local := newOrderModelGroups(enc)
 		for _, r := range p {
-			if combined {
-				local.get(r, keyValues(r)).fold(r[vi], r[xi])
-				continue
-			}
-			b := storage.PartitionOfHash(enc.Hash(r), buckets)
-			out[b].get(r, keyValues(r)).fold(r[vi], r[xi])
+			local.get(r, keyValues(r)).fold(r[vi], r[xi])
 		}
 		for _, s := range local.order {
 			b := storage.PartitionOfHash(s.hash, buckets)
@@ -164,9 +158,7 @@ func TestGroupByEmissionOrder(t *testing.T) {
 	inexact := []storage.Value{0.1, 0.2, 0.3, 1e-3, 1e16, 3.3, -7.7, 2.0 / 3, nil}
 	specials := []storage.Value{math.Copysign(0, -1), 0.0, math.NaN(), 1.5, -2.25, nil}
 	nulls := []storage.Value{nil, int64(1), int64(2)}
-	// Four input partitions whose keys repeat across partitions; every
-	// bucket stays under the budgeted aggregation's 256-row flush epoch, so
-	// the uncombined spill run adds each bucket's rows in one sequence.
+	// Four input partitions whose keys repeat across partitions.
 	parts := make([][]storage.Row, 4)
 	batches := make([]*storage.ColumnBatch, len(parts))
 	dictCoded := 0
@@ -199,14 +191,11 @@ func TestGroupByEmissionOrder(t *testing.T) {
 	const buckets = 3
 	aggs := []Aggregation{Count(), Sum("v"), Avg("v"), Sum("x"), Avg("x")}
 	arms := []struct {
-		name     string
-		combined bool
-		opts     []EngineOption
+		name string
+		opts []EngineOption
 	}{
-		{"combined", true, nil},
-		{"combined/budget", true, []EngineOption{WithMemoryBudget(1)}},
-		{"uncombined", false, []EngineOption{WithMapSideCombine(false)}},
-		{"uncombined/budget", false, []EngineOption{WithMapSideCombine(false), WithMemoryBudget(1)}},
+		{"combined", nil},
+		{"combined/budget", []EngineOption{WithMemoryBudget(1)}},
 	}
 	for _, keys := range [][]string{{"k"}, {"k", "n"}} {
 		plan := FromBatches("order", schema, batches).GroupBy(keys...).Agg(aggs...)
@@ -224,10 +213,7 @@ func TestGroupByEmissionOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !arm.combined && len(arm.opts) > 1 && res.Stats.AggSpilledPartitions == 0 {
-					t.Fatal("the budgeted uncombined run never spilled its group state")
-				}
-				want := orderModel(parts, schema, keys, buckets, arm.combined)
+				want := orderModel(parts, schema, keys, buckets)
 				if len(res.Rows) != len(want) {
 					t.Fatalf("%d groups, model %d", len(res.Rows), len(want))
 				}

@@ -1,7 +1,7 @@
 package dataflow
 
 // cancel_spill_test.go locks in the spill-store lifecycle under cancellation:
-// a budgeted run cancelled mid-shuffle/sort/agg must release every
+// a budgeted run cancelled mid-shuffle or mid-sort must release every
 // PartitionStore/RunStore temp file and leave no engine goroutines behind.
 // TMPDIR is pointed at a per-test directory so leaked spill files are
 // directly observable.
@@ -129,52 +129,41 @@ func TestCancelBudgetedSortReleasesRuns(t *testing.T) {
 	}
 }
 
-// TestCancelBudgetedAggReleasesSubPartitions cancels a budgeted non-combined
-// group-by mid-scan: the hash aggregation's overflow sub-partition stores must
-// not outlive the failed run.
-func TestCancelBudgetedAggReleasesSubPartitions(t *testing.T) {
-	tmp := t.TempDir()
-	t.Setenv("TMPDIR", tmp)
-	base := runtime.NumGoroutine()
-
-	schema := spillBenchSchema(t)
-	data := spillBenchData(10_000, 2000)
-	e := spillEngine(t, WithMapSideCombine(false), WithMemoryBudget(1))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	plan := FromRows("g", schema, data, 4).
-		Filter("cancel mid-scan", cancelAfterRows(4000, cancel)).
-		GroupBy("k").
-		Agg(Count(), Sum("v"), Avg("tag"))
-
-	if _, err := e.Collect(ctx, plan); err == nil {
-		t.Fatal("cancelled budgeted group-by must fail")
-	}
-	waitGoroutines(t, base)
-	if left := spillFiles(t, tmp); len(left) != 0 {
-		t.Errorf("cancelled group-by leaked spill files: %v", left)
-	}
-}
-
-// TestCompletedBudgetedRunLeavesNoSpill is the control: the same budgeted
-// plans run to completion must also end with an empty TMPDIR, proving the
-// observation method catches real leaks rather than vacuously passing.
+// TestCompletedBudgetedRunLeavesNoSpill is the control: budgeted plans of
+// the same shapes — a shuffled join and an external sort — run to completion
+// must also end with an empty TMPDIR, proving the observation method catches
+// real leaks rather than vacuously passing.
 func TestCompletedBudgetedRunLeavesNoSpill(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 
 	schema := spillBenchSchema(t)
 	data := spillBenchData(5000, 40)
-	e := spillEngine(t, WithMapSideCombine(false), WithMemoryBudget(1))
-	res, err := e.Collect(context.Background(), FromRows("g", schema, data, 4).
-		GroupBy("k").Agg(Count(), Sum("v")))
-	if err != nil {
-		t.Fatal(err)
+	dimSchema := storage.MustSchema(
+		storage.Field{Name: "k", Type: storage.TypeInt},
+		storage.Field{Name: "label", Type: storage.TypeString},
+	)
+	dim := make([]storage.Row, 40)
+	for i := range dim {
+		dim[i] = storage.Row{int64(i), "label-" + string(rune('a'+i%7))}
 	}
-	if res.Stats.SpilledBatches == 0 {
-		t.Fatal("control run must actually spill for the leak check to mean anything")
+	plans := map[string]*Dataset{
+		"shuffled join": FromRows("facts", schema, data, 4).
+			Join(FromRows("dims", dimSchema, dim, 2), "k", "k", InnerJoin),
+		"external sort": FromRows("s", schema, data, 4).
+			Sort(SortOrder{Column: "v"}, SortOrder{Column: "k", Descending: true}),
+	}
+	e := spillEngine(t, withBroadcastThreshold(-1), WithMemoryBudget(1))
+	for name, plan := range plans {
+		res, err := e.Collect(context.Background(), plan)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Stats.SpilledBatches == 0 {
+			t.Fatalf("%s: control run must actually spill for the leak check to mean anything", name)
+		}
 	}
 	if left := spillFiles(t, tmp); len(left) != 0 {
-		t.Errorf("completed budgeted run left spill files: %v", left)
+		t.Errorf("completed budgeted runs left spill files: %v", left)
 	}
 }

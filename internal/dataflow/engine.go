@@ -48,18 +48,15 @@ var spillCodec = storage.CodecOptions{Compress: true}
 type Engine struct {
 	cluster           *cluster.Cluster
 	shufflePartitions int
-	// combine enables the map-side partial aggregation pass before group-by
-	// shuffles.
-	combine bool
 	// broadcastThreshold is the largest build side, in rows, a join
 	// broadcasts; larger build sides shuffle both inputs, and a negative
 	// threshold shuffles every join.
 	broadcastThreshold int
-	// memoryBudget bounds the resident bytes of each wide operator's batch
-	// accumulation (shuffle buckets, sort runs, join build sides, group
-	// state): batches past the budget spill to temp files and are restored
-	// transparently on read. <= 0 (the default) means unlimited — nothing
-	// ever spills.
+	// memoryBudget bounds the resident bytes of each batch accumulation
+	// (shuffle buckets, sort runs, join build sides): batches past the
+	// budget spill to temp files and are restored transparently on read.
+	// The group-by's partials and merge state stay resident, outside it.
+	// <= 0 (the default) means unlimited — nothing ever spills.
 	memoryBudget int64
 	// spillDir places every spill temp file this engine creates ("" keeps
 	// os.TempDir()).
@@ -84,13 +81,6 @@ func WithShufflePartitions(n int) EngineOption {
 	}
 }
 
-// WithMapSideCombine toggles partial aggregation before group-by shuffles
-// (default on). With combining off every input row crosses the shuffle
-// boundary.
-func WithMapSideCombine(enabled bool) EngineOption {
-	return func(e *Engine) { e.combine = enabled }
-}
-
 // withBroadcastThreshold sets the build-side row count at or under which a
 // join broadcasts instead of shuffling (default 10000). A negative threshold
 // never broadcasts: the equivalence suite's shuffle-join arm.
@@ -98,21 +88,21 @@ func withBroadcastThreshold(rows int) EngineOption {
 	return func(e *Engine) { e.broadcastThreshold = rows }
 }
 
-// WithMemoryBudget bounds the bytes of columnar batch data each wide
-// operator keeps resident while accumulating (per partition store: one per
-// shuffle side, per sort run store, or per aggregation's group state). Once
-// an accumulation exceeds the budget its coldest batches are spilled to temp
-// files and restored transparently when the consuming tasks read them, so
-// wide operators run within budget on inputs that exceed RAM. bytes <= 0 (the
-// default) disables spilling.
+// WithMemoryBudget bounds the bytes of columnar batch data each shuffle,
+// sort and join keeps resident while accumulating (per partition store: one
+// per shuffle side, or per sort run store). Once an accumulation exceeds the
+// budget its coldest batches are spilled to temp files and restored
+// transparently when the consuming tasks read them, so those operators run
+// within budget on inputs that exceed RAM. The group-by is not bounded: its
+// map-side partials and each bucket's merge state stay resident whatever
+// the budget. bytes <= 0 (the default) disables spilling.
 func WithMemoryBudget(bytes int64) EngineOption {
 	return func(e *Engine) { e.memoryBudget = bytes }
 }
 
 // WithSpillDir places every spill temp file the engine creates (shuffle
-// gathers, sort runs, aggregation overflow) in dir instead of
-// the system temp directory. "" (the default) keeps os.TempDir(); the
-// directory must already exist.
+// gathers and sort runs) in dir instead of the system temp directory. ""
+// (the default) keeps os.TempDir(); the directory must already exist.
 func WithSpillDir(dir string) EngineOption {
 	return func(e *Engine) { e.spillDir = dir }
 }
@@ -125,7 +115,6 @@ func NewEngine(c *cluster.Cluster, opts ...EngineOption) (*Engine, error) {
 	e := &Engine{
 		cluster:            c,
 		shufflePartitions:  c.TotalSlots(),
-		combine:            true,
 		broadcastThreshold: defaultBroadcastThreshold,
 	}
 	if e.shufflePartitions < 1 {
@@ -174,17 +163,16 @@ type Stats struct {
 	// AggGroups is the number of distinct groups group-by aggregations
 	// emitted (summed across buckets and group-by operators).
 	AggGroups int64
-	// AggSpilledPartitions is the number of spill sub-partitions the
-	// budget-bounded hash aggregation flushed overflowing group state into
-	// and merged back. Zero when group state fit in memory.
-	AggSpilledPartitions int64
 	// AggPeakResidentBytes is the largest resident group-state footprint
 	// (hash table plus accumulator vectors) any single aggregation task
-	// reached — the measured side of the spilling hash-agg's memory bound.
+	// reached: a map task's table over its input partition, or a merge
+	// task's table over its bucket once the fold ends. No memory budget
+	// bounds it.
 	AggPeakResidentBytes int64
 	// Batches is the number of columnar batches operators produced: source
 	// partitions, narrow-stage outputs, shuffle chunks, and the outputs of
-	// joins, sorts and non-combined aggregations.
+	// joins and sorts. The group-by's partial and output batches are not
+	// counted.
 	Batches int64
 	// BatchRows is the number of rows those batches carried.
 	BatchRows int64
@@ -279,11 +267,6 @@ func (s *execState) noteSortPeak(bytes int64) {
 func (s *execState) addAggGroups(n int) {
 	s.mu.Lock()
 	s.stats.AggGroups += int64(n)
-	s.mu.Unlock()
-}
-func (s *execState) addAggSpilledParts(n int) {
-	s.mu.Lock()
-	s.stats.AggSpilledPartitions += int64(n)
 	s.mu.Unlock()
 }
 func (s *execState) noteAggPeak(bytes int64) {
@@ -515,14 +498,6 @@ func (e *Engine) shuffleBatches(in []*storage.ColumnBatch, schema *storage.Schem
 	})
 }
 
-// newPartitionStore returns a spill-aware partition store with the given
-// budget and the engine's codec and spill directory.
-func (e *Engine) newPartitionStore(schema *storage.Schema, parts int, budget int64) (*storage.PartitionStore, error) {
-	return storage.NewPartitionStore(schema, parts,
-		storage.WithMemoryBudget(budget), storage.WithCodec(spillCodec),
-		storage.WithSpillDir(e.spillDir))
-}
-
 // gatherBatches redistributes columnar batches into a partition store under
 // an arbitrary (batch, row) → partition assignment — hash buckets for the
 // keyed shuffles, range buckets for the sort; partsOf writes the partition
@@ -538,7 +513,9 @@ func (e *Engine) gatherBatches(in []*storage.ColumnBatch, schema *storage.Schema
 
 	st.addStage()
 	nParts := e.shufflePartitions
-	store, err := e.newPartitionStore(schema, nParts, e.memoryBudget)
+	store, err := storage.NewPartitionStore(schema, nParts,
+		storage.WithMemoryBudget(e.memoryBudget), storage.WithCodec(spillCodec),
+		storage.WithSpillDir(e.spillDir))
 	if err != nil {
 		return nil, err
 	}
@@ -866,27 +843,4 @@ func sortedBatchParts(in [][]*storage.ColumnBatch, schema *storage.Schema, st *e
 	}
 	st.addBatches(nBatches, nRows)
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Group-by
-// ---------------------------------------------------------------------------
-
-// evalGroupBy executes a group-by: with map-side combining (the default) each
-// input partition is pre-aggregated and only partial groups cross the
-// shuffle; without it every row crosses into the hash aggregation (see
-// agg_columnar.go for both).
-func (e *Engine) evalGroupBy(ctx context.Context, n *groupByNode, st *execState) ([]*storage.ColumnBatch, error) {
-	in, err := e.eval(ctx, n.child, st)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := storage.NewKeyEncoder(n.child.schema(), n.keys...)
-	if err != nil {
-		return nil, fmt.Errorf("dataflow: group-by: %w", err)
-	}
-	if e.combine {
-		return e.evalGroupByCombined(ctx, n, in, enc, st)
-	}
-	return e.evalGroupByHash(ctx, n, in, enc, st)
 }

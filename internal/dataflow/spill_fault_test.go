@@ -55,13 +55,9 @@ func TestSpillCreateFailureIsLocal(t *testing.T) {
 			return refFromRows("s", schema, data[:200], 4).
 				Sort(SortOrder{Column: "v"}, SortOrder{Column: "k", Descending: true}, SortOrder{Column: "tag"})
 		}},
-		{"non-combined group-by", "toreador-spill-", func() *Dataset {
-			return refFromRows("g", schema, data, 4).GroupBy("k").Agg(Count(), Sum("v"), Avg("tag"))
-		}},
 	}
 
-	e := spillEngine(t, withBroadcastThreshold(-1), WithMapSideCombine(false),
-		WithMemoryBudget(1), WithSpillDir(spillDir))
+	e := spillEngine(t, withBroadcastThreshold(-1), WithMemoryBudget(1), WithSpillDir(spillDir))
 	ctx := context.Background()
 	for _, p := range plans {
 		_, err := e.Collect(ctx, p.plan())

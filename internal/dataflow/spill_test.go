@@ -115,40 +115,6 @@ func TestSpillShuffledJoin(t *testing.T) {
 	assertSameResult(t, "shuffled join under budget", got, base)
 }
 
-// TestSpillGroupByNonCombined drives the non-combined group-by (every row
-// crosses the shuffle through the store) under a forced budget and compares
-// it against the unlimited run, which must itself match the reference.
-func TestSpillGroupByNonCombined(t *testing.T) {
-	ctx := context.Background()
-	schema := spillBenchSchema(t)
-	data := spillBenchData(5000, 40)
-	plan := func() *Dataset {
-		return refFromRows("g", schema, data, 4).
-			GroupBy("k").
-			Agg(Count(), Sum("v"), Avg("v"), Avg("tag"))
-	}
-
-	base, err := spillEngine(t, WithMapSideCombine(false)).Collect(ctx, plan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := reference(plan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want.check(t, "in-memory group-by", base)
-
-	spill := spillEngine(t, WithMapSideCombine(false), WithMemoryBudget(1))
-	got, err := spill.Collect(ctx, plan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats.SpilledBatches == 0 {
-		t.Fatal("budgeted group-by did not spill")
-	}
-	assertSameResult(t, "spilled group-by vs in-memory", got, base)
-}
-
 // TestSpillSortStaging checks that a budgeted sort stages its columnar input
 // through the spill store and still produces the identical ordering.
 func TestSpillSortStaging(t *testing.T) {

@@ -73,10 +73,9 @@ func (ch fusedChain) name() string {
 
 // Explain renders the physical plan the engine would execute for d: fused
 // stages, shuffle boundaries, and the physical strategy chosen for every wide
-// operator (range vs single-task sort, broadcast vs shuffled join, map-side
-// combine, and the in-memory or spilling core of sorts and aggregations). It
-// is the physical counterpart of Dataset.Explain (the logical plan) and
-// executes nothing.
+// operator (range vs single-task sort, broadcast vs shuffled join, and the
+// in-memory or external core of sorts). It is the physical counterpart of
+// Dataset.Explain (the logical plan) and executes nothing.
 func (e *Engine) Explain(d *Dataset) string {
 	if d == nil || d.node == nil {
 		return "<invalid plan>"
@@ -85,8 +84,8 @@ func (e *Engine) Explain(d *Dataset) string {
 		return fmt.Sprintf("<invalid plan: %v>", err)
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "PhysicalPlan(combine=%s, broadcastJoin(≤%d), shufflePartitions=%d, memoryBudget=%s)\n",
-		onOff(e.combine), e.broadcastThreshold, e.shufflePartitions, e.budgetLabel())
+	fmt.Fprintf(&sb, "PhysicalPlan(broadcastJoin(≤%d), shufflePartitions=%d, memoryBudget=%s)\n",
+		e.broadcastThreshold, e.shufflePartitions, e.budgetLabel())
 	fmt.Fprintf(&sb, "  spill: %s\n", e.spillMode())
 	e.explainNode(&sb, d.node, 1)
 	return sb.String()
@@ -110,18 +109,6 @@ func (e *Engine) sortCoreLabel(bound int, bounded bool) string {
 	default:
 		return "[external merge (chunked runs)]"
 	}
-}
-
-// aggCoreLabel names the aggregation core group-by nodes run with: the
-// columnar hash aggregation, spill-aware when a budget forces the
-// non-combined path's group state to re-partition. The combined path's
-// group state is bounded by the map-side partials, so only the non-combined
-// path gets the spilling tag.
-func (e *Engine) aggCoreLabel() string {
-	if e.memoryBudget > 0 && !e.combine {
-		return fmt.Sprintf("[spilling hash-agg (parts≤%d)]", aggSpillPartitions)
-	}
-	return "[columnar hash-agg]"
 }
 
 // budgetLabel renders the memory budget for the Explain header.
@@ -159,13 +146,6 @@ func estimateMaxRows(node planNode) (int, bool) {
 	}
 }
 
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
-}
-
 func (e *Engine) explainNode(sb *strings.Builder, node planNode, depth int) {
 	indent := strings.Repeat("  ", depth)
 	if ch, ok := narrowChainOf(node); ok {
@@ -182,12 +162,9 @@ func (e *Engine) explainNode(sb *strings.Builder, node planNode, depth int) {
 	label := node.label()
 	switch n := node.(type) {
 	case *groupByNode:
-		if e.combine {
-			label += " [combine+shuffle]"
-		} else {
-			label += " [shuffle]"
-		}
-		label += " " + e.aggCoreLabel()
+		// The one group-by: combine map-side, shuffle the partials, merge
+		// them per bucket, all in the columnar hash aggregation.
+		label += " [combine+shuffle] [columnar hash-agg]"
 	case *sortNode:
 		// Mirror evalSort's runtime decision: small bounded inputs take the
 		// single-task fallback; unbounded inputs are assumed large enough to

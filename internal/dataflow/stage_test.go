@@ -12,13 +12,6 @@ import (
 	"repro/internal/storage"
 )
 
-// combinedAndUncombinedEngines returns two engines over fresh clusters, one
-// combining group-by partials map-side and one shuffling every input row.
-func combinedAndUncombinedEngines(t *testing.T) (*Engine, *Engine) {
-	t.Helper()
-	return testEngineWith(t, WithMapSideCombine(true)), testEngineWith(t, WithMapSideCombine(false))
-}
-
 // numbersDataset builds a deterministic integer dataset over p partitions,
 // recorded as a reference-interpreter source.
 func numbersDataset(t *testing.T, n, p int) *Dataset {
@@ -158,39 +151,63 @@ func TestFusionMatchesUnfused(t *testing.T) {
 }
 
 func TestGroupByCombineMatchesAndReducesShuffle(t *testing.T) {
-	build := func() *Dataset {
-		return numbersDataset(t, 2000, 4).GroupBy("k").Agg(
-			Count(), Sum("v"), Avg("v"),
-		)
-	}
-	combiner, shuffler := combinedAndUncombinedEngines(t)
-	ctx := context.Background()
-	combined, err := combiner.Collect(ctx, build())
+	plan := numbersDataset(t, 2000, 4).GroupBy("k").Agg(
+		Count(), Sum("v"), Avg("v"),
+	)
+	want, err := reference(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := shuffler.Collect(ctx, build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalStrings(sortedRowStrings(combined.Rows), sortedRowStrings(plain.Rows)) {
-		t.Errorf("combined group-by differs from the uncombined group-by:\n%v\nvs\n%v",
-			sortedRowStrings(combined.Rows), sortedRowStrings(plain.Rows))
-	}
+	combined := collect(t, testEngine(t), plan)
+	want.check(t, "combined", combined)
 	// 2000 rows over 7 keys in 4 partitions: the combine pass shuffles at
 	// most 4*7 partial groups instead of 2000 rows.
-	if combined.Stats.ShuffledRows >= plain.Stats.ShuffledRows {
-		t.Errorf("combine did not reduce shuffled rows: %d vs %d",
-			combined.Stats.ShuffledRows, plain.Stats.ShuffledRows)
-	}
 	if combined.Stats.ShuffledRows > 4*7 {
 		t.Errorf("combined shuffled rows = %d, want <= 28", combined.Stats.ShuffledRows)
 	}
 	if combined.Stats.CombinedRows != 2000-combined.Stats.ShuffledRows {
 		t.Errorf("combined rows = %d, want %d", combined.Stats.CombinedRows, 2000-combined.Stats.ShuffledRows)
 	}
-	if plain.Stats.CombinedRows != 0 {
-		t.Errorf("uncombined run reported CombinedRows = %d", plain.Stats.CombinedRows)
+}
+
+// TestGroupByPeakCoversMerge groups keys that are distinct across the input
+// partitions, so a bucket's merge table holds more groups than any map
+// task's: AggPeakResidentBytes must be at least the largest merge table's
+// footprint, rebuilt here from each output batch.
+func TestGroupByPeakCoversMerge(t *testing.T) {
+	const parts, buckets = 4, 2
+	schema := storage.MustSchema(
+		storage.Field{Name: "k", Type: storage.TypeInt},
+		storage.Field{Name: "v", Type: storage.TypeFloat},
+	)
+	rows := make([]storage.Row, 2000)
+	for i := range rows {
+		rows[i] = storage.Row{int64(i), float64(i)}
+	}
+	plan := refFromRows("distinct", schema, rows, parts).GroupBy("k").Agg(Count(), Sum("v"))
+	br, err := testEngineWith(t, WithShufflePartitions(buckets)).CollectBatches(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keySchema := storage.MustSchema(plan.Schema().Field(0))
+	var largest int64
+	for _, b := range br.Batches {
+		enc, err := storage.NewKeyEncoder(b.Schema(), "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// No key repeats, so the bucket's partial rows are its groups: the
+		// merge sizes its table for them.
+		table := storage.NewGroupTable(keySchema, []int{0}, enc, b.Len())
+		table.MapBatch(b, nil)
+		// Count keeps one int64 per group, Sum a count and a sum.
+		largest = max(largest, table.MemSize()+3*8*int64(table.Groups()))
+	}
+	if largest == 0 {
+		t.Fatal("no output groups")
+	}
+	if got := br.Stats.AggPeakResidentBytes; got < largest {
+		t.Errorf("AggPeakResidentBytes = %d, below the largest merge table's %d", got, largest)
 	}
 }
 
@@ -207,25 +224,20 @@ func TestFusedUDFErrorFailsAction(t *testing.T) {
 }
 
 func TestExplainPhysicalPlan(t *testing.T) {
-	fused, uncombined := combinedAndUncombinedEngines(t)
+	fused := testEngine(t)
 	d := narrowChainPlan(numbersDataset(t, 10, 2)).GroupBy("k").Agg(Count())
 
 	plan := fused.Explain(d)
 	for _, want := range []string{
-		"PhysicalPlan(combine=on, broadcastJoin(≤10000), shufflePartitions=4, memoryBudget=unlimited)",
+		"PhysicalPlan(broadcastJoin(≤10000), shufflePartitions=4, memoryBudget=unlimited)",
 		"FusedStage(ops=3:",
 		"Filter(v >= 10) → WithColumn(v2) → Filter(k != 3)",
-		"GroupBy(keys=[k], aggs=1) [combine+shuffle]",
+		"GroupBy(keys=[k], aggs=1) [combine+shuffle] [columnar hash-agg]",
 		"Source(numbers, partitions=2, rows=10)",
 	} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("fused Explain missing %q:\n%s", want, plan)
 		}
-	}
-
-	baseline := uncombined.Explain(d)
-	if !strings.Contains(baseline, "GroupBy(keys=[k], aggs=1) [shuffle]") {
-		t.Errorf("uncombined Explain missing plain group-by:\n%s", baseline)
 	}
 
 	if got := fused.Explain(nil); got != "<invalid plan>" {

@@ -323,7 +323,7 @@ func TestExplainWideStrategies(t *testing.T) {
 	), []storage.Row{{int64(1)}, {int64(2)}}, 1)
 
 	e := testEngineWith(t)
-	header := "PhysicalPlan(combine=on, broadcastJoin(≤10000), shufflePartitions=4, memoryBudget=unlimited)\n"
+	header := "PhysicalPlan(broadcastJoin(≤10000), shufflePartitions=4, memoryBudget=unlimited)\n"
 	bigSort := wideDataset(t, 2000, 8).Sort(SortOrder{Column: "v"})
 	plan := e.Explain(bigSort)
 	if !strings.HasPrefix(plan, header) {

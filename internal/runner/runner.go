@@ -62,9 +62,10 @@ func WithFailureInjection(rate float64) Option {
 }
 
 // WithMemoryBudget bounds the bytes of columnar batch data the dataflow
-// engine keeps resident per wide-operator accumulation; batches past the
-// budget spill to temp files (see dataflow.WithMemoryBudget). <= 0 disables
-// spilling (the default).
+// engine keeps resident per shuffle, sort or join accumulation; batches past
+// the budget spill to temp files (see dataflow.WithMemoryBudget). A
+// group-by's partials and merge state stay resident, outside the budget.
+// <= 0 disables spilling (the default).
 func WithMemoryBudget(bytes int64) Option {
 	return func(r *Runner) { r.memoryBudget = bytes }
 }

@@ -5,7 +5,7 @@ package storage
 // to distinct keys in first-seen order. A slot holds an int32 id; the table
 // keeps one 64-bit key hash per id (key.go's FNV-1a fold, the hash the
 // shuffles partition by) and the id's key cells as a small columnar batch
-// built with typed copies. A lookup starts at the slot Mix64 of the row's
+// built with typed copies. A lookup starts at the slot mix64 of the row's
 // hash picks and walks linearly; an id with the same hash is confirmed by
 // comparing the row's typed key cells with the id's key row
 // (keyCellsEqual), so no key is ever encoded to bytes or looked up in a
@@ -13,9 +13,9 @@ package storage
 //
 // GroupTable serves the aggregation: typed accumulators indexed by group id
 // (sums in a []float64, counts in a []int64, …) replace one boxed state
-// object per group, the per-group hash re-partitions overflowing state under
-// a memory budget, and the emit path shares the key batch zero-copy into its
-// output. JoinTable serves the hash join: the build side's rows laid out by
+// object per group, the per-group hash picks the shuffle bucket a group's
+// partial state goes to, and the emit path shares the key batch zero-copy
+// into its output. JoinTable serves the hash join: the build side's rows laid out by
 // key, probed with lookups only.
 
 import (
@@ -75,7 +75,7 @@ func (t *keyTable) find(b *ColumnBatch, idx []int, i int, h uint64) int32 {
 		return -1
 	}
 	mask := uint64(len(t.slots) - 1)
-	for s := Mix64(h) & mask; ; s = (s + 1) & mask {
+	for s := mix64(h) & mask; ; s = (s + 1) & mask {
 		v := t.slots[s]
 		if v == 0 {
 			return -1
@@ -93,7 +93,7 @@ func (t *keyTable) findOrInsert(b *ColumnBatch, idx []int, i int, h uint64) int3
 		t.grow()
 	}
 	mask := uint64(len(t.slots) - 1)
-	s := Mix64(h) & mask
+	s := mix64(h) & mask
 	for ; t.slots[s] != 0; s = (s + 1) & mask {
 		if g := t.slots[s] - 1; t.hashes[g] == h && t.equal(b, idx, i, g) {
 			return g
@@ -114,7 +114,7 @@ func (t *keyTable) grow() {
 	slots := make([]int32, max(16, 2*len(t.slots)))
 	mask := uint64(len(slots) - 1)
 	for g, h := range t.hashes {
-		s := Mix64(h) & mask
+		s := mix64(h) & mask
 		for slots[s] != 0 {
 			s = (s + 1) & mask
 		}
@@ -133,10 +133,9 @@ func (t *keyTable) memSize() int64 {
 // 0..Groups() reproduces the exact group emission order of the row-at-a-time
 // aggregation. Not safe for concurrent use; build one per task.
 type GroupTable struct {
-	enc       *KeyEncoder
-	keySchema *Schema
-	keyIdx    []int
-	keys      keyTable
+	enc    *KeyEncoder
+	keyIdx []int
+	keys   keyTable
 
 	// codeCache maps a dictionary-backed key column's codes to group ids for
 	// the frame currently being mapped (see MapRange): cacheDict identifies
@@ -155,10 +154,9 @@ type GroupTable struct {
 // appear, so the table is sized for it up front.
 func NewGroupTable(keySchema *Schema, keyIdx []int, enc *KeyEncoder, rows int) *GroupTable {
 	return &GroupTable{
-		enc:       enc,
-		keySchema: keySchema,
-		keyIdx:    keyIdx,
-		keys:      newKeyTable(keySchema, rows),
+		enc:    enc,
+		keyIdx: keyIdx,
+		keys:   newKeyTable(keySchema, rows),
 	}
 }
 
@@ -170,9 +168,8 @@ func (t *GroupTable) MapBatch(b *ColumnBatch, ids []int32) []int32 {
 	return t.MapRange(b, 0, b.Len(), ids)
 }
 
-// MapRange maps rows [lo, hi) of b, so a budget-bounded consumer can check
-// its resident state between sub-ranges of one large batch. ids[j] is the
-// group id of row lo+j.
+// MapRange maps rows [lo, hi) of b; ids[j] is the group id of row lo+j.
+// MapBatch is MapRange over the whole batch.
 func (t *GroupTable) MapRange(b *ColumnBatch, lo, hi int, ids []int32) []int32 {
 	ids = slices.Grow(ids[:0], hi-lo)
 	// Code-based fast path: a single dictionary-backed string key without
@@ -216,7 +213,7 @@ func (t *GroupTable) MapRange(b *ColumnBatch, lo, hi int, ids []int32) []int32 {
 	return ids
 }
 
-// Groups returns the number of distinct groups seen since the last Reset.
+// Groups returns the number of distinct groups seen.
 func (t *GroupTable) Groups() int { return t.keys.len() }
 
 // Hash returns group g's 64-bit key hash: the FNV-1a hash of its key bytes.
@@ -228,17 +225,8 @@ func (t *GroupTable) Hash(g int) uint64 { return t.keys.hashes[g] }
 func (t *GroupTable) KeyRows() *ColumnBatch { return t.keys.keys }
 
 // MemSize counts the table's resident footprint: the slot array, one hash
-// per group and the key batch. It is the quantity the spilling hash
-// aggregation budgets against.
+// per group and the key batch.
 func (t *GroupTable) MemSize() int64 { return t.keys.memSize() }
-
-// Reset drops every group and releases the backing storage, so a spill flush
-// returns the table to its empty footprint.
-func (t *GroupTable) Reset() {
-	t.keys = newKeyTable(t.keySchema, 0)
-	// Cached ids are dense ids of the dropped generation — invalidate.
-	t.cacheDict = nil
-}
 
 // JoinTable indexes the rows of one build-side batch of a hash join by key:
 // each distinct key gets a dense id, and the build rows of a key lie

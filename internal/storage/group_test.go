@@ -105,7 +105,7 @@ func TestGroupTableMapBatchReusesScratch(t *testing.T) {
 	}
 }
 
-func TestGroupTableMemSizeAndReset(t *testing.T) {
+func TestGroupTableMemSize(t *testing.T) {
 	schema, b := groupTestBatch(t)
 	enc, err := NewKeyEncoder(schema, "k")
 	if err != nil {
@@ -119,15 +119,6 @@ func TestGroupTableMemSizeAndReset(t *testing.T) {
 	table.MapBatch(b, nil)
 	if table.MemSize() <= 0 {
 		t.Errorf("populated table MemSize = %d, want > 0", table.MemSize())
-	}
-	table.Reset()
-	if table.Groups() != 0 || table.MemSize() != 0 {
-		t.Errorf("after Reset: groups=%d mem=%d, want 0/0", table.Groups(), table.MemSize())
-	}
-	// The table is reusable after Reset, with fresh ids.
-	ids := table.MapBatch(b, nil)
-	if ids[0] != 0 || table.Groups() != 4 {
-		t.Errorf("re-map after Reset: first id=%d groups=%d, want 0/4", ids[0], table.Groups())
 	}
 }
 

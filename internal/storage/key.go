@@ -4,9 +4,9 @@ package storage
 // concatenation of a type-tagged, self-delimiting binary encoding of each key
 // column's value; two rows have equal keys iff their key columns hold equal
 // values of the same key type. The hash of a key is the 64-bit FNV-1a hash
-// of those bytes. The shuffles partition by it (PartitionOfHash), the group
-// table keeps it per group, and the spilling aggregation sub-partitions by
-// it (Mix64).
+// of those bytes. The shuffles partition by it (PartitionOfHash), and the
+// group and join tables keep it per key and place keys in slots by it
+// (mix64).
 //
 // The engine never builds the bytes on its hot paths: FNV-1a is a byte-stream
 // fold, so BatchHash and BatchHashes fold each cell's tag, length prefix and
@@ -58,12 +58,12 @@ func HashBytes64(b []byte) uint64 {
 	return h
 }
 
-// Mix64 runs h through a 64-bit avalanche mixer (the Murmur3 finalizer), so
+// mix64 runs h through a 64-bit avalanche mixer (the Murmur3 finalizer), so
 // that every input bit reaches every output bit. The raw low bits of a key
 // hash already chose its shuffle bucket (PartitionOfHash is h % n), and
 // FNV-1a barely stirs the bits above 32 for short keys: anything else that
-// splits keys by hash (hash-table slots, spill sub-partitions) mixes first.
-func Mix64(h uint64) uint64 {
+// splits keys by hash (the hash-table slots) mixes first.
+func mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

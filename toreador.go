@@ -196,9 +196,10 @@ type Config struct {
 	// cluster (0 disables it).
 	FailureRate float64
 	// MemoryBudget bounds the bytes of columnar batch data the dataflow
-	// engine keeps resident per wide-operator accumulation; batches past the
-	// budget spill to temp files and are restored transparently on read.
-	// <= 0 (the default) disables spilling.
+	// engine keeps resident per shuffle, sort or join accumulation; batches
+	// past the budget spill to temp files and are restored transparently on
+	// read. A group-by's partials and merge state stay resident, outside the
+	// budget. <= 0 (the default) disables spilling.
 	MemoryBudget int64
 	// StoreDir, when non-empty, opens the durable segment store under that
 	// directory: every campaign run saves its prepared dataset as a named
